@@ -1,33 +1,25 @@
-"""Benchmark the hot kernels on both lanes: numba @njit vs numpy fallback.
-
-Run directly; the script re-executes itself in a subprocess with
-SYMDYN_NO_NUMBA=1 and prints a side-by-side table.
+"""Benchmark the hot kernels on the lane that runs (scalar Python plus
+vectorized numpy) and print the best of three timings per kernel.
 
     python3 benchmarks/bench_kernels.py
 """
 
-import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
 
-def bench_current_lane(reps=3):
+def bench(reps=3):
     import symdyn
     from symdyn import _kernels as K
     from symdyn import library
     from symdyn.analysis import map_periodic_points
 
     m = symdyn.built_in("quadratic")
-    K.warmup(m.map_kind, m.table, m.sing)
-    out = {"lane": "njit" if K.USE_NUMBA else "numpy"}
+    out = {}
 
     def timeit(name, fn, n=reps):
-        best = min(_time_one(fn) for _ in range(n))
-        out[name] = best
+        out[name] = min(_time_one(fn) for _ in range(n))
 
     rng = np.random.default_rng(0)
     xs = m.draw_regular_points(2000, rng)
@@ -56,7 +48,7 @@ def bench_current_lane(reps=3):
     def regularity():
         m.verify_regularity(10_000, seed=1)
 
-    timeit("verify_regularity (1e4 samples, vectorized both lanes)", regularity)
+    timeit("verify_regularity (1e4 samples, vectorized)", regularity)
     return out
 
 
@@ -67,21 +59,9 @@ def _time_one(fn):
 
 
 def main():
-    if os.environ.get("_SYMDYN_BENCH_CHILD"):
-        print(json.dumps(bench_current_lane()))
-        return
-    here = bench_current_lane()
-    env = dict(os.environ, SYMDYN_NO_NUMBA="1", _SYMDYN_BENCH_CHILD="1")
-    other = json.loads(subprocess.run(
-        [sys.executable, os.path.abspath(__file__)], env=env,
-        capture_output=True, text=True, check=True).stdout.strip().splitlines()[-1])
-    lanes = {here["lane"]: here, other["lane"]: other}
-    names = [k for k in here if k != "lane"]
-    print(f"{'kernel':55s} {'njit':>10s} {'numpy':>10s} {'speedup':>8s}")
-    for name in names:
-        a = lanes.get("njit", {}).get(name, float("nan"))
-        b = lanes.get("numpy", {}).get(name, float("nan"))
-        print(f"{name:55s} {a:9.4f}s {b:9.4f}s {b / a:7.1f}x")
+    print(f"{'kernel':55s} {'numpy':>10s}")
+    for name, t in bench().items():
+        print(f"{name:55s} {t:9.4f}s")
 
 
 if __name__ == "__main__":

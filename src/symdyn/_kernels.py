@@ -11,13 +11,11 @@ Maps are encoded for the kernels as a ``(map_kind, table, sing)`` triple:
   ``1/(4x) - n/2`` on ``(1/(2n+2), 1/(2n)]``; the singular set
   ``{0} u {1/(2n)}`` has a closed-form distance.
 
-The sequential kernels exist in two lanes with identical semantics: a
-numba ``@njit`` build and a pure-numpy/Python fallback.  Setting
-``SYMDYN_NO_NUMBA=1`` in the environment selects the fallback lane;
-``benchmarks/bench_kernels.py`` compares the two.
+There is one lane: scalar Python kernels for sequential work (single
+points, orbits) and vectorized numpy kernels (``*_vec``,
+``periodic_roots``) for batches.  ``benchmarks/bench_kernels.py`` times
+them.
 """
-
-import os
 
 import numpy as np
 
@@ -28,22 +26,15 @@ KIND_AFFINE = 0
 KIND_QUADRATIC = 1
 KIND_MOEBIUS = 2
 
-_NO_NUMBA = os.environ.get("SYMDYN_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-if not _NO_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _NO_NUMBA = True
-
-USE_NUMBA = not _NO_NUMBA
+# Kernel lane recorded in run environments; there is no compiled lane.
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# scalar branch evaluation (compiled when numba is on; see rebinding below)
+# scalar branch evaluation
 # ---------------------------------------------------------------------------
 
-def _branch_index(map_kind, table, x):
+def branch_index(map_kind, table, x):
     if map_kind == MAPKIND_GAUSS:
         n = int(np.floor(1.0 / (2.0 * x)))
         if n < 1:
@@ -63,7 +54,7 @@ def _branch_index(map_kind, table, x):
     return -1
 
 
-def _fwd(map_kind, table, bid, x):
+def fwd(map_kind, table, bid, x):
     if map_kind == MAPKIND_GAUSS:
         return (1.0 - 2.0 * bid * x) / (4.0 * x)
     kind = int(table[bid, 0])
@@ -78,7 +69,7 @@ def _fwd(map_kind, table, bid, x):
     return (c0 + c1 * x) / (c2 + c3 * x)
 
 
-def _dfwd(map_kind, table, bid, x):
+def dfwd(map_kind, table, bid, x):
     if map_kind == MAPKIND_GAUSS:
         return -1.0 / (4.0 * x * x)
     kind = int(table[bid, 0])
@@ -94,7 +85,7 @@ def _dfwd(map_kind, table, bid, x):
     return (c1 * c2 - c0 * c3) / (den * den)
 
 
-def _inv(map_kind, table, bid, y):
+def inv(map_kind, table, bid, y):
     if map_kind == MAPKIND_GAUSS:
         return 1.0 / (4.0 * y + 2.0 * bid)
     kind = int(table[bid, 0])
@@ -113,7 +104,7 @@ def _inv(map_kind, table, bid, y):
     return (c0 - c2 * y) / (c3 * y - c1)
 
 
-def _dinv(map_kind, table, bid, y):
+def dinv(map_kind, table, bid, y):
     if map_kind == MAPKIND_GAUSS:
         d = 4.0 * y + 2.0 * bid
         return -4.0 / (d * d)
@@ -134,7 +125,7 @@ def _dinv(map_kind, table, bid, y):
     return (c1 * c2 - c0 * c3) / (d * d)
 
 
-def _sing_dist(map_kind, table, sing, x):
+def sing_dist(map_kind, table, sing, x):
     if map_kind == MAPKIND_GAUSS:
         best = abs(x)  # distance to 0
         if x > 0.0:
@@ -159,7 +150,7 @@ def _sing_dist(map_kind, table, sing, x):
 # forward / backward orbits
 # ---------------------------------------------------------------------------
 
-def _forward_orbit(map_kind, table, x0, nsteps, exclusion, sing):
+def forward_orbit(map_kind, table, x0, nsteps, exclusion, sing):
     """Iterate f; returns (points[n+1], branches[n], logderivs[n], signs[n],
     steps_done, ok).  Stops early (ok=False) if an iterate comes within
     ``exclusion`` of the singular set or leaves every branch domain."""
@@ -170,25 +161,25 @@ def _forward_orbit(map_kind, table, x0, nsteps, exclusion, sing):
     pts[0] = x0
     x = x0
     for k in range(nsteps):
-        if _sing_dist(map_kind, table, sing, x) <= exclusion:
+        if sing_dist(map_kind, table, sing, x) <= exclusion:
             return pts, bids, ld, sg, k, False
-        b = _branch_index(map_kind, table, x)
+        b = branch_index(map_kind, table, x)
         if b < 0:
             return pts, bids, ld, sg, k, False
-        d = _dfwd(map_kind, table, b, x)
+        d = dfwd(map_kind, table, b, x)
         if d == 0.0 or not np.isfinite(d):
             return pts, bids, ld, sg, k, False
         bids[k] = b
         ld[k] = np.log(abs(d))
         sg[k] = 1 if d > 0.0 else -1
-        x = _fwd(map_kind, table, b, x)
+        x = fwd(map_kind, table, b, x)
         pts[k + 1] = x
-    if _sing_dist(map_kind, table, sing, x) <= exclusion:
+    if sing_dist(map_kind, table, sing, x) <= exclusion:
         return pts, bids, ld, sg, nsteps, False
     return pts, bids, ld, sg, nsteps, True
 
 
-def _backward_orbit(map_kind, table, x0, word, exclusion, sing):
+def backward_orbit(map_kind, table, x0, word, exclusion, sing):
     """Iterate inverse branches along ``word``; word[k] is the branch that
     must contain x_{-k-1}.  Returns (points with points[k] = x_{-k},
     steps_done, ok)."""
@@ -198,97 +189,17 @@ def _backward_orbit(map_kind, table, x0, word, exclusion, sing):
     y = x0
     for k in range(n):
         b = word[k]
-        y = _inv(map_kind, table, b, y)
-        if _sing_dist(map_kind, table, sing, y) <= exclusion:
+        y = inv(map_kind, table, b, y)
+        if sing_dist(map_kind, table, sing, y) <= exclusion:
             return pts, k, False
-        if _branch_index(map_kind, table, y) != b:
+        if branch_index(map_kind, table, y) != b:
             return pts, k, False
         pts[k + 1] = y
     return pts, n, True
 
 
 # ---------------------------------------------------------------------------
-# periodic points: per-word cylinder + bisection on f^n(x) - x
-# ---------------------------------------------------------------------------
-
-def _compose_fwd(map_kind, table, word, x):
-    for k in range(word.shape[0]):
-        x = _fwd(map_kind, table, word[k], x)
-    return x
-
-
-def _periodic_root(map_kind, table, word, iters):
-    """Root of f^n(x) = x on the cylinder of ``word``; returns (root, found).
-
-    The cylinder is refined backward through inverse branches; the
-    composition is monotone there, so bisection finds the unique root."""
-    n = word.shape[0]
-    lo = table[word[n - 1], 1]
-    hi = table[word[n - 1], 2]
-    for k in range(n - 2, -1, -1):
-        b = word[k]
-        a = _inv(map_kind, table, b, lo)
-        c = _inv(map_kind, table, b, hi)
-        if a > c:
-            t = a
-            a = c
-            c = t
-        if a < table[b, 1]:
-            a = table[b, 1]
-        if c > table[b, 2]:
-            c = table[b, 2]
-        if not a < c:
-            return 0.0, False
-        lo = a
-        hi = c
-    flo = _compose_fwd(map_kind, table, word, lo) - lo
-    fhi = _compose_fwd(map_kind, table, word, hi) - hi
-    if flo == 0.0:
-        return lo, True
-    if fhi == 0.0:
-        return hi, True
-    if (flo > 0.0) == (fhi > 0.0):
-        return 0.0, False
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = _compose_fwd(map_kind, table, word, mid) - mid
-        if fm == 0.0:
-            return mid, True
-        if (fm > 0.0) == (flo > 0.0):
-            lo = mid
-            flo = fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), True
-
-
-if USE_NUMBA:
-    _branch_index = njit(cache=True)(_branch_index)
-    _fwd = njit(cache=True)(_fwd)
-    _dfwd = njit(cache=True)(_dfwd)
-    _inv = njit(cache=True)(_inv)
-    _dinv = njit(cache=True)(_dinv)
-    _sing_dist = njit(cache=True)(_sing_dist)
-    _forward_orbit = njit(cache=True)(_forward_orbit)
-    _backward_orbit = njit(cache=True)(_backward_orbit)
-    _compose_fwd = njit(cache=True)(_compose_fwd)
-    _periodic_root = njit(cache=True)(_periodic_root)
-
-branch_index = _branch_index
-fwd = _fwd
-dfwd = _dfwd
-inv = _inv
-dinv = _dinv
-sing_dist = _sing_dist
-forward_orbit = _forward_orbit
-backward_orbit = _backward_orbit
-periodic_root = _periodic_root
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy lane for batch evaluation
+# vectorized batch evaluation
 # ---------------------------------------------------------------------------
 
 def branch_index_vec(map_kind, table, x):
@@ -391,7 +302,7 @@ def sing_dist_vec(map_kind, table, sing, x):
     return np.min(np.abs(x[..., None] - sing[None, :]), axis=-1)
 
 
-def periodic_roots_numpy(map_kind, table, words, iters=200):
+def periodic_roots(map_kind, table, words, iters=200):
     """Vectorized cylinder refinement + bisection over a batch of words."""
     words = np.asarray(words, dtype=np.int64)
     w, n = words.shape
@@ -429,34 +340,3 @@ def periodic_roots_numpy(map_kind, table, words, iters=200):
     roots = np.where(exact_lo | exact_hi, root_exact, 0.5 * (lo + hi))
     return roots, alive
 
-
-def periodic_roots(map_kind, table, words, iters=200):
-    """Dispatch: njit per-word loop when numba is on, else vectorized numpy."""
-    words = np.asarray(words, dtype=np.int64)
-    if not USE_NUMBA:
-        return periodic_roots_numpy(map_kind, table, words, iters)
-    roots = np.empty(words.shape[0])
-    found = np.empty(words.shape[0], dtype=bool)
-    for i in range(words.shape[0]):
-        r, ok = _periodic_root(map_kind, table, words[i], iters)
-        roots[i] = r
-        found[i] = ok
-    return roots, found
-
-
-def warmup(map_kind, table, sing):
-    """Trigger JIT compilation of the scalar kernels (no-op on the numpy lane)."""
-    if not USE_NUMBA:
-        return
-    x = 0.5 * (table[0, 1] + table[0, 2]) if map_kind == MAPKIND_TABLE else 0.3
-    b = branch_index(map_kind, table, x)
-    fwd(map_kind, table, b, x)
-    dfwd(map_kind, table, b, x)
-    y = fwd(map_kind, table, b, x)
-    inv(map_kind, table, b, y)
-    dinv(map_kind, table, b, y)
-    sing_dist(map_kind, table, sing, x)
-    forward_orbit(map_kind, table, x, 4, 1e-15, sing)
-    backward_orbit(map_kind, table, x, np.array([b, b], dtype=np.int64), 1e-15, sing)
-    if map_kind == MAPKIND_TABLE:
-        _periodic_root(map_kind, table, np.array([0], dtype=np.int64), 8)

@@ -223,7 +223,6 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--max-period", dest="max_period", type=int)
-    p.add_argument("--workers", type=int)
     return p
 
 
@@ -234,7 +233,7 @@ def resolve_config(args):
     overrides = []
     for key, attr in (("map", "map_name"), ("chi", "chi"), ("epsilon", "epsilon"),
                       ("seed", "seed"), ("samples", "samples"),
-                      ("max_period", "max_period"), ("workers", "workers")):
+                      ("max_period", "max_period")):
         val = getattr(args, attr)
         if val is not None:
             overrides.append(f"{key} = {val}")

@@ -9,16 +9,13 @@ allowed.  Keys (all optional, defaults below):
     back_depth      backward window depth N
     fwd_len         forward horizon F
     n_min           smallest block length tested by expansion certificates
-    u_depth         fixed u-series truncation (0 = full available depth)
     seed            RNG seed (all sampling is deterministic given the seed)
-    samples         regularity / random-orbit sample count
-    max_period      periodic-orbit library: largest period enumerated
+    samples         regularity / random-orbit sample count (>= 1)
+    max_period      periodic-orbit library: largest period enumerated (>= 1)
     sizes_per_center  cap on chart sizes per net center (0 = the full CG2 range)
     paths_per_vertex  sampled recurrent paths per vertex in the Markov cover
     cover_window    half-length of the sampled paths
     encode_lo/encode_hi  encoding range within windows
-    contract_tol    shadowing nested-interval stop, relative to 2 p_0
-    workers         accepted for compatibility; execution is serial
 """
 
 import math
@@ -33,7 +30,6 @@ class RunConfig:
     back_depth: int = 40
     fwd_len: int = 40
     n_min: int = 6
-    u_depth: int = 0
     seed: int = 20260809
     samples: int = 10000
     max_period: int = 8
@@ -42,12 +38,11 @@ class RunConfig:
     cover_window: int = 12
     encode_lo: int = 0
     encode_hi: int = 12
-    contract_tol: float = 1e-13
-    workers: int = 1
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("samples", "max_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -14,6 +14,7 @@ bounds, Hölder continuity of df and dg) on random samples and reports
 worst-case witnesses; failures are report entries, not errors.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,22 +54,25 @@ class Branch:
     kind: int
     coef: tuple
     inv_sign: float = 1.0
+    row: np.ndarray = field(init=False, repr=False, compare=False)  # one-row kernel table
 
-    def _row(self):
+    def __post_init__(self):
         c = self.coef + (0.0,) * (4 - len(self.coef))
-        return np.array([[self.kind, self.lo, self.hi, c[0], c[1], c[2], c[3], self.inv_sign]])
+        row = np.array([[self.kind, self.lo, self.hi, *c, self.inv_sign]])
+        row.setflags(write=False)
+        object.__setattr__(self, "row", row)
 
     def fwd(self, x):
-        return K.fwd(MAPKIND_TABLE, self._row(), 0, x)
+        return K.fwd(MAPKIND_TABLE, self.row, 0, x)
 
     def dfwd(self, x):
-        return K.dfwd(MAPKIND_TABLE, self._row(), 0, x)
+        return K.dfwd(MAPKIND_TABLE, self.row, 0, x)
 
     def inv(self, y):
-        return K.inv(MAPKIND_TABLE, self._row(), 0, y)
+        return K.inv(MAPKIND_TABLE, self.row, 0, y)
 
     def dinv(self, y):
-        return K.dinv(MAPKIND_TABLE, self._row(), 0, y)
+        return K.dinv(MAPKIND_TABLE, self.row, 0, y)
 
     def inv_diff(self, y, s):
         """g(y+s) - g(y), stable for tiny s."""
@@ -113,6 +117,7 @@ class Branch:
         return -2.0 * (c1 * c2 - c0 * c3) * c3 / (c3 * y - c1) ** 3
 
 
+@functools.lru_cache(maxsize=256)
 def _gauss_branch(n):
     lo = 1.0 / (2.0 * (n + 1))
     hi = 1.0 / (2.0 * n)
@@ -132,6 +137,7 @@ class MapModel:
     table: np.ndarray = field(repr=False)
     sing: np.ndarray = field(repr=False)
     exclusion: float = EXCLUSION_RADIUS
+    _branches: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -141,30 +147,29 @@ class MapModel:
             raise ValueError("need a >= 1, beta in (0,1), kappa > 1")
         self.table.setflags(write=False)
         self.sing.setflags(write=False)
+        if self.map_kind == MAPKIND_GAUSS:
+            branches = tuple(_gauss_branch(n) for n in range(1, 17))
+        else:
+            branches = tuple(
+                Branch(id=i, lo=float(row[1]), hi=float(row[2]), kind=int(row[0]),
+                       coef=tuple(float(c) for c in row[3:7]), inv_sign=float(row[7]))
+                for i, row in enumerate(self.table))
+        object.__setattr__(self, "_branches", branches)
 
     # -- branch access ------------------------------------------------
 
     @property
     def branches(self):
-        if self.map_kind == MAPKIND_GAUSS:
-            return [_gauss_branch(n) for n in range(1, 17)]
-        out = []
-        for i in range(self.table.shape[0]):
-            row = self.table[i]
-            out.append(
-                Branch(id=i, lo=float(row[1]), hi=float(row[2]), kind=int(row[0]),
-                       coef=tuple(float(c) for c in row[3:7]), inv_sign=float(row[7]))
-            )
-        return out
+        return list(self._branches)
 
     def branch_by_id(self, bid):
         if self.map_kind == MAPKIND_GAUSS:
             if bid < 1:
                 raise KeyError(bid)
             return _gauss_branch(int(bid))
-        if not 0 <= bid < self.table.shape[0]:
+        if not 0 <= bid < len(self._branches):
             raise KeyError(bid)
-        return self.branches[int(bid)]
+        return self._branches[int(bid)]
 
     def branch_at(self, x):
         """Id of the unique branch whose domain contains x.
@@ -217,11 +222,7 @@ class MapModel:
         if self.map_kind == MAPKIND_TABLE:
             return MAPKIND_TABLE, self.table
         n = 16 if n_branches is None else n_branches
-        rows = []
-        for m in range(1, n + 1):
-            b = _gauss_branch(m)
-            rows.append([b.kind, b.lo, b.hi, *b.coef, 1.0])
-        return MAPKIND_TABLE, np.array(rows)
+        return MAPKIND_TABLE, np.vstack([_gauss_branch(m).row for m in range(1, n + 1)])
 
     # -- regularity ----------------------------------------------------
 

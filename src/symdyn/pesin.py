@@ -236,19 +236,6 @@ def q_greedy(idxQ_seq, cfg):
     return out
 
 
-def q_greedy_periodic(idxQ_cycle, cfg):
-    """Exact periodic greedy solution q_n = delta * min_{k<=0} e^{eps|k|} Q_{n+k}."""
-    P = len(idxQ_cycle)
-    nd = cfg.delta_index
-    spread = max(idxQ_cycle) - min(idxQ_cycle)
-    reach = P + spread // 3 + 2
-    out = []
-    for n in range(P):
-        best = max(int(idxQ_cycle[(n - k) % P]) - 3 * k for k in range(reach))
-        out.append(nd + best)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # window-level parameter tables
 # ---------------------------------------------------------------------------
@@ -313,12 +300,15 @@ def window_tables(m, w, cfg, lo=None, hi=None):
 
     idx_q = {}
     if w.period and hi - full_lo + 1 >= w.period:
-        # canonical periodic greedy, independent of the window truncation
+        # canonical periodic greedy q_n = delta * min_{k>=0} e^{eps k} Q_{n-k},
+        # independent of the window truncation.  In indices a lag k >= P
+        # term is the lag k - P term minus 3P, so the second lap of the
+        # greedy recursion is the exact periodic solution.
         phase_idxQ = [0] * w.period
         for k in range(lo, lo + w.period):
             kk = k if k <= hi else k - w.period
             phase_idxQ[(kk + w.off) % w.period] = idxQ[kk]
-        per = q_greedy_periodic(phase_idxQ, cfg)
+        per = q_greedy(phase_idxQ * 2, cfg)[w.period:]
         for k in range(full_lo, hi + 1):
             idx_q[k] = per[(k + w.off) % w.period]
     else:

@@ -25,6 +25,13 @@ def test_unknown_map_usage_error(tmp_path):
     assert rc != 0
 
 
+def test_nonpositive_counts_exit_2(tmp_path):
+    for flags in (["--samples", "-5"], ["--samples", "0"], ["--max-period", "0"]):
+        rc = run_cli(["verify-map", *flags, "--out", str(tmp_path), "--quiet"])
+        assert rc == 2
+        assert not (tmp_path / "regularity.report").exists()
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["frobnicate"])
@@ -33,10 +40,11 @@ def test_unknown_command_rejected():
 def test_config_parsing():
     cfg = parse_config("chi = 0.25\nmax_period = 5\n# comment\n")
     assert cfg.chi == 0.25 and cfg.max_period == 5
-    with pytest.raises(ValueError):
-        parse_config("no_such_key = 1\n")
-    with pytest.raises(ValueError):
-        parse_config("chi 0.25\n")
+    for bad in ("no_such_key = 1\n", "chi 0.25\n", "samples = 0\n",
+                "samples = -5\n", "max_period = 0\n", "workers = 2\n",
+                "contract_tol = 1e-13\n", "u_depth = 30\n"):
+        with pytest.raises(ValueError):
+            parse_config(bad)
 
 
 def test_config_file_and_overrides(tmp_path):

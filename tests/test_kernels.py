@@ -1,10 +1,14 @@
-"""The njit lane and the vectorized numpy lane must agree."""
+"""Scalar and vectorized kernels agree; periodic points match closed forms."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 import symdyn
 from symdyn import _kernels as K
+from symdyn.analysis import map_periodic_points
 
 
 @pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss"])
@@ -61,19 +65,35 @@ def test_backward_orbit_validates_branches():
     assert x == pytest.approx(0.3, abs=1e-12)
 
 
-def test_periodic_roots_lanes_agree():
+@pytest.mark.parametrize("n", range(1, 9))
+def test_periodic_roots_doubling_closed_form(n):
+    # y = x/2 conjugates x -> 2x mod 1: the root of the branch word b_0..b_{n-1}
+    # is the repeating binary fraction 0.(b_0..b_{n-1}), halved
     m = symdyn.built_in("doubling")
-    words = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
-    r1, f1 = K.periodic_roots(m.map_kind, m.table, words)
-    r2, f2 = K.periodic_roots_numpy(m.map_kind, m.table, words)
-    assert list(f1) == list(f2)
-    for a, b, ok in zip(r1, r2, f1):
-        if ok:
-            assert a == pytest.approx(b, abs=1e-12)
+    words = np.array(list(itertools.product((0, 1), repeat=n))[:-1], dtype=np.int64)
+    roots, found = K.periodic_roots(m.map_kind, m.table, words)
+    assert found.all()
+    for word, r in zip(words, roots):
+        k = int("".join(map(str, word)), 2)
+        assert r == pytest.approx(k / (2 * (2**n - 1)), abs=1e-12)
 
 
-def test_warmup_runs():
-    m = symdyn.built_in("doubling")
-    K.warmup(m.map_kind, m.table, m.sing)
-    mg = symdyn.built_in("gauss")
-    K.warmup(mg.map_kind, mg.table, mg.sing)
+def _merged(xs, tol=1e-9):
+    out = []
+    for x in sorted(xs):
+        if not out or x - out[-1] > tol:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_map_periodic_points_closed_form(n):
+    doubling = [k / (2 * (2**n - 1)) for k in range(2**n - 1)]
+    # 4x(1-x) = sin^2(2 pi t) at x = sin^2(pi t): period-n points have
+    # 2^n t = +-t mod 1; the built-in map is its conjugate by y = x/2
+    quadratic = _merged(math.sin(math.pi * k / d) ** 2 / 2
+                        for d in (2**n - 1, 2**n + 1) for k in range(d))
+    for name, expect in (("doubling", doubling), ("quadratic", quadratic)):
+        got = map_periodic_points(symdyn.built_in(name), n)
+        assert len(got) == len(expect)
+        assert got == pytest.approx(expect, abs=1e-12)

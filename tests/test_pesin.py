@@ -202,10 +202,12 @@ def test_q_greedy_dip_recovery(cfg):
 
 
 def test_q_greedy_periodic_matches_deep_truncation(cfg):
-    idxQ_cycle = [100, 130, 90, 100]
-    per = pesin.q_greedy_periodic(idxQ_cycle, cfg)
-    long = pesin.q_greedy(idxQ_cycle * 50, cfg)
-    assert long[-4:] == [per[(len(long) - 4 + i) % 4] for i in range(4)]
+    # window_tables takes the second lap of the greedy as the periodic solution
+    for idxQ_cycle in ([100, 130, 90, 100], [100], [40, 400, 10, 0, 250, 5, 90]):
+        P = len(idxQ_cycle)
+        per = pesin.q_greedy(idxQ_cycle * 2, cfg)[P:]
+        long = pesin.q_greedy(idxQ_cycle * 50, cfg)
+        assert long[-P:] == per
 
 
 def test_lemma_q_good_definition(doubling, cfg, cyc):
