@@ -65,8 +65,7 @@ def stage_library(m, cfg, out, quiet, u_depth=None):
 
 
 def stage_alphabet(m, cfg, pcfg, windows, out, quiet):
-    al = coarse_grain.build_alphabet(
-        m, windows, pcfg, sizes_per_center=cfg.sizes_per_center or None)
+    al = coarse_grain.build_alphabet(m, windows, pcfg)
     formats.write_alphabet(os.path.join(out, "alphabet.txt"), al)
     _say(quiet, f"alphabet: {len(al.centers)} centers, {len(al.vertices)} charts, "
                 f"{al.skipped} samples skipped")
@@ -112,8 +111,7 @@ def stage_inverse(m, cfg, pcfg, out, quiet):
     base = min(cfg.back_depth, 30)
     libs = [stage_library(m, cfg, out, True, u_depth=d) for d in (base, base + 4)]
     windows = libs[0].windows + libs[1].windows
-    al = coarse_grain.build_alphabet(m, windows, pcfg,
-                                     sizes_per_center=cfg.sizes_per_center or None)
+    al = coarse_grain.build_alphabet(m, windows, pcfg)
     lines = []
     records = []
     audited = 0

@@ -3,7 +3,8 @@
 Charts are binned by integer data (distance, u, cover element, Q and
 q-size bins, all natural-e bins); inside a bin a greedy net admits a
 center unless an already-admitted one matches it to within the net
-thresholds.  Admitted centers spawn one chart per admissible grid size.
+thresholds.  Admitted centers spawn charts at the admissible grid sizes
+reachable from the delta Q caps and the sampled greedy sizes under (E2.3).
 Weak and strong edges are the overlap/parameter clauses evaluated in log
 space with exact integer arithmetic on the size grid.
 
@@ -181,7 +182,7 @@ class Alphabet:
     bins: dict                 # BinKey -> [cid]
     vertices: list             # Vertex
     vertex_index: dict         # (cid, idx_p) -> vid
-    e1_index: dict             # (theta0, 1/u) -> [cid]
+    e1_index: dict             # (theta_0, 1/u_0) -> [cid]: exact E1 successors
     skipped: int               # samples rejected by the certificate
 
     def find_center(self, gamma, key):
@@ -205,20 +206,11 @@ def _gamma_and_bin(m, cfg, tables, k):
     return gamma, BinKey(k=kbins, l=lbins, a=abins, m=mbin, j=j)
 
 
-def _size_indices(cfg, j, idxQ, cap=None):
-    """Grid indices allowed by (CG2): p in [e^{-j-2}, e^{-j+2}], p <= delta Q.
-
-    A cap keeps the largest admissible sizes; callers must re-add any
-    canonical sizes the cap may drop (build_alphabet unions the greedy q
-    indices seen in the samples).
-    """
+def _size_indices(cfg, j, idxQ):
+    """Grid indices allowed by (CG2): p in [e^{-j-2}, e^{-j+2}], p <= delta Q."""
     lo_idx = int(math.ceil(3.0 * (j - 2) / cfg.epsilon))
     hi_idx = int(math.floor(3.0 * (j + 2) / cfg.epsilon))
-    lo_idx = max(lo_idx, cfg.delta_index + idxQ)
-    idxs = range(lo_idx, hi_idx + 1)
-    if cap is not None and len(idxs) > cap:
-        idxs = idxs[:cap]
-    return list(idxs)
+    return range(max(lo_idx, cfg.delta_index + idxQ), hi_idx + 1)
 
 
 def _group_samples(samples):
@@ -230,12 +222,14 @@ def _group_samples(samples):
     return groups
 
 
-def build_alphabet(m, samples, cfg, sizes_per_center=None):
+def build_alphabet(m, samples, cfg):
     """Discretize a library of certified windows into a chart alphabet.
 
     Each sample contributes its index-0 data; samples failing the
     expansion certificate are skipped and counted.  Samples are processed
-    in serialized-key order so the greedy net is reproducible.
+    in serialized-key order so the greedy net is reproducible.  Chart sizes
+    are the (E2.3) closure of each center's cap and sampled greedy sizes
+    inside its CG2 windows; charts are numbered by center, sizes ascending.
     """
     entries = []  # (sort_key, tables, k)
     skipped = 0
@@ -270,15 +264,38 @@ def build_alphabet(m, samples, cfg, sizes_per_center=None):
         hit.j_bins.add(key.j)
         hit.seen_q.add(tabs.idx_q[k])
 
-    vertices = []
-    vertex_index = {}
+    nd = cfg.delta_index
     e1_index = {}
     for c in centers:
-        sizes = set(c.seen_q)
-        for j in sorted(c.j_bins):
-            sizes.update(_size_indices(cfg, j, c.gamma.idxQ, cap=sizes_per_center))
-        c.sizes = sorted(sizes)
-        e1_index.setdefault((c.gamma.theta[1], 1.0 / c.gamma.u[1]), []).append(c.cid)
+        e1_index.setdefault((c.gamma.theta[0], 1.0 / c.gamma.u[0]), []).append(c.cid)
+
+    def in_cg2(c, ip):
+        return any(ip in _size_indices(cfg, j, c.gamma.idxQ) for j in c.j_bins)
+
+    # Along a bi-infinite strong path the size index drops by exactly 3 per
+    # step except where the delta Q cap binds (E2.3), and the CG2 windows
+    # bound it above, so every vertex of such a path is reached forward from
+    # a capped vertex of the same path: this closure holds the whole relevant
+    # core of the full CG2 ladder.
+    sizes = [set(c.seen_q) for c in centers]
+    for c in centers:
+        if in_cg2(c, nd + c.gamma.idxQ):
+            sizes[c.cid].add(nd + c.gamma.idxQ)
+    stack = [(cid, ip) for cid, ips in enumerate(sizes) for ip in ips]
+    while stack:
+        cid, iq = stack.pop()
+        g = centers[cid].gamma
+        for wid in e1_index.get((g.theta[1], 1.0 / g.u[1]), ()):
+            w = centers[wid]
+            ip = max(iq - 3, nd + w.gamma.idxQ)
+            if ip not in sizes[wid] and in_cg2(w, ip):
+                sizes[wid].add(ip)
+                stack.append((wid, ip))
+
+    vertices = []
+    vertex_index = {}
+    for c in centers:
+        c.sizes = sorted(sizes[c.cid])
         for ip in c.sizes:
             chart = Chart(center=c.window, shift=c.shift, params=c.params, idx_p=ip)
             v = Vertex(vid=len(vertices), cid=c.cid, chart=chart, gamma=c.gamma)
@@ -357,32 +374,23 @@ def _edge_test_vertices(cfg, v, w, strong=True):
 def build_graph(alphabet):
     """Materialize strong edges.
 
-    For a successor chart w of size p, (E2.3) forces either q = e^{-eps} p
-    (one candidate size) or, when p is capped at delta Q(x), any q >=
-    e^{-eps} p; candidates are found through the exact-match center index.
+    A chart v of size q can be followed only by a center w whose pulled-back
+    data matches v exactly (the E1 index), at the one size (E2.3) allows,
+    p = min(e^eps q, delta Q(w)).
     """
     cfg = alphabet.cfg
     nd = cfg.delta_index
     nv = len(alphabet.vertices)
     out_edges = [[] for _ in range(nv)]
     in_edges = [[] for _ in range(nv)]
-    for w in alphabet.vertices:
-        key = (w.gamma.theta[0], 1.0 / w.gamma.u[0])
-        cap = nd + w.gamma.idxQ
-        ip = w.idx_p
-        if ip < cap:
-            continue  # (E2.3) unreachable
-        for cid in alphabet.e1_index.get(key, ()):
-            c = alphabet.centers[cid]
-            if ip > cap:
-                cand = [ip + 3] if (c.cid, ip + 3) in alphabet.vertex_index else []
-            else:
-                cand = [iq for iq in c.sizes if iq <= ip + 3]
-            for iq in cand:
-                v = alphabet.vertices[alphabet.vertex_index[(cid, iq)]]
-                if _edge_test_vertices(cfg, v, w, strong=True):
-                    out_edges[v.vid].append(w.vid)
-                    in_edges[w.vid].append(v.vid)
+    for v in alphabet.vertices:
+        for cid in alphabet.e1_index.get((v.gamma.theta[1], 1.0 / v.gamma.u[1]), ()):
+            ip = max(v.idx_p - 3, nd + alphabet.centers[cid].gamma.idxQ)
+            wid = alphabet.vertex_index.get((cid, ip))
+            if wid is not None and _edge_test_vertices(
+                    cfg, v, alphabet.vertices[wid], strong=True):
+                out_edges[v.vid].append(wid)
+                in_edges[wid].append(v.vid)
     bin_index = {}
     for c in alphabet.centers:
         for ip in c.sizes:

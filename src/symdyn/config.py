@@ -12,7 +12,6 @@ allowed.  Keys (all optional, defaults below):
     seed            RNG seed (all sampling is deterministic given the seed)
     samples         regularity / random-orbit sample count (>= 1)
     max_period      periodic-orbit library: largest period enumerated (>= 1)
-    sizes_per_center  cap on chart sizes per net center (0 = the full CG2 range)
     paths_per_vertex  sampled recurrent paths per vertex in the Markov cover
     cover_window    half-length of the sampled paths
     encode_lo/encode_hi  encoding range within windows
@@ -33,7 +32,6 @@ class RunConfig:
     seed: int = 20260809
     samples: int = 10000
     max_period: int = 8
-    sizes_per_center: int = 0
     paths_per_vertex: int = 3
     cover_window: int = 12
     encode_lo: int = 0

@@ -53,12 +53,9 @@ def write_alphabet(path, alphabet):
             fh.write(f"V{v.vid} c{v.cid} " + chart_record(v.chart) + "\n")
 
 
-def write_graph(path, g, include_weak_limit=2000):
-    """Line-oriented graph export: vertex records then edge records.
-
-    Weak edges are enumerated only for graphs at or under the given vertex
-    count (the weak relation is ~100x denser than the strong one).
-    """
+def write_graph(path, g):
+    """Line-oriented graph export: a ``V`` record for every vertex with a
+    strong edge, then one ``E v w S`` record per strong edge v -> w."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header("graph"))
         for v in g.alphabet.vertices:
@@ -68,14 +65,6 @@ def write_graph(path, g, include_weak_limit=2000):
         for vid, outs in enumerate(g.out_edges):
             for w in outs:
                 fh.write(f"E {vid} {w} S\n")
-        if g.n_vertices() <= include_weak_limit:
-            strong = {(v, w) for v, outs in enumerate(g.out_edges) for w in outs}
-            for vid in range(g.n_vertices()):
-                if not (g.out_edges[vid] or g.in_edges[vid]):
-                    continue
-                for w in g.weak_successors(vid):
-                    if (vid, w) not in strong:
-                        fh.write(f"E {vid} {w} W\n")
 
 
 def write_dot(path, adjacency, name="g"):

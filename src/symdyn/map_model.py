@@ -502,6 +502,8 @@ def parse_map_file(text):
         sing = [float(v) for v in h.get("singular", "").split()]
     except (KeyError, ValueError) as e:
         raise MapFileError(f"bad [map] section: {e}") from e
+    if not all(map(math.isfinite, (a, beta, kappa, *domain, *sing))):
+        raise MapFileError("bad [map] section: non-finite number")
 
     rows = []
     for s in sections:
@@ -514,6 +516,8 @@ def parse_map_file(text):
             inv_sign = float(s.get("inv_sign", "1"))
         except (KeyError, ValueError) as e:
             raise MapFileError(f"bad [branch] section: {e}") from e
+        if not all(map(math.isfinite, (lo, hi, *coef, inv_sign))):
+            raise MapFileError(f"bad [branch] section: non-finite number in {s['dom']!r}")
         coef = coef + [0.0] * (4 - len(coef))
         rows.append([kind, lo, hi, *coef[:4], inv_sign])
     if not rows:

@@ -42,9 +42,6 @@ class Rectangle:
     chart: object          # the vertex chart v
     points: list           # ShadowResult
 
-    def contains(self, window):
-        return any(windows_agree(p.point, window) for p in self.points)
-
 
 @dataclass
 class FibreDescriptors:
@@ -220,17 +217,6 @@ def refine(cover):
     return cells
 
 
-def brute_force_signature_partition(cover):
-    """Oracle: group sampled points by (rectangle, membership signature)."""
-    met = rectangles_meeting(cover)
-    groups = {}
-    for i, z in enumerate(cover):
-        for pi in range(len(z.points)):
-            sig = _signature_of(cover, i, pi, met)
-            groups.setdefault((i, sig), []).append((i, pi))
-    return sorted(sorted(v) for v in groups.values())
-
-
 # ---------------------------------------------------------------------------
 # the refined shift graph and its projection
 # ---------------------------------------------------------------------------
@@ -388,7 +374,8 @@ class AuditReport:
 def audits(tg):
     """Local finiteness, Markov fibre containments, finite-to-one counts."""
     cover, cells = tg.cover, tg.cells
-    met = rectangles_meeting(cover)
+    idx = _x0_index(cover)
+    met = rectangles_meeting(cover, idx)
     inter_counts = [len(met[i]) for i in range(len(cover))]
 
     refined_in_rect = {}
@@ -397,7 +384,8 @@ def audits(tg):
     rects_over_cell = {}
     for c in cells:
         w = _member_window(cover, c.members[0])
-        rects_over_cell[c.cell_id] = sum(1 for z in cover if z.contains(w))
+        rects_over_cell[c.cell_id] = len({j for j, pj in idx.get(w.x0, ())
+                                          if windows_agree(cover[j].points[pj].point, w)})
 
     # sampled Markov property: for x in R0 with f(x) in R1,
     # f(W^s(x, Z(R0))) inside W^s(f x, Z(R1)) and dually for W^u

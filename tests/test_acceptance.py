@@ -19,6 +19,8 @@ from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn import shadowing as sh
 
+from oracles import signature_partition
+
 LN2 = math.log(2.0)
 
 # chart-scale parameters per built-in; epsilon <= chi/2 keeps the
@@ -158,7 +160,7 @@ def roundtrip_results():
         assert len(lib.windows) == 100
         hi = 8
         samples = [w.shift(k) for w in lib.windows for k in range(0, hi + 1)]
-        al = cg.build_alphabet(m, samples, cfg, sizes_per_center=16)
+        al = cg.build_alphabet(m, samples, cfg)
         results = []
         for w in lib.windows:
             gpo, _ = cg.sufficiency_encode(m, w, al, cfg, lo=0, hi=hi)
@@ -247,7 +249,7 @@ def test_criterion_08_refinement_oracle(doubling_fixture):
     for cover in covers:
         cells = mr.refine(cover)
         ours = sorted(sorted(c.members) for c in cells)
-        assert ours == mr.brute_force_signature_partition(cover)
+        assert ours == signature_partition(cover)
         for c in cells:
             sig = dict(c.signature)
             for i, _ in c.members:

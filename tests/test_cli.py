@@ -32,6 +32,20 @@ def test_nonpositive_counts_exit_2(tmp_path):
         assert not (tmp_path / "regularity.report").exists()
 
 
+def test_non_finite_map_file_exit_2(tmp_path):
+    # every sample from a nan branch would be rejected, so verify-map passed
+    path = tmp_path / "nan.map"
+    path.write_text("[map]\na = 1.0\nbeta = 0.5\nkappa = 2.0\ndomain = 0.0 0.5\n"
+                    "singular = 0.0 0.25\n"
+                    "[branch]\ndom = 0.0 0.25\nkind = affine\ncoef = nan 2.0\n"
+                    "[branch]\ndom = 0.25 0.5\nkind = affine\ncoef = -0.5 2.0\n",
+                    encoding="utf-8")
+    rc = run_cli(["verify-map", "--map", str(path), "--out", str(tmp_path / "o"),
+                  "--quiet"])
+    assert rc == 2
+    assert not (tmp_path / "o" / "regularity.report").exists()
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["frobnicate"])
@@ -42,7 +56,7 @@ def test_config_parsing():
     assert cfg.chi == 0.25 and cfg.max_period == 5
     for bad in ("no_such_key = 1\n", "chi 0.25\n", "samples = 0\n",
                 "samples = -5\n", "max_period = 0\n", "workers = 2\n",
-                "contract_tol = 1e-13\n", "u_depth = 30\n"):
+                "contract_tol = 1e-13\n", "u_depth = 30\n", "sizes_per_center = 16\n"):
         with pytest.raises(ValueError):
             parse_config(bad)
 
@@ -153,12 +167,15 @@ def test_each_subcommand(tmp_path, command, artifact):
     assert (out / artifact).exists()
 
 
-def test_graph_export_contains_weak_flags(tmp_path):
+def test_graph_export_edges_name_vertex_records(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("map = doubling\nmax_period = 3\n", encoding="utf-8")
     out = tmp_path / "o"
     assert cli.main(["graph", "--config", str(cfgfile), "--out", str(out),
                      "--quiet"]) == 0
     lines = (out / "graph.txt").read_text().splitlines()
-    kinds = {ln.split()[-1] for ln in lines if ln.startswith("E ")}
-    assert kinds == {"S", "W"}
+    vertices = {ln.split()[1] for ln in lines if ln.startswith("V ")}
+    edges = [ln.split() for ln in lines if ln.startswith("E ")]
+    assert edges
+    for _, v, w, kind in edges:
+        assert kind == "S" and v in vertices and w in vertices

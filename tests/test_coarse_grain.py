@@ -5,8 +5,11 @@ import pytest
 
 import symdyn
 from symdyn import coarse_grain as cg
+from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
+
+from oracles import full_ladder_alphabet, strong_graph_backward
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -285,3 +288,73 @@ def test_weak_successors_superset_of_strong(graph, alphabet, cfg):
         for wid in weak:
             v, w = alphabet.vertices[vid], alphabet.vertices[wid]
             assert w.idx_p >= v.idx_p - 3  # (WE2) p <= e^eps q
+
+
+# -- relevant core against the full CG2 ladder ------------------------------------
+
+MAP_CFG = {
+    "doubling": pesin.PesinConfig(chi=CHI2, epsilon=0.1),
+    "tent": pesin.PesinConfig(chi=CHI2, epsilon=0.1),
+    "quadratic": pesin.PesinConfig(chi=0.1, epsilon=0.05),
+    "gauss": pesin.PesinConfig(chi=0.5, epsilon=0.1),
+}
+
+
+def _chart_key(chart):
+    return (chart.center.record(), chart.shift, chart.idx_p)
+
+
+def _edges(g, vids):
+    key = {v: _chart_key(g.alphabet.vertices[v].chart) for v in vids}
+    return {(key[v], key[w]) for v in vids for w in g.out_edges[v] if w in key}
+
+
+def _assert_closure_is_ladder_core(m, samples, cfg):
+    """The closure alphabet is a forward-closed subset of the full CG2 ladder
+    with the same strong edges between its charts and the same relevant
+    core."""
+    al = cg.build_alphabet(m, samples, cfg)
+    full = full_ladder_alphabet(m, samples, cfg)
+    for c in al.centers:
+        for iq in c.seen_q:
+            assert any(iq in cg._size_indices(cfg, j, c.gamma.idxQ) for j in c.j_bins)
+    g, full_g = cg.build_graph(al), strong_graph_backward(full)
+    inside = [full.vertex_index[(v.cid, v.idx_p)] for v in al.vertices]
+    # every capped ladder chart is in the closure, and no strong edge leaves it
+    closure = set(inside)
+    for v in full.vertices:
+        if v.idx_p == cfg.delta_index + v.gamma.idxQ:
+            assert v.vid in closure
+    for v in closure:
+        assert closure.issuperset(full_g.out_edges[v])
+    assert _edges(g, range(len(al.vertices))) == _edges(full_g, inside)
+    (pg, kept), (full_pg, full_kept) = cg.prune_relevant(g), cg.prune_relevant(full_g)
+    core = [_chart_key(al.vertices[v].chart) for v in kept]
+    assert core == [_chart_key(full.vertices[v].chart) for v in full_kept]
+    assert _edges(pg, kept) == _edges(full_pg, full_kept)
+    return core
+
+
+@pytest.mark.parametrize("name,period", [("doubling", 4), ("tent", 4),
+                                         ("quadratic", 3), ("gauss", 2)])
+def test_closure_matches_full_ladder_periodic(name, period):
+    m = symdyn.built_in(name)
+    cfg = MAP_CFG[name]
+    lib = library.periodic_library(m, cfg.chi, period, back_depth=40, fwd_len=40)
+    assert _assert_closure_is_ladder_core(m, lib.windows, cfg)
+
+
+def test_closure_matches_full_ladder_two_u_depths(doubling, cfg):
+    # the union the double-coding audit codes over
+    libs = [library.periodic_library(doubling, cfg.chi, 4, back_depth=40, fwd_len=40,
+                                     u_depth=d) for d in (30, 34)]
+    assert _assert_closure_is_ladder_core(doubling, libs[0].windows + libs[1].windows, cfg)
+
+
+@pytest.mark.parametrize("name", list(MAP_CFG))
+def test_closure_matches_full_ladder_random_windows(name):
+    m = symdyn.built_in(name)
+    cfg = MAP_CFG[name]
+    lib = library.random_library(m, cfg.chi, 100, back_depth=40, fwd_len=14, seed=2026)
+    samples = [w.shift(k) for w in lib.windows for k in range(9)]
+    _assert_closure_is_ladder_core(m, samples, cfg)

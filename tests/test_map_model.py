@@ -157,6 +157,8 @@ def test_map_file_errors():
         parse_map_file("[map]\nname = x\n")  # missing constants
     with pytest.raises(MapFileError):
         parse_map_file("a = 1\n")  # stray line
+    with pytest.raises(MapFileError):
+        parse_map_file(DOUBLING_FILE.replace("kappa = 2.0", "kappa = inf"))
 
 
 def test_load_map_builtin_and_file(tmp_path):

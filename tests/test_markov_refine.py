@@ -8,6 +8,8 @@ from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
+from oracles import signature_partition
+
 CHI2 = 0.5 * math.log(2.0)
 
 
@@ -102,7 +104,7 @@ def test_refine_matches_brute_force(cover):
     rects, _ = cover
     cells = mr.refine(rects)
     ours = sorted(sorted(c.members) for c in cells)
-    oracle = mr.brute_force_signature_partition(rects)
+    oracle = signature_partition(rects)
     assert ours == oracle
 
 
@@ -119,10 +121,14 @@ def test_refine_overlapping_rectangles_against_oracle(doubling, cfg, fixture):
                                     points=r.points) for i, r in enumerate(rects[:3])]
     cells = mr.refine(doubled)
     ours = sorted(sorted(c.members) for c in cells)
-    assert ours == mr.brute_force_signature_partition(doubled)
+    assert ours == signature_partition(doubled)
     # shared points produce 'su' signatures against the twin rectangle
     twin_sigs = [dict(c.signature) for c in cells if c.rect == 0]
     assert any(sig.get((0, len(rects))) == "su" for sig in twin_sigs)
+    # a twinned cell lies in its rectangle and the twin, any other in one
+    over = mr.audits(mr.hat_graph(doubled, cells)).rects_over_cell
+    for c in cells:
+        assert over[c.cell_id] == (2 if c.rect < 3 or c.rect >= len(rects) else 1)
 
 
 def test_hat_graph_cycles(doubling, cfg, cover):
