@@ -41,6 +41,10 @@ def bench(reps=3):
     timeit("periodic points n=12 (4096 words)",
            lambda: map_periodic_points(m, 12))
 
+    gauss = symdyn.built_in("gauss")
+    timeit("periodic points gauss n=4 (65,536 words)",
+           lambda: map_periodic_points(gauss, 4))
+
     timeit("random library (100 certified windows)",
            lambda: library.random_library(m, 0.1, 100, back_depth=40,
                                           fwd_len=14, seed=3))

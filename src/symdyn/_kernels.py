@@ -302,8 +302,38 @@ def sing_dist_vec(map_kind, table, sing, x):
     return np.min(np.abs(x[..., None] - sing[None, :]), axis=-1)
 
 
+def _compose(map_kind, table, words, x):
+    """f_{w[n-1]} o ... o f_{w[0]} (x) row-wise, one word per row of ``words``.
+
+    A table of one branch kind evaluates only that formula, as the same IEEE
+    operations ``fwd_vec`` selects; coefficients are gathered per step.
+    """
+    kinds = np.unique(table[:, 0])
+    if kinds.size != 1:
+        for k in range(words.shape[1]):
+            x = fwd_vec(map_kind, table, words[:, k], x)
+        return x
+    kind = kinds[0]
+    c0, c1, c2, c3 = (table[:, j] for j in (3, 4, 5, 6))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(words.shape[1]):
+            b = words[:, k]
+            if kind == KIND_AFFINE:
+                x = c0[b] + c1[b] * x
+            elif kind == KIND_QUADRATIC:
+                x = c0[b] + c1[b] * x + c2[b] * x * x
+            else:
+                x = (c0[b] + c1[b] * x) / (c2[b] + c3[b] * x)
+    return x
+
+
 def periodic_roots(map_kind, table, words, iters=200):
-    """Vectorized cylinder refinement + bisection over a batch of words."""
+    """Vectorized cylinder refinement + bisection over a batch of words.
+
+    Returns ``(roots, found)``; ``roots[~found]`` is unspecified.  Only live
+    words whose root is not a cylinder endpoint are bisected, each for at
+    most ``iters`` steps.
+    """
     words = np.asarray(words, dtype=np.int64)
     w, n = words.shape
     lo = table[words[:, n - 1], 1].copy()
@@ -319,24 +349,34 @@ def periodic_roots(map_kind, table, words, iters=200):
         lo = np.where(alive, a2, 0.0)
         hi = np.where(alive, c2, 1.0)
 
-    def compose(x):
-        for k in range(n):
-            x = fwd_vec(map_kind, table, words[:, k], x)
-        return x
-
-    flo = compose(lo) - lo
-    fhi = compose(hi) - hi
+    idx = np.flatnonzero(alive)
+    lo, hi, wd = lo[idx], hi[idx], words[idx]
+    flo = _compose(map_kind, table, wd, lo) - lo
+    fhi = _compose(map_kind, table, wd, hi) - hi
     exact_lo = flo == 0.0
     exact_hi = (fhi == 0.0) & ~exact_lo
-    root_exact = np.where(exact_lo, lo, np.where(exact_hi, hi, 0.0))
-    alive &= exact_lo | exact_hi | ((flo > 0.0) != (fhi > 0.0))
+    roots = np.zeros(w)
+    roots[idx] = np.where(exact_lo, lo, hi)
+    alive[idx] = exact_lo | exact_hi | ((flo > 0.0) != (fhi > 0.0))
+    todo = alive[idx] & ~(exact_lo | exact_hi)
+    idx, lo, hi, flo, wd = idx[todo], lo[todo], hi[todo], flo[todo], wd[todo]
     for _ in range(iters):
+        if idx.size == 0:
+            break
         mid = 0.5 * (lo + hi)
-        fm = compose(mid) - mid
+        fm = _compose(map_kind, table, wd, mid) - mid
         same = (fm > 0.0) == (flo > 0.0)
-        lo = np.where(same, mid, lo)
+        new_lo = np.where(same, mid, lo)
+        new_hi = np.where(same, hi, mid)
         flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    roots = np.where(exact_lo | exact_hi, root_exact, 0.5 * (lo + hi))
+        # An unchanged (lo, hi) leaves the sign of flo unchanged as well, so
+        # the word sits at a fixed point of the step: retiring it here gives
+        # the bits that running all ``iters`` steps would give.
+        done = (new_lo == lo) & (new_hi == hi)
+        lo, hi = new_lo, new_hi
+        if done.any():
+            roots[idx[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            idx, lo, hi, flo, wd = idx[keep], lo[keep], hi[keep], flo[keep], wd[keep]
+    roots[idx] = 0.5 * (lo + hi)
     return roots, alive
-

@@ -3,7 +3,6 @@ points of the map, growth comparison, and the coding-modulus estimate."""
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -161,6 +160,18 @@ def _lsq_slope(xs, ys):
 # ---------------------------------------------------------------------------
 
 DEDUP_TOL = 1e-9
+# Branch words enumerated per period: gauss (16 branches) reaches it at n = 5.
+MAX_PERIODIC_WORDS = 2**20
+
+
+def check_word_budget(m, n, branch_limit=None):
+    """Raise ValueError when period n needs more than MAX_PERIODIC_WORDS words."""
+    nb = m.finite_table(branch_limit)[1].shape[0]
+    if nb**n > MAX_PERIODIC_WORDS:
+        raise ValueError(
+            f"periodic points of {m.name!r} at period {n} need {nb}^{n} = {nb**n} "
+            f"branch words, over the budget of {MAX_PERIODIC_WORDS} "
+            f"(MAX_PERIODIC_WORDS); lower max_period")
 
 
 def map_periodic_points(m, n, branch_limit=None):
@@ -169,30 +180,28 @@ def map_periodic_points(m, n, branch_limit=None):
     Convention: the orbit must respect the half-open branch domains
     [lo, hi) at every step (so domain right endpoints are excluded, and
     maps with countably many branches are restricted to the finite
-    sub-table).  Roots are deduplicated within 1e-9.
+    sub-table).  Roots are deduplicated within 1e-9.  Raises ValueError
+    when the nb^n words exceed MAX_PERIODIC_WORDS.
     """
+    check_word_budget(m, n, branch_limit)
     mk, table = m.finite_table(branch_limit)
     nb = table.shape[0]
-    words = np.array(list(product(range(nb), repeat=n)), dtype=np.int64)
+    # every word in lexicographic order: column k holds digit k of the index
+    words = np.empty((nb**n, n), dtype=np.int64)
+    rest = np.arange(nb**n, dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        rest, words[:, k] = np.divmod(rest, nb)
     roots, found = K.periodic_roots(mk, table, words)
-    out = []
-    for r, ok, word in zip(roots, found, words):
-        if not ok:
-            continue
-        x = r
-        good = True
-        for k in range(n):
-            b = word[k]
-            if not (table[b, 1] <= x < table[b, 2]):
-                good = False
-                break
-            x = K.fwd(mk, table, int(b), x)
-        if not good or abs(x - r) > DEDUP_TOL:
-            continue
-        out.append(float(r))
-    out.sort()
+    words, roots = words[found], roots[found]
+    x = roots
+    good = np.ones(roots.shape, dtype=bool)
+    for k in range(n):
+        b = words[:, k]
+        good &= (table[b, 1] <= x) & (x < table[b, 2])
+        x = K.fwd_vec(mk, table, b, x)
+    good &= ~(np.abs(x - roots) > DEDUP_TOL)
     dedup = []
-    for r in out:
+    for r in sorted(roots[good].tolist()):
         if not dedup or r - dedup[-1] > DEDUP_TOL:
             dedup.append(r)
     return dedup

@@ -189,8 +189,12 @@ def stage_entropy(m, cfg, pg, out, quiet, tg=None):
     return est
 
 
+def _growth_n_max(cfg):
+    return min(cfg.max_period + 2, 12)
+
+
 def stage_growth(m, cfg, pg, out, quiet):
-    rep = analysis.growth_report(m, pg, n_max=min(cfg.max_period + 2, 12))
+    rep = analysis.growth_report(m, pg, n_max=_growth_n_max(cfg))
     formats.write_report(os.path.join(out, "growth.report"), "growth",
                          rep.lines(),
                          [{"n": n, "map_count": mc, "closed_paths": sc}
@@ -240,9 +244,21 @@ def resolve_config(args):
     return cfg
 
 
+def _largest_period(command, cfg):
+    """Largest period whose periodic points the command enumerates (0: none)."""
+    if command == "verify-map":
+        return 0
+    if command in ("full-pipeline", "periodic-report"):
+        return max(cfg.max_period, _growth_n_max(cfg))
+    return cfg.max_period
+
+
 def run(command, cfg, out, quiet=False):
-    out = _ensure_out(out)
     m = load_map(cfg.map)
+    n = _largest_period(command, cfg)
+    if n:
+        analysis.check_word_budget(m, n)
+    out = _ensure_out(out)
     pcfg = _pesin_cfg(cfg)
 
     if command == "verify-map":

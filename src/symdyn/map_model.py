@@ -30,6 +30,8 @@ from ._kernels import (
 )
 
 EXCLUSION_RADIUS = 1e-12
+# Samples per block of the (A3) pairwise quotients, which take 9 x 9 floats each.
+A3_CHUNK = 4096
 
 KIND_NAMES = {KIND_AFFINE: "affine", KIND_QUADRATIC: "quadratic", KIND_MOEBIUS: "moebius"}
 KIND_IDS = {v: k for k, v in KIND_NAMES.items()}
@@ -380,13 +382,16 @@ def verify_regularity(m, sample_count, seed, inner=9):
 
     # (A3): Hölder quotients over all inner pairs, forward and inverse.
     def worst_quotient(vals, pts):
-        dv = np.abs(vals[:, :, None] - vals[:, None, :])
-        dp = np.abs(pts[:, :, None] - pts[:, None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = dv / dp**m.beta
-        q = np.where(dp > 0, q, 0.0)
-        q = np.nanmax(np.where(np.isfinite(q), q, np.inf), axis=(1, 2))
-        return q
+        out = np.empty(n)
+        for s in range(0, n, A3_CHUNK):
+            v, p = vals[s:s + A3_CHUNK], pts[s:s + A3_CHUNK]
+            dv = np.abs(v[:, :, None] - v[:, None, :])
+            dp = np.abs(p[:, :, None] - p[:, None, :])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = dv / dp**m.beta
+            q = np.where(dp > 0, q, 0.0)
+            out[s:s + A3_CHUNK] = np.nanmax(np.where(np.isfinite(q), q, np.inf), axis=(1, 2))
+        return out
 
     q_fwd = worst_quotient(dfy, ys)
     q_inv = worst_quotient(np.where(np.isfinite(dgz), dgz, np.inf), zs)

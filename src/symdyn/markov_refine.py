@@ -118,12 +118,17 @@ def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
             dropped += 1
             continue
         points = []
+        walks = set()
         for _ in range(max(paths_per_vertex, 0)):
             back = _walk(g, rng, v, window, -1)
             fwd = _walk(g, rng, v, window, +1)
             if back is None or fwd is None:
                 continue
-            vids = list(reversed(back)) + [v] + fwd
+            vids = tuple(reversed(back)) + (v,) + tuple(fwd)
+            # shadow is deterministic, so a repeated walk adds no new point
+            if vids in walks:
+                continue
+            walks.add(vids)
             if not _sigma_recurrence_proxy(vids):
                 continue
             charts = tuple(g.alphabet.vertices[i].chart for i in vids)

@@ -6,6 +6,9 @@ Each is written from the definitions, not from the code it checks.
 import math
 from dataclasses import replace
 
+import numpy as np
+
+from symdyn import _kernels as K
 from symdyn import coarse_grain as cg
 from symdyn import pesin
 from symdyn.markov_refine import windows_agree
@@ -98,3 +101,47 @@ def signature_partition(cover):
                 sig.append((j, ("s" if s else "0") + ("u" if u else "0")))
             groups.setdefault((i, tuple(sig)), []).append((i, pi))
     return sorted(sorted(v) for v in groups.values())
+
+
+# -- periodic points -------------------------------------------------------------
+
+def periodic_roots_reference(map_kind, table, words, iters=200):
+    """Fixed-step cylinder refinement + bisection: every word, all ``iters``
+    steps, every branch formula at every step.  This is the algorithm, not a
+    definition: ``_kernels.periodic_roots`` must reproduce its found roots
+    bit for bit while skipping work whose result is never read."""
+    words = np.asarray(words, dtype=np.int64)
+    w, n = words.shape
+    lo = table[words[:, n - 1], 1].copy()
+    hi = table[words[:, n - 1], 2].copy()
+    alive = np.ones(w, dtype=bool)
+    for k in range(n - 2, -1, -1):
+        b = words[:, k]
+        a = K.inv_vec(map_kind, table, b, lo)
+        c = K.inv_vec(map_kind, table, b, hi)
+        a2 = np.maximum(np.minimum(a, c), table[b, 1])
+        c2 = np.minimum(np.maximum(a, c), table[b, 2])
+        alive &= a2 < c2
+        lo = np.where(alive, a2, 0.0)
+        hi = np.where(alive, c2, 1.0)
+
+    def compose(x):
+        for k in range(n):
+            x = K.fwd_vec(map_kind, table, words[:, k], x)
+        return x
+
+    flo = compose(lo) - lo
+    fhi = compose(hi) - hi
+    exact_lo = flo == 0.0
+    exact_hi = (fhi == 0.0) & ~exact_lo
+    root_exact = np.where(exact_lo, lo, np.where(exact_hi, hi, 0.0))
+    alive &= exact_lo | exact_hi | ((flo > 0.0) != (fhi > 0.0))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = compose(mid) - mid
+        same = (fm > 0.0) == (flo > 0.0)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+    roots = np.where(exact_lo | exact_hi, root_exact, 0.5 * (lo + hi))
+    return roots, alive

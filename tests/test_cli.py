@@ -46,6 +46,25 @@ def test_non_finite_map_file_exit_2(tmp_path):
     assert not (tmp_path / "o" / "regularity.report").exists()
 
 
+def test_infeasible_word_budget_exit_2(tmp_path, monkeypatch, capsys):
+    # gauss at the defaults would enumerate 16^10 words in the growth stage
+    def enumerate_anyway(*args, **kw):
+        raise AssertionError("the library stage ran")
+
+    monkeypatch.setattr(cli.library, "periodic_library", enumerate_anyway)
+    for command in ("full-pipeline", "periodic-report", "sample-orbits"):
+        rc = run_cli([command, "--map", "gauss", "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "16^" in err and "MAX_PERIODIC_WORDS" in err
+    assert not (tmp_path / "o").exists()
+    # max_period 3 grows to n = 5, 16^5 words: within budget, so the run
+    # reaches the library stage
+    assert run_cli(["full-pipeline", "--map", "gauss", "--max-period", "3",
+                    "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "the library stage ran" in capsys.readouterr().err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["frobnicate"])

@@ -112,6 +112,17 @@ def test_regularity_quadratic_small_a_fails_near_critical():
     assert any(abs(c.worst_x - 0.25) < 0.1 for c in bad)
 
 
+@pytest.mark.parametrize("name", ALL_MAPS)
+def test_regularity_a3_blocks_match_one_block(name, monkeypatch):
+    # 1000 samples in blocks of 7 (the last one partial) against one block
+    m = built_in(name)
+    one = m.verify_regularity(1000, seed=3)
+    monkeypatch.setattr(symdyn.map_model, "A3_CHUNK", 7)
+    blocks = m.verify_regularity(1000, seed=3)
+    assert blocks.lines() == one.lines()
+    assert blocks.clauses == one.clauses
+
+
 def test_regularity_empty_report():
     m = built_in("doubling")
     rep = m.verify_regularity(0, seed=1)

@@ -54,6 +54,24 @@ def test_cover_singleton_rectangles(cover, fixture):
     assert all(len(r.points) == 1 for r in rects)
 
 
+def test_cover_shadows_each_distinct_walk_once(doubling, cfg, fixture, cover, monkeypatch):
+    # on disjoint cycles every walk through a vertex is the same walk
+    _, _, pg, kept = fixture
+    calls = []
+    shadow = mr.sh.shadow
+
+    def counting_shadow(m, gpo, c):
+        calls.append(gpo.vertex_keys())
+        return shadow(m, gpo, c)
+
+    monkeypatch.setattr(mr.sh, "shadow", counting_shadow)
+    rects, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=3,
+                                    window=10, seed=1)
+    assert len(calls) == len(set(map(tuple, calls))) == len(kept)
+    assert dropped == cover[1]
+    assert [(r.vid, len(r.points)) for r in rects] == [(r.vid, len(r.points)) for r in cover[0]]
+
+
 def test_cover_zero_paths(doubling, cfg, fixture):
     _, _, pg, _ = fixture
     rects, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=0,
