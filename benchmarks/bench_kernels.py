@@ -53,6 +53,17 @@ def bench(reps=3):
         m.verify_regularity(10_000, seed=1)
 
     timeit("verify_regularity (1e4 samples, vectorized)", regularity)
+    timeit("verify_regularity (2e5 samples)", lambda: m.verify_regularity(200_000, seed=1))
+
+    # the inner grids of the regularity check: one branch id per row
+    ys = m.draw_regular_points(200_000, rng)[:, None] + np.linspace(-1e-4, 1e-4, 9)
+    bcol = K.branch_index_vec(m.map_kind, m.table, ys[:, 4])[:, None]
+
+    def grid_derivatives():
+        K.dfwd_vec(m.map_kind, m.table, bcol, ys)
+        K.dinv_vec(m.map_kind, m.table, bcol, ys)
+
+    timeit("dfwd_vec / dinv_vec on (200000, 9)", grid_derivatives)
     return out
 
 

@@ -219,69 +219,107 @@ def branch_index_vec(map_kind, table, x):
     return out
 
 
-def _coef_vec(map_kind, table, bid):
-    if map_kind == MAPKIND_GAUSS:
-        b = np.asarray(bid, dtype=np.float64)
-        one = np.ones_like(b)
-        return (
-            np.full(b.shape, KIND_MOEBIUS, dtype=np.int64),
-            one,
-            -2.0 * b,
-            np.zeros_like(b),
-            4.0 * one,
-            one,
-        )
-    rows = table[np.asarray(bid, dtype=np.int64)]
-    return (
-        rows[..., 0].astype(np.int64),
-        rows[..., 3],
-        rows[..., 4],
-        rows[..., 5],
-        rows[..., 6],
-        rows[..., 7],
-    )
+# Coefficient columns of a table row: c0..c3, then the inverse-branch sign.
+_C0, _C1, _C2, _C3, _SIGN = 3, 4, 5, 6, 7
+
+
+def _batch(formula, map_kind, table, bid, x):
+    """Evaluate ``formula(kind, col, x)`` elementwise, where ``col(j)`` is
+    column ``j`` of each element's branch row.
+
+    Each branch kind present in the table is evaluated only on the elements
+    whose branch has that kind, gathering only the columns its formula
+    reads; a one-kind table (every built-in) is one formula and no mask.
+    The result has the broadcast shape of ``bid`` and ``x``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if map_kind == MAPKIND_GAUSS:
+            # branch n is the moebius map (1 - 2n x) / (0 + 4x)
+            bid = np.asarray(bid, dtype=np.float64)
+            coef = {_C0: 1.0, _C1: -2.0 * bid, _C2: 0.0, _C3: 4.0}
+            res = formula(KIND_MOEBIUS, coef.__getitem__, x)
+        else:
+            bid = np.asarray(bid, dtype=np.int64)
+            # a table has a handful of rows: a set is cheaper than np.unique
+            kinds = {int(k) for k in table[:, 0].tolist()}
+            if len(kinds) == 1:
+                res = formula(kinds.pop(), lambda j: table[:, j][bid], x)
+            else:
+                bid, x = np.broadcast_arrays(bid, x)
+                kind_of = table[:, 0][bid].astype(np.int64)
+                res = np.empty(x.shape)
+                for kind in kinds:
+                    sel = kind_of == kind
+                    b = bid[sel]
+                    res[sel] = formula(kind, lambda j: table[:, j][b], x[sel])
+    if type(res) is np.ndarray and res.shape == x.shape:
+        return res
+    # formulas that do not read x (affine derivatives) have the shape of bid
+    out = np.empty(np.broadcast_shapes(bid.shape, x.shape))
+    out[...] = res
+    return out
+
+
+def _fwd_formula(kind, col, x):
+    c0, c1 = col(_C0), col(_C1)
+    if kind == KIND_AFFINE:
+        return c0 + c1 * x
+    if kind == KIND_QUADRATIC:
+        return c0 + c1 * x + col(_C2) * x * x
+    return (c0 + c1 * x) / (col(_C2) + col(_C3) * x)
+
+
+def _dfwd_formula(kind, col, x):
+    c1 = col(_C1)
+    if kind == KIND_AFFINE:
+        return c1
+    c2 = col(_C2)
+    if kind == KIND_QUADRATIC:
+        return c1 + 2.0 * c2 * x
+    c0, c3 = col(_C0), col(_C3)
+    den = c2 + c3 * x
+    return (c1 * c2 - c0 * c3) / (den * den)
+
+
+def _inv_formula(kind, col, y):
+    c0, c1 = col(_C0), col(_C1)
+    if kind == KIND_AFFINE:
+        return (y - c0) / np.where(c1 == 0.0, np.nan, c1)
+    c2 = col(_C2)
+    if kind == KIND_QUADRATIC:
+        disc = np.maximum(c1 * c1 - 4.0 * c2 * (c0 - y), 0.0)
+        return (-c1 + col(_SIGN) * np.sqrt(disc)) / (2.0 * np.where(c2 == 0.0, np.nan, c2))
+    return (c0 - c2 * y) / (col(_C3) * y - c1)
+
+
+def _dinv_formula(kind, col, y):
+    c1 = col(_C1)
+    if kind == KIND_AFFINE:
+        return 1.0 / np.where(c1 == 0.0, np.nan, c1)
+    c0, c2 = col(_C0), col(_C2)
+    if kind == KIND_QUADRATIC:
+        disc = c1 * c1 - 4.0 * c2 * (c0 - y)
+        return np.where(disc > 0.0, col(_SIGN) / np.sqrt(np.abs(disc)), np.inf)
+    c3 = col(_C3)
+    den = c3 * y - c1
+    return (c1 * c2 - c0 * c3) / (den * den)
 
 
 def fwd_vec(map_kind, table, bid, x):
-    kind, c0, c1, c2, c3, _ = _coef_vec(map_kind, table, bid)
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aff = c0 + c1 * x
-        quad = c0 + c1 * x + c2 * x * x
-        moe = (c0 + c1 * x) / (c2 + c3 * x)
-    return np.where(kind == KIND_AFFINE, aff, np.where(kind == KIND_QUADRATIC, quad, moe))
+    return _batch(_fwd_formula, map_kind, table, bid, x)
 
 
 def dfwd_vec(map_kind, table, bid, x):
-    kind, c0, c1, c2, c3, _ = _coef_vec(map_kind, table, bid)
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = c2 + c3 * x
-        moe = (c1 * c2 - c0 * c3) / (den * den)
-    return np.where(kind == KIND_AFFINE, c1, np.where(kind == KIND_QUADRATIC, c1 + 2.0 * c2 * x, moe))
+    return _batch(_dfwd_formula, map_kind, table, bid, x)
 
 
 def inv_vec(map_kind, table, bid, y):
-    kind, c0, c1, c2, c3, s = _coef_vec(map_kind, table, bid)
-    y = np.asarray(y, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aff = (y - c0) / np.where(c1 == 0.0, np.nan, c1)
-        disc = np.maximum(c1 * c1 - 4.0 * c2 * (c0 - y), 0.0)
-        quad = (-c1 + s * np.sqrt(disc)) / (2.0 * np.where(c2 == 0.0, np.nan, c2))
-        moe = (c0 - c2 * y) / (c3 * y - c1)
-    return np.where(kind == KIND_AFFINE, aff, np.where(kind == KIND_QUADRATIC, quad, moe))
+    return _batch(_inv_formula, map_kind, table, bid, y)
 
 
 def dinv_vec(map_kind, table, bid, y):
-    kind, c0, c1, c2, c3, s = _coef_vec(map_kind, table, bid)
-    y = np.asarray(y, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aff = 1.0 / np.where(c1 == 0.0, np.nan, c1)
-        disc = c1 * c1 - 4.0 * c2 * (c0 - y)
-        quad = np.where(disc > 0.0, s / np.sqrt(np.abs(disc)), np.inf)
-        den = c3 * y - c1
-        moe = (c1 * c2 - c0 * c3) / (den * den)
-    return np.where(kind == KIND_AFFINE, aff, np.where(kind == KIND_QUADRATIC, quad, moe))
+    return _batch(_dinv_formula, map_kind, table, bid, y)
 
 
 def sing_dist_vec(map_kind, table, sing, x):
@@ -303,27 +341,9 @@ def sing_dist_vec(map_kind, table, sing, x):
 
 
 def _compose(map_kind, table, words, x):
-    """f_{w[n-1]} o ... o f_{w[0]} (x) row-wise, one word per row of ``words``.
-
-    A table of one branch kind evaluates only that formula, as the same IEEE
-    operations ``fwd_vec`` selects; coefficients are gathered per step.
-    """
-    kinds = np.unique(table[:, 0])
-    if kinds.size != 1:
-        for k in range(words.shape[1]):
-            x = fwd_vec(map_kind, table, words[:, k], x)
-        return x
-    kind = kinds[0]
-    c0, c1, c2, c3 = (table[:, j] for j in (3, 4, 5, 6))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(words.shape[1]):
-            b = words[:, k]
-            if kind == KIND_AFFINE:
-                x = c0[b] + c1[b] * x
-            elif kind == KIND_QUADRATIC:
-                x = c0[b] + c1[b] * x + c2[b] * x * x
-            else:
-                x = (c0[b] + c1[b] * x) / (c2[b] + c3[b] * x)
+    """f_{w[n-1]} o ... o f_{w[0]} (x) row-wise, one word per row of ``words``."""
+    for k in range(words.shape[1]):
+        x = fwd_vec(map_kind, table, words[:, k], x)
     return x
 
 

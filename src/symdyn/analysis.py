@@ -28,18 +28,39 @@ def loop_count(g, vertex, n):
     adj = _adjacency(g)
     vec = {vertex: 1}
     for _ in range(n):
-        new = {}
-        for u, c in vec.items():
-            for w in adj.get(u, ()):
-                new[w] = new.get(w, 0) + c
-        vec = new
+        vec = _step(adj, vec)
     return vec.get(vertex, 0)
+
+
+def _step(adj, vec):
+    """Extend the path counts ``vec`` (end vertex -> paths) by one edge."""
+    new = {}
+    for u, c in vec.items():
+        for w in adj.get(u, ()):
+            new[w] = new.get(w, 0) + c
+    return new
+
+
+def closed_path_counts(g, n_max):
+    """[trace(A^1), ..., trace(A^n_max)]: closed paths of each length up to
+    n_max (exact integers), from one walk per vertex."""
+    adj = _adjacency(g)
+    counts = [0] * n_max
+    for v in adj:
+        vec = {v: 1}
+        for n in range(n_max):
+            vec = _step(adj, vec)
+            if not vec:
+                break
+            counts[n] += vec.get(v, 0)
+    return counts
 
 
 def closed_paths(g, n):
     """trace(A^n): total closed paths of length n (exact integers)."""
-    adj = _adjacency(g)
-    return sum(loop_count(adj, v, n) for v in adj)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return closed_path_counts(g, n)[-1]
 
 
 def brute_force_loops(g, vertex, n):
@@ -88,16 +109,16 @@ def spectral_radius(g, iters=200):
     nv = len(keys)
     if nv == 0:
         return 0.0
+    # Edges in the order of a scalar walk (sorted u, then adjacency order):
+    # np.add.at adds in index order, so each entry of new is the same
+    # sequence of float additions as that walk's ``new[w] += vec[u]``.
+    edges = [(pos[u], pos[w]) for u in keys for w in adj.get(u, ()) if w in pos]
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     vec = np.ones(nv)
     norms = []
     for _ in range(iters):
         new = np.zeros(nv)
-        for u in keys:
-            cu = vec[pos[u]]
-            if cu:
-                for w in adj.get(u, ()):
-                    if w in pos:
-                        new[pos[w]] += cu
+        np.add.at(new, dst, vec[src])
         nrm = float(np.linalg.norm(new))
         if nrm == 0.0:
             return 0.0
@@ -115,11 +136,12 @@ def gurevich_entropy(g, vertex=None, n_max=10):
     content there, so all three numbers are reported.
     """
     adj = _adjacency(g)
+    counts = closed_path_counts(adj, n_max)
     if vertex is None:
         loop_growth = 0.0
         best = 0
         for n in range(n_max, 0, -1):
-            c = closed_paths(adj, n)
+            c = counts[n - 1]
             if c > 0:
                 loop_growth = math.log(c) / n
                 best = n
@@ -135,8 +157,7 @@ def gurevich_entropy(g, vertex=None, n_max=10):
                 break
     ns = []
     logs = []
-    for n in range(1, n_max + 1):
-        c = closed_paths(adj, n)
+    for n, c in enumerate(counts, start=1):
         if c > 0:
             ns.append(n)
             logs.append(math.log(c))
@@ -231,9 +252,9 @@ def growth_report(m, g, n_max, branch_limit=None):
     adj = _adjacency(g) if g is not None else {}
     rows = []
     flags = []
-    for n in range(1, n_max + 1):
+    counts = closed_path_counts(adj, n_max) if adj else [0] * n_max
+    for n, sc in enumerate(counts, start=1):
         mc = len(map_periodic_points(m, n, branch_limit))
-        sc = closed_paths(adj, n) if adj else 0
         rows.append((n, mc, sc, (mc / sc) if sc else math.inf))
     if not adj or all(r[2] == 0 for r in rows):
         flags.append("symbolic counts are zero (empty or cycle-free graph)")

@@ -30,8 +30,9 @@ from ._kernels import (
 )
 
 EXCLUSION_RADIUS = 1e-12
-# Samples per block of the (A3) pairwise quotients, which take 9 x 9 floats each.
-A3_CHUNK = 4096
+# Samples per block of the regularity check; a block holds each sample's
+# inner grids, derivatives and inner-pair quotients.
+REGULARITY_BLOCK = 4096
 
 KIND_NAMES = {KIND_AFFINE: "affine", KIND_QUADRATIC: "quadratic", KIND_MOEBIUS: "moebius"}
 KIND_IDS = {v: k for k, v in KIND_NAMES.items()}
@@ -315,7 +316,8 @@ def verify_regularity(m, sample_count, seed, inner=9):
     E_x = B(f(x), 2r(x)) checks branch monotonicity (A1), the derivative
     bounds d(x,S)^a <= |df|,|dg| <= d(x,S)^-a (A2) and the Hölder quotients
     |df_y - df_z| / |y-z|^beta <= kappa (A3), over ``inner`` deterministic
-    inner points per ball.
+    inner points per ball.  The clauses run per block of
+    ``REGULARITY_BLOCK`` samples.
     """
     empty = lambda name: ClauseResult(name, True, 0, 0, math.inf, math.nan, math.nan)
     if sample_count <= 0:
@@ -323,6 +325,42 @@ def verify_regularity(m, sample_count, seed, inner=9):
 
     rng = np.random.default_rng(seed)
     x = m.draw_regular_points(sample_count, rng)
+    n = x.size
+    if n == 0:
+        raise ValueError(f"map {m.name!r}: no sampled point has a radius above the exclusion cutoff")
+    blocks = [_sample_margins(m, x[s:s + REGULARITY_BLOCK], inner)
+              for s in range(0, n, REGULARITY_BLOCK)]
+    a1_margin, a2_margin, quot, a3_inner, extremes = (np.concatenate(c) for c in zip(*blocks))
+    a1_ok = a1_margin >= -1e-15
+    a2_ok = a2_margin >= 0.0
+    a3_margin = math.log(m.kappa) - np.log(np.maximum(quot, 1e-300))
+    a3_ok = quot <= m.kappa
+
+    def clause(name, ok, margin, inner_pts):
+        w = int(np.argmin(margin))
+        return ClauseResult(
+            name=name, passed=bool(ok.all()), checked=n, violations=int((~ok).sum()),
+            worst_margin=float(margin[w]), worst_x=float(x[w]), worst_inner=float(inner_pts[w]),
+        )
+
+    rep = RegularityReport(
+        map_name=m.name,
+        sample_count=n,
+        clauses={
+            "A1": clause("A1", a1_ok, a1_margin, x),
+            "A2": clause("A2", a2_ok, a2_margin, x),
+            "A3": clause("A3", a3_ok, a3_margin, a3_inner),
+        },
+    )
+    wi = int(np.argmax(extremes))
+    rep.extreme_x = float(x[wi])
+    rep.extreme_value = float(extremes[wi])
+    return rep
+
+
+def _sample_margins(m, x, inner):
+    """Per-sample (A1) and (A2) margins, worst (A3) quotient with its inner
+    witness, and extreme derivative max(|dg|, 1/|df|) of the samples x."""
     n = x.size
     mk, tab, sing = m.map_kind, m.table, m.sing
 
@@ -350,18 +388,16 @@ def verify_regularity(m, sample_count, seed, inner=9):
         img_hi = np.maximum(f_at_lo, f_at_hi)
 
     # (A1): D_x inside the covering branch domain, E_x inside its image.
-    tol = 1e-15
     a1_margin = np.minimum(
         np.minimum(d_lo - b_lo, b_hi - d_hi),
         np.minimum(e_lo - img_lo, img_hi - e_hi),
     )
-    a1_ok = a1_margin >= -tol
 
     # inner sample grids (deterministic, endpoints inset by a relative hair)
     t = (np.arange(inner) + 0.5) / inner
     ys = d_lo[:, None] + (d_hi - d_lo)[:, None] * t[None, :]
     zs = e_lo[:, None] + (e_hi - e_lo)[:, None] * t[None, :]
-    bcol = np.broadcast_to(bid[:, None], ys.shape)
+    bcol = bid[:, None]
 
     dfy = K.dfwd_vec(mk, tab, bcol, ys)
     dgz = K.dinv_vec(mk, tab, bcol, zs)
@@ -377,52 +413,31 @@ def verify_regularity(m, sample_count, seed, inner=9):
                         (np.where(np.isfinite(ldgz), ldgz, -np.inf) - m.a * logd[:, None]).min(axis=1))
     a2_mhi = np.minimum((-m.a * logd[:, None] - ldfy).min(axis=1),
                         (-m.a * logd[:, None] - ldgz).min(axis=1))
-    a2_margin = np.minimum(a2_mlo, a2_mhi)
-    a2_ok = a2_margin >= 0.0
 
-    # (A3): Hölder quotients over all inner pairs, forward and inverse.
-    def worst_quotient(vals, pts):
-        out = np.empty(n)
-        for s in range(0, n, A3_CHUNK):
-            v, p = vals[s:s + A3_CHUNK], pts[s:s + A3_CHUNK]
-            dv = np.abs(v[:, :, None] - v[:, None, :])
-            dp = np.abs(p[:, :, None] - p[:, None, :])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = dv / dp**m.beta
-            q = np.where(dp > 0, q, 0.0)
-            out[s:s + A3_CHUNK] = np.nanmax(np.where(np.isfinite(q), q, np.inf), axis=(1, 2))
-        return out
+    # (A3): Hölder quotients over the inner pairs, forward and inverse.
+    q_fwd = _worst_quotient(dfy, ys, m.beta)
+    q_inv = _worst_quotient(np.where(np.isfinite(dgz), dgz, np.inf), zs, m.beta)
+    a3_inner = np.where(q_inv >= q_fwd, zs[:, 0], ys[:, 0])
 
-    q_fwd = worst_quotient(dfy, ys)
-    q_inv = worst_quotient(np.where(np.isfinite(dgz), dgz, np.inf), zs)
-    quot = np.maximum(q_fwd, q_inv)
-    a3_margin = math.log(m.kappa) - np.log(np.maximum(quot, 1e-300))
-    a3_ok = quot <= m.kappa
-
-    def clause(name, ok, margin, inner_pts):
-        w = int(np.argmin(margin))
-        return ClauseResult(
-            name=name, passed=bool(ok.all()), checked=n, violations=int((~ok).sum()),
-            worst_margin=float(margin[w]), worst_x=float(x[w]), worst_inner=float(inner_pts[w]),
-        )
-
-    a3_inner = np.where(q_inv >= q_fwd, zs[np.arange(n), 0], ys[np.arange(n), 0])
-    rep = RegularityReport(
-        map_name=m.name,
-        sample_count=n,
-        clauses={
-            "A1": clause("A1", a1_ok, a1_margin, x),
-            "A2": clause("A2", a2_ok, a2_margin, x),
-            "A3": clause("A3", a3_ok, a3_margin, a3_inner),
-        },
-    )
     # extreme-derivative witness: the most violent |dg| or 1/|df| seen
     extremes = np.maximum(np.max(np.abs(np.where(np.isfinite(dgz), dgz, 0.0)), axis=1),
                           1.0 / np.maximum(np.min(np.abs(dfy), axis=1), 1e-300))
-    wi = int(np.argmax(extremes))
-    rep.extreme_x = float(x[wi])
-    rep.extreme_value = float(extremes[wi])
-    return rep
+    return a1_margin, np.minimum(a2_mlo, a2_mhi), np.maximum(q_fwd, q_inv), a3_inner, extremes
+
+
+def _worst_quotient(vals, pts, beta):
+    """max over inner pairs of |v_i - v_j| / |p_i - p_j|^beta per row; a
+    non-finite quotient counts as inf, a pair of equal points as 0."""
+    # Pair (j, i) gives the bits of pair (i, j), since |a - b| and |b - a|
+    # are the same float (inf and NaN too), and the diagonal gives 0: the
+    # pairs i < j with initial 0 have the maximum over all pairs.
+    i, j = np.triu_indices(vals.shape[1], 1)
+    dv = np.abs(vals[:, i] - vals[:, j])
+    dp = np.abs(pts[:, i] - pts[:, j])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = dv / dp**beta
+    q = np.where(dp > 0, q, 0.0)
+    return np.where(np.isfinite(q), q, np.inf).max(axis=1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------

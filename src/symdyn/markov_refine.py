@@ -27,10 +27,14 @@ def windows_agree(w1, w2, depth=None, fwd=None):
     """Sample-level equality of two windows on their common range."""
     d = min(w1.back_len, w2.back_len) if depth is None else depth
     f = min(w1.fwd_len, w2.fwd_len) if fwd is None else fwd
-    for n in range(-d, f + 1):
-        if w1.x(n) != w2.x(n):
-            return False
-    return True
+    if f < -d:
+        return True
+    for w in (w1, w2):
+        if d > w.back_len or f > w.fwd_len:
+            raise IndexError(f"coordinates [{-d}, {f}] outside window [{-w.back_len}, {w.fwd_len}]")
+    # == on floats: -0.0 equals 0.0 and NaN equals nothing
+    return np.array_equal(w1.points[w1.off - d:w1.off + f + 1],
+                          w2.points[w2.off - d:w2.off + f + 1])
 
 
 @dataclass
@@ -107,15 +111,15 @@ def _sigma_recurrence_proxy(vids):
 def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
     """Sample rectangles Z(v) from recurrent-proxy strong paths through v.
 
-    Vertices with no admissible bi-directional path are dropped (counted in
-    the returned diagnostics).
+    Only core vertices (with in- and out-edges) are sampled; a core vertex
+    that yields no shadowed point is dropped (counted in the returned
+    diagnostics).
     """
     rng = np.random.default_rng(seed)
     rects = []
     dropped = 0
     for v in range(g.n_vertices()):
         if not g.out_edges[v] or not g.in_edges[v]:
-            dropped += 1
             continue
         points = []
         walks = set()

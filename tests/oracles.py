@@ -1,6 +1,9 @@
 """Reference implementations the tests compare the pipeline against.
 
-Each is written from the definitions, not from the code it checks.
+Most are written from the definitions, not from the code they check.  The
+``*_reference`` functions are plainer algorithms (every formula on every
+element, every step, every pair) that the faster code must reproduce bit
+for bit.
 """
 
 import math
@@ -11,6 +14,7 @@ import numpy as np
 from symdyn import _kernels as K
 from symdyn import coarse_grain as cg
 from symdyn import pesin
+from symdyn.map_model import ClauseResult, RegularityReport
 from symdyn.markov_refine import windows_agree
 
 
@@ -145,3 +149,237 @@ def periodic_roots_reference(map_kind, table, words, iters=200):
         hi = np.where(same, hi, mid)
     roots = np.where(exact_lo | exact_hi, root_exact, 0.5 * (lo + hi))
     return roots, alive
+
+
+# -- batch kernels: every branch formula on every element, then np.where ----------
+
+def _coef_vec_reference(map_kind, table, bid):
+    if map_kind == K.MAPKIND_GAUSS:
+        b = np.asarray(bid, dtype=np.float64)
+        one = np.ones_like(b)
+        return (
+            np.full(b.shape, K.KIND_MOEBIUS, dtype=np.int64),
+            one,
+            -2.0 * b,
+            np.zeros_like(b),
+            4.0 * one,
+            one,
+        )
+    rows = table[np.asarray(bid, dtype=np.int64)]
+    return (
+        rows[..., 0].astype(np.int64),
+        rows[..., 3],
+        rows[..., 4],
+        rows[..., 5],
+        rows[..., 6],
+        rows[..., 7],
+    )
+
+
+def fwd_vec_reference(map_kind, table, bid, x):
+    kind, c0, c1, c2, c3, _ = _coef_vec_reference(map_kind, table, bid)
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aff = c0 + c1 * x
+        quad = c0 + c1 * x + c2 * x * x
+        moe = (c0 + c1 * x) / (c2 + c3 * x)
+    return np.where(kind == K.KIND_AFFINE, aff, np.where(kind == K.KIND_QUADRATIC, quad, moe))
+
+
+def dfwd_vec_reference(map_kind, table, bid, x):
+    kind, c0, c1, c2, c3, _ = _coef_vec_reference(map_kind, table, bid)
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = c2 + c3 * x
+        moe = (c1 * c2 - c0 * c3) / (den * den)
+    return np.where(kind == K.KIND_AFFINE, c1, np.where(kind == K.KIND_QUADRATIC, c1 + 2.0 * c2 * x, moe))
+
+
+def inv_vec_reference(map_kind, table, bid, y):
+    kind, c0, c1, c2, c3, s = _coef_vec_reference(map_kind, table, bid)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aff = (y - c0) / np.where(c1 == 0.0, np.nan, c1)
+        disc = np.maximum(c1 * c1 - 4.0 * c2 * (c0 - y), 0.0)
+        quad = (-c1 + s * np.sqrt(disc)) / (2.0 * np.where(c2 == 0.0, np.nan, c2))
+        moe = (c0 - c2 * y) / (c3 * y - c1)
+    return np.where(kind == K.KIND_AFFINE, aff, np.where(kind == K.KIND_QUADRATIC, quad, moe))
+
+
+def dinv_vec_reference(map_kind, table, bid, y):
+    kind, c0, c1, c2, c3, s = _coef_vec_reference(map_kind, table, bid)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aff = 1.0 / np.where(c1 == 0.0, np.nan, c1)
+        disc = c1 * c1 - 4.0 * c2 * (c0 - y)
+        quad = np.where(disc > 0.0, s / np.sqrt(np.abs(disc)), np.inf)
+        den = c3 * y - c1
+        moe = (c1 * c2 - c0 * c3) / (den * den)
+    return np.where(kind == K.KIND_AFFINE, aff, np.where(kind == K.KIND_QUADRATIC, quad, moe))
+
+
+# -- regularity: whole-array clauses, all 9 x 9 inner pairs ---------------------
+
+def _draw_regular_points_reference(m, count, rng, max_tries=200):
+    lo, hi = m.domain
+    out = np.empty(0)
+    tries = 0
+    while out.size < count and tries < max_tries:
+        tries += 1
+        x = rng.uniform(lo, hi, size=max(64, 2 * (count - out.size)))
+        dx = K.sing_dist_vec(m.map_kind, m.table, m.sing, x)
+        ok = dx > m.exclusion
+        b = K.branch_index_vec(m.map_kind, m.table, x)
+        ok &= b >= 0
+        fx = fwd_vec_reference(m.map_kind, m.table, np.maximum(b, 0), x)
+        dfx = K.sing_dist_vec(m.map_kind, m.table, m.sing, fx)
+        ok &= dfx > m.exclusion
+        r = 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
+        ok &= r >= m.exclusion
+        out = np.concatenate([out, x[ok]])
+    return out[:count]
+
+
+def verify_regularity_reference(m, sample_count, seed, inner=9):
+    """The sampled (A1)-(A3) check over all samples at once, with the
+    three-formula kernels and every ordered pair of inner points."""
+    empty = lambda name: ClauseResult(name, True, 0, 0, math.inf, math.nan, math.nan)
+    if sample_count <= 0:
+        return RegularityReport(m.name, 0, {"A1": empty("A1"), "A2": empty("A2"), "A3": empty("A3")})
+
+    rng = np.random.default_rng(seed)
+    x = _draw_regular_points_reference(m, sample_count, rng)
+    n = x.size
+    mk, tab, sing = m.map_kind, m.table, m.sing
+
+    bid = K.branch_index_vec(mk, tab, x)
+    fx = fwd_vec_reference(mk, tab, bid, x)
+    dx = K.sing_dist_vec(mk, tab, sing, x)
+    dfx = K.sing_dist_vec(mk, tab, sing, fx)
+    r = 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
+
+    lo, hi = m.domain
+    d_lo, d_hi = np.maximum(x - 2 * r, lo), np.minimum(x + 2 * r, hi)
+    e_lo, e_hi = np.maximum(fx - 2 * r, lo), np.minimum(fx + 2 * r, hi)
+
+    # branch domain endpoints per sample
+    if mk == K.MAPKIND_GAUSS:
+        b_lo = 1.0 / (2.0 * (bid + 1))
+        b_hi = 1.0 / (2.0 * bid)
+        img_lo, img_hi = np.zeros(n), np.full(n, 0.5)
+    else:
+        b_lo = tab[bid, 1]
+        b_hi = tab[bid, 2]
+        f_at_lo = fwd_vec_reference(mk, tab, bid, b_lo)
+        f_at_hi = fwd_vec_reference(mk, tab, bid, b_hi)
+        img_lo = np.minimum(f_at_lo, f_at_hi)
+        img_hi = np.maximum(f_at_lo, f_at_hi)
+
+    # (A1): D_x inside the covering branch domain, E_x inside its image.
+    tol = 1e-15
+    a1_margin = np.minimum(
+        np.minimum(d_lo - b_lo, b_hi - d_hi),
+        np.minimum(e_lo - img_lo, img_hi - e_hi),
+    )
+    a1_ok = a1_margin >= -tol
+
+    # inner sample grids (deterministic, endpoints inset by a relative hair)
+    t = (np.arange(inner) + 0.5) / inner
+    ys = d_lo[:, None] + (d_hi - d_lo)[:, None] * t[None, :]
+    zs = e_lo[:, None] + (e_hi - e_lo)[:, None] * t[None, :]
+    bcol = np.broadcast_to(bid[:, None], ys.shape)
+
+    dfy = dfwd_vec_reference(mk, tab, bcol, ys)
+    dgz = dinv_vec_reference(mk, tab, bcol, zs)
+
+    logd = np.log(dx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ldfy = np.log(np.abs(dfy))
+        ldgz = np.log(np.abs(dgz))
+    ldfy = np.where(np.isfinite(ldfy), ldfy, -np.inf)
+    ldgz = np.where(np.isfinite(ldgz), ldgz, np.inf)  # |dg| = inf breaks the upper bound
+
+    a2_mlo = np.minimum((ldfy - m.a * logd[:, None]).min(axis=1),
+                        (np.where(np.isfinite(ldgz), ldgz, -np.inf) - m.a * logd[:, None]).min(axis=1))
+    a2_mhi = np.minimum((-m.a * logd[:, None] - ldfy).min(axis=1),
+                        (-m.a * logd[:, None] - ldgz).min(axis=1))
+    a2_margin = np.minimum(a2_mlo, a2_mhi)
+    a2_ok = a2_margin >= 0.0
+
+    # (A3): Hölder quotients over all inner pairs, forward and inverse.
+    def worst_quotient(vals, pts):
+        dv = np.abs(vals[:, :, None] - vals[:, None, :])
+        dp = np.abs(pts[:, :, None] - pts[:, None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = dv / dp**m.beta
+        q = np.where(dp > 0, q, 0.0)
+        return np.nanmax(np.where(np.isfinite(q), q, np.inf), axis=(1, 2))
+
+    q_fwd = worst_quotient(dfy, ys)
+    q_inv = worst_quotient(np.where(np.isfinite(dgz), dgz, np.inf), zs)
+    quot = np.maximum(q_fwd, q_inv)
+    a3_margin = math.log(m.kappa) - np.log(np.maximum(quot, 1e-300))
+    a3_ok = quot <= m.kappa
+
+    def clause(name, ok, margin, inner_pts):
+        w = int(np.argmin(margin))
+        return ClauseResult(
+            name=name, passed=bool(ok.all()), checked=n, violations=int((~ok).sum()),
+            worst_margin=float(margin[w]), worst_x=float(x[w]), worst_inner=float(inner_pts[w]),
+        )
+
+    a3_inner = np.where(q_inv >= q_fwd, zs[np.arange(n), 0], ys[np.arange(n), 0])
+    rep = RegularityReport(
+        map_name=m.name,
+        sample_count=n,
+        clauses={
+            "A1": clause("A1", a1_ok, a1_margin, x),
+            "A2": clause("A2", a2_ok, a2_margin, x),
+            "A3": clause("A3", a3_ok, a3_margin, a3_inner),
+        },
+    )
+    # extreme-derivative witness: the most violent |dg| or 1/|df| seen
+    extremes = np.maximum(np.max(np.abs(np.where(np.isfinite(dgz), dgz, 0.0)), axis=1),
+                          1.0 / np.maximum(np.min(np.abs(dfy), axis=1), 1e-300))
+    wi = int(np.argmax(extremes))
+    rep.extreme_x = float(x[wi])
+    rep.extreme_value = float(extremes[wi])
+    return rep
+
+
+# -- graphs and windows -----------------------------------------------------------
+
+def spectral_radius_reference(adj, iters=200):
+    """Power iteration with one scalar addition per edge and step."""
+    keys = sorted(adj)
+    pos = {v: i for i, v in enumerate(keys)}
+    nv = len(keys)
+    if nv == 0:
+        return 0.0
+    vec = np.ones(nv)
+    norms = []
+    for _ in range(iters):
+        new = np.zeros(nv)
+        for u in keys:
+            cu = vec[pos[u]]
+            if cu:
+                for w in adj.get(u, ()):
+                    if w in pos:
+                        new[pos[w]] += cu
+        nrm = float(np.linalg.norm(new))
+        if nrm == 0.0:
+            return 0.0
+        norms.append(nrm)
+        vec = new / nrm
+    k = len(norms) // 2
+    return float(np.exp(np.mean(np.log(norms[k:]))))
+
+
+def windows_agree_reference(w1, w2, depth=None, fwd=None):
+    """Coordinate-by-coordinate comparison of two windows."""
+    d = min(w1.back_len, w2.back_len) if depth is None else depth
+    f = min(w1.fwd_len, w2.fwd_len) if fwd is None else fwd
+    for n in range(-d, f + 1):
+        if w1.x(n) != w2.x(n):
+            return False
+    return True

@@ -12,6 +12,8 @@ from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
+from oracles import spectral_radius_reference
+
 CHI2 = 0.5 * math.log(2.0)
 
 
@@ -42,6 +44,33 @@ def test_loop_count_matches_brute_force(seed, n):
            for v in range(nv)}
     v = int(rng.integers(0, nv))
     assert an.loop_count(adj, v, n) == an.brute_force_loops(adj, v, n)
+
+
+def _random_digraph(rng, nv, max_out):
+    """Vertices 0..nv-1 in shuffled key order, unsorted successor lists, a
+    successor outside the keys now and then (it is ignored)."""
+    keys = rng.permutation(nv).tolist()
+    return {v: rng.integers(0, nv + 1, size=rng.integers(0, max_out + 1)).tolist() for v in keys}
+
+
+@given(st.integers(min_value=0, max_value=2**30))
+@settings(max_examples=30, deadline=None)
+def test_closed_path_counts_match_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    adj = _random_digraph(rng, int(rng.integers(1, 10)), 3)
+    counts = an.closed_path_counts(adj, 6)
+    assert counts == [sum(an.brute_force_loops(adj, v, n) for v in adj) for n in range(1, 7)]
+    assert counts == [an.closed_paths(adj, n) for n in range(1, 7)]
+    assert counts == [sum(an.loop_count(adj, v, n) for v in adj) for n in range(1, 7)]
+
+
+@given(st.integers(min_value=0, max_value=2**30))
+@settings(max_examples=30, deadline=None)
+def test_spectral_radius_matches_scalar_power_iteration(seed):
+    # in-degrees above 1, so the order of the float additions matters
+    rng = np.random.default_rng(seed)
+    adj = _random_digraph(rng, int(rng.integers(1, 30)), 6)
+    assert an.spectral_radius(adj).hex() == spectral_radius_reference(adj).hex()
 
 
 def test_spectral_radius_two_shift():

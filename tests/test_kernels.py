@@ -11,7 +11,13 @@ import symdyn
 from symdyn import _kernels as K
 from symdyn.analysis import MAX_PERIODIC_WORDS, check_word_budget, map_periodic_points
 
-from oracles import periodic_roots_reference
+from oracles import (
+    dfwd_vec_reference,
+    dinv_vec_reference,
+    fwd_vec_reference,
+    inv_vec_reference,
+    periodic_roots_reference,
+)
 
 
 @pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss"])
@@ -34,6 +40,77 @@ def test_scalar_vs_vectorized_eval(name):
             m.map_kind, m.table, np.array([b]), np.array([y]))[0]
         assert K.dinv(m.map_kind, m.table, b, y) == K.dinv_vec(
             m.map_kind, m.table, np.array([b]), np.array([y]))[0]
+
+
+# one branch of each kind; the quadratic has its critical point at 0.1
+MIXED_TABLE = np.array([
+    [K.KIND_AFFINE, 0.0, 0.1, 0.0, 4.0, 0.0, 0.0, 1.0],
+    [K.KIND_QUADRATIC, 0.1, 0.3, 0.125, -2.5, 12.5, 0.0, 1.0],
+    [K.KIND_MOEBIUS, 0.3, 0.5, 0.5, -1.0, 0.1, 1.0, 1.0],
+])
+# degenerate coefficients: affine c1 = 0 and quadratic c2 = 0 hit the NaN guards
+DEGENERATE_TABLE = np.array([
+    [K.KIND_AFFINE, 0.0, 0.2, 0.1, 0.0, 0.0, 0.0, 1.0],
+    [K.KIND_QUADRATIC, 0.2, 0.4, 0.0, 2.0, 0.0, 0.0, -1.0],
+    [K.KIND_MOEBIUS, 0.4, 0.5, 1.0, -2.0, 0.0, 4.0, 1.0],
+])
+
+
+def _kernel_cases():
+    for name in ("doubling", "tent", "quadratic", "gauss"):
+        m = symdyn.built_in(name)
+        yield name, m.map_kind, m.table
+    yield "gauss-finite", *symdyn.built_in("gauss").finite_table()
+    yield "mixed", K.MAPKIND_TABLE, MIXED_TABLE
+    yield "degenerate", K.MAPKIND_TABLE, DEGENERATE_TABLE
+
+
+KERNEL_CASES = {name: (mk, table) for name, mk, table in _kernel_cases()}
+BATCH_KERNELS = {
+    "fwd": (K.fwd_vec, fwd_vec_reference),
+    "dfwd": (K.dfwd_vec, dfwd_vec_reference),
+    "inv": (K.inv_vec, inv_vec_reference),
+    "dinv": (K.dinv_vec, dinv_vec_reference),
+}
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("kernel", BATCH_KERNELS)
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_batch_kernels_match_three_formula_reference(case, kernel):
+    # one formula per branch kind against every formula then np.where: same
+    # bits (NaN and the sign of zero included) and the same broadcast shape
+    mk, table = KERNEL_CASES[case]
+    fast, ref = BATCH_KERNELS[kernel]
+    rng = np.random.default_rng(11)
+    if mk == K.MAPKIND_GAUSS:
+        bids = np.array([1, 2, 3, 7, 16, 100])
+        ends = np.concatenate([1.0 / (2.0 * (bids + 1)), 1.0 / (2.0 * bids)])
+    else:
+        bids = np.arange(table.shape[0])
+        ends = table[:, 1:3].ravel()
+        ends = np.concatenate([ends, K.fwd_vec(mk, table, np.repeat(bids, 2), ends)])
+    # 0.5 and 0.6 put the built-in quadratic inverse at disc = 0 and disc < 0,
+    # 0.0 and -0.1 the mixed one
+    special = [0.0, -0.0, 0.5, 0.6, -0.1, 1e-300, np.nan, np.inf, -np.inf]
+    x = np.concatenate([ends, special, rng.uniform(-0.1, 0.6, 32)])
+    n = x.size
+    bid = rng.choice(bids, n)
+    for b in bids:  # scalar branch id, one array of points
+        _assert_same_bits(fast(mk, table, int(b), x), ref(mk, table, int(b), x))
+        _assert_same_bits(fast(mk, table, b, x[3]), ref(mk, table, b, x[3]))
+    _assert_same_bits(fast(mk, table, bid, x), ref(mk, table, bid, x))
+    grid = x[:, None] + rng.uniform(-0.01, 0.01, (n, 9))
+    grid[:, 0] = x
+    _assert_same_bits(fast(mk, table, bid[:, None], grid), ref(mk, table, bid[:, None], grid))
+    wide = np.broadcast_to(bid[:, None], grid.shape)
+    _assert_same_bits(fast(mk, table, wide, grid), ref(mk, table, wide, grid))
+    _assert_same_bits(fast(mk, table, bid[:, None], x[:9]), ref(mk, table, bid[:, None], x[:9]))
 
 
 def test_forward_orbit_consistency():

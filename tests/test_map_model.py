@@ -14,6 +14,8 @@ from symdyn.map_model import (
     parse_map_file,
 )
 
+from oracles import verify_regularity_reference
+
 ALL_MAPS = ["doubling", "tent", "quadratic", "gauss"]
 
 
@@ -117,10 +119,66 @@ def test_regularity_a3_blocks_match_one_block(name, monkeypatch):
     # 1000 samples in blocks of 7 (the last one partial) against one block
     m = built_in(name)
     one = m.verify_regularity(1000, seed=3)
-    monkeypatch.setattr(symdyn.map_model, "A3_CHUNK", 7)
+    monkeypatch.setattr(symdyn.map_model, "REGULARITY_BLOCK", 7)
     blocks = m.verify_regularity(1000, seed=3)
     assert blocks.lines() == one.lines()
     assert blocks.clauses == one.clauses
+
+
+MIXED_FILE = """
+# one branch of each kind: affine, quadratic (critical point at 0.1), moebius
+[map]
+name = mixed
+a = 2.5
+beta = 0.5
+kappa = 16.0
+domain = 0.0 0.5
+singular = 0.0 0.1 0.3 0.5
+[branch]
+dom = 0.0 0.1
+kind = affine
+coef = 0.0 4.0
+[branch]
+dom = 0.1 0.3
+kind = quadratic
+coef = 0.125 -2.5 12.5
+inv_sign = 1
+[branch]
+dom = 0.3 0.5
+kind = moebius
+coef = 0.5 -1.0 0.1 1.0
+"""
+
+
+def _report_bits(rep):
+    """Every report field, floats as their IEEE bit patterns."""
+    bits = lambda v: np.float64(v).view(np.uint64).item()
+    clauses = [(c.name, c.passed, c.checked, c.violations, c.note,
+                bits(c.worst_margin), bits(c.worst_x), bits(c.worst_inner))
+               for c in rep.clauses.values()]
+    return (rep.map_name, rep.sample_count, clauses,
+            bits(rep.extreme_x), bits(rep.extreme_value))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 20000])
+@pytest.mark.parametrize("name", ALL_MAPS + ["mixed"])
+def test_regularity_matches_reference(name, samples, seed):
+    # blocks of REGULARITY_BLOCK samples, one formula per branch kind and
+    # the 36 pairs i < j against the whole-array three-formula 9 x 9 check
+    m = parse_map_file(MIXED_FILE) if name == "mixed" else built_in(name)
+    rep = m.verify_regularity(samples, seed=seed)
+    assert rep.sample_count == samples
+    assert _report_bits(rep) == _report_bits(verify_regularity_reference(m, samples, seed))
+
+
+def test_regularity_without_regular_points_raises():
+    # with a = 100 every radius 0.5 d(x,S)^a falls under the exclusion cutoff
+    base = built_in("doubling")
+    m = MapModel(name="flat", map_kind=base.map_kind, domain=base.domain, a=100.0,
+                 beta=base.beta, kappa=base.kappa, table=base.table.copy(), sing=base.sing.copy())
+    with pytest.raises(ValueError, match="exclusion cutoff"):
+        m.verify_regularity(10, seed=1)
 
 
 def test_regularity_empty_report():

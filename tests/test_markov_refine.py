@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
-from oracles import signature_partition
+from oracles import signature_partition, windows_agree_reference
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -77,6 +78,49 @@ def test_cover_zero_paths(doubling, cfg, fixture):
     rects, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=0,
                                     window=8, seed=1)
     assert rects == [] and dropped == pg.n_vertices()
+
+
+def test_cover_drops_only_core_vertices(doubling, cfg, fixture):
+    # a chart off the cycles is a vertex without strong edges: it is not
+    # sampled and not counted as dropped
+    cycles, _, _, kept = fixture
+    samples = [c.shift(k) for c in cycles for k in range(c.period)]
+    stray = ne.make_window(doubling, 0.1234567, [0, 1, 1, 0, 1, 0, 0, 1] * 8, 40)
+    al = cg.build_alphabet(doubling, samples + [stray], cfg)
+    pg, core = cg.prune_relevant(cg.build_graph(al))
+    assert len(core) == len(kept) < pg.n_vertices()
+    rects, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=3,
+                                    window=10, seed=1)
+    assert dropped == 0 and [r.vid for r in rects] == core
+    _, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=0, window=8, seed=1)
+    assert dropped == len(core)
+
+
+def test_windows_agree_matches_scalar_loop(doubling):
+    w = ne.make_window(doubling, 0.1234567, [0, 1, 1, 0, 1] * 4, 12)
+    short = ne.make_window(doubling, 0.1234567, [0, 1, 1, 0, 1] * 2, 15)
+
+    def with_point(win, i, value):
+        pts = win.points.copy()
+        pts[win.off + i] = value
+        return replace(win, points=pts)
+
+    pairs = [(w, w), (w, short), (short, w),
+             (w, with_point(w, -7, w.x(-7) + 1e-16)), (with_point(short, 2, 0.3), w),
+             (w, with_point(w, w.fwd_len, 0.3)), (with_point(w, -w.back_len, 0.3), w),
+             (with_point(w, 2, 0.0), with_point(w, 2, -0.0)),
+             (with_point(w, -1, math.nan), with_point(w, -1, math.nan))]
+    for a, b in pairs:
+        for depth, fwd in [(None, None), (0, 0), (3, None), (None, 2), (-2, 5), (4, -6)]:
+            assert mr.windows_agree(a, b, depth, fwd) == windows_agree_reference(a, b, depth, fwd)
+    assert not mr.windows_agree(with_point(w, -1, math.nan), with_point(w, -1, math.nan))
+    assert mr.windows_agree(with_point(w, 2, 0.0), with_point(w, 2, -0.0))
+    # an explicit range outside either window raises, as x(n) does
+    for depth, fwd in [(w.back_len + 1, 0), (0, w.fwd_len + 1), (short.back_len + 1, 0)]:
+        with pytest.raises(IndexError):
+            windows_agree_reference(w, short, depth, fwd)
+        with pytest.raises(IndexError):
+            mr.windows_agree(w, short, depth, fwd)
 
 
 def test_cover_containment(cover):
