@@ -137,24 +137,23 @@ def gurevich_entropy(g, vertex=None, n_max=10):
     """
     adj = _adjacency(g)
     counts = closed_path_counts(adj, n_max)
-    if vertex is None:
-        loop_growth = 0.0
-        best = 0
-        for n in range(n_max, 0, -1):
-            c = counts[n - 1]
-            if c > 0:
-                loop_growth = math.log(c) / n
-                best = n
-                break
-    else:
-        loop_growth = 0.0
-        best = 0
-        for n in range(n_max, 0, -1):
-            c = loop_count(adj, vertex, n)
-            if c > 0:
-                loop_growth = math.log(c) / n
-                best = n
-                break
+    loops = None if vertex is None else (lambda n: loop_count(adj, vertex, n))
+    return _estimate(counts, spectral_radius(adj), loops)
+
+
+def _estimate(counts, rho, loops=None):
+    """EntropyEstimate from the closed-path counts [trace(A^1), ...] and the
+    spectral radius rho; the loop growth is taken from ``loops(n)`` (default:
+    the closed-path counts), tried from the largest n down."""
+    loops = loops or (lambda n: counts[n - 1])
+    loop_growth = 0.0
+    best = 0
+    for n in range(len(counts), 0, -1):
+        c = loops(n)
+        if c > 0:
+            loop_growth = math.log(c) / n
+            best = n
+            break
     ns = []
     logs = []
     for n, c in enumerate(counts, start=1):
@@ -163,7 +162,7 @@ def gurevich_entropy(g, vertex=None, n_max=10):
             logs.append(math.log(c))
     slope = _lsq_slope(ns, logs) if len(ns) >= 2 else 0.0
     return EntropyEstimate(loop_growth=loop_growth, trace_slope=slope,
-                           spectral_radius=spectral_radius(adj), n_used=best)
+                           spectral_radius=rho, n_used=best)
 
 
 def _lsq_slope(xs, ys):
@@ -247,8 +246,13 @@ class GrowthReport:
         return out
 
 
-def growth_report(m, g, n_max, branch_limit=None):
-    """Map periodic counts vs symbolic closed-path counts, with slopes."""
+def growth_report(m, g, n_max, branch_limit=None, spectral=None):
+    """Map periodic counts vs symbolic closed-path counts, with slopes.
+
+    The entropy estimate is derived from the same closed-path counts;
+    ``spectral`` is the graph's spectral radius when the caller already
+    has it (it does not depend on n_max).
+    """
     adj = _adjacency(g) if g is not None else {}
     rows = []
     flags = []
@@ -262,7 +266,11 @@ def growth_report(m, g, n_max, branch_limit=None):
     ms = [math.log(r[1]) for r in rows if r[1] > 0]
     nss = [r[0] for r in rows if r[2] > 0]
     ss = [math.log(r[2]) for r in rows if r[2] > 0]
-    ent = gurevich_entropy(adj, n_max=n_max) if adj else EntropyEstimate(0, 0, 0, 0)
+    if adj:
+        rho = spectral_radius(adj) if spectral is None else spectral
+        ent = _estimate(counts, rho)
+    else:
+        ent = EntropyEstimate(0, 0, 0, 0)
     return GrowthReport(rows=rows,
                         map_slope=_lsq_slope(ns, ms) if len(ns) >= 2 else 0.0,
                         symbolic_slope=_lsq_slope(nss, ss) if len(ss) >= 2 else 0.0,

@@ -83,19 +83,16 @@ def stage_graph(m, cfg, pcfg, al, out, quiet):
     return g, pg, kept
 
 
-def stage_shadow(m, cfg, pcfg, al, windows, out, quiet):
-    groups = {}
-    for w in windows:
-        groups.setdefault(id(w.points), []).append(w)
-    reps = sorted((min(g, key=lambda w: w.off) for g in groups.values()),
-                  key=lambda w: w.record())
+def stage_shadow(m, cfg, pcfg, al, out, quiet):
+    """Encode and shadow one window per orbit: the base window whose tables
+    the alphabet kept."""
     results = []
     failures = 0
-    for w in reps:
-        hi = min(cfg.encode_hi, w.fwd_len - 1)
+    for tabs in sorted(al.tables, key=lambda t: t.w.record()):
+        hi = min(cfg.encode_hi, tabs.w.fwd_len - 1)
         try:
-            gpo, _ = coarse_grain.sufficiency_encode(m, w, al, pcfg,
-                                                     lo=cfg.encode_lo, hi=hi)
+            gpo, _ = coarse_grain.sufficiency_encode(m, tabs.w, al, pcfg, lo=cfg.encode_lo,
+                                                     hi=hi, tables=tabs)
             results.append(shadowing.shadow(m, gpo, pcfg))
         except (coarse_grain.NoNetVertex, shadowing.EdgeBroken):
             failures += 1
@@ -118,20 +115,18 @@ def stage_inverse(m, cfg, pcfg, out, quiet):
     failed = 0
     hi = cfg.encode_hi
 
-    def reps(lib):
-        groups = {}
-        for w in lib.windows:
-            groups.setdefault(id(w.points), []).append(w)
-        return {round(min(g, key=lambda w: w.off).x0, 9): min(g, key=lambda w: w.off)
-                for g in groups.values()}
+    def reps(u_depth):
+        return {round(t.w.x0, 9): t for t in al.tables if t.w.u_depth == u_depth}
 
-    reps_a, reps_b = reps(libs[0]), reps(libs[1])
+    def encode(tabs):
+        return coarse_grain.sufficiency_encode(m, tabs.w, al, pcfg, lo=0, hi=hi,
+                                               tables=tabs)[0]
+
+    reps_a, reps_b = reps(base), reps(base + 4)
     for key in sorted(set(reps_a) & set(reps_b)):
-        wa, wb = reps_a[key], reps_b[key]
+        wa = reps_a[key].w
         try:
-            g1, _ = coarse_grain.sufficiency_encode(m, wa, al, pcfg, lo=0, hi=hi)
-            g2, _ = coarse_grain.sufficiency_encode(m, wb, al, pcfg, lo=0, hi=hi)
-            rep = shadowing.inverse_check(m, g1, g2, pcfg)
+            rep = shadowing.inverse_check(m, encode(reps_a[key]), encode(reps_b[key]), pcfg)
         except (coarse_grain.NoNetVertex, shadowing.NotDoubleCoding,
                 shadowing.EdgeBroken) as e:
             lines.append(f"orbit x0={wa.x0!r}: {type(e).__name__}: {e}")
@@ -193,8 +188,8 @@ def _growth_n_max(cfg):
     return min(cfg.max_period + 2, 12)
 
 
-def stage_growth(m, cfg, pg, out, quiet):
-    rep = analysis.growth_report(m, pg, n_max=_growth_n_max(cfg))
+def stage_growth(m, cfg, pg, out, quiet, spectral=None):
+    rep = analysis.growth_report(m, pg, n_max=_growth_n_max(cfg), spectral=spectral)
     formats.write_report(os.path.join(out, "growth.report"), "growth",
                          rep.lines(),
                          [{"n": n, "map_count": mc, "closed_paths": sc}
@@ -271,10 +266,7 @@ def run(command, cfg, out, quiet=False):
     lib = stage_library(m, cfg, out, quiet)
     if command == "sample-orbits":
         return
-    samples = []
-    for w in lib.windows:
-        samples.append(w)
-    al = stage_alphabet(m, cfg, pcfg, samples, out, quiet)
+    al = stage_alphabet(m, cfg, pcfg, lib.windows, out, quiet)
     if command == "alphabet":
         _discreteness_audit(al, quiet)
         return
@@ -282,7 +274,7 @@ def run(command, cfg, out, quiet=False):
     if command == "graph":
         return
     if command == "shadow":
-        stage_shadow(m, cfg, pcfg, al, lib.windows, out, quiet)
+        stage_shadow(m, cfg, pcfg, al, out, quiet)
         return
     if command == "refine":
         stage_refine(m, cfg, pcfg, pg, out, quiet)
@@ -295,10 +287,10 @@ def run(command, cfg, out, quiet=False):
         return
     if command == "full-pipeline":
         stage_verify(m, cfg, out, quiet)
-        stage_shadow(m, cfg, pcfg, al, lib.windows, out, quiet)
+        stage_shadow(m, cfg, pcfg, al, out, quiet)
         cover, cells, tg, audit = stage_refine(m, cfg, pcfg, pg, out, quiet)
-        stage_entropy(m, cfg, pg, out, quiet, tg=tg)
-        stage_growth(m, cfg, pg, out, quiet)
+        est = stage_entropy(m, cfg, pg, out, quiet, tg=tg)
+        stage_growth(m, cfg, pg, out, quiet, spectral=est.spectral_radius)
         return
     raise ValueError(f"unhandled command {command!r}")
 

@@ -20,7 +20,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import pesin
-from .map_model import SingularPoint
 from .pesin import Chart, PesinConfig, window_tables
 from .shadowing import Gpo
 
@@ -63,32 +62,6 @@ def net_match(g1, g2, j):
         if not lt_log_threshold(metric, thr):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# cover of the domain by radius-rule balls on dyadic grids
-# ---------------------------------------------------------------------------
-
-def cover_id(m, x, max_level=64):
-    """Id of a canonical cover element containing x.
-
-    Scans dyadic grids coarse to fine and returns the first grid center
-    whose radius-rule ball contains x; encoded as (level << 32) | index.
-    """
-    lo, hi = m.domain
-    width = hi - lo
-    for level in range(max_level):
-        h = width / (1 << level)
-        i = int((x - lo) / h)
-        i = min(max(i, 0), (1 << level) - 1)
-        z = lo + (i + 0.5) * h
-        try:
-            r = m.radius(z)
-        except SingularPoint:
-            continue
-        if abs(x - z) < 2.0 * r:
-            return (level << 32) | i
-    raise SingularPoint(f"no cover element found for x={x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +157,7 @@ class Alphabet:
     vertex_index: dict         # (cid, idx_p) -> vid
     e1_index: dict             # (theta_0, 1/u_0) -> [cid]: exact E1 successors
     skipped: int               # samples rejected by the certificate
+    tables: list               # WindowTables of each orbit's base window
 
     def find_center(self, gamma, key):
         for cid in self.bins.get(key, ()):
@@ -198,9 +172,9 @@ def _gamma_and_bin(m, cfg, tables, k):
     theta = (w.x(k - 1), w.x(k), w.x(k + 1))
     u3 = (tables.u[k - 1], tables.u[k], tables.u[k + 1])
     gamma = Gamma(theta=theta, u=u3, idxQ=tables.idxQ[k])
-    kbins = tuple(int(math.ceil(-math.log(m.singular_distance(t)))) - 1 for t in theta)
+    kbins = tuple(int(math.ceil(-math.log(tables.dist[k + i]))) - 1 for i in (-1, 0, 1))
     lbins = tuple(int(math.floor(math.log(ui))) for ui in u3)
-    abins = tuple(cover_id(m, t) for t in theta)
+    abins = tuple(m.cover_id(t) for t in theta)
     mbin = int(math.ceil((cfg.epsilon / 3.0) * tables.idxQ[k])) - 1
     j = tables.j_bin(k)
     return gamma, BinKey(k=kbins, l=lbins, a=abins, m=mbin, j=j)
@@ -230,12 +204,16 @@ def build_alphabet(m, samples, cfg):
     in serialized-key order so the greedy net is reproducible.  Chart sizes
     are the (E2.3) closure of each center's cap and sampled greedy sizes
     inside its CG2 windows; charts are numbered by center, sizes ascending.
+    The tables of each group's base window (least offset) are kept on the
+    alphabet, in sample order, for encoding those windows.
     """
     entries = []  # (sort_key, tables, k)
+    tables = []
     skipped = 0
     for group in _group_samples(samples).values():
         base = min(group, key=lambda w: w.off)
         tabs = window_tables(m, base, cfg)
+        tables.append(tabs)
         if not tabs.certified:
             skipped += len(group)
             continue
@@ -303,7 +281,8 @@ def build_alphabet(m, samples, cfg):
             vertex_index[(c.cid, ip)] = v.vid
 
     return Alphabet(cfg=cfg, centers=centers, bins=bins, vertices=vertices,
-                    vertex_index=vertex_index, e1_index=e1_index, skipped=skipped)
+                    vertex_index=vertex_index, e1_index=e1_index, skipped=skipped,
+                    tables=tables)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from ._kernels import (
 )
 
 EXCLUSION_RADIUS = 1e-12
+# Dyadic levels the cover scan visits, coarse to fine.
+COVER_MAX_LEVEL = 64
 # Samples per block of the regularity check; a block holds each sample's
 # inner grids, derivatives and inner-pair quotients.
 REGULARITY_BLOCK = 4096
@@ -141,6 +143,7 @@ class MapModel:
     sing: np.ndarray = field(repr=False)
     exclusion: float = EXCLUSION_RADIUS
     _branches: tuple = field(init=False, repr=False, compare=False)
+    _cover_ids: dict = field(init=False, repr=False, compare=False)  # x -> cover id
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -157,7 +160,9 @@ class MapModel:
                 Branch(id=i, lo=float(row[1]), hi=float(row[2]), kind=int(row[0]),
                        coef=tuple(float(c) for c in row[3:7]), inv_sign=float(row[7]))
                 for i, row in enumerate(self.table))
+            _check_branches(branches, self.domain)
         object.__setattr__(self, "_branches", branches)
+        object.__setattr__(self, "_cover_ids", {})
 
     # -- branch access ------------------------------------------------
 
@@ -216,6 +221,17 @@ class MapModel:
             raise SingularPoint(f"radius at x={x!r} falls under the exclusion cutoff")
         return r
 
+    def cover_id(self, x):
+        """Id of the canonical cover element containing x, (level << 32) | index.
+
+        The id reads only the domain and the radius rule, so each point is
+        scanned once per model (a NaN x is never stored: its scan raises).
+        """
+        cid = self._cover_ids.get(x)
+        if cid is None:
+            cid = self._cover_ids[x] = _cover_scan(self, x)
+        return cid
+
     def finite_table(self, n_branches=None):
         """(map_kind, table) with GAUSS restricted to its first branches.
 
@@ -266,6 +282,53 @@ class MapModel:
 
     def verify_regularity(self, sample_count, seed, inner=9):
         return verify_regularity(self, sample_count, seed, inner)
+
+
+# ---------------------------------------------------------------------------
+# branch checks and the dyadic cover
+# ---------------------------------------------------------------------------
+
+def _check_branches(branches, domain):
+    """Raise MapFileError unless the branch domains partition ``domain`` and
+    every branch maps its endpoints into ``domain``."""
+    lo, hi = domain
+    clause = f"branch domains must partition the domain [{lo!r}, {hi!r}]"
+    edge = lo
+    for b in sorted(branches, key=lambda b: b.lo):
+        name = f"branch {b.id} [{b.lo!r}, {b.hi!r}]"
+        if not b.lo < b.hi:
+            raise MapFileError(f"{name}: empty branch domain")
+        if b.lo > edge:
+            raise MapFileError(f"{name}: {clause}; gap ({edge!r}, {b.lo!r}) before it")
+        if b.lo < edge:
+            raise MapFileError(f"{name}: {clause}; it starts before {edge!r}")
+        edge = b.hi
+        for x in (b.lo, b.hi):
+            y = float(b.fwd(x))
+            if not lo <= y <= hi:
+                raise MapFileError(f"{name}: the image f({x!r}) = {y!r} lies outside "
+                                   f"the domain [{lo!r}, {hi!r}]")
+    if edge != hi:
+        raise MapFileError(f"{clause}; the last branch ends at {edge!r}")
+
+
+def _cover_scan(m, x):
+    """Scan dyadic grids coarse to fine for the first grid center whose
+    radius-rule ball contains x."""
+    lo, hi = m.domain
+    width = hi - lo
+    for level in range(COVER_MAX_LEVEL):
+        h = width / (1 << level)
+        i = int((x - lo) / h)
+        i = min(max(i, 0), (1 << level) - 1)
+        z = lo + (i + 0.5) * h
+        try:
+            r = m.radius(z)
+        except SingularPoint:
+            continue
+        if abs(x - z) < 2.0 * r:
+            return (level << 32) | i
+    raise SingularPoint(f"no cover element found for x={x!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ representable) or through analytic curvature bounds in log space.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -244,8 +244,9 @@ def q_greedy(idxQ_seq, cfg):
 class WindowTables:
     """Per-index chart data for a window: u, rho, Q and greedy q indices.
 
-    Valid index range is [lo, hi]; u is additionally available at lo-1 and
-    hi+1 (needed for u', u(f̂·) comparisons).
+    Valid index range is [lo, hi]; u and the singular distance d(x_k, S) are
+    additionally available at lo-1 and hi+1 (needed for u', u(f̂·)
+    comparisons and the distance bins of the neighbours).
     """
 
     w: OrbitWindow
@@ -253,6 +254,7 @@ class WindowTables:
     lo: int
     hi: int
     u: dict
+    dist: dict           # d(x_k, S)
     rho: dict
     logQtilde: dict
     idxQ: dict
@@ -289,11 +291,12 @@ def window_tables(m, w, cfg, lo=None, hi=None):
     else:
         for k in range(full_lo - 1, hi + 2):
             u[k] = u_at(w, cfg.chi, k)
+    dist = {k: m.singular_distance(w.x(k)) for k in range(full_lo - 1, hi + 2)}
     rho = {}
     logQt = {}
     idxQ = {}
     for k in range(full_lo, hi + 1):
-        rho[k] = min(m.singular_distance(w.x(k + i)) for i in (-1, 0, 1))
+        rho[k] = min(dist[k - 1], dist[k], dist[k + 1])
         lq, iq = compute_Q(u[k], u[k - 1], rho[k], cfg.epsilon, m.a, m.beta)
         logQt[k] = lq
         idxQ[k] = iq
@@ -316,7 +319,7 @@ def window_tables(m, w, cfg, lo=None, hi=None):
         for i, k in enumerate(range(full_lo, hi + 1)):
             idx_q[k] = seq[i]
 
-    return WindowTables(w=w, cfg=cfg, lo=lo, hi=hi, u=u, rho=rho,
+    return WindowTables(w=w, cfg=cfg, lo=lo, hi=hi, u=u, dist=dist, rho=rho,
                         logQtilde=logQt, idxQ=idxQ, idx_q=idx_q,
                         certified=cert.ok, cert=cert)
 
@@ -333,10 +336,14 @@ class Chart:
     shift: int           # chart lives at the shift-th coordinate of center
     params: PesinParams
     idx_p: int
+    # shadowing.step_map results for edges leaving this chart, keyed by the
+    # data of the chart they lead to
+    steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.idx_p < self.params.idxQ:
             raise ValueError("chart size exceeds Q")
+        object.__setattr__(self, "steps", {})
 
     @property
     def u(self):

@@ -72,7 +72,22 @@ class StepMap:
 
 
 def step_map(m, v_to, v_from, cfg):
-    """Affine step data for the edge v_to <- v_from.
+    """Affine step data for the edge v_to <- v_from, computed once per edge.
+
+    The result is a pure function of the branch of v_from's center at
+    shift - 1, the theta0, u and idx_p of both charts and cfg.epsilon, so it
+    is kept on v_from (``Chart.steps``) under the data of v_to; m must be
+    the map of v_from's center.
+    """
+    key = (v_to.theta0, v_to.u, v_to.idx_p, v_to.params.epsilon, cfg.epsilon)
+    s = v_from.steps.get(key)
+    if s is None:
+        s = v_from.steps[key] = _affine_step(m, v_to, v_from, cfg)
+    return s
+
+
+def _affine_step(m, v_to, v_from, cfg):
+    """The rescaled affine model of the edge v_to <- v_from.
 
     The curvature of g over a chart range is below float resolution
     relative to the linear part (|s| <= 10 Q / u with Q on the I_eps

@@ -14,8 +14,9 @@ import numpy as np
 from symdyn import _kernels as K
 from symdyn import coarse_grain as cg
 from symdyn import pesin
-from symdyn.map_model import ClauseResult, RegularityReport
+from symdyn.map_model import ClauseResult, RegularityReport, SingularPoint
 from symdyn.markov_refine import windows_agree
+from symdyn.shadowing import StepMap
 
 
 # -- coarse graining -------------------------------------------------------------
@@ -65,6 +66,54 @@ def strong_graph_backward(al):
                     in_edges[w.vid].append(v.vid)
     return cg.GpoGraph(alphabet=al, out_edges=[sorted(o) for o in out_edges],
                        in_edges=[sorted(i) for i in in_edges], bin_index={})
+
+
+def cover_id_reference(m, x, max_level=64):
+    """The dyadic cover scan, run on every call: the first grid center, coarse
+    to fine, whose radius-rule ball contains x, as (level << 32) | index."""
+    lo, hi = m.domain
+    width = hi - lo
+    for level in range(max_level):
+        h = width / (1 << level)
+        i = int((x - lo) / h)
+        i = min(max(i, 0), (1 << level) - 1)
+        z = lo + (i + 0.5) * h
+        try:
+            r = m.radius(z)
+        except SingularPoint:
+            continue
+        if abs(x - z) < 2.0 * r:
+            return (level << 32) | i
+    raise SingularPoint(f"no cover element found for x={x!r}")
+
+
+def rho_reference(m, w, k):
+    """min d(x_i, S) over the coordinates k - 1, k, k + 1 of a window."""
+    return min(m.singular_distance(w.x(k + i)) for i in (-1, 0, 1))
+
+
+# -- shadowing -------------------------------------------------------------------
+
+def step_map_reference(m, v_to, v_from, cfg):
+    """The affine step of the edge v_to <- v_from, computed on every call."""
+    w = v_from.center
+    branch = w.branch(v_from.shift - 1)
+    br = m.branch_by_id(branch)
+    x0 = v_from.theta0
+    dg0 = br.dinv(x0)
+    slope_t = dg0 * v_to.u / v_from.u
+    if br.fwd(v_to.theta0) == x0:
+        offset = 0.0
+    else:
+        offset = br.inv(x0) - v_to.theta0
+    scale = math.exp((cfg.epsilon / 3.0) * (v_to.idx_p - v_from.idx_p))
+    a = slope_t * scale
+    if offset == 0.0:
+        b = 0.0
+    else:
+        log_b = math.log(abs(offset)) + math.log(v_to.u) - v_to.log_p
+        b = math.copysign(math.exp(min(log_b, 700.0)), offset)
+    return StepMap(a=a, b=b, slope_t=slope_t, size_ratio=scale)
 
 
 # -- Markov refinement ---------------------------------------------------------

@@ -196,3 +196,34 @@ def test_growth_report_tent():
         assert mc == 2 ** n
     assert abs(rep.symbolic_slope - math.log(2)) < 0.1
     assert abs(rep.entropy.loop_growth - math.log(2)) < 0.1
+
+
+def _count_calls(monkeypatch, calls, name):
+    fn = getattr(an, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(an, name, counted)
+
+
+def test_growth_report_walks_the_graph_once(monkeypatch):
+    # the rows' closed-path counts give the entropy estimate, and a spectral
+    # radius passed in is not recomputed; the result is the estimate a
+    # separate gurevich_entropy at the same n_max gives
+    m = symdyn.built_in("doubling")
+    lib = library.periodic_library(m, CHI2, 5, back_depth=64, fwd_len=14)
+    cfg = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    pg, _ = cg.prune_relevant(cg.build_graph(cg.build_alphabet(m, lib.windows, cfg)))
+    for n_max in (3, 7):
+        expected = an.gurevich_entropy(pg, n_max=n_max)
+        calls = []
+        _count_calls(monkeypatch, calls, "closed_path_counts")
+        _count_calls(monkeypatch, calls, "spectral_radius")
+        rep = an.growth_report(m, pg, n_max=n_max)
+        rep_given = an.growth_report(m, pg, n_max=n_max, spectral=expected.spectral_radius)
+        monkeypatch.undo()
+        assert calls == ["closed_path_counts", "spectral_radius", "closed_path_counts"]
+        assert rep.entropy == expected and rep_given.entropy == expected
+        assert rep.lines() == rep_given.lines()

@@ -46,6 +46,28 @@ def test_non_finite_map_file_exit_2(tmp_path):
     assert not (tmp_path / "o" / "regularity.report").exists()
 
 
+@pytest.mark.parametrize("change", [
+    # branch domains [0, 0.2) and [0.3, 0.5] leave a gap
+    (("dom = 0.0 0.25", "dom = 0.0 0.2"), ("dom = 0.25 0.5", "dom = 0.3 0.5")),
+    # 3x on [0, 0.25) maps past the domain
+    (("coef = 0.0 2.0", "coef = 0 3"),),
+])
+def test_malformed_branches_exit_2(tmp_path, capsys, change):
+    text = ("[map]\na = 1.0\nbeta = 0.5\nkappa = 2.0\ndomain = 0.0 0.5\n"
+            "singular = 0.0 0.25\n"
+            "[branch]\ndom = 0.0 0.25\nkind = affine\ncoef = 0.0 2.0\n"
+            "[branch]\ndom = 0.25 0.5\nkind = affine\ncoef = -0.5 2.0\n")
+    for old, new in change:
+        text = text.replace(old, new)
+    path = tmp_path / "bad.map"
+    path.write_text(text, encoding="utf-8")
+    rc = run_cli(["verify-map", "--map", str(path), "--out", str(tmp_path / "o"),
+                  "--quiet"])
+    assert rc == 2
+    assert "MapFileError" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_word_budget_exit_2(tmp_path, monkeypatch, capsys):
     # gauss at the defaults would enumerate 16^10 words in the growth stage
     def enumerate_anyway(*args, **kw):

@@ -9,7 +9,7 @@ from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
-from oracles import full_ladder_alphabet, strong_graph_backward
+from oracles import cover_id_reference, full_ladder_alphabet, strong_graph_backward
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -272,7 +272,7 @@ def test_sufficiency_missing_bin(doubling, cfg, alphabet):
 
 def test_cover_id_terminates_and_contains(doubling):
     for x in (0.01, 0.1, 0.2, 0.3, 0.49):
-        cid = cg.cover_id(doubling, x)
+        cid = doubling.cover_id(x)
         level, idx = cid >> 32, cid & 0xFFFFFFFF
         lo, hi = doubling.domain
         h = (hi - lo) / (1 << level)
@@ -358,3 +358,47 @@ def test_closure_matches_full_ladder_random_windows(name):
     lib = library.random_library(m, cfg.chi, 100, back_depth=40, fwd_len=14, seed=2026)
     samples = [w.shift(k) for w in lib.windows for k in range(9)]
     _assert_closure_is_ladder_core(m, samples, cfg)
+
+
+@pytest.mark.parametrize("name,period", [("doubling", 4), ("tent", 4),
+                                         ("quadratic", 3), ("gauss", 2)])
+def test_alphabet_tables_encode_like_window_tables(name, period):
+    # the alphabet keeps the tables of each orbit's base window; clipped to
+    # an encoding range they give the chain of that range's own tables
+    m = symdyn.built_in(name)
+    cfg = MAP_CFG[name]
+    lib = library.periodic_library(m, cfg.chi, period, back_depth=40, fwd_len=40)
+    al = cg.build_alphabet(m, lib.windows, cfg)
+    groups = {}
+    for w in lib.windows:
+        groups.setdefault(id(w.points), []).append(w)
+    assert [t.w for t in al.tables] == [min(g, key=lambda w: w.off) for g in groups.values()]
+    encoded = 0
+    for tabs in al.tables:
+        for lo, hi in ((0, 12), (-4, 10), (0, 39)):
+            try:
+                own = cg.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi)
+            except cg.NoNetVertex:
+                with pytest.raises(cg.NoNetVertex):
+                    cg.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi, tables=tabs)
+                continue
+            kept = cg.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi, tables=tabs)
+            assert kept[1] == own[1]
+            assert (kept[0].n_lo, kept[0].strengths) == (own[0].n_lo, own[0].strengths)
+            encoded += 1
+    assert encoded
+
+
+@pytest.mark.parametrize("name", list(MAP_CFG))
+def test_bin_keys_match_definitions(name):
+    # distance bins from the tables' distances, cover bins from the memo
+    m = symdyn.built_in(name)
+    cfg = MAP_CFG[name]
+    lib = library.random_library(m, cfg.chi, 20, back_depth=40, fwd_len=14, seed=7)
+    al = cg.build_alphabet(m, [w.shift(k) for w in lib.windows for k in range(3)], cfg)
+    assert al.centers
+    for c in al.centers:
+        theta = c.gamma.theta
+        assert c.key.k == tuple(int(math.ceil(-math.log(m.singular_distance(t)))) - 1
+                                for t in theta)
+        assert c.key.a == tuple(cover_id_reference(m, t) for t in theta)

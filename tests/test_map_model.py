@@ -291,3 +291,35 @@ def test_difference_forms_against_mpmath():
             got_d = br.dinv_diff(y, s)
             want_d = oracle(br, y, s, 1)
             assert got_d == pytest.approx(want_d, rel=1e-9, abs=1e-320), (br.kind, s)
+
+
+GAP_FILE = DOUBLING_FILE.replace("dom = 0.0 0.25", "dom = 0.0 0.2").replace(
+    "dom = 0.25 0.5", "dom = 0.3 0.5")
+IMAGE_FILE = DOUBLING_FILE.replace("coef = 0.0 2.0", "coef = 0 3")
+
+
+def test_map_file_branch_domains_must_partition_the_domain():
+    with pytest.raises(MapFileError, match=r"branch 1 \[0\.3, 0\.5\].*partition.*gap \(0\.2, 0\.3\)"):
+        parse_map_file(GAP_FILE)
+    overlap = DOUBLING_FILE.replace("dom = 0.25 0.5", "dom = 0.2 0.5")
+    with pytest.raises(MapFileError, match=r"branch 1 .*partition.*starts before 0\.25"):
+        parse_map_file(overlap)
+    short = DOUBLING_FILE.replace("dom = 0.25 0.5", "dom = 0.25 0.45")
+    with pytest.raises(MapFileError, match="partition.*last branch ends at 0.45"):
+        parse_map_file(short)
+    with pytest.raises(MapFileError, match="branch 1 .*empty"):
+        parse_map_file(DOUBLING_FILE.replace("dom = 0.25 0.5", "dom = 0.5 0.5"))
+
+
+def test_map_file_branch_images_must_lie_in_the_domain():
+    # 3x on [0, 0.25) runs to 0.75, past the domain [0, 0.5]
+    with pytest.raises(MapFileError, match=r"branch 0 \[0\.0, 0\.25\].*f\(0\.25\) = 0\.75.*outside"):
+        parse_map_file(IMAGE_FILE)
+
+
+def test_branch_checks_accept_every_built_in_table():
+    for name in ("doubling", "tent", "quadratic"):
+        m = built_in(name)
+        MapModel(name=name, map_kind=m.map_kind, domain=m.domain, a=m.a, beta=m.beta,
+                 kappa=m.kappa, table=m.table.copy(), sing=m.sing.copy())
+    parse_map_file(MIXED_FILE)

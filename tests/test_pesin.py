@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import symdyn
+from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
+
+from oracles import rho_reference
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -338,3 +341,20 @@ def test_chart_G_gauss_contraction():
     assert dec.dG_sup < math.exp(-cfg.chi / 2.0)
     assert abs(dec.A) == pytest.approx(1.0 / ((math.sqrt(5) + 1) / 2) ** 2, rel=1e-6)
     assert dec.h0 == 0.0 and abs(dec.dh0) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["doubling", "quadratic", "gauss"])
+def test_window_tables_rho_from_one_distance_per_point(name):
+    # rho is the min over the neighbours of one singular distance per point
+    m = symdyn.built_in(name)
+    chi = 0.5 if name == "gauss" else 0.1
+    windows = library.random_library(m, chi, 6, back_depth=20, fwd_len=12, seed=5).windows
+    assert len(windows) == 6
+    cfg = pesin.PesinConfig(chi=chi, epsilon=0.1)
+    for w in windows:
+        for lo, hi in ((None, None), (0, 5)):
+            tabs = pesin.window_tables(m, w, cfg, lo=lo, hi=hi)
+            for k in tabs.rho:
+                assert tabs.rho[k] == rho_reference(m, w, k)
+            for k in tabs.dist:
+                assert tabs.dist[k] == m.singular_distance(w.x(k))
