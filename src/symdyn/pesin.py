@@ -240,32 +240,47 @@ def q_greedy(idxQ_seq, cfg):
 # window-level parameter tables
 # ---------------------------------------------------------------------------
 
+class _PhaseTable:
+    """Per-index values of a periodic window, kept once per phase: index k
+    has phase (k + off) mod P."""
+
+    __slots__ = ("values", "off")
+
+    def __init__(self, values, off):
+        self.values = values
+        self.off = off
+
+    def __getitem__(self, k):
+        return self.values[(k + self.off) % len(self.values)]
+
+
 @dataclass(frozen=True)
 class WindowTables:
-    """Per-index chart data for a window: u, rho, Q and greedy q indices.
+    """Per-index chart data for a window: u, d(x, S), Q and greedy q indices.
 
     Valid index range is [lo, hi]; u and the singular distance d(x_k, S) are
     additionally available at lo-1 and hi+1 (needed for u', u(f̂·)
-    comparisons and the distance bins of the neighbours).
+    comparisons and the distance bins of the neighbours).  Each table maps
+    an index to its value: a dict, or for a periodic window a table kept
+    once per phase.
     """
 
     w: OrbitWindow
     cfg: PesinConfig
     lo: int
     hi: int
-    u: dict
-    dist: dict           # d(x_k, S)
-    rho: dict
-    logQtilde: dict
-    idxQ: dict
-    idx_q: dict
+    u: object
+    dist: object         # d(x_k, S)
+    logQtilde: object
+    idxQ: object
+    idx_q: object
     certified: bool
     cert: Certificate
 
     def params_at(self, k):
         return PesinParams(
             chi=self.cfg.chi, epsilon=self.cfg.epsilon,
-            u=self.u[k], u_prev=self.u[k - 1], rho=self.rho[k],
+            u=self.u[k], u_prev=self.u[k - 1], rho=_rho(self.dist, k),
             logQtilde=self.logQtilde[k], idxQ=self.idxQ[k],
             log_delta_eps=self.cfg.log_delta, idx_q=self.idx_q[k],
         )
@@ -275,51 +290,51 @@ class WindowTables:
         return int(math.floor((self.cfg.epsilon / 3.0) * self.idx_q[k]))
 
 
+def _rho(dist, k):
+    """min d(x_i, S) over the coordinates k - 1, k, k + 1."""
+    return min(dist[k - 1], dist[k], dist[k + 1])
+
+
 def window_tables(m, w, cfg, lo=None, hi=None):
-    """Compute chart data for every index of a window (or a subrange)."""
+    """Compute chart data for every index of a window (or a subrange).
+
+    The points of a periodic window repeat exactly, so every quantity is a
+    function of the phase; when the range holds a whole period it is
+    computed once per phase.
+    """
     full_lo = -w.back_len + 1
     full_hi = w.fwd_len - 1
     lo = full_lo if lo is None else max(lo, full_lo)
     hi = full_hi if hi is None else min(hi, full_hi)
     cert = expansion_certificate(w, cfg.chi, cfg.n_min)
 
-    u = {}
-    if w.period:
-        table = _u_phase_table(w, cfg.chi)
-        for k in range(full_lo - 1, hi + 2):
-            u[k] = float(table[(k + w.off) % w.period])
-    else:
-        for k in range(full_lo - 1, hi + 2):
-            u[k] = u_at(w, cfg.chi, k)
-    dist = {k: m.singular_distance(w.x(k)) for k in range(full_lo - 1, hi + 2)}
-    rho = {}
-    logQt = {}
-    idxQ = {}
-    for k in range(full_lo, hi + 1):
-        rho[k] = min(dist[k - 1], dist[k], dist[k + 1])
-        lq, iq = compute_Q(u[k], u[k - 1], rho[k], cfg.epsilon, m.a, m.beta)
-        logQt[k] = lq
-        idxQ[k] = iq
-
-    idx_q = {}
-    if w.period and hi - full_lo + 1 >= w.period:
+    P = w.period
+    if P and hi - full_lo + 1 >= P:
+        phases = range(-w.off, P - w.off)  # the indices of phases 0, ..., P - 1
+        u = _PhaseTable(_u_phase_table(w, cfg.chi).tolist(), w.off)
+        dist = _PhaseTable([m.singular_distance(w.x(k)) for k in phases], w.off)
+        Q = [compute_Q(u[k], u[k - 1], _rho(dist, k), cfg.epsilon, m.a, m.beta)
+             for k in phases]
+        logQt = _PhaseTable([lq for lq, _ in Q], w.off)
+        idxQ = _PhaseTable([iq for _, iq in Q], w.off)
         # canonical periodic greedy q_n = delta * min_{k>=0} e^{eps k} Q_{n-k},
         # independent of the window truncation.  In indices a lag k >= P
         # term is the lag k - P term minus 3P, so the second lap of the
         # greedy recursion is the exact periodic solution.
-        phase_idxQ = [0] * w.period
-        for k in range(lo, lo + w.period):
-            kk = k if k <= hi else k - w.period
-            phase_idxQ[(kk + w.off) % w.period] = idxQ[kk]
-        per = q_greedy(phase_idxQ * 2, cfg)[w.period:]
-        for k in range(full_lo, hi + 1):
-            idx_q[k] = per[(k + w.off) % w.period]
+        idx_q = _PhaseTable(q_greedy(idxQ.values * 2, cfg)[P:], w.off)
     else:
+        ks = range(full_lo - 1, hi + 2)
+        u = {k: u_at(w, cfg.chi, k) for k in ks}
+        dist = {k: m.singular_distance(w.x(k)) for k in ks}
+        logQt = {}
+        idxQ = {}
+        for k in range(full_lo, hi + 1):
+            logQt[k], idxQ[k] = compute_Q(u[k], u[k - 1], _rho(dist, k),
+                                          cfg.epsilon, m.a, m.beta)
         seq = q_greedy([idxQ[k] for k in range(full_lo, hi + 1)], cfg)
-        for i, k in enumerate(range(full_lo, hi + 1)):
-            idx_q[k] = seq[i]
+        idx_q = dict(zip(range(full_lo, hi + 1), seq))
 
-    return WindowTables(w=w, cfg=cfg, lo=lo, hi=hi, u=u, dist=dist, rho=rho,
+    return WindowTables(w=w, cfg=cfg, lo=lo, hi=hi, u=u, dist=dist,
                         logQtilde=logQt, idxQ=idxQ, idx_q=idx_q,
                         certified=cert.ok, cert=cert)
 

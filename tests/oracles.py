@@ -92,6 +92,33 @@ def rho_reference(m, w, k):
     return min(m.singular_distance(w.x(k + i)) for i in (-1, 0, 1))
 
 
+def window_tables_reference(m, w, cfg, lo=None, hi=None):
+    """Chart data index by index: {name: {k: value}} for u, rho, logQtilde,
+    idxQ and idx_q (the periodic greedy from one period of the range)."""
+    full_lo = -w.back_len + 1
+    full_hi = w.fwd_len - 1
+    lo = full_lo if lo is None else max(lo, full_lo)
+    hi = full_hi if hi is None else min(hi, full_hi)
+    u = {k: pesin.u_at(w, cfg.chi, k) for k in range(full_lo - 1, hi + 2)}
+    rho, logQt, idxQ = {}, {}, {}
+    for k in range(full_lo, hi + 1):
+        rho[k] = rho_reference(m, w, k)
+        logQt[k], idxQ[k] = pesin.compute_Q(u[k], u[k - 1], rho[k], cfg.epsilon, m.a, m.beta)
+    idx_q = {}
+    if w.period and hi - full_lo + 1 >= w.period:
+        phase_idxQ = [0] * w.period
+        for k in range(lo, lo + w.period):
+            kk = k if k <= hi else k - w.period
+            phase_idxQ[(kk + w.off) % w.period] = idxQ[kk]
+        per = pesin.q_greedy(phase_idxQ * 2, cfg)[w.period:]
+        for k in range(full_lo, hi + 1):
+            idx_q[k] = per[(k + w.off) % w.period]
+    else:
+        seq = pesin.q_greedy([idxQ[k] for k in range(full_lo, hi + 1)], cfg)
+        idx_q = dict(zip(range(full_lo, hi + 1), seq))
+    return {"u": u, "rho": rho, "logQtilde": logQt, "idxQ": idxQ, "idx_q": idx_q}
+
+
 # -- shadowing -------------------------------------------------------------------
 
 def step_map_reference(m, v_to, v_from, cfg):

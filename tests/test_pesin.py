@@ -9,7 +9,7 @@ from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
-from oracles import rho_reference
+from oracles import window_tables_reference
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -343,18 +343,33 @@ def test_chart_G_gauss_contraction():
     assert dec.h0 == 0.0 and abs(dec.dh0) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["doubling", "quadratic", "gauss"])
-def test_window_tables_rho_from_one_distance_per_point(name):
-    # rho is the min over the neighbours of one singular distance per point
+@pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss"])
+def test_window_tables_match_index_by_index(name):
+    # per-phase tables of periodic windows (also shifted, extended and shorter
+    # than their period) and per-index dicts of random windows, bit for bit
     m = symdyn.built_in(name)
     chi = 0.5 if name == "gauss" else 0.1
-    windows = library.random_library(m, chi, 6, back_depth=20, fwd_len=12, seed=5).windows
-    assert len(windows) == 6
     cfg = pesin.PesinConfig(chi=chi, epsilon=0.1)
+    lib = library.periodic_library(m, chi, 3, back_depth=20, fwd_len=12,
+                                   branch_limit=4).windows
+    periodic = [w for w in lib if w.period == 2][:3] + [w for w in lib if w.period == 3][:3]
+    windows = periodic + [w.shift(5) for w in periodic[:2]] + [w.shift(20) for w in periodic[:2]]
+    # one backward step: (0, 5) holds a whole period, (-3, 1) does not
+    windows += [ne.make_periodic_window(m, w.x0, [w.branch(i) for i in range(w.period)],
+                                        1, w.period) for w in periodic[3:5]]
+    windows += library.random_library(m, chi, 3, back_depth=20, fwd_len=12, seed=3).windows
+    bits = lambda v: float(v).hex() if isinstance(v, float) else v
+    kinds = set()
     for w in windows:
-        for lo, hi in ((None, None), (0, 5)):
+        for lo, hi in ((None, None), (0, 5), (-3, 1)):
             tabs = pesin.window_tables(m, w, cfg, lo=lo, hi=hi)
-            for k in tabs.rho:
-                assert tabs.rho[k] == rho_reference(m, w, k)
-            for k in tabs.dist:
-                assert tabs.dist[k] == m.singular_distance(w.x(k))
+            kinds.add((bool(w.period), type(tabs.idxQ).__name__))
+            ref = window_tables_reference(m, w, cfg, lo=lo, hi=hi)
+            for k in ref["u"]:
+                assert bits(tabs.u[k]) == bits(ref["u"][k])
+            for k in ref["idxQ"]:
+                p = tabs.params_at(k)
+                assert (bits(p.rho), bits(p.logQtilde), p.idxQ, p.idx_q) == (
+                    bits(ref["rho"][k]), bits(ref["logQtilde"][k]), ref["idxQ"][k],
+                    ref["idx_q"][k])
+    assert kinds == {(True, "_PhaseTable"), (True, "dict"), (False, "dict")}
