@@ -1,5 +1,5 @@
-"""Quantitative consequences: loop counting, entropy estimates, periodic
-points of the map, growth comparison, and the coding-modulus estimate."""
+"""Quantitative consequences: closed-path counts, entropy estimates,
+periodic points of the map, and the growth comparison."""
 
 import math
 from dataclasses import dataclass
@@ -19,17 +19,6 @@ def _adjacency(g):
     if hasattr(g, "adjacency"):
         return g.adjacency()
     raise TypeError(f"no adjacency in {type(g)!r}")
-
-
-def loop_count(g, vertex, n):
-    """Closed paths of length n through a vertex (exact integer count)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    adj = _adjacency(g)
-    vec = {vertex: 1}
-    for _ in range(n):
-        vec = _step(adj, vec)
-    return vec.get(vertex, 0)
 
 
 def _step(adj, vec):
@@ -56,31 +45,9 @@ def closed_path_counts(g, n_max):
     return counts
 
 
-def closed_paths(g, n):
-    """trace(A^n): total closed paths of length n (exact integers)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return closed_path_counts(g, n)[-1]
-
-
-def brute_force_loops(g, vertex, n):
-    """Oracle: enumerate all length-n paths from the vertex back to itself."""
-    adj = _adjacency(g)
-    total = 0
-    stack = [(vertex, 0)]
-    while stack:
-        u, d = stack.pop()
-        if d == n:
-            total += u == vertex
-            continue
-        for w in adj.get(u, ()):
-            stack.append((w, d + 1))
-    return total
-
-
 @dataclass
 class EntropyEstimate:
-    loop_growth: float        # (1/n) log loop_count at the largest feasible n
+    loop_growth: float        # (1/n) log trace(A^n) at the largest n with closed paths
     trace_slope: float        # lsq slope of log trace(A^n) over n
     spectral_radius: float
     n_used: int
@@ -128,7 +95,7 @@ def spectral_radius(g, iters=200):
     return float(np.exp(np.mean(np.log(norms[k:]))))
 
 
-def gurevich_entropy(g, vertex=None, n_max=10):
+def gurevich_entropy(g, n_max=10):
     """Loop-growth and spectral estimates of the shift entropy.
 
     On non-transitive desk-scale graphs (disjoint cycles) the per-vertex
@@ -136,20 +103,17 @@ def gurevich_entropy(g, vertex=None, n_max=10):
     content there, so all three numbers are reported.
     """
     adj = _adjacency(g)
-    counts = closed_path_counts(adj, n_max)
-    loops = None if vertex is None else (lambda n: loop_count(adj, vertex, n))
-    return _estimate(counts, spectral_radius(adj), loops)
+    return _estimate(closed_path_counts(adj, n_max), spectral_radius(adj))
 
 
-def _estimate(counts, rho, loops=None):
+def _estimate(counts, rho):
     """EntropyEstimate from the closed-path counts [trace(A^1), ...] and the
-    spectral radius rho; the loop growth is taken from ``loops(n)`` (default:
-    the closed-path counts), tried from the largest n down."""
-    loops = loops or (lambda n: counts[n - 1])
+    spectral radius rho; the loop growth is taken at the largest n with a
+    closed path."""
     loop_growth = 0.0
     best = 0
     for n in range(len(counts), 0, -1):
-        c = loops(n)
+        c = counts[n - 1]
         if c > 0:
             loop_growth = math.log(c) / n
             best = n
@@ -275,45 +239,3 @@ def growth_report(m, g, n_max, branch_limit=None, spectral=None):
                         map_slope=_lsq_slope(ns, ms) if len(ns) >= 2 else 0.0,
                         symbolic_slope=_lsq_slope(nss, ss) if len(ss) >= 2 else 0.0,
                         entropy=ent, flags=flags)
-
-
-# ---------------------------------------------------------------------------
-# coding-modulus estimate
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HolderEstimate:
-    exponent: float
-    intercept: float
-    residual: float
-    pairs_used: int
-    flagged: bool
-    note: str = ""
-
-
-def holder_modulus(pairs):
-    """Regress log(hat-distance) against log(coding distance).
-
-    An estimate of the coding modulus, never a certificate.  Degenerate
-    inputs (fewer than 10 usable pairs, or no spread in the coding
-    distances) are flagged instead of fitted.
-    """
-    xs = []
-    ys = []
-    for cd, hd in pairs:
-        if cd > 0.0 and hd > 0.0:
-            xs.append(math.log(cd))
-            ys.append(math.log(hd))
-    if len(xs) < 10:
-        return HolderEstimate(math.nan, math.nan, math.nan, len(xs), True,
-                              "fewer than 10 usable pairs")
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    if float(x.var()) == 0.0:
-        return HolderEstimate(math.nan, math.nan, math.nan, len(xs), True,
-                              "no spread in coding distances")
-    slope = _lsq_slope(x, y)
-    inter = float(y.mean() - slope * x.mean())
-    resid = float(np.sqrt(np.mean((y - (slope * x + inter)) ** 2)))
-    return HolderEstimate(exponent=slope, intercept=inter, residual=resid,
-                          pairs_used=len(xs), flagged=False)

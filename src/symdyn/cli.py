@@ -253,8 +253,8 @@ def run(command, cfg, out, quiet=False):
     n = _largest_period(command, cfg)
     if n:
         analysis.check_word_budget(m, n)
-    out = _ensure_out(out)
     pcfg = _pesin_cfg(cfg)
+    out = _ensure_out(out)
 
     if command == "verify-map":
         stage_verify(m, cfg, out, quiet)
@@ -268,7 +268,6 @@ def run(command, cfg, out, quiet=False):
         return
     al = stage_alphabet(m, cfg, pcfg, lib.windows, out, quiet)
     if command == "alphabet":
-        _discreteness_audit(al, quiet)
         return
     g, pg, kept = stage_graph(m, cfg, pcfg, al, out, quiet)
     if command == "graph":
@@ -293,18 +292,6 @@ def run(command, cfg, out, quiet=False):
         stage_growth(m, cfg, pg, out, quiet, spectral=est.spectral_radius)
         return
     raise ValueError(f"unhandled command {command!r}")
-
-
-def _discreteness_audit(al, quiet):
-    g = coarse_grain.build_graph(al)
-    kept = 0
-    for t in (-1e9, -500.0, -380.0):
-        via_bins = g.vertices_with_log_p_above(t)
-        brute = sorted(v.vid for v in al.vertices if v.chart.log_p > t)
-        if via_bins != brute:
-            raise RuntimeError(f"discreteness enumeration mismatch at t={t}")
-        kept = len(via_bins)
-    _say(quiet, f"discreteness audit passed ({kept} charts above the last threshold)")
 
 
 def main(argv=None):

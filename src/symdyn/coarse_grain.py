@@ -76,12 +76,6 @@ def _overlap_raw(theta1, u1, i1, theta2, u2, i2, eps):
     return lt_log_threshold(metric, log_thr)
 
 
-def overlap_test(c1, c2):
-    """The overlap relation between two charts (strict metric inequality)."""
-    eps = c1.params.epsilon
-    return _overlap_raw(c1.theta0, c1.u, c1.idx_p, c2.theta0, c2.u, c2.idx_p, eps)
-
-
 def _edge_clauses(cfg, idx_delta,
                   theta_prev_w, u_prev_w, idxQ_w, theta0_w, u_w, ip,
                   theta0_v, u_v, theta1_v, u_next_v, iq, strong):
@@ -101,22 +95,6 @@ def _edge_clauses(cfg, idx_delta,
             return False
     # (E2.3) p = min(e^eps q, delta_eps Q(x)) exactly on the grid
     return ip == max(iq - 3, idx_delta + idxQ_w)
-
-
-def edge_test(m, v, w, cfg, strong=True):
-    """Edge v <- w between charts (v = Psi_y^q, w = Psi_x^p).
-
-    Evaluates the overlap clause on the f^{-1}-shifted chart of w against v
-    and then the parameter clauses; the size equality of (E2.3) is exact
-    integer arithmetic on the grid.
-    """
-    theta_prev_w = w.center.x(w.shift - 1)
-    u_prev_w = w.params.u_prev
-    theta1_v = v.center.x(v.shift + 1)
-    u_next_v = pesin.u_at(v.center, cfg.chi, v.shift + 1)
-    return _edge_clauses(cfg, cfg.delta_index,
-                         theta_prev_w, u_prev_w, w.params.idxQ, w.theta0, w.u, w.idx_p,
-                         v.theta0, v.u, theta1_v, u_next_v, v.idx_p, strong)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +273,12 @@ class GpoGraph:
 
     Successor lists follow shift order (an edge v -> w in the adjacency
     means the chart w may follow v in a gpo, i.e. the construction's
-    v <- w).  Weak edges are exposed as a predicate plus lazy enumeration;
-    they are a superset of the strong edges.
+    v <- w).
     """
 
     alphabet: Alphabet
     out_edges: list            # vid -> sorted list of successor vids
     in_edges: list
-    bin_index: dict            # BinKey -> [vid]
 
     @property
     def vertices(self):
@@ -313,31 +289,6 @@ class GpoGraph:
 
     def n_edges(self):
         return sum(len(o) for o in self.out_edges)
-
-    def weak_successors(self, vid):
-        """Lazy (WE1)+(WE2) successors of a vertex."""
-        al = self.alphabet
-        v = al.vertices[vid]
-        out = []
-        for w in al.vertices:
-            key = (w.gamma.theta[0], 1.0 / w.gamma.u[0])
-            if key != (v.gamma.theta[1], 1.0 / v.gamma.u[1]):
-                continue
-            if _edge_test_vertices(al.cfg, v, w, strong=False):
-                out.append(w.vid)
-        return out
-
-    def log_p(self, vid):
-        return self.alphabet.vertices[vid].chart.log_p
-
-    def vertices_with_log_p_above(self, t_log):
-        """Discreteness enumeration through the bin index."""
-        j_max = 2.0 - t_log
-        out = []
-        for key, vids in self.bin_index.items():
-            if key.j <= j_max:
-                out.extend(v for v in vids if self.log_p(v) > t_log)
-        return sorted(out)
 
 
 def _edge_test_vertices(cfg, v, w, strong=True):
@@ -370,16 +321,11 @@ def build_graph(alphabet):
                     cfg, v, alphabet.vertices[wid], strong=True):
                 out_edges[v.vid].append(wid)
                 in_edges[wid].append(v.vid)
-    bin_index = {}
-    for c in alphabet.centers:
-        for ip in c.sizes:
-            bin_index.setdefault(c.key, []).append(alphabet.vertex_index[(c.cid, ip)])
     for lst in out_edges:
         lst.sort()
     for lst in in_edges:
         lst.sort()
-    return GpoGraph(alphabet=alphabet, out_edges=out_edges, in_edges=in_edges,
-                    bin_index=bin_index)
+    return GpoGraph(alphabet=alphabet, out_edges=out_edges, in_edges=in_edges)
 
 
 def prune_relevant(g):
@@ -415,11 +361,7 @@ def prune_relevant(g):
                  for v in range(nv)]
     in_edges = [[u for u in g.in_edges[v] if u in keep] if v in keep else []
                 for v in range(nv)]
-    bin_index = {key: [v for v in vids if v in keep]
-                 for key, vids in g.bin_index.items()}
-    bin_index = {k: v for k, v in bin_index.items() if v}
-    pruned = GpoGraph(alphabet=g.alphabet, out_edges=out_edges, in_edges=in_edges,
-                      bin_index=bin_index)
+    pruned = GpoGraph(alphabet=g.alphabet, out_edges=out_edges, in_edges=in_edges)
     return pruned, kept
 
 

@@ -6,14 +6,14 @@ allowed.  Keys (all optional, defaults below):
     map             built-in name or path to a map definition file
     chi             expansion threshold (default 0.5 ln 2)
     epsilon         chart-scale parameter in (0,1)
-    back_depth      backward window depth N
-    fwd_len         forward horizon F
-    n_min           smallest block length tested by expansion certificates
+    back_depth      backward window depth N (>= 1)
+    fwd_len         forward horizon F (>= 1)
+    n_min           smallest block length tested by expansion certificates (>= 1)
     seed            RNG seed (all sampling is deterministic given the seed)
     samples         regularity / random-orbit sample count (>= 1)
     max_period      periodic-orbit library: largest period enumerated (>= 1)
-    paths_per_vertex  sampled recurrent paths per vertex in the Markov cover
-    cover_window    half-length of the sampled paths
+    paths_per_vertex  sampled recurrent paths per vertex in the Markov cover (>= 1)
+    cover_window    half-length of the sampled paths (>= 1)
     encode_lo/encode_hi  encoding range within windows
 """
 
@@ -38,7 +38,8 @@ class RunConfig:
     encode_hi: int = 12
 
     def __post_init__(self):
-        for name in ("samples", "max_period"):
+        for name in ("samples", "max_period", "back_depth", "fwd_len", "n_min",
+                     "paths_per_vertex", "cover_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 

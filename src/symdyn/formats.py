@@ -8,8 +8,6 @@ with repr (round-trip exact), so identical runs produce identical bytes.
 import json
 import math
 
-from . import natural_extension as ne
-
 VERSION = 1
 
 
@@ -22,19 +20,6 @@ def write_windows(path, windows):
         fh.write(_header("windows"))
         for w in windows:
             fh.write(w.record() + "\n")
-
-
-def read_windows(path, m):
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline()
-        if not head.startswith("# symdyn-windows"):
-            raise ValueError(f"{path}: not a window library")
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(ne.parse_record(m, line))
-    return out
 
 
 def chart_record(chart):

@@ -200,9 +200,6 @@ class MapModel:
     def f(self, x):
         return float(K.fwd(self.map_kind, self.table, self.branch_at(x), x))
 
-    def df(self, x):
-        return float(K.dfwd(self.map_kind, self.table, self.branch_at(x), x))
-
     def preimage(self, y, bid):
         """g_bid(y): the preimage of y through the given inverse branch."""
         return float(K.inv(self.map_kind, self.table, bid, y))

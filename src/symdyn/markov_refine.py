@@ -237,12 +237,6 @@ class TmsGraph:
     out_edges: list
     in_edges: list
 
-    def n_cells(self):
-        return len(self.cells)
-
-    def n_edges(self):
-        return sum(len(o) for o in self.out_edges)
-
     def adjacency(self):
         return {c.cell_id: list(self.out_edges[c.cell_id]) for c in self.cells}
 

@@ -13,9 +13,9 @@ Two constructors:
   exact inverse-branch iteration, forward cache the exact f iteration).
 * ``make_periodic_window`` builds the bitwise-periodic backward cycle of a
   periodic branch word (inverse branches contract, so the float backward
-  orbit closes exactly after a burn-in) and tiles it.  The result is an
-  f-pseudo-orbit within ~1e-16, well inside the 1e-10 window tolerance,
-  and every derived quantity is exactly periodic.
+  orbit closes exactly; the cycle is taken at the first closure) and tiles
+  it.  The result is an f-pseudo-orbit within ~1e-16, well inside the
+  1e-10 window tolerance, and every derived quantity is exactly periodic.
 """
 
 import math
@@ -129,27 +129,10 @@ class OrbitWindow:
             ld = np.concatenate([self.logderivs, ld2])
         return _assemble(self.m, pts, bid, ld, self.off, self.u_depth, self.period)
 
-    # -- cocycle ----------------------------------------------------------
-
-    def cocycle(self, n):
-        """df̂^(n): (sign, log magnitude) of the invertible derivative cocycle.
-
-        n >= 0: product of df along x_0..x_{n-1}; n < 0: product of the
-        reciprocals 1/df along x_{-1}..x_n.
-        """
-        if not -self.back_len <= n <= self.fwd_len:
-            raise IndexError(n)
-        a, b = (self.off, self.off + n) if n >= 0 else (self.off + n, self.off)
-        logmag = float(self.cumlog[b] - self.cumlog[a])
-        sign = -1 if (self.negcum[b] - self.negcum[a]) % 2 else 1
-        if n < 0:
-            logmag = -logmag
-        return sign, logmag
-
     # -- serialization ------------------------------------------------------
 
     def record(self):
-        """One-line text record (round-trips bitwise through parse_record)."""
+        """One-line text record: x0, backward word, horizon, period, u_depth."""
         word = ",".join(str(b) for b in self.back_branches)
         parts = [f"x0={self.x0!r}", f"back={word}", f"fwd={self.fwd_len}"]
         if self.period:
@@ -159,16 +142,12 @@ class OrbitWindow:
         return " ".join(parts)
 
 
-def truncation_tail(depth, diam=0.5):
-    """Upper bound for the part of the sup defining d̂ beyond ``depth``."""
-    return 2.0 ** (-depth) * diam
-
-
 def hat_distance(w1, w2, depth):
     """Truncated natural-extension distance max_{-depth<=n<=0} 2^n |x_n - y_n|.
 
-    A lower bound for the full metric; exact whenever it dominates
-    truncation_tail(depth).  Both windows need backward depth >= depth.
+    A lower bound for the full metric; the terms beyond ``depth`` add at
+    most 2^-depth times the domain diameter.  Both windows need backward
+    depth >= depth.
     """
     if w1.back_len < depth or w2.back_len < depth:
         raise WindowExhausted(f"need backward depth {depth}")
@@ -216,29 +195,29 @@ def make_window(m, x0, back_word, fwd_len, u_depth=0):
     return _assemble(m, pts, bids, ld, off=n, u_depth=u_depth)
 
 
-def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len,
-                         u_depth=None, burn=256, max_loops=64):
+def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len, u_depth=None):
     """Window over the bitwise-periodic backward cycle of ``fwd_word``.
 
     ``fwd_word[j]`` is the branch containing orbit point c_j (c_{j+1} =
     f(c_j), indices mod P).  Inverse branches contract, so backward
-    iteration reaches an exactly periodic float cycle; the window tiles it.
+    iteration reaches an exactly periodic float cycle; the cycle is taken
+    as soon as the float orbit closes, and the window tiles it.
     ``u_depth`` defaults to ``back_depth`` so u-values are shift-stable.
     """
     word = [int(b) for b in fwd_word]
     P = len(word)
     y = float(x0_approx)
     hist = []
-    for k in range(1, burn + max_loops * P + 1):
+    max_steps = 256 + 64 * P
+    for k in range(1, max_steps + 1):
         b = word[(-k) % P]
         y = m.preimage(y, b)
         if m.singular_distance(y) <= m.exclusion:
             raise SingularPoint(f"periodic word passes within exclusion radius at step {k}")
         hist.append(y)
-        if k <= burn:
-            continue
         # the float backward orbit may close only at a multiple of P
-        # (rounding can turn an attracting fixed point into a 2-cycle)
+        # (rounding can turn an attracting fixed point into a 2-cycle);
+        # once closed it stays closed, so the first match is the least one
         for mult in range(1, 9):
             E = mult * P
             if k < 2 * E or hist[-1] != hist[-1 - E]:
@@ -250,7 +229,7 @@ def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len,
             return _periodic_from_cycle(m, cyc, word * mult, back_depth, fwd_len,
                                         back_depth if u_depth is None else u_depth)
     raise RuntimeError("backward iteration did not close into a cycle "
-                       f"(word={word!r}); increase burn")
+                       f"(word={word!r}) within {max_steps} steps")
 
 
 def _periodic_from_cycle(m, cyc, word, back_depth, fwd_len, u_depth):
@@ -290,21 +269,3 @@ def make_pseudo_window(m, pts, bids, u_depth=0, off=None):
     ld = np.log(np.abs(K.dfwd_vec(m.map_kind, m.table, bids, pts[:-1])))
     return _assemble(m, pts.copy(), bids.copy(), ld, off=len(pts) - 1 if off is None else off,
                      u_depth=u_depth)
-
-
-def parse_record(m, line):
-    """Inverse of OrbitWindow.record()."""
-    fields = dict(part.split("=", 1) for part in line.split())
-    x0 = float(fields["x0"])
-    back = [int(t) for t in fields["back"].split(",") if t != ""]
-    fwd = int(fields["fwd"])
-    u_depth = int(fields.get("u_depth", "0"))
-    period = int(fields.get("periodic", "0"))
-    if period:
-        # back[k-1] = branch of x_{-k} = fwd_word[(-k) % P]
-        fwd_word = [0] * period
-        for k in range(1, period + 1):
-            fwd_word[(-k) % period] = back[k - 1]
-        return make_periodic_window(m, x0, fwd_word, len(back), fwd,
-                                    u_depth=u_depth or None)
-    return make_window(m, x0, back, fwd, u_depth=u_depth)

@@ -63,12 +63,6 @@ class PesinConfig:
         return self.grid_log(self.delta_index)
 
 
-def delta_eps(epsilon):
-    """delta_eps value (linear); always < epsilon."""
-    cfg = PesinConfig(chi=1.0, epsilon=epsilon)
-    return math.exp(cfg.log_delta)
-
-
 # ---------------------------------------------------------------------------
 # expansion certificates and u
 # ---------------------------------------------------------------------------
@@ -197,10 +191,6 @@ class PesinParams:
     @property
     def logQ(self):
         return -(self.epsilon / 3.0) * self.idxQ
-
-    @property
-    def log_q(self):
-        return -(self.epsilon / 3.0) * self.idx_q
 
 
 def compute_Q(u, u_prev, rho, epsilon, a, beta):

@@ -139,11 +139,6 @@ class ShadowResult:
     steps_used: int
     worst_containment: float
 
-    @property
-    def t0(self):
-        """Chart coordinate at index 0 (0.0 if the scale underflows)."""
-        return self.tau0 * math.exp(self.log_p0) if self.log_p0 > -745 else 0.0
-
 
 def shadow(m, g, cfg, init_interval=(-1.0, 1.0), max_iter=1000):
     """Shadow a gpo: nested-interval contraction for t_0, backward
@@ -230,12 +225,6 @@ class UnstableInterval:
             out[n - 1] = s.a * out[n] + s.b
         return out
 
-    def image_interval(self, n):
-        """Image of R[p_{n+1}] in chart-n coordinates (tau units)."""
-        s = self.steps[n]
-        ends = sorted((s.a * -1.0 + s.b, s.a * 1.0 + s.b))
-        return tuple(ends)
-
 
 def unstable_interval(m, g, cfg):
     """Unstable-set descriptor of a gpo's backward half (indices <= 0)."""
@@ -244,37 +233,6 @@ def unstable_interval(m, g, cfg):
         steps[n] = step_map(m, g.chart(n), g.chart(n + 1), cfg)
     return UnstableInterval(gpo=g, steps=steps)
 
-
-def bracket_windows(m, wx, wy):
-    """Assemble the bracket of two windows: forward data of wx, backward
-    branch word of wy, backward coordinates re-derived from wx.x0 through
-    the inverse branches (the unstable reconstruction)."""
-    from . import _kernels as K
-
-    word = np.asarray(wy.back_branches, dtype=np.int64)
-    bpts, done, ok = K.backward_orbit(m.map_kind, m.table, wx.x0, word,
-                                      m.exclusion, m.sing)
-    if not ok:
-        raise ValueError(f"unstable word broke after {done} steps")
-    fwd_pts = wx.points[wx.off:]
-    fwd_bids = wx.branch_ids[wx.off:]
-    pts = np.concatenate([bpts[1:][::-1], fwd_pts])
-    bids = np.concatenate([word[::-1], fwd_bids])
-    return ne.make_pseudo_window(m, pts, bids, off=word.shape[0])
-
-
-def bracket(m, res_x, res_y):
-    """Smale bracket: stable data of res_x with unstable data of res_y.
-
-    Both results must share the zeroth vertex; bracket(x, x) reproduces
-    x's window exactly, and re-bracketing with the same unstable data
-    collapses (the operation is definitional on the window halves).
-    """
-    kx = _chart_key(res_x.gpo.chart(0))
-    ky = _chart_key(res_y.gpo.chart(0))
-    if kx != ky:
-        raise ValueError("bracket needs a shared zeroth vertex")
-    return bracket_windows(m, res_x.point, res_y.point)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import numpy as np
 
 from symdyn import _kernels as K
 from symdyn import coarse_grain as cg
+from symdyn import natural_extension as ne
 from symdyn import pesin
+from symdyn import shadowing as sh
 from symdyn.map_model import ClauseResult, RegularityReport, SingularPoint
 from symdyn.markov_refine import windows_agree
 from symdyn.shadowing import StepMap
@@ -65,7 +67,35 @@ def strong_graph_backward(al):
                     out_edges[v.vid].append(w.vid)
                     in_edges[w.vid].append(v.vid)
     return cg.GpoGraph(alphabet=al, out_edges=[sorted(o) for o in out_edges],
-                       in_edges=[sorted(i) for i in in_edges], bin_index={})
+                       in_edges=[sorted(i) for i in in_edges])
+
+
+def overlap_test(c1, c2):
+    """The overlap relation between two charts (strict metric inequality)."""
+    eps = c1.params.epsilon
+    return cg._overlap_raw(c1.theta0, c1.u, c1.idx_p, c2.theta0, c2.u, c2.idx_p, eps)
+
+
+def edge_test(m, v, w, cfg, strong=True):
+    """Edge v <- w between charts (v = Psi_y^q, w = Psi_x^p), from the charts'
+    own windows: the overlap clause on the f^{-1}-shifted chart of w against
+    v, then the parameter clauses."""
+    theta_prev_w = w.center.x(w.shift - 1)
+    u_prev_w = w.params.u_prev
+    theta1_v = v.center.x(v.shift + 1)
+    u_next_v = pesin.u_at(v.center, cfg.chi, v.shift + 1)
+    return cg._edge_clauses(cfg, cfg.delta_index,
+                            theta_prev_w, u_prev_w, w.params.idxQ, w.theta0, w.u, w.idx_p,
+                            v.theta0, v.u, theta1_v, u_next_v, v.idx_p, strong)
+
+
+def weak_successors(g, vid):
+    """(WE1)+(WE2) successors of a vertex of a GpoGraph, over every vertex."""
+    al = g.alphabet
+    v = al.vertices[vid]
+    return [w.vid for w in al.vertices
+            if (w.gamma.theta[0], 1.0 / w.gamma.u[0]) == (v.gamma.theta[1], 1.0 / v.gamma.u[1])
+            and cg._edge_test_vertices(al.cfg, v, w, strong=False)]
 
 
 def cover_id_reference(m, x, max_level=64):
@@ -119,7 +149,44 @@ def window_tables_reference(m, w, cfg, lo=None, hi=None):
     return {"u": u, "rho": rho, "logQtilde": logQt, "idxQ": idxQ, "idx_q": idx_q}
 
 
+def delta_eps(epsilon):
+    """delta_eps value (linear); always < epsilon."""
+    return math.exp(pesin.PesinConfig(chi=1.0, epsilon=epsilon).log_delta)
+
+
 # -- shadowing -------------------------------------------------------------------
+
+def image_interval(ui, n):
+    """Image of R[p_{n+1}] in chart-n coordinates (tau units)."""
+    s = ui.steps[n]
+    return tuple(sorted((s.a * -1.0 + s.b, s.a * 1.0 + s.b)))
+
+
+def bracket_windows(m, wx, wy):
+    """Assemble the bracket of two windows: forward data of wx, backward
+    branch word of wy, backward coordinates re-derived from wx.x0 through
+    the inverse branches (the unstable reconstruction)."""
+    word = np.asarray(wy.back_branches, dtype=np.int64)
+    bpts, done, ok = K.backward_orbit(m.map_kind, m.table, wx.x0, word,
+                                      m.exclusion, m.sing)
+    if not ok:
+        raise ValueError(f"unstable word broke after {done} steps")
+    pts = np.concatenate([bpts[1:][::-1], wx.points[wx.off:]])
+    bids = np.concatenate([word[::-1], wx.branch_ids[wx.off:]])
+    return ne.make_pseudo_window(m, pts, bids, off=word.shape[0])
+
+
+def bracket(m, res_x, res_y):
+    """Smale bracket: stable data of res_x with unstable data of res_y.
+
+    Both results must share the zeroth vertex; bracket(x, x) reproduces
+    x's window exactly, and re-bracketing with the same unstable data
+    collapses (the operation is definitional on the window halves).
+    """
+    if sh._chart_key(res_x.gpo.chart(0)) != sh._chart_key(res_y.gpo.chart(0)):
+        raise ValueError("bracket needs a shared zeroth vertex")
+    return bracket_windows(m, res_x.point, res_y.point)
+
 
 def step_map_reference(m, v_to, v_from, cfg):
     """The affine step of the edge v_to <- v_from, computed on every call."""
@@ -425,6 +492,40 @@ def verify_regularity_reference(m, sample_count, seed, inner=9):
 
 # -- graphs and windows -----------------------------------------------------------
 
+def loop_count(adj, vertex, n):
+    """Closed paths of length n through a vertex, by propagating path counts
+    along every edge n times (exact integers)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    vec = {vertex: 1}
+    for _ in range(n):
+        new = {}
+        for u, c in vec.items():
+            for w in adj.get(u, ()):
+                new[w] = new.get(w, 0) + c
+        vec = new
+    return vec.get(vertex, 0)
+
+
+def closed_paths(adj, n):
+    """trace(A^n): the loop counts of length n summed over the vertices."""
+    return sum(loop_count(adj, v, n) for v in adj)
+
+
+def brute_force_loops(adj, vertex, n):
+    """Enumerate all length-n paths from the vertex back to itself."""
+    total = 0
+    stack = [(vertex, 0)]
+    while stack:
+        u, d = stack.pop()
+        if d == n:
+            total += u == vertex
+            continue
+        for w in adj.get(u, ()):
+            stack.append((w, d + 1))
+    return total
+
+
 def spectral_radius_reference(adj, iters=200):
     """Power iteration with one scalar addition per edge and step."""
     keys = sorted(adj)
@@ -459,3 +560,79 @@ def windows_agree_reference(w1, w2, depth=None, fwd=None):
         if w1.x(n) != w2.x(n):
             return False
     return True
+
+
+def make_periodic_window_reference(m, x0_approx, fwd_word, back_depth, fwd_len,
+                                   u_depth=None, burn=256, max_loops=64):
+    """The periodic window found after a fixed burn-in of ``burn`` backward
+    steps, testing for closure only after it."""
+    word = [int(b) for b in fwd_word]
+    P = len(word)
+    y = float(x0_approx)
+    hist = []
+    for k in range(1, burn + max_loops * P + 1):
+        y = m.preimage(y, word[(-k) % P])
+        if m.singular_distance(y) <= m.exclusion:
+            raise SingularPoint(f"periodic word passes within exclusion radius at step {k}")
+        hist.append(y)
+        if k <= burn:
+            continue
+        for mult in range(1, 9):
+            E = mult * P
+            if k < 2 * E or hist[-1] != hist[-1 - E]:
+                continue
+            cyc = [0.0] * E
+            for i in range(E):
+                cyc[(-(k - i)) % E] = hist[-1 - i]
+            return ne._periodic_from_cycle(m, cyc, word * mult, back_depth, fwd_len,
+                                           back_depth if u_depth is None else u_depth)
+    raise RuntimeError(f"backward iteration did not close into a cycle (word={word!r})")
+
+
+def parse_record(m, line):
+    """The window an ``OrbitWindow.record()`` line describes, rebuilt."""
+    fields = dict(part.split("=", 1) for part in line.split())
+    x0 = float(fields["x0"])
+    back = [int(t) for t in fields["back"].split(",") if t != ""]
+    fwd = int(fields["fwd"])
+    u_depth = int(fields.get("u_depth", "0"))
+    period = int(fields.get("periodic", "0"))
+    if period:
+        # back[k-1] = branch of x_{-k} = fwd_word[(-k) % P]
+        fwd_word = [0] * period
+        for k in range(1, period + 1):
+            fwd_word[(-k) % period] = back[k - 1]
+        return ne.make_periodic_window(m, x0, fwd_word, len(back), fwd,
+                                       u_depth=u_depth or None)
+    return ne.make_window(m, x0, back, fwd, u_depth=u_depth)
+
+
+def read_windows(path, m):
+    """The windows of a ``formats.write_windows`` file."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        head = fh.readline()
+        if not head.startswith("# symdyn-windows"):
+            raise ValueError(f"{path}: not a window library")
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                out.append(parse_record(m, line))
+    return out
+
+
+def cocycle(w, n):
+    """df^(n) of the natural extension: (sign, log magnitude) from a window's
+    prefix sums.  n >= 0: product of df along x_0..x_{n-1}; n < 0: product
+    of the reciprocals 1/df along x_{-1}..x_n."""
+    if not -w.back_len <= n <= w.fwd_len:
+        raise IndexError(n)
+    a, b = (w.off, w.off + n) if n >= 0 else (w.off + n, w.off)
+    logmag = float(w.cumlog[b] - w.cumlog[a])
+    sign = -1 if (w.negcum[b] - w.negcum[a]) % 2 else 1
+    return sign, -logmag if n < 0 else logmag
+
+
+def truncation_tail(depth, diam=0.5):
+    """Upper bound for the part of the sup defining d-hat beyond ``depth``."""
+    return 2.0 ** (-depth) * diam

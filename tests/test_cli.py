@@ -6,6 +6,8 @@ import pytest
 from symdyn import cli
 from symdyn.config import parse_config
 
+from oracles import read_windows
+
 
 def run_cli(args):
     return cli.main(args)
@@ -30,6 +32,14 @@ def test_nonpositive_counts_exit_2(tmp_path):
         rc = run_cli(["verify-map", *flags, "--out", str(tmp_path), "--quiet"])
         assert rc == 2
         assert not (tmp_path / "regularity.report").exists()
+
+
+def test_bad_chart_parameters_create_no_out(tmp_path):
+    for flags in (["--eps", "0"], ["--eps", "1.5"], ["--chi", "-1"]):
+        out = tmp_path / "o"
+        rc = run_cli(["entropy", *flags, "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert not out.exists()
 
 
 def test_non_finite_map_file_exit_2(tmp_path):
@@ -97,7 +107,9 @@ def test_config_parsing():
     assert cfg.chi == 0.25 and cfg.max_period == 5
     for bad in ("no_such_key = 1\n", "chi 0.25\n", "samples = 0\n",
                 "samples = -5\n", "max_period = 0\n", "workers = 2\n",
-                "contract_tol = 1e-13\n", "u_depth = 30\n", "sizes_per_center = 16\n"):
+                "contract_tol = 1e-13\n", "u_depth = 30\n", "sizes_per_center = 16\n",
+                "back_depth = -3\n", "back_depth = 0\n", "fwd_len = 0\n", "n_min = 0\n",
+                "paths_per_vertex = -1\n", "paths_per_vertex = 0\n", "cover_window = 0\n"):
         with pytest.raises(ValueError):
             parse_config(bad)
 
@@ -184,7 +196,7 @@ def test_windows_roundtrip_through_files(tmp_path):
     lib = library.periodic_library(m, 0.5 * math.log(2), 3, 32, 8)
     path = tmp_path / "w.txt"
     formats.write_windows(path, lib.windows)
-    back = formats.read_windows(path, m)
+    back = read_windows(path, m)
     assert len(back) == len(lib.windows)
     for a, b in zip(lib.windows, back):
         assert np.array_equal(a.points, b.points)

