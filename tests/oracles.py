@@ -3,7 +3,9 @@
 Most are written from the definitions, not from the code they check.  The
 ``*_reference`` functions are plainer algorithms (every formula on every
 element, every step, every pair) that the faster code must reproduce bit
-for bit.
+for bit.  The rest are objects of the construction that only the tests use
+(edge predicates, the Smale bracket, the derivative cocycle, window records
+read back), kept here so that ``src/`` holds what the pipeline runs.
 """
 
 import math
