@@ -148,9 +148,9 @@ DEDUP_TOL = 1e-9
 MAX_PERIODIC_WORDS = 2**20
 
 
-def check_word_budget(m, n, branch_limit=None):
+def check_word_budget(m, n):
     """Raise ValueError when period n needs more than MAX_PERIODIC_WORDS words."""
-    nb = m.finite_table(branch_limit)[1].shape[0]
+    nb = m.finite_table()[1].shape[0]
     if nb**n > MAX_PERIODIC_WORDS:
         raise ValueError(
             f"periodic points of {m.name!r} at period {n} need {nb}^{n} = {nb**n} "
@@ -158,17 +158,19 @@ def check_word_budget(m, n, branch_limit=None):
             f"(MAX_PERIODIC_WORDS); lower max_period")
 
 
-def map_periodic_points(m, n, branch_limit=None):
+def map_periodic_points(m, n):
     """All solutions of f^n(x) = x, one per admissible branch word.
 
     Convention: the orbit must respect the half-open branch domains
     [lo, hi) at every step (so domain right endpoints are excluded, and
     maps with countably many branches are restricted to the finite
-    sub-table).  Roots are deduplicated within 1e-9.  Raises ValueError
-    when the nb^n words exceed MAX_PERIODIC_WORDS.
+    sub-table).  Returns the roots, ascending and deduplicated within 1e-9,
+    and their branch words (row i: the branches of roots[i], f(roots[i]),
+    ... in the map's branch ids).  Raises ValueError when the nb^n words
+    exceed MAX_PERIODIC_WORDS.
     """
-    check_word_budget(m, n, branch_limit)
-    mk, table = m.finite_table(branch_limit)
+    check_word_budget(m, n)
+    mk, table = m.finite_table()
     nb = table.shape[0]
     # every word in lexicographic order: column k holds digit k of the index
     words = np.empty((nb**n, n), dtype=np.int64)
@@ -184,11 +186,15 @@ def map_periodic_points(m, n, branch_limit=None):
         good &= (table[b, 1] <= x) & (x < table[b, 2])
         x = K.fwd_vec(mk, table, b, x)
     good &= ~(np.abs(x - roots) > DEDUP_TOL)
-    dedup = []
-    for r in sorted(roots[good].tolist()):
-        if not dedup or r - dedup[-1] > DEDUP_TOL:
-            dedup.append(r)
-    return dedup
+    order = np.flatnonzero(good)[np.argsort(roots[good], kind="stable")]
+    roots, words = roots[order], words[order]
+    # merge each root within DEDUP_TOL of the last root kept (j)
+    keep = np.diff(roots, prepend=-np.inf) > DEDUP_TOL
+    for i in np.flatnonzero(~keep):
+        j = i - 1 if keep[i - 1] else j
+        keep[i] = roots[i] - roots[j] > DEDUP_TOL
+    ids = np.array([b.id for b in m.branches], dtype=np.int64)
+    return roots[keep], ids[words[keep]]
 
 
 @dataclass
@@ -210,7 +216,7 @@ class GrowthReport:
         return out
 
 
-def growth_report(m, g, n_max, branch_limit=None, spectral=None):
+def growth_report(m, g, n_max, spectral=None):
     """Map periodic counts vs symbolic closed-path counts, with slopes.
 
     The entropy estimate is derived from the same closed-path counts;
@@ -222,7 +228,7 @@ def growth_report(m, g, n_max, branch_limit=None, spectral=None):
     flags = []
     counts = closed_path_counts(adj, n_max) if adj else [0] * n_max
     for n, sc in enumerate(counts, start=1):
-        mc = len(map_periodic_points(m, n, branch_limit))
+        mc = len(map_periodic_points(m, n)[0])
         rows.append((n, mc, sc, (mc / sc) if sc else math.inf))
     if not adj or all(r[2] == 0 for r in rows):
         flags.append("symbolic counts are zero (empty or cycle-free graph)")

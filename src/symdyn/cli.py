@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 from . import analysis, coarse_grain, formats, library, markov_refine, shadowing
 from .config import RunConfig, load_config, parse_config
@@ -53,11 +54,14 @@ def stage_verify(m, cfg, out, quiet):
     return rep
 
 
-def stage_library(m, cfg, out, quiet, u_depth=None):
-    lib = library.periodic_library(
+def _periodic_library(m, cfg):
+    return library.periodic_library(
         m, cfg.chi, cfg.max_period, back_depth=cfg.back_depth,
-        fwd_len=max(cfg.fwd_len, cfg.encode_hi + 2), u_depth=u_depth,
-        n_min=cfg.n_min)
+        fwd_len=max(cfg.fwd_len, cfg.encode_hi + 2), n_min=cfg.n_min)
+
+
+def stage_library(m, cfg, out, quiet):
+    lib = _periodic_library(m, cfg)
     formats.write_windows(os.path.join(out, "windows.txt"), lib.windows)
     for ln in lib.lines():
         _say(quiet, ln)
@@ -106,27 +110,26 @@ def stage_shadow(m, cfg, pcfg, al, out, quiet):
 def stage_inverse(m, cfg, pcfg, out, quiet):
     """Double-coding audit: two u-truncation families over the same orbits."""
     base = min(cfg.back_depth, 30)
-    libs = [stage_library(m, cfg, out, True, u_depth=d) for d in (base, base + 4)]
-    windows = libs[0].windows + libs[1].windows
+    lib = _periodic_library(m, cfg)
+    windows = [replace(w, u_depth=d) for d in (base, base + 4) for w in lib.windows]
+    formats.write_windows(os.path.join(out, "windows.txt"), windows)
     al = coarse_grain.build_alphabet(m, windows, pcfg)
     lines = []
     records = []
     audited = 0
     failed = 0
     hi = cfg.encode_hi
-
-    def reps(u_depth):
-        return {round(t.w.x0, 9): t for t in al.tables if t.w.u_depth == u_depth}
+    # both families share each orbit's cycle array
+    reps_b = {id(t.w.points): t for t in al.tables if t.w.u_depth == base + 4}
 
     def encode(tabs):
         return coarse_grain.sufficiency_encode(m, tabs.w, al, pcfg, lo=0, hi=hi,
                                                tables=tabs)[0]
 
-    reps_a, reps_b = reps(base), reps(base + 4)
-    for key in sorted(set(reps_a) & set(reps_b)):
-        wa = reps_a[key].w
+    for tabs in sorted((t for t in al.tables if t.w.u_depth == base), key=lambda t: t.w.x0):
+        wa = tabs.w
         try:
-            rep = shadowing.inverse_check(m, encode(reps_a[key]), encode(reps_b[key]), pcfg)
+            rep = shadowing.inverse_check(m, encode(tabs), encode(reps_b[id(wa.points)]), pcfg)
         except (coarse_grain.NoNetVertex, shadowing.NotDoubleCoding,
                 shadowing.EdgeBroken) as e:
             lines.append(f"orbit x0={wa.x0!r}: {type(e).__name__}: {e}")

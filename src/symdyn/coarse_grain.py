@@ -5,7 +5,7 @@ q-size bins, all natural-e bins); inside a bin a greedy net admits a
 center unless an already-admitted one matches it to within the net
 thresholds.  Admitted centers spawn charts at the admissible grid sizes
 reachable from the delta Q caps and the sampled greedy sizes under (E2.3).
-Weak and strong edges are the overlap/parameter clauses evaluated in log
+Strong edges are the overlap/parameter clauses evaluated in log
 space with exact integer arithmetic on the size grid.
 
 At working precision the metric thresholds ((p1 p2)^4, e^{-8(j+2)}, q^8)
@@ -78,13 +78,11 @@ def _overlap_raw(theta1, u1, i1, theta2, u2, i2, eps):
 
 def _edge_clauses(cfg, idx_delta,
                   theta_prev_w, u_prev_w, idxQ_w, theta0_w, u_w, ip,
-                  theta0_v, u_v, theta1_v, u_next_v, iq, strong):
+                  theta0_v, u_v, theta1_v, u_next_v, iq):
     eps = cfg.epsilon
-    # (WE1)/(E1): overlap of the pulled-back chart with v, both at size q
+    # (E1): overlap of the pulled-back chart with v, both at size q
     if not _overlap_raw(theta_prev_w, u_prev_w, iq, theta0_v, u_v, iq, eps):
         return False
-    if not strong:
-        return ip >= iq - 3  # (WE2) p <= e^eps q
     # (E2.1) d(theta_1[y], theta_0[x]) < q
     if not lt_log_threshold(abs(theta1_v - theta0_w), cfg.grid_log(iq)):
         return False
@@ -291,13 +289,12 @@ class GpoGraph:
         return sum(len(o) for o in self.out_edges)
 
 
-def _edge_test_vertices(cfg, v, w, strong=True):
+def _edge_test_vertices(cfg, v, w):
     return _edge_clauses(
         cfg, cfg.delta_index,
         w.gamma.theta[0], w.gamma.u[0], w.gamma.idxQ,
         w.gamma.theta[1], w.gamma.u[1], w.idx_p,
-        v.gamma.theta[1], v.gamma.u[1], v.gamma.theta[2], v.gamma.u[2],
-        v.idx_p, strong,
+        v.gamma.theta[1], v.gamma.u[1], v.gamma.theta[2], v.gamma.u[2], v.idx_p,
     )
 
 
@@ -317,8 +314,7 @@ def build_graph(alphabet):
         for cid in alphabet.e1_index.get((v.gamma.theta[1], 1.0 / v.gamma.u[1]), ()):
             ip = max(v.idx_p - 3, nd + alphabet.centers[cid].gamma.idxQ)
             wid = alphabet.vertex_index.get((cid, ip))
-            if wid is not None and _edge_test_vertices(
-                    cfg, v, alphabet.vertices[wid], strong=True):
+            if wid is not None and _edge_test_vertices(cfg, v, alphabet.vertices[wid]):
                 out_edges[v.vid].append(wid)
                 in_edges[wid].append(v.vid)
     for lst in out_edges:
@@ -402,7 +398,7 @@ def sufficiency_encode(m, w, alphabet, cfg, lo=None, hi=None, tables=None):
     strengths = []
     for i in range(len(charts) - 1):
         v, x = alphabet.vertices[vids[i]], alphabet.vertices[vids[i + 1]]
-        ok = _edge_test_vertices(cfg, v, x, strong=True)
+        ok = _edge_test_vertices(cfg, v, x)
         strengths.append("strong" if ok else "broken")
         if not ok:
             failures.append(lo + i)

@@ -9,12 +9,12 @@ allowed.  Keys (all optional, defaults below):
     back_depth      backward window depth N (>= 1)
     fwd_len         forward horizon F (>= 1)
     n_min           smallest block length tested by expansion certificates (>= 1)
-    seed            RNG seed (all sampling is deterministic given the seed)
+    seed            RNG seed, >= 0 (all sampling is deterministic given the seed)
     samples         regularity / random-orbit sample count (>= 1)
     max_period      periodic-orbit library: largest period enumerated (>= 1)
     paths_per_vertex  sampled recurrent paths per vertex in the Markov cover (>= 1)
     cover_window    half-length of the sampled paths (>= 1)
-    encode_lo/encode_hi  encoding range within windows
+    encode_lo/encode_hi  encoding range within windows (encode_lo <= 0 < encode_hi)
 """
 
 import math
@@ -39,9 +39,13 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("samples", "max_period", "back_depth", "fwd_len", "n_min",
-                     "paths_per_vertex", "cover_window"):
+                     "paths_per_vertex", "cover_window", "encode_hi"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.encode_lo > 0:
+            raise ValueError("encode_lo must be <= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

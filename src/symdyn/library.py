@@ -3,8 +3,10 @@
 The periodic library enumerates periodic orbits up to a given period,
 closes each into its bitwise backward cycle, and emits one window per
 phase (all phases share the cycle arrays, so the coarse-graining net
-dedupes them consistently).  Orbits passing through the singular set's
-exclusion zone are skipped and counted.
+dedupes them consistently).  An orbit is the necklace (least rotation)
+of its points' branch words, one per point under the half-open branch
+convention.  Orbits passing through the singular set's exclusion zone are
+skipped and counted.
 """
 
 from dataclasses import dataclass
@@ -15,8 +17,6 @@ from . import natural_extension as ne
 from .analysis import map_periodic_points
 from .map_model import MAPKIND_GAUSS, SingularPoint
 from .pesin import expansion_certificate
-
-ORBIT_TOL = 1e-9
 
 
 @dataclass
@@ -34,44 +34,33 @@ class LibraryReport:
         ]
 
 
-def _minimal_period(m, x, n):
-    orbit = [x]
-    for _ in range(n - 1):
-        orbit.append(m.f(orbit[-1]))
-    for p in range(1, n):
-        if n % p == 0 and abs(m.f(orbit[p - 1]) - x) <= ORBIT_TOL:
-            return p, orbit[:p]
-    return n, orbit
+def _necklace(word):
+    """Least rotation of a primitive word; None for a power of a shorter word."""
+    rots = [word[i:] + word[:i] for i in range(len(word))]
+    return None if word in rots[1:] else min(rots)
 
 
-def periodic_library(m, chi, max_period, back_depth=64, fwd_len=64,
-                     u_depth=None, n_min=6, branch_limit=None):
+def periodic_library(m, chi, max_period, back_depth=64, fwd_len=64, n_min=6):
     """Windows along every periodic orbit of period <= max_period.
 
-    One bitwise cycle per orbit, one window per phase; uncertified cycles
-    (expansion below chi somewhere along the orbit) are dropped.
+    One bitwise cycle per orbit, started at its least root, one window per
+    phase; uncertified cycles (expansion below chi somewhere along the
+    orbit) are dropped.
     """
-    seen = []
+    seen = set()
     windows = []
     orbits = 0
     skipped_singular = 0
     skipped_uncert = 0
     for n in range(1, max_period + 1):
-        for x in map_periodic_points(m, n, branch_limit):
-            if any(abs(x - s) <= ORBIT_TOL for s in seen):
-                continue
+        roots, words = map_periodic_points(m, n)
+        for x, word in zip(roots.tolist(), words.tolist()):
+            key = _necklace(tuple(word))
+            if key is None or key in seen:
+                continue  # a point of a shorter orbit, or of one already met
+            seen.add(key)
             try:
-                p, orbit = _minimal_period(m, x, n)
-            except SingularPoint:
-                skipped_singular += 1
-                continue
-            if p != n:
-                continue  # picked up at its own period already
-            seen.extend(orbit)
-            try:
-                word = [m.branch_at(c) for c in orbit]
-                w = ne.make_periodic_window(m, x, word, back_depth, fwd_len,
-                                            u_depth=u_depth)
+                w = ne.make_periodic_window(m, x, word, back_depth, fwd_len)
             except SingularPoint:
                 skipped_singular += 1
                 continue
@@ -79,7 +68,7 @@ def periodic_library(m, chi, max_period, back_depth=64, fwd_len=64,
                 skipped_singular += 1
                 continue
             if not expansion_certificate(w, chi, n_min).ok:
-                skipped_uncert += p
+                skipped_uncert += n
                 continue
             orbits += 1
             # emit one window per phase of the *float* cycle, which may be

@@ -65,7 +65,7 @@ def strong_graph_backward(al):
                 cand = [iq for iq in c.sizes if iq <= w.idx_p + 3]
             for iq in cand:
                 v = al.vertices[al.vertex_index[(c.cid, iq)]]
-                if cg._edge_test_vertices(al.cfg, v, w, strong=True):
+                if cg._edge_test_vertices(al.cfg, v, w):
                     out_edges[v.vid].append(w.vid)
                     in_edges[w.vid].append(v.vid)
     return cg.GpoGraph(alphabet=al, out_edges=[sorted(o) for o in out_edges],
@@ -78,17 +78,32 @@ def overlap_test(c1, c2):
     return cg._overlap_raw(c1.theta0, c1.u, c1.idx_p, c2.theta0, c2.u, c2.idx_p, eps)
 
 
+def _weak_clauses(cfg, theta_prev_w, u_prev_w, ip, theta0_v, u_v, iq):
+    """(WE1) the f^{-1}-shifted chart of w overlaps v, both at size q, and
+    (WE2) p <= e^eps q."""
+    return (cg._overlap_raw(theta_prev_w, u_prev_w, iq, theta0_v, u_v, iq, cfg.epsilon)
+            and ip >= iq - 3)
+
+
 def edge_test(m, v, w, cfg, strong=True):
     """Edge v <- w between charts (v = Psi_y^q, w = Psi_x^p), from the charts'
     own windows: the overlap clause on the f^{-1}-shifted chart of w against
-    v, then the parameter clauses."""
+    v, then the parameter clauses (weak: (WE2) only)."""
     theta_prev_w = w.center.x(w.shift - 1)
     u_prev_w = w.params.u_prev
+    if not strong:
+        return _weak_clauses(cfg, theta_prev_w, u_prev_w, w.idx_p, v.theta0, v.u, v.idx_p)
     theta1_v = v.center.x(v.shift + 1)
     u_next_v = pesin.u_at(v.center, cfg.chi, v.shift + 1)
     return cg._edge_clauses(cfg, cfg.delta_index,
                             theta_prev_w, u_prev_w, w.params.idxQ, w.theta0, w.u, w.idx_p,
-                            v.theta0, v.u, theta1_v, u_next_v, v.idx_p, strong)
+                            v.theta0, v.u, theta1_v, u_next_v, v.idx_p)
+
+
+def weak_edge_vertices(cfg, v, w):
+    """(WE1)+(WE2) between two alphabet vertices, from their net data."""
+    return _weak_clauses(cfg, w.gamma.theta[0], w.gamma.u[0], w.idx_p,
+                         v.gamma.theta[1], v.gamma.u[1], v.idx_p)
 
 
 def weak_successors(g, vid):
@@ -97,7 +112,7 @@ def weak_successors(g, vid):
     v = al.vertices[vid]
     return [w.vid for w in al.vertices
             if (w.gamma.theta[0], 1.0 / w.gamma.u[0]) == (v.gamma.theta[1], 1.0 / v.gamma.u[1])
-            and cg._edge_test_vertices(al.cfg, v, w, strong=False)]
+            and weak_edge_vertices(al.cfg, v, w)]
 
 
 def cover_id_reference(m, x, max_level=64):
@@ -253,6 +268,27 @@ def signature_partition(cover):
 
 
 # -- periodic points -------------------------------------------------------------
+
+def moebius_mu(n):
+    """The number-theoretic Moebius function, by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def necklace_count(k, n):
+    """Primitive necklaces of length n over k letters, (1/n) sum_{d|n} mu(d)
+    k^{n/d}: the period-n orbits of a full shift on k symbols."""
+    total = sum(moebius_mu(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
+
 
 def periodic_roots_reference(map_kind, table, words, iters=200):
     """Fixed-step cylinder refinement + bisection: every word, all ``iters``

@@ -6,6 +6,7 @@ criterion; each test also prints a summary line.
 
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -210,15 +211,15 @@ def test_criterion_06_contraction(roundtrip_results, doubling_fixture):
 def test_criterion_07_inverse_audit():
     m = symdyn.built_in("doubling")
     cfg = _cfg("doubling")
-    fams = [library.periodic_library(m, cfg.chi, 6, back_depth=64, fwd_len=16,
-                                     u_depth=d) for d in (30, 34)]
-    samples = fams[0].windows + fams[1].windows
+    lib = library.periodic_library(m, cfg.chi, 6, back_depth=64, fwd_len=16)
+    fams = [[replace(w, u_depth=d) for w in lib.windows] for d in (30, 34)]
+    samples = fams[0] + fams[1]
     al = cg.build_alphabet(m, samples, cfg)
     reps_a = {}
     reps_b = {}
-    for w in fams[0].windows:
+    for w in fams[0]:
         reps_a.setdefault(round(w.x0, 9), w)
-    for w in fams[1].windows:
+    for w in fams[1]:
         reps_b.setdefault(round(w.x0, 9), w)
     audited = 0
     for key, wa in sorted(reps_a.items()):

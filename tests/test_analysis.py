@@ -101,19 +101,19 @@ def test_entropy_monotone_under_edge_addition():
 def test_map_periodic_points_doubling_exact():
     m = symdyn.built_in("doubling")
     for n in range(1, 13):
-        assert len(an.map_periodic_points(m, n)) == 2 ** n - 1
+        assert len(an.map_periodic_points(m, n)[0]) == 2 ** n - 1
 
 
 def test_map_periodic_points_doubling_small():
     m = symdyn.built_in("doubling")
-    assert an.map_periodic_points(m, 1) == [0.0]
-    pts = an.map_periodic_points(m, 2)
+    assert an.map_periodic_points(m, 1)[0].tolist() == [0.0]
+    pts = an.map_periodic_points(m, 2)[0].tolist()
     assert pts == pytest.approx([0.0, 1 / 6, 1 / 3], abs=1e-12)
 
 
 def test_map_periodic_points_tent_two():
     m = symdyn.built_in("tent")
-    pts = an.map_periodic_points(m, 2)
+    pts = an.map_periodic_points(m, 2)[0].tolist()
     assert len(pts) == 4
     assert pts == pytest.approx([0.0, 0.2, 1 / 3, 0.4], abs=1e-12)
 
@@ -121,10 +121,10 @@ def test_map_periodic_points_tent_two():
 def test_map_periodic_points_quadratic():
     m = symdyn.built_in("quadratic")
     # conjugate of the full logistic map: same counts as the tent map
-    assert len(an.map_periodic_points(m, 1)) == 2
-    assert len(an.map_periodic_points(m, 2)) == 4
+    assert len(an.map_periodic_points(m, 1)[0]) == 2
+    assert len(an.map_periodic_points(m, 2)[0]) == 4
     from symdyn import _kernels as K
-    for x in an.map_periodic_points(m, 3):
+    for x in an.map_periodic_points(m, 3)[0].tolist():
         if m.singular_distance(x) <= 1e-9:
             continue  # the fixed point 0 is in the singular set
         y = x

@@ -42,6 +42,19 @@ def test_bad_chart_parameters_create_no_out(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["encode_lo = 1", "encode_lo = 20", "encode_hi = 0",
+                                  "seed = -1"])
+def test_bad_encode_range_or_seed_creates_no_out(tmp_path, capsys, text):
+    # these failed only after the library, alphabet and graph were written
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"map = doubling\nmax_period = 3\n{text}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = run_cli(["shadow", "--config", str(cfgfile), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert text.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_map_file_exit_2(tmp_path):
     # every sample from a nan branch would be rejected, so verify-map passed
     path = tmp_path / "nan.map"
@@ -109,9 +122,12 @@ def test_config_parsing():
                 "samples = -5\n", "max_period = 0\n", "workers = 2\n",
                 "contract_tol = 1e-13\n", "u_depth = 30\n", "sizes_per_center = 16\n",
                 "back_depth = -3\n", "back_depth = 0\n", "fwd_len = 0\n", "n_min = 0\n",
-                "paths_per_vertex = -1\n", "paths_per_vertex = 0\n", "cover_window = 0\n"):
+                "paths_per_vertex = -1\n", "paths_per_vertex = 0\n", "cover_window = 0\n",
+                "encode_lo = 1\n", "encode_lo = 20\n", "encode_hi = 0\n", "encode_hi = -5\n",
+                "seed = -1\n"):
         with pytest.raises(ValueError):
             parse_config(bad)
+    assert parse_config("encode_lo = -3\nseed = 0\nencode_hi = 1\n").encode_lo == -3
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -176,6 +192,12 @@ def test_inverse_audit_command(tmp_path):
     import re
     audited = int(re.search(r"double codings audited: (\d+)", rep).group(1))
     assert audited >= 3  # period <= 3 orbits of the doubling map
+    # windows.txt lists both u-truncation families, the same windows twice
+    records = (tmp_path / "o" / "windows.txt").read_text().splitlines()[1:]
+    fam_a = [r for r in records if r.endswith(" u_depth=30")]
+    fam_b = [r for r in records if r.endswith(" u_depth=34")]
+    assert fam_a and len(fam_a) + len(fam_b) == len(records)
+    assert [r[:-2] for r in fam_a] == [r[:-2] for r in fam_b]
 
 
 def test_alphabet_command_discreteness(tmp_path):

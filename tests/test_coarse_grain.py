@@ -10,7 +10,7 @@ from symdyn import natural_extension as ne
 from symdyn import pesin
 
 from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, overlap_test,
-                     strong_graph_backward, weak_successors)
+                     strong_graph_backward, weak_edge_vertices, weak_successors)
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -211,7 +211,7 @@ def test_strong_subset_weak(doubling, cfg, graph, alphabet):
     for vid, outs in enumerate(graph.out_edges):
         for wid in outs:
             v, w = alphabet.vertices[vid], alphabet.vertices[wid]
-            assert cg._edge_test_vertices(cfg, v, w, strong=False)
+            assert weak_edge_vertices(cfg, v, w)
 
 
 def test_graph_cycles(graph, alphabet):
@@ -351,9 +351,9 @@ def test_closure_matches_full_ladder_periodic(name, period):
 
 def test_closure_matches_full_ladder_two_u_depths(doubling, cfg):
     # the union the double-coding audit codes over
-    libs = [library.periodic_library(doubling, cfg.chi, 4, back_depth=40, fwd_len=40,
-                                     u_depth=d) for d in (30, 34)]
-    assert _assert_closure_is_ladder_core(doubling, libs[0].windows + libs[1].windows, cfg)
+    lib = library.periodic_library(doubling, cfg.chi, 4, back_depth=40, fwd_len=40)
+    windows = [replace(w, u_depth=d) for d in (30, 34) for w in lib.windows]
+    assert _assert_closure_is_ladder_core(doubling, windows, cfg)
 
 
 @pytest.mark.parametrize("name", list(MAP_CFG))

@@ -174,9 +174,13 @@ def test_map_periodic_points_closed_form(n):
     quadratic = _merged(math.sin(math.pi * k / d) ** 2 / 2
                         for d in (2**n - 1, 2**n + 1) for k in range(d))
     for name, expect in (("doubling", doubling), ("quadratic", quadratic)):
-        got = map_periodic_points(symdyn.built_in(name), n)
+        got, words = map_periodic_points(symdyn.built_in(name), n)
         assert len(got) == len(expect)
-        assert got == pytest.approx(expect, abs=1e-12)
+        assert got.tolist() == pytest.approx(expect, abs=1e-12)
+        if name == "doubling":
+            # k / (2 (2^n - 1)) = 0.(b)_2 / 2 for the n binary digits b of k
+            assert words.tolist() == [[int(c) for c in format(k, f"0{n}b")]
+                                      for k in range(2**n - 1)]
 
 
 # three-branch tables on [0, 0.5]: branch 1 maps onto branch 0 only and
@@ -246,12 +250,14 @@ def _gauss_cycle_point(word):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gauss_periodic_points_continued_fractions(n):
+    # each root comes with its continued-fraction digits, the gauss branch ids
     with mpmath.workdps(40):
-        expect = sorted(float(_gauss_cycle_point(w))
+        expect = sorted((float(_gauss_cycle_point(w)), list(w))
                         for w in itertools.product(range(1, 17), repeat=n))
-    got = map_periodic_points(symdyn.built_in("gauss"), n)
+    got, words = map_periodic_points(symdyn.built_in("gauss"), n)
     assert len(got) == 16**n
-    assert got == pytest.approx(expect, abs=1e-12)
+    assert got.tolist() == pytest.approx([x for x, _ in expect], abs=1e-12)
+    assert words.tolist() == [w for _, w in expect]
 
 
 def test_map_periodic_points_word_budget():

@@ -1,0 +1,50 @@
+import pytest
+
+import symdyn
+from symdyn import library
+from symdyn.config import RunConfig
+
+from oracles import necklace_count
+
+# Largest periods checked per map, and the orbits the half-open branch
+# convention excludes: the doubling map's fixed point 1/2 is the right end
+# of its domain (its word is 1 repeated, for every period).
+MAX_PERIOD = {"doubling": 10, "tent": 8, "quadratic": 8, "gauss": 3}
+EXCLUDED = {"doubling": 1, "tent": 0, "quadratic": 0, "gauss": 0}
+
+
+@pytest.fixture(scope="module", params=list(MAX_PERIOD))
+def built(request):
+    name = request.param
+    m = symdyn.built_in(name)
+    cfg = RunConfig(map=name)
+    lib = library.periodic_library(m, cfg.chi, MAX_PERIOD[name], back_depth=cfg.back_depth,
+                                   fwd_len=cfg.fwd_len, n_min=cfg.n_min)
+    return name, m, cfg, lib
+
+
+def test_necklace_count_binary():
+    # OEIS A001037
+    assert [necklace_count(2, n) for n in range(1, 11)] == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
+
+
+def test_orbits_match_necklace_count(built):
+    # every built-in branch is full, so the period-n orbits are the primitive
+    # necklaces of length n; each one is built or skipped exactly once
+    name, m, cfg, lib = built
+    k = m.finite_table()[1].shape[0]
+    expect = sum(necklace_count(k, n) for n in range(1, MAX_PERIOD[name] + 1))
+    assert lib.orbits + lib.skipped_singular == expect - EXCLUDED[name]
+    assert lib.skipped_uncertified == 0
+
+
+def test_every_orbit_starts_at_its_least_root(built):
+    # the phase-0 window of each orbit sits at the least point of one lap
+    # of its cycle (a float cycle may run over several laps)
+    name, m, cfg, lib = built
+    base = [w for w in lib.windows if w.off == cfg.back_depth]
+    assert len(base) == lib.orbits
+    for w in base:
+        word = w.branch_ids[w.off:w.off + w.period].tolist()
+        lap = next(p for p in range(1, w.period + 1) if word == word[p:] + word[:p])
+        assert w.x0 == min(w.points[w.off:w.off + lap].tolist()), w.record()

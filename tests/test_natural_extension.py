@@ -167,7 +167,7 @@ def _window_bits(w):
                                              ("quadratic", 8), ("gauss", 2)])
 def test_periodic_windows_match_burn_in_reference(monkeypatch, name, max_period):
     # closing the cycle at the first float closure gives the window the
-    # fixed 256-step burn-in gave, at the u depths the pipeline uses
+    # fixed 256-step burn-in gave, for every window the pipeline builds
     m = symdyn.built_in(name)
     cfg = RunConfig(map=name, max_period=max_period)
     make = ne.make_periodic_window
@@ -186,11 +186,8 @@ def test_periodic_windows_match_burn_in_reference(monkeypatch, name, max_period)
         return w
 
     monkeypatch.setattr(ne, "make_periodic_window", checked)
-    base = min(cfg.back_depth, 30)
-    for u_depth in (None, base, base + 4):
-        library.periodic_library(m, cfg.chi, cfg.max_period, back_depth=cfg.back_depth,
-                                 fwd_len=max(cfg.fwd_len, cfg.encode_hi + 2),
-                                 u_depth=u_depth, n_min=cfg.n_min)
+    library.periodic_library(m, cfg.chi, cfg.max_period, back_depth=cfg.back_depth,
+                             fwd_len=max(cfg.fwd_len, cfg.encode_hi + 2), n_min=cfg.n_min)
     assert built
 
 

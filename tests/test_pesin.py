@@ -280,7 +280,7 @@ def test_chart_G_quadratic_contraction():
     cfg = pesin.PesinConfig(chi=0.1, epsilon=0.1)
     # period-2 orbit of the quadratic map, away from the singular set
     from symdyn.analysis import map_periodic_points
-    roots = [x for x in map_periodic_points(m, 2) if m.singular_distance(x) > 1e-3]
+    roots = [x for x in map_periodic_points(m, 2)[0].tolist() if m.singular_distance(x) > 1e-3]
     x = roots[-1]
     word = [m.branch_at(x), m.branch_at(m.f(x))]
     w = ne.make_periodic_window(m, x, word, 64, 16)
@@ -350,8 +350,7 @@ def test_window_tables_match_index_by_index(name):
     m = symdyn.built_in(name)
     chi = 0.5 if name == "gauss" else 0.1
     cfg = pesin.PesinConfig(chi=chi, epsilon=0.1)
-    lib = library.periodic_library(m, chi, 3, back_depth=20, fwd_len=12,
-                                   branch_limit=4).windows
+    lib = library.periodic_library(m, chi, 3, back_depth=20, fwd_len=12).windows
     periodic = [w for w in lib if w.period == 2][:3] + [w for w in lib if w.period == 3][:3]
     windows = periodic + [w.shift(5) for w in periodic[:2]] + [w.shift(20) for w in periodic[:2]]
     # one backward step: (0, 5) holds a whole period, (-3, 1) does not
