@@ -14,8 +14,9 @@ verdict, plus the commit and ``src_sha256`` each side's runs recorded.
 Verdicts: ``unresolved`` when the parent's spread (IQR / median) exceeds
 the bound, unless every change run is better than every parent run;
 ``worse`` when the median moves the wrong way by more than the bound;
-``better`` when it moves the right way by more than the parent's IQR and
-the change wins at least nine pairs in ten; ``within bound`` otherwise.
+``better`` when a gain could be claimed: at least ten pairs, the change
+wins nine in ten, and the medians differ by more than the parent's IQR;
+``within bound`` otherwise.
 """
 
 import argparse
@@ -65,12 +66,11 @@ def verdict(p, c, better, bound, wins):
     sign = 1.0 if better == "lower" else -1.0
     pm, cm = statistics.median(p), statistics.median(c)
     iqr = spread(p)["q3"] - spread(p)["q1"]
-    if relative(iqr, pm) > bound:
-        every = all(sign * (b - a) < 0 for a in p for b in c)
-        return "better" if every else "unresolved"
+    if relative(iqr, pm) > bound and not all(sign * (b - a) < 0 for a in p for b in c):
+        return "unresolved"
     if sign * relative(cm - pm, pm) > bound:
         return "worse"
-    if sign * (pm - cm) > iqr and wins >= 0.9 * len(p):
+    if len(p) >= 10 and wins >= 0.9 * len(p) and sign * (pm - cm) > iqr:
         return "better"
     return "within bound"
 

@@ -8,6 +8,7 @@ for bit.  The rest are objects of the construction that only the tests use
 read back), kept here so that ``src/`` holds what the pipeline runs.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -330,6 +331,30 @@ def periodic_roots_reference(map_kind, table, words, iters=200):
         hi = np.where(same, hi, mid)
     roots = np.where(exact_lo | exact_hi, root_exact, 0.5 * (lo + hi))
     return roots, alive
+
+
+def map_periodic_points_reference(m, n, tol=1e-9):
+    """The validated roots scanned as a sorted list: [(root, word)], each
+    root kept unless within ``tol`` of the last root kept, with the word of
+    the kept root in the map's branch ids."""
+    mk, table = m.finite_table()
+    words = np.array(list(itertools.product(range(table.shape[0]), repeat=n)),
+                     dtype=np.int64)
+    roots, found = K.periodic_roots(mk, table, words)
+    words, roots = words[found], roots[found]
+    x = roots
+    good = np.ones(roots.shape, dtype=bool)
+    for k in range(n):
+        good &= (table[words[:, k], 1] <= x) & (x < table[words[:, k], 2])
+        x = K.fwd_vec(mk, table, words[:, k], x)
+    good &= ~(np.abs(x - roots) > tol)
+    ids = [b.id for b in m.branches]
+    out = []
+    for r, word in sorted(zip(roots[good].tolist(), words[good].tolist()),
+                          key=lambda p: p[0]):
+        if not out or r - out[-1][0] > tol:
+            out.append((r, [ids[b] for b in word]))
+    return out
 
 
 # -- batch kernels: every branch formula on every element, then np.where ----------

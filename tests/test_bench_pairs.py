@@ -13,12 +13,16 @@ _spec.loader.exec_module(bench_pairs)
 @pytest.mark.parametrize("parent,change,better,bound,expect", [
     ([1.0] * 5, [1.1] * 5, "lower", 0.25, "within bound"),
     ([1.0] * 5, [1.3] * 5, "lower", 0.25, "worse"),
-    ([1.0] * 5, [0.8] * 5, "lower", 0.25, "better"),
-    # wins 4 of 5 pairs: below nine tenths, so not claimed
-    ([1.0] * 5, [0.8, 0.8, 0.8, 0.8, 1.2], "lower", 0.25, "within bound"),
+    ([1.0] * 10, [0.8] * 10, "lower", 0.25, "better"),
+    # five pairs are too few to claim a gain
+    ([1.0] * 5, [0.8] * 5, "lower", 0.25, "within bound"),
+    # wins 8 of 10 pairs: below nine tenths
+    ([1.0] * 10, [0.8] * 8 + [1.2] * 2, "lower", 0.25, "within bound"),
     # the parent spreads by IQR / median = 2 / 3 > 0.25
     ([1.0, 2.0, 3.0, 4.0, 5.0], [1.5, 2.5, 3.5, 4.5, 5.5], "lower", 0.25, "unresolved"),
-    ([1.0, 2.0, 3.0, 4.0, 5.0], [0.1, 0.2, 0.3, 0.4, 0.5], "lower", 0.25, "better"),
+    # ... unless every change run reads better than every parent run
+    ([1.0, 2.0, 3.0, 4.0, 5.0], [0.1, 0.2, 0.3, 0.4, 0.5], "lower", 0.25, "within bound"),
+    ([1.0, 2.0, 3.0, 4.0, 5.0] * 2, [0.1, 0.2, 0.3, 0.4, 0.5] * 2, "lower", 0.25, "better"),
     ([1.0] * 5, [0.9] * 5, "higher", 0.05, "worse"),
     ([0.0] * 3, [0.0] * 3, "lower", 0.25, "within bound"),
 ])

@@ -16,6 +16,7 @@ from oracles import (
     dinv_vec_reference,
     fwd_vec_reference,
     inv_vec_reference,
+    map_periodic_points_reference,
     periodic_roots_reference,
 )
 
@@ -258,6 +259,16 @@ def test_gauss_periodic_points_continued_fractions(n):
     assert len(got) == 16**n
     assert got.tolist() == pytest.approx([x for x, _ in expect], abs=1e-12)
     assert words.tolist() == [w for _, w in expect]
+
+
+@pytest.mark.parametrize("name,n", [("gauss", 4), ("quadratic", 10), ("tent", 10)])
+def test_map_periodic_points_match_sorted_scan(name, n):
+    # gauss n = 4 merges 133 roots, 24 of them in chains of three or more
+    m = symdyn.built_in(name)
+    roots, words = map_periodic_points(m, n)
+    ref = map_periodic_points_reference(m, n)
+    assert [float.hex(r) for r in roots.tolist()] == [float.hex(r) for r, _ in ref]
+    assert words.tolist() == [w for _, w in ref]
 
 
 def test_map_periodic_points_word_budget():
