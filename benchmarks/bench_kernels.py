@@ -55,15 +55,16 @@ def bench(reps=3):
     timeit("verify_regularity (1e4 samples, vectorized)", regularity)
     timeit("verify_regularity (2e5 samples)", lambda: m.verify_regularity(200_000, seed=1))
 
-    # the inner grids of the regularity check: one branch id per row
-    ys = m.draw_regular_points(200_000, rng)[:, None] + np.linspace(-1e-4, 1e-4, 9)
-    bcol = K.branch_index_vec(m.map_kind, m.table, ys[:, 4])[:, None]
+    # the inner grids of the regularity check: one row per inner point, one
+    # branch id per column
+    ys = np.linspace(-1e-4, 1e-4, 9)[:, None] + m.draw_regular_points(200_000, rng)
+    bid = K.branch_index_vec(m.map_kind, m.table, ys[4])
 
     def grid_derivatives():
-        K.dfwd_vec(m.map_kind, m.table, bcol, ys)
-        K.dinv_vec(m.map_kind, m.table, bcol, ys)
+        K.dfwd_vec(m.map_kind, m.table, bid, ys)
+        K.dinv_vec(m.map_kind, m.table, bid, ys)
 
-    timeit("dfwd_vec / dinv_vec on (200000, 9)", grid_derivatives)
+    timeit("dfwd_vec / dinv_vec on (9, 200000)", grid_derivatives)
     return out
 
 

@@ -335,9 +335,10 @@ def sing_dist_vec(map_kind, table, sing, x):
             d = np.abs(x - 1.0 / (2.0 * np.where(valid, m, 1)))
             best = np.where(valid & (d < best), d, best)
         return best
-    if sing.shape[0] == 0:
-        return np.full(x.shape, np.inf)
-    return np.min(np.abs(x[..., None] - sing[None, :]), axis=-1)
+    best = np.full(x.shape, np.inf)
+    for s in sing:  # a running minimum over the few singular points
+        np.minimum(best, np.abs(x - s), out=best)
+    return best
 
 
 def _compose(map_kind, table, words, x):

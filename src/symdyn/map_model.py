@@ -62,8 +62,7 @@ class Branch:
     row: np.ndarray = field(init=False, repr=False, compare=False)  # one-row kernel table
 
     def __post_init__(self):
-        c = self.coef + (0.0,) * (4 - len(self.coef))
-        row = np.array([[self.kind, self.lo, self.hi, *c, self.inv_sign]])
+        row = np.array([[self.kind, self.lo, self.hi, *self.coef, self.inv_sign]])
         row.setflags(write=False)
         object.__setattr__(self, "row", row)
 
@@ -81,29 +80,25 @@ class Branch:
 
     def inv_diff(self, y, s):
         """g(y+s) - g(y), stable for tiny s."""
-        c = self.coef
+        c0, c1, c2, c3 = self.coef
         if self.kind == KIND_AFFINE:
-            return s / c[1]
+            return s / c1
         if self.kind == KIND_QUADRATIC:
-            c0, c1, c2 = c[0], c[1], c[2]
             da = c1 * c1 - 4.0 * c2 * (c0 - (y + s))
             db = c1 * c1 - 4.0 * c2 * (c0 - y)
             return 2.0 * self.inv_sign * s / (math.sqrt(max(da, 0.0)) + math.sqrt(max(db, 0.0)))
-        c0, c1, c2, c3 = c[0], c[1], c[2], c[3]
         return (c1 * c2 - c0 * c3) * s / ((c3 * (y + s) - c1) * (c3 * y - c1))
 
     def dinv_diff(self, y, s):
         """g'(y+s) - g'(y), stable for tiny s."""
-        c = self.coef
+        c0, c1, c2, c3 = self.coef
         if self.kind == KIND_AFFINE:
             return 0.0
         if self.kind == KIND_QUADRATIC:
-            c0, c1, c2 = c[0], c[1], c[2]
             a = c1 * c1 - 4.0 * c2 * (c0 - (y + s))
             b = c1 * c1 - 4.0 * c2 * (c0 - y)
             sa, sb = math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0))
             return self.inv_sign * (-4.0 * c2 * s) / (sa * sb * (sa + sb))
-        c0, c1, c2, c3 = c[0], c[1], c[2], c[3]
         kk = c1 * c2 - c0 * c3
         a = c3 * (y + s) - c1
         b = c3 * y - c1
@@ -111,14 +106,12 @@ class Branch:
 
     def ddinv(self, y):
         """g''(y) in closed form (for log-mode curvature bounds)."""
-        c = self.coef
+        c0, c1, c2, c3 = self.coef
         if self.kind == KIND_AFFINE:
             return 0.0
         if self.kind == KIND_QUADRATIC:
-            c0, c1, c2 = c[0], c[1], c[2]
             disc = c1 * c1 - 4.0 * c2 * (c0 - y)
             return -2.0 * self.inv_sign * c2 / max(disc, 0.0) ** 1.5
-        c0, c1, c2, c3 = c[0], c[1], c[2], c[3]
         return -2.0 * (c1 * c2 - c0 * c3) * c3 / (c3 * y - c1) ** 3
 
 
@@ -248,8 +241,6 @@ class MapModel:
         points must be consecutive orbit values; the radius at x_i uses
         d(x_i, S) and d(x_{i+1}, S), both available in the cache.
         """
-        import numpy as np
-
         d = K.sing_dist_vec(self.map_kind, self.table, self.sing, points)
         if np.any(d <= self.exclusion):
             return False
@@ -265,15 +256,8 @@ class MapModel:
         while out.size < count and tries < max_tries:
             tries += 1
             x = rng.uniform(lo, hi, size=max(64, 2 * (count - out.size)))
-            dx = K.sing_dist_vec(self.map_kind, self.table, self.sing, x)
-            ok = dx > self.exclusion
-            b = K.branch_index_vec(self.map_kind, self.table, x)
-            ok &= b >= 0
-            fx = K.fwd_vec(self.map_kind, self.table, np.maximum(b, 0), x)
-            dfx = K.sing_dist_vec(self.map_kind, self.table, self.sing, fx)
-            ok &= dfx > self.exclusion
-            r = 0.5 * np.minimum(np.minimum(dx**self.a, dfx**self.a), 1.0)
-            ok &= r >= self.exclusion
+            b, _, dx, dfx, r = _radii(self, x)
+            ok = (dx > self.exclusion) & (b >= 0) & (dfx > self.exclusion) & (r >= self.exclusion)
             out = np.concatenate([out, x[ok]])
         return out[:count]
 
@@ -286,8 +270,9 @@ class MapModel:
 # ---------------------------------------------------------------------------
 
 def _check_branches(branches, domain):
-    """Raise MapFileError unless the branch domains partition ``domain`` and
-    every branch maps its endpoints into ``domain``."""
+    """Raise MapFileError unless the branch domains partition ``domain``,
+    every branch is monotone on its domain and maps its endpoints into
+    ``domain``."""
     lo, hi = domain
     clause = f"branch domains must partition the domain [{lo!r}, {hi!r}]"
     edge = lo
@@ -300,6 +285,9 @@ def _check_branches(branches, domain):
         if b.lo < edge:
             raise MapFileError(f"{name}: {clause}; it starts before {edge!r}")
         edge = b.hi
+        fault = _monotone_fault(b)
+        if fault:
+            raise MapFileError(f"{name}: a branch must be monotone on its domain; {fault}")
         for x in (b.lo, b.hi):
             y = float(b.fwd(x))
             if not lo <= y <= hi:
@@ -307,6 +295,23 @@ def _check_branches(branches, domain):
                                    f"the domain [{lo!r}, {hi!r}]")
     if edge != hi:
         raise MapFileError(f"{clause}; the last branch ends at {edge!r}")
+
+
+def _monotone_fault(b):
+    """Why the catalogue formula of branch b is not monotone (and invertible)
+    on [b.lo, b.hi], or None."""
+    c0, c1, c2, c3 = b.coef
+    if b.kind == KIND_AFFINE:
+        return "the affine slope c1 is 0" if c1 == 0.0 else None
+    if b.kind == KIND_QUADRATIC:
+        if c2 == 0.0:
+            return "the quadratic coefficient c2 is 0"
+        vertex = -c1 / (2.0 * c2)
+        return f"the quadratic vertex {vertex!r} lies inside it" if b.lo < vertex < b.hi else None
+    if c1 * c2 - c0 * c3 == 0.0:
+        return "the moebius determinant c1 c2 - c0 c3 is 0"
+    den = (c2 + c3 * b.lo, c2 + c3 * b.hi)
+    return None if min(den) > 0.0 or max(den) < 0.0 else "the moebius pole c2 + c3 x = 0 lies in it"
 
 
 def _cover_scan(m, x):
@@ -379,9 +384,9 @@ def verify_regularity(m, sample_count, seed, inner=9):
     inner points per ball.  The clauses run per block of
     ``REGULARITY_BLOCK`` samples.
     """
-    empty = lambda name: ClauseResult(name, True, 0, 0, math.inf, math.nan, math.nan)
     if sample_count <= 0:
-        return RegularityReport(m.name, 0, {"A1": empty("A1"), "A2": empty("A2"), "A3": empty("A3")})
+        return RegularityReport(m.name, 0, {c: ClauseResult(c, True, 0, 0, math.inf, math.nan, math.nan)
+                                            for c in ("A1", "A2", "A3")})
 
     rng = np.random.default_rng(seed)
     x = m.draw_regular_points(sample_count, rng)
@@ -403,32 +408,27 @@ def verify_regularity(m, sample_count, seed, inner=9):
             worst_margin=float(margin[w]), worst_x=float(x[w]), worst_inner=float(inner_pts[w]),
         )
 
-    rep = RegularityReport(
-        map_name=m.name,
-        sample_count=n,
-        clauses={
-            "A1": clause("A1", a1_ok, a1_margin, x),
-            "A2": clause("A2", a2_ok, a2_margin, x),
-            "A3": clause("A3", a3_ok, a3_margin, a3_inner),
-        },
-    )
+    clauses = {"A1": clause("A1", a1_ok, a1_margin, x), "A2": clause("A2", a2_ok, a2_margin, x),
+               "A3": clause("A3", a3_ok, a3_margin, a3_inner)}
     wi = int(np.argmax(extremes))
-    rep.extreme_x = float(x[wi])
-    rep.extreme_value = float(extremes[wi])
-    return rep
+    return RegularityReport(m.name, n, clauses, float(x[wi]), float(extremes[wi]))
+
+
+def _radii(m, x):
+    """Branch ids (-1 off every branch), images, d(x,S), d(f(x),S) and the
+    radius rule r(x) of the points x."""
+    bid = K.branch_index_vec(m.map_kind, m.table, x)
+    fx = K.fwd_vec(m.map_kind, m.table, np.maximum(bid, 0), x)
+    dx = K.sing_dist_vec(m.map_kind, m.table, m.sing, x)
+    dfx = K.sing_dist_vec(m.map_kind, m.table, m.sing, fx)
+    return bid, fx, dx, dfx, 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
 
 
 def _sample_margins(m, x, inner):
     """Per-sample (A1) and (A2) margins, worst (A3) quotient with its inner
     witness, and extreme derivative max(|dg|, 1/|df|) of the samples x."""
-    n = x.size
-    mk, tab, sing = m.map_kind, m.table, m.sing
-
-    bid = K.branch_index_vec(mk, tab, x)
-    fx = K.fwd_vec(mk, tab, bid, x)
-    dx = K.sing_dist_vec(mk, tab, sing, x)
-    dfx = K.sing_dist_vec(mk, tab, sing, fx)
-    r = 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
+    mk, tab = m.map_kind, m.table
+    bid, fx, dx, dfx, r = _radii(m, x)
 
     lo, hi = m.domain
     d_lo, d_hi = np.maximum(x - 2 * r, lo), np.minimum(x + 2 * r, hi)
@@ -436,68 +436,66 @@ def _sample_margins(m, x, inner):
 
     # branch domain endpoints per sample
     if mk == MAPKIND_GAUSS:
-        b_lo = 1.0 / (2.0 * (bid + 1))
-        b_hi = 1.0 / (2.0 * bid)
-        img_lo, img_hi = np.zeros(n), np.full(n, 0.5)
+        b_lo, b_hi = 1.0 / (2.0 * (bid + 1)), 1.0 / (2.0 * bid)
+        img_lo, img_hi = 0.0, 0.5
     else:
-        b_lo = tab[bid, 1]
-        b_hi = tab[bid, 2]
-        f_at_lo = K.fwd_vec(mk, tab, bid, b_lo)
-        f_at_hi = K.fwd_vec(mk, tab, bid, b_hi)
-        img_lo = np.minimum(f_at_lo, f_at_hi)
-        img_hi = np.maximum(f_at_lo, f_at_hi)
+        b_lo, b_hi = tab[bid, 1], tab[bid, 2]
+        f_lo, f_hi = K.fwd_vec(mk, tab, bid, b_lo), K.fwd_vec(mk, tab, bid, b_hi)
+        img_lo, img_hi = np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)
 
     # (A1): D_x inside the covering branch domain, E_x inside its image.
-    a1_margin = np.minimum(
-        np.minimum(d_lo - b_lo, b_hi - d_hi),
-        np.minimum(e_lo - img_lo, img_hi - e_hi),
-    )
+    a1_margin = np.minimum(np.minimum(d_lo - b_lo, b_hi - d_hi),
+                           np.minimum(e_lo - img_lo, img_hi - e_hi))
 
-    # inner sample grids (deterministic, endpoints inset by a relative hair)
-    t = (np.arange(inner) + 0.5) / inner
-    ys = d_lo[:, None] + (d_hi - d_lo)[:, None] * t[None, :]
-    zs = e_lo[:, None] + (e_hi - e_lo)[:, None] * t[None, :]
-    bcol = bid[:, None]
+    # inner sample grids (deterministic, endpoints inset by a relative hair),
+    # one row per inner point: every reduction over the inner points runs
+    # elementwise across contiguous rows
+    t = ((np.arange(inner) + 0.5) / inner)[:, None]
+    ys = d_lo + (d_hi - d_lo) * t
+    zs = e_lo + (e_hi - e_lo) * t
 
-    dfy = K.dfwd_vec(mk, tab, bcol, ys)
-    dgz = K.dinv_vec(mk, tab, bcol, zs)
+    dfy = K.dfwd_vec(mk, tab, bid, ys)
+    dgz = K.dinv_vec(mk, tab, bid, zs)
 
-    logd = np.log(dx)
+    # (A2): a log|df| or log|dg| below a log d(x,S) or above -a log d(x,S)
+    # fails (|dg| = inf fails the upper bound).  v - c rounds monotonically
+    # in v, so each bound is applied to the extremes over the rows.
     with np.errstate(divide="ignore", invalid="ignore"):
         ldfy = np.log(np.abs(dfy))
         ldgz = np.log(np.abs(dgz))
     ldfy = np.where(np.isfinite(ldfy), ldfy, -np.inf)
-    ldgz = np.where(np.isfinite(ldgz), ldgz, np.inf)  # |dg| = inf breaks the upper bound
-
-    a2_mlo = np.minimum((ldfy - m.a * logd[:, None]).min(axis=1),
-                        (np.where(np.isfinite(ldgz), ldgz, -np.inf) - m.a * logd[:, None]).min(axis=1))
-    a2_mhi = np.minimum((-m.a * logd[:, None] - ldfy).min(axis=1),
-                        (-m.a * logd[:, None] - ldgz).min(axis=1))
+    gfin = np.isfinite(ldgz)
+    low = np.minimum(ldfy.min(axis=0), np.where(gfin, ldgz, -np.inf).min(axis=0))
+    high = np.maximum(ldfy.max(axis=0), np.where(gfin, ldgz, np.inf).max(axis=0))
+    alogd = m.a * np.log(dx)
+    a2_margin = np.minimum(low - alogd, -alogd - high)
 
     # (A3): Hölder quotients over the inner pairs, forward and inverse.
     q_fwd = _worst_quotient(dfy, ys, m.beta)
     q_inv = _worst_quotient(np.where(np.isfinite(dgz), dgz, np.inf), zs, m.beta)
-    a3_inner = np.where(q_inv >= q_fwd, zs[:, 0], ys[:, 0])
+    a3_inner = np.where(q_inv >= q_fwd, zs[0], ys[0])
 
     # extreme-derivative witness: the most violent |dg| or 1/|df| seen
-    extremes = np.maximum(np.max(np.abs(np.where(np.isfinite(dgz), dgz, 0.0)), axis=1),
-                          1.0 / np.maximum(np.min(np.abs(dfy), axis=1), 1e-300))
-    return a1_margin, np.minimum(a2_mlo, a2_mhi), np.maximum(q_fwd, q_inv), a3_inner, extremes
+    extremes = np.maximum(np.abs(np.where(np.isfinite(dgz), dgz, 0.0)).max(axis=0),
+                          1.0 / np.maximum(np.abs(dfy).min(axis=0), 1e-300))
+    return a1_margin, a2_margin, np.maximum(q_fwd, q_inv), a3_inner, extremes
 
 
 def _worst_quotient(vals, pts, beta):
-    """max over inner pairs of |v_i - v_j| / |p_i - p_j|^beta per row; a
-    non-finite quotient counts as inf, a pair of equal points as 0."""
-    # Pair (j, i) gives the bits of pair (i, j), since |a - b| and |b - a|
-    # are the same float (inf and NaN too), and the diagonal gives 0: the
-    # pairs i < j with initial 0 have the maximum over all pairs.
-    i, j = np.triu_indices(vals.shape[1], 1)
-    dv = np.abs(vals[:, i] - vals[:, j])
-    dp = np.abs(pts[:, i] - pts[:, j])
+    """max over pairs of rows i < j, taken by offset k = j - i, of
+    |v_i - v_j| / |p_i - p_j|^beta per column; a non-finite quotient counts
+    as inf (a NaN propagates through every maximum), equal points as 0."""
+    worst = np.zeros(vals.shape[1:])
+    q = np.empty_like(vals)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = dv / dp**beta
-    q = np.where(dp > 0, q, 0.0)
-    return np.where(np.isfinite(q), q, np.inf).max(axis=1, initial=0.0)
+        for k in range(1, vals.shape[0]):
+            dp = np.abs(pts[:-k] - pts[k:])
+            qk = q[k:]
+            qk.fill(0.0)
+            np.divide(np.abs(vals[:-k] - vals[k:]), dp**beta, out=qk, where=dp > 0)
+            np.maximum(worst, qk.max(axis=0), out=worst)
+    worst[np.isnan(worst)] = np.inf
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -561,33 +559,32 @@ def parse_map_file(text):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            cur = {"__section__": line[1:-1]}
-            sections.append(cur)
+            cur = {}
+            sections.append((line[1:-1], cur))
             continue
         if cur is None or "=" not in line:
             raise MapFileError(f"stray line outside a section: {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         cur[key] = val
 
-    header = [s for s in sections if s["__section__"] == "map"]
+    header = [s for title, s in sections if title == "map"]
     if len(header) != 1:
         raise MapFileError("need exactly one [map] section")
     h = header[0]
     try:
-        name = h.get("name", "custom")
-        a = float(h["a"])
-        beta = float(h["beta"])
-        kappa = float(h["kappa"])
+        a, beta, kappa = (float(h[k]) for k in ("a", "beta", "kappa"))
         domain = tuple(float(v) for v in h["domain"].split())
         sing = [float(v) for v in h.get("singular", "").split()]
     except (KeyError, ValueError) as e:
         raise MapFileError(f"bad [map] section: {e}") from e
     if not all(map(math.isfinite, (a, beta, kappa, *domain, *sing))):
         raise MapFileError("bad [map] section: non-finite number")
+    if len(domain) != 2:
+        raise MapFileError(f"bad [map] section: domain needs 2 numbers, got {len(domain)}")
 
     rows = []
-    for s in sections:
-        if s["__section__"] != "branch":
+    for title, s in sections:
+        if title != "branch":
             continue
         try:
             lo, hi = (float(v) for v in s["dom"].split())
@@ -598,11 +595,12 @@ def parse_map_file(text):
             raise MapFileError(f"bad [branch] section: {e}") from e
         if not all(map(math.isfinite, (lo, hi, *coef, inv_sign))):
             raise MapFileError(f"bad [branch] section: non-finite number in {s['dom']!r}")
-        coef = coef + [0.0] * (4 - len(coef))
-        rows.append([kind, lo, hi, *coef[:4], inv_sign])
+        if len(coef) > 4:
+            raise MapFileError(f"bad [branch] section: coef takes at most 4 numbers, got {len(coef)}")
+        rows.append([kind, lo, hi, *coef, *[0.0] * (4 - len(coef)), inv_sign])
     if not rows:
         raise MapFileError("no [branch] sections")
-    return _table_model(name, rows, sing, a, beta, kappa, domain=domain)
+    return _table_model(h.get("name", "custom"), rows, sing, a, beta, kappa, domain=domain)
 
 
 def load_map(spec):

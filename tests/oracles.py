@@ -426,6 +426,39 @@ def dinv_vec_reference(map_kind, table, bid, y):
 
 # -- regularity: whole-array clauses, all 9 x 9 inner pairs ---------------------
 
+def sing_dist_vec_reference(map_kind, table, sing, x):
+    """d(x, S) elementwise: the closed form for gauss, else the minimum of a
+    broadcast ``(..., len(sing))`` array of distances along its last axis."""
+    x = np.asarray(x, dtype=np.float64)
+    if map_kind == K.MAPKIND_GAUSS:
+        best = np.abs(x)
+        safe = np.where(x > 1e-15, x, 1e-15)
+        n = np.minimum(np.floor(1.0 / (2.0 * safe)), 1e18).astype(np.int64)
+        n = np.maximum(n, 1)
+        for off in (-1, 0, 1):
+            m = n + off
+            valid = m >= 1
+            d = np.abs(x - 1.0 / (2.0 * np.where(valid, m, 1)))
+            best = np.where(valid & (d < best), d, best)
+        return best
+    if sing.shape[0] == 0:
+        return np.full(x.shape, np.inf)
+    return np.min(np.abs(x[..., None] - sing), axis=-1)
+
+
+def worst_quotient_triu_reference(vals, pts, beta):
+    """max over the pairs i < j of |v_i - v_j| / |p_i - p_j|^beta per row of
+    ``(block, inner)`` arrays, gathered with ``np.triu_indices``; a
+    non-finite quotient counts as inf, a pair of equal points as 0."""
+    i, j = np.triu_indices(vals.shape[1], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dv = np.abs(vals[:, i] - vals[:, j])
+        dp = np.abs(pts[:, i] - pts[:, j])
+        q = dv / dp**beta
+    q = np.where(dp > 0, q, 0.0)
+    return np.where(np.isfinite(q), q, np.inf).max(axis=1, initial=0.0)
+
+
 def _draw_regular_points_reference(m, count, rng, max_tries=200):
     lo, hi = m.domain
     out = np.empty(0)
@@ -433,12 +466,12 @@ def _draw_regular_points_reference(m, count, rng, max_tries=200):
     while out.size < count and tries < max_tries:
         tries += 1
         x = rng.uniform(lo, hi, size=max(64, 2 * (count - out.size)))
-        dx = K.sing_dist_vec(m.map_kind, m.table, m.sing, x)
+        dx = sing_dist_vec_reference(m.map_kind, m.table, m.sing, x)
         ok = dx > m.exclusion
         b = K.branch_index_vec(m.map_kind, m.table, x)
         ok &= b >= 0
         fx = fwd_vec_reference(m.map_kind, m.table, np.maximum(b, 0), x)
-        dfx = K.sing_dist_vec(m.map_kind, m.table, m.sing, fx)
+        dfx = sing_dist_vec_reference(m.map_kind, m.table, m.sing, fx)
         ok &= dfx > m.exclusion
         r = 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
         ok &= r >= m.exclusion
@@ -460,8 +493,8 @@ def verify_regularity_reference(m, sample_count, seed, inner=9):
 
     bid = K.branch_index_vec(mk, tab, x)
     fx = fwd_vec_reference(mk, tab, bid, x)
-    dx = K.sing_dist_vec(mk, tab, sing, x)
-    dfx = K.sing_dist_vec(mk, tab, sing, fx)
+    dx = sing_dist_vec_reference(mk, tab, sing, x)
+    dfx = sing_dist_vec_reference(mk, tab, sing, fx)
     r = 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
 
     lo, hi = m.domain

@@ -18,6 +18,7 @@ from oracles import (
     inv_vec_reference,
     map_periodic_points_reference,
     periodic_roots_reference,
+    sing_dist_vec_reference,
 )
 
 
@@ -113,6 +114,34 @@ def test_batch_kernels_match_three_formula_reference(case, kernel):
     _assert_same_bits(fast(mk, table, wide, grid), ref(mk, table, wide, grid))
     _assert_same_bits(fast(mk, table, bid[:, None], x[:9]), ref(mk, table, bid[:, None], x[:9]))
 
+
+def _sing_cases():
+    for name in ("doubling", "quadratic", "gauss"):
+        m = symdyn.built_in(name)
+        yield name, m.map_kind, m.table, m.sing
+    doubling = symdyn.built_in("doubling")
+    yield "one-point", K.MAPKIND_TABLE, doubling.table, np.array([0.25])
+    yield "empty", K.MAPKIND_TABLE, doubling.table, np.zeros(0)
+
+
+SING_CASES = {name: case for name, *case in _sing_cases()}
+
+
+@pytest.mark.parametrize("case", SING_CASES)
+def test_sing_dist_vec_matches_broadcast_min_reference(case):
+    # the running minimum over the singular points against one broadcast
+    # (..., len(sing)) array: same bits and the input's shape, 0-d included
+    mk, table, sing = SING_CASES[case]
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 0.25, 0.5, 1.0 / 6.0, 1e-300, -0.1, np.nan, np.inf, -np.inf]
+    x = np.concatenate([special, rng.uniform(-0.1, 0.6, 54)])
+    grid = x[None, :] + rng.uniform(-1e-3, 1e-3, (9, 1))
+    for pts in (x, grid, x[3], np.float64(x[4]), float(x[5]), np.asarray(x[6])):
+        got = K.sing_dist_vec(mk, table, sing, pts)
+        want = sing_dist_vec_reference(mk, table, sing, pts)
+        assert np.shape(got) == np.shape(pts) == np.shape(want)
+        got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 def test_forward_orbit_consistency():
     # dyadic maps shift mantissa bits out, so keep the horizon short

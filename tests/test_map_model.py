@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import symdyn
 from symdyn import _kernels as K
+from symdyn import cli
 from symdyn.map_model import (
     MapFileError,
     MapModel,
@@ -13,8 +14,9 @@ from symdyn.map_model import (
     load_map,
     parse_map_file,
 )
+from symdyn.map_model import _worst_quotient
 
-from oracles import verify_regularity_reference
+from oracles import verify_regularity_reference, worst_quotient_triu_reference
 
 ALL_MAPS = ["doubling", "tent", "quadratic", "gauss"]
 
@@ -172,6 +174,52 @@ def test_regularity_matches_reference(name, samples, seed):
     assert _report_bits(rep) == _report_bits(verify_regularity_reference(m, samples, seed))
 
 
+def _edge_rows(inner, rng):
+    """Hand-built (block, inner) rows of values and points for the (A3) pairs."""
+    quad = built_in("quadratic")
+    z = np.linspace(0.49, 0.5, inner)  # dg is infinite at the critical value 0.5
+    dgz = K.dinv_vec(quad.map_kind, quad.table, 1, z)
+    rows = [
+        (rng.normal(size=inner), np.full(inner, 0.3)),           # all points equal
+        (np.full(inner, 2.0), np.linspace(0.1, 0.2, inner)),     # constant values
+        (np.full(inner, np.inf), np.linspace(0.1, 0.2, inner)),  # inf - inf is NaN
+        (np.where(np.isfinite(dgz), dgz, np.inf), z),            # infinite inverse derivative
+        (rng.normal(size=inner), rng.uniform(0.0, 0.5, inner)),
+        (rng.normal(size=inner), np.sort(rng.uniform(0.0, 1e-300, inner))),
+    ]
+    v = rng.normal(size=inner)
+    v[inner // 2] = np.inf
+    rows.append((v, np.linspace(0.0, 0.5, inner)))
+    v = rng.normal(size=inner)
+    v[-1] = np.nan
+    rows.append((v, np.linspace(0.0, 0.5, inner)))
+    p = np.linspace(0.0, 0.5, inner)
+    p[0] = np.nan  # a NaN point gives dp = NaN, not > 0: its pairs count 0
+    rows.append((rng.normal(size=inner), p))
+    p = np.linspace(0.0, 0.5, inner)
+    p[:2] = 0.25  # NaN values on equal points: that pair counts 0
+    v = rng.normal(size=inner)
+    v[:2] = np.nan
+    rows.append((v, p))
+    vals, pts = (np.array(c) for c in zip(*rows))
+    return vals, pts
+
+
+@pytest.mark.parametrize("inner", [1, 2, 3, 9])
+def test_worst_quotient_offsets_match_triu_pairs(inner):
+    # the pairs i < j by offset over (inner, block) rows against the
+    # np.triu_indices gather over (block, inner) rows: same bits
+    vals, pts = _edge_rows(inner, np.random.default_rng(inner))
+    want = worst_quotient_triu_reference(vals, pts, 0.5)
+    got = _worst_quotient(np.ascontiguousarray(vals.T), np.ascontiguousarray(pts.T), 0.5)
+    assert got.shape == want.shape == (vals.shape[0],)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if inner == 1:
+        assert not got.any()  # no pairs: every row is the initial 0
+    else:
+        assert got[0] == 0.0 and got[1] == 0.0  # equal points, constant values
+        assert np.isinf(got[2]) and np.isinf(got[3]) and np.isinf(got[6]) and np.isinf(got[7])
+
 def test_regularity_without_regular_points_raises():
     # with a = 100 every radius 0.5 d(x,S)^a falls under the exclusion cutoff
     base = built_in("doubling")
@@ -323,3 +371,65 @@ def test_branch_checks_accept_every_built_in_table():
         MapModel(name=name, map_kind=m.map_kind, domain=m.domain, a=m.a, beta=m.beta,
                  kappa=m.kappa, table=m.table.copy(), sing=m.sing.copy())
     parse_map_file(MIXED_FILE)
+
+
+ONE_QUADRATIC_FILE = """
+[map]
+a = 2.5
+beta = 0.5
+kappa = 16.0
+domain = 0.0 0.5
+singular = 0.0 0.25 0.5
+[branch]
+dom = 0.0 0.5
+kind = quadratic
+coef = 0.0 4.0 -8.0
+"""
+
+
+def test_map_file_affine_branch_must_not_be_flat():
+    flat = DOUBLING_FILE.replace("coef = 0.0 2.0", "coef = 0.1 0.0")
+    with pytest.raises(MapFileError, match=r"branch 0 \[0\.0, 0\.25\]: .*monotone.*affine slope c1 is 0"):
+        parse_map_file(flat)
+
+
+def test_map_file_quadratic_vertex_must_not_lie_inside_the_branch():
+    # 4y(1 - 2y) on all of [0, 0.5] folds at its vertex 0.25
+    with pytest.raises(MapFileError, match=r"branch 0 \[0\.0, 0\.5\]: .*monotone.*vertex 0\.25 lies inside"):
+        parse_map_file(ONE_QUADRATIC_FILE)
+    with pytest.raises(MapFileError, match=r"branch 0 .*quadratic coefficient c2 is 0"):
+        parse_map_file(ONE_QUADRATIC_FILE.replace("coef = 0.0 4.0 -8.0", "coef = 0.0 1.0 0.0"))
+
+
+@pytest.mark.parametrize("c2", ["-0.4", "-0.5", "-0.25"])
+def test_map_file_moebius_pole_must_not_lie_in_the_branch(c2):
+    # (0.1) / (c2 + x) on [0.25, 0.5] with its pole inside or at either end
+    pole = DOUBLING_FILE.replace("kind = affine\ncoef = -0.5 2.0",
+                                 f"kind = moebius\ncoef = 0.1 0.0 {c2} 1.0")
+    with pytest.raises(MapFileError, match=r"branch 1 \[0\.25, 0\.5\]: .*monotone.*moebius pole"):
+        parse_map_file(pole)
+    flat = DOUBLING_FILE.replace("kind = affine\ncoef = -0.5 2.0",
+                                 "kind = moebius\ncoef = 0.2 0.4 1.0 2.0")
+    with pytest.raises(MapFileError, match=r"branch 1 .*moebius determinant"):
+        parse_map_file(flat)
+
+
+def test_cli_rejects_a_non_monotone_branch(tmp_path, capsys):
+    p = tmp_path / "fold.map"
+    p.write_text(ONE_QUADRATIC_FILE, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["verify-map", "--map", str(p), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "vertex 0.25 lies inside" in capsys.readouterr().err
+
+
+def test_map_file_shape_errors_name_the_key():
+    # found by fuzzing: a three-number domain failed in MapModel with a bare
+    # "too many values to unpack", and a fifth coefficient was dropped
+    with pytest.raises(MapFileError, match=r"domain needs 2 numbers, got 3"):
+        parse_map_file(DOUBLING_FILE.replace("domain = 0.0 0.5", "domain = 0.0 0.5 0.7"))
+    with pytest.raises(MapFileError, match=r"coef takes at most 4 numbers, got 5"):
+        parse_map_file(DOUBLING_FILE.replace("coef = 0.0 2.0", "coef = 0.0 2.0 0.0 0.0 7.0"))
+    # a key named like the section bookkeeping is just an unknown key
+    m = parse_map_file(DOUBLING_FILE.replace("[map]\n", "[map]\n__section__ = branch\n"))
+    assert m.name == "mydoubling"
