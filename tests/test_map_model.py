@@ -220,6 +220,7 @@ def test_worst_quotient_offsets_match_triu_pairs(inner):
         assert got[0] == 0.0 and got[1] == 0.0  # equal points, constant values
         assert np.isinf(got[2]) and np.isinf(got[3]) and np.isinf(got[6]) and np.isinf(got[7])
 
+
 def test_regularity_without_regular_points_raises():
     # with a = 100 every radius 0.5 d(x,S)^a falls under the exclusion cutoff
     base = built_in("doubling")
@@ -401,17 +402,16 @@ def test_map_file_quadratic_vertex_must_not_lie_inside_the_branch():
         parse_map_file(ONE_QUADRATIC_FILE.replace("coef = 0.0 4.0 -8.0", "coef = 0.0 1.0 0.0"))
 
 
-@pytest.mark.parametrize("c2", ["-0.4", "-0.5", "-0.25"])
-def test_map_file_moebius_pole_must_not_lie_in_the_branch(c2):
-    # (0.1) / (c2 + x) on [0.25, 0.5] with its pole inside or at either end
-    pole = DOUBLING_FILE.replace("kind = affine\ncoef = -0.5 2.0",
-                                 f"kind = moebius\ncoef = 0.1 0.0 {c2} 1.0")
-    with pytest.raises(MapFileError, match=r"branch 1 \[0\.25, 0\.5\]: .*monotone.*moebius pole"):
-        parse_map_file(pole)
-    flat = DOUBLING_FILE.replace("kind = affine\ncoef = -0.5 2.0",
-                                 "kind = moebius\ncoef = 0.2 0.4 1.0 2.0")
-    with pytest.raises(MapFileError, match=r"branch 1 .*moebius determinant"):
-        parse_map_file(flat)
+@pytest.mark.parametrize("coef, clause", [
+    ("0.1 0.0 -0.4 1.0", "pole"),         # 0.1 / (x - 0.4): pole inside [0.25, 0.5]
+    ("0.1 0.0 -0.5 1.0", "pole"),         # pole at the right end
+    ("0.1 0.0 -0.25 1.0", "pole"),        # pole at the left end
+    ("0.2 0.4 1.0 2.0", "determinant"),  # (0.2 + 0.4x) / (1 + 2x) = 0.2
+])
+def test_map_file_moebius_branch_must_be_monotone(coef, clause):
+    m = DOUBLING_FILE.replace("kind = affine\ncoef = -0.5 2.0", f"kind = moebius\ncoef = {coef}")
+    with pytest.raises(MapFileError, match=rf"branch 1 \[0\.25, 0\.5\]: .*monotone.*moebius {clause}"):
+        parse_map_file(m)
 
 
 def test_cli_rejects_a_non_monotone_branch(tmp_path, capsys):
@@ -424,8 +424,8 @@ def test_cli_rejects_a_non_monotone_branch(tmp_path, capsys):
 
 
 def test_map_file_shape_errors_name_the_key():
-    # found by fuzzing: a three-number domain failed in MapModel with a bare
-    # "too many values to unpack", and a fifth coefficient was dropped
+    # a three-number domain failed in MapModel with a bare "too many values
+    # to unpack" (found by fuzzing), and a fifth coefficient was dropped
     with pytest.raises(MapFileError, match=r"domain needs 2 numbers, got 3"):
         parse_map_file(DOUBLING_FILE.replace("domain = 0.0 0.5", "domain = 0.0 0.5 0.7"))
     with pytest.raises(MapFileError, match=r"coef takes at most 4 numbers, got 5"):

@@ -1,6 +1,7 @@
 """Fuzz the map-file and run-config parsers: every input either parses or
 raises one of the exceptions ``cli.main`` turns into exit 2."""
 
+from dataclasses import fields
 from datetime import timedelta
 
 from hypothesis import HealthCheck, given, settings
@@ -76,7 +77,7 @@ def test_parse_map_file_parses_or_raises_a_usage_error(text):
     assert isinstance(m, MapModel)
 
 
-CONFIG_KEYS = [f.name for f in RunConfig.__dataclass_fields__.values()] + ["other", ""]
+CONFIG_KEYS = [f.name for f in fields(RunConfig)] + ["other", ""]
 
 
 @st.composite
