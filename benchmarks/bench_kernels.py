@@ -1,7 +1,9 @@
-"""Benchmark the hot kernels on the lane that runs (scalar Python plus
-vectorized numpy) and print the best of three timings per kernel.
+"""Benchmark both kernel lanes and print the best of three timings each:
+the scalar lane (``Branch``/``MapModel``, through the orbit builders behind
+``make_window``) and the batch lane (``_kernels``: ``*_vec``,
+``periodic_roots``).
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import time
@@ -13,6 +15,7 @@ def bench(reps=3):
     import symdyn
     from symdyn import _kernels as K
     from symdyn import library
+    from symdyn import natural_extension as ne
     from symdyn.analysis import map_periodic_points
 
     m = symdyn.built_in("quadratic")
@@ -24,19 +27,17 @@ def bench(reps=3):
     rng = np.random.default_rng(0)
     xs = m.draw_regular_points(2000, rng)
 
-    def orbits():
+    def windows(word, fwd_len):
         for x in xs[:500]:
-            K.forward_orbit(m.map_kind, m.table, float(x), 200, m.exclusion, m.sing)
+            try:
+                ne.make_window(m, float(x), word, fwd_len)
+            except symdyn.SingularPoint:
+                pass  # the orbit stops where it meets the singular set
 
-    timeit("forward_orbit (500 x 200 steps)", orbits)
+    timeit("make_window forward orbits (500 x 200 steps)", lambda: windows([], 200))
 
-    word = np.array([0, 1] * 100, dtype=np.int64)
-
-    def backs():
-        for x in xs[:500]:
-            K.backward_orbit(m.map_kind, m.table, float(x), word, m.exclusion, m.sing)
-
-    timeit("backward_orbit (500 x 200 steps)", backs)
+    word = [0, 1] * 100
+    timeit("make_window backward orbits (500 x 200 steps)", lambda: windows(word, 0))
 
     timeit("periodic points n=12 (4096 words)",
            lambda: map_periodic_points(m, 12))
@@ -75,7 +76,7 @@ def _time_one(fn):
 
 
 def main():
-    print(f"{'kernel':55s} {'numpy':>10s}")
+    print(f"{'kernel':55s} {'time':>10s}")
     for name, t in bench().items():
         print(f"{name:55s} {t:9.4f}s")
 

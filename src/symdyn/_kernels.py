@@ -1,5 +1,5 @@
-"""Hot numeric kernels: branch-table map evaluation, orbit iteration and
-periodic-point bisection.
+"""Batch numeric kernels: branch-table map evaluation and periodic-point
+bisection over numpy arrays.
 
 Maps are encoded for the kernels as a ``(map_kind, table, sing)`` triple:
 
@@ -11,11 +11,14 @@ Maps are encoded for the kernels as a ``(map_kind, table, sing)`` triple:
   ``1/(4x) - n/2`` on ``(1/(2n+2), 1/(2n)]``; the singular set
   ``{0} u {1/(2n)}`` has a closed-form distance.
 
-There is one lane: scalar Python kernels for sequential work (single
-points, orbits) and vectorized numpy kernels (``*_vec``,
-``periodic_roots``) for batches.  ``benchmarks/bench_kernels.py`` times
-them.
+This module is the batch lane (``*_vec``, ``periodic_roots``).  Single
+points and orbits are the scalar lane, ``map_model.Branch`` and
+``MapModel``, which evaluate the same per-kind formulas (``fwd_formula``
+... ``dinv_formula``) on one branch's coefficients.
+``benchmarks/bench_kernels.py`` times both lanes.
 """
+
+import math
 
 import numpy as np
 
@@ -28,174 +31,6 @@ KIND_MOEBIUS = 2
 
 # Kernel lane recorded in run environments; there is no compiled lane.
 USE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# scalar branch evaluation
-# ---------------------------------------------------------------------------
-
-def branch_index(map_kind, table, x):
-    if map_kind == MAPKIND_GAUSS:
-        n = int(np.floor(1.0 / (2.0 * x)))
-        if n < 1:
-            n = 1
-        # floating floor can land one branch off near an endpoint
-        if x <= 1.0 / (2.0 * (n + 1)):
-            n += 1
-        elif x > 1.0 / (2.0 * n):
-            n -= 1
-        return n
-    nb = table.shape[0]
-    for i in range(nb):
-        if table[i, 1] <= x < table[i, 2]:
-            return i
-    if x == table[nb - 1, 2]:
-        return nb - 1
-    return -1
-
-
-def fwd(map_kind, table, bid, x):
-    if map_kind == MAPKIND_GAUSS:
-        return (1.0 - 2.0 * bid * x) / (4.0 * x)
-    kind = int(table[bid, 0])
-    c0 = table[bid, 3]
-    c1 = table[bid, 4]
-    c2 = table[bid, 5]
-    c3 = table[bid, 6]
-    if kind == KIND_AFFINE:
-        return c0 + c1 * x
-    if kind == KIND_QUADRATIC:
-        return c0 + c1 * x + c2 * x * x
-    return (c0 + c1 * x) / (c2 + c3 * x)
-
-
-def dfwd(map_kind, table, bid, x):
-    if map_kind == MAPKIND_GAUSS:
-        return -1.0 / (4.0 * x * x)
-    kind = int(table[bid, 0])
-    c0 = table[bid, 3]
-    c1 = table[bid, 4]
-    c2 = table[bid, 5]
-    c3 = table[bid, 6]
-    if kind == KIND_AFFINE:
-        return c1
-    if kind == KIND_QUADRATIC:
-        return c1 + 2.0 * c2 * x
-    den = c2 + c3 * x
-    return (c1 * c2 - c0 * c3) / (den * den)
-
-
-def inv(map_kind, table, bid, y):
-    if map_kind == MAPKIND_GAUSS:
-        return 1.0 / (4.0 * y + 2.0 * bid)
-    kind = int(table[bid, 0])
-    c0 = table[bid, 3]
-    c1 = table[bid, 4]
-    c2 = table[bid, 5]
-    c3 = table[bid, 6]
-    if kind == KIND_AFFINE:
-        return (y - c0) / c1
-    if kind == KIND_QUADRATIC:
-        s = table[bid, 7]
-        disc = c1 * c1 - 4.0 * c2 * (c0 - y)
-        if disc < 0.0:
-            disc = 0.0
-        return (-c1 + s * np.sqrt(disc)) / (2.0 * c2)
-    return (c0 - c2 * y) / (c3 * y - c1)
-
-
-def dinv(map_kind, table, bid, y):
-    if map_kind == MAPKIND_GAUSS:
-        d = 4.0 * y + 2.0 * bid
-        return -4.0 / (d * d)
-    kind = int(table[bid, 0])
-    c0 = table[bid, 3]
-    c1 = table[bid, 4]
-    c2 = table[bid, 5]
-    c3 = table[bid, 6]
-    if kind == KIND_AFFINE:
-        return 1.0 / c1
-    if kind == KIND_QUADRATIC:
-        s = table[bid, 7]
-        disc = c1 * c1 - 4.0 * c2 * (c0 - y)
-        if disc <= 0.0:
-            return np.inf
-        return s / np.sqrt(disc)
-    d = c3 * y - c1
-    return (c1 * c2 - c0 * c3) / (d * d)
-
-
-def sing_dist(map_kind, table, sing, x):
-    if map_kind == MAPKIND_GAUSS:
-        best = abs(x)  # distance to 0
-        if x > 0.0:
-            n = int(np.floor(1.0 / (2.0 * x)))
-            if n < 1:
-                n = 1
-            for m in range(n - 1, n + 2):
-                if m >= 1:
-                    d = abs(x - 1.0 / (2.0 * m))
-                    if d < best:
-                        best = d
-        return best
-    best = np.inf
-    for i in range(sing.shape[0]):
-        d = abs(x - sing[i])
-        if d < best:
-            best = d
-    return best
-
-
-# ---------------------------------------------------------------------------
-# forward / backward orbits
-# ---------------------------------------------------------------------------
-
-def forward_orbit(map_kind, table, x0, nsteps, exclusion, sing):
-    """Iterate f; returns (points[n+1], branches[n], logderivs[n], signs[n],
-    steps_done, ok).  Stops early (ok=False) if an iterate comes within
-    ``exclusion`` of the singular set or leaves every branch domain."""
-    pts = np.empty(nsteps + 1)
-    bids = np.empty(nsteps, dtype=np.int64)
-    ld = np.empty(nsteps)
-    sg = np.empty(nsteps, dtype=np.int64)
-    pts[0] = x0
-    x = x0
-    for k in range(nsteps):
-        if sing_dist(map_kind, table, sing, x) <= exclusion:
-            return pts, bids, ld, sg, k, False
-        b = branch_index(map_kind, table, x)
-        if b < 0:
-            return pts, bids, ld, sg, k, False
-        d = dfwd(map_kind, table, b, x)
-        if d == 0.0 or not np.isfinite(d):
-            return pts, bids, ld, sg, k, False
-        bids[k] = b
-        ld[k] = np.log(abs(d))
-        sg[k] = 1 if d > 0.0 else -1
-        x = fwd(map_kind, table, b, x)
-        pts[k + 1] = x
-    if sing_dist(map_kind, table, sing, x) <= exclusion:
-        return pts, bids, ld, sg, nsteps, False
-    return pts, bids, ld, sg, nsteps, True
-
-
-def backward_orbit(map_kind, table, x0, word, exclusion, sing):
-    """Iterate inverse branches along ``word``; word[k] is the branch that
-    must contain x_{-k-1}.  Returns (points with points[k] = x_{-k},
-    steps_done, ok)."""
-    n = word.shape[0]
-    pts = np.empty(n + 1)
-    pts[0] = x0
-    y = x0
-    for k in range(n):
-        b = word[k]
-        y = inv(map_kind, table, b, y)
-        if sing_dist(map_kind, table, sing, y) <= exclusion:
-            return pts, k, False
-        if branch_index(map_kind, table, y) != b:
-            return pts, k, False
-        pts[k + 1] = y
-    return pts, n, True
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +96,26 @@ def _batch(formula, map_kind, table, bid, x):
     return out
 
 
-def _fwd_formula(kind, col, x):
+# The per-kind formulas of both lanes: ``col(j)`` is column ``j`` of the
+# branch row, an array of coefficients in ``_batch`` and one Python float in
+# the scalar lane (``map_model.Branch``), which stays in Python arithmetic.
+
+def _nan_if_zero(c):
+    """A zero divisor as NaN: degenerate coefficients give NaN, not inf."""
+    if isinstance(c, np.ndarray):
+        return np.where(c == 0.0, np.nan, c)
+    return math.nan if c == 0.0 else c
+
+
+def _sqrt_disc(c0, c1, c2, y):
+    """sqrt(max(c1^2 - 4 c2 (c0 - y), 0)) for a quadratic branch at y."""
+    disc = c1 * c1 - 4.0 * c2 * (c0 - y)
+    if isinstance(disc, np.ndarray):
+        return np.sqrt(np.maximum(disc, 0.0))
+    return math.sqrt(max(disc, 0.0))
+
+
+def fwd_formula(kind, col, x):
     c0, c1 = col(_C0), col(_C1)
     if kind == KIND_AFFINE:
         return c0 + c1 * x
@@ -270,7 +124,7 @@ def _fwd_formula(kind, col, x):
     return (c0 + c1 * x) / (col(_C2) + col(_C3) * x)
 
 
-def _dfwd_formula(kind, col, x):
+def dfwd_formula(kind, col, x):
     c1 = col(_C1)
     if kind == KIND_AFFINE:
         return c1
@@ -282,44 +136,46 @@ def _dfwd_formula(kind, col, x):
     return (c1 * c2 - c0 * c3) / (den * den)
 
 
-def _inv_formula(kind, col, y):
+def inv_formula(kind, col, y):
     c0, c1 = col(_C0), col(_C1)
     if kind == KIND_AFFINE:
-        return (y - c0) / np.where(c1 == 0.0, np.nan, c1)
+        return (y - c0) / _nan_if_zero(c1)
     c2 = col(_C2)
     if kind == KIND_QUADRATIC:
-        disc = np.maximum(c1 * c1 - 4.0 * c2 * (c0 - y), 0.0)
-        return (-c1 + col(_SIGN) * np.sqrt(disc)) / (2.0 * np.where(c2 == 0.0, np.nan, c2))
+        return (-c1 + col(_SIGN) * _sqrt_disc(c0, c1, c2, y)) / (2.0 * _nan_if_zero(c2))
     return (c0 - c2 * y) / (col(_C3) * y - c1)
 
 
-def _dinv_formula(kind, col, y):
+def dinv_formula(kind, col, y):
     c1 = col(_C1)
     if kind == KIND_AFFINE:
-        return 1.0 / np.where(c1 == 0.0, np.nan, c1)
+        return 1.0 / _nan_if_zero(c1)
     c0, c2 = col(_C0), col(_C2)
     if kind == KIND_QUADRATIC:
-        disc = c1 * c1 - 4.0 * c2 * (c0 - y)
-        return np.where(disc > 0.0, col(_SIGN) / np.sqrt(np.abs(disc)), np.inf)
+        # infinite at the critical value (disc <= 0)
+        r = _sqrt_disc(c0, c1, c2, y)
+        if isinstance(r, np.ndarray):
+            return np.where(r > 0.0, col(_SIGN) / r, np.inf)
+        return col(_SIGN) / r if r > 0.0 else math.inf
     c3 = col(_C3)
     den = c3 * y - c1
     return (c1 * c2 - c0 * c3) / (den * den)
 
 
 def fwd_vec(map_kind, table, bid, x):
-    return _batch(_fwd_formula, map_kind, table, bid, x)
+    return _batch(fwd_formula, map_kind, table, bid, x)
 
 
 def dfwd_vec(map_kind, table, bid, x):
-    return _batch(_dfwd_formula, map_kind, table, bid, x)
+    return _batch(dfwd_formula, map_kind, table, bid, x)
 
 
 def inv_vec(map_kind, table, bid, y):
-    return _batch(_inv_formula, map_kind, table, bid, y)
+    return _batch(inv_formula, map_kind, table, bid, y)
 
 
 def dinv_vec(map_kind, table, bid, y):
-    return _batch(_dinv_formula, map_kind, table, bid, y)
+    return _batch(dinv_formula, map_kind, table, bid, y)
 
 
 def sing_dist_vec(map_kind, table, sing, x):

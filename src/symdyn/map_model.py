@@ -59,24 +59,24 @@ class Branch:
     kind: int
     coef: tuple
     inv_sign: float = 1.0
-    row: np.ndarray = field(init=False, repr=False, compare=False)  # one-row kernel table
+    row: tuple = field(init=False, repr=False, compare=False)  # its kernel table row
 
     def __post_init__(self):
-        row = np.array([[self.kind, self.lo, self.hi, *self.coef, self.inv_sign]])
-        row.setflags(write=False)
-        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "row", (self.kind, self.lo, self.hi, *self.coef, self.inv_sign))
+
+    # the scalar lane: the batch kernels' formulas on this branch's row
 
     def fwd(self, x):
-        return K.fwd(MAPKIND_TABLE, self.row, 0, x)
+        return float(K.fwd_formula(self.kind, self.row.__getitem__, x))
 
     def dfwd(self, x):
-        return K.dfwd(MAPKIND_TABLE, self.row, 0, x)
+        return float(K.dfwd_formula(self.kind, self.row.__getitem__, x))
 
     def inv(self, y):
-        return K.inv(MAPKIND_TABLE, self.row, 0, y)
+        return float(K.inv_formula(self.kind, self.row.__getitem__, y))
 
     def dinv(self, y):
-        return K.dinv(MAPKIND_TABLE, self.row, 0, y)
+        return float(K.dinv_formula(self.kind, self.row.__getitem__, y))
 
     def inv_diff(self, y, s):
         """g(y+s) - g(y), stable for tiny s."""
@@ -137,6 +137,7 @@ class MapModel:
     exclusion: float = EXCLUSION_RADIUS
     _branches: tuple = field(init=False, repr=False, compare=False)
     _cover_ids: dict = field(init=False, repr=False, compare=False)  # x -> cover id
+    _sing: tuple = field(init=False, repr=False, compare=False)  # sing as Python floats
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -156,6 +157,7 @@ class MapModel:
             _check_branches(branches, self.domain)
         object.__setattr__(self, "_branches", branches)
         object.__setattr__(self, "_cover_ids", {})
+        object.__setattr__(self, "_sing", tuple(self.sing.tolist()))
 
     # -- branch access ------------------------------------------------
 
@@ -180,29 +182,63 @@ class MapModel:
         """
         if self.singular_distance(x) <= self.exclusion:
             raise SingularPoint(f"x={x!r} is within the exclusion radius of the singular set")
-        b = K.branch_index(self.map_kind, self.table, x)
+        b = self._branch_index(x)
         if b < 0:
             raise SingularPoint(f"x={x!r} lies in no branch domain")
-        return int(b)
+        return b
+
+    def _branch_index(self, x):
+        """Id of the branch whose domain [lo, hi) contains x (the last branch
+        also holds its hi), or -1; gauss branch n holds (1/(2n+2), 1/(2n)]."""
+        if self.map_kind == MAPKIND_GAUSS:
+            n = max(math.floor(1.0 / (2.0 * x)), 1)
+            # floating floor can land one branch off near an endpoint
+            if x <= 1.0 / (2.0 * (n + 1)):
+                n += 1
+            elif x > 1.0 / (2.0 * n):
+                n -= 1
+            return n
+        for b in self._branches:
+            if b.lo <= x < b.hi:
+                return b.id
+        return self._branches[-1].id if x == self._branches[-1].hi else -1
 
     # -- pointwise dynamics --------------------------------------------
 
     def singular_distance(self, x):
-        return float(K.sing_dist(self.map_kind, self.table, self.sing, x))
+        if self.map_kind == MAPKIND_GAUSS:
+            # singular set {0} u {1/(2n)}: 0 and the three nearest 1/(2m)
+            best = abs(x)
+            if x > 0.0:
+                n = max(math.floor(1.0 / (2.0 * x)), 1)
+                for m in range(max(n - 1, 1), n + 2):
+                    d = abs(x - 1.0 / (2.0 * m))
+                    if d < best:
+                        best = d
+            return float(best)
+        best = math.inf
+        for s in self._sing:
+            d = abs(x - s)
+            if d < best:
+                best = d
+        return float(best)
 
     def f(self, x):
-        return float(K.fwd(self.map_kind, self.table, self.branch_at(x), x))
+        return self.branch_by_id(self.branch_at(x)).fwd(x)
 
     def preimage(self, y, bid):
         """g_bid(y): the preimage of y through the given inverse branch."""
-        return float(K.inv(self.map_kind, self.table, bid, y))
+        return self.branch_by_id(bid).inv(y)
 
     def radius(self, x):
         """Canonical r(x); raises SingularPoint below the exclusion cutoff."""
         dx = self.singular_distance(x)
         if dx <= self.exclusion:
             raise SingularPoint(f"x={x!r} singular")
-        fx = K.fwd(self.map_kind, self.table, K.branch_index(self.map_kind, self.table, x), x)
+        b = self._branch_index(x)
+        if b < 0:
+            raise SingularPoint(f"x={x!r} lies in no branch domain")
+        fx = self.branch_by_id(b).fwd(x)
         dfx = self.singular_distance(fx)
         if dfx <= self.exclusion:
             raise SingularPoint(f"f(x)={fx!r} singular")
@@ -231,7 +267,8 @@ class MapModel:
         if self.map_kind == MAPKIND_TABLE:
             return MAPKIND_TABLE, self.table
         n = 16 if n_branches is None else n_branches
-        return MAPKIND_TABLE, np.vstack([_gauss_branch(m).row for m in range(1, n + 1)])
+        rows = [_gauss_branch(m).row for m in range(1, n + 1)]
+        return MAPKIND_TABLE, np.array(rows, dtype=np.float64)
 
     # -- regularity ----------------------------------------------------
 
@@ -271,8 +308,8 @@ class MapModel:
 
 def _check_branches(branches, domain):
     """Raise MapFileError unless the branch domains partition ``domain``,
-    every branch is monotone on its domain and maps its endpoints into
-    ``domain``."""
+    every branch is monotone on its domain, inverts onto it (a quadratic's
+    ``inv_sign``) and maps its endpoints into ``domain``."""
     lo, hi = domain
     clause = f"branch domains must partition the domain [{lo!r}, {hi!r}]"
     edge = lo
@@ -288,8 +325,14 @@ def _check_branches(branches, domain):
         fault = _monotone_fault(b)
         if fault:
             raise MapFileError(f"{name}: a branch must be monotone on its domain; {fault}")
+        if b.kind == KIND_QUADRATIC:
+            vertex = -b.coef[1] / (2.0 * b.coef[2])
+            sign = 1.0 if (vertex <= b.lo) == (b.coef[2] > 0.0) else -1.0
+            if b.inv_sign != sign:
+                raise MapFileError(f"{name}: inv_sign must be {sign:g}, the root on the branch's "
+                                   f"side of the vertex {vertex!r}; got {b.inv_sign!r}")
         for x in (b.lo, b.hi):
-            y = float(b.fwd(x))
+            y = b.fwd(x)
             if not lo <= y <= hi:
                 raise MapFileError(f"{name}: the image f({x!r}) = {y!r} lies outside "
                                    f"the domain [{lo!r}, {hi!r}]")

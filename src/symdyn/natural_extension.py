@@ -2,8 +2,8 @@
 
 A point of the inverse limit is approximated by a window: the zeroth
 coordinate, a backward branch word of length N selecting one past, and a
-forward horizon F.  All cached quantities (points, log-derivatives, sign
-counts, prefix sums) live in shared immutable arrays; shifting is index
+forward horizon F.  All cached quantities (points, branch ids,
+log-derivatives, prefix sums) live in shared immutable arrays; shifting is index
 relabeling on the same arrays, so quantities computed at a given absolute
 index are bitwise identical regardless of which shifted view computed them.
 
@@ -42,7 +42,6 @@ class OrbitWindow:
     branch_ids: np.ndarray  # branch of x_i for i in [-N, F-1]
     logderivs: np.ndarray   # log|df| at x_i  for i in [-N, F-1]
     cumlog: np.ndarray      # prefix sums; cumlog[j] = sum(logderivs[:j])
-    negcum: np.ndarray      # prefix counts of negative df
     off: int                # array index of x_0
     u_depth: int = 0        # fixed u truncation depth; 0 = full available
     period: int = 0         # > 0 for periodic (cycle) windows
@@ -81,10 +80,10 @@ class OrbitWindow:
         return [int(self.branch_ids[self.off - k]) for k in range(1, self.back_len + 1)]
 
     def deriv(self, n):
-        """df at x_n."""
+        """df at x_n: the cached |df| with the sign of its branch's df there."""
         i = self.off + n
-        sign = -1.0 if self.negcum[i + 1] - self.negcum[i] else 1.0
-        return sign * math.exp(self.logderivs[i])
+        sign = self.m.branch_by_id(self.branch_ids[i]).dfwd(self.points[i])
+        return math.copysign(math.exp(self.logderivs[i]), sign)
 
     # -- shifts -----------------------------------------------------------
 
@@ -118,12 +117,7 @@ class OrbitWindow:
                                   np.tile(self.branch_ids[-self.period:], reps)])
             ld = np.concatenate([self.logderivs, np.tile(self.logderivs[-self.period:], reps)])
         else:
-            x_last = self.points[-1]
-            pts2, bid2, ld2, sg2, done, ok = K.forward_orbit(
-                self.m.map_kind, self.m.table, x_last, extra, self.m.exclusion, self.m.sing)
-            if not ok:
-                raise SingularPoint(
-                    f"forward extension hit the singular set after {done} steps")
+            pts2, bid2, ld2 = forward_orbit(self.m, self.points[-1], extra)
             pts = np.concatenate([self.points, pts2[1:]])
             bid = np.concatenate([self.branch_ids, bid2])
             ld = np.concatenate([self.logderivs, ld2])
@@ -158,17 +152,48 @@ def hat_distance(w1, w2, depth):
 
 
 def _assemble(m, pts, bid, ld, off, u_depth=0, period=0):
-    signs = np.zeros(ld.shape[0] + 1, dtype=np.int64)
-    # sign of df recovered from the branch tables is cheap but we already
-    # know it from dfwd during construction; recompute here for uniformity
-    d = K.dfwd_vec(m.map_kind, m.table, bid, pts[:-1])
-    signs[1:] = np.cumsum(d < 0)
     cum = np.zeros(ld.shape[0] + 1)
     cum[1:] = np.cumsum(ld)
-    for arr in (pts, bid, ld, cum, signs):
+    for arr in (pts, bid, ld, cum):
         arr.setflags(write=False)
     return OrbitWindow(m=m, points=pts, branch_ids=bid, logderivs=ld,
-                       cumlog=cum, negcum=signs, off=off, u_depth=u_depth, period=period)
+                       cumlog=cum, off=off, u_depth=u_depth, period=period)
+
+
+def forward_orbit(m, x, nsteps):
+    """The f-orbit x_0..x_n of x (n = nsteps), the branch ids and log|df| of
+    x_0..x_{n-1}.  Raises SingularPoint if an iterate comes within the
+    exclusion radius of the singular set, lies in no branch domain or has
+    df = 0 or non-finite."""
+    x = float(x)
+    pts, bids, ds = [x], [], []
+    for k in range(nsteps):
+        br = m.branch_by_id(m.branch_at(x))
+        d = br.dfwd(x)
+        if d == 0.0 or not math.isfinite(d):
+            raise SingularPoint(f"forward orbit reaches df = {d!r} after {k} steps")
+        bids.append(br.id)
+        ds.append(d)
+        x = br.fwd(x)
+        pts.append(x)
+    if m.singular_distance(x) <= m.exclusion:
+        raise SingularPoint(f"forward orbit hit the singular set after {nsteps} steps")
+    return np.array(pts), np.array(bids, dtype=np.int64), np.log(np.abs(np.array(ds)))
+
+
+def backward_orbit(m, x, word):
+    """x_{-1}, x_{-2}, ... of the inverse-branch iteration from x along
+    ``word``, where word[k] is the branch that must contain x_{-k-1}.
+    Raises SingularPoint if a preimage is singular or leaves its branch."""
+    y = float(x)
+    pts = []
+    for k, b in enumerate(word):
+        y = m.preimage(y, b)
+        if m.branch_at(y) != b:
+            raise SingularPoint(f"backward word invalid after {k} steps: x_{-k - 1}={y!r} "
+                                f"is not in branch {b}")
+        pts.append(y)
+    return np.array(pts)
 
 
 def make_window(m, x0, back_word, fwd_len, u_depth=0):
@@ -179,20 +204,13 @@ def make_window(m, x0, back_word, fwd_len, u_depth=0):
     the exact f iteration.
     """
     word = np.asarray(back_word, dtype=np.int64)
-    bpts, bdone, bok = K.backward_orbit(m.map_kind, m.table, x0, word, m.exclusion, m.sing)
-    if not bok:
-        raise SingularPoint(f"backward word invalid after {bdone} steps")
-    fpts, fbid, fld, fsg, fdone, fok = K.forward_orbit(
-        m.map_kind, m.table, x0, fwd_len, m.exclusion, m.sing)
-    if not fok:
-        raise SingularPoint(f"forward orbit hit the singular set after {fdone} steps")
-    n = word.shape[0]
-    pts = np.concatenate([bpts[1:][::-1], fpts])
-    back_pts = bpts[1:]  # x_{-1}, x_{-2}, ...
+    back_pts = backward_orbit(m, x0, word)[::-1]  # x_{-N}, ..., x_{-1}
+    fpts, fbid, fld = forward_orbit(m, x0, fwd_len)
+    pts = np.concatenate([back_pts, fpts])
     bids = np.concatenate([word[::-1], fbid])
-    bld = np.log(np.abs(K.dfwd_vec(m.map_kind, m.table, word[::-1], back_pts[::-1])))
+    bld = np.log(np.abs(K.dfwd_vec(m.map_kind, m.table, word[::-1], back_pts)))
     ld = np.concatenate([bld, fld])
-    return _assemble(m, pts, bids, ld, off=n, u_depth=u_depth)
+    return _assemble(m, pts, bids, ld, off=word.shape[0], u_depth=u_depth)
 
 
 def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len, u_depth=None):
@@ -238,8 +256,7 @@ def _periodic_from_cycle(m, cyc, word, back_depth, fwd_len, u_depth):
     pts = np.array([cyc[i % P] for i in idx])
     bids = np.array([word[i % P] for i in idx[:-1]], dtype=np.int64)
     for i, b in enumerate(bids[: 2 * P]):
-        expect = K.branch_index(m.map_kind, m.table, pts[i])
-        if expect != b:
+        if m.branch_at(pts[i]) != b:
             raise ValueError(f"cycle point {pts[i]!r} is not in branch {b}")
     d = K.dfwd_vec(m.map_kind, m.table, bids, pts[:-1])
     if np.any(d == 0) or not np.all(np.isfinite(d)):

@@ -185,11 +185,8 @@ def bracket_windows(m, wx, wy):
     branch word of wy, backward coordinates re-derived from wx.x0 through
     the inverse branches (the unstable reconstruction)."""
     word = np.asarray(wy.back_branches, dtype=np.int64)
-    bpts, done, ok = K.backward_orbit(m.map_kind, m.table, wx.x0, word,
-                                      m.exclusion, m.sing)
-    if not ok:
-        raise ValueError(f"unstable word broke after {done} steps")
-    pts = np.concatenate([bpts[1:][::-1], wx.points[wx.off:]])
+    back = ne.backward_orbit(m, wx.x0, word)  # SingularPoint if the word breaks
+    pts = np.concatenate([back[::-1], wx.points[wx.off:]])
     bids = np.concatenate([word[::-1], wx.branch_ids[wx.off:]])
     return ne.make_pseudo_window(m, pts, bids, off=word.shape[0])
 
@@ -422,6 +419,25 @@ def dinv_vec_reference(map_kind, table, bid, y):
         den = c3 * y - c1
         moe = (c1 * c2 - c0 * c3) / (den * den)
     return np.where(kind == K.KIND_AFFINE, aff, np.where(kind == K.KIND_QUADRATIC, quad, moe))
+
+
+# -- gauss branches: the closed forms of 1/(4x) - n/2 on (1/(2n+2), 1/(2n)] --------
+
+def gauss_fwd_reference(n, x):
+    return (1.0 - 2.0 * n * x) / (4.0 * x)
+
+
+def gauss_dfwd_reference(n, x):
+    return -1.0 / (4.0 * x * x)
+
+
+def gauss_inv_reference(n, y):
+    return 1.0 / (4.0 * y + 2.0 * n)
+
+
+def gauss_dinv_reference(n, y):
+    d = 4.0 * y + 2.0 * n
+    return -4.0 / (d * d)
 
 
 # -- regularity: whole-array clauses, all 9 x 9 inner pairs ---------------------
@@ -725,7 +741,8 @@ def cocycle(w, n):
         raise IndexError(n)
     a, b = (w.off, w.off + n) if n >= 0 else (w.off + n, w.off)
     logmag = float(w.cumlog[b] - w.cumlog[a])
-    sign = -1 if (w.negcum[b] - w.negcum[a]) % 2 else 1
+    d = K.dfwd_vec(w.m.map_kind, w.m.table, w.branch_ids[a:b], w.points[a:b])
+    sign = -1 if np.count_nonzero(d < 0.0) % 2 else 1
     return sign, -logmag if n < 0 else logmag
 
 

@@ -123,13 +123,12 @@ def test_map_periodic_points_quadratic():
     # conjugate of the full logistic map: same counts as the tent map
     assert len(an.map_periodic_points(m, 1)[0]) == 2
     assert len(an.map_periodic_points(m, 2)[0]) == 4
-    from symdyn import _kernels as K
     for x in an.map_periodic_points(m, 3)[0].tolist():
         if m.singular_distance(x) <= 1e-9:
             continue  # the fixed point 0 is in the singular set
         y = x
         for _ in range(3):
-            y = K.fwd(m.map_kind, m.table, K.branch_index(m.map_kind, m.table, y), y)
+            y = m.f(y)
         assert y == pytest.approx(x, abs=1e-7)
 
 

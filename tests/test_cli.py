@@ -171,6 +171,34 @@ def test_full_pipeline_artifacts(tmp_path):
     assert head == "# symdyn-graph 1"
 
 
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def test_full_pipeline_numeric_fields_parse_as_floats(tmp_path):
+    # every key=value field of the text artifacts is a round-trip float
+    # literal, or the comma-separated branch word back=; a numpy scalar repr
+    # such as tau0=np.float64(0.0) is neither
+    out = _run_pipeline(tmp_path, "a")
+    for name in ("windows.txt", "alphabet.txt", "graph.txt", "shadows.txt"):
+        numeric = 0
+        for line in (out / name).read_text(encoding="utf-8").splitlines():
+            for field in line.split():
+                key, sep, value = field.partition("=")
+                if not sep:
+                    continue
+                if key == "back":
+                    assert all(t.isdigit() for t in value.split(",") if t), (name, field)
+                else:
+                    assert _parses_as_float(value), (name, field)
+                    numeric += 1
+        assert numeric, name
+
+
 def test_full_pipeline_deterministic(tmp_path):
     out1 = _run_pipeline(tmp_path, "a")
     out2 = _run_pipeline(tmp_path, "b")

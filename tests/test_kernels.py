@@ -1,4 +1,5 @@
-"""Scalar and vectorized kernels agree; periodic points match closed forms."""
+"""The scalar lane (Branch, MapModel) and the batch kernels agree; periodic
+points match closed forms."""
 
 import itertools
 import math
@@ -9,39 +10,94 @@ import pytest
 
 import symdyn
 from symdyn import _kernels as K
+from symdyn import natural_extension as ne
 from symdyn.analysis import MAX_PERIODIC_WORDS, check_word_budget, map_periodic_points
+from symdyn.map_model import parse_map_file
 
 from oracles import (
     dfwd_vec_reference,
     dinv_vec_reference,
     fwd_vec_reference,
+    gauss_dfwd_reference,
+    gauss_dinv_reference,
+    gauss_fwd_reference,
+    gauss_inv_reference,
     inv_vec_reference,
     map_periodic_points_reference,
     periodic_roots_reference,
     sing_dist_vec_reference,
 )
+from test_map_model import DOUBLING_FILE, MIXED_FILE
 
 
-@pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss"])
+def _bits(v):
+    return np.float64(v).view(np.uint64)
+
+
+def _scalar_lane_points(m, rng):
+    """Regular sample points plus points within a few ulps and 1e-11 of
+    every branch endpoint (the singular ones among them are kept, so only
+    the branch formulas, not branch_at, may see them)."""
+    xs = m.draw_regular_points(500, rng).tolist()
+    for b in m.branches:
+        for end, away in ((b.lo, b.hi), (b.hi, b.lo)):
+            x = end
+            for _ in range(3):
+                x = float(np.nextafter(x, away))
+                xs.append(x)
+            xs.append(end + math.copysign(1e-11, away - end))
+    return xs
+
+
+@pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss", "mixed"])
 def test_scalar_vs_vectorized_eval(name):
-    m = symdyn.built_in(name)
-    rng = np.random.default_rng(7)
-    xs = m.draw_regular_points(500, rng)
-    bids = K.branch_index_vec(m.map_kind, m.table, xs)
-    fv = K.fwd_vec(m.map_kind, m.table, bids, xs)
-    dv = K.dfwd_vec(m.map_kind, m.table, bids, xs)
-    sv = K.sing_dist_vec(m.map_kind, m.table, m.sing, xs)
-    for i, x in enumerate(xs):
-        b = K.branch_index(m.map_kind, m.table, x)
-        assert b == bids[i]
-        assert K.fwd(m.map_kind, m.table, b, x) == fv[i]
-        assert K.dfwd(m.map_kind, m.table, b, x) == dv[i]
-        assert K.sing_dist(m.map_kind, m.table, m.sing, x) == sv[i]
-        y = fv[i]
-        assert K.inv(m.map_kind, m.table, b, y) == K.inv_vec(
-            m.map_kind, m.table, np.array([b]), np.array([y]))[0]
-        assert K.dinv(m.map_kind, m.table, b, y) == K.dinv_vec(
-            m.map_kind, m.table, np.array([b]), np.array([y]))[0]
+    # the scalar lane (Branch, MapModel) against the batch kernels, bit for
+    # bit; scalar results are Python floats
+    m = parse_map_file(MIXED_FILE) if name == "mixed" else symdyn.built_in(name)
+    mk, table = m.map_kind, m.table
+    xs = np.array(_scalar_lane_points(m, np.random.default_rng(7)))
+    bids = K.branch_index_vec(mk, table, xs)
+    fv = K.fwd_vec(mk, table, bids, xs)
+    dv = K.dfwd_vec(mk, table, bids, xs)
+    sv = K.sing_dist_vec(mk, table, m.sing, xs)
+    iv = K.inv_vec(mk, table, bids, fv)
+    giv = K.dinv_vec(mk, table, bids, fv)
+    regular = 0
+    for i, x in enumerate(xs.tolist()):
+        assert _bits(m.singular_distance(x)) == _bits(sv[i])
+        if sv[i] > m.exclusion:
+            regular += 1
+            assert m.branch_at(x) == bids[i]
+            assert _bits(m.f(x)) == _bits(fv[i])
+            assert _bits(m.preimage(fv[i], bids[i])) == _bits(iv[i])
+        br = m.branch_by_id(bids[i])
+        got = (br.fwd(x), br.dfwd(x), br.inv(fv[i]), br.dinv(fv[i]))
+        assert all(type(v) is float for v in got)
+        assert [_bits(v) for v in got] == [_bits(fv[i]), _bits(dv[i]), _bits(iv[i]), _bits(giv[i])]
+    assert regular >= 500
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 100, 12345, 10**6, 10**9, 5 * 10**10])
+def test_gauss_branch_matches_closed_forms(n):
+    # the gauss branches are the moebius rows (1 - 2n x) / (0 + 4x); their
+    # values equal the closed forms of 1/(4x) - n/2 bit for bit, endpoints
+    # included (n = 5e10 puts x near 1e-11)
+    br = symdyn.built_in("gauss").branch_by_id(n)
+    rng = np.random.default_rng(n % 1000)
+    xs = [br.lo, br.hi, *rng.uniform(br.lo, br.hi, 20).tolist()]
+    for end, away in ((br.lo, br.hi), (br.hi, br.lo)):
+        x = end
+        for _ in range(4):
+            x = float(np.nextafter(x, away))
+            xs.append(x)
+    for x in xs:
+        assert _bits(br.fwd(x)) == _bits(gauss_fwd_reference(n, x))
+        assert _bits(br.dfwd(x)) == _bits(gauss_dfwd_reference(n, x))
+    ys = [0.0, 5e-324, 1e-300, 1e-11, 0.5, float(np.nextafter(0.5, 0.0)),
+          *rng.uniform(0.0, 0.5, 20).tolist()]
+    for y in ys + [br.fwd(x) for x in xs]:
+        assert _bits(br.inv(y)) == _bits(gauss_inv_reference(n, y))
+        assert _bits(br.dinv(y)) == _bits(gauss_dinv_reference(n, y))
 
 
 # one branch of each kind; the quadratic has its critical point at 0.1
@@ -65,6 +121,9 @@ def _kernel_cases():
     yield "gauss-finite", *symdyn.built_in("gauss").finite_table()
     yield "mixed", K.MAPKIND_TABLE, MIXED_TABLE
     yield "degenerate", K.MAPKIND_TABLE, DEGENERATE_TABLE
+    # one-kind tables: a scalar branch id runs the formulas on scalar coefficients
+    yield "degenerate-affine", K.MAPKIND_TABLE, DEGENERATE_TABLE[:1]
+    yield "degenerate-quadratic", K.MAPKIND_TABLE, DEGENERATE_TABLE[1:2]
 
 
 KERNEL_CASES = {name: (mk, table) for name, mk, table in _kernel_cases()}
@@ -146,33 +205,48 @@ def test_sing_dist_vec_matches_broadcast_min_reference(case):
 def test_forward_orbit_consistency():
     # dyadic maps shift mantissa bits out, so keep the horizon short
     m = symdyn.built_in("tent")
-    pts, bids, ld, sg, done, ok = K.forward_orbit(
-        m.map_kind, m.table, 0.123, 20, m.exclusion, m.sing)
-    assert ok and done == 20
+    pts, bids, ld = ne.forward_orbit(m, 0.123, 20)
+    assert pts.shape == (21,) and bids.shape == ld.shape == (20,)
+    assert np.array_equal(K.fwd_vec(m.map_kind, m.table, bids, pts[:-1]), pts[1:])
+    assert np.array_equal(bids, K.branch_index_vec(m.map_kind, m.table, pts[:-1]))
     for k in range(20):
-        assert K.fwd(m.map_kind, m.table, bids[k], pts[k]) == pts[k + 1]
         assert np.exp(ld[k]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_forward_orbit_long_nondyadic():
     m = symdyn.built_in("quadratic")
-    pts, bids, ld, sg, done, ok = K.forward_orbit(
-        m.map_kind, m.table, 0.1234567, 200, m.exclusion, m.sing)
-    assert ok and done == 200
-    for k in range(0, 200, 17):
-        assert K.fwd(m.map_kind, m.table, bids[k], pts[k]) == pts[k + 1]
+    pts, bids, ld = ne.forward_orbit(m, 0.1234567, 200)
+    assert pts.shape == (201,)
+    assert np.array_equal(K.fwd_vec(m.map_kind, m.table, bids, pts[:-1]), pts[1:])
+    d = K.dfwd_vec(m.map_kind, m.table, bids, pts[:-1])
+    assert np.array_equal(ld, np.log(np.abs(d)))
+    doubling = symdyn.built_in("doubling")
+    for x0, n in ((0.0625, 5), (0.125, 1)):  # 0.0625 -> 0.125 -> 0.25, singular
+        with pytest.raises(symdyn.SingularPoint):
+            ne.forward_orbit(doubling, x0, n)
 
 
 def test_backward_orbit_validates_branches():
     m = symdyn.built_in("doubling")
     word = np.array([0, 1, 0, 1], dtype=np.int64)
-    pts, done, ok = K.backward_orbit(m.map_kind, m.table, 0.3, word,
-                                     m.exclusion, m.sing)
-    assert ok
+    pts = ne.backward_orbit(m, 0.3, word)
+    assert pts.shape == (4,)
     x = pts[-1]
     for b in word[::-1]:
-        x = K.fwd(m.map_kind, m.table, b, x)
+        x = float(K.fwd_vec(m.map_kind, m.table, b, x))
     assert x == pytest.approx(0.3, abs=1e-12)
+    with pytest.raises(symdyn.SingularPoint):
+        ne.backward_orbit(m, 0.5, [1, 0])  # 0.5 <- 0.5 <- 0.25, a singular point
+    # branch 1 is x - 0.25, not full, and 0.25 is not singular: the preimage
+    # of 0.4 under branch 1 is 0.65, outside every branch, and the preimage
+    # of 0.5 under branch 0 is 0.25, in branch 1
+    half = parse_map_file(DOUBLING_FILE.replace("coef = -0.5 2.0", "coef = -0.25 1.0")
+                          .replace("singular = 0.0 0.25", "singular = 0.0"))
+    assert ne.backward_orbit(half, 0.2, [1]).tolist() == [pytest.approx(0.45)]
+    with pytest.raises(symdyn.SingularPoint, match="no branch"):
+        ne.backward_orbit(half, 0.4, [1])
+    with pytest.raises(symdyn.SingularPoint, match="not in branch 0"):
+        ne.backward_orbit(half, 0.5, [0])
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -296,6 +296,9 @@ def test_radius_rule_cutoff():
     # but ordinary points have a radius in (exclusion, 1)
     r = m.radius(0.1)
     assert m.exclusion < r < 1.0
+    # a point in no branch domain has no radius, not the last branch's
+    with pytest.raises(SingularPoint, match="no branch"):
+        built_in("doubling").radius(0.6)
 
 
 def test_difference_forms_against_mpmath():
@@ -400,6 +403,19 @@ def test_map_file_quadratic_vertex_must_not_lie_inside_the_branch():
         parse_map_file(ONE_QUADRATIC_FILE)
     with pytest.raises(MapFileError, match=r"branch 0 .*quadratic coefficient c2 is 0"):
         parse_map_file(ONE_QUADRATIC_FILE.replace("coef = 0.0 4.0 -8.0", "coef = 0.0 1.0 0.0"))
+    # inv_sign must be +-1 and pick the root on the branch's side of its
+    # vertex: -1 inverted 0.125 to 0.0, outside [0.1, 0.3], and 0.5 gave 0.15
+    # instead of 0.2
+    for sign in ("-1", "0.5"):
+        with pytest.raises(MapFileError,
+                           match=r"branch 1 \[0\.1, 0\.3\]: inv_sign must be 1, .*vertex 0\.1;"):
+            parse_map_file(MIXED_FILE.replace("inv_sign = 1", f"inv_sign = {sign}"))
+    quad = built_in("quadratic")
+    table = quad.table.copy()
+    table[1, 7] = 1.0  # the right branch of the fold needs the lower root
+    with pytest.raises(MapFileError, match=r"branch 1 \[0\.25, 0\.5\]: inv_sign must be -1, "):
+        MapModel(name="q", map_kind=quad.map_kind, domain=quad.domain, a=quad.a,
+                 beta=quad.beta, kappa=quad.kappa, table=table, sing=quad.sing.copy())
 
 
 @pytest.mark.parametrize("coef, clause", [

@@ -87,15 +87,21 @@ def test_tent_cocycle_signs():
     assert s == -1 and math.exp(lg) == pytest.approx(2.0)
     s2, _ = cocycle(w, 2)
     assert s2 == (1 if w.deriv(0) * w.deriv(1) > 0 else -1)
+    for n in range(-3, 3):  # deriv takes the sign of its branch's df
+        d = float(K.dfwd_vec(m.map_kind, m.table, w.branch(n), w.x(n)))
+        assert w.deriv(n) == pytest.approx(d, rel=1e-15)
+
+
+def test_window_caches_are_read_only(w16):
+    for w in (w16, w16.shift(3), w16.extend_forward(5)):
+        for arr in (w.points, w.branch_ids, w.logderivs, w.cumlog):
+            assert not arr.flags.writeable
 
 
 def test_backward_consistency_bit_for_bit(doubling, w16):
-    pts, done, ok = K.backward_orbit(doubling.map_kind, doubling.table, w16.x0,
-                                     np.array(w16.back_branches, dtype=np.int64),
-                                     doubling.exclusion, doubling.sing)
-    assert ok
+    pts = ne.backward_orbit(doubling, w16.x0, w16.back_branches)
     for k in range(1, w16.back_len + 1):
-        assert pts[k] == w16.x(-k)
+        assert pts[k - 1] == w16.x(-k)
 
 
 def test_forward_consistency_tolerance(w16, doubling):
@@ -160,7 +166,7 @@ def test_record_roundtrip_gauss():
 def _window_bits(w):
     return (w.off, w.u_depth, w.period,
             *(a.dtype.str + a.tobytes().hex() for a in
-              (w.points, w.branch_ids, w.logderivs, w.cumlog, w.negcum)))
+              (w.points, w.branch_ids, w.logderivs, w.cumlog)))
 
 
 @pytest.mark.parametrize("name,max_period", [("doubling", 10), ("tent", 8),
