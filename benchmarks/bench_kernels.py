@@ -56,16 +56,22 @@ def bench(reps=3):
     timeit("verify_regularity (1e4 samples, vectorized)", regularity)
     timeit("verify_regularity (2e5 samples)", lambda: m.verify_regularity(200_000, seed=1))
 
-    # the inner grids of the regularity check: one row per inner point, one
-    # branch id per column
-    ys = np.linspace(-1e-4, 1e-4, 9)[:, None] + m.draw_regular_points(200_000, rng)
-    bid = K.branch_index_vec(m.map_kind, m.table, ys[4])
+    # the ball ends of the regularity check: one row per end, one branch id
+    # per column
+    x = m.draw_regular_points(200_000, rng)
+    ends = np.stack([x - 1e-4, x + 1e-4])
+    bid = K.branch_index_vec(m.map_kind, m.table, x)
 
-    def grid_derivatives():
-        K.dfwd_vec(m.map_kind, m.table, bid, ys)
-        K.dinv_vec(m.map_kind, m.table, bid, ys)
+    def end_derivatives():
+        K.dfwd_vec(m.map_kind, m.table, bid, ends)
+        K.dinv_vec(m.map_kind, m.table, bid, ends)
 
-    timeit("dfwd_vec / dinv_vec on (9, 200000)", grid_derivatives)
+    def end_second_derivatives():
+        K.d2fwd_vec(m.map_kind, m.table, bid, ends)
+        K.d2inv_vec(m.map_kind, m.table, bid, ends)
+
+    timeit("dfwd_vec / dinv_vec on (2, 200000)", end_derivatives)
+    timeit("d2fwd_vec / d2inv_vec on (2, 200000)", end_second_derivatives)
     return out
 
 

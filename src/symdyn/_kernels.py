@@ -14,7 +14,7 @@ Maps are encoded for the kernels as a ``(map_kind, table, sing)`` triple:
 This module is the batch lane (``*_vec``, ``periodic_roots``).  Single
 points and orbits are the scalar lane, ``map_model.Branch`` and
 ``MapModel``, which evaluate the same per-kind formulas (``fwd_formula``
-... ``dinv_formula``) on one branch's coefficients.
+... ``d2inv_formula``) on one branch's coefficients.
 ``benchmarks/bench_kernels.py`` times both lanes.
 """
 
@@ -90,7 +90,7 @@ def _batch(formula, map_kind, table, bid, x):
                     res[sel] = formula(kind, lambda j: table[:, j][b], x[sel])
     if type(res) is np.ndarray and res.shape == x.shape:
         return res
-    # formulas that do not read x (affine derivatives) have the shape of bid
+    # formulas that do not read x (constant derivatives) have bid's shape or none
     out = np.empty(np.broadcast_shapes(bid.shape, x.shape))
     out[...] = res
     return out
@@ -162,6 +162,28 @@ def dinv_formula(kind, col, y):
     return (c1 * c2 - c0 * c3) / (den * den)
 
 
+def d2fwd_formula(kind, col, x):
+    if kind == KIND_AFFINE:
+        return 0.0
+    if kind == KIND_QUADRATIC:
+        return 2.0 * col(_C2)
+    c0, c1, c2, c3 = col(_C0), col(_C1), col(_C2), col(_C3)
+    return -2.0 * (c1 * c2 - c0 * c3) * c3 / (c2 + c3 * x) ** 3
+
+
+def d2inv_formula(kind, col, y):
+    if kind == KIND_AFFINE:
+        return 0.0
+    c0, c1, c2 = col(_C0), col(_C1), col(_C2)
+    if kind == KIND_QUADRATIC:
+        # disc <= 0 (the critical value) divides by 0: inf, or ZeroDivisionError in floats
+        disc = c1 * c1 - 4.0 * c2 * (c0 - y)
+        p = np.maximum(disc, 0.0) ** 1.5 if isinstance(disc, np.ndarray) else max(disc, 0.0) ** 1.5
+        return -2.0 * col(_SIGN) * c2 / p
+    c3 = col(_C3)
+    return -2.0 * (c1 * c2 - c0 * c3) * c3 / (c3 * y - c1) ** 3
+
+
 def fwd_vec(map_kind, table, bid, x):
     return _batch(fwd_formula, map_kind, table, bid, x)
 
@@ -176,6 +198,14 @@ def inv_vec(map_kind, table, bid, y):
 
 def dinv_vec(map_kind, table, bid, y):
     return _batch(dinv_formula, map_kind, table, bid, y)
+
+
+def d2fwd_vec(map_kind, table, bid, x):
+    return _batch(d2fwd_formula, map_kind, table, bid, x)
+
+
+def d2inv_vec(map_kind, table, bid, y):
+    return _batch(d2inv_formula, map_kind, table, bid, y)
 
 
 def sing_dist_vec(map_kind, table, sing, x):

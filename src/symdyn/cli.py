@@ -76,7 +76,7 @@ def stage_alphabet(m, cfg, pcfg, windows, out, quiet):
     return al
 
 
-def stage_graph(m, cfg, pcfg, al, out, quiet):
+def stage_graph(al, out, quiet):
     g = coarse_grain.build_graph(al)
     pg, kept = coarse_grain.prune_relevant(g)
     formats.write_graph(os.path.join(out, "graph.txt"), pg)
@@ -173,7 +173,7 @@ def stage_refine(m, cfg, pcfg, pg, out, quiet):
     return cover, cells, tg, audit
 
 
-def stage_entropy(m, cfg, pg, out, quiet, tg=None):
+def stage_entropy(pg, out, quiet, tg=None):
     est = analysis.gurevich_entropy(pg)
     lines = est.lines()
     if tg is not None:
@@ -272,7 +272,7 @@ def run(command, cfg, out, quiet=False):
     al = stage_alphabet(m, cfg, pcfg, lib.windows, out, quiet)
     if command == "alphabet":
         return
-    g, pg, kept = stage_graph(m, cfg, pcfg, al, out, quiet)
+    g, pg, kept = stage_graph(al, out, quiet)
     if command == "graph":
         return
     if command == "shadow":
@@ -282,7 +282,7 @@ def run(command, cfg, out, quiet=False):
         stage_refine(m, cfg, pcfg, pg, out, quiet)
         return
     if command == "entropy":
-        stage_entropy(m, cfg, pg, out, quiet)
+        stage_entropy(pg, out, quiet)
         return
     if command == "periodic-report":
         stage_growth(m, cfg, pg, out, quiet)
@@ -291,7 +291,7 @@ def run(command, cfg, out, quiet=False):
         stage_verify(m, cfg, out, quiet)
         stage_shadow(m, cfg, pcfg, al, out, quiet)
         cover, cells, tg, audit = stage_refine(m, cfg, pcfg, pg, out, quiet)
-        est = stage_entropy(m, cfg, pg, out, quiet, tg=tg)
+        est = stage_entropy(pg, out, quiet, tg=tg)
         stage_growth(m, cfg, pg, out, quiet, spectral=est.spectral_radius)
         return
     raise ValueError(f"unhandled command {command!r}")

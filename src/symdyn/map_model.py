@@ -33,7 +33,7 @@ EXCLUSION_RADIUS = 1e-12
 # Dyadic levels the cover scan visits, coarse to fine.
 COVER_MAX_LEVEL = 64
 # Samples per block of the regularity check; a block holds each sample's
-# inner grids, derivatives and inner-pair quotients.
+# ball ends and the derivatives there.
 REGULARITY_BLOCK = 4096
 
 KIND_NAMES = {KIND_AFFINE: "affine", KIND_QUADRATIC: "quadratic", KIND_MOEBIUS: "moebius"}
@@ -105,14 +105,8 @@ class Branch:
         return kk * (-c3 * s) * (a + b) / (a * a * b * b)
 
     def ddinv(self, y):
-        """g''(y) in closed form (for log-mode curvature bounds)."""
-        c0, c1, c2, c3 = self.coef
-        if self.kind == KIND_AFFINE:
-            return 0.0
-        if self.kind == KIND_QUADRATIC:
-            disc = c1 * c1 - 4.0 * c2 * (c0 - y)
-            return -2.0 * self.inv_sign * c2 / max(disc, 0.0) ** 1.5
-        return -2.0 * (c1 * c2 - c0 * c3) * c3 / (c3 * y - c1) ** 3
+        """g''(y), for log-mode curvature bounds."""
+        return float(K.d2inv_formula(self.kind, self.row.__getitem__, y))
 
 
 @functools.lru_cache(maxsize=256)
@@ -197,7 +191,7 @@ class MapModel:
                 n += 1
             elif x > 1.0 / (2.0 * n):
                 n -= 1
-            return n
+            return n if n >= 1 else -1
         for b in self._branches:
             if b.lo <= x < b.hi:
                 return b.id
@@ -209,12 +203,14 @@ class MapModel:
         if self.map_kind == MAPKIND_GAUSS:
             # singular set {0} u {1/(2n)}: 0 and the three nearest 1/(2m)
             best = abs(x)
-            if x > 0.0:
-                n = max(math.floor(1.0 / (2.0 * x)), 1)
-                for m in range(max(n - 1, 1), n + 2):
-                    d = abs(x - 1.0 / (2.0 * m))
-                    if d < best:
-                        best = d
+            q = 1.0 / (2.0 * x) if x > 0.0 else 0.0
+            if q == math.inf:  # x < 2.8e-309: d(x, S) < 2 x^2 rounds to 0
+                return 0.0
+            n = max(math.floor(q), 1)
+            for m in range(max(n - 1, 1), n + 2):
+                d = abs(x - 1.0 / (2.0 * m))
+                if d < best:
+                    best = d
             return float(best)
         best = math.inf
         for s in self._sing:
@@ -298,8 +294,8 @@ class MapModel:
             out = np.concatenate([out, x[ok]])
         return out[:count]
 
-    def verify_regularity(self, sample_count, seed, inner=9):
-        return verify_regularity(self, sample_count, seed, inner)
+    def verify_regularity(self, sample_count, seed):
+        return verify_regularity(self, sample_count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +384,6 @@ class ClauseResult:
     violations: int
     worst_margin: float
     worst_x: float
-    worst_inner: float
     note: str = ""
 
 
@@ -398,7 +393,7 @@ class RegularityReport:
     sample_count: int
     clauses: dict
     extreme_x: float = math.nan       # sample with the most extreme derivative
-    extreme_value: float = math.nan   # max(|dg|, 1/|df|) over inner samples
+    extreme_value: float = math.nan   # max(|dg|, 1/|df|) at the ball ends
 
     @property
     def passed(self):
@@ -408,27 +403,24 @@ class RegularityReport:
         out = [f"regularity report: map={self.map_name} samples={self.sample_count}"]
         for c in self.clauses.values():
             status = "pass" if c.passed else "FAIL"
-            out.append(
-                f"  {c.name}: {status} checked={c.checked} violations={c.violations} "
-                f"worst_margin={c.worst_margin:.6g} at x={c.worst_x:.12g} inner={c.worst_inner:.12g}"
-            )
+            out.append(f"  {c.name}: {status} checked={c.checked} violations={c.violations} "
+                       f"worst_margin={c.worst_margin:.6g} at x={c.worst_x:.12g}")
         if not math.isnan(self.extreme_x):
             out.append(f"  extreme derivative {self.extreme_value:.6g} at x={self.extreme_x:.12g}")
         return out
 
 
-def verify_regularity(m, sample_count, seed, inner=9):
+def verify_regularity(m, sample_count, seed):
     """Sampled check of the three regularity clauses.
 
     Draws points x with x, f(x) regular; on each ball D_x = B(x, 2r(x)) and
     E_x = B(f(x), 2r(x)) checks branch monotonicity (A1), the derivative
     bounds d(x,S)^a <= |df|,|dg| <= d(x,S)^-a (A2) and the Hölder quotients
-    |df_y - df_z| / |y-z|^beta <= kappa (A3), over ``inner`` deterministic
-    inner points per ball.  The clauses run per block of
-    ``REGULARITY_BLOCK`` samples.
+    |df_y - df_z| / |y-z|^beta <= kappa (A3), from the values at the two ends
+    of each ball.  The clauses run per block of ``REGULARITY_BLOCK`` samples.
     """
     if sample_count <= 0:
-        return RegularityReport(m.name, 0, {c: ClauseResult(c, True, 0, 0, math.inf, math.nan, math.nan)
+        return RegularityReport(m.name, 0, {c: ClauseResult(c, True, 0, 0, math.inf, math.nan)
                                             for c in ("A1", "A2", "A3")})
 
     rng = np.random.default_rng(seed)
@@ -436,23 +428,18 @@ def verify_regularity(m, sample_count, seed, inner=9):
     n = x.size
     if n == 0:
         raise ValueError(f"map {m.name!r}: no sampled point has a radius above the exclusion cutoff")
-    blocks = [_sample_margins(m, x[s:s + REGULARITY_BLOCK], inner)
-              for s in range(0, n, REGULARITY_BLOCK)]
-    a1_margin, a2_margin, quot, a3_inner, extremes = (np.concatenate(c) for c in zip(*blocks))
-    a1_ok = a1_margin >= -1e-15
-    a2_ok = a2_margin >= 0.0
+    blocks = [_sample_margins(m, x[s:s + REGULARITY_BLOCK]) for s in range(0, n, REGULARITY_BLOCK)]
+    a1_margin, a2_margin, quot, extremes = (np.concatenate(c) for c in zip(*blocks))
     a3_margin = math.log(m.kappa) - np.log(np.maximum(quot, 1e-300))
-    a3_ok = quot <= m.kappa
 
-    def clause(name, ok, margin, inner_pts):
+    def clause(name, ok, margin):
         w = int(np.argmin(margin))
-        return ClauseResult(
-            name=name, passed=bool(ok.all()), checked=n, violations=int((~ok).sum()),
-            worst_margin=float(margin[w]), worst_x=float(x[w]), worst_inner=float(inner_pts[w]),
-        )
+        return ClauseResult(name=name, passed=bool(ok.all()), checked=n, violations=int((~ok).sum()),
+                            worst_margin=float(margin[w]), worst_x=float(x[w]))
 
-    clauses = {"A1": clause("A1", a1_ok, a1_margin, x), "A2": clause("A2", a2_ok, a2_margin, x),
-               "A3": clause("A3", a3_ok, a3_margin, a3_inner)}
+    clauses = {"A1": clause("A1", a1_margin >= -1e-15, a1_margin),
+               "A2": clause("A2", a2_margin >= 0.0, a2_margin),
+               "A3": clause("A3", quot <= m.kappa, a3_margin)}
     wi = int(np.argmax(extremes))
     return RegularityReport(m.name, n, clauses, float(x[wi]), float(extremes[wi]))
 
@@ -467,15 +454,20 @@ def _radii(m, x):
     return bid, fx, dx, dfx, 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
 
 
-def _sample_margins(m, x, inner):
-    """Per-sample (A1) and (A2) margins, worst (A3) quotient with its inner
-    witness, and extreme derivative max(|dg|, 1/|df|) of the samples x."""
+def _sample_margins(m, x):
+    """Per-sample (A1) and (A2) margins, (A3) quotient bound and extreme
+    derivative max(|dg|, 1/|df|) of the samples x.
+
+    Where (A1) holds, D_x and E_x lie inside one monotone branch and its
+    image, on which |df|, |dg|, |f''| and |g''| are monotone: their extremes
+    over a ball are their values at its two ends.
+    """
     mk, tab = m.map_kind, m.table
     bid, fx, dx, dfx, r = _radii(m, x)
 
     lo, hi = m.domain
-    d_lo, d_hi = np.maximum(x - 2 * r, lo), np.minimum(x + 2 * r, hi)
-    e_lo, e_hi = np.maximum(fx - 2 * r, lo), np.minimum(fx + 2 * r, hi)
+    ys = np.stack([np.maximum(x - 2 * r, lo), np.minimum(x + 2 * r, hi)])    # ends of D_x
+    zs = np.stack([np.maximum(fx - 2 * r, lo), np.minimum(fx + 2 * r, hi)])  # ends of E_x
 
     # branch domain endpoints per sample
     if mk == MAPKIND_GAUSS:
@@ -487,58 +479,34 @@ def _sample_margins(m, x, inner):
         img_lo, img_hi = np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)
 
     # (A1): D_x inside the covering branch domain, E_x inside its image.
-    a1_margin = np.minimum(np.minimum(d_lo - b_lo, b_hi - d_hi),
-                           np.minimum(e_lo - img_lo, img_hi - e_hi))
-
-    # inner sample grids (deterministic, endpoints inset by a relative hair),
-    # one row per inner point: every reduction over the inner points runs
-    # elementwise across contiguous rows
-    t = ((np.arange(inner) + 0.5) / inner)[:, None]
-    ys = d_lo + (d_hi - d_lo) * t
-    zs = e_lo + (e_hi - e_lo) * t
+    a1_margin = np.minimum(np.minimum(ys[0] - b_lo, b_hi - ys[1]),
+                           np.minimum(zs[0] - img_lo, img_hi - zs[1]))
 
     dfy = K.dfwd_vec(mk, tab, bid, ys)
     dgz = K.dinv_vec(mk, tab, bid, zs)
 
     # (A2): a log|df| or log|dg| below a log d(x,S) or above -a log d(x,S)
-    # fails (|dg| = inf fails the upper bound).  v - c rounds monotonically
-    # in v, so each bound is applied to the extremes over the rows.
+    # fails, and so does a non-finite one.  v - c rounds monotonically in v,
+    # so each bound is applied to the extremes over the four end values.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ldfy = np.log(np.abs(dfy))
-        ldgz = np.log(np.abs(dgz))
-    ldfy = np.where(np.isfinite(ldfy), ldfy, -np.inf)
-    gfin = np.isfinite(ldgz)
-    low = np.minimum(ldfy.min(axis=0), np.where(gfin, ldgz, -np.inf).min(axis=0))
-    high = np.maximum(ldfy.max(axis=0), np.where(gfin, ldgz, np.inf).max(axis=0))
+        logs = np.log(np.abs(np.concatenate([dfy, dgz])))
     alogd = m.a * np.log(dx)
-    a2_margin = np.minimum(low - alogd, -alogd - high)
+    a2_margin = np.minimum(logs.min(axis=0) - alogd, -alogd - logs.max(axis=0))
+    a2_margin[~np.isfinite(logs).all(axis=0)] = -np.inf
 
-    # (A3): Hölder quotients over the inner pairs, forward and inverse.
-    q_fwd = _worst_quotient(dfy, ys, m.beta)
-    q_inv = _worst_quotient(np.where(np.isfinite(dgz), dgz, np.inf), zs, m.beta)
-    a3_inner = np.where(q_inv >= q_fwd, zs[0], ys[0])
+    # (A3): by the mean value theorem, |df_y - df_z| <= max|f''| |y - z|
+    # <= max|f''| w^(1 - beta) |y - z|^beta on a ball of width w, and the
+    # same for dg; a NaN bound counts as inf.
+    with np.errstate(invalid="ignore"):
+        quot = np.maximum(
+            np.abs(K.d2fwd_vec(mk, tab, bid, ys)).max(axis=0) * (ys[1] - ys[0]) ** (1.0 - m.beta),
+            np.abs(K.d2inv_vec(mk, tab, bid, zs)).max(axis=0) * (zs[1] - zs[0]) ** (1.0 - m.beta))
+    quot[np.isnan(quot)] = np.inf
 
     # extreme-derivative witness: the most violent |dg| or 1/|df| seen
     extremes = np.maximum(np.abs(np.where(np.isfinite(dgz), dgz, 0.0)).max(axis=0),
                           1.0 / np.maximum(np.abs(dfy).min(axis=0), 1e-300))
-    return a1_margin, a2_margin, np.maximum(q_fwd, q_inv), a3_inner, extremes
-
-
-def _worst_quotient(vals, pts, beta):
-    """max over pairs of rows i < j, taken by offset k = j - i, of
-    |v_i - v_j| / |p_i - p_j|^beta per column; a non-finite quotient counts
-    as inf (a NaN propagates through every maximum), equal points as 0."""
-    worst = np.zeros(vals.shape[1:])
-    q = np.empty_like(vals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, vals.shape[0]):
-            dp = np.abs(pts[:-k] - pts[k:])
-            qk = q[k:]
-            qk.fill(0.0)
-            np.divide(np.abs(vals[:-k] - vals[k:]), dp**beta, out=qk, where=dp > 0)
-            np.maximum(worst, qk.max(axis=0), out=worst)
-    worst[np.isnan(worst)] = np.inf
-    return worst
+    return a1_margin, a2_margin, quot, extremes
 
 
 # ---------------------------------------------------------------------------

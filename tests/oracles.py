@@ -3,7 +3,8 @@
 Most are written from the definitions, not from the code they check.  The
 ``*_reference`` functions are plainer algorithms (every formula on every
 element, every step, every pair) that the faster code must reproduce bit
-for bit.  The rest are objects of the construction that only the tests use
+for bit; the regularity grid is the exception, a sampled check that the
+closed-form one must bound.  The rest are objects of the construction that only the tests use
 (edge predicates, the Smale bracket, the derivative cocycle, window records
 read back), kept here so that ``src/`` holds what the pipeline runs.
 """
@@ -421,6 +422,54 @@ def dinv_vec_reference(map_kind, table, bid, y):
     return np.where(kind == K.KIND_AFFINE, aff, np.where(kind == K.KIND_QUADRATIC, quad, moe))
 
 
+def d2fwd_vec_reference(map_kind, table, bid, x):
+    kind, c0, c1, c2, c3, _ = _coef_vec_reference(map_kind, table, bid)
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moe = -2.0 * (c1 * c2 - c0 * c3) * c3 / (c2 + c3 * x) ** 3
+    return np.where(kind == K.KIND_AFFINE, 0.0, np.where(kind == K.KIND_QUADRATIC, 2.0 * c2, moe))
+
+
+def d2inv_vec_reference(map_kind, table, bid, y):
+    kind, c0, c1, c2, c3, s = _coef_vec_reference(map_kind, table, bid)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad = -2.0 * s * c2 / np.maximum(c1 * c1 - 4.0 * c2 * (c0 - y), 0.0) ** 1.5
+        moe = -2.0 * (c1 * c2 - c0 * c3) * c3 / (c3 * y - c1) ** 3
+    return np.where(kind == K.KIND_AFFINE, 0.0, np.where(kind == K.KIND_QUADRATIC, quad, moe))
+
+
+def ddinv_reference(branch, y):
+    """g''(y) of one branch in closed form, in Python floats."""
+    c0, c1, c2, c3 = branch.coef
+    if branch.kind == K.KIND_AFFINE:
+        return 0.0
+    if branch.kind == K.KIND_QUADRATIC:
+        disc = c1 * c1 - 4.0 * c2 * (c0 - y)
+        return -2.0 * branch.inv_sign * c2 / max(disc, 0.0) ** 1.5
+    return -2.0 * (c1 * c2 - c0 * c3) * c3 / (c3 * y - c1) ** 3
+
+
+def catalogue_branch(br, ctx):
+    """f, df and the inverse g of one branch from the catalogue's definitions
+    (affine c0 + c1 x, quadratic c0 + c1 x + c2 x^2, moebius
+    (c0 + c1 x) / (c2 + c3 x)), in mpmath's ``mp`` or ``iv`` context.  The
+    variable occurs once in df and in g, so over an interval of ``iv`` they
+    give the exact range up to outward rounding."""
+    c0, c1, c2, c3 = (ctx.mpf(c) for c in br.coef)
+    if br.kind == K.KIND_AFFINE:
+        return (lambda x: c0 + c1 * x), (lambda x: c1), (lambda y: (y - c0) / c1)
+    if br.kind == K.KIND_QUADRATIC:
+        return ((lambda x: c0 + c1 * x + c2 * x * x), (lambda x: c1 + 2 * c2 * x),
+                (lambda y: (-c1 + br.inv_sign * ctx.sqrt(c1 * c1 - 4 * c2 * (c0 - y))) / (2 * c2)))
+    det = c1 * c2 - c0 * c3
+    if br.coef[3] == 0.0:
+        g = lambda y: (c0 - c2 * y) / (-c1)
+    else:  # (c0 - c2 y) / (c3 y - c1) with y once
+        g = lambda y: -c2 / c3 + (c0 - c1 * c2 / c3) / (c3 * y - c1)
+    return (lambda x: (c0 + c1 * x) / (c2 + c3 * x)), (lambda x: det / (c2 + c3 * x) ** 2), g
+
+
 # -- gauss branches: the closed forms of 1/(4x) - n/2 on (1/(2n+2), 1/(2n)] --------
 
 def gauss_fwd_reference(n, x):
@@ -440,7 +489,7 @@ def gauss_dinv_reference(n, y):
     return -4.0 / (d * d)
 
 
-# -- regularity: whole-array clauses, all 9 x 9 inner pairs ---------------------
+# -- regularity: whole-array clauses over 9-point grids, all 9 x 9 pairs ----------
 
 def sing_dist_vec_reference(map_kind, table, sing, x):
     """d(x, S) elementwise: the closed form for gauss, else the minimum of a
@@ -460,19 +509,6 @@ def sing_dist_vec_reference(map_kind, table, sing, x):
     if sing.shape[0] == 0:
         return np.full(x.shape, np.inf)
     return np.min(np.abs(x[..., None] - sing), axis=-1)
-
-
-def worst_quotient_triu_reference(vals, pts, beta):
-    """max over the pairs i < j of |v_i - v_j| / |p_i - p_j|^beta per row of
-    ``(block, inner)`` arrays, gathered with ``np.triu_indices``; a
-    non-finite quotient counts as inf, a pair of equal points as 0."""
-    i, j = np.triu_indices(vals.shape[1], 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dv = np.abs(vals[:, i] - vals[:, j])
-        dp = np.abs(pts[:, i] - pts[:, j])
-        q = dv / dp**beta
-    q = np.where(dp > 0, q, 0.0)
-    return np.where(np.isfinite(q), q, np.inf).max(axis=1, initial=0.0)
 
 
 def _draw_regular_points_reference(m, count, rng, max_tries=200):
@@ -495,18 +531,17 @@ def _draw_regular_points_reference(m, count, rng, max_tries=200):
     return out[:count]
 
 
-def verify_regularity_reference(m, sample_count, seed, inner=9):
-    """The sampled (A1)-(A3) check over all samples at once, with the
-    three-formula kernels and every ordered pair of inner points."""
-    empty = lambda name: ClauseResult(name, True, 0, 0, math.inf, math.nan, math.nan)
-    if sample_count <= 0:
-        return RegularityReport(m.name, 0, {"A1": empty("A1"), "A2": empty("A2"), "A3": empty("A3")})
+def regularity_grid_reference(m, x, inner=9):
+    """Per-sample (A1) margin, (A2) margin, worst (A3) quotient and extreme
+    derivative max(|dg|, 1/|df|) of the samples x, read on a grid of
+    ``inner`` points (k + 1/2) / inner of each ball with the three-formula
+    kernels and every ordered pair of grid points.
 
-    rng = np.random.default_rng(seed)
-    x = _draw_regular_points_reference(m, sample_count, rng)
-    n = x.size
+    The grid never reaches a ball's ends, so on monotone branches its (A2)
+    margins are at least, and its (A3) quotients at most, the closed form's.
+    """
     mk, tab, sing = m.map_kind, m.table, m.sing
-
+    n = x.size
     bid = K.branch_index_vec(mk, tab, x)
     fx = fwd_vec_reference(mk, tab, bid, x)
     dx = sing_dist_vec_reference(mk, tab, sing, x)
@@ -531,12 +566,10 @@ def verify_regularity_reference(m, sample_count, seed, inner=9):
         img_hi = np.maximum(f_at_lo, f_at_hi)
 
     # (A1): D_x inside the covering branch domain, E_x inside its image.
-    tol = 1e-15
     a1_margin = np.minimum(
         np.minimum(d_lo - b_lo, b_hi - d_hi),
         np.minimum(e_lo - img_lo, img_hi - e_hi),
     )
-    a1_ok = a1_margin >= -tol
 
     # inner sample grids (deterministic, endpoints inset by a relative hair)
     t = (np.arange(inner) + 0.5) / inner
@@ -559,7 +592,6 @@ def verify_regularity_reference(m, sample_count, seed, inner=9):
     a2_mhi = np.minimum((-m.a * logd[:, None] - ldfy).min(axis=1),
                         (-m.a * logd[:, None] - ldgz).min(axis=1))
     a2_margin = np.minimum(a2_mlo, a2_mhi)
-    a2_ok = a2_margin >= 0.0
 
     # (A3): Hölder quotients over all inner pairs, forward and inverse.
     def worst_quotient(vals, pts):
@@ -570,36 +602,42 @@ def verify_regularity_reference(m, sample_count, seed, inner=9):
         q = np.where(dp > 0, q, 0.0)
         return np.nanmax(np.where(np.isfinite(q), q, np.inf), axis=(1, 2))
 
-    q_fwd = worst_quotient(dfy, ys)
-    q_inv = worst_quotient(np.where(np.isfinite(dgz), dgz, np.inf), zs)
-    quot = np.maximum(q_fwd, q_inv)
-    a3_margin = math.log(m.kappa) - np.log(np.maximum(quot, 1e-300))
-    a3_ok = quot <= m.kappa
+    quot = np.maximum(worst_quotient(dfy, ys),
+                      worst_quotient(np.where(np.isfinite(dgz), dgz, np.inf), zs))
 
-    def clause(name, ok, margin, inner_pts):
-        w = int(np.argmin(margin))
-        return ClauseResult(
-            name=name, passed=bool(ok.all()), checked=n, violations=int((~ok).sum()),
-            worst_margin=float(margin[w]), worst_x=float(x[w]), worst_inner=float(inner_pts[w]),
-        )
-
-    a3_inner = np.where(q_inv >= q_fwd, zs[np.arange(n), 0], ys[np.arange(n), 0])
-    rep = RegularityReport(
-        map_name=m.name,
-        sample_count=n,
-        clauses={
-            "A1": clause("A1", a1_ok, a1_margin, x),
-            "A2": clause("A2", a2_ok, a2_margin, x),
-            "A3": clause("A3", a3_ok, a3_margin, a3_inner),
-        },
-    )
     # extreme-derivative witness: the most violent |dg| or 1/|df| seen
     extremes = np.maximum(np.max(np.abs(np.where(np.isfinite(dgz), dgz, 0.0)), axis=1),
                           1.0 / np.maximum(np.min(np.abs(dfy), axis=1), 1e-300))
+    return a1_margin, a2_margin, quot, extremes
+
+
+def verify_regularity_reference(m, sample_count, seed, inner=9):
+    """The sampled (A1)-(A3) check over all samples at once on the grids of
+    ``regularity_grid_reference``."""
+    empty = lambda name: ClauseResult(name, True, 0, 0, math.inf, math.nan)
+    if sample_count <= 0:
+        return RegularityReport(m.name, 0, {"A1": empty("A1"), "A2": empty("A2"), "A3": empty("A3")})
+
+    rng = np.random.default_rng(seed)
+    x = _draw_regular_points_reference(m, sample_count, rng)
+    n = x.size
+    a1_margin, a2_margin, quot, extremes = regularity_grid_reference(m, x, inner)
+    a1_ok = a1_margin >= -1e-15
+    a2_ok = a2_margin >= 0.0
+    a3_margin = math.log(m.kappa) - np.log(np.maximum(quot, 1e-300))
+    a3_ok = quot <= m.kappa
+
+    def clause(name, ok, margin):
+        w = int(np.argmin(margin))
+        return ClauseResult(
+            name=name, passed=bool(ok.all()), checked=n, violations=int((~ok).sum()),
+            worst_margin=float(margin[w]), worst_x=float(x[w]),
+        )
+
+    clauses = {"A1": clause("A1", a1_ok, a1_margin), "A2": clause("A2", a2_ok, a2_margin),
+               "A3": clause("A3", a3_ok, a3_margin)}
     wi = int(np.argmax(extremes))
-    rep.extreme_x = float(x[wi])
-    rep.extreme_value = float(extremes[wi])
-    return rep
+    return RegularityReport(m.name, n, clauses, float(x[wi]), float(extremes[wi]))
 
 
 # -- graphs and windows -----------------------------------------------------------

@@ -15,6 +15,10 @@ from symdyn.analysis import MAX_PERIODIC_WORDS, check_word_budget, map_periodic_
 from symdyn.map_model import parse_map_file
 
 from oracles import (
+    catalogue_branch,
+    d2fwd_vec_reference,
+    d2inv_vec_reference,
+    ddinv_reference,
     dfwd_vec_reference,
     dinv_vec_reference,
     fwd_vec_reference,
@@ -62,6 +66,7 @@ def test_scalar_vs_vectorized_eval(name):
     sv = K.sing_dist_vec(mk, table, m.sing, xs)
     iv = K.inv_vec(mk, table, bids, fv)
     giv = K.dinv_vec(mk, table, bids, fv)
+    g2v = K.d2inv_vec(mk, table, bids, fv)
     regular = 0
     for i, (x, y) in enumerate(zip(xs.tolist(), fv.tolist())):
         assert _bits(m.singular_distance(x)) == _bits(sv[i])
@@ -74,7 +79,37 @@ def test_scalar_vs_vectorized_eval(name):
         got = (br.fwd(x), br.dfwd(x), br.inv(y), br.dinv(y))
         assert all(type(v) is float for v in got)
         assert [_bits(v) for v in got] == [_bits(fv[i]), _bits(dv[i]), _bits(iv[i]), _bits(giv[i])]
+        # g'' raises to the power 1.5 or 3: numpy's pow and the C library's
+        # may round differently; at the critical value floats divide by 0
+        if math.isinf(g2v[i]):
+            with pytest.raises(ZeroDivisionError):
+                br.ddinv(y)
+        else:
+            assert type(br.ddinv(y)) is float
+            assert br.ddinv(y) == pytest.approx(g2v[i], rel=1e-15, nan_ok=True)
     assert regular >= 500
+
+
+@pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss", "mixed"])
+def test_second_derivatives_match_mpmath_diff(name):
+    # the batch f'' and g'' against 50-digit numerical differentiation
+    # of the catalogue's f and g; Branch.ddinv keeps the closed form's bits
+    m = parse_map_file(MIXED_FILE) if name == "mixed" else symdyn.built_in(name)
+    mk, table = m.map_kind, m.table
+    xs = m.draw_regular_points(60, np.random.default_rng(17))
+    bids = K.branch_index_vec(mk, table, xs)
+    ys = K.fwd_vec(mk, table, bids, xs)
+    d2f = K.d2fwd_vec(mk, table, bids, xs)
+    d2g = K.d2inv_vec(mk, table, bids, ys)
+    with mpmath.workdps(50):
+        for x, y, b, got_f, got_g in zip(xs.tolist(), ys.tolist(), bids.tolist(), d2f, d2g):
+            br = m.branch_by_id(b)
+            f, _, g = catalogue_branch(br, mpmath.mp)
+            want_f = float(mpmath.diff(f, x, 2))
+            want_g = float(mpmath.diff(g, y, 2))
+            assert got_f == pytest.approx(want_f, rel=1e-9, abs=1e-30)
+            assert got_g == pytest.approx(want_g, rel=1e-9, abs=1e-30)
+            assert _bits(br.ddinv(y)) == _bits(ddinv_reference(br, y))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 100, 12345, 10**6, 10**9, 5 * 10**10])
@@ -132,6 +167,8 @@ BATCH_KERNELS = {
     "dfwd": (K.dfwd_vec, dfwd_vec_reference),
     "inv": (K.inv_vec, inv_vec_reference),
     "dinv": (K.dinv_vec, dinv_vec_reference),
+    "d2fwd": (K.d2fwd_vec, d2fwd_vec_reference),
+    "d2inv": (K.d2inv_vec, d2inv_vec_reference),
 }
 
 

@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from mpmath import iv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +18,9 @@ from symdyn.map_model import (
     load_map,
     parse_map_file,
 )
-from symdyn.map_model import _worst_quotient
+from symdyn.map_model import _radii, _sample_margins
 
-from oracles import verify_regularity_reference, worst_quotient_triu_reference
+from oracles import catalogue_branch, regularity_grid_reference, verify_regularity_reference
 
 ALL_MAPS = ["doubling", "tent", "quadratic", "gauss"]
 
@@ -47,6 +51,39 @@ def test_gauss_distance_near_branch_endpoint():
     m = built_in("gauss")
     x = 0.25 - 1e-4  # just below the endpoint 1/(2*2)
     assert m.singular_distance(x) == pytest.approx(1e-4, rel=1e-9)
+
+
+def _gauss_distance_oracle(x):
+    """d(x, S) for S = {0} u {1/(2n)}, in exact rationals, rounded once."""
+    q = Fraction(x)
+    n = math.floor(1 / (2 * q))  # x in (1/(2n+2), 1/(2n)]: its nearest 1/(2k) are k = n, n + 1
+    return float(min([q] + [abs(q - Fraction(1, 2 * k)) for k in (n, n + 1) if k >= 1]))
+
+
+@pytest.mark.parametrize("x", [1e-310, 5e-324])
+def test_gauss_subnormal_is_singular(x):
+    # 1/(2x) overflows here; the true distance, under 2 x^2, rounds to 0
+    m = built_in("gauss")
+    d = m.singular_distance(x)
+    assert type(d) is float and d == _gauss_distance_oracle(x)
+    with pytest.raises(SingularPoint):
+        m.branch_at(x)
+    with pytest.raises(SingularPoint):
+        m.radius(x)
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_gauss_any_positive_float(x):
+    # subnormals and points beyond the domain included: a finite distance,
+    # and branch_at / radius return or raise SingularPoint
+    m = built_in("gauss")
+    assert math.isfinite(m.singular_distance(x))
+    for probe in (m.branch_at, m.radius):
+        try:
+            probe(x)
+        except SingularPoint:
+            pass
 
 
 def test_branch_at_doubling():
@@ -152,73 +189,65 @@ coef = 0.5 -1.0 0.1 1.0
 """
 
 
-def _report_bits(rep):
-    """Every report field, floats as their IEEE bit patterns."""
-    bits = lambda v: np.float64(v).view(np.uint64).item()
-    clauses = [(c.name, c.passed, c.checked, c.violations, c.note,
-                bits(c.worst_margin), bits(c.worst_x), bits(c.worst_inner))
-               for c in rep.clauses.values()]
-    return (rep.map_name, rep.sample_count, clauses,
-            bits(rep.extreme_x), bits(rep.extreme_value))
-
-
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 20000])
 @pytest.mark.parametrize("name", ALL_MAPS + ["mixed"])
 def test_regularity_matches_reference(name, samples, seed):
-    # blocks of REGULARITY_BLOCK samples, one formula per branch kind and
-    # the 36 pairs i < j against the whole-array three-formula 9 x 9 check
+    # the ball ends against the 9-point grid reference on the same samples:
+    # the same (A1) margins, (A2) margins no larger, (A3) quotients no
+    # smaller, and the same pass flags
     m = parse_map_file(MIXED_FILE) if name == "mixed" else built_in(name)
+    x = m.draw_regular_points(samples, np.random.default_rng(seed))
+    assert x.size == samples
+    a1, a2, quot, _ = _sample_margins(m, x)
+    g1, g2, gquot, _ = regularity_grid_reference(m, x)
+    assert np.array_equal(a1, g1)
+    assert np.all(a2 <= g2)
+    assert np.all(quot >= gquot)
     rep = m.verify_regularity(samples, seed=seed)
-    assert rep.sample_count == samples
-    assert _report_bits(rep) == _report_bits(verify_regularity_reference(m, samples, seed))
+    ref = verify_regularity_reference(m, samples, seed)
+    assert rep.sample_count == ref.sample_count == samples
+    assert rep.clauses["A1"] == ref.clauses["A1"]
+    assert [c.passed for c in rep.clauses.values()] == [c.passed for c in ref.clauses.values()]
 
 
-def _edge_rows(inner, rng):
-    """Hand-built (block, inner) rows of values and points for the (A3) pairs."""
-    quad = built_in("quadratic")
-    z = np.linspace(0.49, 0.5, inner)  # dg is infinite at the critical value 0.5
-    dgz = K.dinv_vec(quad.map_kind, quad.table, 1, z)
-    rows = [
-        (rng.normal(size=inner), np.full(inner, 0.3)),           # all points equal
-        (np.full(inner, 2.0), np.linspace(0.1, 0.2, inner)),     # constant values
-        (np.full(inner, np.inf), np.linspace(0.1, 0.2, inner)),  # inf - inf is NaN
-        (np.where(np.isfinite(dgz), dgz, np.inf), z),            # infinite inverse derivative
-        (rng.normal(size=inner), rng.uniform(0.0, 0.5, inner)),
-        (rng.normal(size=inner), np.sort(rng.uniform(0.0, 1e-300, inner))),
-    ]
-    v = rng.normal(size=inner)
-    v[inner // 2] = np.inf
-    rows.append((v, np.linspace(0.0, 0.5, inner)))
-    v = rng.normal(size=inner)
-    v[-1] = np.nan
-    rows.append((v, np.linspace(0.0, 0.5, inner)))
-    p = np.linspace(0.0, 0.5, inner)
-    p[0] = np.nan  # a NaN point gives dp = NaN, not > 0: its pairs count 0
-    rows.append((rng.normal(size=inner), p))
-    p = np.linspace(0.0, 0.5, inner)
-    p[:2] = 0.25  # NaN values on equal points: that pair counts 0
-    v = rng.normal(size=inner)
-    v[:2] = np.nan
-    rows.append((v, p))
-    vals, pts = (np.array(c) for c in zip(*rows))
-    return vals, pts
+@pytest.mark.parametrize("name", ALL_MAPS + ["mixed"])
+def test_ball_ends_are_derivative_extremes(name):
+    # sup and inf of |df| over D_x and of |dg| over E_x, enclosed by interval
+    # arithmetic at 50 digits, are the values at the ball ends; the (A2)
+    # margin read from the ends is the one the enclosures give
+    m = parse_map_file(MIXED_FILE) if name == "mixed" else built_in(name)
+    x = m.draw_regular_points(300, np.random.default_rng(13))
+    bid, fx, dx, _, r = _radii(m, x)
+    lo, hi = m.domain
+    ys = np.stack([np.maximum(x - 2 * r, lo), np.minimum(x + 2 * r, hi)])
+    zs = np.stack([np.maximum(fx - 2 * r, lo), np.minimum(fx + 2 * r, hi)])
+    dfy = np.abs(K.dfwd_vec(m.map_kind, m.table, bid, ys))
+    dgz = np.abs(K.dinv_vec(m.map_kind, m.table, bid, zs))
+    a2 = _sample_margins(m, x)[1]
+    close = lambda got, want: abs(got - float(want)) <= 1e-9 * float(want)
+    iv.dps = 50
+    try:
+        for i in range(x.size):
+            _, df, g = catalogue_branch(m.branch_by_id(int(bid[i])), iv)
+            sup_f = abs(df(iv.mpf([ys[0, i], ys[1, i]])))
+            sup_g = abs(1 / df(g(iv.mpf([zs[0, i], zs[1, i]]))))
+            assert close(dfy[:, i].max(), sup_f.b) and close(dfy[:, i].min(), sup_f.a)
+            assert close(dgz[:, i].max(), sup_g.b) and close(dgz[:, i].min(), sup_g.a)
+            alogd = m.a * math.log(dx[i])
+            want = min(float(iv.log(sup_f.a).a) - alogd, -alogd - float(iv.log(sup_f.b).b),
+                       float(iv.log(sup_g.a).a) - alogd, -alogd - float(iv.log(sup_g.b).b))
+            assert a2[i] == pytest.approx(want, rel=1e-9, abs=1e-9)
+    finally:
+        iv.dps = 15
 
 
-@pytest.mark.parametrize("inner", [1, 2, 3, 9])
-def test_worst_quotient_offsets_match_triu_pairs(inner):
-    # the pairs i < j by offset over (inner, block) rows against the
-    # np.triu_indices gather over (block, inner) rows: same bits
-    vals, pts = _edge_rows(inner, np.random.default_rng(inner))
-    want = worst_quotient_triu_reference(vals, pts, 0.5)
-    got = _worst_quotient(np.ascontiguousarray(vals.T), np.ascontiguousarray(pts.T), 0.5)
-    assert got.shape == want.shape == (vals.shape[0],)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    if inner == 1:
-        assert not got.any()  # no pairs: every row is the initial 0
-    else:
-        assert got[0] == 0.0 and got[1] == 0.0  # equal points, constant values
-        assert np.isinf(got[2]) and np.isinf(got[3]) and np.isinf(got[6]) and np.isinf(got[7])
+def test_regularity_nan_bound_counts_as_inf(monkeypatch):
+    # a NaN g'' makes a NaN (A3) bound, which fails the clause
+    m = built_in("quadratic")
+    monkeypatch.setattr(K, "d2inv_vec", lambda mk, tab, bid, y: np.full(y.shape, np.nan))
+    a3 = m.verify_regularity(100, seed=1).clauses["A3"]
+    assert not a3.passed and a3.violations == 100 and a3.worst_margin == -np.inf
 
 
 def test_regularity_without_regular_points_raises():
