@@ -176,10 +176,13 @@ def d2inv_formula(kind, col, y):
         return 0.0
     c0, c1, c2 = col(_C0), col(_C1), col(_C2)
     if kind == KIND_QUADRATIC:
-        # disc <= 0 (the critical value) divides by 0: inf, or ZeroDivisionError in floats
+        # disc <= 0 (the critical value) divides by 0: a signed inf in both lanes
         disc = c1 * c1 - 4.0 * c2 * (c0 - y)
-        p = np.maximum(disc, 0.0) ** 1.5 if isinstance(disc, np.ndarray) else max(disc, 0.0) ** 1.5
-        return -2.0 * col(_SIGN) * c2 / p
+        num = -2.0 * col(_SIGN) * c2
+        if isinstance(disc, np.ndarray):
+            return num / np.maximum(disc, 0.0) ** 1.5
+        p = max(disc, 0.0) ** 1.5
+        return num / p if p > 0.0 else math.copysign(math.inf, num)
     c3 = col(_C3)
     return -2.0 * (c1 * c2 - c0 * c3) * c3 / (c3 * y - c1) ** 3
 

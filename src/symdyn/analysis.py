@@ -118,15 +118,15 @@ def _estimate(counts, rho):
             loop_growth = math.log(c) / n
             best = n
             break
-    ns = []
-    logs = []
-    for n, c in enumerate(counts, start=1):
-        if c > 0:
-            ns.append(n)
-            logs.append(math.log(c))
-    slope = _lsq_slope(ns, logs) if len(ns) >= 2 else 0.0
-    return EntropyEstimate(loop_growth=loop_growth, trace_slope=slope,
+    return EntropyEstimate(loop_growth=loop_growth, trace_slope=_log_slope(counts),
                            spectral_radius=rho, n_used=best)
+
+
+def _log_slope(counts):
+    """Least-squares slope of log c over n at the counts c = counts[n - 1] > 0;
+    0 with fewer than two of them."""
+    pts = [(n, math.log(c)) for n, c in enumerate(counts, start=1) if c > 0]
+    return _lsq_slope(*zip(*pts)) if len(pts) >= 2 else 0.0
 
 
 def _lsq_slope(xs, ys):
@@ -143,19 +143,21 @@ def _lsq_slope(xs, ys):
 # periodic points of the map
 # ---------------------------------------------------------------------------
 
-DEDUP_TOL = 1e-9
-# Branch words enumerated per period: gauss (16 branches) reaches it at n = 5.
+# Branch words a run may enumerate over all its periods: gauss (16 branches)
+# passes it at max_period = 5.
 MAX_PERIODIC_WORDS = 2**20
 
 
-def check_word_budget(m, n):
-    """Raise ValueError when period n needs more than MAX_PERIODIC_WORDS words."""
+def check_word_budget(m, max_period):
+    """Raise ValueError when the periods 1..max_period need more than
+    MAX_PERIODIC_WORDS branch words in all."""
     nb = m.finite_table()[1].shape[0]
-    if nb**n > MAX_PERIODIC_WORDS:
+    words = (nb**(max_period + 1) - nb) // (nb - 1) if nb > 1 else nb * max_period
+    if words > MAX_PERIODIC_WORDS:
         raise ValueError(
-            f"periodic points of {m.name!r} at period {n} need {nb}^{n} = {nb**n} "
-            f"branch words, over the budget of {MAX_PERIODIC_WORDS} "
-            f"(MAX_PERIODIC_WORDS); lower max_period")
+            f"periodic points of {m.name!r} at periods up to {max_period} need "
+            f"{nb} + ... + {nb}^{max_period} = {words} branch words, over the budget "
+            f"of {MAX_PERIODIC_WORDS} (MAX_PERIODIC_WORDS); lower max_period")
 
 
 def map_periodic_points(m, n):
@@ -164,10 +166,12 @@ def map_periodic_points(m, n):
     Convention: the orbit must respect the half-open branch domains
     [lo, hi) at every step (so domain right endpoints are excluded, and
     maps with countably many branches are restricted to the finite
-    sub-table).  Returns the roots, ascending and deduplicated within 1e-9,
-    and their branch words (row i: the branches of roots[i], f(roots[i]),
-    ... in the map's branch ids).  Raises ValueError when the nb^n words
-    exceed MAX_PERIODIC_WORDS.
+    sub-table); a word's root is kept when its cylinder shows a sign change
+    of f^n(x) - x or an exact root at an endpoint.  The half-open domains
+    make each float root the root of one word.  Returns the roots,
+    ascending, and their branch words (row i: the branches of roots[i],
+    f(roots[i]), ... in the map's branch ids).  Raises ValueError when the
+    periods up to n exceed MAX_PERIODIC_WORDS.
     """
     check_word_budget(m, n)
     mk, table = m.finite_table()
@@ -185,16 +189,9 @@ def map_periodic_points(m, n):
         b = words[:, k]
         good &= (table[b, 1] <= x) & (x < table[b, 2])
         x = K.fwd_vec(mk, table, b, x)
-    good &= ~(np.abs(x - roots) > DEDUP_TOL)
     order = np.flatnonzero(good)[np.argsort(roots[good], kind="stable")]
-    roots, words = roots[order], words[order]
-    # merge each root within DEDUP_TOL of the last root kept (j)
-    keep = np.diff(roots, prepend=-np.inf) > DEDUP_TOL
-    for i in np.flatnonzero(~keep):
-        j = i - 1 if keep[i - 1] else j
-        keep[i] = roots[i] - roots[j] > DEDUP_TOL
     ids = np.array([b.id for b in m.branches], dtype=np.int64)
-    return roots[keep], ids[words[keep]]
+    return roots[order], ids[words[order]]
 
 
 @dataclass
@@ -216,32 +213,24 @@ class GrowthReport:
         return out
 
 
-def growth_report(m, g, n_max, spectral=None):
+def growth_report(map_counts, g, spectral=None):
     """Map periodic counts vs symbolic closed-path counts, with slopes.
 
-    The entropy estimate is derived from the same closed-path counts;
-    ``spectral`` is the graph's spectral radius when the caller already
-    has it (it does not depend on n_max).
+    ``map_counts[n - 1]`` is the number of period-n points of the map for
+    n = 1..len(map_counts), as ``LibraryReport.map_counts`` records them;
+    the rows stop there.  The entropy estimate is derived from the same
+    closed-path counts; ``spectral`` is the graph's spectral radius when
+    the caller already has it (it does not depend on the row count).
     """
-    adj = _adjacency(g) if g is not None else {}
-    rows = []
-    flags = []
-    counts = closed_path_counts(adj, n_max) if adj else [0] * n_max
-    for n, sc in enumerate(counts, start=1):
-        mc = len(map_periodic_points(m, n)[0])
-        rows.append((n, mc, sc, (mc / sc) if sc else math.inf))
-    if not adj or all(r[2] == 0 for r in rows):
-        flags.append("symbolic counts are zero (empty or cycle-free graph)")
-    ns = [r[0] for r in rows if r[1] > 0]
-    ms = [math.log(r[1]) for r in rows if r[1] > 0]
-    nss = [r[0] for r in rows if r[2] > 0]
-    ss = [math.log(r[2]) for r in rows if r[2] > 0]
+    adj = _adjacency(g)
+    counts = closed_path_counts(adj, len(map_counts))
+    rows = [(n, mc, sc, (mc / sc) if sc else math.inf)
+            for n, (mc, sc) in enumerate(zip(map_counts, counts), start=1)]
+    flags = [] if any(counts) else ["symbolic counts are zero (empty or cycle-free graph)"]
     if adj:
         rho = spectral_radius(adj) if spectral is None else spectral
         ent = _estimate(counts, rho)
     else:
         ent = EntropyEstimate(0, 0, 0, 0)
-    return GrowthReport(rows=rows,
-                        map_slope=_lsq_slope(ns, ms) if len(ns) >= 2 else 0.0,
-                        symbolic_slope=_lsq_slope(nss, ss) if len(ss) >= 2 else 0.0,
-                        entropy=ent, flags=flags)
+    return GrowthReport(rows=rows, map_slope=_log_slope(map_counts),
+                        symbolic_slope=_log_slope(counts), entropy=ent, flags=flags)

@@ -187,12 +187,8 @@ def stage_entropy(pg, out, quiet, tg=None):
     return est
 
 
-def _growth_n_max(cfg):
-    return min(cfg.max_period + 2, 12)
-
-
-def stage_growth(m, cfg, pg, out, quiet, spectral=None):
-    rep = analysis.growth_report(m, pg, n_max=_growth_n_max(cfg), spectral=spectral)
+def stage_growth(lib, pg, out, quiet, spectral=None):
+    rep = analysis.growth_report(lib.map_counts, pg, spectral=spectral)
     formats.write_report(os.path.join(out, "growth.report"), "growth",
                          rep.lines(),
                          [{"n": n, "map_count": mc, "closed_paths": sc}
@@ -242,20 +238,10 @@ def resolve_config(args):
     return cfg
 
 
-def _largest_period(command, cfg):
-    """Largest period whose periodic points the command enumerates (0: none)."""
-    if command == "verify-map":
-        return 0
-    if command in ("full-pipeline", "periodic-report"):
-        return max(cfg.max_period, _growth_n_max(cfg))
-    return cfg.max_period
-
-
 def run(command, cfg, out, quiet=False):
     m = load_map(cfg.map)
-    n = _largest_period(command, cfg)
-    if n:
-        analysis.check_word_budget(m, n)
+    if command != "verify-map":  # every other command enumerates periods up to max_period
+        analysis.check_word_budget(m, cfg.max_period)
     pcfg = _pesin_cfg(cfg)
     out = _ensure_out(out)
 
@@ -285,14 +271,14 @@ def run(command, cfg, out, quiet=False):
         stage_entropy(pg, out, quiet)
         return
     if command == "periodic-report":
-        stage_growth(m, cfg, pg, out, quiet)
+        stage_growth(lib, pg, out, quiet)
         return
     if command == "full-pipeline":
         stage_verify(m, cfg, out, quiet)
         stage_shadow(m, cfg, pcfg, al, out, quiet)
         cover, cells, tg, audit = stage_refine(m, cfg, pcfg, pg, out, quiet)
         est = stage_entropy(pg, out, quiet, tg=tg)
-        stage_growth(m, cfg, pg, out, quiet, spectral=est.spectral_radius)
+        stage_growth(lib, pg, out, quiet, spectral=est.spectral_radius)
         return
     raise ValueError(f"unhandled command {command!r}")
 

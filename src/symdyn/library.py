@@ -6,7 +6,7 @@ phase (all phases share the cycle arrays, so the coarse-graining net
 dedupes them consistently).  An orbit is the necklace (least rotation)
 of its points' branch words, one per point under the half-open branch
 convention.  Orbits passing through the singular set's exclusion zone are
-skipped and counted.
+skipped and counted; each period's root count is kept for the growth rows.
 """
 
 from dataclasses import dataclass
@@ -25,6 +25,7 @@ class LibraryReport:
     orbits: int
     skipped_singular: int
     skipped_uncertified: int
+    map_counts: tuple = ()  # periodic library: the map's period-n points, n = 1..max_period
 
     def lines(self):
         return [
@@ -52,8 +53,10 @@ def periodic_library(m, chi, max_period, back_depth=64, fwd_len=64, n_min=6):
     orbits = 0
     skipped_singular = 0
     skipped_uncert = 0
+    map_counts = []
     for n in range(1, max_period + 1):
         roots, words = map_periodic_points(m, n)
+        map_counts.append(len(roots))
         for x, word in zip(roots.tolist(), words.tolist()):
             key = _necklace(tuple(word))
             if key is None or key in seen:
@@ -76,7 +79,8 @@ def periodic_library(m, chi, max_period, back_depth=64, fwd_len=64, n_min=6):
             windows.extend(w.shift(k) for k in range(w.period))
     return LibraryReport(windows=windows, orbits=orbits,
                          skipped_singular=skipped_singular,
-                         skipped_uncertified=skipped_uncert)
+                         skipped_uncertified=skipped_uncert,
+                         map_counts=tuple(map_counts))
 
 
 def _draw_back_word(m, rng, depth, gauss_branch_limit=12):

@@ -283,16 +283,7 @@ class MapModel:
     def draw_regular_points(self, count, rng, max_tries=200):
         """Sample points uniformly on the domain, rejecting singular ones
         (including points with no admissible radius)."""
-        lo, hi = self.domain
-        out = np.empty(0)
-        tries = 0
-        while out.size < count and tries < max_tries:
-            tries += 1
-            x = rng.uniform(lo, hi, size=max(64, 2 * (count - out.size)))
-            b, _, dx, dfx, r = _radii(self, x)
-            ok = (dx > self.exclusion) & (b >= 0) & (dfx > self.exclusion) & (r >= self.exclusion)
-            out = np.concatenate([out, x[ok]])
-        return out[:count]
+        return _regular_samples(self, count, rng, max_tries)[0]
 
     def verify_regularity(self, sample_count, seed):
         return verify_regularity(self, sample_count, seed)
@@ -423,12 +414,12 @@ def verify_regularity(m, sample_count, seed):
         return RegularityReport(m.name, 0, {c: ClauseResult(c, True, 0, 0, math.inf, math.nan)
                                             for c in ("A1", "A2", "A3")})
 
-    rng = np.random.default_rng(seed)
-    x = m.draw_regular_points(sample_count, rng)
+    x, *rad = _regular_samples(m, sample_count, np.random.default_rng(seed))
     n = x.size
     if n == 0:
         raise ValueError(f"map {m.name!r}: no sampled point has a radius above the exclusion cutoff")
-    blocks = [_sample_margins(m, x[s:s + REGULARITY_BLOCK]) for s in range(0, n, REGULARITY_BLOCK)]
+    blocks = [_sample_margins(m, x[s:s + REGULARITY_BLOCK], [v[s:s + REGULARITY_BLOCK] for v in rad])
+              for s in range(0, n, REGULARITY_BLOCK)]
     a1_margin, a2_margin, quot, extremes = (np.concatenate(c) for c in zip(*blocks))
     a3_margin = math.log(m.kappa) - np.log(np.maximum(quot, 1e-300))
 
@@ -454,16 +445,40 @@ def _radii(m, x):
     return bid, fx, dx, dfx, 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
 
 
-def _sample_margins(m, x):
+def _regular_samples(m, count, rng, max_tries=200):
+    """Up to ``count`` points x drawn uniformly on the domain with x and
+    f(x) regular and an admissible radius, as ``(x, *_radii(m, x))``; the
+    radii are taken per block of ``REGULARITY_BLOCK`` draws until ``count``
+    points are kept."""
+    lo, hi = m.domain
+    out = (np.empty(count), np.empty(count, dtype=np.int64), *(np.empty(count) for _ in range(4)))
+    got = tries = 0
+    while got < count and tries < max_tries:
+        tries += 1
+        xs = rng.uniform(lo, hi, size=max(64, 2 * (count - got)))
+        for s in range(0, xs.size, REGULARITY_BLOCK):
+            new = (xs[s:s + REGULARITY_BLOCK], *_radii(m, xs[s:s + REGULARITY_BLOCK]))
+            _, b, _, dx, dfx, r = new
+            ok = (dx > m.exclusion) & (b >= 0) & (dfx > m.exclusion) & (r >= m.exclusion)
+            take = min(int(ok.sum()), count - got)
+            for o, v in zip(out, new):
+                o[got:got + take] = v[ok][:take]
+            got += take
+            if got == count:
+                break
+    return tuple(o[:got] for o in out)
+
+
+def _sample_margins(m, x, rad):
     """Per-sample (A1) and (A2) margins, (A3) quotient bound and extreme
-    derivative max(|dg|, 1/|df|) of the samples x.
+    derivative max(|dg|, 1/|df|) of the samples x, whose _radii are rad.
 
     Where (A1) holds, D_x and E_x lie inside one monotone branch and its
     image, on which |df|, |dg|, |f''| and |g''| are monotone: their extremes
     over a ball are their values at its two ends.
     """
     mk, tab = m.map_kind, m.table
-    bid, fx, dx, dfx, r = _radii(m, x)
+    bid, fx, dx, _, r = rad
 
     lo, hi = m.domain
     ys = np.stack([np.maximum(x - 2 * r, lo), np.minimum(x + 2 * r, hi)])    # ends of D_x

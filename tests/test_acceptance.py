@@ -292,7 +292,7 @@ def test_criterion_10_entropy_growth():
     assert len(lib.windows) >= 1000
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rep = an.growth_report(m, pg, n_max=10)
+    rep = an.growth_report(lib.map_counts, pg)
     elapsed = time.perf_counter() - t0
     for n, mc, _, _ in rep.rows:
         assert mc == 2 ** n - 1  # map counts exactly

@@ -92,20 +92,24 @@ def test_malformed_branches_exit_2(tmp_path, capsys, change):
 
 
 def test_infeasible_word_budget_exit_2(tmp_path, monkeypatch, capsys):
-    # gauss at the defaults would enumerate 16^10 words in the growth stage
+    # gauss at the defaults would enumerate 16 + ... + 16^8 words, and at
+    # max_period 5 still 1,118,480: both refuse before any stage runs
     def enumerate_anyway(*args, **kw):
         raise AssertionError("the library stage ran")
 
     monkeypatch.setattr(cli.library, "periodic_library", enumerate_anyway)
-    for command in ("full-pipeline", "periodic-report", "sample-orbits"):
-        rc = run_cli([command, "--map", "gauss", "--out", str(tmp_path / "o"), "--quiet"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "16^" in err and "MAX_PERIODIC_WORDS" in err
+    for command in ("full-pipeline", "periodic-report", "sample-orbits", "inverse-audit"):
+        for extra in ([], ["--max-period", "5"]):
+            rc = run_cli([command, "--map", "gauss", "--out", str(tmp_path / "o"), "--quiet"]
+                         + extra)
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "MAX_PERIODIC_WORDS" in err
+            assert ("16^8" if not extra else "16^5 = 1118480") in err
     assert not (tmp_path / "o").exists()
-    # max_period 3 grows to n = 5, 16^5 words: within budget, so the run
-    # reaches the library stage
-    assert run_cli(["full-pipeline", "--map", "gauss", "--max-period", "3",
+    # max_period 4 needs 69,904 words: within budget, so the run reaches
+    # the library stage
+    assert run_cli(["full-pipeline", "--map", "gauss", "--max-period", "4",
                     "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert "the library stage ran" in capsys.readouterr().err
 

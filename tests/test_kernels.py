@@ -80,14 +80,31 @@ def test_scalar_vs_vectorized_eval(name):
         assert all(type(v) is float for v in got)
         assert [_bits(v) for v in got] == [_bits(fv[i]), _bits(dv[i]), _bits(iv[i]), _bits(giv[i])]
         # g'' raises to the power 1.5 or 3: numpy's pow and the C library's
-        # may round differently; at the critical value floats divide by 0
-        if math.isinf(g2v[i]):
-            with pytest.raises(ZeroDivisionError):
-                br.ddinv(y)
-        else:
-            assert type(br.ddinv(y)) is float
-            assert br.ddinv(y) == pytest.approx(g2v[i], rel=1e-15, nan_ok=True)
+        # may round differently; at the critical value both give the same inf
+        assert type(br.ddinv(y)) is float
+        assert br.ddinv(y) == pytest.approx(g2v[i], rel=1e-15, nan_ok=True)
     assert regular >= 500
+
+
+def test_ddinv_at_quadratic_critical_value():
+    # the built-in quadratic 4y(1 - 2y) has its vertex at 0.25 and its
+    # critical value at 0.5, where disc = 16 - 32y is 0: g'' is +inf on the
+    # convex left inverse and -inf on the concave right one, in both lanes;
+    # one ulp under 0.5, disc = 2^-49 and g'' = +-16 / 2^-73.5
+    m = symdyn.built_in("quadratic")
+    below = float(np.nextafter(0.5, 0.0))
+    for br, sign in zip(m.branches, (1.0, -1.0)):
+        ys = np.array([0.5, below])
+        batch = K.d2inv_vec(m.map_kind, m.table, np.full(2, br.id), ys)
+        assert br.ddinv(0.5) == batch[0] == math.copysign(math.inf, sign)
+        assert br.ddinv(below) == pytest.approx(batch[1], rel=1e-15)
+        assert br.ddinv(below) == pytest.approx(sign * 16.0 * 2.0**73.5, rel=1e-15)
+    # the images of the vertex and of its neighbouring floats round to 0.5
+    for x in (float(np.nextafter(0.25, 0.0)), 0.25, float(np.nextafter(0.25, 0.5))):
+        br = m.branches[0] if x < 0.25 else m.branches[1]
+        y = br.fwd(x)
+        assert y == 0.5
+        assert br.ddinv(y) == K.d2inv_vec(m.map_kind, m.table, np.array([br.id]), np.array([y]))[0]
 
 
 @pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss", "mixed"])
@@ -401,9 +418,24 @@ def test_gauss_periodic_points_continued_fractions(n):
     assert words.tolist() == [w for _, w in expect]
 
 
-@pytest.mark.parametrize("name,n", [("gauss", 4), ("quadratic", 10), ("tent", 10)])
+def test_gauss_period_4_every_word():
+    # all 16^4 words keep their root, although the forward error of the
+    # steepest words exceeds 1e-9 and some roots lie closer than 1e-9; a
+    # fixed sample of 2,000 roots against their continued fractions
+    got, words = map_periodic_points(symdyn.built_in("gauss"), 4)
+    assert len(got) == 16**4
+    assert np.all(np.diff(got) > 0.0)
+    assert len({tuple(w) for w in words.tolist()}) == 16**4
+    pick = np.random.default_rng(4).choice(16**4, size=2000, replace=False)
+    with mpmath.workdps(40):
+        for i in pick.tolist():
+            assert got[i] == pytest.approx(float(_gauss_cycle_point(words[i].tolist())), abs=1e-12)
+
+
+@pytest.mark.parametrize("name,n", [("quadratic", 10), ("tent", 10)])
 def test_map_periodic_points_match_sorted_scan(name, n):
-    # gauss n = 4 merges 133 roots, 24 of them in chains of three or more
+    # the reference still checks |f^n(r) - r| <= 1e-9 and merges roots
+    # closer than 1e-9; on these words neither removes a root
     m = symdyn.built_in(name)
     roots, words = map_periodic_points(m, n)
     ref = map_periodic_points_reference(m, n)
@@ -412,11 +444,13 @@ def test_map_periodic_points_match_sorted_scan(name, n):
 
 
 def test_map_periodic_points_word_budget():
+    # the budget counts the words of every period up to n
     gauss = symdyn.built_in("gauss")
-    assert 16**5 == MAX_PERIODIC_WORDS
-    check_word_budget(gauss, 5)
-    with pytest.raises(ValueError, match="16\\^6"):
-        map_periodic_points(gauss, 6)
-    check_word_budget(symdyn.built_in("doubling"), 20)
-    with pytest.raises(ValueError, match="2\\^21"):
-        map_periodic_points(symdyn.built_in("doubling"), 21)
+    assert 16 + 16**2 + 16**3 + 16**4 <= MAX_PERIODIC_WORDS < 16 + 16**2 + 16**3 + 16**4 + 16**5
+    check_word_budget(gauss, 4)
+    with pytest.raises(ValueError, match="16\\^5 = 1118480"):
+        map_periodic_points(gauss, 5)
+    assert sum(2**n for n in range(1, 20)) <= MAX_PERIODIC_WORDS
+    check_word_budget(symdyn.built_in("doubling"), 19)
+    with pytest.raises(ValueError, match="2\\^20 = 2097150"):
+        map_periodic_points(symdyn.built_in("doubling"), 20)

@@ -199,7 +199,7 @@ def test_regularity_matches_reference(name, samples, seed):
     m = parse_map_file(MIXED_FILE) if name == "mixed" else built_in(name)
     x = m.draw_regular_points(samples, np.random.default_rng(seed))
     assert x.size == samples
-    a1, a2, quot, _ = _sample_margins(m, x)
+    a1, a2, quot, _ = _sample_margins(m, x, _radii(m, x))
     g1, g2, gquot, _ = regularity_grid_reference(m, x)
     assert np.array_equal(a1, g1)
     assert np.all(a2 <= g2)
@@ -218,13 +218,14 @@ def test_ball_ends_are_derivative_extremes(name):
     # margin read from the ends is the one the enclosures give
     m = parse_map_file(MIXED_FILE) if name == "mixed" else built_in(name)
     x = m.draw_regular_points(300, np.random.default_rng(13))
-    bid, fx, dx, _, r = _radii(m, x)
+    rad = _radii(m, x)
+    bid, fx, dx, _, r = rad
     lo, hi = m.domain
     ys = np.stack([np.maximum(x - 2 * r, lo), np.minimum(x + 2 * r, hi)])
     zs = np.stack([np.maximum(fx - 2 * r, lo), np.minimum(fx + 2 * r, hi)])
     dfy = np.abs(K.dfwd_vec(m.map_kind, m.table, bid, ys))
     dgz = np.abs(K.dinv_vec(m.map_kind, m.table, bid, zs))
-    a2 = _sample_margins(m, x)[1]
+    a2 = _sample_margins(m, x, rad)[1]
     close = lambda got, want: abs(got - float(want)) <= 1e-9 * float(want)
     iv.dps = 50
     try:
