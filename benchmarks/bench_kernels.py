@@ -60,18 +60,29 @@ def bench(reps=3):
     # per column
     x = m.draw_regular_points(200_000, rng)
     ends = np.stack([x - 1e-4, x + 1e-4])
-    bid = K.branch_index_vec(m.map_kind, m.table, x)
+    bid = K.branch_index_vec(m.family, x)
 
     def end_derivatives():
-        K.dfwd_vec(m.map_kind, m.table, bid, ends)
-        K.dinv_vec(m.map_kind, m.table, bid, ends)
+        K.dfwd_vec(m.family, bid, ends)
+        K.dinv_vec(m.family, bid, ends)
 
     def end_second_derivatives():
-        K.d2fwd_vec(m.map_kind, m.table, bid, ends)
-        K.d2inv_vec(m.map_kind, m.table, bid, ends)
+        K.d2fwd_vec(m.family, bid, ends)
+        K.d2inv_vec(m.family, bid, ends)
 
     timeit("dfwd_vec / dinv_vec on (2, 200000)", end_derivatives)
     timeit("d2fwd_vec / d2inv_vec on (2, 200000)", end_second_derivatives)
+
+    # the gauss branch index and d(x, S), one formula in both lanes: point by
+    # point through MapModel, and on one array
+    gx = gauss.draw_regular_points(200_000, rng)
+    gl = gx[:20_000].tolist()
+    timeit("gauss index, scalar lane (20,000 points)",
+           lambda: [gauss._branch_index(v) for v in gl])
+    timeit("gauss d(x, S), scalar lane (20,000 points)",
+           lambda: [gauss.singular_distance(v) for v in gl])
+    timeit("gauss branch_index_vec (200,000 points)", lambda: K.branch_index_vec(gauss.family, gx))
+    timeit("gauss sing_dist_vec (200,000 points)", lambda: K.sing_dist_vec(gauss.family, gx))
     return out
 
 

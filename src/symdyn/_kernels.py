@@ -1,23 +1,22 @@
-"""Batch numeric kernels: branch-table map evaluation and periodic-point
-bisection over numpy arrays.
+"""Batch numeric kernels: map evaluation over a branch family and
+periodic-point bisection, on numpy arrays.
 
-Maps are encoded for the kernels as a ``(map_kind, table, sing)`` triple:
+A map's branch family is chosen once, when its ``MapModel`` is built: a
+``Table`` of rows ``[kind, lo, hi, c0, c1, c2, c3, inv_sign]`` (affine
+``c0 + c1*x``, quadratic ``c0 + c1*x + c2*x**2`` or moebius ``(c0 +
+c1*x)/(c2 + c3*x)``) with a finite singular set, or ``Gauss``, whose
+branch n >= 1 is ``gauss_row(n)``.  Every branch holds [lo, hi): the
+domain's right end lies in no branch.  A family's ``index`` (the branch
+holding x, or -1) and ``dist`` (d(x, S)) take a Python float or an array.
 
-* ``map_kind == MAPKIND_TABLE``: ``table`` has one row per branch,
-  ``[kind, lo, hi, c0, c1, c2, c3, inv_sign]`` with ``kind`` one of
-  affine ``c0 + c1*x``, quadratic ``c0 + c1*x + c2*x**2`` or moebius
-  ``(c0 + c1*x)/(c2 + c3*x)``; ``sing`` is the finite singular set.
-* ``map_kind == MAPKIND_GAUSS``: branch ``n >= 1`` is the moebius map
-  ``1/(4x) - n/2`` on ``(1/(2n+2), 1/(2n)]``; the singular set
-  ``{0} u {1/(2n)}`` has a closed-form distance.
-
-This module is the batch lane (``*_vec``, ``periodic_roots``).  Single
-points and orbits are the scalar lane, ``map_model.Branch`` and
-``MapModel``, which evaluate the same per-kind formulas (``fwd_formula``
-... ``d2inv_formula``) on one branch's coefficients.
+The batch lane is ``*_vec`` and ``periodic_roots``; the scalar lane,
+``map_model.Branch`` and ``MapModel``, runs the same per-kind formulas
+(``fwd_formula`` ... ``d2inv_formula``) on one branch's row and the
+family's ``index`` and ``dist`` on one float.
 ``benchmarks/bench_kernels.py`` times both lanes.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -32,62 +31,151 @@ KIND_MOEBIUS = 2
 # Kernel lane recorded in run environments; there is no compiled lane.
 USE_NUMBA = False
 
+# Below 2^-53, floor(1/(2x)) would pass 2^52 and floats stop resolving the
+# gauss singular points 1/(2n), so no float becomes an unbounded int.
+GAUSS_X_MIN = 2.0**-53
+
+
+def _where(cond, a, b):
+    """np.where on arrays, Python's conditional on floats (so the scalar lane
+    stays in Python arithmetic); ``_min`` likewise."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _min(*v):
+    return functools.reduce(np.minimum, v) if isinstance(v[0], np.ndarray) else min(v)
+
+
+def gauss_row(n):
+    """Gauss branch n >= 1 as a table row: the moebius map (1 - 2n x) / (4x)
+    on [1/(2n+2), 1/(2n))."""
+    return (KIND_MOEBIUS, 0.5 / (n + 1.0), 0.5 / n, 1.0, -2.0 * n, 0.0, 4.0, 1.0)
+
+
+def _gauss_floor(x):
+    """floor(1/(2x)) with x clipped to [2^-53, 1/4], a float in [2, 2^52]."""
+    if isinstance(x, np.ndarray):
+        return (0.5 / np.clip(x, GAUSS_X_MIN, 0.25)) // 1.0
+    return (0.5 / (GAUSS_X_MIN if x < GAUSS_X_MIN else 0.25 if x > 0.25 else x)) // 1.0
+
+
+def gauss_index(x):
+    """The gauss branch n with x in [1/(2n+2), 1/(2n)); -1 off (0, 1/2)."""
+    n = _gauss_floor(x)
+    # the rounded 1/(2x) can land one branch off near an endpoint
+    n = n + (x < 0.5 / (n + 1.0)) - (x >= 0.5 / n)
+    n = _where((0.0 < x) & (x < 0.5), n, -1.0)
+    return n.astype(np.int64) if isinstance(n, np.ndarray) else int(n)
+
+
+def gauss_dist(x):
+    """d(x, S) for S = {0} u {1/(2n)}: 0 and the three 1/(2m) nearest
+    m = floor(1/(2x)); 0 on (0, 2^-53), where x is within 2x^2 of S (the
+    distance to 0 then counts as 0)."""
+    n = _gauss_floor(x)
+    return _min(abs(x) * ((x <= 0.0) | (x >= GAUSS_X_MIN)),
+                abs(x - 0.5 / (n - 1.0)), abs(x - 0.5 / n), abs(x - 0.5 / (n + 1.0)))
+
+
+class Table:
+    """Finitely many branches: row i of ``table`` is branch i."""
+
+    def __init__(self, table, sing=()):
+        self.table, self.sing = table, tuple(float(s) for s in sing)
+        self.ids = range(table.shape[0])
+        self.kinds = tuple(sorted({int(k) for k in table[:, 0].tolist()}))
+        self._ends = table[:, 1:3].tolist()
+        f_lo, f_hi = (fwd_vec(self, self.ids, table[:, j]) for j in (1, 2))
+        self._image = np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)
+
+    def col(self, bid):
+        return lambda j: self.table[:, j][bid]
+
+    def row(self, bid):
+        if bid not in self.ids:
+            raise KeyError(bid)
+        return tuple(self.table[bid].tolist())
+
+    def image(self, bid):
+        return self._image[0][bid], self._image[1][bid]
+
+    def index(self, x):
+        out = -1  # the branches partition the domain: at most one i + 1 is added
+        for i, (lo, hi) in enumerate(self._ends):
+            out = out + (i + 1) * ((lo <= x) & (x < hi))
+        return out
+
+    def dist(self, x):
+        if isinstance(x, np.ndarray):
+            best = np.full(x.shape, np.inf)
+            for s in self.sing:  # a running minimum over the few singular points
+                np.minimum(best, np.abs(x - s), out=best)
+            return best
+        best = math.inf
+        for s in self.sing:
+            d = abs(x - s)
+            if d < best:
+                best = d
+        return best
+
+
+class Gauss:
+    """The gauss branches ``gauss_row(n)``, n >= 1; words use the first 16."""
+
+    kinds, ids = (KIND_MOEBIUS,), range(1, 17)
+    index, dist = staticmethod(gauss_index), staticmethod(gauss_dist)
+
+    def col(self, bid):
+        return gauss_row(np.asarray(bid, dtype=np.float64)).__getitem__
+
+    def row(self, bid):
+        if bid < 1:
+            raise KeyError(bid)
+        return gauss_row(bid)
+
+    def image(self, bid):
+        return 0.0, 0.5  # every branch is full
+
 
 # ---------------------------------------------------------------------------
 # vectorized batch evaluation
 # ---------------------------------------------------------------------------
 
-def branch_index_vec(map_kind, table, x):
-    x = np.asarray(x, dtype=np.float64)
-    if map_kind == MAPKIND_GAUSS:
-        safe = np.where(x > 1e-15, x, 1e-15)
-        n = np.minimum(np.floor(1.0 / (2.0 * safe)), 1e18).astype(np.int64)
-        n = np.maximum(n, 1)
-        n = np.where(x <= 1.0 / (2.0 * (n + 1)), n + 1, n)
-        n = np.where(x > 1.0 / (2.0 * n), n - 1, n)
-        return n
-    out = np.full(x.shape, -1, dtype=np.int64)
-    for i in range(table.shape[0]):
-        hit = (table[i, 1] <= x) & (x < table[i, 2])
-        out = np.where(hit, i, out)
-    out = np.where((out < 0) & (x == table[-1, 2]), table.shape[0] - 1, out)
-    return out
+def branch_index_vec(fam, x):
+    return fam.index(np.asarray(x, dtype=np.float64))
+
+
+def sing_dist_vec(fam, x):
+    return fam.dist(np.asarray(x, dtype=np.float64))
 
 
 # Coefficient columns of a table row: c0..c3, then the inverse-branch sign.
 _C0, _C1, _C2, _C3, _SIGN = 3, 4, 5, 6, 7
 
 
-def _batch(formula, map_kind, table, bid, x):
+def _batch(formula, fam, bid, x):
     """Evaluate ``formula(kind, col, x)`` elementwise, where ``col(j)`` is
     column ``j`` of each element's branch row.
 
-    Each branch kind present in the table is evaluated only on the elements
-    whose branch has that kind, gathering only the columns its formula
-    reads; a one-kind table (every built-in) is one formula and no mask.
-    The result has the broadcast shape of ``bid`` and ``x``.
+    Each branch kind present in the family is evaluated only on the
+    elements whose branch has that kind, gathering only the columns its
+    formula reads; a one-kind family (every built-in) is one formula and no
+    mask.  The result has the broadcast shape of ``bid`` and ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
+    bid = np.asarray(bid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if map_kind == MAPKIND_GAUSS:
-            # branch n is the moebius map (1 - 2n x) / (0 + 4x)
-            bid = np.asarray(bid, dtype=np.float64)
-            coef = {_C0: 1.0, _C1: -2.0 * bid, _C2: 0.0, _C3: 4.0}
-            res = formula(KIND_MOEBIUS, coef.__getitem__, x)
+        if len(fam.kinds) == 1:
+            res = formula(fam.kinds[0], fam.col(bid), x)
         else:
-            bid = np.asarray(bid, dtype=np.int64)
-            # a table has a handful of rows: a set is cheaper than np.unique
-            kinds = {int(k) for k in table[:, 0].tolist()}
-            if len(kinds) == 1:
-                res = formula(kinds.pop(), lambda j: table[:, j][bid], x)
-            else:
-                bid, x = np.broadcast_arrays(bid, x)
-                kind_of = table[:, 0][bid].astype(np.int64)
-                res = np.empty(x.shape)
-                for kind in kinds:
-                    sel = kind_of == kind
-                    b = bid[sel]
-                    res[sel] = formula(kind, lambda j: table[:, j][b], x[sel])
+            bid, x = np.broadcast_arrays(bid, x)
+            kind_of = fam.col(bid)(0)
+            res = np.empty(x.shape)
+            for kind in fam.kinds:
+                sel = kind_of == kind
+                res[sel] = formula(kind, fam.col(bid[sel]), x[sel])
     if type(res) is np.ndarray and res.shape == x.shape:
         return res
     # formulas that do not read x (constant derivatives) have bid's shape or none
@@ -187,57 +275,23 @@ def d2inv_formula(kind, col, y):
     return -2.0 * (c1 * c2 - c0 * c3) * c3 / (c3 * y - c1) ** 3
 
 
-def fwd_vec(map_kind, table, bid, x):
-    return _batch(fwd_formula, map_kind, table, bid, x)
+# The batch kernels ``fwd_vec(fam, bid, x)`` ...: ``_batch`` bound to each formula.
+fwd_vec = functools.partial(_batch, fwd_formula)
+dfwd_vec = functools.partial(_batch, dfwd_formula)
+inv_vec = functools.partial(_batch, inv_formula)
+dinv_vec = functools.partial(_batch, dinv_formula)
+d2fwd_vec = functools.partial(_batch, d2fwd_formula)
+d2inv_vec = functools.partial(_batch, d2inv_formula)
 
 
-def dfwd_vec(map_kind, table, bid, x):
-    return _batch(dfwd_formula, map_kind, table, bid, x)
-
-
-def inv_vec(map_kind, table, bid, y):
-    return _batch(inv_formula, map_kind, table, bid, y)
-
-
-def dinv_vec(map_kind, table, bid, y):
-    return _batch(dinv_formula, map_kind, table, bid, y)
-
-
-def d2fwd_vec(map_kind, table, bid, x):
-    return _batch(d2fwd_formula, map_kind, table, bid, x)
-
-
-def d2inv_vec(map_kind, table, bid, y):
-    return _batch(d2inv_formula, map_kind, table, bid, y)
-
-
-def sing_dist_vec(map_kind, table, sing, x):
-    x = np.asarray(x, dtype=np.float64)
-    if map_kind == MAPKIND_GAUSS:
-        best = np.abs(x)
-        safe = np.where(x > 1e-15, x, 1e-15)
-        n = np.minimum(np.floor(1.0 / (2.0 * safe)), 1e18).astype(np.int64)
-        n = np.maximum(n, 1)
-        for off in (-1, 0, 1):
-            m = n + off
-            valid = m >= 1
-            d = np.abs(x - 1.0 / (2.0 * np.where(valid, m, 1)))
-            best = np.where(valid & (d < best), d, best)
-        return best
-    best = np.full(x.shape, np.inf)
-    for s in sing:  # a running minimum over the few singular points
-        np.minimum(best, np.abs(x - s), out=best)
-    return best
-
-
-def _compose(map_kind, table, words, x):
+def _compose(fam, words, x):
     """f_{w[n-1]} o ... o f_{w[0]} (x) row-wise, one word per row of ``words``."""
     for k in range(words.shape[1]):
-        x = fwd_vec(map_kind, table, words[:, k], x)
+        x = fwd_vec(fam, words[:, k], x)
     return x
 
 
-def periodic_roots(map_kind, table, words, iters=200):
+def periodic_roots(fam, words, iters=200):
     """Vectorized cylinder refinement + bisection over a batch of words.
 
     Returns ``(roots, found)``; ``roots[~found]`` is unspecified.  Only live
@@ -246,23 +300,23 @@ def periodic_roots(map_kind, table, words, iters=200):
     """
     words = np.asarray(words, dtype=np.int64)
     w, n = words.shape
-    lo = table[words[:, n - 1], 1].copy()
-    hi = table[words[:, n - 1], 2].copy()
+    ends = fam.col(words[:, n - 1])
+    lo, hi = ends(1), ends(2)
     alive = np.ones(w, dtype=bool)
     for k in range(n - 2, -1, -1):
         b = words[:, k]
-        a = inv_vec(map_kind, table, b, lo)
-        c = inv_vec(map_kind, table, b, hi)
-        a2 = np.maximum(np.minimum(a, c), table[b, 1])
-        c2 = np.minimum(np.maximum(a, c), table[b, 2])
+        a = inv_vec(fam, b, lo)
+        c = inv_vec(fam, b, hi)
+        a2 = np.maximum(np.minimum(a, c), fam.col(b)(1))
+        c2 = np.minimum(np.maximum(a, c), fam.col(b)(2))
         alive &= a2 < c2
         lo = np.where(alive, a2, 0.0)
         hi = np.where(alive, c2, 1.0)
 
     idx = np.flatnonzero(alive)
     lo, hi, wd = lo[idx], hi[idx], words[idx]
-    flo = _compose(map_kind, table, wd, lo) - lo
-    fhi = _compose(map_kind, table, wd, hi) - hi
+    flo = _compose(fam, wd, lo) - lo
+    fhi = _compose(fam, wd, hi) - hi
     exact_lo = flo == 0.0
     exact_hi = (fhi == 0.0) & ~exact_lo
     roots = np.zeros(w)
@@ -274,7 +328,7 @@ def periodic_roots(map_kind, table, words, iters=200):
         if idx.size == 0:
             break
         mid = 0.5 * (lo + hi)
-        fm = _compose(map_kind, table, wd, mid) - mid
+        fm = _compose(fam, wd, mid) - mid
         same = (fm > 0.0) == (flo > 0.0)
         new_lo = np.where(same, mid, lo)
         new_hi = np.where(same, hi, mid)

@@ -150,14 +150,16 @@ MAX_PERIODIC_WORDS = 2**20
 
 def check_word_budget(m, max_period):
     """Raise ValueError when the periods 1..max_period need more than
-    MAX_PERIODIC_WORDS branch words in all."""
-    nb = m.finite_table()[1].shape[0]
-    words = (nb**(max_period + 1) - nb) // (nb - 1) if nb > 1 else nb * max_period
-    if words > MAX_PERIODIC_WORDS:
-        raise ValueError(
-            f"periodic points of {m.name!r} at periods up to {max_period} need "
-            f"{nb} + ... + {nb}^{max_period} = {words} branch words, over the budget "
-            f"of {MAX_PERIODIC_WORDS} (MAX_PERIODIC_WORDS); lower max_period")
+    MAX_PERIODIC_WORDS branch words in all, counting up to the first period
+    past it."""
+    nb, words = m.finite_table()[1].shape[0], 0
+    for n in range(1, max_period + 1):
+        words += nb**n
+        if words > MAX_PERIODIC_WORDS:
+            raise ValueError(f"periodic points of {m.name!r} at periods up to {max_period} need "
+                             f"{nb} + ... + {nb}^{max_period} branch words, over the budget of "
+                             f"{MAX_PERIODIC_WORDS} (MAX_PERIODIC_WORDS): periods up to {n} need "
+                             f"{nb} + ... + {nb}^{n} = {words}; lower max_period")
 
 
 def map_periodic_points(m, n):
@@ -165,8 +167,8 @@ def map_periodic_points(m, n):
 
     Convention: the orbit must respect the half-open branch domains
     [lo, hi) at every step (so domain right endpoints are excluded, and
-    maps with countably many branches are restricted to the finite
-    sub-table); a word's root is kept when its cylinder shows a sign change
+    maps with countably many branches are restricted to their family's
+    first ``ids``); a word's root is kept when its cylinder shows a sign change
     of f^n(x) - x or an exact root at an endpoint.  The half-open domains
     make each float root the root of one word.  Returns the roots,
     ascending, and their branch words (row i: the branches of roots[i],
@@ -174,24 +176,22 @@ def map_periodic_points(m, n):
     periods up to n exceed MAX_PERIODIC_WORDS.
     """
     check_word_budget(m, n)
-    mk, table = m.finite_table()
-    nb = table.shape[0]
+    ids = np.array(m.family.ids, dtype=np.int64)
     # every word in lexicographic order: column k holds digit k of the index
-    words = np.empty((nb**n, n), dtype=np.int64)
-    rest = np.arange(nb**n, dtype=np.int64)
+    words = np.empty((ids.size**n, n), dtype=np.int64)
+    rest = np.arange(ids.size**n, dtype=np.int64)
     for k in range(n - 1, -1, -1):
-        rest, words[:, k] = np.divmod(rest, nb)
-    roots, found = K.periodic_roots(mk, table, words)
+        rest, digit = np.divmod(rest, ids.size)
+        words[:, k] = ids[digit]
+    roots, found = K.periodic_roots(m.family, words)
     words, roots = words[found], roots[found]
     x = roots
     good = np.ones(roots.shape, dtype=bool)
     for k in range(n):
-        b = words[:, k]
-        good &= (table[b, 1] <= x) & (x < table[b, 2])
-        x = K.fwd_vec(mk, table, b, x)
+        good &= K.branch_index_vec(m.family, x) == words[:, k]
+        x = K.fwd_vec(m.family, words[:, k], x)
     order = np.flatnonzero(good)[np.argsort(roots[good], kind="stable")]
-    ids = np.array([b.id for b in m.branches], dtype=np.int64)
-    return roots[order], ids[words[order]]
+    return roots[order], words[order]
 
 
 @dataclass

@@ -83,12 +83,15 @@ def periodic_library(m, chi, max_period, back_depth=64, fwd_len=64, n_min=6):
                          map_counts=tuple(map_counts))
 
 
-def _draw_back_word(m, rng, depth, gauss_branch_limit=12):
+GAUSS_WORD_BRANCHES = 12  # random gauss words draw branch n <= 12 with weight 1/(n(n+1))
+
+
+def _draw_back_word(m, rng, depth):
     if m.map_kind == MAPKIND_GAUSS:
-        ns = np.arange(1, gauss_branch_limit + 1, dtype=np.float64)
+        ns = np.arange(1, GAUSS_WORD_BRANCHES + 1, dtype=np.float64)
         wts = 1.0 / (ns * (ns + 1.0))
         wts /= wts.sum()
-        return rng.choice(np.arange(1, gauss_branch_limit + 1), size=depth, p=wts)
+        return rng.choice(np.arange(1, GAUSS_WORD_BRANCHES + 1), size=depth, p=wts)
     nb = m.table.shape[0]
     return rng.integers(0, nb, size=depth)
 

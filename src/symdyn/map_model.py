@@ -14,7 +14,6 @@ bounds, Hölder continuity of df and dg) on random samples and reports
 worst-case witnesses; failures are report entries, not errors.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,11 +57,8 @@ class Branch:
     hi: float
     kind: int
     coef: tuple
-    inv_sign: float = 1.0
-    row: tuple = field(init=False, repr=False, compare=False)  # its kernel table row
-
-    def __post_init__(self):
-        object.__setattr__(self, "row", (self.kind, self.lo, self.hi, *self.coef, self.inv_sign))
+    inv_sign: float
+    row: tuple = field(repr=False, compare=False)  # its family's row of these numbers
 
     # the scalar lane: the batch kernels' formulas on this branch's row
 
@@ -109,13 +105,6 @@ class Branch:
         return float(K.d2inv_formula(self.kind, self.row.__getitem__, y))
 
 
-@functools.lru_cache(maxsize=256)
-def _gauss_branch(n):
-    lo = 1.0 / (2.0 * (n + 1))
-    hi = 1.0 / (2.0 * n)
-    return Branch(id=n, lo=lo, hi=hi, kind=KIND_MOEBIUS, coef=(1.0, -2.0 * n, 0.0, 4.0))
-
-
 @dataclass(frozen=True)
 class MapModel:
     """A piecewise map with singular-set oracle and regularity constants."""
@@ -129,9 +118,9 @@ class MapModel:
     table: np.ndarray = field(repr=False)
     sing: np.ndarray = field(repr=False)
     exclusion: float = EXCLUSION_RADIUS
-    _branches: tuple = field(init=False, repr=False, compare=False)
+    family: object = field(init=False, repr=False, compare=False)  # _kernels.Table or Gauss
+    _branches: dict = field(init=False, repr=False, compare=False)  # id -> Branch, as met
     _cover_ids: dict = field(init=False, repr=False, compare=False)  # x -> cover id
-    _sing: tuple = field(init=False, repr=False, compare=False)  # sing as Python floats
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -141,32 +130,28 @@ class MapModel:
             raise ValueError("need a >= 1, beta in (0,1), kappa > 1")
         self.table.setflags(write=False)
         self.sing.setflags(write=False)
-        if self.map_kind == MAPKIND_GAUSS:
-            branches = tuple(_gauss_branch(n) for n in range(1, 17))
-        else:
-            branches = tuple(
-                Branch(id=i, lo=float(row[1]), hi=float(row[2]), kind=int(row[0]),
-                       coef=tuple(float(c) for c in row[3:7]), inv_sign=float(row[7]))
-                for i, row in enumerate(self.table))
-            _check_branches(branches, self.domain)
-        object.__setattr__(self, "_branches", branches)
+        object.__setattr__(self, "_branches", {})
         object.__setattr__(self, "_cover_ids", {})
-        object.__setattr__(self, "_sing", tuple(self.sing.tolist()))
+        if self.map_kind == MAPKIND_GAUSS:
+            object.__setattr__(self, "family", K.Gauss())
+        else:
+            object.__setattr__(self, "family", K.Table(self.table, self.sing))
+            _check_branches(self.branches, self.domain)
 
     # -- branch access ------------------------------------------------
 
     @property
     def branches(self):
-        return list(self._branches)
+        """The finite branches: every table row, the first 16 gauss branches."""
+        return [self.branch_by_id(i) for i in self.family.ids]
 
     def branch_by_id(self, bid):
-        if self.map_kind == MAPKIND_GAUSS:
-            if bid < 1:
-                raise KeyError(bid)
-            return _gauss_branch(int(bid))
-        if not 0 <= bid < len(self._branches):
-            raise KeyError(bid)
-        return self._branches[int(bid)]
+        b = self._branches.get(bid)
+        if b is None:  # KeyError for an id the family lacks
+            row = self.family.row(int(bid))
+            b = self._branches[bid] = Branch(id=int(bid), lo=row[1], hi=row[2], kind=int(row[0]),
+                                             coef=row[3:7], inv_sign=row[7], row=row)
+        return b
 
     def branch_at(self, x):
         """Id of the unique branch whose domain contains x.
@@ -182,42 +167,13 @@ class MapModel:
         return b
 
     def _branch_index(self, x):
-        """Id of the branch whose domain [lo, hi) contains x (the last branch
-        also holds its hi), or -1; gauss branch n holds (1/(2n+2), 1/(2n)]."""
-        if self.map_kind == MAPKIND_GAUSS:
-            n = max(math.floor(1.0 / (2.0 * x)), 1)
-            # floating floor can land one branch off near an endpoint
-            if x <= 1.0 / (2.0 * (n + 1)):
-                n += 1
-            elif x > 1.0 / (2.0 * n):
-                n -= 1
-            return n if n >= 1 else -1
-        for b in self._branches:
-            if b.lo <= x < b.hi:
-                return b.id
-        return self._branches[-1].id if x == self._branches[-1].hi else -1
+        """Id of the branch whose [lo, hi) holds x, or -1 (none holds the domain's hi)."""
+        return self.family.index(x)
 
     # -- pointwise dynamics --------------------------------------------
 
     def singular_distance(self, x):
-        if self.map_kind == MAPKIND_GAUSS:
-            # singular set {0} u {1/(2n)}: 0 and the three nearest 1/(2m)
-            best = abs(x)
-            q = 1.0 / (2.0 * x) if x > 0.0 else 0.0
-            if q == math.inf:  # x < 2.8e-309: d(x, S) < 2 x^2 rounds to 0
-                return 0.0
-            n = max(math.floor(q), 1)
-            for m in range(max(n - 1, 1), n + 2):
-                d = abs(x - 1.0 / (2.0 * m))
-                if d < best:
-                    best = d
-            return float(best)
-        best = math.inf
-        for s in self._sing:
-            d = abs(x - s)
-            if d < best:
-                best = d
-        return float(best)
+        return float(self.family.dist(x))
 
     def f(self, x):
         return self.branch_by_id(self.branch_at(x)).fwd(x)
@@ -255,16 +211,8 @@ class MapModel:
         return cid
 
     def finite_table(self, n_branches=None):
-        """(map_kind, table) with GAUSS restricted to its first branches.
-
-        Needed by word-enumeration routines (periodic points); table maps
-        return themselves.
-        """
-        if self.map_kind == MAPKIND_TABLE:
-            return MAPKIND_TABLE, self.table
-        n = 16 if n_branches is None else n_branches
-        rows = [_gauss_branch(m).row for m in range(1, n + 1)]
-        return MAPKIND_TABLE, np.array(rows, dtype=np.float64)
+        """(MAPKIND_TABLE, the rows of ``branches[:n_branches]``) for word enumeration."""
+        return MAPKIND_TABLE, np.array([b.row for b in self.branches[:n_branches]], dtype=np.float64)
 
     # -- regularity ----------------------------------------------------
 
@@ -274,7 +222,7 @@ class MapModel:
         points must be consecutive orbit values; the radius at x_i uses
         d(x_i, S) and d(x_{i+1}, S), both available in the cache.
         """
-        d = K.sing_dist_vec(self.map_kind, self.table, self.sing, points)
+        d = K.sing_dist_vec(self.family, points)
         if np.any(d <= self.exclusion):
             return False
         r = 0.5 * np.minimum(np.minimum(d[:-1] ** self.a, d[1:] ** self.a), 1.0)
@@ -438,10 +386,10 @@ def verify_regularity(m, sample_count, seed):
 def _radii(m, x):
     """Branch ids (-1 off every branch), images, d(x,S), d(f(x),S) and the
     radius rule r(x) of the points x."""
-    bid = K.branch_index_vec(m.map_kind, m.table, x)
-    fx = K.fwd_vec(m.map_kind, m.table, np.maximum(bid, 0), x)
-    dx = K.sing_dist_vec(m.map_kind, m.table, m.sing, x)
-    dfx = K.sing_dist_vec(m.map_kind, m.table, m.sing, fx)
+    bid = K.branch_index_vec(m.family, x)
+    fx = K.fwd_vec(m.family, np.maximum(bid, 0), x)
+    dx = K.sing_dist_vec(m.family, x)
+    dfx = K.sing_dist_vec(m.family, fx)
     return bid, fx, dx, dfx, 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
 
 
@@ -477,28 +425,22 @@ def _sample_margins(m, x, rad):
     image, on which |df|, |dg|, |f''| and |g''| are monotone: their extremes
     over a ball are their values at its two ends.
     """
-    mk, tab = m.map_kind, m.table
     bid, fx, dx, _, r = rad
 
     lo, hi = m.domain
     ys = np.stack([np.maximum(x - 2 * r, lo), np.minimum(x + 2 * r, hi)])    # ends of D_x
     zs = np.stack([np.maximum(fx - 2 * r, lo), np.minimum(fx + 2 * r, hi)])  # ends of E_x
 
-    # branch domain endpoints per sample
-    if mk == MAPKIND_GAUSS:
-        b_lo, b_hi = 1.0 / (2.0 * (bid + 1)), 1.0 / (2.0 * bid)
-        img_lo, img_hi = 0.0, 0.5
-    else:
-        b_lo, b_hi = tab[bid, 1], tab[bid, 2]
-        f_lo, f_hi = K.fwd_vec(mk, tab, bid, b_lo), K.fwd_vec(mk, tab, bid, b_hi)
-        img_lo, img_hi = np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)
+    # the covering branch's domain and image per sample
+    b_lo, b_hi = map(m.family.col(bid), (1, 2))
+    img_lo, img_hi = m.family.image(bid)
 
     # (A1): D_x inside the covering branch domain, E_x inside its image.
     a1_margin = np.minimum(np.minimum(ys[0] - b_lo, b_hi - ys[1]),
                            np.minimum(zs[0] - img_lo, img_hi - zs[1]))
 
-    dfy = K.dfwd_vec(mk, tab, bid, ys)
-    dgz = K.dinv_vec(mk, tab, bid, zs)
+    dfy = K.dfwd_vec(m.family, bid, ys)
+    dgz = K.dinv_vec(m.family, bid, zs)
 
     # (A2): a log|df| or log|dg| below a log d(x,S) or above -a log d(x,S)
     # fails, and so does a non-finite one.  v - c rounds monotonically in v,
@@ -514,8 +456,8 @@ def _sample_margins(m, x, rad):
     # same for dg; a NaN bound counts as inf.
     with np.errstate(invalid="ignore"):
         quot = np.maximum(
-            np.abs(K.d2fwd_vec(mk, tab, bid, ys)).max(axis=0) * (ys[1] - ys[0]) ** (1.0 - m.beta),
-            np.abs(K.d2inv_vec(mk, tab, bid, zs)).max(axis=0) * (zs[1] - zs[0]) ** (1.0 - m.beta))
+            np.abs(K.d2fwd_vec(m.family, bid, ys)).max(axis=0) * (ys[1] - ys[0]) ** (1.0 - m.beta),
+            np.abs(K.d2inv_vec(m.family, bid, zs)).max(axis=0) * (zs[1] - zs[0]) ** (1.0 - m.beta))
     quot[np.isnan(quot)] = np.inf
 
     # extreme-derivative witness: the most violent |dg| or 1/|df| seen
@@ -560,11 +502,13 @@ def built_in(name):
             sing=[0.0, 0.25, 0.5], a=2.5, beta=0.5, kappa=16.0,
         )
     if name == "gauss":
-        # 1/x mod 1 conjugated by y = x/2; singular set {0} u {1/(2n)}
+        # 1/x mod 1 conjugated by y = x/2; singular set {0} u {1/(2n)}, whose
+        # points are not floats: d(x, S) may round up by 2^-55, and so the
+        # exclusion radius is widened by as much
         return MapModel(
             name="gauss", map_kind=MAPKIND_GAUSS, domain=(0.0, 0.5),
-            a=3.0, beta=0.5, kappa=8.0,
-            table=np.zeros((0, 8)), sing=np.zeros(0),
+            a=3.0, beta=0.5, kappa=8.0, table=np.zeros((0, 8)), sing=np.zeros(0),
+            exclusion=EXCLUSION_RADIUS + 2.0**-55,
         )
     raise KeyError(f"unknown built-in map {name!r}")
 

@@ -208,7 +208,7 @@ def make_window(m, x0, back_word, fwd_len, u_depth=0):
     fpts, fbid, fld = forward_orbit(m, x0, fwd_len)
     pts = np.concatenate([back_pts, fpts])
     bids = np.concatenate([word[::-1], fbid])
-    bld = np.log(np.abs(K.dfwd_vec(m.map_kind, m.table, word[::-1], back_pts)))
+    bld = np.log(np.abs(K.dfwd_vec(m.family, word[::-1], back_pts)))
     ld = np.concatenate([bld, fld])
     return _assemble(m, pts, bids, ld, off=word.shape[0], u_depth=u_depth)
 
@@ -258,15 +258,13 @@ def _periodic_from_cycle(m, cyc, word, back_depth, fwd_len, u_depth):
     for i, b in enumerate(bids[: 2 * P]):
         if m.branch_at(pts[i]) != b:
             raise ValueError(f"cycle point {pts[i]!r} is not in branch {b}")
-    d = K.dfwd_vec(m.map_kind, m.table, bids, pts[:-1])
+    d = K.dfwd_vec(m.family, bids, pts[:-1])
     if np.any(d == 0) or not np.all(np.isfinite(d)):
         raise SingularPoint("cycle passes through a critical point")
     # exact periodic tiling of the per-phase log-derivs
-    ld_phase = np.log(np.abs(K.dfwd_vec(m.map_kind, m.table,
-                                        np.array(word, dtype=np.int64),
-                                        np.array(cyc))))
+    ld_phase = np.log(np.abs(K.dfwd_vec(m.family, np.array(word, dtype=np.int64), np.array(cyc))))
     ld = np.array([ld_phase[i % P] for i in idx[:-1]])
-    err = np.max(np.abs(K.fwd_vec(m.map_kind, m.table, bids, pts[:-1]) - pts[1:]))
+    err = np.max(np.abs(K.fwd_vec(m.family, bids, pts[:-1]) - pts[1:]))
     if err > CONSISTENCY_TOL:
         raise ValueError(f"cycle violates the window tolerance: {err:g}")
     return _assemble(m, pts, bids, ld, off=back_depth, u_depth=u_depth, period=P)
@@ -280,9 +278,9 @@ def make_pseudo_window(m, pts, bids, u_depth=0, off=None):
     """
     pts = np.asarray(pts, dtype=np.float64)
     bids = np.asarray(bids, dtype=np.int64)
-    err = np.max(np.abs(K.fwd_vec(m.map_kind, m.table, bids, pts[:-1]) - pts[1:]))
+    err = np.max(np.abs(K.fwd_vec(m.family, bids, pts[:-1]) - pts[1:]))
     if err > CONSISTENCY_TOL:
         raise ValueError(f"points violate the window tolerance: {err:g}")
-    ld = np.log(np.abs(K.dfwd_vec(m.map_kind, m.table, bids, pts[:-1])))
+    ld = np.log(np.abs(K.dfwd_vec(m.family, bids, pts[:-1])))
     return _assemble(m, pts.copy(), bids.copy(), ld, off=len(pts) - 1 if off is None else off,
                      u_depth=u_depth)

@@ -12,6 +12,7 @@ read back), kept here so that ``src/`` holds what the pipeline runs.
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -289,11 +290,12 @@ def necklace_count(k, n):
     return total // n
 
 
-def periodic_roots_reference(map_kind, table, words, iters=200):
+def periodic_roots_reference(table, words, iters=200):
     """Fixed-step cylinder refinement + bisection: every word, all ``iters``
     steps, every branch formula at every step.  This is the algorithm, not a
     definition: ``_kernels.periodic_roots`` must reproduce its found roots
     bit for bit while skipping work whose result is never read."""
+    fam = K.Table(table)
     words = np.asarray(words, dtype=np.int64)
     w, n = words.shape
     lo = table[words[:, n - 1], 1].copy()
@@ -301,8 +303,8 @@ def periodic_roots_reference(map_kind, table, words, iters=200):
     alive = np.ones(w, dtype=bool)
     for k in range(n - 2, -1, -1):
         b = words[:, k]
-        a = K.inv_vec(map_kind, table, b, lo)
-        c = K.inv_vec(map_kind, table, b, hi)
+        a = K.inv_vec(fam, b, lo)
+        c = K.inv_vec(fam, b, hi)
         a2 = np.maximum(np.minimum(a, c), table[b, 1])
         c2 = np.minimum(np.maximum(a, c), table[b, 2])
         alive &= a2 < c2
@@ -311,7 +313,7 @@ def periodic_roots_reference(map_kind, table, words, iters=200):
 
     def compose(x):
         for k in range(n):
-            x = K.fwd_vec(map_kind, table, words[:, k], x)
+            x = K.fwd_vec(fam, words[:, k], x)
         return x
 
     flo = compose(lo) - lo
@@ -335,16 +337,17 @@ def map_periodic_points_reference(m, n, tol=1e-9):
     """The validated roots scanned as a sorted list: [(root, word)], each
     root kept unless within ``tol`` of the last root kept, with the word of
     the kept root in the map's branch ids."""
-    mk, table = m.finite_table()
+    table = m.finite_table()[1]
+    fam = K.Table(table)
     words = np.array(list(itertools.product(range(table.shape[0]), repeat=n)),
                      dtype=np.int64)
-    roots, found = K.periodic_roots(mk, table, words)
+    roots, found = K.periodic_roots(fam, words)
     words, roots = words[found], roots[found]
     x = roots
     good = np.ones(roots.shape, dtype=bool)
     for k in range(n):
         good &= (table[words[:, k], 1] <= x) & (x < table[words[:, k], 2])
-        x = K.fwd_vec(mk, table, words[:, k], x)
+        x = K.fwd_vec(fam, words[:, k], x)
     good &= ~(np.abs(x - roots) > tol)
     ids = [b.id for b in m.branches]
     out = []
@@ -357,8 +360,8 @@ def map_periodic_points_reference(m, n, tol=1e-9):
 
 # -- batch kernels: every branch formula on every element, then np.where ----------
 
-def _coef_vec_reference(map_kind, table, bid):
-    if map_kind == K.MAPKIND_GAUSS:
+def _coef_vec_reference(fam, bid):
+    if isinstance(fam, K.Gauss):  # branch n is the moebius row (1, -2n, 0, 4)
         b = np.asarray(bid, dtype=np.float64)
         one = np.ones_like(b)
         return (
@@ -369,7 +372,7 @@ def _coef_vec_reference(map_kind, table, bid):
             4.0 * one,
             one,
         )
-    rows = table[np.asarray(bid, dtype=np.int64)]
+    rows = fam.table[np.asarray(bid, dtype=np.int64)]
     return (
         rows[..., 0].astype(np.int64),
         rows[..., 3],
@@ -380,8 +383,8 @@ def _coef_vec_reference(map_kind, table, bid):
     )
 
 
-def fwd_vec_reference(map_kind, table, bid, x):
-    kind, c0, c1, c2, c3, _ = _coef_vec_reference(map_kind, table, bid)
+def fwd_vec_reference(fam, bid, x):
+    kind, c0, c1, c2, c3, _ = _coef_vec_reference(fam, bid)
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         aff = c0 + c1 * x
@@ -390,8 +393,8 @@ def fwd_vec_reference(map_kind, table, bid, x):
     return np.where(kind == K.KIND_AFFINE, aff, np.where(kind == K.KIND_QUADRATIC, quad, moe))
 
 
-def dfwd_vec_reference(map_kind, table, bid, x):
-    kind, c0, c1, c2, c3, _ = _coef_vec_reference(map_kind, table, bid)
+def dfwd_vec_reference(fam, bid, x):
+    kind, c0, c1, c2, c3, _ = _coef_vec_reference(fam, bid)
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         den = c2 + c3 * x
@@ -399,8 +402,8 @@ def dfwd_vec_reference(map_kind, table, bid, x):
     return np.where(kind == K.KIND_AFFINE, c1, np.where(kind == K.KIND_QUADRATIC, c1 + 2.0 * c2 * x, moe))
 
 
-def inv_vec_reference(map_kind, table, bid, y):
-    kind, c0, c1, c2, c3, s = _coef_vec_reference(map_kind, table, bid)
+def inv_vec_reference(fam, bid, y):
+    kind, c0, c1, c2, c3, s = _coef_vec_reference(fam, bid)
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         aff = (y - c0) / np.where(c1 == 0.0, np.nan, c1)
@@ -410,8 +413,8 @@ def inv_vec_reference(map_kind, table, bid, y):
     return np.where(kind == K.KIND_AFFINE, aff, np.where(kind == K.KIND_QUADRATIC, quad, moe))
 
 
-def dinv_vec_reference(map_kind, table, bid, y):
-    kind, c0, c1, c2, c3, s = _coef_vec_reference(map_kind, table, bid)
+def dinv_vec_reference(fam, bid, y):
+    kind, c0, c1, c2, c3, s = _coef_vec_reference(fam, bid)
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         aff = 1.0 / np.where(c1 == 0.0, np.nan, c1)
@@ -422,16 +425,16 @@ def dinv_vec_reference(map_kind, table, bid, y):
     return np.where(kind == K.KIND_AFFINE, aff, np.where(kind == K.KIND_QUADRATIC, quad, moe))
 
 
-def d2fwd_vec_reference(map_kind, table, bid, x):
-    kind, c0, c1, c2, c3, _ = _coef_vec_reference(map_kind, table, bid)
+def d2fwd_vec_reference(fam, bid, x):
+    kind, c0, c1, c2, c3, _ = _coef_vec_reference(fam, bid)
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         moe = -2.0 * (c1 * c2 - c0 * c3) * c3 / (c2 + c3 * x) ** 3
     return np.where(kind == K.KIND_AFFINE, 0.0, np.where(kind == K.KIND_QUADRATIC, 2.0 * c2, moe))
 
 
-def d2inv_vec_reference(map_kind, table, bid, y):
-    kind, c0, c1, c2, c3, s = _coef_vec_reference(map_kind, table, bid)
+def d2inv_vec_reference(fam, bid, y):
+    kind, c0, c1, c2, c3, s = _coef_vec_reference(fam, bid)
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         quad = -2.0 * s * c2 / np.maximum(c1 * c1 - 4.0 * c2 * (c0 - y), 0.0) ** 1.5
@@ -470,7 +473,7 @@ def catalogue_branch(br, ctx):
     return (lambda x: (c0 + c1 * x) / (c2 + c3 * x)), (lambda x: det / (c2 + c3 * x) ** 2), g
 
 
-# -- gauss branches: the closed forms of 1/(4x) - n/2 on (1/(2n+2), 1/(2n)] --------
+# -- gauss branches: the closed forms of 1/(4x) - n/2 on [1/(2n+2), 1/(2n)) --------
 
 def gauss_fwd_reference(n, x):
     return (1.0 - 2.0 * n * x) / (4.0 * x)
@@ -491,21 +494,28 @@ def gauss_dinv_reference(n, y):
 
 # -- regularity: whole-array clauses over 9-point grids, all 9 x 9 pairs ----------
 
-def sing_dist_vec_reference(map_kind, table, sing, x):
-    """d(x, S) elementwise: the closed form for gauss, else the minimum of a
-    broadcast ``(..., len(sing))`` array of distances along its last axis."""
+def gauss_exact(x):
+    """(n, d) for a float x in exact rational arithmetic: the gauss branch n
+    with x in [1/(2n+2), 1/(2n)) (-1 outside (0, 1/2)) and the distance d,
+    a Fraction, from x to S = {0} u {1/(2n): n >= 1}."""
+    q = Fraction(x)
+    if q <= 0:
+        return -1, -q
+    if q >= Fraction(1, 2):
+        return -1, q - Fraction(1, 2)
+    n = math.ceil(1 / (2 * q)) - 1  # 1/(2x) in (n, n + 1]
+    return n, min(q - Fraction(1, 2 * n + 2), Fraction(1, 2 * n) - q)
+
+
+def sing_dist_vec_reference(fam, x):
+    """d(x, S) elementwise: exact rational arithmetic rounded to a float for
+    gauss, else the minimum of a broadcast ``(..., len(sing))`` array of
+    distances along its last axis."""
     x = np.asarray(x, dtype=np.float64)
-    if map_kind == K.MAPKIND_GAUSS:
-        best = np.abs(x)
-        safe = np.where(x > 1e-15, x, 1e-15)
-        n = np.minimum(np.floor(1.0 / (2.0 * safe)), 1e18).astype(np.int64)
-        n = np.maximum(n, 1)
-        for off in (-1, 0, 1):
-            m = n + off
-            valid = m >= 1
-            d = np.abs(x - 1.0 / (2.0 * np.where(valid, m, 1)))
-            best = np.where(valid & (d < best), d, best)
-        return best
+    if isinstance(fam, K.Gauss):
+        exact = lambda v: float(gauss_exact(v)[1]) if math.isfinite(v) else abs(v)
+        return np.vectorize(exact, otypes=[np.float64])(x)
+    sing = np.array(fam.sing)
     if sing.shape[0] == 0:
         return np.full(x.shape, np.inf)
     return np.min(np.abs(x[..., None] - sing), axis=-1)
@@ -518,12 +528,12 @@ def _draw_regular_points_reference(m, count, rng, max_tries=200):
     while out.size < count and tries < max_tries:
         tries += 1
         x = rng.uniform(lo, hi, size=max(64, 2 * (count - out.size)))
-        dx = sing_dist_vec_reference(m.map_kind, m.table, m.sing, x)
+        dx = K.sing_dist_vec(m.family, x)
         ok = dx > m.exclusion
-        b = K.branch_index_vec(m.map_kind, m.table, x)
+        b = K.branch_index_vec(m.family, x)
         ok &= b >= 0
-        fx = fwd_vec_reference(m.map_kind, m.table, np.maximum(b, 0), x)
-        dfx = sing_dist_vec_reference(m.map_kind, m.table, m.sing, fx)
+        fx = fwd_vec_reference(m.family, np.maximum(b, 0), x)
+        dfx = K.sing_dist_vec(m.family, fx)
         ok &= dfx > m.exclusion
         r = 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
         ok &= r >= m.exclusion
@@ -539,13 +549,15 @@ def regularity_grid_reference(m, x, inner=9):
 
     The grid never reaches a ball's ends, so on monotone branches its (A2)
     margins are at least, and its (A3) quotients at most, the closed form's.
+    Branch ids and d(x, S) are the kernels' (``test_kernels`` checks them
+    against exact arithmetic and a broadcast minimum).
     """
-    mk, tab, sing = m.map_kind, m.table, m.sing
+    fam = m.family
     n = x.size
-    bid = K.branch_index_vec(mk, tab, x)
-    fx = fwd_vec_reference(mk, tab, bid, x)
-    dx = sing_dist_vec_reference(mk, tab, sing, x)
-    dfx = sing_dist_vec_reference(mk, tab, sing, fx)
+    bid = K.branch_index_vec(fam, x)
+    fx = fwd_vec_reference(fam, bid, x)
+    dx = K.sing_dist_vec(fam, x)
+    dfx = K.sing_dist_vec(fam, fx)
     r = 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
 
     lo, hi = m.domain
@@ -553,15 +565,15 @@ def regularity_grid_reference(m, x, inner=9):
     e_lo, e_hi = np.maximum(fx - 2 * r, lo), np.minimum(fx + 2 * r, hi)
 
     # branch domain endpoints per sample
-    if mk == K.MAPKIND_GAUSS:
+    if isinstance(fam, K.Gauss):
         b_lo = 1.0 / (2.0 * (bid + 1))
         b_hi = 1.0 / (2.0 * bid)
         img_lo, img_hi = np.zeros(n), np.full(n, 0.5)
     else:
-        b_lo = tab[bid, 1]
-        b_hi = tab[bid, 2]
-        f_at_lo = fwd_vec_reference(mk, tab, bid, b_lo)
-        f_at_hi = fwd_vec_reference(mk, tab, bid, b_hi)
+        b_lo = fam.table[bid, 1]
+        b_hi = fam.table[bid, 2]
+        f_at_lo = fwd_vec_reference(fam, bid, b_lo)
+        f_at_hi = fwd_vec_reference(fam, bid, b_hi)
         img_lo = np.minimum(f_at_lo, f_at_hi)
         img_hi = np.maximum(f_at_lo, f_at_hi)
 
@@ -577,8 +589,8 @@ def regularity_grid_reference(m, x, inner=9):
     zs = e_lo[:, None] + (e_hi - e_lo)[:, None] * t[None, :]
     bcol = np.broadcast_to(bid[:, None], ys.shape)
 
-    dfy = dfwd_vec_reference(mk, tab, bcol, ys)
-    dgz = dinv_vec_reference(mk, tab, bcol, zs)
+    dfy = dfwd_vec_reference(fam, bcol, ys)
+    dgz = dinv_vec_reference(fam, bcol, zs)
 
     logd = np.log(dx)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -779,7 +791,7 @@ def cocycle(w, n):
         raise IndexError(n)
     a, b = (w.off, w.off + n) if n >= 0 else (w.off + n, w.off)
     logmag = float(w.cumlog[b] - w.cumlog[a])
-    d = K.dfwd_vec(w.m.map_kind, w.m.table, w.branch_ids[a:b], w.points[a:b])
+    d = K.dfwd_vec(w.m.family, w.branch_ids[a:b], w.points[a:b])
     sign = -1 if np.count_nonzero(d < 0.0) % 2 else 1
     return sign, -logmag if n < 0 else logmag
 

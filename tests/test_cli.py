@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import time
 
 import pytest
 
@@ -112,6 +114,22 @@ def test_infeasible_word_budget_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli(["full-pipeline", "--map", "gauss", "--max-period", "4",
                     "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert "the library stage ran" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_period", [20000, 10**12])
+def test_huge_max_period_refused_at_once(tmp_path, capsys, max_period):
+    # the word count stops at the first period past the budget (doubling:
+    # 2 + ... + 2^20), so neither the count nor the message grows with
+    # max_period; at 20000 the exact count once overflowed the int-to-str
+    # digit limit and hid the budget from the message
+    t0 = time.perf_counter()
+    rc = run_cli(["full-pipeline", "--map", "doubling", "--max-period", str(max_period),
+                  "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2 and time.perf_counter() - t0 < 2.0
+    detail = json.loads(capsys.readouterr().err)["detail"]
+    assert "MAX_PERIODIC_WORDS" in detail and f"periods up to {max_period} need" in detail
+    assert "2 + ... + 2^20 = 2097150" in detail
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_command_rejected():

@@ -58,15 +58,15 @@ def test_scalar_vs_vectorized_eval(name):
     # the scalar lane (Branch, MapModel) against the batch kernels, bit for
     # bit; scalar results are Python floats
     m = parse_map_file(MIXED_FILE) if name == "mixed" else symdyn.built_in(name)
-    mk, table = m.map_kind, m.table
+    fam = m.family
     xs = np.array(_scalar_lane_points(m, np.random.default_rng(7)))
-    bids = K.branch_index_vec(mk, table, xs)
-    fv = K.fwd_vec(mk, table, bids, xs)
-    dv = K.dfwd_vec(mk, table, bids, xs)
-    sv = K.sing_dist_vec(mk, table, m.sing, xs)
-    iv = K.inv_vec(mk, table, bids, fv)
-    giv = K.dinv_vec(mk, table, bids, fv)
-    g2v = K.d2inv_vec(mk, table, bids, fv)
+    bids = K.branch_index_vec(fam, xs)
+    fv = K.fwd_vec(fam, bids, xs)
+    dv = K.dfwd_vec(fam, bids, xs)
+    sv = K.sing_dist_vec(fam, xs)
+    iv = K.inv_vec(fam, bids, fv)
+    giv = K.dinv_vec(fam, bids, fv)
+    g2v = K.d2inv_vec(fam, bids, fv)
     regular = 0
     for i, (x, y) in enumerate(zip(xs.tolist(), fv.tolist())):
         assert _bits(m.singular_distance(x)) == _bits(sv[i])
@@ -95,7 +95,7 @@ def test_ddinv_at_quadratic_critical_value():
     below = float(np.nextafter(0.5, 0.0))
     for br, sign in zip(m.branches, (1.0, -1.0)):
         ys = np.array([0.5, below])
-        batch = K.d2inv_vec(m.map_kind, m.table, np.full(2, br.id), ys)
+        batch = K.d2inv_vec(m.family, np.full(2, br.id), ys)
         assert br.ddinv(0.5) == batch[0] == math.copysign(math.inf, sign)
         assert br.ddinv(below) == pytest.approx(batch[1], rel=1e-15)
         assert br.ddinv(below) == pytest.approx(sign * 16.0 * 2.0**73.5, rel=1e-15)
@@ -104,7 +104,7 @@ def test_ddinv_at_quadratic_critical_value():
         br = m.branches[0] if x < 0.25 else m.branches[1]
         y = br.fwd(x)
         assert y == 0.5
-        assert br.ddinv(y) == K.d2inv_vec(m.map_kind, m.table, np.array([br.id]), np.array([y]))[0]
+        assert br.ddinv(y) == K.d2inv_vec(m.family, np.array([br.id]), np.array([y]))[0]
 
 
 @pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss", "mixed"])
@@ -112,12 +112,12 @@ def test_second_derivatives_match_mpmath_diff(name):
     # the batch f'' and g'' against 50-digit numerical differentiation
     # of the catalogue's f and g; Branch.ddinv keeps the closed form's bits
     m = parse_map_file(MIXED_FILE) if name == "mixed" else symdyn.built_in(name)
-    mk, table = m.map_kind, m.table
+    fam = m.family
     xs = m.draw_regular_points(60, np.random.default_rng(17))
-    bids = K.branch_index_vec(mk, table, xs)
-    ys = K.fwd_vec(mk, table, bids, xs)
-    d2f = K.d2fwd_vec(mk, table, bids, xs)
-    d2g = K.d2inv_vec(mk, table, bids, ys)
+    bids = K.branch_index_vec(fam, xs)
+    ys = K.fwd_vec(fam, bids, xs)
+    d2f = K.d2fwd_vec(fam, bids, xs)
+    d2g = K.d2inv_vec(fam, bids, ys)
     with mpmath.workdps(50):
         for x, y, b, got_f, got_g in zip(xs.tolist(), ys.tolist(), bids.tolist(), d2f, d2g):
             br = m.branch_by_id(b)
@@ -168,17 +168,16 @@ DEGENERATE_TABLE = np.array([
 
 def _kernel_cases():
     for name in ("doubling", "tent", "quadratic", "gauss"):
-        m = symdyn.built_in(name)
-        yield name, m.map_kind, m.table
-    yield "gauss-finite", *symdyn.built_in("gauss").finite_table()
-    yield "mixed", K.MAPKIND_TABLE, MIXED_TABLE
-    yield "degenerate", K.MAPKIND_TABLE, DEGENERATE_TABLE
+        yield name, symdyn.built_in(name).family
+    yield "gauss-finite", K.Table(symdyn.built_in("gauss").finite_table()[1])
+    yield "mixed", K.Table(MIXED_TABLE)
+    yield "degenerate", K.Table(DEGENERATE_TABLE)
     # one-kind tables: a scalar branch id runs the formulas on scalar coefficients
-    yield "degenerate-affine", K.MAPKIND_TABLE, DEGENERATE_TABLE[:1]
-    yield "degenerate-quadratic", K.MAPKIND_TABLE, DEGENERATE_TABLE[1:2]
+    yield "degenerate-affine", K.Table(DEGENERATE_TABLE[:1])
+    yield "degenerate-quadratic", K.Table(DEGENERATE_TABLE[1:2])
 
 
-KERNEL_CASES = {name: (mk, table) for name, mk, table in _kernel_cases()}
+KERNEL_CASES = dict(_kernel_cases())
 BATCH_KERNELS = {
     "fwd": (K.fwd_vec, fwd_vec_reference),
     "dfwd": (K.dfwd_vec, dfwd_vec_reference),
@@ -200,16 +199,16 @@ def _assert_same_bits(got, want):
 def test_batch_kernels_match_three_formula_reference(case, kernel):
     # one formula per branch kind against every formula then np.where: same
     # bits (NaN and the sign of zero included) and the same broadcast shape
-    mk, table = KERNEL_CASES[case]
+    fam = KERNEL_CASES[case]
     fast, ref = BATCH_KERNELS[kernel]
     rng = np.random.default_rng(11)
-    if mk == K.MAPKIND_GAUSS:
+    if isinstance(fam, K.Gauss):
         bids = np.array([1, 2, 3, 7, 16, 100])
         ends = np.concatenate([1.0 / (2.0 * (bids + 1)), 1.0 / (2.0 * bids)])
     else:
-        bids = np.arange(table.shape[0])
-        ends = table[:, 1:3].ravel()
-        ends = np.concatenate([ends, K.fwd_vec(mk, table, np.repeat(bids, 2), ends)])
+        bids = np.arange(fam.table.shape[0])
+        ends = fam.table[:, 1:3].ravel()
+        ends = np.concatenate([ends, K.fwd_vec(fam, np.repeat(bids, 2), ends)])
     # 0.5 and 0.6 put the built-in quadratic inverse at disc = 0 and disc < 0,
     # 0.0 and -0.1 the mixed one
     special = [0.0, -0.0, 0.5, 0.6, -0.1, 1e-300, np.nan, np.inf, -np.inf]
@@ -217,52 +216,56 @@ def test_batch_kernels_match_three_formula_reference(case, kernel):
     n = x.size
     bid = rng.choice(bids, n)
     for b in bids:  # scalar branch id, one array of points
-        _assert_same_bits(fast(mk, table, int(b), x), ref(mk, table, int(b), x))
-        _assert_same_bits(fast(mk, table, b, x[3]), ref(mk, table, b, x[3]))
-    _assert_same_bits(fast(mk, table, bid, x), ref(mk, table, bid, x))
+        _assert_same_bits(fast(fam, int(b), x), ref(fam, int(b), x))
+        _assert_same_bits(fast(fam, b, x[3]), ref(fam, b, x[3]))
+    _assert_same_bits(fast(fam, bid, x), ref(fam, bid, x))
     grid = x[:, None] + rng.uniform(-0.01, 0.01, (n, 9))
     grid[:, 0] = x
-    _assert_same_bits(fast(mk, table, bid[:, None], grid), ref(mk, table, bid[:, None], grid))
+    _assert_same_bits(fast(fam, bid[:, None], grid), ref(fam, bid[:, None], grid))
     wide = np.broadcast_to(bid[:, None], grid.shape)
-    _assert_same_bits(fast(mk, table, wide, grid), ref(mk, table, wide, grid))
-    _assert_same_bits(fast(mk, table, bid[:, None], x[:9]), ref(mk, table, bid[:, None], x[:9]))
+    _assert_same_bits(fast(fam, wide, grid), ref(fam, wide, grid))
+    _assert_same_bits(fast(fam, bid[:, None], x[:9]), ref(fam, bid[:, None], x[:9]))
 
 
 def _sing_cases():
     for name in ("doubling", "quadratic", "gauss"):
-        m = symdyn.built_in(name)
-        yield name, m.map_kind, m.table, m.sing
+        yield name, symdyn.built_in(name).family
     doubling = symdyn.built_in("doubling")
-    yield "one-point", K.MAPKIND_TABLE, doubling.table, np.array([0.25])
-    yield "empty", K.MAPKIND_TABLE, doubling.table, np.zeros(0)
+    yield "one-point", K.Table(doubling.table, [0.25])
+    yield "empty", K.Table(doubling.table, [])
 
 
-SING_CASES = {name: case for name, *case in _sing_cases()}
+SING_CASES = dict(_sing_cases())
 
 
 @pytest.mark.parametrize("case", SING_CASES)
 def test_sing_dist_vec_matches_broadcast_min_reference(case):
     # the running minimum over the singular points against one broadcast
-    # (..., len(sing)) array: same bits and the input's shape, 0-d included
-    mk, table, sing = SING_CASES[case]
+    # (..., len(sing)) array: same bits and the input's shape, 0-d included;
+    # the gauss closed form within 1.2e-16 of exact rational arithmetic
+    fam = SING_CASES[case]
     rng = np.random.default_rng(5)
     special = [0.0, -0.0, 0.25, 0.5, 1.0 / 6.0, 1e-300, -0.1, np.nan, np.inf, -np.inf]
     x = np.concatenate([special, rng.uniform(-0.1, 0.6, 54)])
     grid = x[None, :] + rng.uniform(-1e-3, 1e-3, (9, 1))
     for pts in (x, grid, x[3], np.float64(x[4]), float(x[5]), np.asarray(x[6])):
-        got = K.sing_dist_vec(mk, table, sing, pts)
-        want = sing_dist_vec_reference(mk, table, sing, pts)
+        got = K.sing_dist_vec(fam, pts)
+        want = sing_dist_vec_reference(fam, pts)
         assert np.shape(got) == np.shape(pts) == np.shape(want)
         got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if case == "gauss":
+            assert np.allclose(got, want, rtol=0.0, atol=1.2e-16, equal_nan=True)
+        else:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 def test_forward_orbit_consistency():
     # dyadic maps shift mantissa bits out, so keep the horizon short
     m = symdyn.built_in("tent")
     pts, bids, ld = ne.forward_orbit(m, 0.123, 20)
     assert pts.shape == (21,) and bids.shape == ld.shape == (20,)
-    assert np.array_equal(K.fwd_vec(m.map_kind, m.table, bids, pts[:-1]), pts[1:])
-    assert np.array_equal(bids, K.branch_index_vec(m.map_kind, m.table, pts[:-1]))
+    assert np.array_equal(K.fwd_vec(m.family, bids, pts[:-1]), pts[1:])
+    assert np.array_equal(bids, K.branch_index_vec(m.family, pts[:-1]))
     for k in range(20):
         assert np.exp(ld[k]) == pytest.approx(2.0, rel=1e-12)
 
@@ -271,8 +274,8 @@ def test_forward_orbit_long_nondyadic():
     m = symdyn.built_in("quadratic")
     pts, bids, ld = ne.forward_orbit(m, 0.1234567, 200)
     assert pts.shape == (201,)
-    assert np.array_equal(K.fwd_vec(m.map_kind, m.table, bids, pts[:-1]), pts[1:])
-    d = K.dfwd_vec(m.map_kind, m.table, bids, pts[:-1])
+    assert np.array_equal(K.fwd_vec(m.family, bids, pts[:-1]), pts[1:])
+    d = K.dfwd_vec(m.family, bids, pts[:-1])
     assert np.array_equal(ld, np.log(np.abs(d)))
     doubling = symdyn.built_in("doubling")
     for x0, n in ((0.0625, 5), (0.125, 1)):  # 0.0625 -> 0.125 -> 0.25, singular
@@ -287,7 +290,7 @@ def test_backward_orbit_validates_branches():
     assert pts.shape == (4,)
     x = pts[-1]
     for b in word[::-1]:
-        x = float(K.fwd_vec(m.map_kind, m.table, b, x))
+        x = float(K.fwd_vec(m.family, b, x))
     assert x == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(symdyn.SingularPoint):
         ne.backward_orbit(m, 0.5, [1, 0])  # 0.5 <- 0.5 <- 0.25, a singular point
@@ -309,7 +312,7 @@ def test_periodic_roots_doubling_closed_form(n):
     # is the repeating binary fraction 0.(b_0..b_{n-1}), halved
     m = symdyn.built_in("doubling")
     words = np.array(list(itertools.product((0, 1), repeat=n))[:-1], dtype=np.int64)
-    roots, found = K.periodic_roots(m.map_kind, m.table, words)
+    roots, found = K.periodic_roots(m.family, words)
     assert found.all()
     for word, r in zip(words, roots):
         k = int("".join(map(str, word)), 2)
@@ -368,23 +371,24 @@ NON_FULL_MIXED[2] = [K.KIND_MOEBIUS, 0.35, 0.5, -0.85, 3.0, 0.3, 2.0, 1.0]
 
 def _reference_cases():
     for name in ("doubling", "tent", "quadratic", "gauss"):
-        mk, table = symdyn.built_in(name).finite_table()
-        yield name, mk, table, range(1, 4 if name == "gauss" else 9)
+        table = symdyn.built_in(name).finite_table()[1]
+        yield name, table, range(1, 4 if name == "gauss" else 9)
     for name, table in (("non-full affine", NON_FULL_AFFINE),
                         ("non-full quadratic", NON_FULL_QUADRATIC),
                         ("non-full mixed", NON_FULL_MIXED)):
-        yield name, K.MAPKIND_TABLE, table, range(1, 9)
+        yield name, table, range(1, 9)
 
 
 @pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
 def test_periodic_roots_match_fixed_step_reference(case):
-    name, mk, table, ns = case
+    name, table, ns = case
+    fam = K.Table(table)
     dead = 0
     for n in ns:
         words = np.array(list(itertools.product(range(table.shape[0]), repeat=n)),
                          dtype=np.int64)
-        roots, found = K.periodic_roots(mk, table, words)
-        ref_roots, ref_found = periodic_roots_reference(mk, table, words)
+        roots, found = K.periodic_roots(fam, words)
+        ref_roots, ref_found = periodic_roots_reference(table, words)
         assert np.array_equal(found, ref_found)
         assert np.array_equal(roots[found].view(np.int64),
                               ref_roots[found].view(np.int64))

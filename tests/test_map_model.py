@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import iv
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symdyn
 from symdyn import _kernels as K
 from symdyn import cli
+from symdyn.analysis import map_periodic_points
 from symdyn.map_model import (
     MapFileError,
     MapModel,
@@ -20,7 +21,12 @@ from symdyn.map_model import (
 )
 from symdyn.map_model import _radii, _sample_margins
 
-from oracles import catalogue_branch, regularity_grid_reference, verify_regularity_reference
+from oracles import (
+    catalogue_branch,
+    gauss_exact,
+    regularity_grid_reference,
+    verify_regularity_reference,
+)
 
 ALL_MAPS = ["doubling", "tent", "quadratic", "gauss"]
 
@@ -53,19 +59,12 @@ def test_gauss_distance_near_branch_endpoint():
     assert m.singular_distance(x) == pytest.approx(1e-4, rel=1e-9)
 
 
-def _gauss_distance_oracle(x):
-    """d(x, S) for S = {0} u {1/(2n)}, in exact rationals, rounded once."""
-    q = Fraction(x)
-    n = math.floor(1 / (2 * q))  # x in (1/(2n+2), 1/(2n)]: its nearest 1/(2k) are k = n, n + 1
-    return float(min([q] + [abs(q - Fraction(1, 2 * k)) for k in (n, n + 1) if k >= 1]))
-
-
 @pytest.mark.parametrize("x", [1e-310, 5e-324])
 def test_gauss_subnormal_is_singular(x):
     # 1/(2x) overflows here; the true distance, under 2 x^2, rounds to 0
     m = built_in("gauss")
     d = m.singular_distance(x)
-    assert type(d) is float and d == _gauss_distance_oracle(x)
+    assert type(d) is float and d == float(gauss_exact(x)[1])
     with pytest.raises(SingularPoint):
         m.branch_at(x)
     with pytest.raises(SingularPoint):
@@ -84,6 +83,96 @@ def test_gauss_any_positive_float(x):
             probe(x)
         except SingularPoint:
             pass
+
+
+def _gauss_lane_points():
+    """Floats for the gauss lanes: anywhere, +-0 and subnormals, points
+    beyond 1/2, and the singular points 1/(2n) and their neighbouring floats."""
+    ends = st.integers(1, 10**9).map(lambda n: 0.5 / n)
+    near = st.tuples(ends, st.integers(-3, 3), st.sampled_from([0.0, -1e-12, 1e-12])).map(
+        lambda t: _ulps(t[0] + t[2], t[1]))
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(-1e-300, 1e-300), st.floats(0.0, 0.7), near)
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@given(_gauss_lane_points())
+# regressions: 1/(2x) overflowed the scalar lane's int at 5e-324; at -0.1
+# the lanes gave branches 2 and 500000000000000, at 0.6 -1 and the
+# nonexistent branch 0, at 1e-19 d = 0.0 and 1e-19; at 1/6 + 1e-12 the
+# exact distance is under the exclusion radius and the float one above
+@example(5e-324)
+@example(-0.1)
+@example(0.6)
+@example(1e-19)
+@example(-0.0)
+@example(1 / 6 + 1e-12)
+@settings(max_examples=1000, deadline=None)
+def test_gauss_lanes_agree_with_exact_arithmetic(x):
+    # the scalar lane (MapModel) and the batch lane agree bit for bit on the
+    # branch index and d(x, S); the index is the branch whose float [lo, hi)
+    # holds x, and -1 off (0, 1/2); against exact rationals, a point farther
+    # than the exclusion radius from S gets its exact branch and a distance
+    # within 1.2e-16 (or half an ulp: off the domain d can pass 1), and a
+    # point at most that far is singular
+    m = built_in("gauss")
+    n, d = gauss_exact(x)
+    xs = np.array([x])
+    b, dist = m._branch_index(x), m.singular_distance(x)
+    assert type(b) is int and b == K.branch_index_vec(m.family, xs)[0]
+    assert np.float64(dist).view(np.uint64) == K.sing_dist_vec(m.family, xs).view(np.uint64)[0]
+    if K.GAUSS_X_MIN <= x < 0.5:
+        br = m.branch_by_id(b)
+        assert br.lo <= x < br.hi
+    elif x <= 0.0 or x >= 0.5:
+        assert b == -1
+    if d > symdyn.map_model.EXCLUSION_RADIUS:
+        assert b == n
+        assert abs(Fraction(dist) - d) <= max(Fraction(1.2e-16), Fraction(math.ulp(dist)) / 2)
+    else:
+        for probe in (m.branch_at, m.radius):
+            with pytest.raises(SingularPoint):
+                probe(x)
+
+
+def _branch_dom(m, bid):
+    return None if bid < 0 else (m.branch_by_id(bid).lo, m.branch_by_id(bid).hi)
+
+
+def _branch_at_dom(m, x):
+    try:
+        return _branch_dom(m, m.branch_at(x))
+    except SingularPoint:
+        return "singular"
+
+
+def test_branch_section_order_does_not_matter():
+    # the doubling file with its [branch] sections reversed: every lane puts
+    # a point in the branch of the same domain [lo, hi), and the domain's
+    # right end 0.5 in none (the built-in included)
+    head, *sections = DOUBLING_FILE.split("[branch]")
+    given_order = parse_map_file(DOUBLING_FILE)
+    reversed_order = parse_map_file("[branch]".join([head, *sections[::-1]]))
+    assert _branch_dom(reversed_order, 0) == (0.25, 0.5)
+    xs = np.concatenate([[0.25, 0.5], np.random.default_rng(8).uniform(0.0, 0.5, 500)])
+    ids = [K.branch_index_vec(m.family, xs) for m in (given_order, reversed_order)]
+    for i, x in enumerate(xs.tolist()):
+        assert _branch_dom(given_order, ids[0][i]) == _branch_dom(reversed_order, ids[1][i])
+        assert _branch_at_dom(given_order, x) == _branch_at_dom(reversed_order, x)
+    assert _branch_dom(given_order, ids[0][0]) == (0.25, 0.5) and ids[0][1] == ids[1][1] == -1
+    assert _branch_at_dom(given_order, 0.25) == _branch_at_dom(given_order, 0.5) == "singular"
+    for m in (given_order, reversed_order, built_in("doubling")):
+        assert m._branch_index(0.5) == -1 and K.branch_index_vec(m.family, [0.5])[0] == -1
+    for n in range(1, 6):
+        (r0, w0), (r1, w1) = (map_periodic_points(m, n) for m in (given_order, reversed_order))
+        assert np.array_equal(r0.view(np.uint64), r1.view(np.uint64))
+        assert [[_branch_dom(given_order, b) for b in w] for w in w0.tolist()] == \
+            [[_branch_dom(reversed_order, b) for b in w] for w in w1.tolist()]
 
 
 def test_branch_at_doubling():
@@ -223,8 +312,8 @@ def test_ball_ends_are_derivative_extremes(name):
     lo, hi = m.domain
     ys = np.stack([np.maximum(x - 2 * r, lo), np.minimum(x + 2 * r, hi)])
     zs = np.stack([np.maximum(fx - 2 * r, lo), np.minimum(fx + 2 * r, hi)])
-    dfy = np.abs(K.dfwd_vec(m.map_kind, m.table, bid, ys))
-    dgz = np.abs(K.dinv_vec(m.map_kind, m.table, bid, zs))
+    dfy = np.abs(K.dfwd_vec(m.family, bid, ys))
+    dgz = np.abs(K.dinv_vec(m.family, bid, zs))
     a2 = _sample_margins(m, x, rad)[1]
     close = lambda got, want: abs(got - float(want)) <= 1e-9 * float(want)
     iv.dps = 50
@@ -246,7 +335,7 @@ def test_ball_ends_are_derivative_extremes(name):
 def test_regularity_nan_bound_counts_as_inf(monkeypatch):
     # a NaN g'' makes a NaN (A3) bound, which fails the clause
     m = built_in("quadratic")
-    monkeypatch.setattr(K, "d2inv_vec", lambda mk, tab, bid, y: np.full(y.shape, np.nan))
+    monkeypatch.setattr(K, "d2inv_vec", lambda fam, bid, y: np.full(y.shape, np.nan))
     a3 = m.verify_regularity(100, seed=1).clauses["A3"]
     assert not a3.passed and a3.violations == 100 and a3.worst_margin == -np.inf
 

@@ -88,7 +88,7 @@ def test_tent_cocycle_signs():
     s2, _ = cocycle(w, 2)
     assert s2 == (1 if w.deriv(0) * w.deriv(1) > 0 else -1)
     for n in range(-3, 3):  # deriv takes the sign of its branch's df
-        d = float(K.dfwd_vec(m.map_kind, m.table, w.branch(n), w.x(n)))
+        d = float(K.dfwd_vec(m.family, w.branch(n), w.x(n)))
         assert w.deriv(n) == pytest.approx(d, rel=1e-15)
 
 
