@@ -1,7 +1,9 @@
 """Benchmark both kernel lanes and print the best of three timings each:
 the scalar lane (``Branch``/``MapModel``, through the orbit builders behind
 ``make_window``) and the batch lane (``_kernels``: ``*_vec``,
-``periodic_roots``).
+``periodic_roots``); then the gpos of the deep Markov cover (doubling at
+``max_period = 10``), shadowed in one lockstep ``shadow_many`` batch and
+one ``shadow`` call per gpo.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -16,6 +18,7 @@ def bench(reps=3):
     from symdyn import _kernels as K
     from symdyn import library
     from symdyn import natural_extension as ne
+    from symdyn import shadowing as sh
     from symdyn.analysis import map_periodic_points
 
     m = symdyn.built_in("quadratic")
@@ -83,7 +86,51 @@ def bench(reps=3):
            lambda: [gauss.singular_distance(v) for v in gl])
     timeit("gauss branch_index_vec (200,000 points)", lambda: K.branch_index_vec(gauss.family, gx))
     timeit("gauss sing_dist_vec (200,000 points)", lambda: K.sing_dist_vec(gauss.family, gx))
+
+    m, charts, walks, n_lo, pcfg = deep_cover_batch()
+    k = walks.shape[0]
+    timeit(f"shadow_many, deep cover ({k} gpos, one batch)",
+           lambda: sh.shadow_many(m, charts, walks, n_lo, pcfg))
+
+    def one_at_a_time():
+        for row in walks.tolist():
+            try:
+                sh.shadow(m, sh.Gpo(charts=tuple(charts[i] for i in row), n_lo=n_lo), pcfg)
+            except sh.EdgeBroken:
+                pass
+
+    timeit(f"shadow per gpo, deep cover ({k} gpos)", one_at_a_time)
     return out
+
+
+def deep_cover_batch():
+    """(m, charts, walks, n_lo, pesin config) of the one ``shadow_many`` call
+    ``build_cover`` makes in ``full-pipeline`` on doubling at max_period = 10."""
+    from symdyn import cli, coarse_grain, markov_refine
+    from symdyn import shadowing as sh
+    from symdyn.config import parse_config
+    from symdyn.map_model import load_map
+
+    cfg = parse_config("map = doubling\nmax_period = 10\n")
+    m = load_map(cfg.map)
+    pcfg = cli._pesin_cfg(cfg)
+    al = coarse_grain.build_alphabet(m, cli._periodic_library(m, cfg).windows, pcfg)
+    pg, _ = coarse_grain.prune_relevant(coarse_grain.build_graph(al))
+    calls = []
+    shadow_many = sh.shadow_many
+
+    def record(*args):
+        calls.append(args)
+        return shadow_many(*args)
+
+    sh.shadow_many = record
+    try:
+        markov_refine.build_cover(m, pg, pcfg, paths_per_vertex=cfg.paths_per_vertex,
+                                  window=cfg.cover_window, seed=cfg.seed)
+    finally:
+        sh.shadow_many = shadow_many
+    (call,) = calls
+    return call
 
 
 def _time_one(fn):

@@ -114,9 +114,9 @@ class Table:
                 np.minimum(best, np.abs(x - s), out=best)
             return best
         best = math.inf
-        for s in self.sing:
+        for s in self.sing:  # NaN propagates, as through np.minimum
             d = abs(x - s)
-            if d < best:
+            if d < best or d != d:
                 best = d
         return best
 

@@ -87,19 +87,36 @@ def stage_graph(al, out, quiet):
     return g, pg, kept
 
 
+def _shadow_encoded(m, al, encoded, pcfg):
+    """Shadow the encoded (gpo, vertex ids) pairs, one ``shadow_many`` call
+    per (n_lo, length) group; the results keep the order of ``encoded``."""
+    charts = [v.chart for v in al.vertices]
+    groups = {}
+    for i, (gpo, _) in enumerate(encoded):
+        groups.setdefault((gpo.n_lo, len(gpo.charts)), []).append(i)
+    out = [None] * len(encoded)
+    for (n_lo, _), rows in groups.items():
+        walks = [encoded[i][1] for i in rows]
+        for i, res in zip(rows, shadowing.shadow_many(m, charts, walks, n_lo, pcfg)):
+            out[i] = res
+    return out
+
+
 def stage_shadow(m, cfg, pcfg, al, out, quiet):
     """Encode and shadow one window per orbit: the base window whose tables
     the alphabet kept."""
-    results = []
+    encoded = []
     failures = 0
     for tabs in sorted(al.tables, key=lambda t: t.w.record()):
         hi = min(cfg.encode_hi, tabs.w.fwd_len - 1)
         try:
-            gpo, _ = coarse_grain.sufficiency_encode(m, tabs.w, al, pcfg, lo=cfg.encode_lo,
-                                                     hi=hi, tables=tabs)
-            results.append(shadowing.shadow(m, gpo, pcfg))
-        except (coarse_grain.NoNetVertex, shadowing.EdgeBroken):
+            encoded.append(coarse_grain.sufficiency_encode(
+                m, tabs.w, al, pcfg, lo=cfg.encode_lo, hi=hi, tables=tabs))
+        except coarse_grain.NoNetVertex:
             failures += 1
+    shadowed = _shadow_encoded(m, al, encoded, pcfg)
+    results = [r for r in shadowed if not isinstance(r, shadowing.EdgeBroken)]
+    failures += len(shadowed) - len(results)
     formats.write_shadows(os.path.join(out, "shadows.txt"), results)
     worst = max((r.worst_containment for r in results), default=0.0)
     _say(quiet, f"shadow: {len(results)} gpos shadowed, {failures} failures, "
@@ -123,13 +140,26 @@ def stage_inverse(m, cfg, pcfg, out, quiet):
     reps_b = {id(t.w.points): t for t in al.tables if t.w.u_depth == base + 4}
 
     def encode(tabs):
-        return coarse_grain.sufficiency_encode(m, tabs.w, al, pcfg, lo=0, hi=hi,
-                                               tables=tabs)[0]
+        return coarse_grain.sufficiency_encode(m, tabs.w, al, pcfg, lo=0, hi=hi, tables=tabs)
 
+    orbits = []     # per orbit: its window and its encoded pair or why it has none
     for tabs in sorted((t for t in al.tables if t.w.u_depth == base), key=lambda t: t.w.x0):
-        wa = tabs.w
         try:
-            rep = shadowing.inverse_check(m, encode(tabs), encode(reps_b[id(wa.points)]), pcfg)
+            orbits.append((tabs.w, (encode(tabs), encode(reps_b[id(tabs.w.points)]))))
+        except coarse_grain.NoNetVertex as e:
+            orbits.append((tabs.w, e))
+    shadowed = iter(_shadow_encoded(
+        m, al, [e for _, pair in orbits if isinstance(pair, tuple) for e in pair], pcfg))
+
+    for wa, pair in orbits:
+        try:
+            if not isinstance(pair, tuple):
+                raise pair
+            res = next(shadowed), next(shadowed)
+            for r in res:
+                if isinstance(r, shadowing.EdgeBroken):
+                    raise r
+            rep = shadowing.inverse_check(m, pair[0][0], pair[1][0], pcfg, *res)
         except (coarse_grain.NoNetVertex, shadowing.NotDoubleCoding,
                 shadowing.EdgeBroken) as e:
             lines.append(f"orbit x0={wa.x0!r}: {type(e).__name__}: {e}")

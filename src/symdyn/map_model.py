@@ -136,7 +136,7 @@ class MapModel:
             object.__setattr__(self, "family", K.Gauss())
         else:
             object.__setattr__(self, "family", K.Table(self.table, self.sing))
-            _check_branches(self.branches, self.domain)
+            _check_branches(self.branches, self.domain, self.family.sing)
 
     # -- branch access ------------------------------------------------
 
@@ -241,10 +241,11 @@ class MapModel:
 # branch checks and the dyadic cover
 # ---------------------------------------------------------------------------
 
-def _check_branches(branches, domain):
+def _check_branches(branches, domain, sing):
     """Raise MapFileError unless the branch domains partition ``domain``,
-    every branch is monotone on its domain, inverts onto it (a quadratic's
-    ``inv_sign``) and maps its endpoints into ``domain``."""
+    every endpoint inside the domain is a singular point, every branch is
+    monotone on its domain, inverts onto it (a quadratic's ``inv_sign``) and
+    maps its endpoints into ``domain``."""
     lo, hi = domain
     clause = f"branch domains must partition the domain [{lo!r}, {hi!r}]"
     edge = lo
@@ -256,6 +257,9 @@ def _check_branches(branches, domain):
             raise MapFileError(f"{name}: {clause}; gap ({edge!r}, {b.lo!r}) before it")
         if b.lo < edge:
             raise MapFileError(f"{name}: {clause}; it starts before {edge!r}")
+        if b.lo != lo and b.lo not in sing:
+            raise MapFileError(f"{name}: the branch endpoint {b.lo!r} lies inside the domain "
+                               f"but is not a singular point")
         edge = b.hi
         fault = _monotone_fault(b)
         if fault:

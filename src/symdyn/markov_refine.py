@@ -8,6 +8,7 @@ its full stable/unstable intersection signature against every met
 rectangle; cells are the classes of equal signatures.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -113,33 +114,41 @@ def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
 
     Only core vertices (with in- and out-edges) are sampled; a core vertex
     that yields no shadowed point is dropped (counted in the returned
-    diagnostics).
+    diagnostics).  Every walk is drawn first and all are shadowed in one
+    ``shadow_many`` batch; shadowing draws nothing, so the draws are those
+    of walking and shadowing vertex by vertex.
     """
     rng = np.random.default_rng(seed)
-    rects = []
-    dropped = 0
+    core = []      # (vertex, number of its walks to shadow)
+    walks = []
     for v in range(g.n_vertices()):
         if not g.out_edges[v] or not g.in_edges[v]:
             continue
-        points = []
-        walks = set()
+        seen = set()
+        count = 0
         for _ in range(max(paths_per_vertex, 0)):
             back = _walk(g, rng, v, window, -1)
             fwd = _walk(g, rng, v, window, +1)
             if back is None or fwd is None:
                 continue
             vids = tuple(reversed(back)) + (v,) + tuple(fwd)
-            # shadow is deterministic, so a repeated walk adds no new point
-            if vids in walks:
+            # shadowing is deterministic, so a repeated walk adds no new point
+            if vids in seen:
                 continue
-            walks.add(vids)
-            if not _sigma_recurrence_proxy(vids):
-                continue
-            charts = tuple(g.alphabet.vertices[i].chart for i in vids)
-            gpo = sh.Gpo(charts=charts, n_lo=-window)
-            try:
-                res = sh.shadow(m, gpo, cfg)
-            except sh.EdgeBroken:
+            seen.add(vids)
+            if _sigma_recurrence_proxy(vids):
+                walks.append(vids)
+                count += 1
+        core.append((v, count))
+    charts = [x.chart for x in g.alphabet.vertices]
+    walks = np.array(walks, dtype=np.int64).reshape(len(walks), 2 * window + 1)
+    shadowed = iter(sh.shadow_many(m, charts, walks, -window, cfg))
+    rects = []
+    dropped = 0
+    for v, count in core:
+        points = []
+        for res in itertools.islice(shadowed, count):
+            if isinstance(res, sh.EdgeBroken):
                 continue
             if not any(windows_agree(res.point, q.point) for q in points):
                 points.append(res)

@@ -77,7 +77,7 @@ class OrbitWindow:
     @property
     def back_branches(self):
         """Backward word: entry k-1 is the branch of x_{-k}."""
-        return [int(self.branch_ids[self.off - k]) for k in range(1, self.back_len + 1)]
+        return self.branch_ids[:self.off][::-1].tolist()
 
     def deriv(self, n):
         """df at x_n: the cached |df| with the sign of its branch's df there."""
@@ -127,7 +127,7 @@ class OrbitWindow:
 
     def record(self):
         """One-line text record: x0, backward word, horizon, period, u_depth."""
-        word = ",".join(str(b) for b in self.back_branches)
+        word = ",".join(map(str, self.back_branches))
         parts = [f"x0={self.x0!r}", f"back={word}", f"fwd={self.fwd_len}"]
         if self.period:
             parts.append(f"periodic={self.period}")
@@ -151,11 +151,17 @@ def hat_distance(w1, w2, depth):
     return float(np.max(2.0**n * np.abs(a1 - a2)))
 
 
-def _assemble(m, pts, bid, ld, off, u_depth=0, period=0):
-    cum = np.zeros(ld.shape[0] + 1)
-    cum[1:] = np.cumsum(ld)
+def _freeze(pts, bid, ld):
+    """The prefix sums of ``ld`` along its last axis; makes all four read-only."""
+    cum = np.zeros(ld.shape[:-1] + (ld.shape[-1] + 1,))
+    cum[..., 1:] = np.cumsum(ld, axis=-1)
     for arr in (pts, bid, ld, cum):
         arr.setflags(write=False)
+    return cum
+
+
+def _assemble(m, pts, bid, ld, off, u_depth=0, period=0):
+    cum = _freeze(pts, bid, ld)
     return OrbitWindow(m=m, points=pts, branch_ids=bid, logderivs=ld,
                        cumlog=cum, off=off, u_depth=u_depth, period=period)
 
@@ -271,16 +277,22 @@ def _periodic_from_cycle(m, cyc, word, back_depth, fwd_len, u_depth):
 
 
 def make_pseudo_window(m, pts, bids, u_depth=0, off=None):
-    """Window from explicit cached coordinates (shadowing output).
+    """Windows from explicit cached coordinates (shadowing output), one per
+    row of the (K, L) points and (K, L - 1) branch ids; each window is a
+    row view of shared read-only arrays.
 
-    Points must form an f-pseudo-orbit within the window tolerance; the
-    backward bit-for-bit recomputation property is *not* enforced here.
+    Every row must be an f-pseudo-orbit within the window tolerance, else
+    ValueError for the first row that is not; the backward bit-for-bit
+    recomputation property is *not* enforced here.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    bids = np.asarray(bids, dtype=np.int64)
-    err = np.max(np.abs(K.fwd_vec(m.family, bids, pts[:-1]) - pts[1:]))
-    if err > CONSISTENCY_TOL:
-        raise ValueError(f"points violate the window tolerance: {err:g}")
-    ld = np.log(np.abs(K.dfwd_vec(m.family, bids, pts[:-1])))
-    return _assemble(m, pts.copy(), bids.copy(), ld, off=len(pts) - 1 if off is None else off,
-                     u_depth=u_depth)
+    pts = np.array(pts, dtype=np.float64, order="C")
+    bids = np.array(bids, dtype=np.int64, order="C")
+    err = np.max(np.abs(K.fwd_vec(m.family, bids, pts[:, :-1]) - pts[:, 1:]), axis=1)
+    bad = np.flatnonzero(err > CONSISTENCY_TOL)
+    if bad.size:
+        raise ValueError(f"points violate the window tolerance: {float(err[bad[0]]):g}")
+    ld = np.log(np.abs(K.dfwd_vec(m.family, bids, pts[:, :-1])))
+    cum = _freeze(pts, bids, ld)
+    off = pts.shape[1] - 1 if off is None else off
+    return [OrbitWindow(m=m, points=x, branch_ids=b, logderivs=d, cumlog=c, off=off,
+                        u_depth=u_depth) for x, b, d, c in zip(pts, bids, ld, cum)]

@@ -13,7 +13,7 @@ well-conditioned affine maps.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from . import natural_extension as ne
 
 REL_TOL = 1e-13        # nested-interval stopping tolerance, relative to 2 p_0
 CONTAINMENT_SLACK = 1e-9
+# Gpos shadowed per lockstep block: a block's (K, L) temporaries stay near
+# 64 KB, which the heap reuses block after block (one block of the 1,964
+# deep-cover gpos left the peak RSS ~1 MB higher than the one-gpo loop).
+SHADOW_BLOCK = 256
 
 
 class EdgeBroken(RuntimeError):
@@ -140,72 +144,160 @@ class ShadowResult:
     worst_containment: float
 
 
-def shadow(m, g, cfg, init_interval=(-1.0, 1.0), max_iter=1000):
-    """Shadow a gpo: nested-interval contraction for t_0, backward
-    reconstruction for the negative coordinates.
+def shadow(m, g, cfg, init_interval=(-1.0, 1.0)):
+    """Shadow one gpo: ``shadow_many`` on a batch of one.  Raises
+    EdgeBroken if a step image escapes its target chart."""
+    walk = np.arange(len(g.charts))[None]
+    (res,) = shadow_many(m, g.charts, walk, g.n_lo, cfg, init_interval)
+    if isinstance(res, EdgeBroken):
+        raise res
+    return replace(res, gpo=g)
 
-    Stops composing once the interval length drops below REL_TOL (relative
-    to the zeroth chart size) or the forward horizon is exhausted; raises
-    EdgeBroken if a step image escapes its target chart.
+
+def shadow_many(m, charts, walks, n_lo, cfg, init_interval=(-1.0, 1.0)):
+    """Shadow K gpos in lockstep: nested-interval contraction for t_0,
+    backward reconstruction for the negative coordinates.
+
+    Row k of the (K, L) int array ``walks`` holds the indices into
+    ``charts`` of gpo k over n in [n_lo, n_lo + L - 1].  Composition stops
+    counting steps once the interval length drops below REL_TOL (relative to
+    the zeroth chart size); the forward horizon is always composed.  Returns
+    per row a ShadowResult or, if a step image escapes its target chart, an
+    EdgeBroken.  Every row takes the IEEE operations of a one-gpo loop in
+    the same order, so no result depends on the rest of its batch (which
+    runs in blocks of SHADOW_BLOCK rows).  Raises ValueError for the first
+    row whose points miss the window tolerance.
     """
-    if g.n_hi < 1:
+    walks = np.asarray(walks, dtype=np.int64)
+    n_gpo, length = walks.shape
+    if n_gpo == 0:
+        return []
+    n_hi = n_lo + length - 1
+    if n_hi < 1:
         raise ValueError("gpo needs forward length >= 1")
-    steps = {}
-    for n in range(g.n_lo, g.n_hi):
-        steps[n] = step_map(m, g.chart(n), g.chart(n + 1), cfg)
+    if n_lo > 0:
+        raise ValueError("gpo needs the index 0")
+    return [res for i in range(0, n_gpo, SHADOW_BLOCK)
+            for res in _shadow_block(m, charts, walks[i:i + SHADOW_BLOCK], n_lo, cfg,
+                                     init_interval)]
 
-    # forward-to-backward nested intervals; a step's |a| in rescaled units
-    # equals the nested-length ratio len(I_{n+1})/len(I_n) in fixed units.
-    # The midpoint at every visited index doubles as the forward coordinate
-    # (exact once the interval has contracted past the stop tolerance).
-    lo, hi = float(init_interval[0]), float(init_interval[1])
-    mids = {g.n_hi: 0.5 * (lo + hi)}
-    ratios = []
-    used = 0
-    converged = None
-    for n in range(g.n_hi - 1, -1, -1):
-        s = steps[n]
-        a, b = s.a, s.b
-        p0_img, p1_img = a * lo + b, a * hi + b
-        lo2, hi2 = min(p0_img, p1_img), max(p0_img, p1_img)
-        if not (-1.0 - CONTAINMENT_SLACK <= lo2 and hi2 <= 1.0 + CONTAINMENT_SLACK):
-            raise EdgeBroken(
-                f"step into index {n} leaves the chart: [{lo2:g}, {hi2:g}]")
-        ratios.append(abs(s.a))
-        lo, hi = lo2, hi2
-        mids[n] = 0.5 * (lo + hi)
-        used += 1
-        if converged is None and hi - lo < 2.0 * REL_TOL:
-            converged = used
-        if used >= max_iter:
-            break
 
-    taus = {n: mids[n] for n in mids}
-    worst = max(abs(t) for t in taus.values())
-    for n in range(0, g.n_lo, -1):
-        s = steps[n - 1]
-        taus[n - 1] = s.a * taus[n] + s.b
-        worst = max(worst, abs(taus[n - 1]))
-        if worst > 1.0 + CONTAINMENT_SLACK:
-            raise EdgeBroken(f"backward reconstruction leaves chart {n - 1}")
-    used = converged if converged is not None else used
+def _shadow_block(m, charts, walks, n_lo, cfg, init_interval):
+    """``shadow_many`` on one block of rows."""
+    n_gpo, length = walks.shape
+    n_hi = n_lo + length - 1
+    results = [None] * n_gpo
+    branch, taus, ratios, worst, used = _contract(m, charts, walks, n_lo, cfg,
+                                                  init_interval, results)
+    ok = np.flatnonzero([r is None for r in results])
+    if ok.size == 0:
+        return results
+    taus, ratios, worst, used = taus[:, ok], ratios[:, ok], worst[ok], used[ok]
+    points, log_p0 = _shadowed_points(m, charts, walks[ok], taus, branch[ok], n_lo)
 
-    c0 = g.chart(0)
-    pts = []
-    bids = []
-    for n in g.indices():
-        c = g.chart(n)
-        t_lin = taus[n] * math.exp(c.log_p) if c.log_p > -745 else 0.0
-        pts.append(c.theta0 + t_lin / c.u)
-        if n < g.n_hi:
-            bids.append(c.center.branch(c.shift))
-    point = ne.make_pseudo_window(m, np.array(pts), np.array(bids, dtype=np.int64),
-                                  off=-g.n_lo)
-    return ShadowResult(
-        gpo=g, tau0=taus[0], log_p0=c0.log_p, point=point, taus=taus,
-        log_error_bound=math.log(2.0) + c0.log_p - cfg.chi * g.n_hi / 2.0,
-        contraction_ratios=ratios, steps_used=used, worst_containment=worst,
-    )
+    # taus keyed as the one-gpo loop fills them: n_hi, ..., 0, then -1, ..., n_lo
+    keys = list(range(n_hi, -1, -1)) + list(range(-1, n_lo - 1, -1))
+    rows = np.array([n - n_lo for n in keys])
+    log_2 = math.log(2.0)
+    bound_tail = cfg.chi * n_hi / 2.0
+    for i, k in enumerate(ok.tolist()):
+        tau_n = dict(zip(keys, taus[rows, i].tolist()))
+        results[k] = ShadowResult(
+            gpo=Gpo(charts=tuple(map(charts.__getitem__, walks[k].tolist())), n_lo=n_lo),
+            tau0=tau_n[0], log_p0=log_p0[i], point=points[i], taus=tau_n,
+            log_error_bound=log_2 + log_p0[i] - bound_tail,
+            contraction_ratios=ratios[:, i].tolist(), steps_used=int(used[i]),
+            worst_containment=float(worst[i]))
+    return results
+
+
+def _contract(m, charts, walks, n_lo, cfg, init_interval, results):
+    """The lockstep contraction and backward reconstruction of the rows of
+    ``walks``; a row whose step image escapes its target chart gets the
+    EdgeBroken of its first failing step in ``results``.
+
+    Returns the (K, L - 1) branch ids of the charts each step leads into,
+    and per row: the (L, K) taus (row j at index n_lo + j), the (n_hi, K)
+    contraction ratios |a| of the forward steps n_hi - 1, ..., 0, the
+    largest |tau| and the steps used.
+    """
+    n_gpo, length = walks.shape
+    n_hi = n_lo + length - 1
+    # one step map per distinct edge; step j (index n_lo + j) maps chart
+    # j + 1 into chart j, whose branch the shadowed point takes there
+    nc = len(charts)
+    edge, inv = np.unique(walks[:, 1:] * nc + walks[:, :-1], return_inverse=True)
+    steps = []
+    for key in edge.tolist():
+        v_from, v_to = charts[key // nc], charts[key % nc]
+        s = step_map(m, v_to, v_from, cfg)
+        steps.append((s.a, s.b, v_to.center.branch(v_to.shift)))
+    a_e, b_e, branch_e = (np.array(col) for col in zip(*steps))
+    inv = inv.reshape(n_gpo, length - 1)
+    a, b = a_e[inv.T], b_e[inv.T]          # (L - 1, K): one row per step
+
+    taus = np.empty((length, n_gpo))
+    broken = np.zeros(n_gpo, dtype=bool)
+    converged = np.zeros(n_gpo, dtype=np.int64)   # 0 while wider than the tolerance
+
+    def fail(rows, message):
+        for k in np.flatnonzero(rows & ~broken).tolist():
+            results[k] = EdgeBroken(message(k))
+        broken[rows] = True
+
+    lo_ok, hi_ok = -1.0 - CONTAINMENT_SLACK, 1.0 + CONTAINMENT_SLACK
+    with np.errstate(all="ignore"):  # as silent as Python float arithmetic
+        # forward-to-backward nested intervals; a step's |a| in rescaled
+        # units equals the nested-length ratio len(I_{n+1})/len(I_n) in
+        # fixed units.  The midpoint at every visited index doubles as the
+        # forward coordinate (exact once the interval has contracted past
+        # the stop tolerance).  Python's min and max keep the first of a tie.
+        lo = np.full(n_gpo, float(init_interval[0]))
+        hi = np.full(n_gpo, float(init_interval[1]))
+        taus[-1] = 0.5 * (lo + hi)
+        worst = np.abs(taus[-1])
+        for n in range(n_hi - 1, -1, -1):
+            j = n - n_lo
+            p0, p1 = a[j] * lo + b[j], a[j] * hi + b[j]
+            lo, hi = np.where(p1 < p0, p1, p0), np.where(p1 > p0, p1, p0)
+            out = ~((lo_ok <= lo) & (hi <= hi_ok))
+            if out.any():
+                fail(out, lambda k: f"step into index {n} leaves the chart: "
+                                    f"[{float(lo[k]):g}, {float(hi[k]):g}]")
+            taus[j] = 0.5 * (lo + hi)
+            t = np.abs(taus[j])
+            worst = np.where(t > worst, t, worst)
+            converged[(converged == 0) & (hi - lo < 2.0 * REL_TOL)] = n_hi - n
+        for n in range(0, n_lo, -1):
+            j = n - n_lo
+            taus[j - 1] = a[j - 1] * taus[j] + b[j - 1]
+            t = np.abs(taus[j - 1])
+            worst = np.where(t > worst, t, worst)
+            out = worst > hi_ok
+            if out.any():
+                fail(out, lambda k: f"backward reconstruction leaves chart {n - 1}")
+    used = np.where(converged > 0, converged, n_hi)
+    return branch_e[inv], taus, np.abs(a[-n_lo:][::-1]), worst, used
+
+
+def _shadowed_points(m, charts, walks, taus, branch, n_lo):
+    """The windows of the points theta0 + tau e^{log p} / u of the rows of
+    ``walks`` (tau from the (L, K) ``taus``), and each row's log p at index 0."""
+    visited, at = np.unique(walks, return_inverse=True)
+    table = [charts[i] for i in visited.tolist()]
+    log_p = [c.log_p for c in table]
+    at = at.reshape(walks.shape)
+    # e^{log p} per chart through math.exp, 0 under -745
+    p = np.array([math.exp(lp) if lp > -745 else 0.0 for lp in log_p])
+    under = np.array([not lp > -745 for lp in log_p])
+    # in place, one (K, L) temporary at a time; + and * commute bit for bit
+    pts = p[at]
+    pts *= taus.T
+    pts[under[at]] = 0.0
+    pts /= np.array([c.u for c in table])[at]
+    pts += np.array([c.theta0 for c in table])[at]
+    log_p0 = [log_p[i] for i in at[:, -n_lo].tolist()]
+    return ne.make_pseudo_window(m, pts, branch, off=-n_lo), log_p0
 
 
 @dataclass(frozen=True)

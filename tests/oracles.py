@@ -190,7 +190,7 @@ def bracket_windows(m, wx, wy):
     back = ne.backward_orbit(m, wx.x0, word)  # SingularPoint if the word breaks
     pts = np.concatenate([back[::-1], wx.points[wx.off:]])
     bids = np.concatenate([word[::-1], wx.branch_ids[wx.off:]])
-    return ne.make_pseudo_window(m, pts, bids, off=word.shape[0])
+    return ne.make_pseudo_window(m, pts[None], bids[None], off=word.shape[0])[0]
 
 
 def bracket(m, res_x, res_y):
@@ -225,6 +225,77 @@ def step_map_reference(m, v_to, v_from, cfg):
         log_b = math.log(abs(offset)) + math.log(v_to.u) - v_to.log_p
         b = math.copysign(math.exp(min(log_b, 700.0)), offset)
     return StepMap(a=a, b=b, slope_t=slope_t, size_ratio=scale)
+
+
+def shadow_reference(m, g, cfg, init_interval=(-1.0, 1.0)):
+    """One gpo through Python floats, step by step: the loop the batch
+    kernel ``shadow_many`` must reproduce bit for bit.  Its window is
+    built by ``pseudo_window_reference``."""
+    if g.n_hi < 1:
+        raise ValueError("gpo needs forward length >= 1")
+    steps = {}
+    for n in range(g.n_lo, g.n_hi):
+        steps[n] = sh.step_map(m, g.chart(n), g.chart(n + 1), cfg)
+
+    # forward-to-backward nested intervals
+    lo, hi = float(init_interval[0]), float(init_interval[1])
+    mids = {g.n_hi: 0.5 * (lo + hi)}
+    ratios = []
+    used = 0
+    converged = None
+    for n in range(g.n_hi - 1, -1, -1):
+        s = steps[n]
+        a, b = s.a, s.b
+        p0_img, p1_img = a * lo + b, a * hi + b
+        lo2, hi2 = min(p0_img, p1_img), max(p0_img, p1_img)
+        if not (-1.0 - sh.CONTAINMENT_SLACK <= lo2 and hi2 <= 1.0 + sh.CONTAINMENT_SLACK):
+            raise sh.EdgeBroken(
+                f"step into index {n} leaves the chart: [{lo2:g}, {hi2:g}]")
+        ratios.append(abs(s.a))
+        lo, hi = lo2, hi2
+        mids[n] = 0.5 * (lo + hi)
+        used += 1
+        if converged is None and hi - lo < 2.0 * sh.REL_TOL:
+            converged = used
+
+    taus = {n: mids[n] for n in mids}
+    worst = max(abs(t) for t in taus.values())
+    for n in range(0, g.n_lo, -1):
+        s = steps[n - 1]
+        taus[n - 1] = s.a * taus[n] + s.b
+        worst = max(worst, abs(taus[n - 1]))
+        if worst > 1.0 + sh.CONTAINMENT_SLACK:
+            raise sh.EdgeBroken(f"backward reconstruction leaves chart {n - 1}")
+    used = converged if converged is not None else used
+
+    c0 = g.chart(0)
+    pts = []
+    bids = []
+    for n in g.indices():
+        c = g.chart(n)
+        t_lin = taus[n] * math.exp(c.log_p) if c.log_p > -745 else 0.0
+        pts.append(c.theta0 + t_lin / c.u)
+        if n < g.n_hi:
+            bids.append(c.center.branch(c.shift))
+    point = pseudo_window_reference(m, np.array(pts), np.array(bids, dtype=np.int64),
+                                    off=-g.n_lo)
+    return sh.ShadowResult(
+        gpo=g, tau0=taus[0], log_p0=c0.log_p, point=point, taus=taus,
+        log_error_bound=math.log(2.0) + c0.log_p - cfg.chi * g.n_hi / 2.0,
+        contraction_ratios=ratios, steps_used=used, worst_containment=worst,
+    )
+
+
+def pseudo_window_reference(m, pts, bids, off):
+    """One window from a 1-D pseudo-orbit, its prefix sums by ``np.cumsum``."""
+    err = np.max(np.abs(K.fwd_vec(m.family, bids, pts[:-1]) - pts[1:]))
+    if err > ne.CONSISTENCY_TOL:
+        raise ValueError(f"points violate the window tolerance: {err:g}")
+    ld = np.log(np.abs(K.dfwd_vec(m.family, bids, pts[:-1])))
+    cum = np.zeros(ld.shape[0] + 1)
+    cum[1:] = np.cumsum(ld)
+    return ne.OrbitWindow(m=m, points=pts, branch_ids=bids, logderivs=ld, cumlog=cum,
+                          off=off)
 
 
 # -- Markov refinement ---------------------------------------------------------

@@ -294,16 +294,18 @@ def test_backward_orbit_validates_branches():
     assert x == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(symdyn.SingularPoint):
         ne.backward_orbit(m, 0.5, [1, 0])  # 0.5 <- 0.5 <- 0.25, a singular point
-    # branch 1 is x - 0.25, not full, and 0.25 is not singular: the preimage
-    # of 0.4 under branch 1 is 0.65, outside every branch, and the preimage
-    # of 0.5 under branch 0 is 0.25, in branch 1
-    half = parse_map_file(DOUBLING_FILE.replace("coef = -0.5 2.0", "coef = -0.25 1.0")
-                          .replace("singular = 0.0 0.25", "singular = 0.0"))
-    assert ne.backward_orbit(half, 0.2, [1]).tolist() == [pytest.approx(0.45)]
+    # neither branch is full: 2x on [0, 0.2) and x - 0.2 on [0.2, 0.5].  The
+    # preimage of 0.4 under branch 1 is 0.6, outside every branch, and the
+    # preimage of 0.45 under branch 0 is 0.225, in branch 1 and off S
+    half = parse_map_file(DOUBLING_FILE.replace("dom = 0.0 0.25", "dom = 0.0 0.2")
+                          .replace("dom = 0.25 0.5", "dom = 0.2 0.5")
+                          .replace("coef = -0.5 2.0", "coef = -0.2 1.0")
+                          .replace("singular = 0.0 0.25", "singular = 0.0 0.2"))
+    assert ne.backward_orbit(half, 0.25, [1]).tolist() == [pytest.approx(0.45)]
     with pytest.raises(symdyn.SingularPoint, match="no branch"):
         ne.backward_orbit(half, 0.4, [1])
     with pytest.raises(symdyn.SingularPoint, match="not in branch 0"):
-        ne.backward_orbit(half, 0.5, [0])
+        ne.backward_orbit(half, 0.45, [0])
 
 
 @pytest.mark.parametrize("n", range(1, 9))

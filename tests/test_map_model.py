@@ -496,6 +496,42 @@ def test_branch_checks_accept_every_built_in_table():
     parse_map_file(MIXED_FILE)
 
 
+def test_map_file_inner_branch_endpoints_must_be_singular(tmp_path, capsys):
+    # the domain ends need not be: doubling's S is {0, 0.25}, without 0.5
+    assert built_in("doubling").sing.tolist() == [0.0, 0.25]
+    no_join = DOUBLING_FILE.replace("singular = 0.0 0.25", "singular = 0.0")
+    with pytest.raises(MapFileError, match=r"branch 1 \[0\.25, 0\.5\]: the branch endpoint "
+                                           r"0\.25 lies inside the domain but is not a singular"):
+        parse_map_file(no_join)
+    near = MIXED_FILE.replace("singular = 0.0 0.1 0.3 0.5", "singular = 0.0 0.1 0.30000000000000004")
+    with pytest.raises(MapFileError, match=r"branch 2 .*endpoint 0\.3 lies inside"):
+        parse_map_file(near)
+    p = tmp_path / "nojoin.map"
+    p.write_text(no_join, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["verify-map", "--map", str(p), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "endpoint 0.25 lies inside the domain" in capsys.readouterr().err
+
+
+TABLE_LANE_MAPS = {name: built_in(name) for name in ("doubling", "tent", "quadratic")}
+TABLE_LANE_MAPS["mixed"] = parse_map_file(MIXED_FILE)
+
+
+@given(st.sampled_from(sorted(TABLE_LANE_MAPS)),
+       st.one_of(st.floats(), st.sampled_from([math.nan, -math.nan, math.inf, -math.inf,
+                                               0.0, -0.0, 0.25, 0.5])))
+@settings(max_examples=500, deadline=None)
+def test_table_singular_distance_lanes_agree(name, x):
+    # the scalar lane (MapModel) and the batch lane agree bit for bit on
+    # d(x, S), NaN and infinities included: NaN stays NaN in both
+    m = TABLE_LANE_MAPS[name]
+    d = m.singular_distance(x)
+    assert type(d) is float
+    assert np.float64(d).view(np.uint64) == K.sing_dist_vec(m.family, np.array([x])).view(np.uint64)[0]
+    assert math.isnan(d) == math.isnan(x)
+
+
 ONE_QUADRATIC_FILE = """
 [map]
 a = 2.5

@@ -59,13 +59,13 @@ def test_cover_shadows_each_distinct_walk_once(doubling, cfg, fixture, cover, mo
     # on disjoint cycles every walk through a vertex is the same walk
     _, _, pg, kept = fixture
     calls = []
-    shadow = mr.sh.shadow
+    shadow_many = mr.sh.shadow_many
 
-    def counting_shadow(m, gpo, c):
-        calls.append(gpo.vertex_keys())
-        return shadow(m, gpo, c)
+    def counting_shadow_many(m, charts, walks, n_lo, c):
+        calls.extend([mr.sh._chart_key(charts[i]) for i in walk] for walk in walks.tolist())
+        return shadow_many(m, charts, walks, n_lo, c)
 
-    monkeypatch.setattr(mr.sh, "shadow", counting_shadow)
+    monkeypatch.setattr(mr.sh, "shadow_many", counting_shadow_many)
     rects, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=3,
                                     window=10, seed=1)
     assert len(calls) == len(set(map(tuple, calls))) == len(kept)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,10 +140,29 @@ def test_periodic_window_extends_forward_periodically(doubling):
     assert w2.back_len == 26
 
 
+def _back_branches_comprehension(w):
+    return [int(w.branch_ids[w.off - k]) for k in range(1, w.back_len + 1)]
+
+
+def test_back_branches_match_the_element_reads(doubling):
+    m = symdyn.built_in("quadratic")
+    cyc = ne.make_periodic_window(m, 0.3, [0, 1, 1], 7, 5)
+    chain = ne.make_window(doubling, 0.3, [1, 0, 1, 1, 0], fwd_len=4)
+    windows = [chain, replace(chain, off=0), replace(chain, off=1), chain.shift(3),
+               chain.extend_forward(6), cyc, cyc.shift(-6), cyc.shift(-7, min_back=0),
+               cyc.shift(9), cyc.extend_forward(10).shift(4)]
+    assert {w.off for w in windows} >= {0, 1}
+    for w in windows:
+        word = w.back_branches
+        assert word == _back_branches_comprehension(w)
+        assert all(type(b) is int for b in word)
+        assert w.record().split()[1] == "back=" + ",".join(map(str, word))
+
+
 def test_pseudo_window_rejects_bad_orbit(doubling):
-    pts = np.array([0.1, 0.3, 0.1])  # f(0.1) = 0.2 != 0.3
-    with pytest.raises(ValueError):
-        ne.make_pseudo_window(doubling, pts, np.array([0, 1], dtype=np.int64))
+    pts = np.array([[0.1, 0.2, 0.4], [0.1, 0.3, 0.1]])  # row 1: f(0.1) = 0.2 != 0.3
+    with pytest.raises(ValueError, match="window tolerance: 0.1$"):
+        ne.make_pseudo_window(doubling, pts, np.array([[0, 0], [0, 1]], dtype=np.int64))
 
 
 def test_make_window_rejects_singular_word(doubling):

@@ -1,0 +1,257 @@
+"""The lockstep shadowing kernel against the one-gpo loop.
+
+``shadow_many`` shadows every gpo of a batch at once.  Each gpo must get
+the IEEE operations of ``oracles.shadow_reference`` in the same order, so
+every field of every result and every EdgeBroken message is compared bit
+for bit: on every gpo the pipeline shadows, and on drawn batches over
+charts whose step maps are set by hand.
+"""
+
+import math
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import symdyn
+from symdyn import cli, pesin
+from symdyn import shadowing as sh
+from symdyn.config import parse_config
+from symdyn.shadowing import StepMap
+
+from oracles import shadow_reference
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+def _is_float(*values):
+    return all(type(v) is float for v in values)
+
+
+def assert_same(got, want):
+    """``got`` (from shadow_many) equals ``want`` (from the reference) bit for bit."""
+    if isinstance(want, sh.EdgeBroken):
+        assert isinstance(got, sh.EdgeBroken) and str(got) == str(want)
+        return
+    assert isinstance(got, sh.ShadowResult), got
+    assert len(got.gpo.charts) == len(want.gpo.charts)
+    assert all(a is b for a, b in zip(got.gpo.charts, want.gpo.charts))
+    assert got.gpo.n_lo == want.gpo.n_lo
+    scalars = ("tau0", "log_p0", "log_error_bound", "worst_containment")
+    assert _is_float(*(getattr(got, f) for f in scalars), *got.taus.values(),
+                     *got.contraction_ratios)
+    assert _hex(getattr(got, f) for f in scalars) == _hex(getattr(want, f) for f in scalars)
+    assert list(got.taus) == list(want.taus)
+    assert _hex(got.taus.values()) == _hex(want.taus.values())
+    assert _hex(got.contraction_ratios) == _hex(want.contraction_ratios)
+    assert type(got.steps_used) is int and got.steps_used == want.steps_used
+    p, q = got.point, want.point
+    for f in ("points", "branch_ids", "logderivs", "cumlog"):
+        a, b = getattr(p, f), getattr(q, f)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f
+        assert not a.flags.writeable
+    assert (p.off, p.u_depth, p.period) == (q.off, q.u_depth, q.period)
+
+
+def reference_batch(m, charts, walks, n_lo, cfg, init=(-1.0, 1.0)):
+    """The one-gpo loop over the rows: a result or an EdgeBroken per row, or
+    the message of the ValueError it stops at."""
+    out = []
+    for row in np.asarray(walks).tolist():
+        g = sh.Gpo(charts=tuple(charts[i] for i in row), n_lo=n_lo)
+        try:
+            out.append(shadow_reference(m, g, cfg, init))
+        except sh.EdgeBroken as e:
+            out.append(e)
+        except ValueError as e:
+            return str(e)
+    return out
+
+
+def check_batch(m, charts, walks, n_lo, cfg, init=(-1.0, 1.0)):
+    want = reference_batch(m, charts, walks, n_lo, cfg, init)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as exc:
+            sh.shadow_many(m, charts, walks, n_lo, cfg, init)
+        assert str(exc.value) == want
+        return None
+    got = sh.shadow_many(m, charts, walks, n_lo, cfg, init)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same(a, b)
+    return got
+
+
+# -- every gpo the pipeline shadows ---------------------------------------------
+
+CONFIGS = {
+    "doubling": "map = doubling",
+    "tent": "map = tent",
+    "quadratic": "map = quadratic",
+    "doubling-10": "map = doubling\nmax_period = 10",
+    "gauss-2": "map = gauss\nmax_period = 2",
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_pipeline_gpos_match_the_one_gpo_loop(name, tmp_path, monkeypatch):
+    batches = []
+    shadow_many = sh.shadow_many
+
+    def recording(m, charts, walks, n_lo, cfg):
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_shadow_encoded":
+            caller = sys._getframe(2).f_code.co_name
+        res = shadow_many(m, charts, walks, n_lo, cfg)
+        batches.append((caller, m, charts, np.array(walks), n_lo, cfg, res))
+        return res
+
+    monkeypatch.setattr(sh, "shadow_many", recording)
+    for command in ("full-pipeline", "inverse-audit"):
+        cli.run(command, parse_config(CONFIGS[name]), str(tmp_path / command), quiet=True)
+    assert {b[0] for b in batches} == {"build_cover", "stage_shadow", "stage_inverse"}
+    shadowed = 0
+    for _, m, charts, walks, n_lo, cfg, res in batches:
+        want = reference_batch(m, charts, walks, n_lo, cfg)
+        assert len(res) == len(want) == walks.shape[0]
+        for a, b in zip(res, want):
+            assert_same(a, b)
+        shadowed += len(res)
+    assert shadowed > 100
+
+
+# -- drawn batches over charts with hand-set step maps ----------------------------
+
+EPS = 0.1
+CFG = pesin.PesinConfig(chi=0.3, epsilon=EPS)
+DOUBLING = symdyn.built_in("doubling")
+# log p where e^{log p} from np.exp on an array and from math.exp differ
+LOG_P_EXP_ULP = -78.24800379004887
+
+
+def fake_charts(specs, steps):
+    """Charts centred on doubling's fixed point 0 (a one-branch orbit) with
+    spec (theta0, u, log p) and the step map (a, b) of the edge to <- from
+    set to ``steps[(from, to)]``."""
+    center = SimpleNamespace(branch=lambda shift: 0)
+    params = SimpleNamespace(epsilon=EPS)
+    charts = [SimpleNamespace(theta0=theta0, u=u, log_p=log_p, idx_p=i, params=params,
+                              center=center, shift=0, steps={})
+              for i, (theta0, u, log_p) in enumerate(specs)]
+    for (f, t), (a, b) in steps.items():
+        to = charts[t]
+        charts[f].steps[(to.theta0, to.u, to.idx_p, EPS, CFG.epsilon)] = StepMap(
+            a=a, b=b, slope_t=a, size_ratio=1.0)
+    return charts
+
+
+COEF_A = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0, math.nan]),
+                   st.floats(-1.2, 1.2))
+COEF_B = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, math.nan]),
+                   st.floats(-0.3, 0.3))
+# under -745 the chart size counts as 0; at -20 a tau of 0.05 misses the
+# window tolerance
+LOG_P = st.one_of(st.sampled_from([-800.0, -745.0, -744.9, -60.0, -20.0, LOG_P_EXP_ULP]),
+                  st.floats(-700.0, -40.0))
+ENDS = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 0.25]), st.floats(-1.5, 1.5))
+
+
+@st.composite
+def batches(draw):
+    nc = draw(st.integers(1, 4))
+    specs = [(draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([1.0, 0.75, 3.0])),
+              draw(LOG_P)) for _ in range(nc)]
+    steps = {(f, t): (draw(COEF_A), draw(COEF_B)) for f in range(nc) for t in range(nc)}
+    length = draw(st.integers(2, 7))
+    n_lo = draw(st.integers(2 - length, 0))
+    row = st.lists(st.integers(0, nc - 1), min_size=length, max_size=length)
+    walks = np.array(draw(st.lists(row, min_size=1, max_size=6)), dtype=np.int64)
+    init = draw(st.one_of(st.just((-1.0, 1.0)), st.tuples(ENDS, ENDS)))
+    return fake_charts(specs, steps), walks, n_lo, init
+
+
+@settings(max_examples=250, deadline=None)
+@given(batches())
+def test_drawn_batches_match_the_one_gpo_loop(batch):
+    charts, walks, n_lo, init = batch
+    check_batch(DOUBLING, charts, walks, n_lo, CFG, init)
+
+
+def _universe():
+    # chart 0 -> 0 contracts; chart 1 is entered from chart 0 by a NaN step,
+    # chart 2 by a step of slope 8; chart 3 -> 3 has +-0.0 endpoint ties
+    specs = [(0.0, 1.0, LOG_P_EXP_ULP), (0.0, 1.0, -60.0), (-0.0, 3.0, -800.0),
+             (0.0, 1.0, -40.0)]
+    steps = {(f, t): (0.5, 0.125) for f in range(4) for t in range(4)}
+    steps[(0, 1)] = (math.nan, 0.0)
+    steps[(0, 2)] = (8.0, 0.0)
+    steps[(3, 3)] = (-0.0, -0.0)
+    return fake_charts(specs, steps)
+
+
+@pytest.mark.parametrize("block", [1, 4, sh.SHADOW_BLOCK])
+def test_good_gpos_do_not_change_in_a_mixed_batch(block, monkeypatch):
+    monkeypatch.setattr(sh, "SHADOW_BLOCK", block)
+    charts = _universe()
+    good = np.array([[0, 0, 0, 0], [3, 3, 3, 3], [0, 0, 3, 0]])
+    alone = [sh.shadow_many(DOUBLING, charts, good[i:i + 1], -1, CFG)[0] for i in range(3)]
+    mixed = np.array([[1, 0, 0, 0],      # NaN step into index -1: tau_{-1} is NaN
+                      [0, 0, 0, 0],
+                      [0, 1, 0, 0],      # NaN step into index 0: forward break
+                      [3, 3, 3, 3],
+                      [2, 0, 0, 0],      # slope 8 into index -1: backward break
+                      [0, 0, 3, 0],
+                      [2, 0, 1, 0]])     # breaks at index 1, again at 0 and -1
+    got = check_batch(DOUBLING, charts, mixed, -1, CFG)
+    assert str(got[6]) == "step into index 1 leaves the chart: [nan, nan]"
+    for i, k in enumerate((1, 3, 5)):
+        assert_same(got[k], alone[i])
+    assert not math.isnan(got[0].tau0) and math.isnan(got[0].taus[-1])
+    assert str(got[2]) == "step into index 0 leaves the chart: [nan, nan]"
+    assert str(got[4]) == "backward reconstruction leaves chart -1"
+    # the images of -1 and 1 under the step into index 1 are 0.0 and -0.0:
+    # Python's min and max keep the first, so both ends are 0.0
+    assert float.hex(got[3].taus[1]) == "0x0.0p+0"
+    # e^{log p} comes from math.exp, one ulp away from np.exp at this log p
+    tau0, np_exp = got[1].taus[0], float(np.exp(np.array([LOG_P_EXP_ULP]))[0])
+    assert got[1].point.x(0) == tau0 * math.exp(LOG_P_EXP_ULP) != tau0 * np_exp
+
+
+@pytest.mark.parametrize("block", [1, 2, sh.SHADOW_BLOCK])
+def test_window_tolerance_error_comes_from_the_first_unbroken_gpo(block, monkeypatch):
+    monkeypatch.setattr(sh, "SHADOW_BLOCK", block)
+    specs = [(0.0, 1.0, -20.0), (0.0, 1.0, -800.0), (0.0, 1.0, -19.0)]
+    steps = {(f, t): (0.5, 0.25) for f in range(3) for t in range(3)}
+    steps[(1, 0)] = (3.0, 0.0)
+    charts = fake_charts(specs, steps)
+    walks = np.array([[0, 1, 1],    # broken: not held to the tolerance
+                      [1, 1, 1],    # within it: every chart size is 0
+                      [2, 1, 1],    # misses it
+                      [0, 0, 0]])   # misses it by another amount
+    want = reference_batch(DOUBLING, charts, walks[2:3], 0, CFG)
+    assert want.startswith("points violate the window tolerance")
+    assert reference_batch(DOUBLING, charts, walks[3:], 0, CFG) != want
+    with pytest.raises(ValueError) as exc:
+        sh.shadow_many(DOUBLING, charts, walks, 0, CFG)
+    assert str(exc.value) == want
+
+
+def test_shadow_many_edge_cases():
+    charts = _universe()
+    assert sh.shadow_many(DOUBLING, charts, np.zeros((0, 1), dtype=np.int64), 0, CFG) == []
+    with pytest.raises(ValueError, match="forward length"):
+        sh.shadow_many(DOUBLING, charts, np.zeros((1, 2), dtype=np.int64), -1, CFG)
+    with pytest.raises(ValueError, match="index 0"):
+        sh.shadow_many(DOUBLING, charts, np.zeros((1, 2), dtype=np.int64), 1, CFG)
+    # shadow is the batch of one and keeps the gpo it was given
+    g = sh.Gpo(charts=(charts[0],) * 4, n_lo=-2, strengths=("strong",) * 3)
+    res = sh.shadow(DOUBLING, g, CFG)
+    assert res.gpo is g
+    assert_same(res, shadow_reference(DOUBLING, g, CFG))
+    with pytest.raises(sh.EdgeBroken, match="backward reconstruction leaves chart -1"):
+        sh.shadow(DOUBLING, sh.Gpo(charts=(charts[2],) + (charts[0],) * 3, n_lo=-1), CFG)
