@@ -10,15 +10,8 @@ from . import _kernels as K
 
 
 def _adjacency(g):
-    """Adjacency dict from a GpoGraph / TmsGraph / plain dict."""
-    if isinstance(g, dict):
-        return g
-    if hasattr(g, "out_edges") and hasattr(g, "alphabet"):
-        return {v: list(g.out_edges[v]) for v in range(g.n_vertices())
-                if g.out_edges[v] or g.in_edges[v]}
-    if hasattr(g, "adjacency"):
-        return g.adjacency()
-    raise TypeError(f"no adjacency in {type(g)!r}")
+    """Adjacency dict from a plain dict or a GpoGraph / TmsGraph."""
+    return g if isinstance(g, dict) else g.adjacency()
 
 
 def _step(adj, vec):

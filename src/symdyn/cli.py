@@ -80,8 +80,7 @@ def stage_graph(al, out, quiet):
     g = coarse_grain.build_graph(al)
     pg, kept = coarse_grain.prune_relevant(g)
     formats.write_graph(os.path.join(out, "graph.txt"), pg)
-    formats.write_dot(os.path.join(out, "graph.dot"),
-                      {v: pg.out_edges[v] for v in kept})
+    formats.write_dot(os.path.join(out, "graph.dot"), pg.adjacency())
     _say(quiet, f"graph: {g.n_edges()} strong edges; pruned to {len(kept)} "
                 f"relevant vertices, {pg.n_edges()} edges")
     return g, pg, kept

@@ -288,6 +288,11 @@ class GpoGraph:
     def n_edges(self):
         return sum(len(o) for o in self.out_edges)
 
+    def adjacency(self):
+        """Successor lists of the vertices with an edge."""
+        return {v: list(self.out_edges[v]) for v in range(self.n_vertices())
+                if self.out_edges[v] or self.in_edges[v]}
+
 
 def _edge_test_vertices(cfg, v, w):
     return _edge_clauses(

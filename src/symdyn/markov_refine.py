@@ -3,19 +3,26 @@
 Rectangles are finite point samples of Z(v) = {shadowed points of
 recurrent-proxy chains through v}; every set predicate (intersection,
 fibre membership, cylinder chase) is sample-level, with window agreement
-as the equality proxy.  The refinement classifies each sampled point by
-its full stable/unstable intersection signature against every met
-rectangle; cells are the classes of equal signatures.
+as the equality proxy.  Which sampled points of a cover are the same
+point, and which point the shift of each lands on, is decided once per
+cover (``point_classes``): the key is exact, the coordinate bytes, so it
+agrees with the pairwise rule ``windows_agree``, which the cylinder chase
+and the tests keep as the reference.  The refinement classifies each
+sampled point by its full stable/unstable intersection signature against
+every met rectangle; cells are the classes of equal signatures.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import shadowing as sh
 from .coarse_grain import lt_log_threshold
+from .map_model import SingularPoint
+from .natural_extension import WindowExhausted, hat_distance
 
 LOG100 = math.log(100.0)
 
@@ -68,6 +75,58 @@ class FibreDescriptors:
             return False
         d = abs(window.x0 - self.theta0) * self.u
         return lt_log_threshold(d, self.log_100p, strict=False)
+
+
+@dataclass
+class PointClasses:
+    """Which sampled points of a cover are the same point.
+
+    ``cls``, ``head`` and ``shift`` map a point (rect, point index) to an
+    int, or to None where a NaN rules out every match.
+    """
+
+    cls: dict      # equal exactly where windows_agree
+    head: dict     # the class of the point on all but its last coordinate
+    shift: dict    # the head class of the point's shift by one
+    rects: dict    # class -> the rectangles holding a point of it
+
+
+def point_classes(cover):
+    """Decide once which sampled points of a cover are the same point.
+
+    Points a and b share a class exactly when ``windows_agree`` says so:
+    the key is their coordinate bytes with -0.0 read as 0.0, and a point
+    holding a NaN matches nothing, itself included.  The shift by one of a
+    agrees with b exactly when a's coordinates from index 1 equal b's up to
+    its last but one, so ``shift[a] == head[b]`` decides it the same way.
+    That needs every point to span one range [-N, F] with F >= 2, as every
+    ``build_cover`` point does (F = 1 gives an empty cover); ValueError
+    otherwise.
+    """
+    refs = [(i, pi) for i, z in enumerate(cover) for pi in range(len(z.points))]
+    if not refs:
+        return PointClasses(cls={}, head={}, shift={}, rects={})
+    spans = {(p.point.back_len, p.point.fwd_len) for z in cover for p in z.points}
+    if len(spans) > 1 or min(f for _, f in spans) < 2:
+        raise ValueError(f"sampled points must share one span [-N, F], F >= 2: {sorted(spans)}")
+    pts = np.array([cover[i].points[pi].point.points for i, pi in refs]) + 0.0  # -0.0 -> 0.0
+    nan = np.isnan(pts)
+
+    def keys(rows, bad):
+        return (None if b else row.tobytes() for row, b in zip(rows, bad.any(axis=1).tolist()))
+
+    table = {}
+    cls = [None if k is None else table.setdefault(k, len(table)) for k in keys(pts, nan)]
+    table = {}      # the heads' own keys; the class keys are dropped first
+    head = [None if k is None else table.setdefault(k, len(table))
+            for k in keys(pts[:, :-1], nan[:, :-1])]
+    shift = [None if k is None else table.get(k) for k in keys(pts[:, 1:], nan[:, 1:])]
+    rects = {}
+    for (i, _), c in zip(refs, cls):
+        if c is not None and i not in rects.setdefault(c, []):
+            rects[c].append(i)
+    return PointClasses(cls=dict(zip(refs, cls)), head=dict(zip(refs, head)),
+                        shift=dict(zip(refs, shift)), rects=rects)
 
 
 def fibres(z, point_index):
@@ -143,21 +202,22 @@ def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
     charts = [x.chart for x in g.alphabet.vertices]
     walks = np.array(walks, dtype=np.int64).reshape(len(walks), 2 * window + 1)
     shadowed = iter(sh.shadow_many(m, charts, walks, -window, cfg))
+    raw = [Rectangle(rid=None, vid=v, chart=g.alphabet.vertices[v].chart,
+                     points=[res for res in itertools.islice(shadowed, count)
+                             if not isinstance(res, sh.EdgeBroken)])
+           for v, count in core]
+    cls = iter(point_classes(raw).cls.values())
     rects = []
-    dropped = 0
-    for v, count in core:
+    for z in raw:
+        seen = set()    # a rectangle keeps one copy of each point
         points = []
-        for res in itertools.islice(shadowed, count):
-            if isinstance(res, sh.EdgeBroken):
-                continue
-            if not any(windows_agree(res.point, q.point) for q in points):
+        for res, c in zip(z.points, cls):
+            if c is None or c not in seen:
+                seen.add(c)
                 points.append(res)
         if points:
-            rects.append(Rectangle(rid=len(rects), vid=v,
-                                   chart=g.alphabet.vertices[v].chart, points=points))
-        else:
-            dropped += 1
-    return rects, dropped
+            rects.append(replace(z, rid=len(rects), points=points))
+    return rects, len(raw) - len(rects)
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +244,13 @@ def _signature_of(cover, i, pi, met):
     return tuple(sorted(sig))
 
 
-def _x0_index(cover):
-    """Prefilter: zeroth coordinate -> [(rect, point)]; windows_agree is
-    decided at n = 0 first, so differing x0 can never agree."""
-    idx = {}
-    for i, z in enumerate(cover):
-        for pi, p in enumerate(z.points):
-            idx.setdefault(p.point.x0, []).append((i, pi))
-    return idx
-
-
-def rectangles_meeting(cover, x0_index=None):
+def rectangles_meeting(cover, classes=None):
     """met[i] = sorted j with Z_i and Z_j sharing a sampled point."""
-    idx = x0_index or _x0_index(cover)
-    met = {}
-    for i, zi in enumerate(cover):
-        hits = set()
-        for p in zi.points:
-            for j, pj in idx.get(p.point.x0, ()):
-                if j in hits:
-                    continue
-                if windows_agree(cover[j].points[pj].point, p.point):
-                    hits.add(j)
-        met[i] = sorted(hits)
-    return met
+    pc = point_classes(cover) if classes is None else classes
+    met = {i: set() for i in range(len(cover))}
+    for (i, _), c in pc.cls.items():
+        met[i].update(pc.rects.get(c, ()))
+    return {i: sorted(js) for i, js in met.items()}
 
 
 def refine(cover):
@@ -245,6 +288,7 @@ class TmsGraph:
     cover: list
     out_edges: list
     in_edges: list
+    classes: PointClasses      # of the cover's sampled points
 
     def adjacency(self):
         return {c.cell_id: list(self.out_edges[c.cell_id]) for c in self.cells}
@@ -261,34 +305,20 @@ def _cell_contains(cover, cell, window):
 
 def hat_graph(cover, cells):
     """Edges R -> S iff the shift of some sampled member of R lands in S."""
-    n = len(cells)
-    out_edges = [[] for _ in range(n)]
-    in_edges = [[] for _ in range(n)]
-    cell_of_ref = {}
+    pc = point_classes(cover)
+    cells_at = {}      # head class -> the cells of the points holding it
     for c in cells:
         for ref in c.members:
-            cell_of_ref[ref] = c.cell_id
-    idx = _x0_index(cover)
-    for r in cells:
-        for ref in r.members:
-            w = _member_window(cover, ref)
-            try:
-                wn = w.shift(1)
-            except Exception:
-                continue
-            hit_cells = set()
-            for j, pj in idx.get(wn.x0, ()):
-                if windows_agree(cover[j].points[pj].point, wn):
-                    hit_cells.add(cell_of_ref[(j, pj)])
-            for cid in sorted(hit_cells):
-                if cid not in out_edges[r.cell_id]:
-                    out_edges[r.cell_id].append(cid)
-                    in_edges[cid].append(r.cell_id)
-    for lst in out_edges:
-        lst.sort()
-    for lst in in_edges:
-        lst.sort()
-    return TmsGraph(cells=cells, cover=cover, out_edges=out_edges, in_edges=in_edges)
+            if pc.head[ref] is not None:
+                cells_at.setdefault(pc.head[ref], set()).add(c.cell_id)
+    out_edges = [sorted({s for ref in r.members for s in cells_at.get(pc.shift[ref], ())})
+                 for r in cells]
+    in_edges = [[] for _ in cells]
+    for r, succ in enumerate(out_edges):
+        for s in succ:
+            in_edges[s].append(r)
+    return TmsGraph(cells=cells, cover=cover, out_edges=out_edges, in_edges=in_edges,
+                    classes=pc)
 
 
 def hat_pi(tg, path, n_lo=0):
@@ -303,8 +333,6 @@ def hat_pi(tg, path, n_lo=0):
     the sampled intersection dies (under-sampling or a genuine adjacency
     error; re-sample with more paths per vertex to distinguish).
     """
-    from .natural_extension import hat_distance
-
     for i in range(len(path) - 1):
         if path[i + 1] not in tg.out_edges[path[i]]:
             raise ValueError(f"path not admissible at position {i}")
@@ -314,7 +342,7 @@ def hat_pi(tg, path, n_lo=0):
         w = _member_window(tg.cover, ref)
         try:
             survivors.append(w.shift(-(n_lo + anchor)))
-        except Exception:
+        except (WindowExhausted, SingularPoint):
             continue
     diams = []
     for i, cid in enumerate(path):
@@ -323,7 +351,7 @@ def hat_pi(tg, path, n_lo=0):
         for w in survivors:
             try:
                 wi = w.shift(n_lo + i)
-            except Exception:
+            except (WindowExhausted, SingularPoint):
                 continue
             if _cell_contains(tg.cover, cell, wi):
                 keep.append(w)
@@ -385,92 +413,51 @@ class AuditReport:
 
 def audits(tg):
     """Local finiteness, Markov fibre containments, finite-to-one counts."""
-    cover, cells = tg.cover, tg.cells
-    idx = _x0_index(cover)
-    met = rectangles_meeting(cover, idx)
+    cover, cells, pc = tg.cover, tg.cells, tg.classes
+    met = rectangles_meeting(cover, pc)
     inter_counts = [len(met[i]) for i in range(len(cover))]
 
-    refined_in_rect = {}
-    for c in cells:
-        refined_in_rect[c.rect] = refined_in_rect.get(c.rect, 0) + 1
-    rects_over_cell = {}
-    for c in cells:
-        w = _member_window(cover, c.members[0])
-        rects_over_cell[c.cell_id] = len({j for j, pj in idx.get(w.x0, ())
-                                          if windows_agree(cover[j].points[pj].point, w)})
+    refined_in_rect = dict(Counter(c.rect for c in cells))
+    rects_over_cell = {c.cell_id: len(pc.rects.get(pc.cls[c.members[0]], ())) for c in cells}
 
     # sampled Markov property: for x in R0 with f(x) in R1,
     # f(W^s(x, Z(R0))) inside W^s(f x, Z(R1)) and dually for W^u
+    first_point = {}   # (rect, head class) -> its first point there
+    for (i, pi), h in pc.head.items():
+        first_point.setdefault((i, h), pi)
+    heads_in = [{pc.head[ref] for ref in c.members} for c in cells]
     checked = 0
     failures = 0
     for r in cells:
         for s_id in tg.out_edges[r.cell_id]:
             s = cells[s_id]
             for ref in r.members:
-                w = _member_window(cover, ref)
-                try:
-                    wn = w.shift(1)
-                except Exception:
+                h = pc.shift[ref]
+                if h is None or h not in heads_in[s_id]:
                     continue
-                if not _cell_contains(cover, s, wn):
-                    continue
-                fd_r = fibres(cover[r.rect], _point_index(cover, r.rect, ref))
-                fd_s = fibres(cover[s.rect], _cell_point_index(cover, s, wn))
+                fd_r = fibres(cover[r.rect], ref[1])
+                fd_s = fibres(cover[s.rect], first_point[(s.rect, h)])
                 checked += 1
                 # stable: the shift of anything with x0 = w.x0 has x0 = f(w.x0)
                 for q in cover[r.rect].points:
-                    if fd_r.in_stable(q.point):
-                        if q.point.fwd_len < 1 or not fd_s.in_stable(q.point.shift(1)):
-                            failures += 1
+                    if fd_r.in_stable(q.point) and q.point.x(1) != fd_s.x0:
+                        failures += 1
                 # unstable: the backward shift of the target fibre lands in ours
                 for q in cover[s.rect].points:
                     if fd_s.in_unstable(q.point):
                         if not fd_r.in_unstable(q.point.shift(-1)):
                             failures += 1
 
-    # finite-to-one: distinct points vs the number of cells containing them
-    classes = {}
-    counts = []
-    for c in cells:
-        for ref in c.members:
-            w = _member_window(cover, ref)
-            bucket = classes.setdefault(w.x0, [])
-            for k, rep in bucket:
-                if windows_agree(w, rep):
-                    counts[k] += 1
-                    break
-            else:
-                bucket.append((len(counts), w))
-                counts.append(1)
-    n_over = rects_over_cell
-    bound = 0
-    if cells:
-        mx = max(n_over.values())
-        bound = mx * mx
+    # finite-to-one: distinct points vs the number of cells containing them;
+    # a NaN point is distinct from every point
+    counts = Counter(pc.cls[ref] for c in cells for ref in c.members)
+    nan_points = counts.pop(None, 0)
     return AuditReport(
         intersection_counts=inter_counts,
         refined_in_rect=refined_in_rect,
         rects_over_cell=rects_over_cell,
         markov_checked=checked,
         markov_failures=failures,
-        preimage_max=max(counts, default=0),
-        preimage_bound_max=bound,
+        preimage_max=max(counts.values(), default=min(nan_points, 1)),
+        preimage_bound_max=max(rects_over_cell.values(), default=0) ** 2,
     )
-
-
-def _point_index(cover, rect_idx, ref):
-    i, pi = ref
-    if i == rect_idx:
-        return pi
-    w = _member_window(cover, ref)
-    for k, p in enumerate(cover[rect_idx].points):
-        if windows_agree(p.point, w):
-            return k
-    raise KeyError("member not sampled in its rectangle")
-
-
-def _cell_point_index(cover, cell, window):
-    for k, p in enumerate(cover[cell.rect].points):
-        if windows_agree(p.point, window):
-            return k
-    raise KeyError("window not sampled in the target cell's rectangle")

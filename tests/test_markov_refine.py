@@ -1,13 +1,17 @@
+import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import symdyn
+from symdyn import cli
 from symdyn import coarse_grain as cg
 from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
 from symdyn import pesin
+from symdyn.config import parse_config
 
 from oracles import bracket_windows, signature_partition, windows_agree_reference
 
@@ -174,13 +178,19 @@ def test_refine_empty():
     assert mr.refine([]) == []
 
 
-def test_refine_overlapping_rectangles_against_oracle(doubling, cfg, fixture):
-    # force nontrivial signatures: duplicate a rectangle so Z_i = Z_j
+@pytest.fixture(scope="module")
+def twin_cover(doubling, cfg, fixture):
+    """A cover whose first three rectangles are repeated: Z_i = Z_j."""
     _, _, pg, _ = fixture
     rects, _ = mr.build_cover(doubling, pg, cfg, paths_per_vertex=2,
                               window=10, seed=3)
-    doubled = rects + [mr.Rectangle(rid=len(rects) + i, vid=r.vid, chart=r.chart,
-                                    points=r.points) for i, r in enumerate(rects[:3])]
+    return rects, rects + [mr.Rectangle(rid=len(rects) + i, vid=r.vid, chart=r.chart,
+                                        points=r.points) for i, r in enumerate(rects[:3])]
+
+
+def test_refine_overlapping_rectangles_against_oracle(twin_cover):
+    # force nontrivial signatures: duplicate a rectangle so Z_i = Z_j
+    rects, doubled = twin_cover
     cells = mr.refine(doubled)
     ours = sorted(sorted(c.members) for c in cells)
     assert ours == signature_partition(doubled)
@@ -329,3 +339,97 @@ def test_hat_pi_odd_anchor_alignment(doubling, cfg):
         # and the shift by n_lo + i sits in every path cell
         for i, cid in enumerate(path):
             assert mr._cell_contains(rects, tg.cells[cid], w.shift(n_lo + i))
+
+
+def _pipeline_cover(monkeypatch, tmp_path, text):
+    """The cover a ``refine`` run samples under the config ``text``."""
+    covers = []
+    refine = mr.refine
+
+    def keep(cover):
+        covers.append(cover)
+        return refine(cover)
+
+    monkeypatch.setattr(mr, "refine", keep)
+    cli.run("refine", parse_config(text), str(tmp_path), quiet=True)
+    return covers[0]
+
+
+def _with_point(res, i, value):
+    w = res.point
+    pts = w.points.copy()
+    pts[w.off + i] = value
+    return replace(res, point=replace(w, points=pts))
+
+
+@pytest.mark.parametrize("name", ["doubling-max_period-10", "quadratic", "twin", "signed-zero"])
+def test_point_classes_match_windows_agree(name, cover, twin_cover, monkeypatch, tmp_path):
+    if name == "doubling-max_period-10":
+        rects = _pipeline_cover(monkeypatch, tmp_path, "map = doubling\nmax_period = 10")
+    elif name == "quadratic":
+        rects = _pipeline_cover(monkeypatch, tmp_path, "map = quadratic")
+    elif name == "twin":
+        rects = twin_cover[1]
+    else:
+        # two points apart only in the sign of a zero coordinate, whose
+        # shifts land on q; and q with a NaN, which agrees with nothing,
+        # itself included, though its shift-side coordinates still match
+        z = cover[0][0]
+        p = z.points[0]
+        y = next(y for y in cover[0] if mr.windows_agree(y.points[0].point, p.point.shift(1)))
+        q, n = y.points[0], p.point.back_len
+        rects = [replace(z, points=[_with_point(p, -n, 0.0), _with_point(p, -n, -0.0)]),
+                 replace(y, points=[q, _with_point(q, n, math.nan)])]
+    pc = mr.point_classes(rects)
+    refs = [(i, pi) for i, z in enumerate(rects) for pi in range(len(z.points))]
+    windows = [rects[i].points[pi].point for i, pi in refs]
+    shifted = [w.shift(1) for w in windows]
+    assert list(pc.cls) == list(pc.head) == list(pc.shift) == refs
+    # windows_agree compares ranges holding index 0, so a pair whose zeroth
+    # coordinates differ never agrees: the table must separate every such
+    # pair, and windows_agree decides every other pair
+    x0 = np.array([w.x0 for w in windows])
+    x1 = np.array([w.x0 for w in shifted])
+    cls = np.array([-1 if c is None else c for c in pc.cls.values()])
+    head = np.array([-1 if c is None else c for c in pc.head.values()])
+    shift = np.array([-2 if c is None else c for c in pc.shift.values()])
+    assert not ((x0[:, None] != x0[None, :]) & (cls[:, None] == cls[None, :]) & (cls >= 0)).any()
+    assert not ((x1[:, None] != x0[None, :]) & (shift[:, None] == head[None, :])).any()
+    agreed = shift_hits = 0
+    for a, b in itertools.product(range(len(refs)), repeat=2):
+        ra, rb = refs[a], refs[b]
+        if x0[a] == x0[b]:
+            same = mr.windows_agree(windows[a], windows[b])
+            assert same == (pc.cls[ra] is not None and pc.cls[ra] == pc.cls[rb])
+            agreed += same
+        if x1[a] == x0[b]:
+            lands = mr.windows_agree(windows[b], shifted[a])
+            assert lands == (pc.shift[ra] is not None and pc.shift[ra] == pc.head[rb])
+            shift_hits += lands
+    assert agreed >= len(refs) - (name == "signed-zero") and shift_hits > 0
+    if name == "signed-zero":
+        assert pc.cls[0, 0] == pc.cls[0, 1] and pc.cls[1, 1] is None
+        assert pc.shift[0, 0] == pc.shift[0, 1] == pc.head[1, 0] == pc.head[1, 1]
+
+
+def test_point_classes_need_one_span(cover, doubling, cfg, fixture):
+    _, _, pg, _ = fixture
+    other, _ = mr.build_cover(doubling, pg, cfg, paths_per_vertex=3, window=8, seed=1)
+    with pytest.raises(ValueError, match="one span"):
+        mr.point_classes(cover[0][:1] + other[:1])
+    assert mr.point_classes([]).cls == {}
+
+
+def test_hat_pi_lets_unexpected_shift_errors_through(cover, monkeypatch):
+    # only a window that runs out or meets a singular point drops a candidate
+    rects, _ = cover
+    cells = mr.refine(rects)
+    tg = mr.hat_graph(rects, cells)
+    c0 = cells[0].cell_id
+
+    def broken_shift(self, k, min_back=1):
+        raise TypeError("not a shift failure")
+
+    monkeypatch.setattr(ne.OrbitWindow, "shift", broken_shift)
+    with pytest.raises(TypeError, match="not a shift failure"):
+        mr.hat_pi(tg, [c0, tg.out_edges[c0][0]], n_lo=-1)
