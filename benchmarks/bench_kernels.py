@@ -1,16 +1,23 @@
 """Benchmark both kernel lanes and print the best of three timings each:
 the scalar lane (``Branch``/``MapModel``, through the orbit builders behind
 ``make_window``) and the batch lane (``_kernels``: ``*_vec``,
-``periodic_roots``); then the gpos of the deep Markov cover (doubling at
+``periodic_roots``); the cover ids of the gauss ``max_period = 2``
+alphabet, in one batched ``cover_ids`` scan (the row's time) and point by
+point through ``tests/oracles.py:cover_id_reference`` (in the row's
+name); then the gpos of the deep Markov cover (doubling at
 ``max_period = 10``), shadowed in one lockstep ``shadow_many`` batch and
 one ``shadow`` call per gpo.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
+import importlib.util
+import os
 import time
 
 import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def bench(reps=3):
@@ -87,6 +94,15 @@ def bench(reps=3):
     timeit("gauss branch_index_vec (200,000 points)", lambda: K.branch_index_vec(gauss.family, gx))
     timeit("gauss sing_dist_vec (200,000 points)", lambda: K.sing_dist_vec(gauss.family, gx))
 
+    # every coordinate the gauss max_period = 2 alphabet bins; the reference
+    # scans each distinct point once, as the batch does
+    xs = [w.x(k) for w in gauss_alphabet_windows() for k in (-1, 0, 1)]
+    reference = _oracles().cover_id_reference
+    t_ref = min(_time_one(lambda: [reference(gauss, x) for x in sorted(set(xs))])
+                for _ in range(reps))
+    timeit(f"cover_ids, gauss max_period=2 alphabet ({len(set(xs))} points; "
+           f"per point {t_ref:.4f}s)", lambda: gauss.cover_ids(xs))
+
     m, charts, walks, n_lo, pcfg = deep_cover_batch()
     k = walks.shape[0]
     timeit(f"shadow_many, deep cover ({k} gpos, one batch)",
@@ -131,6 +147,24 @@ def deep_cover_batch():
         sh.shadow_many = shadow_many
     (call,) = calls
     return call
+
+
+def gauss_alphabet_windows():
+    """The library windows ``full-pipeline`` bins on gauss at max_period = 2."""
+    from symdyn import cli
+    from symdyn.config import parse_config
+    from symdyn.map_model import load_map
+
+    cfg = parse_config("map = gauss\nmax_period = 2\n")
+    return cli._periodic_library(load_map(cfg.map), cfg).windows
+
+
+def _oracles():
+    path = os.path.join(ROOT, "tests", "oracles.py")
+    spec = importlib.util.spec_from_file_location("oracles", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _time_one(fn):

@@ -186,6 +186,9 @@ def stage_refine(m, cfg, pcfg, pg, out, quiet):
     cells = markov_refine.refine(cover)
     tg = markov_refine.hat_graph(cover, cells)
     audit = markov_refine.audits(tg)
+    if dropped:
+        audit.notes.append(f"{dropped} core vertices dropped: shadowing broke every walk "
+                           f"through them")
     formats.write_partition(os.path.join(out, "partition.txt"), cells, tg)
     formats.write_dot(os.path.join(out, "sigma_hat.dot"), tg.adjacency(),
                       name="sigma_hat")

@@ -15,6 +15,7 @@ evaluates the written formulas literally (linear space above underflow,
 log space beneath), and the graph inherits the resulting structure.
 """
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -133,7 +134,7 @@ class Alphabet:
     vertex_index: dict         # (cid, idx_p) -> vid
     e1_index: dict             # (theta_0, 1/u_0) -> [cid]: exact E1 successors
     skipped: int               # samples rejected by the certificate
-    tables: list               # WindowTables of each orbit's base window
+    tables: list               # WindowTables of each orbit's base window, with bins
 
     def find_center(self, gamma, key):
         for cid in self.bins.get(key, ()):
@@ -143,17 +144,35 @@ class Alphabet:
         return None
 
 
-def _gamma_and_bin(m, cfg, tables, k):
-    w = tables.w
-    theta = (w.x(k - 1), w.x(k), w.x(k + 1))
-    u3 = (tables.u[k - 1], tables.u[k], tables.u[k + 1])
-    gamma = Gamma(theta=theta, u=u3, idxQ=tables.idxQ[k])
-    kbins = tuple(int(math.ceil(-math.log(tables.dist[k + i]))) - 1 for i in (-1, 0, 1))
+def _gamma_and_bin(tabs, k, theta, abins):
+    """Net data and bin of index k, from its coordinates theta = (x_{k-1},
+    x_k, x_{k+1}) and their cover ids."""
+    u3 = (tabs.u[k - 1], tabs.u[k], tabs.u[k + 1])
+    gamma = Gamma(theta=theta, u=u3, idxQ=tabs.idxQ[k])
+    kbins = tuple(int(math.ceil(-math.log(tabs.dist[k + i]))) - 1 for i in (-1, 0, 1))
     lbins = tuple(int(math.floor(math.log(ui))) for ui in u3)
-    abins = tuple(m.cover_id(t) for t in theta)
-    mbin = int(math.ceil((cfg.epsilon / 3.0) * tables.idxQ[k])) - 1
-    j = tables.j_bin(k)
-    return gamma, BinKey(k=kbins, l=lbins, a=abins, m=mbin, j=j)
+    mbin = int(math.ceil((tabs.cfg.epsilon / 3.0) * tabs.idxQ[k])) - 1
+    return gamma, BinKey(k=kbins, l=lbins, a=abins, m=mbin, j=tabs.j_bin(k))
+
+
+def bin_tables(m, tables, wanted):
+    """The window tables with their bins: each index's (Gamma, BinKey) at
+    the indices wanted[i] of tables[i], kept once per phase of a periodic
+    window (``WindowTables.bin_indices``).
+
+    The cover ids of every coordinate the bins read come from one
+    ``MapModel.cover_ids`` call, which scans each distinct point once.
+    """
+    spans = [t.bin_indices(ks) for t, ks in zip(tables, wanted)]
+    coords = [[t.w.x(k + i) for k in ks for i in (-1, 0, 1)] for t, ks in zip(tables, spans)]
+    ids = iter(m.cover_ids([x for c in coords for x in c]).tolist())
+    out = []
+    for t, ks, x in zip(tables, spans, coords):
+        a = list(itertools.islice(ids, len(x)))
+        out.append(t.with_bins(ks, [_gamma_and_bin(t, k, tuple(x[3 * j:3 * j + 3]),
+                                                   tuple(a[3 * j:3 * j + 3]))
+                                    for j, k in enumerate(ks)]))
+    return out
 
 
 def _size_indices(cfg, j, idxQ):
@@ -181,30 +200,33 @@ def build_alphabet(m, samples, cfg):
     are the (E2.3) closure of each center's cap and sampled greedy sizes
     inside its CG2 windows; charts are numbered by center, sizes ascending.
     The tables of each group's base window (least offset) are kept on the
-    alphabet, in sample order, for encoding those windows.
+    alphabet, in sample order, for encoding those windows, with the bins of
+    its samples (every phase, for a periodic window).
     """
-    entries = []  # (sort_key, tables, k)
     tables = []
+    wanted = []   # per table: the indices its samples read
+    entries = []  # (sort_key, table number, k)
     skipped = 0
     for group in _group_samples(samples).values():
         base = min(group, key=lambda w: w.off)
         tabs = window_tables(m, base, cfg)
-        tables.append(tabs)
-        if not tabs.certified:
-            skipped += len(group)
-            continue
+        ks = []
         for w in group:
             k = w.off - base.off
-            if not (tabs.lo <= k <= tabs.hi):
-                skipped += 1
-                continue
-            entries.append((w.record(), tabs, k))
+            if tabs.certified and tabs.lo <= k <= tabs.hi:
+                ks.append(k)
+                entries.append((w.record(), len(tables), k))
+        skipped += len(group) - len(ks)
+        tables.append(tabs)
+        wanted.append(ks)
+    tables = bin_tables(m, tables, wanted)
     entries.sort(key=lambda e: e[0])
 
     centers = []
     bins = {}
-    for _, tabs, k in entries:
-        gamma, key = _gamma_and_bin(m, cfg, tabs, k)
+    for _, t, k in entries:
+        tabs = tables[t]
+        gamma, key = tabs.bins[k]
         hit = None
         for cid in bins.get(key, ()):
             if net_match(gamma, centers[cid].gamma, key.j):
@@ -376,21 +398,28 @@ def sufficiency_encode(m, w, alphabet, cfg, lo=None, hi=None, tables=None):
     For each index the net representative of the shifted data is selected
     and the chart size follows the window-truncated greedy rule; strong
     edges between consecutive entries are verified and any failure is
-    recorded on the returned gpo.
+    recorded on the returned gpo.  The bins are read from ``tables`` (the
+    alphabet's own, binned once per phase by ``build_alphabet``) or binned
+    here, and each phase's representative is looked up once.
     """
     tabs = tables or window_tables(m, w, cfg, lo=lo, hi=hi)
     if not tabs.certified:
         raise ValueError("window fails the expansion certificate")
     lo = tabs.lo if lo is None else max(lo, tabs.lo)
     hi = tabs.hi if hi is None else min(hi, tabs.hi)
+    if not tabs.has_bins(range(lo, hi + 1)):
+        tabs, = bin_tables(m, [tabs], [range(lo, hi + 1)])
 
     charts = []
     vids = []
+    found = {}  # id of a bins entry -> its center; a phase's indices share one entry
     for n in range(lo, hi + 1):
-        gamma, key = _gamma_and_bin(m, cfg, tabs, n)
-        center = alphabet.find_center(gamma, key)
+        entry = tabs.bins[n]
+        if id(entry) not in found:
+            found[id(entry)] = alphabet.find_center(*entry)
+        center = found[id(entry)]
         if center is None:
-            raise NoNetVertex(f"no net representative for index {n} (bin {key})")
+            raise NoNetVertex(f"no net representative for index {n} (bin {entry[1]})")
         ip = tabs.idx_q[n]
         vid = alphabet.vertex_index.get((center.cid, ip))
         if vid is None:

@@ -12,8 +12,8 @@ allowed.  Keys (all optional, defaults below):
     seed            RNG seed, >= 0 (all sampling is deterministic given the seed)
     samples         regularity / random-orbit sample count (>= 1)
     max_period      periodic-orbit library: largest period enumerated (>= 1)
-    paths_per_vertex  sampled recurrent paths per vertex in the Markov cover (>= 1)
-    cover_window    half-length of the sampled paths (>= 1)
+    paths_per_vertex  sampled strong paths per vertex in the Markov cover (>= 1)
+    cover_window    half-length of the sampled paths (>= 2)
     encode_lo/encode_hi  encoding range within windows (encode_lo <= 0 < encode_hi)
 """
 
@@ -39,9 +39,11 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("samples", "max_period", "back_depth", "fwd_len", "n_min",
-                     "paths_per_vertex", "cover_window", "encode_hi"):
+                     "paths_per_vertex", "encode_hi"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.cover_window < 2:  # a rectangle's points need F >= 2 to be told apart
+            raise ValueError("cover_window must be >= 2")
         if self.encode_lo > 0:
             raise ValueError("encode_lo must be <= 0")
         if self.seed < 0:

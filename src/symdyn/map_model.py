@@ -120,7 +120,6 @@ class MapModel:
     exclusion: float = EXCLUSION_RADIUS
     family: object = field(init=False, repr=False, compare=False)  # _kernels.Table or Gauss
     _branches: dict = field(init=False, repr=False, compare=False)  # id -> Branch, as met
-    _cover_ids: dict = field(init=False, repr=False, compare=False)  # x -> cover id
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -131,7 +130,6 @@ class MapModel:
         self.table.setflags(write=False)
         self.sing.setflags(write=False)
         object.__setattr__(self, "_branches", {})
-        object.__setattr__(self, "_cover_ids", {})
         if self.map_kind == MAPKIND_GAUSS:
             object.__setattr__(self, "family", K.Gauss())
         else:
@@ -199,16 +197,51 @@ class MapModel:
             raise SingularPoint(f"radius at x={x!r} falls under the exclusion cutoff")
         return r
 
-    def cover_id(self, x):
-        """Id of the canonical cover element containing x, (level << 32) | index.
+    def cover_ids(self, xs):
+        """Ids of the canonical cover elements containing the points xs, each
+        (level << 32) | index.
 
-        The id reads only the domain and the radius rule, so each point is
-        scanned once per model (a NaN x is never stored: its scan raises).
+        The dyadic grids are scanned coarse to fine: at each level, every
+        distinct point not yet placed is tested against its grid center z
+        in one numpy pass, and takes the first level whose radius-rule ball
+        B(z, 2r(z)) holds it.  d(z, S), the branch index and f(z) come from
+        the batch lane; d^a is a libm power per element, as ``radius``
+        takes it (numpy's vectorised power can differ from libm by an ulp).
+        ValueError for a non-finite point, SingularPoint for a point no
+        level places.
         """
-        cid = self._cover_ids.get(x)
-        if cid is None:
-            cid = self._cover_ids[x] = _cover_scan(self, x)
-        return cid
+        xs = np.asarray(xs, dtype=np.float64)
+        bad = xs[~np.isfinite(xs)]
+        if bad.size:
+            raise ValueError(f"cover ids need finite points, got {float(bad[0])!r}")
+        x, inv = np.unique(xs, return_inverse=True)
+        ids = np.empty(x.size, dtype=np.int64)
+        todo = np.arange(x.size)
+        lo, hi = self.domain
+        width = hi - lo
+        for level in range(COVER_MAX_LEVEL):
+            if todo.size == 0:
+                break
+            n = 1 << level
+            h = width / n
+            xt = x[todo]
+            # int((x - lo) / h) clipped to the grid, exact up to n = 2^63
+            i = np.minimum(np.clip((xt - lo) / h, 0.0, float(n)).astype(np.uint64),
+                           np.uint64(n - 1))
+            z = lo + (i.astype(np.float64) + 0.5) * h
+            bid = K.branch_index_vec(self.family, z)
+            dz = K.sing_dist_vec(self.family, z)
+            dfz = K.sing_dist_vec(self.family, K.fwd_vec(self.family, np.maximum(bid, 0), z))
+            live = np.flatnonzero(~(dz <= self.exclusion) & (bid >= 0) & ~(dfz <= self.exclusion))
+            r = np.array([0.5 * min(p**self.a, q**self.a, 1.0)
+                          for p, q in zip(dz[live].tolist(), dfz[live].tolist())])
+            hit = live[~(r < self.exclusion) & (np.abs(xt[live] - z[live]) < 2.0 * r)]
+            ids[todo[hit]] = (np.uint64(level << 32) | i[hit]).astype(np.int64)
+            todo = np.delete(todo, hit)
+        if todo.size:
+            bad = xs[np.isin(inv, todo)][0]
+            raise SingularPoint(f"no cover element found for x={float(bad)!r}")
+        return ids[inv]
 
     def finite_table(self, n_branches=None):
         """(MAPKIND_TABLE, the rows of ``branches[:n_branches]``) for word enumeration."""
@@ -238,7 +271,7 @@ class MapModel:
 
 
 # ---------------------------------------------------------------------------
-# branch checks and the dyadic cover
+# branch checks
 # ---------------------------------------------------------------------------
 
 def _check_branches(branches, domain, sing):
@@ -294,25 +327,6 @@ def _monotone_fault(b):
         return "the moebius determinant c1 c2 - c0 c3 is 0"
     den = (c2 + c3 * b.lo, c2 + c3 * b.hi)
     return None if min(den) > 0.0 or max(den) < 0.0 else "the moebius pole c2 + c3 x = 0 lies in it"
-
-
-def _cover_scan(m, x):
-    """Scan dyadic grids coarse to fine for the first grid center whose
-    radius-rule ball contains x."""
-    lo, hi = m.domain
-    width = hi - lo
-    for level in range(COVER_MAX_LEVEL):
-        h = width / (1 << level)
-        i = int((x - lo) / h)
-        i = min(max(i, 0), (1 << level) - 1)
-        z = lo + (i + 0.5) * h
-        try:
-            r = m.radius(z)
-        except SingularPoint:
-            continue
-        if abs(x - z) < 2.0 * r:
-            return (level << 32) | i
-    raise SingularPoint(f"no cover element found for x={x!r}")
 
 
 # ---------------------------------------------------------------------------

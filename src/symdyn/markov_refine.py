@@ -1,7 +1,7 @@
 """Markov cover, Sinai-Bowen refinement, and the refined shift graph.
 
 Rectangles are finite point samples of Z(v) = {shadowed points of
-recurrent-proxy chains through v}; every set predicate (intersection,
+strong paths through v}; every set predicate (intersection,
 fibre membership, cylinder chase) is sample-level, with window agreement
 as the equality proxy.  Which sampled points of a cover are the same
 point, and which point the shift of each lands on, is decided once per
@@ -47,7 +47,7 @@ def windows_agree(w1, w2, depth=None, fwd=None):
 
 @dataclass
 class Rectangle:
-    """Sampled Z(v): shadow results of recurrent-proxy paths through v."""
+    """Sampled Z(v): shadow results of strong paths through v."""
 
     rid: int
     vid: int
@@ -147,33 +147,32 @@ def fibres(z, point_index):
 # ---------------------------------------------------------------------------
 
 def _walk(g, rng, vid, steps, direction):
-    """Random strong walk from vid; biased to keep walking (re-enter cycles)
-    by construction, since pruned graphs only retain cycle-supported
-    vertices.  Returns the visited vertex ids (excluding vid) or None."""
+    """Random strong walk of ``steps`` steps from vid, forward (direction > 0)
+    or backward; returns the visited vertex ids (excluding vid).  Every
+    vertex of a pruned graph that has an edge has a successor and a
+    predecessor, so a walk from a core vertex never stops."""
     adj = g.out_edges if direction > 0 else g.in_edges
     out = []
     cur = vid
     for _ in range(steps):
         nxt = adj[cur]
-        if not nxt:
-            return None
+        assert nxt, f"vertex {cur} ends a walk: the graph is not pruned"
         cur = nxt[int(rng.integers(0, len(nxt)))] if len(nxt) > 1 else nxt[0]
         out.append(cur)
     return out
 
 
-def _sigma_recurrence_proxy(vids):
-    pos = vids[len(vids) // 2 + 1:]
-    neg = vids[: len(vids) // 2]
-    return (len(pos) != len(set(pos))) and (len(neg) != len(set(neg)))
-
-
 def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
-    """Sample rectangles Z(v) from recurrent-proxy strong paths through v.
+    """Sample rectangles Z(v) from strong paths through v, of ``window``
+    steps on each side.
 
-    Only core vertices (with in- and out-edges) are sampled; a core vertex
-    that yields no shadowed point is dropped (counted in the returned
-    diagnostics).  Every walk is drawn first and all are shadowed in one
+    ``g`` must be pruned (``coarse_grain.prune_relevant``): on a finite
+    graph every bi-infinite path visits some vertex infinitely often in
+    each direction, so every walk from a core vertex (one with in- and
+    out-edges) extends to a path of the coded shift.  Only core vertices
+    are sampled.  A core vertex gets no rectangle only when shadowing broke
+    every one of its walks; the second return value counts these
+    vertices.  Every walk is drawn first and all are shadowed in one
     ``shadow_many`` batch; shadowing draws nothing, so the draws are those
     of walking and shadowing vertex by vertex.
     """
@@ -188,14 +187,10 @@ def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
         for _ in range(max(paths_per_vertex, 0)):
             back = _walk(g, rng, v, window, -1)
             fwd = _walk(g, rng, v, window, +1)
-            if back is None or fwd is None:
-                continue
             vids = tuple(reversed(back)) + (v,) + tuple(fwd)
             # shadowing is deterministic, so a repeated walk adds no new point
-            if vids in seen:
-                continue
-            seen.add(vids)
-            if _sigma_recurrence_proxy(vids):
+            if vids not in seen:
+                seen.add(vids)
                 walks.append(vids)
                 count += 1
         core.append((v, count))

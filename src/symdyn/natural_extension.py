@@ -19,7 +19,7 @@ Two constructors:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class OrbitWindow:
     off: int                # array index of x_0
     u_depth: int = 0        # fixed u truncation depth; 0 = full available
     period: int = 0         # > 0 for periodic (cycle) windows
+    # pesin.expansion_certificate results, per (chi, n_min); a shifted or
+    # relabelled view starts with none
+    certs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic geometry --------------------------------------------------
 

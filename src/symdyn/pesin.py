@@ -13,7 +13,7 @@ representable) or through analytic curvature bounds in log space.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,26 +81,39 @@ def expansion_certificate(w, chi, n_min=6):
 
     True iff every forward block average (1/n) log|df^(n)| with
     n in [n_min, F] and every backward block average with n in [n_min, N]
-    exceeds chi.  Returns the worst margin.
+    exceeds chi.  Returns the worst margin.  Each side's averages are one
+    numpy pass, whose least entry (the shortest block on a tie) is its
+    worst; a window keeps its certificate per (chi, n_min), so it is
+    certified once however often it is asked.
     """
+    cert = w.certs.get((chi, n_min))
+    if cert is None:
+        cert = w.certs[(chi, n_min)] = _certify(w, chi, n_min)
+    return cert
+
+
+def _certify(w, chi, n_min):
     S = w.cumlog
     j = w.off
-    fwd_avgs = []
-    for n in range(min(n_min, w.fwd_len), w.fwd_len + 1):
-        if n >= 1:
-            fwd_avgs.append(((S[j + n] - S[j]) / n, n))
-    back_avgs = []
-    for n in range(min(n_min, w.back_len), w.back_len + 1):
-        if n >= 1:
-            back_avgs.append(((S[j] - S[j - n]) / n, n))
-    if not fwd_avgs and not back_avgs:
+    nf = np.arange(max(min(n_min, w.fwd_len), 1), w.fwd_len + 1)
+    nb = np.arange(max(min(n_min, w.back_len), 1), w.back_len + 1)
+    if not nf.size and not nb.size:
         return Certificate(False, -math.inf, -math.inf, -math.inf, 0)
     # a window with no data on one side is tested on the other side only
-    fmin, fn = min(fwd_avgs) if fwd_avgs else (math.inf, 0)
-    bmin, bn = min(back_avgs) if back_avgs else (math.inf, 0)
+    fmin, fn = _least(nf, (S[j + nf] - S[j]) / nf)
+    bmin, bn = _least(nb, (S[j] - S[j - nb]) / nb)
     margin = min(fmin, bmin) - chi
     worst = fn if fmin <= bmin else -bn
     return Certificate(bool(margin > 0), margin, fmin, bmin, worst)
+
+
+def _least(ns, avgs):
+    """(least average, its block length), the shortest block on a tie;
+    (inf, 0) with no blocks."""
+    if not ns.size:
+        return math.inf, 0
+    i = int(np.argmin(avgs))
+    return avgs[i], int(ns[i])
 
 
 def _u_terms(S, j, depth, chi):
@@ -252,7 +265,8 @@ class WindowTables:
     additionally available at lo-1 and hi+1 (needed for u', u(f̂·)
     comparisons and the distance bins of the neighbours).  Each table maps
     an index to its value: a dict, or for a periodic window a table kept
-    once per phase.
+    once per phase.  ``bins``, filled in by ``coarse_grain.bin_tables``,
+    holds each index's coarse-graining data the same way.
     """
 
     w: OrbitWindow
@@ -266,6 +280,7 @@ class WindowTables:
     idx_q: object
     certified: bool
     cert: Certificate
+    bins: object = None
 
     def params_at(self, k):
         return PesinParams(
@@ -278,6 +293,26 @@ class WindowTables:
     def j_bin(self, k):
         """q-size bin: j with q in [e^{-j-1}, e^{-j+1}); canonical floor(-ln q)."""
         return int(math.floor((self.cfg.epsilon / 3.0) * self.idx_q[k]))
+
+    def bin_indices(self, ks):
+        """The indices to bin for ``bins`` to hold the indices ks: ks, or
+        one per phase for a table kept once per phase (from the least index
+        with both neighbours in the window)."""
+        if ks and isinstance(self.idxQ, _PhaseTable):
+            return range(1 - self.w.off, 1 - self.w.off + self.w.period)
+        return ks
+
+    def with_bins(self, ks, values):
+        """These tables with ``bins`` holding values[i] at ks[i], where ks
+        comes from ``bin_indices``."""
+        per_phase = ks and isinstance(self.idxQ, _PhaseTable)
+        return replace(self, bins=_PhaseTable(values, self.w.off - 1) if per_phase
+                       else dict(zip(ks, values)))
+
+    def has_bins(self, ks):
+        """Whether ``bins`` holds every index in ks."""
+        return isinstance(self.bins, _PhaseTable) or (
+            self.bins is not None and self.bins.keys() >= set(ks))
 
 
 def _rho(dist, k):

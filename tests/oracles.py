@@ -137,6 +137,28 @@ def cover_id_reference(m, x, max_level=64):
     raise SingularPoint(f"no cover element found for x={x!r}")
 
 
+def expansion_certificate_reference(w, chi, n_min=6):
+    """The expansion certificate block by block: the least (average, n) over
+    the forward and the backward block averages (1/n) log|df^(n)|."""
+    S = w.cumlog
+    j = w.off
+    fwd_avgs = []
+    for n in range(min(n_min, w.fwd_len), w.fwd_len + 1):
+        if n >= 1:
+            fwd_avgs.append(((S[j + n] - S[j]) / n, n))
+    back_avgs = []
+    for n in range(min(n_min, w.back_len), w.back_len + 1):
+        if n >= 1:
+            back_avgs.append(((S[j] - S[j - n]) / n, n))
+    if not fwd_avgs and not back_avgs:
+        return pesin.Certificate(False, -math.inf, -math.inf, -math.inf, 0)
+    fmin, fn = min(fwd_avgs) if fwd_avgs else (math.inf, 0)
+    bmin, bn = min(back_avgs) if back_avgs else (math.inf, 0)
+    margin = min(fmin, bmin) - chi
+    worst = fn if fmin <= bmin else -bn
+    return pesin.Certificate(bool(margin > 0), margin, fmin, bmin, worst)
+
+
 def rho_reference(m, w, k):
     """min d(x_i, S) over the coordinates k - 1, k, k + 1 of a window."""
     return min(m.singular_distance(w.x(k + i)) for i in (-1, 0, 1))

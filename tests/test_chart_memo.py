@@ -1,18 +1,21 @@
 """Chart-layer quantities computed once per run.
 
-Cover ids are kept per map model and step maps per chart.  These tests
-check the kept values against the scan and the step map computed on every
-call (tests/oracles.py), count that each distinct point is scanned once and
-each distinct edge gets one step map, and check that a second run in the
-same process repeats the work, so no memo outlives its run.
+Cover ids come from one batched scan per alphabet, bins are kept per
+window phase and step maps per chart.  These tests check the cover ids and
+step maps against the scan and the step map computed on every call
+(tests/oracles.py), count that each distinct point is scanned once, each
+(table, phase) binned once and each distinct edge gets one step map, and
+check that a second run in the same process repeats the work, so no memo
+outlives its run.
 """
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import symdyn
-from symdyn import cli, map_model, pesin, shadowing
+from symdyn import cli, coarse_grain, map_model, pesin, shadowing
 from symdyn import natural_extension as ne
 from symdyn.config import parse_config
 
@@ -28,8 +31,9 @@ RUNS = {
 
 class Record:
     def __init__(self):
-        self.covers = []     # (model, x, cover id) per cover_id call
-        self.scans = []      # x per dyadic scan
+        self.covers = []     # (model, x, cover id) per point of a cover_ids call
+        self.scans = []      # the distinct points of each cover_ids call
+        self.bins = []       # (window, phase) per index binned; the runs bin periodic windows
         self.steps = []      # (model, v_to, v_from, cfg, StepMap) per step_map call
         self.computed = []   # edge key per step map computed
 
@@ -40,17 +44,20 @@ def _edge(v_to, v_from, cfg):
 
 def _recorded_run(text, out):
     rec = Record()
-    cover_id, scan = map_model.MapModel.cover_id, map_model._cover_scan
+    cover_ids, gamma_and_bin = map_model.MapModel.cover_ids, coarse_grain._gamma_and_bin
     step_map, affine_step = shadowing.step_map, shadowing._affine_step
 
-    def cover_id_rec(m, x):
-        cid = cover_id(m, x)
-        rec.covers.append((m, x, cid))
-        return cid
+    def cover_ids_rec(m, xs):
+        ids = cover_ids(m, xs)
+        xs = np.asarray(xs, dtype=np.float64).tolist()
+        rec.covers.extend(zip([m] * len(xs), xs, ids.tolist()))
+        rec.scans.extend(set(xs))
+        return ids
 
-    def scan_rec(m, x):
-        rec.scans.append(x)
-        return scan(m, x)
+    def gamma_and_bin_rec(tabs, k, theta, abins):
+        w = tabs.w
+        rec.bins.append(((id(w.points), w.u_depth, w.off), (k + w.off) % w.period))
+        return gamma_and_bin(tabs, k, theta, abins)
 
     def step_map_rec(m, v_to, v_from, cfg):
         s = step_map(m, v_to, v_from, cfg)
@@ -62,8 +69,8 @@ def _recorded_run(text, out):
         return affine_step(m, v_to, v_from, cfg)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(map_model.MapModel, "cover_id", cover_id_rec)
-        mp.setattr(map_model, "_cover_scan", scan_rec)
+        mp.setattr(map_model.MapModel, "cover_ids", cover_ids_rec)
+        mp.setattr(coarse_grain, "_gamma_and_bin", gamma_and_bin_rec)
         mp.setattr(shadowing, "step_map", step_map_rec)
         mp.setattr(shadowing, "_affine_step", affine_step_rec)
         cli.run("full-pipeline", parse_config(text), str(out), quiet=True)
@@ -102,21 +109,25 @@ def test_one_scan_per_point_one_step_map_per_edge(run):
     points = {x for _, x, _ in run.covers}
     assert Counter(run.scans).most_common(1)[0][1] == 1
     assert set(run.scans) == points
+    # the alphabet bins every phase of its tables once, and the shadow stage
+    # encodes those tables from the kept bins
+    assert run.bins and Counter(run.bins).most_common(1)[0][1] == 1
     edges = {_edge(v_to, v_from, cfg) for _, v_to, v_from, cfg, _ in run.steps}
     assert Counter(run.computed).most_common(1)[0][1] == 1
     assert set(run.computed) == edges
-    # the pipeline asks again for most points and for every edge (the shadow
-    # stage and the Markov cover each shadow their gpos in one batch, which
-    # asks once per distinct edge)
+    # the pipeline asks again for every edge (the shadow stage and the
+    # Markov cover each shadow their gpos in one batch, which asks once per
+    # distinct edge)
     asked = Counter(_edge(v_to, v_from, cfg) for _, v_to, v_from, cfg, _ in run.steps)
-    assert len(run.covers) > 2 * len(points) and min(asked.values()) >= 2
+    assert min(asked.values()) >= 2
 
 
 def test_second_run_repeats_the_work(tmp_path):
     first = _recorded_run(RUNS["doubling"], tmp_path / "first")
     second = _recorded_run(RUNS["doubling"], tmp_path / "second")
-    assert first.scans and first.computed
+    assert first.scans and first.bins and first.computed
     assert len(second.scans) == len(first.scans)
+    assert len(second.bins) == len(first.bins)
     assert len(second.computed) == len(first.computed)
 
 

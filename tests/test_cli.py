@@ -45,7 +45,7 @@ def test_bad_chart_parameters_create_no_out(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["encode_lo = 1", "encode_lo = 20", "encode_hi = 0",
-                                  "seed = -1"])
+                                  "seed = -1", "cover_window = 1"])
 def test_bad_encode_range_or_seed_creates_no_out(tmp_path, capsys, text):
     # these failed only after the library, alphabet and graph were written
     cfgfile = tmp_path / "run.cfg"
@@ -145,6 +145,7 @@ def test_config_parsing():
                 "contract_tol = 1e-13\n", "u_depth = 30\n", "sizes_per_center = 16\n",
                 "back_depth = -3\n", "back_depth = 0\n", "fwd_len = 0\n", "n_min = 0\n",
                 "paths_per_vertex = -1\n", "paths_per_vertex = 0\n", "cover_window = 0\n",
+                "cover_window = 1\n",
                 "encode_lo = 1\n", "encode_lo = 20\n", "encode_hi = 0\n", "encode_hi = -5\n",
                 "seed = -1\n"):
         with pytest.raises(ValueError):

@@ -276,8 +276,8 @@ def test_sufficiency_missing_bin(doubling, cfg, alphabet):
 
 
 def test_cover_id_terminates_and_contains(doubling):
-    for x in (0.01, 0.1, 0.2, 0.3, 0.49):
-        cid = doubling.cover_id(x)
+    xs = (0.01, 0.1, 0.2, 0.3, 0.49)
+    for x, cid in zip(xs, doubling.cover_ids(xs).tolist()):
         level, idx = cid >> 32, cid & 0xFFFFFFFF
         lo, hi = doubling.domain
         h = (hi - lo) / (1 << level)
@@ -396,7 +396,7 @@ def test_alphabet_tables_encode_like_window_tables(name, period):
 
 @pytest.mark.parametrize("name", list(MAP_CFG))
 def test_bin_keys_match_definitions(name):
-    # distance bins from the tables' distances, cover bins from the memo
+    # distance bins from the tables' distances, cover bins from the batched scan
     m = symdyn.built_in(name)
     cfg = MAP_CFG[name]
     lib = library.random_library(m, cfg.chi, 20, back_depth=40, fwd_len=14, seed=7)

@@ -23,6 +23,7 @@ from symdyn.map_model import _radii, _sample_margins
 
 from oracles import (
     catalogue_branch,
+    cover_id_reference,
     gauss_exact,
     regularity_grid_reference,
     verify_regularity_reference,
@@ -604,3 +605,85 @@ def test_map_file_shape_errors_name_the_key():
     # a key named like the section bookkeeping is just an unknown key
     m = parse_map_file(DOUBLING_FILE.replace("[map]\n", "[map]\n__section__ = branch\n"))
     assert m.name == "mydoubling"
+
+
+# -- the batched cover scan ------------------------------------------------------
+
+COVER_MODELS = {name: built_in(name) for name in ALL_MAPS}
+COVER_MODELS["mixed"] = parse_map_file(MIXED_FILE)
+
+
+def _ulps(x, k):
+    """The float k steps from x."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _ball_edge(m, level, t, side, k):
+    """The float k steps from the end z + side 2r(z) of the ball of the grid
+    center z at the given level nearest lo + t (hi - lo); the center if it
+    has no radius."""
+    lo, hi = m.domain
+    h = (hi - lo) / (1 << level)
+    z = lo + (min(int(t * (1 << level)), (1 << level) - 1) + 0.5) * h
+    try:
+        return _ulps(z + side * 2.0 * m.radius(z), k)
+    except SingularPoint:
+        return z
+
+
+def _cover_point(m):
+    """Uniform points, points within 1e-12 of S (gauss: of 0 and the 1/(2n)),
+    the float neighbours of the exclusion radius and of the distance whose
+    radius d^a / 2 is the exclusion radius, around S, and those of the ends
+    of grid centers' balls."""
+    lo, hi = m.domain
+    if m.map_kind == K.MAPKIND_GAUSS:
+        sing = st.one_of(st.just(0.0), st.integers(1, 10**6).map(lambda n: 0.5 / n))
+    else:
+        sing = st.sampled_from(m.family.sing)
+    cut = st.sampled_from([m.exclusion, (2.0 * m.exclusion) ** (1.0 / m.a)])
+    near = st.builds(lambda s, d: s + d, sing, st.floats(-1e-12, 1e-12))
+    edge = st.builds(lambda s, c, side, k: _ulps(s + side * c, k),
+                     sing, cut, st.sampled_from([-1.0, 1.0]), st.integers(-3, 3))
+    ball = st.builds(lambda *a: _ball_edge(m, *a), st.integers(0, 45), st.floats(0.0, 1.0),
+                     st.sampled_from([-1.0, 1.0]), st.integers(-2, 2))
+    return st.one_of(st.floats(lo, hi), near, edge, ball).map(lambda x: min(max(x, lo), hi))
+
+
+@pytest.mark.parametrize("name", list(COVER_MODELS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_cover_ids_match_reference(name, data):
+    # the batched scan against the per-point scan, element by element; a
+    # point the scan cannot place makes the whole batch raise
+    m = COVER_MODELS[name]
+    xs = data.draw(st.lists(_cover_point(m), min_size=1, max_size=12))
+    ref = {}
+    for x in xs:
+        try:
+            ref[x] = cover_id_reference(m, x)
+        except SingularPoint:
+            ref[x] = None
+    placed = [x for x in xs if ref[x] is not None]
+    assert m.cover_ids(placed).tolist() == [ref[x] for x in placed]
+    for x in xs:
+        if ref[x] is None:
+            with pytest.raises(SingularPoint, match="no cover element"):
+                m.cover_ids(placed + [x])
+
+
+@pytest.mark.parametrize("name", list(COVER_MODELS))
+def test_cover_ids_refuse_unplaceable_and_nan_points(name):
+    m = COVER_MODELS[name]
+    s = 0.25 if name != "mixed" else 0.3  # a singular point of each map
+    with pytest.raises(SingularPoint):
+        cover_id_reference(m, s)
+    with pytest.raises(SingularPoint, match="no cover element"):
+        m.cover_ids([0.1234, s])
+    with pytest.raises(ValueError):
+        cover_id_reference(m, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        m.cover_ids([0.1234, math.nan])
+    assert m.cover_ids([]).tolist() == []

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -98,6 +99,41 @@ def test_cover_drops_only_core_vertices(doubling, cfg, fixture):
     assert dropped == 0 and [r.vid for r in rects] == core
     _, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=0, window=8, seed=1)
     assert dropped == len(core)
+
+
+def test_cover_samples_cycles_longer_than_the_window(doubling, cfg):
+    # a hand-built pruned graph: the strong 5-cycle of the orbit of 1/62,
+    # walked 3 steps each way, so no side of a walk repeats a vertex; every
+    # core vertex still gets a rectangle
+    cyc = ne.make_periodic_window(doubling, 1 / 62, [0, 0, 0, 0, 1], 64, 40)
+    al = cg.build_alphabet(doubling, [cyc.shift(k) for k in range(5)], cfg)
+    gpo, vids = cg.sufficiency_encode(doubling, cyc, al, cfg, lo=0, hi=5)
+    assert set(gpo.strengths) == {"strong"} and vids[5] == vids[0]
+    cycle = vids[:5]
+    assert len(set(cycle)) == 5
+    out_edges = [[] for _ in al.vertices]
+    in_edges = [[] for _ in al.vertices]
+    for v, w in zip(cycle, vids[1:]):
+        out_edges[v].append(w)
+        in_edges[w].append(v)
+    g = cg.GpoGraph(alphabet=al, out_edges=out_edges, in_edges=in_edges)
+    rects, dropped = mr.build_cover(doubling, g, cfg, paths_per_vertex=3, window=3, seed=1)
+    assert dropped == 0
+    assert [r.vid for r in rects] == sorted(cycle)
+    assert all(len(r.points) == 1 for r in rects)
+
+
+def test_refine_quadratic_short_cover_window(tmp_path):
+    # walks of 3 steps each way repeat no vertex on most quadratic cycles;
+    # every core vertex still gets a rectangle
+    cfg = parse_config("map = quadratic\npaths_per_vertex = 6\ncover_window = 3\n")
+    cli.run("refine", cfg, str(tmp_path), quiet=True)
+    lines = (tmp_path / "markov.report").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[-1])
+    assert (rec["rectangles"], rec["dropped"]) == (459, 0)
+    kept = [ln for ln in (tmp_path / "graph.txt").read_text(encoding="utf-8").splitlines()
+            if ln.startswith("V ")]
+    assert len(kept) == rec["rectangles"]
 
 
 def test_windows_agree_matches_scalar_loop(doubling):

@@ -9,7 +9,7 @@ from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
-from oracles import delta_eps, window_tables_reference
+from oracles import delta_eps, expansion_certificate_reference, window_tables_reference
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -53,6 +53,45 @@ def test_certificate_refuses_near_critical_window():
     w = ne.make_window(m, x, [], fwd_len=4)
     cert = pesin.expansion_certificate(w, 0.1, n_min=1)
     assert not cert.ok
+
+
+def _cert_bits(c):
+    return (c.ok, float.hex(c.margin), float.hex(c.fwd_min_avg), float.hex(c.back_min_avg),
+            c.worst_n)
+
+
+@pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss"])
+def test_certificate_matches_block_loop(name):
+    # every library window, with the library's parameters and with ones that
+    # fail it, certified in one pass per side against the block-by-block loop
+    m = symdyn.built_in(name)
+    lib = library.periodic_library(m, CHI2, 2 if name == "gauss" else 6, back_depth=40,
+                                   fwd_len=14)
+    assert lib.windows
+    for w in lib.windows:
+        for chi, n_min in ((CHI2, 6), (0.6, 1), (CHI2, 20), (2.0, 50)):
+            got = pesin.expansion_certificate(w, chi, n_min)
+            assert _cert_bits(got) == _cert_bits(expansion_certificate_reference(w, chi, n_min))
+
+
+def test_certificate_short_and_one_sided_windows(doubling):
+    windows = [ne.make_window(doubling, 0.1234567, word, fwd_len)
+               for word in ([], [1], [0, 1, 1] * 3) for fwd_len in (0, 1, 5, 9)]
+    for w in windows:
+        for n_min in (1, 6):
+            got = pesin.expansion_certificate(w, CHI2, n_min)
+            assert _cert_bits(got) == _cert_bits(expansion_certificate_reference(w, CHI2, n_min))
+
+
+def test_certificate_kept_per_window(doubling):
+    # the library and the window's tables share one certificate; a shifted
+    # view is certified afresh
+    w = ne.make_periodic_window(doubling, 1 / 6, [0, 1], 64, 40)
+    cert = pesin.expansion_certificate(w, CHI2)
+    assert pesin.expansion_certificate(w, CHI2) is cert
+    assert pesin.expansion_certificate(w, CHI2, 7) is not cert
+    assert pesin.window_tables(doubling, w, pesin.PesinConfig(chi=CHI2)).cert is cert
+    assert w.shift(1).certs == {}
 
 
 # -- u ------------------------------------------------------------------------
