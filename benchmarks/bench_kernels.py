@@ -1,18 +1,19 @@
 """Benchmark both kernel lanes and print the best of three timings each:
 the scalar lane (``Branch``/``MapModel``, through the orbit builders behind
-``make_window``) and the batch lane (``_kernels``: ``*_vec``,
-``periodic_roots``); the cover ids of the gauss ``max_period = 2``
-alphabet, in one batched ``cover_ids`` scan (the row's time) and point by
-point through ``tests/oracles.py:cover_id_reference`` (in the row's
-name); then the gpos of the deep Markov cover (doubling at
+``tests/construction.py:make_window``) and the batch lane (``_kernels``:
+``*_vec``, ``periodic_roots``); the cover ids of the gauss
+``max_period = 2`` alphabet, in one batched ``cover_ids`` scan (the row's
+time) and point by point through ``tests/oracles.py:cover_id_reference``
+(in the row's name); then the gpos of the deep Markov cover (doubling at
 ``max_period = 10``), shadowed in one lockstep ``shadow_many`` batch and
-one ``shadow`` call per gpo.
+one one-row ``shadow_many`` call per gpo.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import importlib.util
 import os
+import sys
 import time
 
 import numpy as np
@@ -23,11 +24,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def bench(reps=3):
     import symdyn
     from symdyn import _kernels as K
-    from symdyn import library
-    from symdyn import natural_extension as ne
     from symdyn import shadowing as sh
     from symdyn.analysis import map_periodic_points
 
+    C = _tests_module("construction")
     m = symdyn.built_in("quadratic")
     out = {}
 
@@ -35,12 +35,12 @@ def bench(reps=3):
         out[name] = min(_time_one(fn) for _ in range(n))
 
     rng = np.random.default_rng(0)
-    xs = m.draw_regular_points(2000, rng)
+    xs = C.draw_regular_points(m, 2000, rng)
 
     def windows(word, fwd_len):
         for x in xs[:500]:
             try:
-                ne.make_window(m, float(x), word, fwd_len)
+                C.make_window(m, float(x), word, fwd_len)
             except symdyn.SingularPoint:
                 pass  # the orbit stops where it meets the singular set
 
@@ -57,8 +57,7 @@ def bench(reps=3):
            lambda: map_periodic_points(gauss, 4))
 
     timeit("random library (100 certified windows)",
-           lambda: library.random_library(m, 0.1, 100, back_depth=40,
-                                          fwd_len=14, seed=3))
+           lambda: C.random_library(m, 0.1, 100, back_depth=40, fwd_len=14, seed=3))
 
     def regularity():
         m.verify_regularity(10_000, seed=1)
@@ -68,7 +67,7 @@ def bench(reps=3):
 
     # the ball ends of the regularity check: one row per end, one branch id
     # per column
-    x = m.draw_regular_points(200_000, rng)
+    x = C.draw_regular_points(m, 200_000, rng)
     ends = np.stack([x - 1e-4, x + 1e-4])
     bid = K.branch_index_vec(m.family, x)
 
@@ -85,7 +84,7 @@ def bench(reps=3):
 
     # the gauss branch index and d(x, S), one formula in both lanes: point by
     # point through MapModel, and on one array
-    gx = gauss.draw_regular_points(200_000, rng)
+    gx = C.draw_regular_points(gauss, 200_000, rng)
     gl = gx[:20_000].tolist()
     timeit("gauss index, scalar lane (20,000 points)",
            lambda: [gauss._branch_index(v) for v in gl])
@@ -97,7 +96,7 @@ def bench(reps=3):
     # every coordinate the gauss max_period = 2 alphabet bins; the reference
     # scans each distinct point once, as the batch does
     xs = [w.x(k) for w in gauss_alphabet_windows() for k in (-1, 0, 1)]
-    reference = _oracles().cover_id_reference
+    reference = _tests_module("oracles").cover_id_reference
     t_ref = min(_time_one(lambda: [reference(gauss, x) for x in sorted(set(xs))])
                 for _ in range(reps))
     timeit(f"cover_ids, gauss max_period=2 alphabet ({len(set(xs))} points; "
@@ -109,11 +108,8 @@ def bench(reps=3):
            lambda: sh.shadow_many(m, charts, walks, n_lo, pcfg))
 
     def one_at_a_time():
-        for row in walks.tolist():
-            try:
-                sh.shadow(m, sh.Gpo(charts=tuple(charts[i] for i in row), n_lo=n_lo), pcfg)
-            except sh.EdgeBroken:
-                pass
+        for row in walks:
+            sh.shadow_many(m, charts, row[None], n_lo, pcfg)
 
     timeit(f"shadow per gpo, deep cover ({k} gpos)", one_at_a_time)
     return out
@@ -159,12 +155,14 @@ def gauss_alphabet_windows():
     return cli._periodic_library(load_map(cfg.map), cfg).windows
 
 
-def _oracles():
-    path = os.path.join(ROOT, "tests", "oracles.py")
-    spec = importlib.util.spec_from_file_location("oracles", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+def _tests_module(name):
+    """``tests/<name>.py``, loaded once; oracles imports construction, so load that first."""
+    if name not in sys.modules:
+        path = os.path.join(ROOT, "tests", f"{name}.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def _time_one(fn):

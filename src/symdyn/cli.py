@@ -158,7 +158,7 @@ def stage_inverse(m, cfg, pcfg, out, quiet):
             for r in res:
                 if isinstance(r, shadowing.EdgeBroken):
                     raise r
-            rep = shadowing.inverse_check(m, pair[0][0], pair[1][0], pcfg, *res)
+            rep = shadowing.inverse_check(pair[0][0], pair[1][0], *res, pcfg)
         except (coarse_grain.NoNetVertex, shadowing.NotDoubleCoding,
                 shadowing.EdgeBroken) as e:
             lines.append(f"orbit x0={wa.x0!r}: {type(e).__name__}: {e}")

@@ -1,4 +1,4 @@
-"""Orbit libraries: periodic cycles and certified random windows.
+"""Orbit libraries: windows along the periodic cycles of a map.
 
 The periodic library enumerates periodic orbits up to a given period,
 closes each into its bitwise backward cycle, and emits one window per
@@ -11,11 +11,9 @@ skipped and counted; each period's root count is kept for the growth rows.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import natural_extension as ne
 from .analysis import map_periodic_points
-from .map_model import MAPKIND_GAUSS, SingularPoint
+from .map_model import SingularPoint
 from .pesin import expansion_certificate
 
 
@@ -81,49 +79,3 @@ def periodic_library(m, chi, max_period, back_depth=64, fwd_len=64, n_min=6):
                          skipped_singular=skipped_singular,
                          skipped_uncertified=skipped_uncert,
                          map_counts=tuple(map_counts))
-
-
-GAUSS_WORD_BRANCHES = 12  # random gauss words draw branch n <= 12 with weight 1/(n(n+1))
-
-
-def _draw_back_word(m, rng, depth):
-    if m.map_kind == MAPKIND_GAUSS:
-        ns = np.arange(1, GAUSS_WORD_BRANCHES + 1, dtype=np.float64)
-        wts = 1.0 / (ns * (ns + 1.0))
-        wts /= wts.sum()
-        return rng.choice(np.arange(1, GAUSS_WORD_BRANCHES + 1), size=depth, p=wts)
-    nb = m.table.shape[0]
-    return rng.integers(0, nb, size=depth)
-
-
-def random_library(m, chi, count, back_depth=40, fwd_len=40, seed=0,
-                   n_min=6, max_tries=None):
-    """Certified random windows: uniform base points, random backward words."""
-    rng = np.random.default_rng(seed)
-    windows = []
-    skipped_singular = 0
-    skipped_uncert = 0
-    tries = 0
-    cap = max_tries or 50 * max(count, 1)
-    while len(windows) < count and tries < cap:
-        tries += 1
-        x0 = m.draw_regular_points(1, rng)
-        if x0.size == 0:
-            skipped_singular += 1
-            continue
-        word = np.asarray(_draw_back_word(m, rng, back_depth), dtype=np.int64)
-        try:
-            w = ne.make_window(m, float(x0[0]), word, fwd_len)
-        except (SingularPoint, ValueError):
-            skipped_singular += 1
-            continue
-        if not m.window_chartable(w.points):
-            skipped_singular += 1
-            continue
-        if not expansion_certificate(w, chi, n_min).ok:
-            skipped_uncert += 1
-            continue
-        windows.append(w)
-    return LibraryReport(windows=windows, orbits=len(windows),
-                         skipped_singular=skipped_singular,
-                         skipped_uncertified=skipped_uncert)

@@ -49,8 +49,8 @@ class MapFileError(ValueError):
 
 @dataclass(frozen=True)
 class Branch:
-    """One monotone branch: forward map, derivative, inverse, and stable
-    difference forms g(y+s)-g(y), g'(y+s)-g'(y) used by the chart maps."""
+    """One monotone branch: forward map, derivative, inverse and its
+    derivative."""
 
     id: int
     lo: float
@@ -73,36 +73,6 @@ class Branch:
 
     def dinv(self, y):
         return float(K.dinv_formula(self.kind, self.row.__getitem__, y))
-
-    def inv_diff(self, y, s):
-        """g(y+s) - g(y), stable for tiny s."""
-        c0, c1, c2, c3 = self.coef
-        if self.kind == KIND_AFFINE:
-            return s / c1
-        if self.kind == KIND_QUADRATIC:
-            da = c1 * c1 - 4.0 * c2 * (c0 - (y + s))
-            db = c1 * c1 - 4.0 * c2 * (c0 - y)
-            return 2.0 * self.inv_sign * s / (math.sqrt(max(da, 0.0)) + math.sqrt(max(db, 0.0)))
-        return (c1 * c2 - c0 * c3) * s / ((c3 * (y + s) - c1) * (c3 * y - c1))
-
-    def dinv_diff(self, y, s):
-        """g'(y+s) - g'(y), stable for tiny s."""
-        c0, c1, c2, c3 = self.coef
-        if self.kind == KIND_AFFINE:
-            return 0.0
-        if self.kind == KIND_QUADRATIC:
-            a = c1 * c1 - 4.0 * c2 * (c0 - (y + s))
-            b = c1 * c1 - 4.0 * c2 * (c0 - y)
-            sa, sb = math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0))
-            return self.inv_sign * (-4.0 * c2 * s) / (sa * sb * (sa + sb))
-        kk = c1 * c2 - c0 * c3
-        a = c3 * (y + s) - c1
-        b = c3 * y - c1
-        return kk * (-c3 * s) * (a + b) / (a * a * b * b)
-
-    def ddinv(self, y):
-        """g''(y), for log-mode curvature bounds."""
-        return float(K.d2inv_formula(self.kind, self.row.__getitem__, y))
 
 
 @dataclass(frozen=True)
@@ -173,29 +143,9 @@ class MapModel:
     def singular_distance(self, x):
         return float(self.family.dist(x))
 
-    def f(self, x):
-        return self.branch_by_id(self.branch_at(x)).fwd(x)
-
     def preimage(self, y, bid):
         """g_bid(y): the preimage of y through the given inverse branch."""
         return self.branch_by_id(bid).inv(y)
-
-    def radius(self, x):
-        """Canonical r(x); raises SingularPoint below the exclusion cutoff."""
-        dx = self.singular_distance(x)
-        if dx <= self.exclusion:
-            raise SingularPoint(f"x={x!r} singular")
-        b = self._branch_index(x)
-        if b < 0:
-            raise SingularPoint(f"x={x!r} lies in no branch domain")
-        fx = self.branch_by_id(b).fwd(x)
-        dfx = self.singular_distance(fx)
-        if dfx <= self.exclusion:
-            raise SingularPoint(f"f(x)={fx!r} singular")
-        r = 0.5 * min(dx**self.a, dfx**self.a, 1.0)
-        if r < self.exclusion:
-            raise SingularPoint(f"radius at x={x!r} falls under the exclusion cutoff")
-        return r
 
     def cover_ids(self, xs):
         """Ids of the canonical cover elements containing the points xs, each
@@ -205,8 +155,8 @@ class MapModel:
         distinct point not yet placed is tested against its grid center z
         in one numpy pass, and takes the first level whose radius-rule ball
         B(z, 2r(z)) holds it.  d(z, S), the branch index and f(z) come from
-        the batch lane; d^a is a libm power per element, as ``radius``
-        takes it (numpy's vectorised power can differ from libm by an ulp).
+        the batch lane; d^a is a libm power per element, a Python float
+        ``**`` (numpy's vectorised power can differ from libm by an ulp).
         ValueError for a non-finite point, SingularPoint for a point no
         level places.
         """
@@ -260,11 +210,6 @@ class MapModel:
             return False
         r = 0.5 * np.minimum(np.minimum(d[:-1] ** self.a, d[1:] ** self.a), 1.0)
         return bool(np.all(r >= self.exclusion))
-
-    def draw_regular_points(self, count, rng, max_tries=200):
-        """Sample points uniformly on the domain, rejecting singular ones
-        (including points with no admissible radius)."""
-        return _regular_samples(self, count, rng, max_tries)[0]
 
     def verify_regularity(self, sample_count, seed):
         return verify_regularity(self, sample_count, seed)

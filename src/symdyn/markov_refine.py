@@ -1,15 +1,14 @@
 """Markov cover, Sinai-Bowen refinement, and the refined shift graph.
 
 Rectangles are finite point samples of Z(v) = {shadowed points of
-strong paths through v}; every set predicate (intersection,
-fibre membership, cylinder chase) is sample-level, with window agreement
-as the equality proxy.  Which sampled points of a cover are the same
-point, and which point the shift of each lands on, is decided once per
-cover (``point_classes``): the key is exact, the coordinate bytes, so it
-agrees with the pairwise rule ``windows_agree``, which the cylinder chase
-and the tests keep as the reference.  The refinement classifies each
-sampled point by its full stable/unstable intersection signature against
-every met rectangle; cells are the classes of equal signatures.
+strong paths through v}; every set predicate (intersection, fibre
+membership) is sample-level, with window agreement (equal coordinates on
+the common range) as the equality proxy.  Which sampled points of a cover
+are the same point, and which point the shift of each lands on, is
+decided once per cover (``point_classes``): the key is exact, the
+coordinate bytes.  The refinement classifies each sampled point by its
+full stable/unstable intersection signature against every met rectangle;
+cells are the classes of equal signatures.
 """
 
 import itertools
@@ -21,28 +20,8 @@ import numpy as np
 
 from . import shadowing as sh
 from .coarse_grain import lt_log_threshold
-from .map_model import SingularPoint
-from .natural_extension import WindowExhausted, hat_distance
 
 LOG100 = math.log(100.0)
-
-
-class EmptyCylinder(RuntimeError):
-    """A sampled cylinder intersection died (possibly under-sampling)."""
-
-
-def windows_agree(w1, w2, depth=None, fwd=None):
-    """Sample-level equality of two windows on their common range."""
-    d = min(w1.back_len, w2.back_len) if depth is None else depth
-    f = min(w1.fwd_len, w2.fwd_len) if fwd is None else fwd
-    if f < -d:
-        return True
-    for w in (w1, w2):
-        if d > w.back_len or f > w.fwd_len:
-            raise IndexError(f"coordinates [{-d}, {f}] outside window [{-w.back_len}, {w.fwd_len}]")
-    # == on floats: -0.0 equals 0.0 and NaN equals nothing
-    return np.array_equal(w1.points[w1.off - d:w1.off + f + 1],
-                          w2.points[w2.off - d:w2.off + f + 1])
 
 
 @dataclass
@@ -85,7 +64,7 @@ class PointClasses:
     int, or to None where a NaN rules out every match.
     """
 
-    cls: dict      # equal exactly where windows_agree
+    cls: dict      # equal exactly where the windows agree
     head: dict     # the class of the point on all but its last coordinate
     shift: dict    # the head class of the point's shift by one
     rects: dict    # class -> the rectangles holding a point of it
@@ -94,11 +73,12 @@ class PointClasses:
 def point_classes(cover):
     """Decide once which sampled points of a cover are the same point.
 
-    Points a and b share a class exactly when ``windows_agree`` says so:
-    the key is their coordinate bytes with -0.0 read as 0.0, and a point
-    holding a NaN matches nothing, itself included.  The shift by one of a
-    agrees with b exactly when a's coordinates from index 1 equal b's up to
-    its last but one, so ``shift[a] == head[b]`` decides it the same way.
+    Points a and b share a class exactly when their windows agree (== on
+    every coordinate): the key is their coordinate bytes with -0.0 read as
+    0.0, and a point holding a NaN matches nothing, itself included.  The
+    shift by one of a agrees with b exactly when a's coordinates from index
+    1 equal b's up to its last but one, so ``shift[a] == head[b]`` decides
+    it the same way.
     That needs every point to span one range [-N, F] with F >= 2, as every
     ``build_cover`` point does (F = 1 gives an empty cover); ValueError
     otherwise.
@@ -274,7 +254,7 @@ def refine(cover):
 
 
 # ---------------------------------------------------------------------------
-# the refined shift graph and its projection
+# the refined shift graph
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -287,15 +267,6 @@ class TmsGraph:
 
     def adjacency(self):
         return {c.cell_id: list(self.out_edges[c.cell_id]) for c in self.cells}
-
-
-def _member_window(cover, ref):
-    i, pi = ref
-    return cover[i].points[pi].point
-
-
-def _cell_contains(cover, cell, window):
-    return any(windows_agree(_member_window(cover, r), window) for r in cell.members)
 
 
 def hat_graph(cover, cells):
@@ -314,59 +285,6 @@ def hat_graph(cover, cells):
             in_edges[s].append(r)
     return TmsGraph(cells=cells, cover=cover, out_edges=out_edges, in_edges=in_edges,
                     classes=pc)
-
-
-def hat_pi(tg, path, n_lo=0):
-    """Project an admissible cell path through sampled cylinder chasing.
-
-    ``path[i]`` is the cell at shift index n_lo + i: a candidate point
-    x̂ survives position i iff its (n_lo + i)-th shift lies in that cell.
-    Candidates are the sampled members of the cell anchored at shift 0
-    (or the first cell when 0 is outside the path range).  Returns
-    (window, diameters) where diameters[d] is the observed diameter of
-    the sampled cylinder over positions 0..d; raises EmptyCylinder when
-    the sampled intersection dies (under-sampling or a genuine adjacency
-    error; re-sample with more paths per vertex to distinguish).
-    """
-    for i in range(len(path) - 1):
-        if path[i + 1] not in tg.out_edges[path[i]]:
-            raise ValueError(f"path not admissible at position {i}")
-    anchor = -n_lo if 0 <= -n_lo < len(path) else 0
-    survivors = []
-    for ref in tg.cells[path[anchor]].members:
-        w = _member_window(tg.cover, ref)
-        try:
-            survivors.append(w.shift(-(n_lo + anchor)))
-        except (WindowExhausted, SingularPoint):
-            continue
-    diams = []
-    for i, cid in enumerate(path):
-        cell = tg.cells[cid]
-        keep = []
-        for w in survivors:
-            try:
-                wi = w.shift(n_lo + i)
-            except (WindowExhausted, SingularPoint):
-                continue
-            if _cell_contains(tg.cover, cell, wi):
-                keep.append(w)
-        survivors = keep
-        if not survivors:
-            raise EmptyCylinder(f"sampled cylinder empty after position {i}")
-        if len(survivors) == 1:
-            diams.append(0.0)
-        else:
-            d = min(s.back_len for s in survivors)
-            diams.append(max(hat_distance(a, b, d)
-                             for ai, a in enumerate(survivors)
-                             for b in survivors[ai + 1:]))
-    if len(survivors) == 1:
-        return survivors[0], diams
-    # the member window minimizing the final intersection diameter
-    d = min(s.back_len for s in survivors)
-    best = min(survivors,
-               key=lambda a: max(hat_distance(a, b, d) for b in survivors if b is not a))
-    return best, diams
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,12 @@ log-derivatives, prefix sums) live in shared immutable arrays; shifting is index
 relabeling on the same arrays, so quantities computed at a given absolute
 index are bitwise identical regardless of which shifted view computed them.
 
-Two constructors:
-
-* ``make_window`` builds a genuine float orbit of f (backward cache is the
-  exact inverse-branch iteration, forward cache the exact f iteration).
-* ``make_periodic_window`` builds the bitwise-periodic backward cycle of a
-  periodic branch word (inverse branches contract, so the float backward
-  orbit closes exactly; the cycle is taken at the first closure) and tiles
-  it.  The result is an f-pseudo-orbit within ~1e-16, well inside the
-  1e-10 window tolerance, and every derived quantity is exactly periodic.
+``make_periodic_window`` builds the bitwise-periodic backward cycle of a
+periodic branch word (inverse branches contract, so the float backward
+orbit closes exactly; the cycle is taken at the first closure) and tiles
+it.  The result is an f-pseudo-orbit within ~1e-16, well inside the 1e-10
+window tolerance, and every derived quantity is exactly periodic.
+``make_pseudo_window`` wraps the shadowed points of a batch of gpos.
 """
 
 import math
@@ -82,12 +79,6 @@ class OrbitWindow:
         """Backward word: entry k-1 is the branch of x_{-k}."""
         return self.branch_ids[:self.off][::-1].tolist()
 
-    def deriv(self, n):
-        """df at x_n: the cached |df| with the sign of its branch's df there."""
-        i = self.off + n
-        sign = self.m.branch_by_id(self.branch_ids[i]).dfwd(self.points[i])
-        return math.copysign(math.exp(self.logderivs[i]), sign)
-
     # -- shifts -----------------------------------------------------------
 
     def shift(self, k, min_back=1):
@@ -139,21 +130,6 @@ class OrbitWindow:
         return " ".join(parts)
 
 
-def hat_distance(w1, w2, depth):
-    """Truncated natural-extension distance max_{-depth<=n<=0} 2^n |x_n - y_n|.
-
-    A lower bound for the full metric; the terms beyond ``depth`` add at
-    most 2^-depth times the domain diameter.  Both windows need backward
-    depth >= depth.
-    """
-    if w1.back_len < depth or w2.back_len < depth:
-        raise WindowExhausted(f"need backward depth {depth}")
-    a1 = w1.points[w1.off - depth: w1.off + 1]
-    a2 = w2.points[w2.off - depth: w2.off + 1]
-    n = np.arange(-depth, 1, dtype=np.float64)
-    return float(np.max(2.0**n * np.abs(a1 - a2)))
-
-
 def _freeze(pts, bid, ld):
     """The prefix sums of ``ld`` along its last axis; makes all four read-only."""
     cum = np.zeros(ld.shape[:-1] + (ld.shape[-1] + 1,))
@@ -188,38 +164,6 @@ def forward_orbit(m, x, nsteps):
     if m.singular_distance(x) <= m.exclusion:
         raise SingularPoint(f"forward orbit hit the singular set after {nsteps} steps")
     return np.array(pts), np.array(bids, dtype=np.int64), np.log(np.abs(np.array(ds)))
-
-
-def backward_orbit(m, x, word):
-    """x_{-1}, x_{-2}, ... of the inverse-branch iteration from x along
-    ``word``, where word[k] is the branch that must contain x_{-k-1}.
-    Raises SingularPoint if a preimage is singular or leaves its branch."""
-    y = float(x)
-    pts = []
-    for k, b in enumerate(word):
-        y = m.preimage(y, b)
-        if m.branch_at(y) != b:
-            raise SingularPoint(f"backward word invalid after {k} steps: x_{-k - 1}={y!r} "
-                                f"is not in branch {b}")
-        pts.append(y)
-    return np.array(pts)
-
-
-def make_window(m, x0, back_word, fwd_len, u_depth=0):
-    """Window from a zeroth coordinate, backward branch word and horizon.
-
-    The backward cache is the exact inverse-branch iteration from x0 (so
-    recomputing it reproduces the cache bit for bit); the forward cache is
-    the exact f iteration.
-    """
-    word = np.asarray(back_word, dtype=np.int64)
-    back_pts = backward_orbit(m, x0, word)[::-1]  # x_{-N}, ..., x_{-1}
-    fpts, fbid, fld = forward_orbit(m, x0, fwd_len)
-    pts = np.concatenate([back_pts, fpts])
-    bids = np.concatenate([word[::-1], fbid])
-    bld = np.log(np.abs(K.dfwd_vec(m.family, word[::-1], back_pts)))
-    ld = np.concatenate([bld, fld])
-    return _assemble(m, pts, bids, ld, off=word.shape[0], u_depth=u_depth)
 
 
 def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len, u_depth=None):

@@ -1,15 +1,13 @@
 """Pesin-theoretic parameters and charts.
 
-The hyperbolicity parameter u, the chart scale ladder (Q-tilde, Q, the
-grid I_eps = {e^{-eps*n/3}}, delta_eps, the greedy q), affine charts
-Psi(t) = t/u + x0, and the inverse-branch chart maps G = Psi_to^{-1} o g
-o Psi_from with their linear + residual decomposition.
+The expansion certificate, the hyperbolicity parameter u, the chart scale
+ladder (Q-tilde, Q, the grid I_eps = {e^{-eps*n/3}}, delta_eps, the greedy
+q) tabulated along a window, and the affine charts Psi(t) = t/u + x0.  The
+chart maps between charts are ``shadowing.step_map``.
 
 Scales routinely sit far below double precision (log Q is typically a few
 hundred negative), so every size is carried as a natural log plus an exact
-integer index on the grid I_eps, and chart maps are evaluated either in
-linear space with cancellation-free difference forms (when the scale is
-representable) or through analytic curvature bounds in log space.
+integer index on the grid I_eps.
 """
 
 import math
@@ -18,17 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .natural_extension import OrbitWindow
-
-LOG10 = math.log(10.0)
-LINEAR_MODE_FLOOR = -600.0  # below this log-scale, fall back to log-mode bounds
-
-
-class TailDiverges(RuntimeError):
-    """compute_u called on a window whose expansion margin is non-positive."""
-
-
-class DomainViolation(RuntimeError):
-    """A chart-map precondition (domain inclusion) failed."""
 
 
 @dataclass(frozen=True)
@@ -158,31 +145,6 @@ def _u_phase_table(w, chi, depth=None):
         logt = 2.0 * chi * np.arange(d + 1) - 2.0 * S
         out[p] = math.sqrt(float(np.sum(np.exp(logt))))
     return out
-
-
-def compute_u(w, chi, depth=None, n_min=6):
-    """(u, tail_bound): truncated series for u plus the extrapolated tail.
-
-    tail_bound is e^{2N(chi-m)} / (1 - e^{2(chi-m)}) for the worst backward
-    block average m; it bounds the dropped part of u^2 assuming the observed
-    margin persists beyond the window.  Raises TailDiverges when the
-    certificate margin is non-positive.
-    """
-    cert = expansion_certificate(w, chi, n_min=n_min)
-    if cert.margin <= 0 or not math.isfinite(cert.margin):
-        raise TailDiverges(f"expansion margin {cert.margin:g} is not positive")
-    u = u_at(w, chi, 0, depth=depth)
-    d = depth or w.u_depth or w.back_len
-    m = cert.back_min_avg if math.isfinite(cert.back_min_avg) else cert.fwd_min_avg
-    tail = math.exp(2.0 * d * (chi - m)) / -math.expm1(2.0 * (chi - m))
-    return u, tail
-
-
-def u_recursion_step(u, dfx, chi):
-    """u(f̂(x̂)) from u(x̂) and df at the zeroth coordinate."""
-    if dfx == 0.0:
-        raise ZeroDivisionError("df = 0")
-    return math.sqrt(1.0 + math.exp(2.0 * chi) / (dfx * dfx) * u * u)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +287,12 @@ def window_tables(m, w, cfg, lo=None, hi=None):
 
     The points of a periodic window repeat exactly, so every quantity is a
     function of the phase; when the range holds a whole period it is
-    computed once per phase.
+    computed once per phase.  Binning index k reads the cover element of
+    x_{k+1}, whose radius needs x_{k+2}, so the range of a non-periodic
+    window x_{-N..F} ends at F - 2 (a periodic one's at F - 1).
     """
     full_lo = -w.back_len + 1
-    full_hi = w.fwd_len - 1
+    full_hi = w.fwd_len - (1 if w.period else 2)
     lo = full_lo if lo is None else max(lo, full_lo)
     hi = full_hi if hi is None else min(hi, full_hi)
     cert = expansion_certificate(w, cfg.chi, cfg.n_min)
@@ -396,145 +360,3 @@ class Chart:
     @property
     def log_p(self):
         return -(self.params.epsilon / 3.0) * self.idx_p
-
-    def psi(self, t):
-        """Psi(t); absorbs to the center for |t| under the float resolution."""
-        return self.theta0 + t / self.params.u
-
-
-# ---------------------------------------------------------------------------
-# chart maps G = Psi_to^{-1} o g o Psi_from
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GDecomposition:
-    """Sampled linear + residual decomposition G(t) = A t + h(t).
-
-    A is the intrinsic slope dg(x0) u(f̂^{-1}x̂)/u(x̂); h0 and dh0 are the
-    residual offset G(0) and slope mismatch dG(0) - A.  Sup norms are
-    reported as logs (the underlying scale R = 10 Q_eps is often not
-    representable); mode records whether sampling ran in linear space or
-    through analytic curvature bounds.
-    """
-
-    A: float
-    A_obs: float
-    h0: float
-    dh0: float
-    log_h0: float
-    log_dh0: float
-    log_h_sup: float
-    log_dh_sup: float
-    dG_sup: float
-    log_holder: float    # sampled Hol_{beta/2}(dG) quotient, log
-    log_R: float
-    mode: str
-
-
-def _chebyshev(n):
-    i = np.arange(n)
-    return np.cos(math.pi * (2 * i + 1) / (2 * n))
-
-
-def chart_G(m, c_from, c_to, branch_id, samples=None):
-    """Evaluate the inverse branch between two charts on R[10 Q_eps(from)].
-
-    Preconditions are the three domain inclusions guaranteeing that the
-    branch inverse is defined on the chart range (DomainViolation if not).
-    """
-    cfg_eps = c_from.params.epsilon
-    chi = c_from.params.chi
-    n = samples or 1000
-    w = c_from.center
-    x0 = c_from.theta0
-    xm1 = w.x(c_from.shift - 1)
-    log_R = LOG10 + c_from.params.logQ
-
-    # domain inclusions, in log space
-    try:
-        r0 = m.radius(x0)
-        rm1 = m.radius(xm1)
-    except Exception as e:
-        raise DomainViolation(f"no admissible radius at a center: {e}") from e
-    d0 = m.singular_distance(x0)
-    dm1 = m.singular_distance(xm1)
-    checks = [
-        ("chart range inside D(x0)", log_R < math.log(2.0 * r0)),
-        ("chart range inside E(x-1)", log_R < math.log(2.0 * rm1)),
-        ("inverse image inside D(x-1)", log_R - m.a * math.log(dm1) < math.log(rm1)),
-        ("chart range inside g(E(x0))", log_R < math.log(2.0 * r0) + m.a * math.log(d0)),
-    ]
-    for name, ok in checks:
-        if not ok:
-            raise DomainViolation(f"inclusion failed: {name}")
-
-    br = m.branch_by_id(branch_id)
-    u_from = c_from.u
-    u_prev = c_from.params.u_prev
-    u_to = c_to.u
-    y0 = c_to.theta0
-
-    dg0 = br.dinv(x0)
-    A = dg0 * u_prev / u_from
-    A_obs = dg0 * u_to / u_from
-    # centers that are consecutive orbit points have offset exactly 0; the
-    # float g carries a spurious ulp when the cache is forward-consistent
-    offset0 = 0.0 if br.fwd(y0) == x0 else br.inv(x0) - y0
-    h0 = u_to * offset0
-    dh0 = A_obs - A
-    log_h0 = math.log(abs(h0)) if h0 != 0.0 else -math.inf
-    log_dh0 = math.log(abs(dh0)) if dh0 != 0.0 else -math.inf
-
-    beta = m.beta
-    tau = _chebyshev(n)
-
-    if log_R - math.log(u_from) > LINEAR_MODE_FLOOR:
-        R = math.exp(log_R)
-        s = (R / u_from) * tau
-        dgdiff = np.array([br.dinv_diff(x0, si) for si in s])
-        invdiff = np.array([br.inv_diff(x0, si) for si in s])
-        h = u_to * (offset0 + invdiff) - A * (u_from * s)
-        dh = (u_to * (dg0 + dgdiff) - u_prev * dg0) / u_from
-        dG = (u_to / u_from) * (dg0 + dgdiff)
-        with np.errstate(divide="ignore"):
-            log_h_sup = float(np.log(np.max(np.abs(h)))) if np.any(h != 0) else -math.inf
-            log_dh_sup = float(np.log(np.max(np.abs(dh)))) if np.any(dh != 0) else -math.inf
-        dG_sup = float(np.max(np.abs(dG)))
-        # sampled Hölder-(beta/2) quotient of dG over node pairs at dyadic gaps
-        best = -math.inf
-        for gap in (1, 2, 4, 8, n // 4, n // 2, n - 1):
-            if not 1 <= gap < n:
-                continue
-            i = np.arange(0, n - gap)
-            num = np.abs(dG[i + gap] - dG[i])
-            den = np.abs(u_from * (s[i + gap] - s[i])) ** (beta / 2.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.where(den > 0, num / den, 0.0)
-            if q.size and np.max(q) > 0:
-                best = max(best, math.log(float(np.max(q))))
-        mode = "linear"
-    else:
-        # analytic curvature bounds: |dg(x0+s) - dg(x0)| <= |ddg| |s| nearby
-        log_s_max = log_R - math.log(u_from)
-        ddg = abs(br.ddinv(x0))
-        log_ddg = math.log(ddg) if ddg > 0 else -math.inf
-        log_du = math.log(u_to / u_from) if u_to != u_from else 0.0
-        log_dh_sup = log_du + log_ddg + log_s_max
-        log_curv = log_ddg + 2.0 * log_s_max - math.log(2.0)
-        log_h_sup = max(log_h0, math.log(u_to) + log_curv,
-                        log_dh0 + log_R if math.isfinite(log_dh0) else -math.inf)
-        dG_sup = abs(A_obs) + math.exp(min(log_dh_sup, 0.0)) if math.isfinite(log_dh_sup) else abs(A_obs)
-        best = (log_ddg + math.log(u_to / u_from) + (1.0 - beta / 2.0) *
-                (math.log(2.0) + log_s_max)) if math.isfinite(log_ddg) else -math.inf
-        mode = "log"
-
-    # theorem-normalized contraction check value
-    return GDecomposition(A=A, A_obs=A_obs, h0=h0, dh0=dh0, log_h0=log_h0,
-                          log_dh0=log_dh0, log_h_sup=log_h_sup,
-                          log_dh_sup=log_dh_sup, dG_sup=dG_sup,
-                          log_holder=best, log_R=log_R, mode=mode)
-
-
-def linear_reduction_slope(u, u_next, dfx):
-    """(dF)_0 for F = Psi_{f̂x̂}^{-1} o f o Psi_x̂: df * u(f̂x̂)/u(x̂)."""
-    return dfx * u_next / u

@@ -13,7 +13,7 @@ well-conditioned affine maps.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,16 +142,6 @@ class ShadowResult:
     contraction_ratios: list
     steps_used: int
     worst_containment: float
-
-
-def shadow(m, g, cfg, init_interval=(-1.0, 1.0)):
-    """Shadow one gpo: ``shadow_many`` on a batch of one.  Raises
-    EdgeBroken if a step image escapes its target chart."""
-    walk = np.arange(len(g.charts))[None]
-    (res,) = shadow_many(m, g.charts, walk, g.n_lo, cfg, init_interval)
-    if isinstance(res, EdgeBroken):
-        raise res
-    return replace(res, gpo=g)
 
 
 def shadow_many(m, charts, walks, n_lo, cfg, init_interval=(-1.0, 1.0)):
@@ -300,33 +290,6 @@ def _shadowed_points(m, charts, walks, taus, branch, n_lo):
     return ne.make_pseudo_window(m, pts, branch, off=-n_lo), log_p0
 
 
-@dataclass(frozen=True)
-class UnstableInterval:
-    """R[p_0] of the zeroth chart plus the backward reconstruction rule."""
-
-    gpo: Gpo
-    steps: dict
-
-    def reconstruct(self, tau, depth=None):
-        """Backward coordinates tau_n, n = 0, -1, ..., from tau_0 = tau."""
-        g = self.gpo
-        depth = -g.n_lo if depth is None else depth
-        out = {0: float(tau)}
-        for n in range(0, -depth, -1):
-            s = self.steps[n - 1]
-            out[n - 1] = s.a * out[n] + s.b
-        return out
-
-
-def unstable_interval(m, g, cfg):
-    """Unstable-set descriptor of a gpo's backward half (indices <= 0)."""
-    steps = {}
-    for n in range(g.n_lo, min(g.n_hi, 0)):
-        steps[n] = step_map(m, g.chart(n), g.chart(n + 1), cfg)
-    return UnstableInterval(gpo=g, steps=steps)
-
-
-
 # ---------------------------------------------------------------------------
 # inverse-theorem audit
 # ---------------------------------------------------------------------------
@@ -366,14 +329,13 @@ def _recurrence_diagnostic(g):
     }
 
 
-def inverse_check(m, g1, g2, cfg, res1=None, res2=None):
-    """Evaluate the five inverse-theorem conclusions on a double coding.
+def inverse_check(g1, g2, res1, res2, cfg):
+    """Evaluate the five inverse-theorem conclusions on a double coding:
+    the gpos g1 and g2, shadowed to res1 and res2.
 
     Precondition (checked): the shadowed points agree coordinatewise within
     2(p_n + q_n) (the metric proxy for exact equality of the codings).
     """
-    res1 = res1 or shadow(m, g1, cfg)
-    res2 = res2 or shadow(m, g2, cfg)
     lo = max(g1.n_lo, g2.n_lo)
     hi = min(g1.n_hi, g2.n_hi)
     eps = cfg.epsilon

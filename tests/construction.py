@@ -1,0 +1,453 @@
+"""Objects of the construction that the acceptance criteria check directly
+and the pipeline never builds, in the order: map, window, u and chart-map,
+random-window, shadowing and cylinder-projection objects.  A method of a
+``symdyn`` class is a function here that takes its object first."""
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from symdyn import _kernels as K
+from symdyn import natural_extension as ne
+from symdyn import shadowing as sh
+from symdyn.library import LibraryReport
+from symdyn.map_model import KIND_AFFINE, KIND_QUADRATIC, SingularPoint, _regular_samples
+from symdyn.pesin import expansion_certificate, u_at
+
+
+def f(m, x):
+    return m.branch_by_id(m.branch_at(x)).fwd(x)
+
+
+def radius(m, x):
+    """Canonical r(x); raises SingularPoint below the exclusion cutoff."""
+    dx = m.singular_distance(x)
+    if dx <= m.exclusion:
+        raise SingularPoint(f"x={x!r} singular")
+    b = m._branch_index(x)
+    if b < 0:
+        raise SingularPoint(f"x={x!r} lies in no branch domain")
+    fx = m.branch_by_id(b).fwd(x)
+    dfx = m.singular_distance(fx)
+    if dfx <= m.exclusion:
+        raise SingularPoint(f"f(x)={fx!r} singular")
+    r = 0.5 * min(dx**m.a, dfx**m.a, 1.0)
+    if r < m.exclusion:
+        raise SingularPoint(f"radius at x={x!r} falls under the exclusion cutoff")
+    return r
+
+
+def draw_regular_points(m, count, rng, max_tries=200):
+    """Sample points uniformly on the domain, rejecting singular ones
+    (including points with no admissible radius)."""
+    return _regular_samples(m, count, rng, max_tries)[0]
+
+
+def inv_diff(br, y, s):
+    """g(y+s) - g(y), stable for tiny s."""
+    c0, c1, c2, c3 = br.coef
+    if br.kind == KIND_AFFINE:
+        return s / c1
+    if br.kind == KIND_QUADRATIC:
+        da = c1 * c1 - 4.0 * c2 * (c0 - (y + s))
+        db = c1 * c1 - 4.0 * c2 * (c0 - y)
+        return 2.0 * br.inv_sign * s / (math.sqrt(max(da, 0.0)) + math.sqrt(max(db, 0.0)))
+    return (c1 * c2 - c0 * c3) * s / ((c3 * (y + s) - c1) * (c3 * y - c1))
+
+
+def dinv_diff(br, y, s):
+    """g'(y+s) - g'(y), stable for tiny s."""
+    c0, c1, c2, c3 = br.coef
+    if br.kind == KIND_AFFINE:
+        return 0.0
+    if br.kind == KIND_QUADRATIC:
+        a = c1 * c1 - 4.0 * c2 * (c0 - (y + s))
+        b = c1 * c1 - 4.0 * c2 * (c0 - y)
+        sa, sb = math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0))
+        return br.inv_sign * (-4.0 * c2 * s) / (sa * sb * (sa + sb))
+    kk = c1 * c2 - c0 * c3
+    a = c3 * (y + s) - c1
+    b = c3 * y - c1
+    return kk * (-c3 * s) * (a + b) / (a * a * b * b)
+
+
+def ddinv(br, y):
+    """g''(y), for log-mode curvature bounds."""
+    return float(K.d2inv_formula(br.kind, br.row.__getitem__, y))
+
+
+def deriv(w, n):
+    """df at x_n: the cached |df| with the sign of its branch's df there."""
+    i = w.off + n
+    sign = w.m.branch_by_id(w.branch_ids[i]).dfwd(w.points[i])
+    return math.copysign(math.exp(w.logderivs[i]), sign)
+
+
+def hat_distance(w1, w2, depth):
+    """Truncated natural-extension distance max_{-depth<=n<=0} 2^n |x_n - y_n|.
+
+    A lower bound for the full metric; the terms beyond ``depth`` add at
+    most 2^-depth times the domain diameter.  Both windows need backward
+    depth >= depth.
+    """
+    if w1.back_len < depth or w2.back_len < depth:
+        raise ne.WindowExhausted(f"need backward depth {depth}")
+    a1 = w1.points[w1.off - depth: w1.off + 1]
+    a2 = w2.points[w2.off - depth: w2.off + 1]
+    n = np.arange(-depth, 1, dtype=np.float64)
+    return float(np.max(2.0**n * np.abs(a1 - a2)))
+
+
+def backward_orbit(m, x, word):
+    """x_{-1}, x_{-2}, ... of the inverse-branch iteration from x along
+    ``word``, where word[k] is the branch that must contain x_{-k-1}.
+    Raises SingularPoint if a preimage is singular or leaves its branch."""
+    y = float(x)
+    pts = []
+    for k, b in enumerate(word):
+        y = m.preimage(y, b)
+        if m.branch_at(y) != b:
+            raise SingularPoint(f"backward word invalid after {k} steps: x_{-k - 1}={y!r} "
+                                f"is not in branch {b}")
+        pts.append(y)
+    return np.array(pts)
+
+
+def make_window(m, x0, back_word, fwd_len, u_depth=0):
+    """Window from a zeroth coordinate, backward branch word and horizon.
+
+    The backward cache is the exact inverse-branch iteration from x0 (so
+    recomputing it reproduces the cache bit for bit); the forward cache is
+    the exact f iteration.
+    """
+    word = np.asarray(back_word, dtype=np.int64)
+    back_pts = backward_orbit(m, x0, word)[::-1]  # x_{-N}, ..., x_{-1}
+    fpts, fbid, fld = ne.forward_orbit(m, x0, fwd_len)
+    pts = np.concatenate([back_pts, fpts])
+    bids = np.concatenate([word[::-1], fbid])
+    bld = np.log(np.abs(K.dfwd_vec(m.family, word[::-1], back_pts)))
+    ld = np.concatenate([bld, fld])
+    return ne._assemble(m, pts, bids, ld, off=word.shape[0], u_depth=u_depth)
+
+
+LOG10 = math.log(10.0)
+LINEAR_MODE_FLOOR = -600.0  # below this log-scale, fall back to log-mode bounds
+
+
+class TailDiverges(RuntimeError):
+    """compute_u called on a window whose expansion margin is non-positive."""
+
+
+class DomainViolation(RuntimeError):
+    """A chart-map precondition (domain inclusion) failed."""
+
+
+def compute_u(w, chi, depth=None, n_min=6):
+    """(u, tail_bound): truncated series for u plus the extrapolated tail.
+
+    tail_bound is e^{2N(chi-m)} / (1 - e^{2(chi-m)}) for the worst backward
+    block average m; it bounds the dropped part of u^2 assuming the observed
+    margin persists beyond the window.  Raises TailDiverges when the
+    certificate margin is non-positive.
+    """
+    cert = expansion_certificate(w, chi, n_min=n_min)
+    if cert.margin <= 0 or not math.isfinite(cert.margin):
+        raise TailDiverges(f"expansion margin {cert.margin:g} is not positive")
+    u = u_at(w, chi, 0, depth=depth)
+    d = depth or w.u_depth or w.back_len
+    m = cert.back_min_avg if math.isfinite(cert.back_min_avg) else cert.fwd_min_avg
+    tail = math.exp(2.0 * d * (chi - m)) / -math.expm1(2.0 * (chi - m))
+    return u, tail
+
+
+def u_recursion_step(u, dfx, chi):
+    """u(f̂(x̂)) from u(x̂) and df at the zeroth coordinate."""
+    if dfx == 0.0:
+        raise ZeroDivisionError("df = 0")
+    return math.sqrt(1.0 + math.exp(2.0 * chi) / (dfx * dfx) * u * u)
+
+
+def linear_reduction_slope(u, u_next, dfx):
+    """(dF)_0 for F = Psi_{f̂x̂}^{-1} o f o Psi_x̂: df * u(f̂x̂)/u(x̂)."""
+    return dfx * u_next / u
+
+
+def psi(chart, t):
+    """Psi(t); absorbs to the center for |t| under the float resolution."""
+    return chart.theta0 + t / chart.params.u
+
+
+@dataclass(frozen=True)
+class GDecomposition:
+    """Sampled linear + residual decomposition G(t) = A t + h(t).
+
+    A is the intrinsic slope dg(x0) u(f̂^{-1}x̂)/u(x̂); h0 and dh0 are the
+    residual offset G(0) and slope mismatch dG(0) - A.  Sup norms are
+    reported as logs (the underlying scale R = 10 Q_eps is often not
+    representable); mode records whether sampling ran in linear space or
+    through analytic curvature bounds.
+    """
+
+    A: float
+    A_obs: float
+    h0: float
+    dh0: float
+    log_h0: float
+    log_dh0: float
+    log_h_sup: float
+    log_dh_sup: float
+    dG_sup: float
+    log_holder: float    # sampled Hol_{beta/2}(dG) quotient, log
+    log_R: float
+    mode: str
+
+
+def _chebyshev(n):
+    i = np.arange(n)
+    return np.cos(math.pi * (2 * i + 1) / (2 * n))
+
+
+def chart_G(m, c_from, c_to, branch_id, samples=None):
+    """Evaluate the inverse branch between two charts on R[10 Q_eps(from)].
+
+    Preconditions are the three domain inclusions guaranteeing that the
+    branch inverse is defined on the chart range (DomainViolation if not).
+    """
+    n = samples or 1000
+    w = c_from.center
+    x0 = c_from.theta0
+    xm1 = w.x(c_from.shift - 1)
+    log_R = LOG10 + c_from.params.logQ
+
+    # domain inclusions, in log space
+    try:
+        r0 = radius(m, x0)
+        rm1 = radius(m, xm1)
+    except Exception as e:
+        raise DomainViolation(f"no admissible radius at a center: {e}") from e
+    d0 = m.singular_distance(x0)
+    dm1 = m.singular_distance(xm1)
+    checks = [
+        ("chart range inside D(x0)", log_R < math.log(2.0 * r0)),
+        ("chart range inside E(x-1)", log_R < math.log(2.0 * rm1)),
+        ("inverse image inside D(x-1)", log_R - m.a * math.log(dm1) < math.log(rm1)),
+        ("chart range inside g(E(x0))", log_R < math.log(2.0 * r0) + m.a * math.log(d0)),
+    ]
+    for name, ok in checks:
+        if not ok:
+            raise DomainViolation(f"inclusion failed: {name}")
+
+    br = m.branch_by_id(branch_id)
+    u_from = c_from.u
+    u_prev = c_from.params.u_prev
+    u_to = c_to.u
+    y0 = c_to.theta0
+
+    dg0 = br.dinv(x0)
+    A = dg0 * u_prev / u_from
+    A_obs = dg0 * u_to / u_from
+    # centers that are consecutive orbit points have offset exactly 0; the
+    # float g carries a spurious ulp when the cache is forward-consistent
+    offset0 = 0.0 if br.fwd(y0) == x0 else br.inv(x0) - y0
+    h0 = u_to * offset0
+    dh0 = A_obs - A
+    log_h0 = math.log(abs(h0)) if h0 != 0.0 else -math.inf
+    log_dh0 = math.log(abs(dh0)) if dh0 != 0.0 else -math.inf
+
+    beta = m.beta
+    tau = _chebyshev(n)
+
+    if log_R - math.log(u_from) > LINEAR_MODE_FLOOR:
+        R = math.exp(log_R)
+        s = (R / u_from) * tau
+        dgdiff = np.array([dinv_diff(br, x0, si) for si in s])
+        invdiff = np.array([inv_diff(br, x0, si) for si in s])
+        h = u_to * (offset0 + invdiff) - A * (u_from * s)
+        dh = (u_to * (dg0 + dgdiff) - u_prev * dg0) / u_from
+        dG = (u_to / u_from) * (dg0 + dgdiff)
+        with np.errstate(divide="ignore"):
+            log_h_sup = float(np.log(np.max(np.abs(h)))) if np.any(h != 0) else -math.inf
+            log_dh_sup = float(np.log(np.max(np.abs(dh)))) if np.any(dh != 0) else -math.inf
+        dG_sup = float(np.max(np.abs(dG)))
+        # sampled Hölder-(beta/2) quotient of dG over node pairs at dyadic gaps
+        best = -math.inf
+        for gap in (1, 2, 4, 8, n // 4, n // 2, n - 1):
+            if not 1 <= gap < n:
+                continue
+            i = np.arange(0, n - gap)
+            num = np.abs(dG[i + gap] - dG[i])
+            den = np.abs(u_from * (s[i + gap] - s[i])) ** (beta / 2.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = np.where(den > 0, num / den, 0.0)
+            if q.size and np.max(q) > 0:
+                best = max(best, math.log(float(np.max(q))))
+        mode = "linear"
+    else:
+        # analytic curvature bounds: |dg(x0+s) - dg(x0)| <= |ddg| |s| nearby
+        log_s_max = log_R - math.log(u_from)
+        ddg = abs(ddinv(br, x0))
+        log_ddg = math.log(ddg) if ddg > 0 else -math.inf
+        log_du = math.log(u_to / u_from) if u_to != u_from else 0.0
+        log_dh_sup = log_du + log_ddg + log_s_max
+        log_curv = log_ddg + 2.0 * log_s_max - math.log(2.0)
+        log_h_sup = max(log_h0, math.log(u_to) + log_curv,
+                        log_dh0 + log_R if math.isfinite(log_dh0) else -math.inf)
+        dG_sup = abs(A_obs) + math.exp(min(log_dh_sup, 0.0)) if math.isfinite(log_dh_sup) else abs(A_obs)
+        best = (log_ddg + math.log(u_to / u_from) + (1.0 - beta / 2.0) *
+                (math.log(2.0) + log_s_max)) if math.isfinite(log_ddg) else -math.inf
+        mode = "log"
+
+    return GDecomposition(A=A, A_obs=A_obs, h0=h0, dh0=dh0, log_h0=log_h0,
+                          log_dh0=log_dh0, log_h_sup=log_h_sup,
+                          log_dh_sup=log_dh_sup, dG_sup=dG_sup,
+                          log_holder=best, log_R=log_R, mode=mode)
+
+
+GAUSS_WORD_BRANCHES = 12  # random gauss words draw branch n <= 12 with weight 1/(n(n+1))
+
+
+def _draw_back_word(m, rng, depth):
+    if m.map_kind == K.MAPKIND_GAUSS:
+        ns = np.arange(1, GAUSS_WORD_BRANCHES + 1, dtype=np.float64)
+        wts = 1.0 / (ns * (ns + 1.0))
+        wts /= wts.sum()
+        return rng.choice(np.arange(1, GAUSS_WORD_BRANCHES + 1), size=depth, p=wts)
+    nb = m.table.shape[0]
+    return rng.integers(0, nb, size=depth)
+
+
+def random_library(m, chi, count, back_depth=40, fwd_len=40, seed=0,
+                   n_min=6, max_tries=None):
+    """Certified random windows: uniform base points, random backward words."""
+    rng = np.random.default_rng(seed)
+    windows = []
+    skipped_singular = 0
+    skipped_uncert = 0
+    tries = 0
+    cap = max_tries or 50 * max(count, 1)
+    while len(windows) < count and tries < cap:
+        tries += 1
+        x0 = draw_regular_points(m, 1, rng)
+        if x0.size == 0:
+            skipped_singular += 1
+            continue
+        word = np.asarray(_draw_back_word(m, rng, back_depth), dtype=np.int64)
+        try:
+            w = make_window(m, float(x0[0]), word, fwd_len)
+        except (SingularPoint, ValueError):
+            skipped_singular += 1
+            continue
+        if not m.window_chartable(w.points):
+            skipped_singular += 1
+            continue
+        if not expansion_certificate(w, chi, n_min).ok:
+            skipped_uncert += 1
+            continue
+        windows.append(w)
+    return LibraryReport(windows=windows, orbits=len(windows),
+                         skipped_singular=skipped_singular,
+                         skipped_uncertified=skipped_uncert)
+
+
+def shadow(m, g, cfg, init_interval=(-1.0, 1.0)):
+    """Shadow one gpo: ``shadow_many`` on a batch of one.  Raises
+    EdgeBroken if a step image escapes its target chart."""
+    walk = np.arange(len(g.charts))[None]
+    (res,) = sh.shadow_many(m, g.charts, walk, g.n_lo, cfg, init_interval)
+    if isinstance(res, sh.EdgeBroken):
+        raise res
+    return replace(res, gpo=g)
+
+
+@dataclass(frozen=True)
+class UnstableInterval:
+    """R[p_0] of the zeroth chart plus the backward reconstruction rule."""
+
+    gpo: sh.Gpo
+    steps: dict
+
+    def reconstruct(self, tau, depth=None):
+        """Backward coordinates tau_n, n = 0, -1, ..., from tau_0 = tau."""
+        g = self.gpo
+        depth = -g.n_lo if depth is None else depth
+        out = {0: float(tau)}
+        for n in range(0, -depth, -1):
+            s = self.steps[n - 1]
+            out[n - 1] = s.a * out[n] + s.b
+        return out
+
+
+def unstable_interval(m, g, cfg):
+    """Unstable-set descriptor of a gpo's backward half (indices <= 0)."""
+    steps = {}
+    for n in range(g.n_lo, min(g.n_hi, 0)):
+        steps[n] = sh.step_map(m, g.chart(n), g.chart(n + 1), cfg)
+    return UnstableInterval(gpo=g, steps=steps)
+
+
+class EmptyCylinder(RuntimeError):
+    """A sampled cylinder intersection died (possibly under-sampling)."""
+
+
+def _member_window(cover, ref):
+    i, pi = ref
+    return cover[i].points[pi].point
+
+
+def _cell_contains(cover, cell, window):
+    from oracles import windows_agree_reference  # oracles imports this module
+    return any(windows_agree_reference(_member_window(cover, r), window) for r in cell.members)
+
+
+def hat_pi(tg, path, n_lo=0):
+    """Project an admissible cell path through sampled cylinder chasing.
+
+    ``path[i]`` is the cell at shift index n_lo + i: a candidate point
+    x̂ survives position i iff its (n_lo + i)-th shift lies in that cell.
+    Candidates are the sampled members of the cell anchored at shift 0
+    (or the first cell when 0 is outside the path range).  Returns
+    (window, diameters) where diameters[d] is the observed diameter of
+    the sampled cylinder over positions 0..d; raises EmptyCylinder when
+    the sampled intersection dies (under-sampling or a genuine adjacency
+    error; re-sample with more paths per vertex to distinguish).
+    """
+    for i in range(len(path) - 1):
+        if path[i + 1] not in tg.out_edges[path[i]]:
+            raise ValueError(f"path not admissible at position {i}")
+    anchor = -n_lo if 0 <= -n_lo < len(path) else 0
+    survivors = []
+    for ref in tg.cells[path[anchor]].members:
+        w = _member_window(tg.cover, ref)
+        try:
+            survivors.append(w.shift(-(n_lo + anchor)))
+        except (ne.WindowExhausted, SingularPoint):
+            continue
+    diams = []
+    for i, cid in enumerate(path):
+        cell = tg.cells[cid]
+        keep = []
+        for w in survivors:
+            try:
+                wi = w.shift(n_lo + i)
+            except (ne.WindowExhausted, SingularPoint):
+                continue
+            if _cell_contains(tg.cover, cell, wi):
+                keep.append(w)
+        survivors = keep
+        if not survivors:
+            raise EmptyCylinder(f"sampled cylinder empty after position {i}")
+        if len(survivors) == 1:
+            diams.append(0.0)
+        else:
+            d = min(s.back_len for s in survivors)
+            diams.append(max(hat_distance(a, b, d)
+                             for ai, a in enumerate(survivors)
+                             for b in survivors[ai + 1:]))
+    if len(survivors) == 1:
+        return survivors[0], diams
+    # the member window minimizing the final intersection diameter
+    d = min(s.back_len for s in survivors)
+    best = min(survivors,
+               key=lambda a: max(hat_distance(a, b, d) for b in survivors if b is not a))
+    return best, diams

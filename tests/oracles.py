@@ -22,8 +22,9 @@ from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn import shadowing as sh
 from symdyn.map_model import ClauseResult, RegularityReport, SingularPoint
-from symdyn.markov_refine import windows_agree
 from symdyn.shadowing import StepMap
+
+from construction import backward_orbit, make_window, radius
 
 
 # -- coarse graining -------------------------------------------------------------
@@ -129,7 +130,7 @@ def cover_id_reference(m, x, max_level=64):
         i = min(max(i, 0), (1 << level) - 1)
         z = lo + (i + 0.5) * h
         try:
-            r = m.radius(z)
+            r = radius(m, z)
         except SingularPoint:
             continue
         if abs(x - z) < 2.0 * r:
@@ -166,9 +167,10 @@ def rho_reference(m, w, k):
 
 def window_tables_reference(m, w, cfg, lo=None, hi=None):
     """Chart data index by index: {name: {k: value}} for u, rho, logQtilde,
-    idxQ and idx_q (the periodic greedy from one period of the range)."""
+    idxQ and idx_q (the periodic greedy from one period of the range), up
+    to F - 2 on a window x_{-N..F} (F - 1 on a periodic one)."""
     full_lo = -w.back_len + 1
-    full_hi = w.fwd_len - 1
+    full_hi = w.fwd_len - (1 if w.period else 2)
     lo = full_lo if lo is None else max(lo, full_lo)
     hi = full_hi if hi is None else min(hi, full_hi)
     u = {k: pesin.u_at(w, cfg.chi, k) for k in range(full_lo - 1, hi + 2)}
@@ -209,7 +211,7 @@ def bracket_windows(m, wx, wy):
     branch word of wy, backward coordinates re-derived from wx.x0 through
     the inverse branches (the unstable reconstruction)."""
     word = np.asarray(wy.back_branches, dtype=np.int64)
-    back = ne.backward_orbit(m, wx.x0, word)  # SingularPoint if the word breaks
+    back = backward_orbit(m, wx.x0, word)  # SingularPoint if the word breaks
     pts = np.concatenate([back[::-1], wx.points[wx.off:]])
     bids = np.concatenate([word[::-1], wx.branch_ids[wx.off:]])
     return ne.make_pseudo_window(m, pts[None], bids[None], off=word.shape[0])[0]
@@ -333,7 +335,7 @@ def signature_partition(cover):
     coordinate is inside 100 times Z_i's chart interval).
     """
     def meet(zi, zj):
-        return any(windows_agree(p.point, q.point) for p in zi.points for q in zj.points)
+        return any(windows_agree_reference(p.point, q.point) for p in zi.points for q in zj.points)
 
     def on_stable(x, y):
         return y.x0 == x.x0
@@ -808,13 +810,17 @@ def spectral_radius_reference(adj, iters=200):
 
 
 def windows_agree_reference(w1, w2, depth=None, fwd=None):
-    """Coordinate-by-coordinate comparison of two windows."""
+    """Equality of two windows on their common range or on [-depth, fwd]."""
     d = min(w1.back_len, w2.back_len) if depth is None else depth
     f = min(w1.fwd_len, w2.fwd_len) if fwd is None else fwd
-    for n in range(-d, f + 1):
-        if w1.x(n) != w2.x(n):
-            return False
-    return True
+    if f < -d:
+        return True
+    for w in (w1, w2):
+        if d > w.back_len or f > w.fwd_len:
+            raise IndexError(f"coordinates [{-d}, {f}] outside window [{-w.back_len}, {w.fwd_len}]")
+    # == on floats: -0.0 equals 0.0 and NaN equals nothing
+    return np.array_equal(w1.points[w1.off - d:w1.off + f + 1],
+                          w2.points[w2.off - d:w2.off + f + 1])
 
 
 def make_periodic_window_reference(m, x0_approx, fwd_word, back_depth, fwd_len,
@@ -859,7 +865,7 @@ def parse_record(m, line):
             fwd_word[(-k) % period] = back[k - 1]
         return ne.make_periodic_window(m, x0, fwd_word, len(back), fwd,
                                        u_depth=u_depth or None)
-    return ne.make_window(m, x0, back, fwd, u_depth=u_depth)
+    return make_window(m, x0, back, fwd, u_depth=u_depth)
 
 
 def read_windows(path, m):

@@ -16,10 +16,11 @@ from symdyn import cli
 from symdyn import coarse_grain as cg
 from symdyn import library
 from symdyn import markov_refine as mr
-from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn import shadowing as sh
 
+from construction import (chart_G, compute_u, deriv, hat_pi, linear_reduction_slope, make_window,
+                          random_library, shadow, u_recursion_step)
 from oracles import signature_partition
 
 LN2 = math.log(2.0)
@@ -47,7 +48,7 @@ def random_libs():
     for name in ALL_MAPS:
         m = symdyn.built_in(name)
         p = MAP_PARAMS[name]
-        lib = library.random_library(m, p["chi"], 1000, back_depth=40,
+        lib = random_library(m, p["chi"], 1000, back_depth=40,
                                      fwd_len=14, seed=708 + len(name))
         assert len(lib.windows) == 1000, f"{name}: {len(lib.windows)} certified"
         out[name] = lib.windows
@@ -88,15 +89,15 @@ def test_criterion_01_regularity():
 def test_criterion_02_u_fixture():
     m = symdyn.built_in("doubling")
     chi = MAP_PARAMS["doubling"]["chi"]
-    w = ne.make_window(m, 1 / 6, [1, 0] * 20, fwd_len=12)  # N = 40
-    u, tail = pesin.compute_u(w, chi)
+    w = make_window(m, 1 / 6, [1, 0] * 20, fwd_len=12)  # N = 40
+    u, tail = compute_u(w, chi)
     err = abs(u - math.sqrt(2.0))
     assert err <= 2.0 * 2.0 ** -40
     # recursion vs series at every index, within the propagated tail bound
     u_rec, tail_rec = u, tail
     for n in range(w.fwd_len - 1):
-        d = w.deriv(n)
-        u_rec = pesin.u_recursion_step(u_rec, d, chi)
+        d = deriv(w, n)
+        u_rec = u_recursion_step(u_rec, d, chi)
         tail_rec = tail_rec * math.exp(2 * chi) / (d * d)
         u_direct = pesin.u_at(w, chi, k=n + 1)
         assert abs(u_rec**2 - u_direct**2) <= 2 * (tail_rec + tail) + 1e-13, n
@@ -110,9 +111,9 @@ def test_criterion_03_linear_reduction_identity(random_libs):
         chi = MAP_PARAMS[name]["chi"]
         for w in random_libs[name]:
             u = pesin.u_at(w, chi, 0)
-            d = w.deriv(0)
-            u_next = pesin.u_recursion_step(u, d, chi)
-            dF0 = pesin.linear_reduction_slope(u, u_next, d)
+            d = deriv(w, 0)
+            u_next = u_recursion_step(u, d, chi)
+            dF0 = linear_reduction_slope(u, u_next, d)
             rhs = math.exp(2 * chi) * u_next**2 / (u_next**2 - 1.0)
             assert abs(dF0 * dF0 - rhs) <= 1e-9 * abs(rhs)
             assert abs(dF0) > math.exp(chi)
@@ -134,7 +135,7 @@ def test_criterion_04_chart_map_bounds(random_libs):
                                      idx_p=tabs.idx_q[k]) for k in (-2, -1, 0)}
             for k in (0, -1):
                 c_from, c_to = charts[k], charts[k - 1]
-                dec = pesin.chart_G(m, c_from, c_to, branch_id=w.branch(k - 1),
+                dec = chart_G(m, c_from, c_to, branch_id=w.branch(k - 1),
                                     samples=64)
                 assert dec.dG_sup < math.exp(-cfg.chi / 2.0)
                 # the exact-chart case: h(0) = dh_0 = 0 to 1e-12
@@ -156,7 +157,7 @@ def roundtrip_results():
     for name in ALL_MAPS:
         m = symdyn.built_in(name)
         cfg = _cfg(name)
-        lib = library.random_library(m, cfg.chi, 100, back_depth=40,
+        lib = random_library(m, cfg.chi, 100, back_depth=40,
                                      fwd_len=14, seed=2026)
         assert len(lib.windows) == 100
         hi = 8
@@ -167,7 +168,7 @@ def roundtrip_results():
             gpo, _ = cg.sufficiency_encode(m, w, al, cfg, lo=0, hi=hi)
             assert gpo.edge_failures == (), "strong edge failed in encoding"
             assert all(s == "strong" for s in gpo.strengths)
-            results.append(sh.shadow(m, gpo, cfg))
+            results.append(shadow(m, gpo, cfg))
         out[name] = results
     return out
 
@@ -200,7 +201,7 @@ def test_criterion_06_contraction(roundtrip_results, doubling_fixture):
     # and on the periodic doubling fixture gpos
     for w in lib.windows[:20]:
         gpo, _ = cg.sufficiency_encode(m, w, al, cfg, lo=-8, hi=12)
-        res = sh.shadow(m, gpo, cfg)
+        res = shadow(m, gpo, cfg)
         for r in res.contraction_ratios[burn:]:
             assert r <= math.exp(-cfg.chi / 2.0) * (1 + 1e-12)
             checked += 1
@@ -228,7 +229,7 @@ def test_criterion_07_inverse_audit():
             continue
         g1, _ = cg.sufficiency_encode(m, wa, al, cfg, lo=-4, hi=10)
         g2, _ = cg.sufficiency_encode(m, wb, al, cfg, lo=-4, hi=10)
-        rep = sh.inverse_check(m, g1, g2, cfg)
+        rep = sh.inverse_check(g1, g2, shadow(m, g1, cfg), shadow(m, g2, cfg), cfg)
         assert rep.passed, "\n".join(rep.lines())
         # the recurrence diagnostic accompanies every report
         assert rep.recurrence["g1"]["repeats_forward"]
@@ -275,7 +276,7 @@ def test_criterion_09_markov_audit(doubling_fixture):
         path = [c.cell_id]
         for _ in range(6):
             path.append(tg.out_edges[path[-1]][0])
-        _, diams = mr.hat_pi(tg, path, n_lo=0)
+        _, diams = hat_pi(tg, path, n_lo=0)
         for a, b in zip(diams, diams[1:]):
             assert b <= a * rate + 1e-300
         paths_checked += 1

