@@ -11,7 +11,7 @@ one one-row ``shadow_many`` call per gpo.
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
-import importlib.util
+import importlib
 import os
 import sys
 import time
@@ -156,13 +156,11 @@ def gauss_alphabet_windows():
 
 
 def _tests_module(name):
-    """``tests/<name>.py``, loaded once; oracles imports construction, so load that first."""
-    if name not in sys.modules:
-        path = os.path.join(ROOT, "tests", f"{name}.py")
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
+    """``tests/<name>.py``, imported with ``tests/`` on the module path."""
+    tests = os.path.join(ROOT, "tests")
+    if tests not in sys.path:
+        sys.path.append(tests)
+    return importlib.import_module(name)
 
 
 def _time_one(fn):

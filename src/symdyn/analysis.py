@@ -88,21 +88,15 @@ def spectral_radius(g, iters=200):
     return float(np.exp(np.mean(np.log(norms[k:]))))
 
 
-def gurevich_entropy(g, n_max=10):
-    """Loop-growth and spectral estimates of the shift entropy.
+def gurevich_entropy(counts, rho):
+    """Loop-growth and spectral estimates of the shift entropy from the
+    closed-path counts [trace(A^1), ..., trace(A^n)] and the spectral radius
+    rho; the loop growth is taken at the largest n with a closed path.
 
     On non-transitive desk-scale graphs (disjoint cycles) the per-vertex
     loop growth is 0; the aggregate trace slope is the estimator with
     content there, so all three numbers are reported.
     """
-    adj = _adjacency(g)
-    return _estimate(closed_path_counts(adj, n_max), spectral_radius(adj))
-
-
-def _estimate(counts, rho):
-    """EntropyEstimate from the closed-path counts [trace(A^1), ...] and the
-    spectral radius rho; the loop growth is taken at the largest n with a
-    closed path."""
     loop_growth = 0.0
     best = 0
     for n in range(len(counts), 0, -1):
@@ -206,24 +200,19 @@ class GrowthReport:
         return out
 
 
-def growth_report(map_counts, g, spectral=None):
+def growth_report(map_counts, counts, rho):
     """Map periodic counts vs symbolic closed-path counts, with slopes.
 
     ``map_counts[n - 1]`` is the number of period-n points of the map for
     n = 1..len(map_counts), as ``LibraryReport.map_counts`` records them;
-    the rows stop there.  The entropy estimate is derived from the same
-    closed-path counts; ``spectral`` is the graph's spectral radius when
-    the caller already has it (it does not depend on the row count).
+    the rows stop there.  ``counts`` are the graph's closed-path counts
+    [trace(A^1), ...], at least len(map_counts) of them, and ``rho`` its
+    spectral radius; the entropy estimate is derived from the rows' counts.
     """
-    adj = _adjacency(g)
-    counts = closed_path_counts(adj, len(map_counts))
+    counts = counts[:len(map_counts)]
     rows = [(n, mc, sc, (mc / sc) if sc else math.inf)
             for n, (mc, sc) in enumerate(zip(map_counts, counts), start=1)]
     flags = [] if any(counts) else ["symbolic counts are zero (empty or cycle-free graph)"]
-    if adj:
-        rho = spectral_radius(adj) if spectral is None else spectral
-        ent = _estimate(counts, rho)
-    else:
-        ent = EntropyEstimate(0, 0, 0, 0)
     return GrowthReport(rows=rows, map_slope=_log_slope(map_counts),
-                        symbolic_slope=_log_slope(counts), entropy=ent, flags=flags)
+                        symbolic_slope=_log_slope(counts),
+                        entropy=gurevich_entropy(counts, rho), flags=flags)

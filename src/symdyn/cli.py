@@ -183,8 +183,9 @@ def stage_refine(m, cfg, pcfg, pg, out, quiet):
     cover, dropped = markov_refine.build_cover(
         m, pg, pcfg, paths_per_vertex=cfg.paths_per_vertex,
         window=cfg.cover_window, seed=cfg.seed)
-    cells = markov_refine.refine(cover)
-    tg = markov_refine.hat_graph(cover, cells)
+    pc = markov_refine.point_classes(cover)
+    cells = markov_refine.refine(cover, pc)
+    tg = markov_refine.hat_graph(cover, cells, pc)
     audit = markov_refine.audits(tg)
     if dropped:
         audit.notes.append(f"{dropped} core vertices dropped: shadowing broke every walk "
@@ -205,11 +206,14 @@ def stage_refine(m, cfg, pcfg, pg, out, quiet):
     return cover, cells, tg, audit
 
 
-def stage_entropy(pg, out, quiet, tg=None):
-    est = analysis.gurevich_entropy(pg)
+def stage_entropy(counts, rho, out, quiet, tg=None):
+    """Entropy estimates of the pruned graph from its closed-path counts at
+    n <= 10 and its spectral radius rho, and of the refined shift tg."""
+    est = analysis.gurevich_entropy(counts[:10], rho)
     lines = est.lines()
     if tg is not None:
-        lines += ["refined shift:"] + analysis.gurevich_entropy(tg).lines()
+        lines += ["refined shift:"] + analysis.gurevich_entropy(
+            analysis.closed_path_counts(tg, 10), analysis.spectral_radius(tg)).lines()
     formats.write_report(os.path.join(out, "entropy.report"), "entropy", lines,
                          [{"loop_growth": est.loop_growth,
                            "trace_slope": est.trace_slope,
@@ -219,8 +223,8 @@ def stage_entropy(pg, out, quiet, tg=None):
     return est
 
 
-def stage_growth(lib, pg, out, quiet, spectral=None):
-    rep = analysis.growth_report(lib.map_counts, pg, spectral=spectral)
+def stage_growth(lib, counts, rho, out, quiet):
+    rep = analysis.growth_report(lib.map_counts, counts, rho)
     formats.write_report(os.path.join(out, "growth.report"), "growth",
                          rep.lines(),
                          [{"n": n, "map_count": mc, "closed_paths": sc}
@@ -299,18 +303,22 @@ def run(command, cfg, out, quiet=False):
     if command == "refine":
         stage_refine(m, cfg, pcfg, pg, out, quiet)
         return
+    # one walk of pg serves the entropy estimate (n <= 10) and the growth
+    # report (n <= max_period)
+    counts = analysis.closed_path_counts(pg, max(10, cfg.max_period))
+    rho = analysis.spectral_radius(pg)
     if command == "entropy":
-        stage_entropy(pg, out, quiet)
+        stage_entropy(counts, rho, out, quiet)
         return
     if command == "periodic-report":
-        stage_growth(lib, pg, out, quiet)
+        stage_growth(lib, counts, rho, out, quiet)
         return
     if command == "full-pipeline":
         stage_verify(m, cfg, out, quiet)
         stage_shadow(m, cfg, pcfg, al, out, quiet)
         cover, cells, tg, audit = stage_refine(m, cfg, pcfg, pg, out, quiet)
-        est = stage_entropy(pg, out, quiet, tg=tg)
-        stage_growth(lib, pg, out, quiet, spectral=est.spectral_radius)
+        stage_entropy(counts, rho, out, quiet, tg=tg)
+        stage_growth(lib, counts, rho, out, quiet)
         return
     raise ValueError(f"unhandled command {command!r}")
 

@@ -136,12 +136,13 @@ class Alphabet:
     skipped: int               # samples rejected by the certificate
     tables: list               # WindowTables of each orbit's base window, with bins
 
-    def find_center(self, gamma, key):
-        for cid in self.bins.get(key, ()):
-            c = self.centers[cid]
-            if c.gamma.idxQ == gamma.idxQ and net_match(gamma, c.gamma, key.j):
-                return c
-        return None
+
+def find_center(centers, bins, gamma, key):
+    """The first center of bin ``key`` that net-matches gamma, or None."""
+    for cid in bins.get(key, ()):
+        if net_match(gamma, centers[cid].gamma, key.j):
+            return centers[cid]
+    return None
 
 
 def _gamma_and_bin(tabs, k, theta, abins):
@@ -227,11 +228,7 @@ def build_alphabet(m, samples, cfg):
     for _, t, k in entries:
         tabs = tables[t]
         gamma, key = tabs.bins[k]
-        hit = None
-        for cid in bins.get(key, ()):
-            if net_match(gamma, centers[cid].gamma, key.j):
-                hit = centers[cid]
-                break
+        hit = find_center(centers, bins, gamma, key)
         if hit is None:
             hit = Center(cid=len(centers), window=tabs.w, shift=k, gamma=gamma,
                          params=tabs.params_at(k), key=key, j_bins=set())
@@ -396,11 +393,11 @@ def sufficiency_encode(m, w, alphabet, cfg, lo=None, hi=None, tables=None):
     """Encode a certified window as a chart chain over the alphabet.
 
     For each index the net representative of the shifted data is selected
-    and the chart size follows the window-truncated greedy rule; strong
-    edges between consecutive entries are verified and any failure is
-    recorded on the returned gpo.  The bins are read from ``tables`` (the
-    alphabet's own, binned once per phase by ``build_alphabet``) or binned
-    here, and each phase's representative is looked up once.
+    and the chart size follows the window-truncated greedy rule; which
+    consecutive charts are strong edges is ``build_graph``'s to decide.
+    The bins are read from ``tables`` (the alphabet's own, binned once per
+    phase by ``build_alphabet``) or binned here, and each phase's
+    representative is looked up once, by the greedy net's ``find_center``.
     """
     tabs = tables or window_tables(m, w, cfg, lo=lo, hi=hi)
     if not tabs.certified:
@@ -416,7 +413,7 @@ def sufficiency_encode(m, w, alphabet, cfg, lo=None, hi=None, tables=None):
     for n in range(lo, hi + 1):
         entry = tabs.bins[n]
         if id(entry) not in found:
-            found[id(entry)] = alphabet.find_center(*entry)
+            found[id(entry)] = find_center(alphabet.centers, alphabet.bins, *entry)
         center = found[id(entry)]
         if center is None:
             raise NoNetVertex(f"no net representative for index {n} (bin {entry[1]})")
@@ -427,14 +424,4 @@ def sufficiency_encode(m, w, alphabet, cfg, lo=None, hi=None, tables=None):
                 f"size index {ip} missing for center {center.cid} at index {n}")
         charts.append(alphabet.vertices[vid].chart)
         vids.append(vid)
-
-    failures = []
-    strengths = []
-    for i in range(len(charts) - 1):
-        v, x = alphabet.vertices[vids[i]], alphabet.vertices[vids[i + 1]]
-        ok = _edge_test_vertices(cfg, v, x)
-        strengths.append("strong" if ok else "broken")
-        if not ok:
-            failures.append(lo + i)
-    return Gpo(charts=tuple(charts), n_lo=lo, strengths=tuple(strengths),
-               edge_failures=tuple(failures)), vids
+    return Gpo(charts=tuple(charts), n_lo=lo), vids

@@ -24,8 +24,7 @@ def write_windows(path, windows):
 
 def chart_record(chart):
     w = chart.center
-    word = ",".join(str(b) for b in
-                    (w.branch_ids[w.off + chart.shift - k] for k in range(1, w.back_len + chart.shift + 1)))
+    word = ",".join(map(str, w.branch_ids[:w.off + chart.shift][::-1].tolist()))
     return (f"x0={chart.theta0!r} u={chart.u!r} logQ={chart.params.logQ!r} "
             f"log_p={chart.log_p!r} idx_p={chart.idx_p} back={word}")
 

@@ -286,7 +286,6 @@ class ClauseResult:
     violations: int
     worst_margin: float
     worst_x: float
-    note: str = ""
 
 
 @dataclass

@@ -6,9 +6,10 @@ membership) is sample-level, with window agreement (equal coordinates on
 the common range) as the equality proxy.  Which sampled points of a cover
 are the same point, and which point the shift of each lands on, is
 decided once per cover (``point_classes``): the key is exact, the
-coordinate bytes.  The refinement classifies each sampled point by its
-full stable/unstable intersection signature against every met rectangle;
-cells are the classes of equal signatures.
+coordinate bytes; ``refine``, ``hat_graph`` and ``audits`` share the final
+cover's table.  The refinement classifies each sampled point by its full
+stable/unstable intersection signature against every met rectangle; cells
+are the classes of equal signatures.
 """
 
 import itertools
@@ -219,23 +220,24 @@ def _signature_of(cover, i, pi, met):
     return tuple(sorted(sig))
 
 
-def rectangles_meeting(cover, classes=None):
-    """met[i] = sorted j with Z_i and Z_j sharing a sampled point."""
-    pc = point_classes(cover) if classes is None else classes
+def rectangles_meeting(cover, pc):
+    """met[i] = sorted j with Z_i and Z_j sharing a sampled point (pc: the
+    cover's ``point_classes``)."""
     met = {i: set() for i in range(len(cover))}
     for (i, _), c in pc.cls.items():
         met[i].update(pc.rects.get(c, ()))
     return {i: sorted(js) for i, js in met.items()}
 
 
-def refine(cover):
+def refine(cover, pc):
     """Partition the sampled cover by full fibre-intersection signatures.
 
-    Each sampled point of Z_i is classified against every met Z_j into one
-    of the four intersection types; cells are the classes of equal
-    signature vectors.  T_ii is 'su' for every point (checked).
+    Each sampled point of Z_i is classified against every met Z_j (pc: the
+    cover's ``point_classes``) into one of the four intersection types;
+    cells are the classes of equal signature vectors.  T_ii is 'su' for
+    every point (checked).
     """
-    met = rectangles_meeting(cover)
+    met = rectangles_meeting(cover, pc)
     cells = []
     index = {}
     for i, z in enumerate(cover):
@@ -269,9 +271,9 @@ class TmsGraph:
         return {c.cell_id: list(self.out_edges[c.cell_id]) for c in self.cells}
 
 
-def hat_graph(cover, cells):
-    """Edges R -> S iff the shift of some sampled member of R lands in S."""
-    pc = point_classes(cover)
+def hat_graph(cover, cells, pc):
+    """Edges R -> S iff the shift of some sampled member of R lands in S
+    (pc: the cover's ``point_classes``)."""
     cells_at = {}      # head class -> the cells of the points holding it
     for c in cells:
         for ref in c.members:

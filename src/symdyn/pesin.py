@@ -134,17 +134,14 @@ def u_at(w, chi, k=0, depth=None):
 def _u_phase_table(w, chi, depth=None):
     P = w.period
     d = depth or w.u_depth or w.back_len
-    ld_phase = np.empty(P)
-    for p in range(P):
-        ld_phase[p] = w.logderivs[w.off + ((p - w.off) % P)]
+    phases = np.arange(P)
     # phase of array slot i is (i - off) mod P; ld_phase[p] = log|df| at phase p
-    out = np.empty(P)
-    for p in range(P):
-        rev = ld_phase[(p - 1 - np.arange(d)) % P]
-        S = np.concatenate([[0.0], np.cumsum(rev)])
-        logt = 2.0 * chi * np.arange(d + 1) - 2.0 * S
-        out[p] = math.sqrt(float(np.sum(np.exp(logt))))
-    return out
+    ld_phase = w.logderivs[w.off + (phases - w.off) % P]
+    # row p: the partial sums of log|df| over the d phases before p, backward
+    S = np.zeros((P, d + 1))
+    S[:, 1:] = np.cumsum(ld_phase[(phases[:, None] - 1 - np.arange(d)) % P], axis=1)
+    logt = 2.0 * chi * np.arange(d + 1) - 2.0 * S
+    return np.sqrt(np.sum(np.exp(logt), axis=1))
 
 
 # ---------------------------------------------------------------------------

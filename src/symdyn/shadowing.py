@@ -37,13 +37,10 @@ class NotDoubleCoding(RuntimeError):
 
 @dataclass(frozen=True)
 class Gpo:
-    """Chart chain indexed n in [n_lo, n_hi]; strengths[i] flags the edge
-    between positions i and i+1 as 'strong' or 'weak'."""
+    """Chart chain indexed n in [n_lo, n_hi]."""
 
     charts: tuple
     n_lo: int
-    strengths: tuple = ()
-    edge_failures: tuple = ()
 
     @property
     def n_hi(self):

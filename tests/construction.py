@@ -390,13 +390,26 @@ class EmptyCylinder(RuntimeError):
     """A sampled cylinder intersection died (possibly under-sampling)."""
 
 
+def windows_agree_reference(w1, w2, depth=None, fwd=None):
+    """Equality of two windows on their common range or on [-depth, fwd]."""
+    d = min(w1.back_len, w2.back_len) if depth is None else depth
+    f = min(w1.fwd_len, w2.fwd_len) if fwd is None else fwd
+    if f < -d:
+        return True
+    for w in (w1, w2):
+        if d > w.back_len or f > w.fwd_len:
+            raise IndexError(f"coordinates [{-d}, {f}] outside window [{-w.back_len}, {w.fwd_len}]")
+    # == on floats: -0.0 equals 0.0 and NaN equals nothing
+    return np.array_equal(w1.points[w1.off - d:w1.off + f + 1],
+                          w2.points[w2.off - d:w2.off + f + 1])
+
+
 def _member_window(cover, ref):
     i, pi = ref
     return cover[i].points[pi].point
 
 
 def _cell_contains(cover, cell, window):
-    from oracles import windows_agree_reference  # oracles imports this module
     return any(windows_agree_reference(_member_window(cover, r), window) for r in cell.members)
 
 

@@ -24,7 +24,7 @@ from symdyn import shadowing as sh
 from symdyn.map_model import ClauseResult, RegularityReport, SingularPoint
 from symdyn.shadowing import StepMap
 
-from construction import backward_orbit, make_window, radius
+from construction import backward_orbit, make_window, radius, windows_agree_reference
 
 
 # -- coarse graining -------------------------------------------------------------
@@ -104,6 +104,11 @@ def edge_test(m, v, w, cfg, strong=True):
                             v.theta0, v.u, theta1_v, u_next_v, v.idx_p)
 
 
+def strong_chain(m, charts, cfg):
+    """Every consecutive pair of ``charts`` is a strong edge (``edge_test``)."""
+    return all(edge_test(m, v, w, cfg) for v, w in zip(charts, charts[1:]))
+
+
 def weak_edge_vertices(cfg, v, w):
     """(WE1)+(WE2) between two alphabet vertices, from their net data."""
     return _weak_clauses(cfg, w.gamma.theta[0], w.gamma.u[0], w.idx_p,
@@ -158,6 +163,24 @@ def expansion_certificate_reference(w, chi, n_min=6):
     margin = min(fmin, bmin) - chi
     worst = fn if fmin <= bmin else -bn
     return pesin.Certificate(bool(margin > 0), margin, fmin, bmin, worst)
+
+
+def u_phase_table_reference(w, chi, depth=None):
+    """u at each phase of a periodic window, one phase at a time: the series
+    truncated at ``depth`` (default the window's u_depth, else its backward
+    length) over the log-derivatives of the phases before it."""
+    P = w.period
+    d = depth or w.u_depth or w.back_len
+    ld_phase = np.empty(P)
+    for p in range(P):
+        ld_phase[p] = w.logderivs[w.off + ((p - w.off) % P)]
+    out = np.empty(P)
+    for p in range(P):
+        rev = ld_phase[(p - 1 - np.arange(d)) % P]
+        S = np.concatenate([[0.0], np.cumsum(rev)])
+        logt = 2.0 * chi * np.arange(d + 1) - 2.0 * S
+        out[p] = math.sqrt(float(np.sum(np.exp(logt))))
+    return out
 
 
 def rho_reference(m, w, k):
@@ -807,20 +830,6 @@ def spectral_radius_reference(adj, iters=200):
         vec = new / nrm
     k = len(norms) // 2
     return float(np.exp(np.mean(np.log(norms[k:]))))
-
-
-def windows_agree_reference(w1, w2, depth=None, fwd=None):
-    """Equality of two windows on their common range or on [-depth, fwd]."""
-    d = min(w1.back_len, w2.back_len) if depth is None else depth
-    f = min(w1.fwd_len, w2.fwd_len) if fwd is None else fwd
-    if f < -d:
-        return True
-    for w in (w1, w2):
-        if d > w.back_len or f > w.fwd_len:
-            raise IndexError(f"coordinates [{-d}, {f}] outside window [{-w.back_len}, {w.fwd_len}]")
-    # == on floats: -0.0 equals 0.0 and NaN equals nothing
-    return np.array_equal(w1.points[w1.off - d:w1.off + f + 1],
-                          w2.points[w2.off - d:w2.off + f + 1])
 
 
 def make_periodic_window_reference(m, x0_approx, fwd_word, back_depth, fwd_len,

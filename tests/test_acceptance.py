@@ -21,7 +21,7 @@ from symdyn import shadowing as sh
 
 from construction import (chart_G, compute_u, deriv, hat_pi, linear_reduction_slope, make_window,
                           random_library, shadow, u_recursion_step)
-from oracles import signature_partition
+from oracles import signature_partition, strong_chain
 
 LN2 = math.log(2.0)
 
@@ -166,8 +166,7 @@ def roundtrip_results():
         results = []
         for w in lib.windows:
             gpo, _ = cg.sufficiency_encode(m, w, al, cfg, lo=0, hi=hi)
-            assert gpo.edge_failures == (), "strong edge failed in encoding"
-            assert all(s == "strong" for s in gpo.strengths)
+            assert strong_chain(m, gpo.charts, cfg), "strong edge failed in encoding"
             results.append(shadow(m, gpo, cfg))
         out[name] = results
     return out
@@ -249,7 +248,7 @@ def test_criterion_08_refinement_oracle(doubling_fixture):
                                points=r.points) for i, r in enumerate(base[:5])]
     covers.append(dup)
     for cover in covers:
-        cells = mr.refine(cover)
+        cells = mr.refine(cover, mr.point_classes(cover))
         ours = sorted(sorted(c.members) for c in cells)
         assert ours == signature_partition(cover)
         for c in cells:
@@ -264,8 +263,9 @@ def test_criterion_08_refinement_oracle(doubling_fixture):
 def test_criterion_09_markov_audit(doubling_fixture):
     m, cfg, lib, al, pg, kept = doubling_fixture
     cover, _ = mr.build_cover(m, pg, cfg, paths_per_vertex=3, window=10, seed=4)
-    cells = mr.refine(cover)
-    tg = mr.hat_graph(cover, cells)
+    pc = mr.point_classes(cover)
+    cells = mr.refine(cover, pc)
+    tg = mr.hat_graph(cover, cells, pc)
     rep = mr.audits(tg)
     assert rep.markov_checked > 0
     assert rep.markov_failures == 0
@@ -293,7 +293,7 @@ def test_criterion_10_entropy_growth():
     assert len(lib.windows) >= 1000
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rep = an.growth_report(lib.map_counts, pg)
+    rep = an.growth_report(lib.map_counts, an.closed_path_counts(pg, 10), an.spectral_radius(pg))
     elapsed = time.perf_counter() - t0
     for n, mc, _, _ in rep.rows:
         assert mc == 2 ** n - 1  # map counts exactly
@@ -311,8 +311,9 @@ def test_criterion_11_finite_to_one(doubling_fixture):
     for ppv in (3, 6):  # doubling the sample size
         cover, _ = mr.build_cover(m, pg, cfg, paths_per_vertex=ppv,
                                   window=10, seed=4)
-        cells = mr.refine(cover)
-        tg = mr.hat_graph(cover, cells)
+        pc = mr.point_classes(cover)
+        cells = mr.refine(cover, pc)
+        tg = mr.hat_graph(cover, cells, pc)
         rep = mr.audits(tg)
         assert rep.preimage_max <= rep.preimage_bound_max
         maxima.append(rep.preimage_max)

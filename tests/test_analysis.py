@@ -79,7 +79,7 @@ def test_spectral_radius_matches_scalar_power_iteration(seed):
 def test_spectral_radius_two_shift():
     adj = {0: [0, 1], 1: [0, 1]}
     assert abs(an.spectral_radius(adj) - 2.0) < 1e-6
-    est = an.gurevich_entropy(adj)
+    est = an.gurevich_entropy(an.closed_path_counts(adj, 10), an.spectral_radius(adj))
     assert abs(math.log(est.spectral_radius) - math.log(2.0)) < 1e-6
 
 
@@ -142,7 +142,7 @@ def test_growth_report_doubling():
     cfg = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rep = an.growth_report(lib.map_counts, pg)
+    rep = an.growth_report(lib.map_counts, an.closed_path_counts(pg, 6), an.spectral_radius(pg))
     assert [r[0] for r in rep.rows] == list(range(1, 7))
     for n, mc, sc, _ in rep.rows:
         assert mc == 2 ** n - 1
@@ -153,7 +153,7 @@ def test_growth_report_doubling():
 
 
 def test_growth_report_empty_graph_flags():
-    rep = an.growth_report((1, 3, 7), {})
+    rep = an.growth_report((1, 3, 7), an.closed_path_counts({}, 3), an.spectral_radius({}))
     assert rep.flags
     assert [r[:2] for r in rep.rows] == [(1, 1), (2, 3), (3, 7)]
     assert all(r[2] == 0 for r in rep.rows)
@@ -167,45 +167,34 @@ def test_growth_report_tent():
     cfg = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rep = an.growth_report(lib.map_counts, pg)
+    rep = an.growth_report(lib.map_counts, an.closed_path_counts(pg, 8), an.spectral_radius(pg))
     for n, mc, _, _ in rep.rows:
         assert mc == 2 ** n
     assert abs(rep.symbolic_slope - math.log(2)) < 0.1
     assert abs(rep.entropy.loop_growth - math.log(2)) < 0.1
 
 
-def _count_calls(monkeypatch, calls, name):
-    fn = getattr(an, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(an, name, counted)
-
-
-def test_growth_report_walks_the_graph_once(monkeypatch):
-    # the rows' closed-path counts give the entropy estimate, a spectral
-    # radius passed in is not recomputed and no periodic point is
-    # enumerated; the result is the estimate a separate gurevich_entropy at
-    # the same n_max gives
+@pytest.mark.parametrize("max_period", [4, 10, 12])
+def test_one_walk_gives_the_rows_and_estimates_of_separate_walks(max_period):
+    # full-pipeline walks the pruned graph once, to max(10, max_period): the
+    # entropy estimate reads n <= 10 of it and the growth report n <=
+    # max_period, as a walk of each length would give them
     m = symdyn.built_in("doubling")
     lib = library.periodic_library(m, CHI2, 5, back_depth=64, fwd_len=14)
     cfg = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
     pg, _ = cg.prune_relevant(cg.build_graph(cg.build_alphabet(m, lib.windows, cfg)))
-    for n_max in (3, 7):
-        map_counts = [2**n - 1 for n in range(1, n_max + 1)]
-        expected = an.gurevich_entropy(pg, n_max=n_max)
-        calls = []
-        _count_calls(monkeypatch, calls, "closed_path_counts")
-        _count_calls(monkeypatch, calls, "spectral_radius")
-        _count_calls(monkeypatch, calls, "map_periodic_points")
-        rep = an.growth_report(map_counts, pg)
-        rep_given = an.growth_report(map_counts, pg, spectral=expected.spectral_radius)
-        monkeypatch.undo()
-        assert calls == ["closed_path_counts", "spectral_radius", "closed_path_counts"]
-        assert rep.entropy == expected and rep_given.entropy == expected
-        assert rep.lines() == rep_given.lines()
+    adj = pg.adjacency()
+    adj[min(adj)].append(min(adj))   # a self-loop: closed paths at every length
+    map_counts = [2**n - 1 for n in range(1, max_period + 1)]
+    rho = an.spectral_radius(adj)
+    counts = an.closed_path_counts(adj, max(10, max_period))
+    assert counts[:max_period] == [closed_paths(adj, n) for n in range(1, max_period + 1)]
+    alone = an.growth_report(map_counts, an.closed_path_counts(adj, max_period), rho)
+    shared = an.growth_report(map_counts, counts, rho)
+    assert shared.rows == alone.rows and shared.lines() == alone.lines()
+    est = an.gurevich_entropy(an.closed_path_counts(adj, 10), rho)
+    assert an.gurevich_entropy(counts[:10], rho) == est
+    assert est.lines() != shared.entropy.lines() or max_period == 10
 
 
 def _skipped_by_period(monkeypatch, m, cfg):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from symdyn import cli
+from symdyn import analysis, cli, markov_refine
 from symdyn.config import parse_config
 
 from oracles import read_windows
@@ -305,3 +305,17 @@ def test_graph_export_edges_name_vertex_records(tmp_path):
     assert edges
     for _, v, w, kind in edges:
         assert kind == "S" and v in vertices and w in vertices
+
+
+def test_full_pipeline_walks_each_graph_and_classes_each_cover_once(monkeypatch, tmp_path):
+    # the pruned graph is walked once for the entropy and growth reports and
+    # the refined graph once; point classes are computed once for the raw
+    # batch of the cover and once for the final cover
+    calls = []
+    for mod, name in ((analysis, "closed_path_counts"), (markov_refine, "point_classes")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    cli.run("full-pipeline", parse_config("map = doubling"), str(tmp_path), quiet=True)
+    assert sorted(calls) == ["closed_path_counts"] * 2 + ["point_classes"] * 2

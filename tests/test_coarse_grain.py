@@ -11,7 +11,7 @@ from symdyn import pesin
 
 from construction import make_window, radius, random_library
 from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, overlap_test,
-                     strong_graph_backward, weak_edge_vertices, weak_successors)
+                     strong_chain, strong_graph_backward, weak_edge_vertices, weak_successors)
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -137,7 +137,6 @@ def test_control_of_u_on_overlaps(alphabet):
 
 def test_edge_canonical_consecutive(doubling, cfg, cyc, alphabet):
     gpo, vids = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=0, hi=6)
-    assert gpo.edge_failures == ()
     for i in range(6):
         v = gpo.charts[i]
         w = gpo.charts[i + 1]
@@ -264,7 +263,7 @@ def _toy_graph(adj):
 
 def test_sufficiency_roundtrip_periodic(doubling, cfg, cyc, alphabet):
     gpo, vids = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-6, hi=8)
-    assert all(s == "strong" for s in gpo.strengths)
+    assert strong_chain(doubling, gpo.charts, cfg)
     # periodic orbit -> periodic vertex sequence
     assert vids[0] == vids[2] == vids[4]
     assert vids[1] == vids[3]
@@ -390,7 +389,8 @@ def test_alphabet_tables_encode_like_window_tables(name, period):
                 continue
             kept = cg.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi, tables=tabs)
             assert kept[1] == own[1]
-            assert (kept[0].n_lo, kept[0].strengths) == (own[0].n_lo, own[0].strengths)
+            assert kept[0].n_lo == own[0].n_lo
+            assert strong_chain(m, kept[0].charts, cfg)
             encoded += 1
     assert encoded
 

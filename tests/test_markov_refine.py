@@ -14,8 +14,9 @@ from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn.config import parse_config
 
-from construction import EmptyCylinder, _cell_contains, _member_window, hat_pi, make_window
-from oracles import bracket_windows, signature_partition, windows_agree_reference
+from construction import (EmptyCylinder, _cell_contains, _member_window, hat_pi, make_window,
+                          windows_agree_reference)
+from oracles import bracket_windows, signature_partition, strong_chain
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -109,7 +110,7 @@ def test_cover_samples_cycles_longer_than_the_window(doubling, cfg):
     cyc = ne.make_periodic_window(doubling, 1 / 62, [0, 0, 0, 0, 1], 64, 40)
     al = cg.build_alphabet(doubling, [cyc.shift(k) for k in range(5)], cfg)
     gpo, vids = cg.sufficiency_encode(doubling, cyc, al, cfg, lo=0, hi=5)
-    assert set(gpo.strengths) == {"strong"} and vids[5] == vids[0]
+    assert strong_chain(doubling, gpo.charts, cfg) and vids[5] == vids[0]
     cycle = vids[:5]
     assert len(set(cycle)) == 5
     out_edges = [[] for _ in al.vertices]
@@ -185,9 +186,16 @@ def test_fibres_disjoint_across_orbits(cover):
         assert not fa.in_stable(b.points[0].point)
 
 
+def _refined(rects):
+    """The cells and refined graph of a cover, from its one point-class table."""
+    pc = mr.point_classes(rects)
+    cells = mr.refine(rects, pc)
+    return cells, mr.hat_graph(rects, cells, pc)
+
+
 def test_refine_disjoint_cover_is_identity(cover):
     rects, _ = cover
-    cells = mr.refine(rects)
+    cells = mr.refine(rects, mr.point_classes(rects))
     assert len(cells) == len(rects)
     for c in cells:
         assert len(c.members) == 1
@@ -195,14 +203,14 @@ def test_refine_disjoint_cover_is_identity(cover):
 
 def test_refine_matches_brute_force(cover):
     rects, _ = cover
-    cells = mr.refine(rects)
+    cells = mr.refine(rects, mr.point_classes(rects))
     ours = sorted(sorted(c.members) for c in cells)
     oracle = signature_partition(rects)
     assert ours == oracle
 
 
 def test_refine_empty():
-    assert mr.refine([]) == []
+    assert mr.refine([], mr.point_classes([])) == []
 
 
 @pytest.fixture(scope="module")
@@ -218,22 +226,21 @@ def twin_cover(doubling, cfg, fixture):
 def test_refine_overlapping_rectangles_against_oracle(twin_cover):
     # force nontrivial signatures: duplicate a rectangle so Z_i = Z_j
     rects, doubled = twin_cover
-    cells = mr.refine(doubled)
+    cells, tg = _refined(doubled)
     ours = sorted(sorted(c.members) for c in cells)
     assert ours == signature_partition(doubled)
     # shared points produce 'su' signatures against the twin rectangle
     twin_sigs = [dict(c.signature) for c in cells if c.rect == 0]
     assert any(sig.get((0, len(rects))) == "su" for sig in twin_sigs)
     # a twinned cell lies in its rectangle and the twin, any other in one
-    over = mr.audits(mr.hat_graph(doubled, cells)).rects_over_cell
+    over = mr.audits(tg).rects_over_cell
     for c in cells:
         assert over[c.cell_id] == (2 if c.rect < 3 or c.rect >= len(rects) else 1)
 
 
 def test_hat_graph_cycles(doubling, cfg, cover):
     rects, _ = cover
-    cells = mr.refine(rects)
-    tg = mr.hat_graph(rects, cells)
+    cells, tg = _refined(rects)
     # disjoint orbit cycles: every cell has exactly one successor
     for c in cells:
         assert len(tg.out_edges[c.cell_id]) == 1
@@ -250,8 +257,7 @@ def test_hat_graph_self_loop_fixed_point(cfg):
     al = cg.build_alphabet(m, [w.shift(k) for k in range(w.period)], cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
     rects, _ = mr.build_cover(m, pg, cfg, paths_per_vertex=2, window=8, seed=1)
-    cells = mr.refine(rects)
-    tg = mr.hat_graph(rects, cells)
+    cells, tg = _refined(rects)
     # the float 2-cycle of the fixed point: a 2-cycle (or self-loop) exists
     cid = cells[0].cell_id
     reach = tg.out_edges[cid][0]
@@ -260,8 +266,7 @@ def test_hat_graph_self_loop_fixed_point(cfg):
 
 def test_hat_pi_constant_path(doubling, cfg, cover):
     rects, _ = cover
-    cells = mr.refine(rects)
-    tg = mr.hat_graph(rects, cells)
+    cells, tg = _refined(rects)
     c0 = cells[0].cell_id
     path = [c0]
     for _ in range(6):
@@ -273,8 +278,7 @@ def test_hat_pi_constant_path(doubling, cfg, cover):
 
 def test_hat_pi_period2(doubling, cfg, cover):
     rects, _ = cover
-    cells = mr.refine(rects)
-    tg = mr.hat_graph(rects, cells)
+    cells, tg = _refined(rects)
     two = [c.cell_id for c in cells
            if abs(_member_window(rects, c.members[0]).x0 - 1 / 6) < 1e-9]
     c0 = two[0]
@@ -286,8 +290,7 @@ def test_hat_pi_period2(doubling, cfg, cover):
 
 def test_hat_pi_inadmissible(doubling, cfg, cover):
     rects, _ = cover
-    cells = mr.refine(rects)
-    tg = mr.hat_graph(rects, cells)
+    cells, tg = _refined(rects)
     c0 = cells[0].cell_id
     bad = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[c0])
     with pytest.raises(ValueError):
@@ -304,8 +307,7 @@ def test_hat_pi_empty_cylinder():
     al = cg.build_alphabet(m, samples, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
     rects, _ = mr.build_cover(m, pg, cfg, paths_per_vertex=2, window=8, seed=1)
-    cells = mr.refine(rects)
-    tg = mr.hat_graph(rects, cells)
+    cells, tg = _refined(rects)
     a = cells[0].cell_id
     b = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[a])
     tg.out_edges[a] = sorted(tg.out_edges[a] + [b])  # forged edge
@@ -315,8 +317,7 @@ def test_hat_pi_empty_cylinder():
 
 def test_audits_pass_on_doubling_fixture(doubling, cfg, cover):
     rects, _ = cover
-    cells = mr.refine(rects)
-    tg = mr.hat_graph(rects, cells)
+    cells, tg = _refined(rects)
     rep = mr.audits(tg)
     assert rep.passed
     assert rep.markov_checked > 0 and rep.markov_failures == 0
@@ -353,8 +354,7 @@ def test_hat_pi_odd_anchor_alignment(doubling, cfg):
     pg, _ = cg.prune_relevant(cg.build_graph(al))
     rects, _ = mr.build_cover(doubling, pg, cfg, paths_per_vertex=2,
                               window=9, seed=2)
-    cells = mr.refine(rects)
-    tg = mr.hat_graph(rects, cells)
+    cells, tg = _refined(rects)
     start = cells[0].cell_id
     path = [start]
     for _ in range(6):
@@ -373,9 +373,9 @@ def _pipeline_cover(monkeypatch, tmp_path, text):
     covers = []
     refine = mr.refine
 
-    def keep(cover):
+    def keep(cover, classes):
         covers.append(cover)
-        return refine(cover)
+        return refine(cover, classes)
 
     monkeypatch.setattr(mr, "refine", keep)
     cli.run("refine", parse_config(text), str(tmp_path), quiet=True)
@@ -450,8 +450,7 @@ def test_point_classes_need_one_span(cover, doubling, cfg, fixture):
 def test_hat_pi_lets_unexpected_shift_errors_through(cover, monkeypatch):
     # only a window that runs out or meets a singular point drops a candidate
     rects, _ = cover
-    cells = mr.refine(rects)
-    tg = mr.hat_graph(rects, cells)
+    cells, tg = _refined(rects)
     c0 = cells[0].cell_id
 
     def broken_shift(self, k, min_back=1):

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import symdyn
-from symdyn import library
+from symdyn import cli, library
 from symdyn import natural_extension as ne
 from symdyn import pesin
+from symdyn.config import parse_config
 
 from construction import (DomainViolation, TailDiverges, chart_G, compute_u, deriv, f,
                           linear_reduction_slope, make_window, psi, random_library,
                           u_recursion_step)
-from oracles import delta_eps, expansion_certificate_reference, window_tables_reference
+from oracles import (delta_eps, expansion_certificate_reference, u_phase_table_reference,
+                     window_tables_reference)
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -414,3 +416,16 @@ def test_window_tables_match_index_by_index(name):
                     bits(ref["rho"][k]), bits(ref["logQtilde"][k]), ref["idxQ"][k],
                     ref["idx_q"][k])
     assert kinds == {(True, "_PhaseTable"), (True, "dict"), (False, "dict")}
+
+
+@pytest.mark.parametrize("text", ["map = doubling\nmax_period = 10", "map = tent", "map = quadratic",
+                                  "map = gauss\nmax_period = 2"],
+                         ids=["doubling-10", "tent", "quadratic", "gauss-2"])
+def test_u_phase_tables_match_phase_by_phase(text):
+    # every phase of every library window in one (P, d) pass, bit for bit,
+    # at the window's own depth and at depths 30 and 34
+    cfg = parse_config(text)
+    for w in cli._periodic_library(symdyn.built_in(cfg.map), cfg).windows:
+        for depth in (None, 30, 34):
+            ours = pesin._u_phase_table(w, cfg.chi, depth)
+            assert ours.tobytes() == u_phase_table_reference(w, cfg.chi, depth).tobytes()

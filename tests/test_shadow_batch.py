@@ -250,7 +250,7 @@ def test_shadow_many_edge_cases():
     with pytest.raises(ValueError, match="index 0"):
         sh.shadow_many(DOUBLING, charts, np.zeros((1, 2), dtype=np.int64), 1, CFG)
     # shadow is the batch of one and keeps the gpo it was given
-    g = sh.Gpo(charts=(charts[0],) * 4, n_lo=-2, strengths=("strong",) * 3)
+    g = sh.Gpo(charts=(charts[0],) * 4, n_lo=-2)
     res = shadow(DOUBLING, g, CFG)
     assert res.gpo is g
     assert_same(res, shadow_reference(DOUBLING, g, CFG))
