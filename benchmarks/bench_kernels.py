@@ -102,31 +102,30 @@ def bench(reps=3):
     timeit(f"cover_ids, gauss max_period=2 alphabet ({len(set(xs))} points; "
            f"per point {t_ref:.4f}s)", lambda: gauss.cover_ids(xs))
 
-    m, charts, walks, n_lo, pcfg = deep_cover_batch()
+    m, charts, walks, n_lo, cfg = deep_cover_batch()
     k = walks.shape[0]
     timeit(f"shadow_many, deep cover ({k} gpos, one batch)",
-           lambda: sh.shadow_many(m, charts, walks, n_lo, pcfg))
+           lambda: sh.shadow_many(m, charts, walks, n_lo, cfg))
 
     def one_at_a_time():
         for row in walks:
-            sh.shadow_many(m, charts, row[None], n_lo, pcfg)
+            sh.shadow_many(m, charts, row[None], n_lo, cfg)
 
     timeit(f"shadow per gpo, deep cover ({k} gpos)", one_at_a_time)
     return out
 
 
 def deep_cover_batch():
-    """(m, charts, walks, n_lo, pesin config) of the one ``shadow_many`` call
+    """(m, charts, walks, n_lo, run config) of the one ``shadow_many`` call
     ``build_cover`` makes in ``full-pipeline`` on doubling at max_period = 10."""
-    from symdyn import cli, coarse_grain, markov_refine
+    from symdyn import coarse_grain, library, markov_refine
     from symdyn import shadowing as sh
     from symdyn.config import parse_config
     from symdyn.map_model import load_map
 
     cfg = parse_config("map = doubling\nmax_period = 10\n")
     m = load_map(cfg.map)
-    pcfg = cli._pesin_cfg(cfg)
-    al = coarse_grain.build_alphabet(m, cli._periodic_library(m, cfg).windows, pcfg)
+    al = coarse_grain.build_alphabet(m, library.periodic_library(m, cfg).windows, cfg)
     pg, _ = coarse_grain.prune_relevant(coarse_grain.build_graph(al))
     calls = []
     shadow_many = sh.shadow_many
@@ -137,8 +136,7 @@ def deep_cover_batch():
 
     sh.shadow_many = record
     try:
-        markov_refine.build_cover(m, pg, pcfg, paths_per_vertex=cfg.paths_per_vertex,
-                                  window=cfg.cover_window, seed=cfg.seed)
+        markov_refine.build_cover(m, pg, cfg)
     finally:
         sh.shadow_many = shadow_many
     (call,) = calls
@@ -147,12 +145,12 @@ def deep_cover_batch():
 
 def gauss_alphabet_windows():
     """The library windows ``full-pipeline`` bins on gauss at max_period = 2."""
-    from symdyn import cli
+    from symdyn import library
     from symdyn.config import parse_config
     from symdyn.map_model import load_map
 
     cfg = parse_config("map = gauss\nmax_period = 2\n")
-    return cli._periodic_library(load_map(cfg.map), cfg).windows
+    return library.periodic_library(load_map(cfg.map), cfg).windows
 
 
 def _tests_module(name):

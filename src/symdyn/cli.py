@@ -18,12 +18,6 @@ from dataclasses import replace
 from . import analysis, coarse_grain, formats, library, markov_refine, shadowing
 from .config import RunConfig, load_config, parse_config
 from .map_model import load_map
-from .pesin import PesinConfig
-
-
-def _pesin_cfg(cfg):
-    return PesinConfig(chi=cfg.chi, epsilon=cfg.epsilon, n_min=cfg.n_min)
-
 
 def _ensure_out(out):
     os.makedirs(out, exist_ok=True)
@@ -54,22 +48,16 @@ def stage_verify(m, cfg, out, quiet):
     return rep
 
 
-def _periodic_library(m, cfg):
-    return library.periodic_library(
-        m, cfg.chi, cfg.max_period, back_depth=cfg.back_depth,
-        fwd_len=max(cfg.fwd_len, cfg.encode_hi + 2), n_min=cfg.n_min)
-
-
 def stage_library(m, cfg, out, quiet):
-    lib = _periodic_library(m, cfg)
+    lib = library.periodic_library(m, cfg)
     formats.write_windows(os.path.join(out, "windows.txt"), lib.windows)
     for ln in lib.lines():
         _say(quiet, ln)
     return lib
 
 
-def stage_alphabet(m, cfg, pcfg, windows, out, quiet):
-    al = coarse_grain.build_alphabet(m, windows, pcfg)
+def stage_alphabet(m, cfg, windows, out, quiet):
+    al = coarse_grain.build_alphabet(m, windows, cfg)
     formats.write_alphabet(os.path.join(out, "alphabet.txt"), al)
     _say(quiet, f"alphabet: {len(al.centers)} centers, {len(al.vertices)} charts, "
                 f"{al.skipped} samples skipped")
@@ -86,7 +74,7 @@ def stage_graph(al, out, quiet):
     return g, pg, kept
 
 
-def _shadow_encoded(m, al, encoded, pcfg):
+def _shadow_encoded(m, al, encoded, cfg):
     """Shadow the encoded (gpo, vertex ids) pairs, one ``shadow_many`` call
     per (n_lo, length) group; the results keep the order of ``encoded``."""
     charts = [v.chart for v in al.vertices]
@@ -96,12 +84,12 @@ def _shadow_encoded(m, al, encoded, pcfg):
     out = [None] * len(encoded)
     for (n_lo, _), rows in groups.items():
         walks = [encoded[i][1] for i in rows]
-        for i, res in zip(rows, shadowing.shadow_many(m, charts, walks, n_lo, pcfg)):
+        for i, res in zip(rows, shadowing.shadow_many(m, charts, walks, n_lo, cfg)):
             out[i] = res
     return out
 
 
-def stage_shadow(m, cfg, pcfg, al, out, quiet):
+def stage_shadow(m, cfg, al, out, quiet):
     """Encode and shadow one window per orbit: the base window whose tables
     the alphabet kept."""
     encoded = []
@@ -110,10 +98,10 @@ def stage_shadow(m, cfg, pcfg, al, out, quiet):
         hi = min(cfg.encode_hi, tabs.w.fwd_len - 1)
         try:
             encoded.append(coarse_grain.sufficiency_encode(
-                m, tabs.w, al, pcfg, lo=cfg.encode_lo, hi=hi, tables=tabs))
+                m, tabs.w, al, cfg, lo=cfg.encode_lo, hi=hi, tables=tabs))
         except coarse_grain.NoNetVertex:
             failures += 1
-    shadowed = _shadow_encoded(m, al, encoded, pcfg)
+    shadowed = _shadow_encoded(m, al, encoded, cfg)
     results = [r for r in shadowed if not isinstance(r, shadowing.EdgeBroken)]
     failures += len(shadowed) - len(results)
     formats.write_shadows(os.path.join(out, "shadows.txt"), results)
@@ -123,13 +111,13 @@ def stage_shadow(m, cfg, pcfg, al, out, quiet):
     return results
 
 
-def stage_inverse(m, cfg, pcfg, out, quiet):
+def stage_inverse(m, cfg, out, quiet):
     """Double-coding audit: two u-truncation families over the same orbits."""
     base = min(cfg.back_depth, 30)
-    lib = _periodic_library(m, cfg)
+    lib = library.periodic_library(m, cfg)
     windows = [replace(w, u_depth=d) for d in (base, base + 4) for w in lib.windows]
     formats.write_windows(os.path.join(out, "windows.txt"), windows)
-    al = coarse_grain.build_alphabet(m, windows, pcfg)
+    al = coarse_grain.build_alphabet(m, windows, cfg)
     lines = []
     records = []
     audited = 0
@@ -139,7 +127,7 @@ def stage_inverse(m, cfg, pcfg, out, quiet):
     reps_b = {id(t.w.points): t for t in al.tables if t.w.u_depth == base + 4}
 
     def encode(tabs):
-        return coarse_grain.sufficiency_encode(m, tabs.w, al, pcfg, lo=0, hi=hi, tables=tabs)
+        return coarse_grain.sufficiency_encode(m, tabs.w, al, cfg, lo=0, hi=hi, tables=tabs)
 
     orbits = []     # per orbit: its window and its encoded pair or why it has none
     for tabs in sorted((t for t in al.tables if t.w.u_depth == base), key=lambda t: t.w.x0):
@@ -148,7 +136,7 @@ def stage_inverse(m, cfg, pcfg, out, quiet):
         except coarse_grain.NoNetVertex as e:
             orbits.append((tabs.w, e))
     shadowed = iter(_shadow_encoded(
-        m, al, [e for _, pair in orbits if isinstance(pair, tuple) for e in pair], pcfg))
+        m, al, [e for _, pair in orbits if isinstance(pair, tuple) for e in pair], cfg))
 
     for wa, pair in orbits:
         try:
@@ -158,7 +146,7 @@ def stage_inverse(m, cfg, pcfg, out, quiet):
             for r in res:
                 if isinstance(r, shadowing.EdgeBroken):
                     raise r
-            rep = shadowing.inverse_check(pair[0][0], pair[1][0], *res, pcfg)
+            rep = shadowing.inverse_check(pair[0][0], pair[1][0], *res, cfg)
         except (coarse_grain.NoNetVertex, shadowing.NotDoubleCoding,
                 shadowing.EdgeBroken) as e:
             lines.append(f"orbit x0={wa.x0!r}: {type(e).__name__}: {e}")
@@ -179,10 +167,8 @@ def stage_inverse(m, cfg, pcfg, out, quiet):
     return audited
 
 
-def stage_refine(m, cfg, pcfg, pg, out, quiet):
-    cover, dropped = markov_refine.build_cover(
-        m, pg, pcfg, paths_per_vertex=cfg.paths_per_vertex,
-        window=cfg.cover_window, seed=cfg.seed)
+def stage_refine(m, cfg, pg, out, quiet):
+    cover, dropped = markov_refine.build_cover(m, pg, cfg)
     pc = markov_refine.point_classes(cover)
     cells = markov_refine.refine(cover, pc)
     tg = markov_refine.hat_graph(cover, cells, pc)
@@ -278,30 +264,29 @@ def run(command, cfg, out, quiet=False):
     m = load_map(cfg.map)
     if command != "verify-map":  # every other command enumerates periods up to max_period
         analysis.check_word_budget(m, cfg.max_period)
-    pcfg = _pesin_cfg(cfg)
     out = _ensure_out(out)
 
     if command == "verify-map":
         stage_verify(m, cfg, out, quiet)
         return
     if command == "inverse-audit":
-        stage_inverse(m, cfg, pcfg, out, quiet)
+        stage_inverse(m, cfg, out, quiet)
         return
 
     lib = stage_library(m, cfg, out, quiet)
     if command == "sample-orbits":
         return
-    al = stage_alphabet(m, cfg, pcfg, lib.windows, out, quiet)
+    al = stage_alphabet(m, cfg, lib.windows, out, quiet)
     if command == "alphabet":
         return
     g, pg, kept = stage_graph(al, out, quiet)
     if command == "graph":
         return
     if command == "shadow":
-        stage_shadow(m, cfg, pcfg, al, out, quiet)
+        stage_shadow(m, cfg, al, out, quiet)
         return
     if command == "refine":
-        stage_refine(m, cfg, pcfg, pg, out, quiet)
+        stage_refine(m, cfg, pg, out, quiet)
         return
     # one walk of pg serves the entropy estimate (n <= 10) and the growth
     # report (n <= max_period)
@@ -315,8 +300,8 @@ def run(command, cfg, out, quiet=False):
         return
     if command == "full-pipeline":
         stage_verify(m, cfg, out, quiet)
-        stage_shadow(m, cfg, pcfg, al, out, quiet)
-        cover, cells, tg, audit = stage_refine(m, cfg, pcfg, pg, out, quiet)
+        stage_shadow(m, cfg, al, out, quiet)
+        cover, cells, tg, audit = stage_refine(m, cfg, pg, out, quiet)
         stage_entropy(counts, rho, out, quiet, tg=tg)
         stage_growth(lib, counts, rho, out, quiet)
         return

@@ -21,7 +21,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import pesin
-from .pesin import Chart, PesinConfig, window_tables
+from .config import RunConfig
+from .pesin import Chart, window_tables
 from .shadowing import Gpo
 
 
@@ -127,7 +128,7 @@ class Vertex:
 
 @dataclass
 class Alphabet:
-    cfg: PesinConfig
+    cfg: RunConfig
     centers: list
     bins: dict                 # BinKey -> [cid]
     vertices: list             # Vertex

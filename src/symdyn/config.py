@@ -4,13 +4,13 @@ Config files are UTF-8 text, one ``key = value`` per line, ``#`` comments
 allowed.  Keys (all optional, defaults below):
 
     map             built-in name or path to a map definition file
-    chi             expansion threshold (default 0.5 ln 2)
-    epsilon         chart-scale parameter in (0,1)
+    chi             expansion threshold, > 0 (default 0.5 ln 2)
+    epsilon         chart-scale parameter in (0, 1)
     back_depth      backward window depth N (>= 1)
     fwd_len         forward horizon F (>= 1)
     n_min           smallest block length tested by expansion certificates (>= 1)
     seed            RNG seed, >= 0 (all sampling is deterministic given the seed)
-    samples         regularity / random-orbit sample count (>= 1)
+    samples         regularity sample count (>= 1)
     max_period      periodic-orbit library: largest period enumerated (>= 1)
     paths_per_vertex  sampled strong paths per vertex in the Markov cover (>= 1)
     cover_window    half-length of the sampled paths (>= 2)
@@ -23,6 +23,10 @@ from dataclasses import dataclass, fields, replace
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The lemmas behind the construction hold only "for epsilon small
+    enough" with no explicit threshold; 0.1 is the default working value
+    and the test suite flags epsilon values at which assertions fail."""
+
     map: str = "doubling"
     chi: float = 0.5 * math.log(2.0)
     epsilon: float = 0.1
@@ -38,6 +42,10 @@ class RunConfig:
     encode_hi: int = 12
 
     def __post_init__(self):
+        if not self.chi > 0:
+            raise ValueError("chi must be > 0")
+        if not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must be in (0, 1)")
         for name in ("samples", "max_period", "back_depth", "fwd_len", "n_min",
                      "paths_per_vertex", "encode_hi"):
             if getattr(self, name) < 1:
@@ -48,6 +56,16 @@ class RunConfig:
             raise ValueError("encode_lo must be <= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    def grid_log(self, idx):
+        """log of the I_eps grid point with integer index idx."""
+        return -(self.epsilon / 3.0) * idx
+
+    @property
+    def delta_index(self):
+        """Grid index of delta_eps = e^{-eps*n}, n minimal with e^{-eps*n} < eps."""
+        t = -math.log(self.epsilon) / self.epsilon
+        return 3 * (int(math.floor(t)) + 1)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -39,20 +39,23 @@ def _necklace(word):
     return None if word in rots[1:] else min(rots)
 
 
-def periodic_library(m, chi, max_period, back_depth=64, fwd_len=64, n_min=6):
-    """Windows along every periodic orbit of period <= max_period.
+def periodic_library(m, cfg):
+    """Windows along every periodic orbit of period <= cfg.max_period.
 
     One bitwise cycle per orbit, started at its least root, one window per
-    phase; uncertified cycles (expansion below chi somewhere along the
-    orbit) are dropped.
+    phase, of backward depth cfg.back_depth and forward horizon
+    max(cfg.fwd_len, cfg.encode_hi + 2), room to encode up to encode_hi;
+    uncertified cycles (expansion below chi somewhere along the orbit) are
+    dropped.
     """
+    fwd_len = max(cfg.fwd_len, cfg.encode_hi + 2)
     seen = set()
     windows = []
     orbits = 0
     skipped_singular = 0
     skipped_uncert = 0
     map_counts = []
-    for n in range(1, max_period + 1):
+    for n in range(1, cfg.max_period + 1):
         roots, words = map_periodic_points(m, n)
         map_counts.append(len(roots))
         for x, word in zip(roots.tolist(), words.tolist()):
@@ -61,14 +64,14 @@ def periodic_library(m, chi, max_period, back_depth=64, fwd_len=64, n_min=6):
                 continue  # a point of a shorter orbit, or of one already met
             seen.add(key)
             try:
-                w = ne.make_periodic_window(m, x, word, back_depth, fwd_len)
+                w = ne.make_periodic_window(m, x, word, cfg.back_depth, fwd_len)
             except SingularPoint:
                 skipped_singular += 1
                 continue
             if not m.window_chartable(w.points):
                 skipped_singular += 1
                 continue
-            if not expansion_certificate(w, chi, n_min).ok:
+            if not expansion_certificate(w, cfg).ok:
                 skipped_uncert += n
                 continue
             orbits += 1

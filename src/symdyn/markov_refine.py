@@ -29,7 +29,6 @@ LOG100 = math.log(100.0)
 class Rectangle:
     """Sampled Z(v): shadow results of strong paths through v."""
 
-    rid: int
     vid: int
     chart: object          # the vertex chart v
     points: list           # ShadowResult
@@ -129,23 +128,26 @@ def fibres(z, point_index):
 
 def _walk(g, rng, vid, steps, direction):
     """Random strong walk of ``steps`` steps from vid, forward (direction > 0)
-    or backward; returns the visited vertex ids (excluding vid).  Every
+    or backward; returns the visited vertex ids (excluding vid) and whether
+    the walk drew from rng (it draws only where it has a choice).  Every
     vertex of a pruned graph that has an edge has a successor and a
     predecessor, so a walk from a core vertex never stops."""
     adj = g.out_edges if direction > 0 else g.in_edges
     out = []
+    drew = False
     cur = vid
     for _ in range(steps):
         nxt = adj[cur]
         assert nxt, f"vertex {cur} ends a walk: the graph is not pruned"
+        drew |= len(nxt) > 1
         cur = nxt[int(rng.integers(0, len(nxt)))] if len(nxt) > 1 else nxt[0]
         out.append(cur)
-    return out
+    return out, drew
 
 
-def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
-    """Sample rectangles Z(v) from strong paths through v, of ``window``
-    steps on each side.
+def build_cover(m, g, cfg):
+    """Sample rectangles Z(v) from cfg.paths_per_vertex strong paths through
+    v, of cfg.cover_window steps on each side, drawn with cfg.seed.
 
     ``g`` must be pruned (``coarse_grain.prune_relevant``): on a finite
     graph every bi-infinite path visits some vertex infinitely often in
@@ -153,11 +155,14 @@ def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
     out-edges) extends to a path of the coded shift.  Only core vertices
     are sampled.  A core vertex gets no rectangle only when shadowing broke
     every one of its walks; the second return value counts these
-    vertices.  Every walk is drawn first and all are shadowed in one
-    ``shadow_many`` batch; shadowing draws nothing, so the draws are those
-    of walking and shadowing vertex by vertex.
+    vertices.  A vertex's walks stop after a back/forward pair that drew
+    nothing: every later pair would be the same walk.  Every walk is drawn
+    first and all are shadowed in one ``shadow_many`` batch; shadowing
+    draws nothing, so the draws are those of walking and shadowing vertex
+    by vertex.
     """
-    rng = np.random.default_rng(seed)
+    window = cfg.cover_window
+    rng = np.random.default_rng(cfg.seed)
     core = []      # (vertex, number of its walks to shadow)
     walks = []
     for v in range(g.n_vertices()):
@@ -165,20 +170,22 @@ def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
             continue
         seen = set()
         count = 0
-        for _ in range(max(paths_per_vertex, 0)):
-            back = _walk(g, rng, v, window, -1)
-            fwd = _walk(g, rng, v, window, +1)
+        for _ in range(cfg.paths_per_vertex):
+            back, drew_back = _walk(g, rng, v, window, -1)
+            fwd, drew_fwd = _walk(g, rng, v, window, +1)
             vids = tuple(reversed(back)) + (v,) + tuple(fwd)
             # shadowing is deterministic, so a repeated walk adds no new point
             if vids not in seen:
                 seen.add(vids)
                 walks.append(vids)
                 count += 1
+            if not (drew_back or drew_fwd):
+                break
         core.append((v, count))
     charts = [x.chart for x in g.alphabet.vertices]
     walks = np.array(walks, dtype=np.int64).reshape(len(walks), 2 * window + 1)
     shadowed = iter(sh.shadow_many(m, charts, walks, -window, cfg))
-    raw = [Rectangle(rid=None, vid=v, chart=g.alphabet.vertices[v].chart,
+    raw = [Rectangle(vid=v, chart=g.alphabet.vertices[v].chart,
                      points=[res for res in itertools.islice(shadowed, count)
                              if not isinstance(res, sh.EdgeBroken)])
            for v, count in core]
@@ -192,7 +199,7 @@ def build_cover(m, g, cfg, paths_per_vertex=3, window=16, seed=0):
                 seen.add(c)
                 points.append(res)
         if points:
-            rects.append(replace(z, rid=len(rects), points=points))
+            rects.append(replace(z, points=points))
     return rects, len(raw) - len(rects)
 
 
@@ -264,7 +271,6 @@ class TmsGraph:
     cells: list
     cover: list
     out_edges: list
-    in_edges: list
     classes: PointClasses      # of the cover's sampled points
 
     def adjacency(self):
@@ -281,12 +287,7 @@ def hat_graph(cover, cells, pc):
                 cells_at.setdefault(pc.head[ref], set()).add(c.cell_id)
     out_edges = [sorted({s for ref in r.members for s in cells_at.get(pc.shift[ref], ())})
                  for r in cells]
-    in_edges = [[] for _ in cells]
-    for r, succ in enumerate(out_edges):
-        for s in succ:
-            in_edges[s].append(r)
-    return TmsGraph(cells=cells, cover=cover, out_edges=out_edges, in_edges=in_edges,
-                    classes=pc)
+    return TmsGraph(cells=cells, cover=cover, out_edges=out_edges, classes=pc)
 
 
 # ---------------------------------------------------------------------------

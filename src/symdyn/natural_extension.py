@@ -223,7 +223,7 @@ def _periodic_from_cycle(m, cyc, word, back_depth, fwd_len, u_depth):
     return _assemble(m, pts, bids, ld, off=back_depth, u_depth=u_depth, period=P)
 
 
-def make_pseudo_window(m, pts, bids, u_depth=0, off=None):
+def make_pseudo_window(m, pts, bids, off=None):
     """Windows from explicit cached coordinates (shadowing output), one per
     row of the (K, L) points and (K, L - 1) branch ids; each window is a
     row view of shared read-only arrays.
@@ -241,5 +241,5 @@ def make_pseudo_window(m, pts, bids, u_depth=0, off=None):
     ld = np.log(np.abs(K.dfwd_vec(m.family, bids, pts[:, :-1])))
     cum = _freeze(pts, bids, ld)
     off = pts.shape[1] - 1 if off is None else off
-    return [OrbitWindow(m=m, points=x, branch_ids=b, logderivs=d, cumlog=c, off=off,
-                        u_depth=u_depth) for x, b, d, c in zip(pts, bids, ld, cum)]
+    return [OrbitWindow(m=m, points=x, branch_ids=b, logderivs=d, cumlog=c, off=off)
+            for x, b, d, c in zip(pts, bids, ld, cum)]

@@ -15,39 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .natural_extension import OrbitWindow
-
-
-@dataclass(frozen=True)
-class PesinConfig:
-    """Run parameters for the chart machinery.
-
-    The lemmas behind the construction hold only "for epsilon small
-    enough" with no explicit threshold; 0.1 is the default working value
-    and the test suite flags epsilon values at which assertions fail.
-    """
-
-    chi: float
-    epsilon: float = 0.1
-    n_min: int = 6          # smallest block length tested by the certificate
-
-    def __post_init__(self):
-        if not (self.chi > 0 and 0 < self.epsilon < 1):
-            raise ValueError("need chi > 0 and epsilon in (0,1)")
-
-    def grid_log(self, idx):
-        """log of the I_eps grid point with integer index idx."""
-        return -(self.epsilon / 3.0) * idx
-
-    @property
-    def delta_index(self):
-        """Grid index of delta_eps = e^{-eps*n}, n minimal with e^{-eps*n} < eps."""
-        t = -math.log(self.epsilon) / self.epsilon
-        return 3 * (int(math.floor(t)) + 1)
-
-    @property
-    def log_delta(self):
-        return self.grid_log(self.delta_index)
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +32,20 @@ class Certificate:
     worst_n: int
 
 
-def expansion_certificate(w, chi, n_min=6):
+def expansion_certificate(w, cfg):
     """Finite-window stand-in for chi-expansion.
 
     True iff every forward block average (1/n) log|df^(n)| with
     n in [n_min, F] and every backward block average with n in [n_min, N]
-    exceeds chi.  Returns the worst margin.  Each side's averages are one
-    numpy pass, whose least entry (the shortest block on a tie) is its
-    worst; a window keeps its certificate per (chi, n_min), so it is
-    certified once however often it is asked.
+    exceeds chi (chi and n_min from cfg).  Returns the worst margin.  Each
+    side's averages are one numpy pass, whose least entry (the shortest
+    block on a tie) is its worst; a window keeps its certificate per
+    (chi, n_min), so it is certified once however often it is asked.
     """
-    cert = w.certs.get((chi, n_min))
+    key = (cfg.chi, cfg.n_min)
+    cert = w.certs.get(key)
     if cert is None:
-        cert = w.certs[(chi, n_min)] = _certify(w, chi, n_min)
+        cert = w.certs[key] = _certify(w, *key)
     return cert
 
 
@@ -150,14 +120,12 @@ def _u_phase_table(w, chi, depth=None):
 
 @dataclass(frozen=True)
 class PesinParams:
-    chi: float
     epsilon: float
     u: float
     u_prev: float
     rho: float
     logQtilde: float
     idxQ: int
-    log_delta_eps: float
     idx_q: int           # grid index of the greedy q at this index
 
     @property
@@ -229,7 +197,7 @@ class WindowTables:
     """
 
     w: OrbitWindow
-    cfg: PesinConfig
+    cfg: RunConfig
     lo: int
     hi: int
     u: object
@@ -243,10 +211,9 @@ class WindowTables:
 
     def params_at(self, k):
         return PesinParams(
-            chi=self.cfg.chi, epsilon=self.cfg.epsilon,
+            epsilon=self.cfg.epsilon,
             u=self.u[k], u_prev=self.u[k - 1], rho=_rho(self.dist, k),
-            logQtilde=self.logQtilde[k], idxQ=self.idxQ[k],
-            log_delta_eps=self.cfg.log_delta, idx_q=self.idx_q[k],
+            logQtilde=self.logQtilde[k], idxQ=self.idxQ[k], idx_q=self.idx_q[k],
         )
 
     def j_bin(self, k):
@@ -292,7 +259,7 @@ def window_tables(m, w, cfg, lo=None, hi=None):
     full_hi = w.fwd_len - (1 if w.period else 2)
     lo = full_lo if lo is None else max(lo, full_lo)
     hi = full_hi if hi is None else min(hi, full_hi)
-    cert = expansion_certificate(w, cfg.chi, cfg.n_min)
+    cert = expansion_certificate(w, cfg)
 
     P = w.period
     if P and hi - full_lo + 1 >= P:

@@ -11,6 +11,7 @@ import numpy as np
 from symdyn import _kernels as K
 from symdyn import natural_extension as ne
 from symdyn import shadowing as sh
+from symdyn.config import RunConfig
 from symdyn.library import LibraryReport
 from symdyn.map_model import KIND_AFFINE, KIND_QUADRATIC, SingularPoint, _regular_samples
 from symdyn.pesin import expansion_certificate, u_at
@@ -151,7 +152,7 @@ def compute_u(w, chi, depth=None, n_min=6):
     margin persists beyond the window.  Raises TailDiverges when the
     certificate margin is non-positive.
     """
-    cert = expansion_certificate(w, chi, n_min=n_min)
+    cert = expansion_certificate(w, RunConfig(chi=chi, n_min=n_min))
     if cert.margin <= 0 or not math.isfinite(cert.margin):
         raise TailDiverges(f"expansion margin {cert.margin:g} is not positive")
     u = u_at(w, chi, 0, depth=depth)
@@ -341,7 +342,7 @@ def random_library(m, chi, count, back_depth=40, fwd_len=40, seed=0,
         if not m.window_chartable(w.points):
             skipped_singular += 1
             continue
-        if not expansion_certificate(w, chi, n_min).ok:
+        if not expansion_certificate(w, RunConfig(chi=chi, n_min=n_min)).ok:
             skipped_uncert += 1
             continue
         windows.append(w)

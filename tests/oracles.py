@@ -21,6 +21,7 @@ from symdyn import coarse_grain as cg
 from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn import shadowing as sh
+from symdyn.config import RunConfig
 from symdyn.map_model import ClauseResult, RegularityReport, SingularPoint
 from symdyn.shadowing import StepMap
 
@@ -218,7 +219,8 @@ def window_tables_reference(m, w, cfg, lo=None, hi=None):
 
 def delta_eps(epsilon):
     """delta_eps value (linear); always < epsilon."""
-    return math.exp(pesin.PesinConfig(chi=1.0, epsilon=epsilon).log_delta)
+    cfg = RunConfig(chi=1.0, epsilon=epsilon)
+    return math.exp(cfg.grid_log(cfg.delta_index))
 
 
 # -- shadowing -------------------------------------------------------------------

@@ -18,6 +18,7 @@ from symdyn import library
 from symdyn import markov_refine as mr
 from symdyn import pesin
 from symdyn import shadowing as sh
+from symdyn.config import RunConfig
 
 from construction import (chart_G, compute_u, deriv, hat_pi, linear_reduction_slope, make_window,
                           random_library, shadow, u_recursion_step)
@@ -38,7 +39,7 @@ ALL_MAPS = list(MAP_PARAMS)
 
 def _cfg(name):
     p = MAP_PARAMS[name]
-    return pesin.PesinConfig(chi=p["chi"], epsilon=p["eps"])
+    return RunConfig(chi=p["chi"], epsilon=p["eps"])
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ def doubling_fixture():
     """Pruned graph + cover over all doubling orbits of period <= 6."""
     m = symdyn.built_in("doubling")
     cfg = _cfg("doubling")
-    lib = library.periodic_library(m, cfg.chi, 6, back_depth=64, fwd_len=16)
+    lib = library.periodic_library(m, replace(cfg, max_period=6, back_depth=64, fwd_len=16))
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, kept = cg.prune_relevant(cg.build_graph(al))
     return m, cfg, lib, al, pg, kept
@@ -211,7 +212,7 @@ def test_criterion_06_contraction(roundtrip_results, doubling_fixture):
 def test_criterion_07_inverse_audit():
     m = symdyn.built_in("doubling")
     cfg = _cfg("doubling")
-    lib = library.periodic_library(m, cfg.chi, 6, back_depth=64, fwd_len=16)
+    lib = library.periodic_library(m, replace(cfg, max_period=6, back_depth=64, fwd_len=16))
     fams = [[replace(w, u_depth=d) for w in lib.windows] for d in (30, 34)]
     samples = fams[0] + fams[1]
     al = cg.build_alphabet(m, samples, cfg)
@@ -241,11 +242,10 @@ def test_criterion_07_inverse_audit():
 def test_criterion_08_refinement_oracle(doubling_fixture):
     m, cfg, lib, al, pg, kept = doubling_fixture
     covers = []
-    base, _ = mr.build_cover(m, pg, cfg, paths_per_vertex=3, window=10, seed=4)
+    base, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=3, cover_window=10, seed=4))
     covers.append(base)
     # an overlapping variant: duplicated rectangles force nontrivial signatures
-    dup = base + [mr.Rectangle(rid=len(base) + i, vid=r.vid, chart=r.chart,
-                               points=r.points) for i, r in enumerate(base[:5])]
+    dup = base + [mr.Rectangle(vid=r.vid, chart=r.chart, points=r.points) for r in base[:5]]
     covers.append(dup)
     for cover in covers:
         cells = mr.refine(cover, mr.point_classes(cover))
@@ -262,7 +262,7 @@ def test_criterion_08_refinement_oracle(doubling_fixture):
 
 def test_criterion_09_markov_audit(doubling_fixture):
     m, cfg, lib, al, pg, kept = doubling_fixture
-    cover, _ = mr.build_cover(m, pg, cfg, paths_per_vertex=3, window=10, seed=4)
+    cover, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=3, cover_window=10, seed=4))
     pc = mr.point_classes(cover)
     cells = mr.refine(cover, pc)
     tg = mr.hat_graph(cover, cells, pc)
@@ -289,7 +289,7 @@ def test_criterion_10_entropy_growth():
     t0 = time.perf_counter()
     m = symdyn.built_in("doubling")
     cfg = _cfg("doubling")
-    lib = library.periodic_library(m, cfg.chi, 10, back_depth=64, fwd_len=16)
+    lib = library.periodic_library(m, replace(cfg, max_period=10, back_depth=64, fwd_len=16))
     assert len(lib.windows) >= 1000
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
@@ -309,8 +309,8 @@ def test_criterion_11_finite_to_one(doubling_fixture):
     m, cfg, lib, al, pg, kept = doubling_fixture
     maxima = []
     for ppv in (3, 6):  # doubling the sample size
-        cover, _ = mr.build_cover(m, pg, cfg, paths_per_vertex=ppv,
-                                  window=10, seed=4)
+        cover, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=ppv, cover_window=10,
+                                                 seed=4))
         pc = mr.point_classes(cover)
         cells = mr.refine(cover, pc)
         tg = mr.hat_graph(cover, cells, pc)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,9 @@ from hypothesis import strategies as st
 
 import symdyn
 from symdyn import analysis as an
-from symdyn import cli
 from symdyn import coarse_grain as cg
 from symdyn import library
 from symdyn import natural_extension as ne
-from symdyn import pesin
 from symdyn.config import RunConfig
 
 from construction import f
@@ -138,8 +137,8 @@ def test_map_periodic_points_quadratic():
 
 def test_growth_report_doubling():
     m = symdyn.built_in("doubling")
-    lib = library.periodic_library(m, CHI2, 6, back_depth=64, fwd_len=14)
-    cfg = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    cfg = RunConfig(chi=CHI2, epsilon=0.1)
+    lib = library.periodic_library(m, replace(cfg, max_period=6, back_depth=64, fwd_len=14))
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
     rep = an.growth_report(lib.map_counts, an.closed_path_counts(pg, 6), an.spectral_radius(pg))
@@ -163,8 +162,8 @@ def test_growth_report_tent():
     # the tent fixed point closes as a float 2-cycle; counts shift to even
     # lengths but the growth rate is unchanged
     m = symdyn.built_in("tent")
-    lib = library.periodic_library(m, CHI2, 8, back_depth=64, fwd_len=14)
-    cfg = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    cfg = RunConfig(chi=CHI2, epsilon=0.1)
+    lib = library.periodic_library(m, replace(cfg, max_period=8, back_depth=64, fwd_len=14))
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
     rep = an.growth_report(lib.map_counts, an.closed_path_counts(pg, 8), an.spectral_radius(pg))
@@ -180,8 +179,8 @@ def test_one_walk_gives_the_rows_and_estimates_of_separate_walks(max_period):
     # entropy estimate reads n <= 10 of it and the growth report n <=
     # max_period, as a walk of each length would give them
     m = symdyn.built_in("doubling")
-    lib = library.periodic_library(m, CHI2, 5, back_depth=64, fwd_len=14)
-    cfg = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    cfg = RunConfig(chi=CHI2, epsilon=0.1)
+    lib = library.periodic_library(m, replace(cfg, max_period=5, back_depth=64, fwd_len=14))
     pg, _ = cg.prune_relevant(cg.build_graph(cg.build_alphabet(m, lib.windows, cfg)))
     adj = pg.adjacency()
     adj[min(adj)].append(min(adj))   # a self-loop: closed paths at every length
@@ -198,7 +197,7 @@ def test_one_walk_gives_the_rows_and_estimates_of_separate_walks(max_period):
 
 
 def _skipped_by_period(monkeypatch, m, cfg):
-    """The library of ``cli`` at ``cfg``, its pruned graph, and the number
+    """The library at ``cfg``, its pruned graph, and the number
     of orbits of each period the library tried but kept no window of."""
     tried, made = {}, []
     make = ne.make_periodic_window
@@ -209,10 +208,9 @@ def _skipped_by_period(monkeypatch, m, cfg):
         return made[-1][0]
 
     monkeypatch.setattr(ne, "make_periodic_window", recorded)
-    lib = cli._periodic_library(m, cfg)
+    lib = library.periodic_library(m, cfg)
     monkeypatch.undo()
-    pcfg = cli._pesin_cfg(cfg)
-    pg, _ = cg.prune_relevant(cg.build_graph(cg.build_alphabet(m, lib.windows, pcfg)))
+    pg, _ = cg.prune_relevant(cg.build_graph(cg.build_alphabet(m, lib.windows, cfg)))
     # the library emits each kept orbit's window itself as its phase 0
     emitted = {id(w) for w in lib.windows}
     skipped = dict(tried)

@@ -17,7 +17,7 @@ import pytest
 import symdyn
 from symdyn import cli, coarse_grain, map_model, pesin, shadowing
 from symdyn import natural_extension as ne
-from symdyn.config import parse_config
+from symdyn.config import RunConfig, parse_config
 
 from oracles import cover_id_reference, step_map_reference
 
@@ -135,7 +135,7 @@ def test_step_map_key_holds_what_the_step_reads():
     # edges out of one chart that differ only in the target's size, the
     # target's u or the configured epsilon get their own step maps
     m = symdyn.built_in("doubling")
-    cfg = pesin.PesinConfig(chi=0.3, epsilon=0.1)
+    cfg = RunConfig(chi=0.3, epsilon=0.1)
     cyc = ne.make_periodic_window(m, 1 / 14, [0, 0, 1], 64, 40)
     other = ne.make_periodic_window(m, 1 / 14, [0, 0, 1], 64, 40, u_depth=20)
     tabs = pesin.window_tables(m, cyc, cfg, lo=0, hi=2)
@@ -146,7 +146,7 @@ def test_step_map_key_holds_what_the_step_reads():
                for d in (0, 3, 6)]
     targets.append(pesin.Chart(center=other, shift=0, params=tabs_u.params_at(0), idx_p=ip))
     assert targets[-1].u != targets[0].u
-    for c in (cfg, pesin.PesinConfig(chi=0.3, epsilon=0.2)):
+    for c in (cfg, RunConfig(chi=0.3, epsilon=0.2)):
         for v_to in targets + targets:
             s = shadowing.step_map(m, v_to, v_from, c)
             assert _bits(s) == _bits(step_map_reference(m, v_to, v_from, c))

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from symdyn import analysis, cli, markov_refine
-from symdyn.config import parse_config
+from symdyn.config import RunConfig, parse_config
 
 from oracles import read_windows
 
@@ -116,6 +116,17 @@ def test_infeasible_word_budget_exit_2(tmp_path, monkeypatch, capsys):
     assert "the library stage ran" in capsys.readouterr().err
 
 
+def test_bad_epsilon_refused_before_the_word_budget(tmp_path, capsys):
+    # gauss at max_period 9 is over the word budget too; the config is
+    # checked first, so the message names epsilon
+    rc = run_cli(["full-pipeline", "--map", "gauss", "--max-period", "9", "--eps", "2",
+                  "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    detail = json.loads(capsys.readouterr().err)["detail"]
+    assert "epsilon" in detail and "MAX_PERIODIC_WORDS" not in detail
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("max_period", [20000, 10**12])
 def test_huge_max_period_refused_at_once(tmp_path, capsys, max_period):
     # the word count stops at the first period past the budget (doubling:
@@ -147,8 +158,8 @@ def test_config_parsing():
                 "paths_per_vertex = -1\n", "paths_per_vertex = 0\n", "cover_window = 0\n",
                 "cover_window = 1\n",
                 "encode_lo = 1\n", "encode_lo = 20\n", "encode_hi = 0\n", "encode_hi = -5\n",
-                "seed = -1\n"):
-        with pytest.raises(ValueError):
+                "seed = -1\n", "chi = 0\n", "chi = -1\n", "epsilon = 0\n", "epsilon = 1.5\n"):
+        with pytest.raises(ValueError, match=bad.split()[0]):  # the message names the key
             parse_config(bad)
     assert parse_config("encode_lo = -3\nseed = 0\nencode_hi = 1\n").encode_lo == -3
 
@@ -266,7 +277,8 @@ def test_windows_roundtrip_through_files(tmp_path):
     import symdyn
     from symdyn import formats, library
     m = symdyn.built_in("doubling")
-    lib = library.periodic_library(m, 0.5 * math.log(2), 3, 32, 8)
+    lib = library.periodic_library(m, RunConfig(chi=0.5 * math.log(2), max_period=3,
+                                                back_depth=32, fwd_len=8, encode_hi=6))
     path = tmp_path / "w.txt"
     formats.write_windows(path, lib.windows)
     back = read_windows(path, m)

@@ -8,6 +8,7 @@ from symdyn import coarse_grain as cg
 from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
+from symdyn.config import RunConfig
 
 from construction import make_window, radius, random_library
 from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, overlap_test,
@@ -23,7 +24,7 @@ def doubling():
 
 @pytest.fixture(scope="module")
 def cfg():
-    return pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    return RunConfig(chi=CHI2, epsilon=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +63,8 @@ class _StubWindow:
 
 def _fake_chart(theta0, u, idx_p, eps=0.1, idxQ=0):
     """A formal chart for predicate unit tests (sizes on the I_eps grid)."""
-    params = pesin.PesinParams(chi=CHI2, epsilon=eps, u=u, u_prev=u, rho=0.1,
-                               logQtilde=0.0, idxQ=idxQ, log_delta_eps=-2.4,
-                               idx_q=idx_p)
+    params = pesin.PesinParams(epsilon=eps, u=u, u_prev=u, rho=0.1,
+                               logQtilde=0.0, idxQ=idxQ, idx_q=idx_p)
     return pesin.Chart(center=_StubWindow(theta0), shift=0, params=params,
                        idx_p=idx_p)
 
@@ -190,7 +190,7 @@ def test_alphabet_order_invariance(doubling, cfg, cyc, cyc3):
 
 def test_alphabet_skips_uncertified(doubling, cfg):
     # a window violating the chi-expansion certificate is counted, not added
-    strong_cfg = pesin.PesinConfig(chi=2.0, epsilon=0.1)
+    strong_cfg = RunConfig(chi=2.0, epsilon=0.1)
     w = ne.make_periodic_window(doubling, 1 / 6, [0, 1], 64, 40)
     al = cg.build_alphabet(doubling, [w], strong_cfg)
     assert al.skipped == 1 and not al.centers
@@ -298,10 +298,10 @@ def test_weak_successors_superset_of_strong(graph, alphabet, cfg):
 # -- relevant core against the full CG2 ladder ------------------------------------
 
 MAP_CFG = {
-    "doubling": pesin.PesinConfig(chi=CHI2, epsilon=0.1),
-    "tent": pesin.PesinConfig(chi=CHI2, epsilon=0.1),
-    "quadratic": pesin.PesinConfig(chi=0.1, epsilon=0.05),
-    "gauss": pesin.PesinConfig(chi=0.5, epsilon=0.1),
+    "doubling": RunConfig(chi=CHI2, epsilon=0.1),
+    "tent": RunConfig(chi=CHI2, epsilon=0.1),
+    "quadratic": RunConfig(chi=0.1, epsilon=0.05),
+    "gauss": RunConfig(chi=0.5, epsilon=0.1),
 }
 
 
@@ -345,13 +345,14 @@ def _assert_closure_is_ladder_core(m, samples, cfg):
 def test_closure_matches_full_ladder_periodic(name, period):
     m = symdyn.built_in(name)
     cfg = MAP_CFG[name]
-    lib = library.periodic_library(m, cfg.chi, period, back_depth=40, fwd_len=40)
+    lib = library.periodic_library(m, replace(cfg, max_period=period, back_depth=40, fwd_len=40))
     assert _assert_closure_is_ladder_core(m, lib.windows, cfg)
 
 
 def test_closure_matches_full_ladder_two_u_depths(doubling, cfg):
     # the union the double-coding audit codes over
-    lib = library.periodic_library(doubling, cfg.chi, 4, back_depth=40, fwd_len=40)
+    lib = library.periodic_library(doubling, replace(cfg, max_period=4, back_depth=40,
+                                                     fwd_len=40))
     windows = [replace(w, u_depth=d) for d in (30, 34) for w in lib.windows]
     assert _assert_closure_is_ladder_core(doubling, windows, cfg)
 
@@ -372,7 +373,7 @@ def test_alphabet_tables_encode_like_window_tables(name, period):
     # an encoding range they give the chain of that range's own tables
     m = symdyn.built_in(name)
     cfg = MAP_CFG[name]
-    lib = library.periodic_library(m, cfg.chi, period, back_depth=40, fwd_len=40)
+    lib = library.periodic_library(m, replace(cfg, max_period=period, back_depth=40, fwd_len=40))
     al = cg.build_alphabet(m, lib.windows, cfg)
     groups = {}
     for w in lib.windows:

@@ -5,6 +5,9 @@ through an attribute (``x.name``), not through a local of the same name."""
 
 import ast
 import pathlib
+from dataclasses import fields
+
+from symdyn.config import RunConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "symdyn"
 
@@ -28,3 +31,26 @@ def test_public_functions_are_referenced_in_src():
                     for name, method in _public_defs(tree)
                     if not name.startswith("_") and name not in (attrs if method else names))
     assert unused == []
+
+
+def test_run_parameters_have_one_default():
+    """A run parameter's default lives on ``RunConfig`` only: no function in
+    ``src/`` defaults a parameter named after one of its fields, and no
+    other class declares such a field with a default, so leaving an
+    argument out cannot run another configuration than the CLI's."""
+    names = {f.name for f in fields(RunConfig)}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                defaulted = pos[len(pos) - len(a.defaults):] + [
+                    k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found += [f"{path.name}:{getattr(node, 'name', 'lambda')}({p.arg}=)"
+                          for p in defaulted if p.arg in names]
+            elif isinstance(node, ast.ClassDef) and path.name != "config.py":
+                found += [f"{path.name}:{node.name}.{s.target.id}" for s in node.body
+                          if isinstance(s, ast.AnnAssign) and s.value is not None
+                          and isinstance(s.target, ast.Name) and s.target.id in names]
+    assert found == []

@@ -17,9 +17,8 @@ EXCLUDED = {"doubling": 1, "tent": 0, "quadratic": 0, "gauss": 0}
 def built(request):
     name = request.param
     m = symdyn.built_in(name)
-    cfg = RunConfig(map=name)
-    lib = library.periodic_library(m, cfg.chi, MAX_PERIOD[name], back_depth=cfg.back_depth,
-                                   fwd_len=cfg.fwd_len, n_min=cfg.n_min)
+    cfg = RunConfig(map=name, max_period=MAX_PERIOD[name])
+    lib = library.periodic_library(m, cfg)
     return name, m, cfg, lib
 
 

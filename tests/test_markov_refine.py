@@ -11,8 +11,7 @@ from symdyn import cli
 from symdyn import coarse_grain as cg
 from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
-from symdyn import pesin
-from symdyn.config import parse_config
+from symdyn.config import RunConfig, parse_config
 
 from construction import (EmptyCylinder, _cell_contains, _member_window, hat_pi, make_window,
                           windows_agree_reference)
@@ -28,7 +27,7 @@ def doubling():
 
 @pytest.fixture(scope="module")
 def cfg():
-    return pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    return RunConfig(chi=CHI2, epsilon=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +48,8 @@ def fixture(doubling, cfg):
 @pytest.fixture(scope="module")
 def cover(doubling, cfg, fixture):
     _, _, pg, _ = fixture
-    rects, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=3,
-                                    window=10, seed=1)
+    rects, dropped = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
+                                                          cover_window=10, seed=1))
     return rects, dropped
 
 
@@ -73,18 +72,64 @@ def test_cover_shadows_each_distinct_walk_once(doubling, cfg, fixture, cover, mo
         return shadow_many(m, charts, walks, n_lo, c)
 
     monkeypatch.setattr(mr.sh, "shadow_many", counting_shadow_many)
-    rects, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=3,
-                                    window=10, seed=1)
+    rects, dropped = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
+                                                          cover_window=10, seed=1))
     assert len(calls) == len(set(map(tuple, calls))) == len(kept)
     assert dropped == cover[1]
     assert [(r.vid, len(r.points)) for r in rects] == [(r.vid, len(r.points)) for r in cover[0]]
 
 
-def test_cover_zero_paths(doubling, cfg, fixture):
-    _, _, pg, _ = fixture
-    rects, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=0,
-                                    window=8, seed=1)
-    assert rects == [] and dropped == pg.n_vertices()
+def _cover_bits(result):
+    rects, dropped = result
+    return dropped, [(r.vid, [p.point.points.tobytes() for p in r.points]) for r in rects]
+
+
+def test_cover_walks_once_where_no_walk_has_a_choice(doubling, cfg, fixture, cover, monkeypatch):
+    # on disjoint cycles a back/forward pair draws nothing, so every later
+    # pair would repeat it: one pair per core vertex, the same cover
+    _, _, pg, kept = fixture
+    starts = []
+    walk = mr._walk
+
+    def counting_walk(g, rng, vid, steps, direction):
+        starts.append(vid)
+        return walk(g, rng, vid, steps, direction)
+
+    monkeypatch.setattr(mr, "_walk", counting_walk)
+    got = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3, cover_window=10, seed=1))
+    assert sorted(starts) == sorted(kept * 2)
+    assert _cover_bits(got) == _cover_bits(cover)
+
+
+def test_cover_draws_as_every_pair_would(doubling, cfg, fixture, monkeypatch):
+    # a chord from one cycle to another gives the walks through its ends a
+    # choice: stopping a vertex's walks at a pair that drew nothing leaves
+    # the cover of walking all paths_per_vertex pairs
+    _, _, pg, kept = fixture
+    a = kept[0]
+    b = next(v for v in kept if v not in pg.out_edges[a] and v != a)
+    out_edges = [sorted(e + [b]) if v == a else list(e) for v, e in enumerate(pg.out_edges)]
+    in_edges = [sorted(e + [a]) if v == b else list(e) for v, e in enumerate(pg.in_edges)]
+    g = cg.GpoGraph(alphabet=pg.alphabet, out_edges=out_edges, in_edges=in_edges)
+    c = replace(cfg, paths_per_vertex=4, cover_window=10, seed=5)
+    starts, walks = [], []
+    walk, shadow_many = mr._walk, mr.sh.shadow_many
+
+    def counting_walk(*args):
+        starts.append(args[2])
+        return walk(*args)
+
+    def recording_shadow_many(m, charts, batch, n_lo, c):
+        walks.append(batch.tolist())
+        return shadow_many(m, charts, batch, n_lo, c)
+
+    monkeypatch.setattr(mr.sh, "shadow_many", recording_shadow_many)
+    monkeypatch.setattr(mr, "_walk", counting_walk)
+    ours = mr.build_cover(doubling, g, c)
+    assert 2 * len(kept) < len(starts) < 8 * len(kept)
+    monkeypatch.setattr(mr, "_walk", lambda *args: (walk(*args)[0], True))
+    assert _cover_bits(ours) == _cover_bits(mr.build_cover(doubling, g, c))
+    assert walks[0] == walks[1] and any(b in w and a in w for w in walks[0])
 
 
 def test_cover_drops_only_core_vertices(doubling, cfg, fixture):
@@ -96,11 +141,9 @@ def test_cover_drops_only_core_vertices(doubling, cfg, fixture):
     al = cg.build_alphabet(doubling, samples + [stray], cfg)
     pg, core = cg.prune_relevant(cg.build_graph(al))
     assert len(core) == len(kept) < pg.n_vertices()
-    rects, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=3,
-                                    window=10, seed=1)
+    rects, dropped = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
+                                                          cover_window=10, seed=1))
     assert dropped == 0 and [r.vid for r in rects] == core
-    _, dropped = mr.build_cover(doubling, pg, cfg, paths_per_vertex=0, window=8, seed=1)
-    assert dropped == len(core)
 
 
 def test_cover_samples_cycles_longer_than_the_window(doubling, cfg):
@@ -119,7 +162,8 @@ def test_cover_samples_cycles_longer_than_the_window(doubling, cfg):
         out_edges[v].append(w)
         in_edges[w].append(v)
     g = cg.GpoGraph(alphabet=al, out_edges=out_edges, in_edges=in_edges)
-    rects, dropped = mr.build_cover(doubling, g, cfg, paths_per_vertex=3, window=3, seed=1)
+    rects, dropped = mr.build_cover(doubling, g, replace(cfg, paths_per_vertex=3,
+                                                         cover_window=3, seed=1))
     assert dropped == 0
     assert [r.vid for r in rects] == sorted(cycle)
     assert all(len(r.points) == 1 for r in rects)
@@ -217,10 +261,10 @@ def test_refine_empty():
 def twin_cover(doubling, cfg, fixture):
     """A cover whose first three rectangles are repeated: Z_i = Z_j."""
     _, _, pg, _ = fixture
-    rects, _ = mr.build_cover(doubling, pg, cfg, paths_per_vertex=2,
-                              window=10, seed=3)
-    return rects, rects + [mr.Rectangle(rid=len(rects) + i, vid=r.vid, chart=r.chart,
-                                        points=r.points) for i, r in enumerate(rects[:3])]
+    rects, _ = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=2,
+                                                    cover_window=10, seed=3))
+    return rects, rects + [mr.Rectangle(vid=r.vid, chart=r.chart, points=r.points)
+                           for r in rects[:3]]
 
 
 def test_refine_overlapping_rectangles_against_oracle(twin_cover):
@@ -256,7 +300,7 @@ def test_hat_graph_self_loop_fixed_point(cfg):
     w = ne.make_periodic_window(m, 1 / 3, [1], 64, 40)
     al = cg.build_alphabet(m, [w.shift(k) for k in range(w.period)], cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rects, _ = mr.build_cover(m, pg, cfg, paths_per_vertex=2, window=8, seed=1)
+    rects, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=2, cover_window=8, seed=1))
     cells, tg = _refined(rects)
     # the float 2-cycle of the fixed point: a 2-cycle (or self-loop) exists
     cid = cells[0].cell_id
@@ -300,13 +344,13 @@ def test_hat_pi_inadmissible(doubling, cfg, cover):
 def test_hat_pi_empty_cylinder():
     # an artificial adjacency not backed by samples dies in the chase
     m = symdyn.built_in("doubling")
-    cfg = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    cfg = RunConfig(chi=CHI2, epsilon=0.1)
     c2 = ne.make_periodic_window(m, 1 / 6, [0, 1], 64, 40)
     c3 = ne.make_periodic_window(m, 1 / 14, [0, 0, 1], 64, 40)
     samples = [c2.shift(k) for k in range(2)] + [c3.shift(k) for k in range(3)]
     al = cg.build_alphabet(m, samples, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rects, _ = mr.build_cover(m, pg, cfg, paths_per_vertex=2, window=8, seed=1)
+    rects, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=2, cover_window=8, seed=1))
     cells, tg = _refined(rects)
     a = cells[0].cell_id
     b = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[a])
@@ -352,8 +396,8 @@ def test_hat_pi_odd_anchor_alignment(doubling, cfg):
     c3 = ne.make_periodic_window(doubling, 1 / 14, [0, 0, 1], 64, 40)
     al = cg.build_alphabet(doubling, [c3.shift(k) for k in range(3)], cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rects, _ = mr.build_cover(doubling, pg, cfg, paths_per_vertex=2,
-                              window=9, seed=2)
+    rects, _ = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=2,
+                                                    cover_window=9, seed=2))
     cells, tg = _refined(rects)
     start = cells[0].cell_id
     path = [start]
@@ -441,7 +485,8 @@ def test_point_classes_match_windows_agree(name, cover, twin_cover, monkeypatch,
 
 def test_point_classes_need_one_span(cover, doubling, cfg, fixture):
     _, _, pg, _ = fixture
-    other, _ = mr.build_cover(doubling, pg, cfg, paths_per_vertex=3, window=8, seed=1)
+    other, _ = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
+                                                    cover_window=8, seed=1))
     with pytest.raises(ValueError, match="one span"):
         mr.point_classes(cover[0][:1] + other[:1])
     assert mr.point_classes([]).cls == {}

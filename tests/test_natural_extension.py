@@ -213,8 +213,7 @@ def test_periodic_windows_match_burn_in_reference(monkeypatch, name, max_period)
         return w
 
     monkeypatch.setattr(ne, "make_periodic_window", checked)
-    library.periodic_library(m, cfg.chi, cfg.max_period, back_depth=cfg.back_depth,
-                             fwd_len=max(cfg.fwd_len, cfg.encode_hi + 2), n_min=cfg.n_min)
+    library.periodic_library(m, cfg)
     assert built
 
 

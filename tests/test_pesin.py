@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
 import symdyn
-from symdyn import cli, library
+from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn import pesin
-from symdyn.config import parse_config
+from symdyn.config import RunConfig, parse_config
 
 from construction import (DomainViolation, TailDiverges, chart_G, compute_u, deriv, f,
                           linear_reduction_slope, make_window, psi, random_library,
@@ -26,7 +27,7 @@ def doubling():
 
 @pytest.fixture(scope="module")
 def cfg():
-    return pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    return RunConfig(chi=CHI2, epsilon=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +42,14 @@ def cyc(doubling):
 
 # -- certificate ------------------------------------------------------------
 
-def test_certificate_doubling(w40):
-    cert = pesin.expansion_certificate(w40, CHI2)
+def test_certificate_doubling(w40, cfg):
+    cert = pesin.expansion_certificate(w40, cfg)
     assert cert.ok
     assert cert.margin == pytest.approx(CHI2, abs=1e-12)
 
 
 def test_certificate_rejects_large_chi(w40):
-    assert not pesin.expansion_certificate(w40, 2.0 * math.log(2.0)).ok
+    assert not pesin.expansion_certificate(w40, RunConfig(chi=2.0 * math.log(2.0))).ok
 
 
 def test_certificate_refuses_near_critical_window():
@@ -56,7 +57,7 @@ def test_certificate_refuses_near_critical_window():
     # a genuine orbit window passing close to the critical point: |df| ~ 1.6e-3
     x = 0.25 + 1e-4
     w = make_window(m, x, [], fwd_len=4)
-    cert = pesin.expansion_certificate(w, 0.1, n_min=1)
+    cert = pesin.expansion_certificate(w, RunConfig(chi=0.1, n_min=1))
     assert not cert.ok
 
 
@@ -70,12 +71,12 @@ def test_certificate_matches_block_loop(name):
     # every library window, with the library's parameters and with ones that
     # fail it, certified in one pass per side against the block-by-block loop
     m = symdyn.built_in(name)
-    lib = library.periodic_library(m, CHI2, 2 if name == "gauss" else 6, back_depth=40,
-                                   fwd_len=14)
+    lib = library.periodic_library(m, RunConfig(chi=CHI2, max_period=2 if name == "gauss" else 6,
+                                                back_depth=40, fwd_len=14))
     assert lib.windows
     for w in lib.windows:
         for chi, n_min in ((CHI2, 6), (0.6, 1), (CHI2, 20), (2.0, 50)):
-            got = pesin.expansion_certificate(w, chi, n_min)
+            got = pesin.expansion_certificate(w, RunConfig(chi=chi, n_min=n_min))
             assert _cert_bits(got) == _cert_bits(expansion_certificate_reference(w, chi, n_min))
 
 
@@ -84,18 +85,18 @@ def test_certificate_short_and_one_sided_windows(doubling):
                for word in ([], [1], [0, 1, 1] * 3) for fwd_len in (0, 1, 5, 9)]
     for w in windows:
         for n_min in (1, 6):
-            got = pesin.expansion_certificate(w, CHI2, n_min)
+            got = pesin.expansion_certificate(w, RunConfig(chi=CHI2, n_min=n_min))
             assert _cert_bits(got) == _cert_bits(expansion_certificate_reference(w, CHI2, n_min))
 
 
-def test_certificate_kept_per_window(doubling):
+def test_certificate_kept_per_window(doubling, cfg):
     # the library and the window's tables share one certificate; a shifted
     # view is certified afresh
     w = ne.make_periodic_window(doubling, 1 / 6, [0, 1], 64, 40)
-    cert = pesin.expansion_certificate(w, CHI2)
-    assert pesin.expansion_certificate(w, CHI2) is cert
-    assert pesin.expansion_certificate(w, CHI2, 7) is not cert
-    assert pesin.window_tables(doubling, w, pesin.PesinConfig(chi=CHI2)).cert is cert
+    cert = pesin.expansion_certificate(w, cfg)
+    assert pesin.expansion_certificate(w, cfg) is cert
+    assert pesin.expansion_certificate(w, replace(cfg, n_min=7)) is not cert
+    assert pesin.window_tables(doubling, w, cfg).cert is cert
     assert w.shift(1).certs == {}
 
 
@@ -215,10 +216,10 @@ def test_trivial_bound_uQ(doubling, cfg, cyc):
 
 
 def test_delta_eps_examples():
-    assert pesin.PesinConfig(chi=1, epsilon=0.1).delta_index == 3 * 24
+    assert RunConfig(chi=1, epsilon=0.1).delta_index == 3 * 24
     assert delta_eps(0.1) == pytest.approx(math.exp(-2.4))
     eps = math.exp(-1.0)
-    n = pesin.PesinConfig(chi=1, epsilon=eps).delta_index // 3
+    n = RunConfig(chi=1, epsilon=eps).delta_index // 3
     assert n == 3
     assert delta_eps(eps) == pytest.approx(math.exp(-3 * eps))
 
@@ -229,7 +230,7 @@ def test_delta_eps_enumeration_oracle():
         n = 1
         while not math.exp(-eps * n) < eps:
             n += 1
-        assert pesin.PesinConfig(chi=1, epsilon=float(eps)).delta_index == 3 * n
+        assert RunConfig(chi=1, epsilon=float(eps)).delta_index == 3 * n
         assert delta_eps(float(eps)) < eps  # always
 
 
@@ -321,7 +322,7 @@ def test_chart_G_identity_overlap_normalization(doubling, cfg, cyc):
 
 def test_chart_G_quadratic_contraction():
     m = symdyn.built_in("quadratic")
-    cfg = pesin.PesinConfig(chi=0.1, epsilon=0.1)
+    cfg = RunConfig(chi=0.1, epsilon=0.1)
     # period-2 orbit of the quadratic map, away from the singular set
     from symdyn.analysis import map_periodic_points
     roots = [x for x in map_periodic_points(m, 2)[0].tolist() if m.singular_distance(x) > 1e-3]
@@ -342,10 +343,9 @@ def test_chart_G_domain_violation(doubling, cfg, cyc):
     charts, tabs = _charts_for(doubling, cfg, cyc, -1, 0)
     big = pesin.Chart(center=cyc, shift=0, params=charts[0].params,
                       idx_p=charts[0].params.idxQ)
-    fake = pesin.PesinParams(chi=cfg.chi, epsilon=cfg.epsilon, u=charts[0].u,
+    fake = pesin.PesinParams(epsilon=cfg.epsilon, u=charts[0].u,
                              u_prev=charts[0].params.u_prev, rho=charts[0].params.rho,
-                             logQtilde=0.0, idxQ=0, log_delta_eps=cfg.log_delta,
-                             idx_q=0)
+                             logQtilde=0.0, idxQ=0, idx_q=0)
     huge = pesin.Chart(center=cyc, shift=0, params=fake, idx_p=0)  # p = 1
     with pytest.raises(DomainViolation):
         chart_G(doubling, huge, charts[-1], branch_id=cyc.branch(-1))
@@ -376,7 +376,7 @@ def test_nonlinear_pesin2_bounds_on_overlap_fixtures(doubling, cfg, cyc):
 
 def test_chart_G_gauss_contraction():
     m = symdyn.built_in("gauss")
-    cfg = pesin.PesinConfig(chi=0.5, epsilon=0.1)
+    cfg = RunConfig(chi=0.5, epsilon=0.1)
     # the fixed point of the rescaled Gauss map, (sqrt(5)-1)/4
     x = (math.sqrt(5.0) - 1.0) / 4.0
     w = ne.make_periodic_window(m, x, [1], 64, 16)
@@ -393,8 +393,9 @@ def test_window_tables_match_index_by_index(name):
     # than their period) and per-index dicts of random windows, bit for bit
     m = symdyn.built_in(name)
     chi = 0.5 if name == "gauss" else 0.1
-    cfg = pesin.PesinConfig(chi=chi, epsilon=0.1)
-    lib = library.periodic_library(m, chi, 3, back_depth=20, fwd_len=12).windows
+    cfg = RunConfig(chi=chi, epsilon=0.1)
+    lib = library.periodic_library(m, replace(cfg, max_period=3, back_depth=20, fwd_len=12,
+                                              encode_hi=10)).windows
     periodic = [w for w in lib if w.period == 2][:3] + [w for w in lib if w.period == 3][:3]
     windows = periodic + [w.shift(5) for w in periodic[:2]] + [w.shift(20) for w in periodic[:2]]
     # one backward step: (0, 5) holds a whole period, (-3, 1) does not
@@ -425,7 +426,7 @@ def test_u_phase_tables_match_phase_by_phase(text):
     # every phase of every library window in one (P, d) pass, bit for bit,
     # at the window's own depth and at depths 30 and 34
     cfg = parse_config(text)
-    for w in cli._periodic_library(symdyn.built_in(cfg.map), cfg).windows:
+    for w in library.periodic_library(symdyn.built_in(cfg.map), cfg).windows:
         for depth in (None, 30, 34):
             ours = pesin._u_phase_table(w, cfg.chi, depth)
             assert ours.tobytes() == u_phase_table_reference(w, cfg.chi, depth).tobytes()

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symdyn
-from symdyn import cli, pesin
+from symdyn import cli
 from symdyn import shadowing as sh
-from symdyn.config import parse_config
+from symdyn.config import RunConfig, parse_config
 from symdyn.shadowing import StepMap
 
 from construction import shadow
@@ -129,7 +129,7 @@ def test_pipeline_gpos_match_the_one_gpo_loop(name, tmp_path, monkeypatch):
 # -- drawn batches over charts with hand-set step maps ----------------------------
 
 EPS = 0.1
-CFG = pesin.PesinConfig(chi=0.3, epsilon=EPS)
+CFG = RunConfig(chi=0.3, epsilon=EPS)
 DOUBLING = symdyn.built_in("doubling")
 # log p where e^{log p} from np.exp on an array and from math.exp differ
 LOG_P_EXP_ULP = -78.24800379004887

@@ -6,8 +6,8 @@ import pytest
 import symdyn
 from symdyn import coarse_grain as cg
 from symdyn import natural_extension as ne
-from symdyn import pesin
 from symdyn import shadowing as sh
+from symdyn.config import RunConfig
 
 from construction import shadow, unstable_interval
 from oracles import bracket, bracket_windows, image_interval
@@ -22,7 +22,7 @@ def doubling():
 
 @pytest.fixture(scope="module")
 def cfg():
-    return pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    return RunConfig(chi=CHI2, epsilon=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def test_shadow_fixed_point_tent(cfg):
     w = ne.make_periodic_window(m, 1 / 3, [1], 64, 64)
     # float rounding turns the attracting fixed point into a 2-cycle
     assert w.period in (1, 2)
-    cfgt = pesin.PesinConfig(chi=CHI2, epsilon=0.1)
+    cfgt = RunConfig(chi=CHI2, epsilon=0.1)
     al = cg.build_alphabet(m, [w.shift(k) for k in range(w.period)], cfgt)
     g, _ = cg.sufficiency_encode(m, w, al, cfgt, lo=0, hi=8)
     res = shadow(m, g, cfgt)
