@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from symdyn import analysis, cli, markov_refine
+from symdyn import analysis, cli, coarse_grain, markov_refine, shadowing
 from symdyn.config import RunConfig, parse_config
 
 from oracles import read_windows
@@ -260,6 +260,88 @@ def test_inverse_audit_command(tmp_path):
     fam_b = [r for r in records if r.endswith(" u_depth=34")]
     assert fam_a and len(fam_a) + len(fam_b) == len(records)
     assert [r[:-2] for r in fam_a] == [r[:-2] for r in fam_b]
+
+
+def _forced_failures(monkeypatch, no_vertex, broken):
+    """``sufficiency_encode`` raises NoNetVertex on the windows and
+    ``shadow_many`` returns EdgeBroken for the gpos whose (x0, u depth) at
+    index 0 is in ``no_vertex`` and ``broken``; both messages name it."""
+    encode, shadow_many = coarse_grain.sufficiency_encode, shadowing.shadow_many
+
+    def encoding(m, w, *args, **kwargs):
+        if (w.x0, w.u_depth) in no_vertex:
+            raise coarse_grain.NoNetVertex(f"forced x0={w.x0!r} u_depth={w.u_depth}")
+        return encode(m, w, *args, **kwargs)
+
+    def shadowing_(*args, **kwargs):
+        out = shadow_many(*args, **kwargs)
+        for i, r in enumerate(out):
+            c = r.gpo.chart(0)
+            if (c.theta0, c.center.u_depth) in broken:
+                out[i] = shadowing.EdgeBroken(
+                    f"forced x0={c.theta0!r} u_depth={c.center.u_depth}")
+        return out
+
+    monkeypatch.setattr(coarse_grain, "sufficiency_encode", encoding)
+    monkeypatch.setattr(shadowing, "shadow_many", shadowing_)
+
+
+def _report(path):
+    """The (lines, records) of a ``formats.write_report`` file."""
+    body = path.read_text().splitlines()[1:]
+    return ([ln[2:] for ln in body if ln.startswith("# ")],
+            [json.loads(ln) for ln in body if not ln.startswith("# ")])
+
+
+FAILURE_RUN = "map = doubling\nmax_period = 5\n"
+
+
+def test_shadow_stage_failures(tmp_path, monkeypatch, capsys):
+    cfg = parse_config(FAILURE_RUN)
+    cli.run("shadow", cfg, str(tmp_path / "base"), quiet=False)
+    base_out = capsys.readouterr().out.splitlines()
+    base = (tmp_path / "base" / "shadows.txt").read_text().splitlines()
+    x0s = [float(ln.split()[0][3:]) for ln in base[1:]]
+    a, b = x0s[1], x0s[3]
+    depth = cfg.back_depth
+    # a has no net vertex (and would break), b only breaks
+    _forced_failures(monkeypatch, {(a, depth)}, {(a, depth), (b, depth)})
+    cli.run("shadow", cfg, str(tmp_path / "o"), quiet=False)
+    out = capsys.readouterr().out.splitlines()
+    want = f"shadow: {len(x0s) - 2} gpos shadowed, 2 failures, worst containment 0"
+    assert base_out[-1] == f"shadow: {len(x0s)} gpos shadowed, 0 failures, worst containment 0"
+    assert out == base_out[:-1] + [want]
+    assert (tmp_path / "o" / "shadows.txt").read_text().splitlines() == [
+        ln for ln in base if not ln.startswith((f"x0={a!r} ", f"x0={b!r} "))]
+
+
+def test_inverse_stage_failures(tmp_path, monkeypatch):
+    cfg = parse_config(FAILURE_RUN)
+    cli.run("inverse-audit", cfg, str(tmp_path / "base"), quiet=True)
+    lines, records = _report(tmp_path / "base" / "inverse.report")
+    n = len(records)
+    assert lines[0] == f"double codings audited: {n}, failures: 0"
+    # one block of 8 lines per orbit, in the order of the records
+    blocks = [lines[1 + 8 * i: 9 + 8 * i] for i in range(n)]
+    assert len(lines) == 1 + 8 * n
+    x0s = [r["x0"] for r in records]
+    da, db = min(cfg.back_depth, 30), min(cfg.back_depth, 30) + 4
+    p, q, r, s = x0s[0], x0s[2], x0s[5], x0s[7]
+    no_vertex = {(p, db), (s, da), (s, db)}
+    broken = {(p, da), (q, db), (r, da), (r, db)}
+    want = {p: f"NoNetVertex: forced x0={p!r} u_depth={db}",    # encoding before shadowing
+            q: f"EdgeBroken: forced x0={q!r} u_depth={db}",
+            r: f"EdgeBroken: forced x0={r!r} u_depth={da}",     # gpo a before gpo b
+            s: f"NoNetVertex: forced x0={s!r} u_depth={da}"}
+    _forced_failures(monkeypatch, no_vertex, broken)
+    with pytest.raises(RuntimeError, match="inverse audit failed"):
+        cli.run("inverse-audit", cfg, str(tmp_path / "o"), quiet=True)
+    got_lines, got_records = _report(tmp_path / "o" / "inverse.report")
+    expect = [f"double codings audited: {n - 4}, failures: 4"]
+    for x0, block in zip(x0s, blocks):
+        expect += [f"orbit x0={x0!r}: {want[x0]}"] if x0 in want else block
+    assert got_lines == expect
+    assert got_records == [rec for rec in records if rec["x0"] not in want]
 
 
 def test_alphabet_command_discreteness(tmp_path):
