@@ -6,7 +6,9 @@ the scalar lane (``Branch``/``MapModel``, through the orbit builders behind
 time) and point by point through ``tests/oracles.py:cover_id_reference``
 (in the row's name); then the gpos of the deep Markov cover (doubling at
 ``max_period = 10``), shadowed in one lockstep ``shadow_many`` batch and
-one one-row ``shadow_many`` call per gpo.
+one one-row ``shadow_many`` call per gpo.  A call computes one step map per
+distinct edge of its own walks, so the per-gpo row also computes every
+gpo's step maps again.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -111,7 +113,7 @@ def bench(reps=3):
         for row in walks:
             sh.shadow_many(m, charts, row[None], n_lo, cfg)
 
-    timeit(f"shadow per gpo, deep cover ({k} gpos)", one_at_a_time)
+    timeit(f"shadow per gpo, deep cover ({k} gpos, own step maps)", one_at_a_time)
     return out
 
 

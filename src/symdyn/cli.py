@@ -74,16 +74,25 @@ def stage_graph(al, out, quiet):
     return g, pg, kept
 
 
-def _shadow_encoded(m, al, encoded, cfg):
-    """Shadow the encoded (gpo, vertex ids) pairs, one ``shadow_many`` call
-    per (n_lo, length) group; the results keep the order of ``encoded``."""
-    charts = [v.chart for v in al.vertices]
-    groups = {}
-    for i, (gpo, _) in enumerate(encoded):
-        groups.setdefault((gpo.n_lo, len(gpo.charts)), []).append(i)
-    out = [None] * len(encoded)
-    for (n_lo, _), rows in groups.items():
-        walks = [encoded[i][1] for i in rows]
+def _encode_and_shadow(m, al, tables, cfg, lo, hi):
+    """Encode the windows of ``tables`` over [lo, hi] and shadow their gpos
+    in one ``shadow_many`` call (the windows of a stage share back_depth and
+    the forward horizon, so every gpo spans the same indices); per table,
+    in order, a ShadowResult, an EdgeBroken or a NoNetVertex."""
+    out, rows, walks = [], [], []
+    for tabs in tables:
+        try:
+            gpo, vids = coarse_grain.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi,
+                                                        tables=tabs)
+        except coarse_grain.NoNetVertex as e:
+            out.append(e)
+            continue
+        rows.append(len(out))
+        out.append(None)
+        walks.append(vids)
+        n_lo = gpo.n_lo
+    if walks:
+        charts = [v.chart for v in al.vertices]
         for i, res in zip(rows, shadowing.shadow_many(m, charts, walks, n_lo, cfg)):
             out[i] = res
     return out
@@ -92,18 +101,10 @@ def _shadow_encoded(m, al, encoded, cfg):
 def stage_shadow(m, cfg, al, out, quiet):
     """Encode and shadow one window per orbit: the base window whose tables
     the alphabet kept."""
-    encoded = []
-    failures = 0
-    for tabs in sorted(al.tables, key=lambda t: t.w.record()):
-        hi = min(cfg.encode_hi, tabs.w.fwd_len - 1)
-        try:
-            encoded.append(coarse_grain.sufficiency_encode(
-                m, tabs.w, al, cfg, lo=cfg.encode_lo, hi=hi, tables=tabs))
-        except coarse_grain.NoNetVertex:
-            failures += 1
-    shadowed = _shadow_encoded(m, al, encoded, cfg)
-    results = [r for r in shadowed if not isinstance(r, shadowing.EdgeBroken)]
-    failures += len(shadowed) - len(results)
+    shadowed = _encode_and_shadow(m, al, sorted(al.tables, key=lambda t: t.w.record()),
+                                  cfg, cfg.encode_lo, cfg.encode_hi)
+    results = [r for r in shadowed if isinstance(r, shadowing.ShadowResult)]
+    failures = len(shadowed) - len(results)
     formats.write_shadows(os.path.join(out, "shadows.txt"), results)
     worst = max((r.worst_containment for r in results), default=0.0)
     _say(quiet, f"shadow: {len(results)} gpos shadowed, {failures} failures, "
@@ -122,41 +123,30 @@ def stage_inverse(m, cfg, out, quiet):
     records = []
     audited = 0
     failed = 0
-    hi = cfg.encode_hi
     # both families share each orbit's cycle array
     reps_b = {id(t.w.points): t for t in al.tables if t.w.u_depth == base + 4}
+    reps_a = sorted((t for t in al.tables if t.w.u_depth == base), key=lambda t: t.w.x0)
+    shadowed = _encode_and_shadow(
+        m, al, [t for a in reps_a for t in (a, reps_b[id(a.w.points)])], cfg, 0, cfg.encode_hi)
 
-    def encode(tabs):
-        return coarse_grain.sufficiency_encode(m, tabs.w, al, cfg, lo=0, hi=hi, tables=tabs)
-
-    orbits = []     # per orbit: its window and its encoded pair or why it has none
-    for tabs in sorted((t for t in al.tables if t.w.u_depth == base), key=lambda t: t.w.x0):
-        try:
-            orbits.append((tabs.w, (encode(tabs), encode(reps_b[id(tabs.w.points)]))))
-        except coarse_grain.NoNetVertex as e:
-            orbits.append((tabs.w, e))
-    shadowed = iter(_shadow_encoded(
-        m, al, [e for _, pair in orbits if isinstance(pair, tuple) for e in pair], cfg))
-
-    for wa, pair in orbits:
-        try:
-            if not isinstance(pair, tuple):
-                raise pair
-            res = next(shadowed), next(shadowed)
-            for r in res:
-                if isinstance(r, shadowing.EdgeBroken):
-                    raise r
-            rep = shadowing.inverse_check(pair[0][0], pair[1][0], *res, cfg)
-        except (coarse_grain.NoNetVertex, shadowing.NotDoubleCoding,
-                shadowing.EdgeBroken) as e:
-            lines.append(f"orbit x0={wa.x0!r}: {type(e).__name__}: {e}")
+    for tabs, pair in zip(reps_a, zip(shadowed[::2], shadowed[1::2])):
+        # an encoding failure is reported before a shadowing one, gpo a before b
+        errors = sorted((r for r in pair if not isinstance(r, shadowing.ShadowResult)),
+                        key=lambda e: isinstance(e, shadowing.EdgeBroken))
+        if not errors:
+            try:
+                rep = shadowing.inverse_check(*pair, cfg)
+            except shadowing.NotDoubleCoding as e:
+                errors = [e]
+        if errors:
+            lines.append(f"orbit x0={tabs.w.x0!r}: {type(errors[0]).__name__}: {errors[0]}")
             failed += 1
             continue
         audited += 1
         if not rep.passed:
             failed += 1
         lines.extend(rep.lines())
-        records.append({"x0": wa.x0, "passed": rep.passed,
+        records.append({"x0": tabs.w.x0, "passed": rep.passed,
                         "recurrence": json.dumps(rep.recurrence, sort_keys=True)})
     lines.insert(0, f"double codings audited: {audited}, failures: {failed}")
     formats.write_report(os.path.join(out, "inverse.report"), "inverse",

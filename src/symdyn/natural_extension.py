@@ -166,14 +166,14 @@ def forward_orbit(m, x, nsteps):
     return np.array(pts), np.array(bids, dtype=np.int64), np.log(np.abs(np.array(ds)))
 
 
-def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len, u_depth=None):
+def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len):
     """Window over the bitwise-periodic backward cycle of ``fwd_word``.
 
     ``fwd_word[j]`` is the branch containing orbit point c_j (c_{j+1} =
     f(c_j), indices mod P).  Inverse branches contract, so backward
     iteration reaches an exactly periodic float cycle; the cycle is taken
-    as soon as the float orbit closes, and the window tiles it.
-    ``u_depth`` defaults to ``back_depth`` so u-values are shift-stable.
+    as soon as the float orbit closes, and the window tiles it.  Its u
+    depth is ``back_depth``, so u-values are shift-stable.
     """
     word = [int(b) for b in fwd_word]
     P = len(word)
@@ -197,13 +197,12 @@ def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len, u_depth=No
             for i in range(E):
                 kk = k - i
                 cyc[(-kk) % E] = hist[-1 - i]
-            return _periodic_from_cycle(m, cyc, word * mult, back_depth, fwd_len,
-                                        back_depth if u_depth is None else u_depth)
+            return _periodic_from_cycle(m, cyc, word * mult, back_depth, fwd_len)
     raise RuntimeError("backward iteration did not close into a cycle "
                        f"(word={word!r}) within {max_steps} steps")
 
 
-def _periodic_from_cycle(m, cyc, word, back_depth, fwd_len, u_depth):
+def _periodic_from_cycle(m, cyc, word, back_depth, fwd_len):
     P = len(word)
     idx = np.arange(-back_depth, fwd_len + 1)
     pts = np.array([cyc[i % P] for i in idx])
@@ -220,7 +219,7 @@ def _periodic_from_cycle(m, cyc, word, back_depth, fwd_len, u_depth):
     err = np.max(np.abs(K.fwd_vec(m.family, bids, pts[:-1]) - pts[1:]))
     if err > CONSISTENCY_TOL:
         raise ValueError(f"cycle violates the window tolerance: {err:g}")
-    return _assemble(m, pts, bids, ld, off=back_depth, u_depth=u_depth, period=P)
+    return _assemble(m, pts, bids, ld, off=back_depth, u_depth=back_depth, period=P)
 
 
 def make_pseudo_window(m, pts, bids, off=None):

@@ -11,7 +11,7 @@ integer index on the grid I_eps.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -304,14 +304,10 @@ class Chart:
     shift: int           # chart lives at the shift-th coordinate of center
     params: PesinParams
     idx_p: int
-    # shadowing.step_map results for edges leaving this chart, keyed by the
-    # data of the chart they lead to
-    steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.idx_p < self.params.idxQ:
             raise ValueError("chart size exceeds Q")
-        object.__setattr__(self, "steps", {})
 
     @property
     def u(self):

@@ -73,22 +73,9 @@ class StepMap:
 
 
 def step_map(m, v_to, v_from, cfg):
-    """Affine step data for the edge v_to <- v_from, computed once per edge.
-
-    The result is a pure function of the branch of v_from's center at
-    shift - 1, the theta0, u and idx_p of both charts and cfg.epsilon, so it
-    is kept on v_from (``Chart.steps``) under the data of v_to; m must be
-    the map of v_from's center.
-    """
-    key = (v_to.theta0, v_to.u, v_to.idx_p, v_to.params.epsilon, cfg.epsilon)
-    s = v_from.steps.get(key)
-    if s is None:
-        s = v_from.steps[key] = _affine_step(m, v_to, v_from, cfg)
-    return s
-
-
-def _affine_step(m, v_to, v_from, cfg):
-    """The rescaled affine model of the edge v_to <- v_from.
+    """The rescaled affine model of the edge v_to <- v_from; m must be the
+    map of v_from's center.  ``shadow_many`` computes one per distinct edge
+    of its call.
 
     The curvature of g over a chart range is below float resolution
     relative to the linear part (|s| <= 10 Q / u with Q on the I_eps
@@ -152,8 +139,9 @@ def shadow_many(m, charts, walks, n_lo, cfg, init_interval=(-1.0, 1.0)):
     per row a ShadowResult or, if a step image escapes its target chart, an
     EdgeBroken.  Every row takes the IEEE operations of a one-gpo loop in
     the same order, so no result depends on the rest of its batch (which
-    runs in blocks of SHADOW_BLOCK rows).  Raises ValueError for the first
-    row whose points miss the window tolerance.
+    runs in blocks of SHADOW_BLOCK rows, sharing one ``step_map`` per
+    distinct edge of the call).  Raises ValueError for the first row whose
+    points miss the window tolerance.
     """
     walks = np.asarray(walks, dtype=np.int64)
     n_gpo, length = walks.shape
@@ -164,23 +152,35 @@ def shadow_many(m, charts, walks, n_lo, cfg, init_interval=(-1.0, 1.0)):
         raise ValueError("gpo needs forward length >= 1")
     if n_lo > 0:
         raise ValueError("gpo needs the index 0")
+    # step j (index n_lo + j) maps chart j + 1 into chart j, whose branch
+    # the shadowed point takes there
+    nc = len(charts)
+    edge, at = np.unique(walks[:, 1:] * nc + walks[:, :-1], return_inverse=True)
+    steps = []
+    for key in edge.tolist():
+        v_from, v_to = charts[key // nc], charts[key % nc]
+        s = step_map(m, v_to, v_from, cfg)
+        steps.append((s.a, s.b, v_to.center.branch(v_to.shift)))
+    edges = tuple(np.array(col) for col in zip(*steps))
+    at = at.reshape(n_gpo, length - 1)
     return [res for i in range(0, n_gpo, SHADOW_BLOCK)
-            for res in _shadow_block(m, charts, walks[i:i + SHADOW_BLOCK], n_lo, cfg,
-                                     init_interval)]
+            for res in _shadow_block(m, charts, walks[i:i + SHADOW_BLOCK], edges,
+                                     at[i:i + SHADOW_BLOCK], n_lo, cfg, init_interval)]
 
 
-def _shadow_block(m, charts, walks, n_lo, cfg, init_interval):
-    """``shadow_many`` on one block of rows."""
+def _shadow_block(m, charts, walks, edges, at, n_lo, cfg, init_interval):
+    """``shadow_many`` on one block of rows; step j of row k is edge
+    ``at[k, j]`` of the per-edge (a, b, branch) arrays ``edges``."""
     n_gpo, length = walks.shape
     n_hi = n_lo + length - 1
     results = [None] * n_gpo
-    branch, taus, ratios, worst, used = _contract(m, charts, walks, n_lo, cfg,
-                                                  init_interval, results)
+    taus, ratios, worst, used = _contract(edges, at, n_lo, init_interval, results)
     ok = np.flatnonzero([r is None for r in results])
     if ok.size == 0:
         return results
     taus, ratios, worst, used = taus[:, ok], ratios[:, ok], worst[ok], used[ok]
-    points, log_p0 = _shadowed_points(m, charts, walks[ok], taus, branch[ok], n_lo)
+    branch = edges[2][at[ok]]
+    points, log_p0 = _shadowed_points(m, charts, walks[ok], taus, branch, n_lo)
 
     # taus keyed as the one-gpo loop fills them: n_hi, ..., 0, then -1, ..., n_lo
     keys = list(range(n_hi, -1, -1)) + list(range(-1, n_lo - 1, -1))
@@ -198,30 +198,20 @@ def _shadow_block(m, charts, walks, n_lo, cfg, init_interval):
     return results
 
 
-def _contract(m, charts, walks, n_lo, cfg, init_interval, results):
+def _contract(edges, at, n_lo, init_interval, results):
     """The lockstep contraction and backward reconstruction of the rows of
-    ``walks``; a row whose step image escapes its target chart gets the
-    EdgeBroken of its first failing step in ``results``.
+    ``at`` (as in ``_shadow_block``); a row whose step image escapes its
+    target chart gets the EdgeBroken of its first failing step in
+    ``results``.
 
-    Returns the (K, L - 1) branch ids of the charts each step leads into,
-    and per row: the (L, K) taus (row j at index n_lo + j), the (n_hi, K)
-    contraction ratios |a| of the forward steps n_hi - 1, ..., 0, the
+    Returns per row: the (L, K) taus (row j at index n_lo + j), the (n_hi,
+    K) contraction ratios |a| of the forward steps n_hi - 1, ..., 0, the
     largest |tau| and the steps used.
     """
-    n_gpo, length = walks.shape
+    n_gpo, length = at.shape[0], at.shape[1] + 1
     n_hi = n_lo + length - 1
-    # one step map per distinct edge; step j (index n_lo + j) maps chart
-    # j + 1 into chart j, whose branch the shadowed point takes there
-    nc = len(charts)
-    edge, inv = np.unique(walks[:, 1:] * nc + walks[:, :-1], return_inverse=True)
-    steps = []
-    for key in edge.tolist():
-        v_from, v_to = charts[key // nc], charts[key % nc]
-        s = step_map(m, v_to, v_from, cfg)
-        steps.append((s.a, s.b, v_to.center.branch(v_to.shift)))
-    a_e, b_e, branch_e = (np.array(col) for col in zip(*steps))
-    inv = inv.reshape(n_gpo, length - 1)
-    a, b = a_e[inv.T], b_e[inv.T]          # (L - 1, K): one row per step
+    a_e, b_e, _ = edges
+    a, b = a_e[at.T], b_e[at.T]          # (L - 1, K): one row per step
 
     taus = np.empty((length, n_gpo))
     broken = np.zeros(n_gpo, dtype=bool)
@@ -264,7 +254,7 @@ def _contract(m, charts, walks, n_lo, cfg, init_interval, results):
             if out.any():
                 fail(out, lambda k: f"backward reconstruction leaves chart {n - 1}")
     used = np.where(converged > 0, converged, n_hi)
-    return branch_e[inv], taus, np.abs(a[-n_lo:][::-1]), worst, used
+    return taus, np.abs(a[-n_lo:][::-1]), worst, used
 
 
 def _shadowed_points(m, charts, walks, taus, branch, n_lo):
@@ -302,7 +292,6 @@ class ClauseWitness:
 class InverseReport:
     passed: bool
     clauses: dict                 # name -> (ok, witness)
-    proxy_threshold: str
     recurrence: dict              # per gpo: repeats among n>0 / n<0
     common_range: tuple
 
@@ -326,13 +315,14 @@ def _recurrence_diagnostic(g):
     }
 
 
-def inverse_check(g1, g2, res1, res2, cfg):
+def inverse_check(res1, res2, cfg):
     """Evaluate the five inverse-theorem conclusions on a double coding:
-    the gpos g1 and g2, shadowed to res1 and res2.
+    the gpos of the shadow results res1 and res2.
 
     Precondition (checked): the shadowed points agree coordinatewise within
     2(p_n + q_n) (the metric proxy for exact equality of the codings).
     """
+    g1, g2 = res1.gpo, res2.gpo
     lo = max(g1.n_lo, g2.n_lo)
     hi = min(g1.n_hi, g2.n_hi)
     eps = cfg.epsilon
@@ -399,7 +389,6 @@ def inverse_check(g1, g2, res1, res2, cfg):
     passed = all(ok for ok, _ in clauses.values())
     return InverseReport(
         passed=passed, clauses=clauses,
-        proxy_threshold="|x_n - y_n| <= 2 (p_n + q_n) per represented index",
         recurrence={"g1": _recurrence_diagnostic(g1), "g2": _recurrence_diagnostic(g2)},
         common_range=(lo, hi),
     )

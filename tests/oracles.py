@@ -9,11 +9,13 @@ closed-form one must bound.  The rest are objects of the construction that only 
 read back), kept here so that ``src/`` holds what the pipeline runs.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from symdyn import _kernels as K
@@ -53,7 +55,8 @@ def strong_graph_backward(al):
     """Strong edges found from the successor side: for w of size p, (E2.3)
     forces q = e^{-eps} p when p is under its delta Q cap, and allows any
     q >= e^{-eps} p when p sits on the cap."""
-    nd = al.cfg.delta_index
+    cfg = al.cfg
+    nd = cfg.delta_index
     preds = {}
     for c in al.centers:
         preds.setdefault((c.gamma.theta[1], 1.0 / c.gamma.u[1]), []).append(c)
@@ -70,24 +73,84 @@ def strong_graph_backward(al):
                 cand = [iq for iq in c.sizes if iq <= w.idx_p + 3]
             for iq in cand:
                 v = al.vertices[al.vertex_index[(c.cid, iq)]]
-                if cg._edge_test_vertices(al.cfg, v, w):
+                if strong_clauses(cfg, w.gamma.theta[0], w.gamma.u[0], w.gamma.idxQ,
+                                  w.gamma.theta[1], w.gamma.u[1], w.idx_p,
+                                  v.gamma.theta[1], v.gamma.u[1], v.gamma.theta[2],
+                                  v.gamma.u[2], v.idx_p):
                     out_edges[v.vid].append(w.vid)
                     in_edges[w.vid].append(v.vid)
     return cg.GpoGraph(alphabet=al, out_edges=[sorted(o) for o in out_edges],
                        in_edges=[sorted(i) for i in in_edges])
 
 
+# The edge clauses from their definitions, decided in real arithmetic on the
+# float data (mpmath at 60 digits): a size p on the grid I_eps is
+# e^{-eps i/3} for the configured float eps taken exactly, so no threshold
+# rounds or underflows, and a clause is strict only where its definition is.
+_MP = mpmath.MPContext()
+_MP.dps = 60
+
+
+@functools.cache
+def _size(eps, i):
+    return _MP.exp(-_MP.mpf(eps) * i / 3)
+
+
+@functools.cache
+def _delta_n(eps):
+    """The least integer n with e^{-eps n} < eps (delta_eps = e^{-eps n})."""
+    n = 1
+    while not _MP.exp(-_MP.mpf(eps) * n) < eps:
+        n += 1
+    return n
+
+
+def _distance(a, b):
+    return abs(_MP.mpf(a) - _MP.mpf(b))
+
+
+def overlap_clauses(theta1, u1, i1, theta2, u2, i2, eps):
+    """Psi_{x1}^{p1} and Psi_{x2}^{p2} overlap: e^{-eps} <= p1/p2 <= e^{eps}
+    (p1/p2 = e^{-eps (i1 - i2)/3}) and d(x1, x2) + |1/u1 - 1/u2| < (p1 p2)^4."""
+    if abs(i1 - i2) > 3:
+        return False
+    if theta1 == theta2 and u1 == u2:
+        return True     # 0 < (p1 p2)^4
+    metric = _distance(theta1, theta2) + abs(1 / _MP.mpf(u1) - 1 / _MP.mpf(u2))
+    return metric < (_size(eps, i1) * _size(eps, i2)) ** 4
+
+
+def strong_clauses(cfg, theta_prev_w, u_prev_w, idxQ_w, theta0_w, u_w, ip,
+                   theta0_v, u_v, theta1_v, u_next_v, iq):
+    """(E1)-(E2.3) for the edge v <- w, v = Psi_y^q and w = Psi_x^p."""
+    eps = cfg.epsilon
+    q = _size(eps, iq)
+    # (E1) the f^{-1}-shifted chart of w overlaps v, both at size q
+    if not overlap_clauses(theta_prev_w, u_prev_w, iq, theta0_v, u_v, iq, eps):
+        return False
+    # (E2.1) d(theta_1[y], theta_0[x]) < q
+    if theta1_v != theta0_w and not _distance(theta1_v, theta0_w) < q:
+        return False
+    # (E2.2) u(f y)/u(x) = e^{+-q}: e^{-q} <= u(f y)/u(x) <= e^{q}
+    if u_next_v != u_w and not _MP.exp(-q) <= _MP.mpf(u_next_v) / u_w <= _MP.exp(q):
+        return False
+    # (E2.3) p = min(e^eps q, delta_eps Q(x)): e^eps q and delta_eps Q(x) are
+    # the grid points iq - 3 and 3n + idxQ(x), and the smaller size has the
+    # larger index
+    return ip == max(iq - 3, 3 * _delta_n(eps) + idxQ_w)
+
+
 def overlap_test(c1, c2):
     """The overlap relation between two charts (strict metric inequality)."""
-    eps = c1.params.epsilon
-    return cg._overlap_raw(c1.theta0, c1.u, c1.idx_p, c2.theta0, c2.u, c2.idx_p, eps)
+    return overlap_clauses(c1.theta0, c1.u, c1.idx_p, c2.theta0, c2.u, c2.idx_p,
+                           c1.params.epsilon)
 
 
 def _weak_clauses(cfg, theta_prev_w, u_prev_w, ip, theta0_v, u_v, iq):
     """(WE1) the f^{-1}-shifted chart of w overlaps v, both at size q, and
     (WE2) p <= e^eps q."""
-    return (cg._overlap_raw(theta_prev_w, u_prev_w, iq, theta0_v, u_v, iq, cfg.epsilon)
-            and ip >= iq - 3)
+    return (overlap_clauses(theta_prev_w, u_prev_w, iq, theta0_v, u_v, iq, cfg.epsilon)
+            and _size(cfg.epsilon, ip) <= _size(cfg.epsilon, iq - 3))
 
 
 def edge_test(m, v, w, cfg, strong=True):
@@ -100,9 +163,8 @@ def edge_test(m, v, w, cfg, strong=True):
         return _weak_clauses(cfg, theta_prev_w, u_prev_w, w.idx_p, v.theta0, v.u, v.idx_p)
     theta1_v = v.center.x(v.shift + 1)
     u_next_v = pesin.u_at(v.center, cfg.chi, v.shift + 1)
-    return cg._edge_clauses(cfg, cfg.delta_index,
-                            theta_prev_w, u_prev_w, w.params.idxQ, w.theta0, w.u, w.idx_p,
-                            v.theta0, v.u, theta1_v, u_next_v, v.idx_p)
+    return strong_clauses(cfg, theta_prev_w, u_prev_w, w.params.idxQ, w.theta0, w.u,
+                          w.idx_p, v.theta0, v.u, theta1_v, u_next_v, v.idx_p)
 
 
 def strong_chain(m, charts, cfg):
@@ -835,7 +897,7 @@ def spectral_radius_reference(adj, iters=200):
 
 
 def make_periodic_window_reference(m, x0_approx, fwd_word, back_depth, fwd_len,
-                                   u_depth=None, burn=256, max_loops=64):
+                                   burn=256, max_loops=64):
     """The periodic window found after a fixed burn-in of ``burn`` backward
     steps, testing for closure only after it."""
     word = [int(b) for b in fwd_word]
@@ -856,8 +918,7 @@ def make_periodic_window_reference(m, x0_approx, fwd_word, back_depth, fwd_len,
             cyc = [0.0] * E
             for i in range(E):
                 cyc[(-(k - i)) % E] = hist[-1 - i]
-            return ne._periodic_from_cycle(m, cyc, word * mult, back_depth, fwd_len,
-                                           back_depth if u_depth is None else u_depth)
+            return ne._periodic_from_cycle(m, cyc, word * mult, back_depth, fwd_len)
     raise RuntimeError(f"backward iteration did not close into a cycle (word={word!r})")
 
 
@@ -874,8 +935,8 @@ def parse_record(m, line):
         fwd_word = [0] * period
         for k in range(1, period + 1):
             fwd_word[(-k) % period] = back[k - 1]
-        return ne.make_periodic_window(m, x0, fwd_word, len(back), fwd,
-                                       u_depth=u_depth or None)
+        w = ne.make_periodic_window(m, x0, fwd_word, len(back), fwd)
+        return replace(w, u_depth=u_depth) if u_depth else w
     return make_window(m, x0, back, fwd, u_depth=u_depth)
 
 

@@ -229,7 +229,7 @@ def test_criterion_07_inverse_audit():
             continue
         g1, _ = cg.sufficiency_encode(m, wa, al, cfg, lo=-4, hi=10)
         g2, _ = cg.sufficiency_encode(m, wb, al, cfg, lo=-4, hi=10)
-        rep = sh.inverse_check(g1, g2, shadow(m, g1, cfg), shadow(m, g2, cfg), cfg)
+        rep = sh.inverse_check(shadow(m, g1, cfg), shadow(m, g2, cfg), cfg)
         assert rep.passed, "\n".join(rep.lines())
         # the recurrence diagnostic accompanies every report
         assert rep.recurrence["g1"]["repeats_forward"]

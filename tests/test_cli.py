@@ -268,12 +268,12 @@ def _forced_failures(monkeypatch, no_vertex, broken):
     index 0 is in ``no_vertex`` and ``broken``; both messages name it."""
     encode, shadow_many = coarse_grain.sufficiency_encode, shadowing.shadow_many
 
-    def encoding(m, w, *args, **kwargs):
+    def failing_encode(m, w, *args, **kwargs):
         if (w.x0, w.u_depth) in no_vertex:
             raise coarse_grain.NoNetVertex(f"forced x0={w.x0!r} u_depth={w.u_depth}")
         return encode(m, w, *args, **kwargs)
 
-    def shadowing_(*args, **kwargs):
+    def breaking_shadow(*args, **kwargs):
         out = shadow_many(*args, **kwargs)
         for i, r in enumerate(out):
             c = r.gpo.chart(0)
@@ -282,8 +282,8 @@ def _forced_failures(monkeypatch, no_vertex, broken):
                     f"forced x0={c.theta0!r} u_depth={c.center.u_depth}")
         return out
 
-    monkeypatch.setattr(coarse_grain, "sufficiency_encode", encoding)
-    monkeypatch.setattr(shadowing, "shadow_many", shadowing_)
+    monkeypatch.setattr(coarse_grain, "sufficiency_encode", failing_encode)
+    monkeypatch.setattr(shadowing, "shadow_many", breaking_shadow)
 
 
 def _report(path):

@@ -11,8 +11,9 @@ from symdyn import pesin
 from symdyn.config import RunConfig
 
 from construction import make_window, radius, random_library
-from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, overlap_test,
-                     strong_chain, strong_graph_backward, weak_edge_vertices, weak_successors)
+from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, overlap_clauses,
+                     overlap_test, strong_chain, strong_clauses, strong_graph_backward,
+                     weak_edge_vertices, weak_successors)
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -157,6 +158,51 @@ def test_edge_mismatched_windows(doubling, cfg, cyc, cyc3, alphabet):
     g2, _ = cg.sufficiency_encode(doubling, cyc3, alphabet, cfg, lo=0, hi=1)
     assert not edge_test(doubling, g1.charts[0], g2.charts[1], cfg, strong=True)
     assert not edge_test(doubling, g1.charts[0], g2.charts[1], cfg, strong=False)
+
+
+# At size index 0 every grid threshold is exactly 1, so a clause can be
+# driven onto its boundary with float data: the verdicts there pin the
+# strictness of each clause against the oracle's real arithmetic.
+OVERLAP_AT_BOUNDARY = [
+    # (theta1, u1, i1, theta2, u2, i2), overlap
+    ((1.0, 2.0, 0, 0.0, 2.0, 0), False),     # d = (p1 p2)^4: strict
+    ((0.5, 2.0, 0, 0.0, 2.0, 0), True),
+    ((0.0, 0.5, 0, 0.0, 1.0, 0), False),     # |1/u1 - 1/u2| = (p1 p2)^4
+    ((0.3, 2.0, 0, 0.3, 2.0, 3), True),      # p1/p2 = e^eps: inclusive
+    ((0.3, 2.0, 0, 0.3, 2.0, 4), False),
+]
+
+
+@pytest.mark.parametrize("args,want", OVERLAP_AT_BOUNDARY)
+def test_overlap_clauses_on_their_boundary(args, want):
+    assert overlap_clauses(*args, 0.1) is want
+    assert cg._overlap_raw(*args, 0.1) is want
+
+
+def _strong_at_boundary(cfg, **change):
+    """(E1)-(E2.3) data at q = 1 that pass every clause, with ``change``."""
+    data = dict(theta_prev_w=0.0, u_prev_w=2.0, idxQ_w=-3 - cfg.delta_index, theta0_w=0.0,
+                u_w=1.0, ip=-3, theta0_v=0.0, u_v=2.0, theta1_v=0.0, u_next_v=1.0, iq=0)
+    data.update(change)
+    return list(data.values())
+
+
+@pytest.mark.parametrize("change,want", [
+    ({}, True),
+    ({"theta_prev_w": 1.0}, False),          # (E1) d = q^8: strict
+    ({"theta_prev_w": 0.5}, True),
+    ({"theta1_v": 1.0}, False),              # (E2.1) d = q: strict
+    ({"theta1_v": 0.75}, True),
+    ({"u_next_v": math.e}, True),            # (E2.2) log of the ratio is q in floats
+    ({"u_next_v": 3.0}, False),
+    ({"ip": -2}, False),                     # (E2.3) one grid step off
+    ({"idxQ_w": -2 - RunConfig().delta_index}, False),
+])
+def test_edge_clauses_on_their_boundary(change, want):
+    cfg = RunConfig(chi=CHI2, epsilon=0.1)
+    data = _strong_at_boundary(cfg, **change)
+    assert strong_clauses(cfg, *data) is want
+    assert cg._edge_clauses(cfg, cfg.delta_index, *data) is want
 
 
 # -- alphabet -------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_pipeline_gpos_match_the_one_gpo_loop(name, tmp_path, monkeypatch):
 
     def recording(m, charts, walks, n_lo, cfg):
         caller = sys._getframe(1).f_code.co_name
-        if caller == "_shadow_encoded":
+        if caller == "_encode_and_shadow":
             caller = sys._getframe(2).f_code.co_name
         res = shadow_many(m, charts, walks, n_lo, cfg)
         batches.append((caller, m, charts, np.array(walks), n_lo, cfg, res))
@@ -138,17 +138,32 @@ LOG_P_EXP_ULP = -78.24800379004887
 def fake_charts(specs, steps):
     """Charts centred on doubling's fixed point 0 (a one-branch orbit) with
     spec (theta0, u, log p) and the step map (a, b) of the edge to <- from
-    set to ``steps[(from, to)]``."""
+    set to ``steps[(from, to)]``, which ``step_map`` returns (see
+    ``hand_set_step_maps``)."""
     center = SimpleNamespace(branch=lambda shift: 0)
     params = SimpleNamespace(epsilon=EPS)
     charts = [SimpleNamespace(theta0=theta0, u=u, log_p=log_p, idx_p=i, params=params,
-                              center=center, shift=0, steps={})
+                              center=center, shift=0, hand_steps={})
               for i, (theta0, u, log_p) in enumerate(specs)]
     for (f, t), (a, b) in steps.items():
-        to = charts[t]
-        charts[f].steps[(to.theta0, to.u, to.idx_p, EPS, CFG.epsilon)] = StepMap(
-            a=a, b=b, slope_t=a, size_ratio=1.0)
+        charts[f].hand_steps[t] = StepMap(a=a, b=b, slope_t=a, size_ratio=1.0)
     return charts
+
+
+@pytest.fixture(autouse=True, scope="module")
+def hand_set_step_maps():
+    """``shadowing.step_map`` returns the hand-set map of an edge out of a
+    ``fake_charts`` chart (keyed by the target's index, its idx_p) and
+    computes every other, for ``shadow_many`` and the reference alike."""
+    step_map = sh.step_map
+
+    def hand_set(m, v_to, v_from, cfg):
+        hand = getattr(v_from, "hand_steps", None)
+        return step_map(m, v_to, v_from, cfg) if hand is None else hand[v_to.idx_p]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sh, "step_map", hand_set)
+        yield
 
 
 COEF_A = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0, math.nan]),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ def test_bracket_requires_shared_vertex(doubling, cfg, cyc, alphabet):
 # -- inverse audit ---------------------------------------------------------------
 
 def test_inverse_check_identity(doubling, cfg, gpo):
-    rep = sh.inverse_check(gpo, gpo, shadow(doubling, gpo, cfg), shadow(doubling, gpo, cfg), cfg)
+    rep = sh.inverse_check(shadow(doubling, gpo, cfg), shadow(doubling, gpo, cfg), cfg)
     assert rep.passed
     for name, (ok, wit) in rep.clauses.items():
         assert ok, name
@@ -186,15 +187,15 @@ def test_inverse_check_identity(doubling, cfg, gpo):
 
 
 def test_inverse_check_depth_variant_families(doubling, cfg):
-    wa = ne.make_periodic_window(doubling, 1 / 6, [0, 1], 64, 40, u_depth=30)
-    wb = ne.make_periodic_window(doubling, 1 / 6, [0, 1], 64, 40, u_depth=34)
+    w = ne.make_periodic_window(doubling, 1 / 6, [0, 1], 64, 40)
+    wa, wb = replace(w, u_depth=30), replace(w, u_depth=34)
     samples = [wa.shift(k) for k in range(2)] + [wb.shift(k) for k in range(2)]
     al = cg.build_alphabet(doubling, samples, cfg)
     assert len(al.centers) == 4  # two families, not net-merged
     g1, _ = cg.sufficiency_encode(doubling, wa, al, cfg, lo=-4, hi=10)
     g2, _ = cg.sufficiency_encode(doubling, wb, al, cfg, lo=-4, hi=10)
     assert g1.charts[0].u != g2.charts[0].u
-    rep = sh.inverse_check(g1, g2, shadow(doubling, g1, cfg), shadow(doubling, g2, cfg), cfg)
+    rep = sh.inverse_check(shadow(doubling, g1, cfg), shadow(doubling, g2, cfg), cfg)
     assert rep.passed, "\n".join(rep.lines())
     assert rep.recurrence["g1"]["repeats_forward"]
     assert rep.recurrence["g1"]["repeats_backward"]
@@ -207,7 +208,7 @@ def test_inverse_check_rejects_mismatch(doubling, cfg, alphabet, cyc):
     g1, _ = cg.sufficiency_encode(doubling, cyc, al, cfg, lo=0, hi=6)
     g2, _ = cg.sufficiency_encode(doubling, cyc3, al, cfg, lo=0, hi=6)
     with pytest.raises(sh.NotDoubleCoding) as exc:
-        sh.inverse_check(g1, g2, shadow(doubling, g1, cfg), shadow(doubling, g2, cfg), cfg)
+        sh.inverse_check(shadow(doubling, g1, cfg), shadow(doubling, g2, cfg), cfg)
     assert "recurrence" in str(exc.value)  # failure carries the diagnostic
 
 
