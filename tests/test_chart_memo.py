@@ -16,7 +16,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import symdyn
 from symdyn import cli, coarse_grain, map_model, shadowing
 from symdyn.config import parse_config
 
