@@ -28,6 +28,7 @@ def bench(reps=3):
     from symdyn import _kernels as K
     from symdyn import shadowing as sh
     from symdyn.analysis import map_periodic_points
+    from symdyn.map_model import verify_regularity
 
     C = _tests_module("construction")
     m = symdyn.built_in("quadratic")
@@ -62,10 +63,10 @@ def bench(reps=3):
            lambda: C.random_library(m, 0.1, 100, back_depth=40, fwd_len=14, seed=3))
 
     def regularity():
-        m.verify_regularity(10_000, seed=1)
+        verify_regularity(m, 10_000, seed=1)
 
     timeit("verify_regularity (1e4 samples, vectorized)", regularity)
-    timeit("verify_regularity (2e5 samples)", lambda: m.verify_regularity(200_000, seed=1))
+    timeit("verify_regularity (2e5 samples)", lambda: verify_regularity(m, 200_000, seed=1))
 
     # the ball ends of the regularity check: one row per end, one branch id
     # per column

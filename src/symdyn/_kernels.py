@@ -35,6 +35,9 @@ USE_NUMBA = False
 # gauss singular points 1/(2n), so no float becomes an unbounded int.
 GAUSS_X_MIN = 2.0**-53
 
+# Bisection steps per periodic-root word at most.
+BISECT_STEPS = 200
+
 
 def _where(cond, a, b):
     """np.where on arrays, Python's conditional on floats (so the scalar lane
@@ -82,7 +85,7 @@ def gauss_dist(x):
 class Table:
     """Finitely many branches: row i of ``table`` is branch i."""
 
-    def __init__(self, table, sing=()):
+    def __init__(self, table, sing):
         self.table, self.sing = table, tuple(float(s) for s in sing)
         self.ids = range(table.shape[0])
         self.kinds = tuple(sorted({int(k) for k in table[:, 0].tolist()}))
@@ -291,12 +294,12 @@ def _compose(fam, words, x):
     return x
 
 
-def periodic_roots(fam, words, iters=200):
+def periodic_roots(fam, words):
     """Vectorized cylinder refinement + bisection over a batch of words.
 
     Returns ``(roots, found)``; ``roots[~found]`` is unspecified.  Only live
     words whose root is not a cylinder endpoint are bisected, each for at
-    most ``iters`` steps.
+    most BISECT_STEPS steps.
     """
     words = np.asarray(words, dtype=np.int64)
     w, n = words.shape
@@ -324,7 +327,7 @@ def periodic_roots(fam, words, iters=200):
     alive[idx] = exact_lo | exact_hi | ((flo > 0.0) != (fhi > 0.0))
     todo = alive[idx] & ~(exact_lo | exact_hi)
     idx, lo, hi, flo, wd = idx[todo], lo[todo], hi[todo], flo[todo], wd[todo]
-    for _ in range(iters):
+    for _ in range(BISECT_STEPS):
         if idx.size == 0:
             break
         mid = 0.5 * (lo + hi)
@@ -335,7 +338,7 @@ def periodic_roots(fam, words, iters=200):
         flo = np.where(same, fm, flo)
         # An unchanged (lo, hi) leaves the sign of flo unchanged as well, so
         # the word sits at a fixed point of the step: retiring it here gives
-        # the bits that running all ``iters`` steps would give.
+        # the bits that running all BISECT_STEPS steps would give.
         done = (new_lo == lo) & (new_hi == hi)
         lo, hi = new_lo, new_hi
         if done.any():

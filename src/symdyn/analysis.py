@@ -57,7 +57,11 @@ class EntropyEstimate:
         ]
 
 
-def spectral_radius(g, iters=200):
+# Power-iteration steps of spectral_radius.
+POWER_STEPS = 200
+
+
+def spectral_radius(g):
     """Power-iteration estimate of the adjacency spectral radius.
 
     The per-step norm growth oscillates on periodic graphs, so the
@@ -76,7 +80,7 @@ def spectral_radius(g, iters=200):
     src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     vec = np.ones(nv)
     norms = []
-    for _ in range(iters):
+    for _ in range(POWER_STEPS):
         new = np.zeros(nv)
         np.add.at(new, dst, vec[src])
         nrm = float(np.linalg.norm(new))

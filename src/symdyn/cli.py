@@ -15,8 +15,8 @@ import sys
 import traceback
 from dataclasses import replace
 
-from . import analysis, coarse_grain, formats, library, markov_refine, shadowing
-from .config import RunConfig, load_config, parse_config
+from . import analysis, coarse_grain, formats, library, map_model, markov_refine, shadowing
+from .config import RunConfig, load_config
 from .map_model import load_map
 
 def _ensure_out(out):
@@ -34,7 +34,7 @@ def _say(quiet, *parts):
 # ---------------------------------------------------------------------------
 
 def stage_verify(m, cfg, out, quiet):
-    rep = m.verify_regularity(cfg.samples, seed=cfg.seed)
+    rep = map_model.verify_regularity(m, cfg.samples, seed=cfg.seed)
     recs = [{"clause": c.name, "passed": c.passed, "checked": c.checked,
              "violations": c.violations, "worst_margin": c.worst_margin,
              "worst_x": c.worst_x} for c in rep.clauses.values()]
@@ -235,19 +235,13 @@ def build_parser():
 
 
 def resolve_config(args):
-    cfg = RunConfig()
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
-    overrides = []
-    for key, attr in (("map", "map_name"), ("chi", "chi"), ("epsilon", "epsilon"),
-                      ("seed", "seed"), ("samples", "samples"),
-                      ("max_period", "max_period")):
-        val = getattr(args, attr)
-        if val is not None:
-            overrides.append(f"{key} = {val}")
-    if overrides:
-        cfg = parse_config("\n".join(overrides), base=cfg)
-    return cfg
+    """The run config: defaults, then the config file, then the command-line
+    overrides, each applied as a value (``RunConfig`` validates them)."""
+    cfg = load_config(args.config, base=RunConfig()) if args.config else RunConfig()
+    overrides = {key: getattr(args, attr) for key, attr in (
+        ("map", "map_name"), ("chi", "chi"), ("epsilon", "epsilon"), ("seed", "seed"),
+        ("samples", "samples"), ("max_period", "max_period"))}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def run(command, cfg, out, quiet=False):

@@ -157,23 +157,24 @@ def _gamma_and_bin(tabs, k, theta, abins):
     return gamma, BinKey(k=kbins, l=lbins, a=abins, m=mbin, j=tabs.j_bin(k))
 
 
-def bin_tables(m, tables, wanted):
-    """The window tables with their bins: each index's (Gamma, BinKey) at
-    the indices wanted[i] of tables[i], kept once per phase of a periodic
-    window (``WindowTables.bin_indices``).
+def bin_tables(m, tables):
+    """The window tables with their bins: each index's (Gamma, BinKey) over
+    the whole range of each certified table, kept once per phase of a
+    periodic window (``WindowTables.bin_indices``); an uncertified table
+    is returned as it is.
 
     The cover ids of every coordinate the bins read come from one
     ``MapModel.cover_ids`` call, which scans each distinct point once.
     """
-    spans = [t.bin_indices(ks) for t, ks in zip(tables, wanted)]
+    spans = [t.bin_indices() if t.certified else () for t in tables]
     coords = [[t.w.x(k + i) for k in ks for i in (-1, 0, 1)] for t, ks in zip(tables, spans)]
     ids = iter(m.cover_ids([x for c in coords for x in c]).tolist())
     out = []
     for t, ks, x in zip(tables, spans, coords):
         a = list(itertools.islice(ids, len(x)))
-        out.append(t.with_bins(ks, [_gamma_and_bin(t, k, tuple(x[3 * j:3 * j + 3]),
-                                                   tuple(a[3 * j:3 * j + 3]))
-                                    for j, k in enumerate(ks)]))
+        out.append(t.with_bins([_gamma_and_bin(t, k, tuple(x[3 * j:3 * j + 3]),
+                                               tuple(a[3 * j:3 * j + 3]))
+                                for j, k in enumerate(ks)]) if t.certified else t)
     return out
 
 
@@ -202,26 +203,22 @@ def build_alphabet(m, samples, cfg):
     are the (E2.3) closure of each center's cap and sampled greedy sizes
     inside its CG2 windows; charts are numbered by center, sizes ascending.
     The tables of each group's base window (least offset) are kept on the
-    alphabet, in sample order, for encoding those windows, with the bins of
-    its samples (every phase, for a periodic window).
+    alphabet, in sample order, for encoding those windows, with their bins.
     """
     tables = []
-    wanted = []   # per table: the indices its samples read
     entries = []  # (sort_key, table number, k)
     skipped = 0
     for group in _group_samples(samples).values():
         base = min(group, key=lambda w: w.off)
         tabs = window_tables(m, base, cfg)
-        ks = []
         for w in group:
             k = w.off - base.off
             if tabs.certified and tabs.lo <= k <= tabs.hi:
-                ks.append(k)
                 entries.append((w.record(), len(tables), k))
-        skipped += len(group) - len(ks)
+            else:
+                skipped += 1
         tables.append(tabs)
-        wanted.append(ks)
-    tables = bin_tables(m, tables, wanted)
+    tables = bin_tables(m, tables)
     entries.sort(key=lambda e: e[0])
 
     centers = []
@@ -396,17 +393,15 @@ def sufficiency_encode(m, w, alphabet, cfg, lo=None, hi=None, tables=None):
     For each index the net representative of the shifted data is selected
     and the chart size follows the window-truncated greedy rule; which
     consecutive charts are strong edges is ``build_graph``'s to decide.
-    The bins are read from ``tables`` (the alphabet's own, binned once per
-    phase by ``build_alphabet``) or binned here, and each phase's
-    representative is looked up once, by the greedy net's ``find_center``.
+    The bins are read from ``tables`` (the alphabet's own, binned by
+    ``build_alphabet``) or binned here, and each phase's representative is
+    looked up once, by the greedy net's ``find_center``.
     """
-    tabs = tables or window_tables(m, w, cfg, lo=lo, hi=hi)
+    tabs = tables or bin_tables(m, [window_tables(m, w, cfg, lo=lo, hi=hi)])[0]
     if not tabs.certified:
         raise ValueError("window fails the expansion certificate")
     lo = tabs.lo if lo is None else max(lo, tabs.lo)
     hi = tabs.hi if hi is None else min(hi, tabs.hi)
-    if not tabs.has_bins(range(lo, hi + 1)):
-        tabs, = bin_tables(m, [tabs], [range(lo, hi + 1)])
 
     charts = []
     vids = []

@@ -15,6 +15,9 @@ allowed.  Keys (all optional, defaults below):
     paths_per_vertex  sampled strong paths per vertex in the Markov cover (>= 1)
     cover_window    half-length of the sampled paths (>= 2)
     encode_lo/encode_hi  encoding range within windows (encode_lo <= 0 < encode_hi)
+
+A library window spans back_depth + max(fwd_len, encode_hi + 2) orbit
+steps, which must hold a whole cycle of every period up to max_period.
 """
 
 import math
@@ -56,6 +59,17 @@ class RunConfig:
             raise ValueError("encode_lo must be <= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.back_depth + self.horizon < self.max_period:
+            raise ValueError(
+                f"back_depth + max(fwd_len, encode_hi + 2) = {self.back_depth + self.horizon} "
+                f"must be >= max_period = {self.max_period}: a library window holds less "
+                f"than one cycle")
+
+    @property
+    def horizon(self):
+        """Forward horizon of a library window: fwd_len, or room to encode
+        up to encode_hi if that is longer."""
+        return max(self.fwd_len, self.encode_hi + 2)
 
     def grid_log(self, idx):
         """log of the I_eps grid point with integer index idx."""

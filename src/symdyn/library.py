@@ -44,11 +44,9 @@ def periodic_library(m, cfg):
 
     One bitwise cycle per orbit, started at its least root, one window per
     phase, of backward depth cfg.back_depth and forward horizon
-    max(cfg.fwd_len, cfg.encode_hi + 2), room to encode up to encode_hi;
-    uncertified cycles (expansion below chi somewhere along the orbit) are
-    dropped.
+    cfg.horizon; uncertified cycles (expansion below chi somewhere along
+    the orbit) are dropped.
     """
-    fwd_len = max(cfg.fwd_len, cfg.encode_hi + 2)
     seen = set()
     windows = []
     orbits = 0
@@ -64,7 +62,7 @@ def periodic_library(m, cfg):
                 continue  # a point of a shorter orbit, or of one already met
             seen.add(key)
             try:
-                w = ne.make_periodic_window(m, x, word, cfg.back_depth, fwd_len)
+                w = ne.make_periodic_window(m, x, word, cfg.back_depth, cfg.horizon)
             except SingularPoint:
                 skipped_singular += 1
                 continue

@@ -34,6 +34,9 @@ COVER_MAX_LEVEL = 64
 # Samples per block of the regularity check; a block holds each sample's
 # ball ends and the derivatives there.
 REGULARITY_BLOCK = 4096
+# Draw rounds of the regularity sampler at most, for maps whose regular
+# points are rare.
+SAMPLE_ROUNDS = 200
 
 KIND_NAMES = {KIND_AFFINE: "affine", KIND_QUADRATIC: "quadratic", KIND_MOEBIUS: "moebius"}
 KIND_IDS = {v: k for k, v in KIND_NAMES.items()}
@@ -211,9 +214,6 @@ class MapModel:
         r = 0.5 * np.minimum(np.minimum(d[:-1] ** self.a, d[1:] ** self.a), 1.0)
         return bool(np.all(r >= self.exclusion))
 
-    def verify_regularity(self, sample_count, seed):
-        return verify_regularity(self, sample_count, seed)
-
 
 # ---------------------------------------------------------------------------
 # branch checks
@@ -293,8 +293,8 @@ class RegularityReport:
     map_name: str
     sample_count: int
     clauses: dict
-    extreme_x: float = math.nan       # sample with the most extreme derivative
-    extreme_value: float = math.nan   # max(|dg|, 1/|df|) at the ball ends
+    extreme_x: float       # sample with the most extreme derivative
+    extreme_value: float   # max(|dg|, 1/|df|) at the ball ends
 
     @property
     def passed(self):
@@ -306,8 +306,7 @@ class RegularityReport:
             status = "pass" if c.passed else "FAIL"
             out.append(f"  {c.name}: {status} checked={c.checked} violations={c.violations} "
                        f"worst_margin={c.worst_margin:.6g} at x={c.worst_x:.12g}")
-        if not math.isnan(self.extreme_x):
-            out.append(f"  extreme derivative {self.extreme_value:.6g} at x={self.extreme_x:.12g}")
+        out.append(f"  extreme derivative {self.extreme_value:.6g} at x={self.extreme_x:.12g}")
         return out
 
 
@@ -319,11 +318,10 @@ def verify_regularity(m, sample_count, seed):
     bounds d(x,S)^a <= |df|,|dg| <= d(x,S)^-a (A2) and the Hölder quotients
     |df_y - df_z| / |y-z|^beta <= kappa (A3), from the values at the two ends
     of each ball.  The clauses run per block of ``REGULARITY_BLOCK`` samples.
+    Raises ValueError for a sample count below 1, which would check nothing.
     """
-    if sample_count <= 0:
-        return RegularityReport(m.name, 0, {c: ClauseResult(c, True, 0, 0, math.inf, math.nan)
-                                            for c in ("A1", "A2", "A3")})
-
+    if sample_count < 1:
+        raise ValueError(f"regularity check needs samples >= 1, got {sample_count}")
     x, *rad = _regular_samples(m, sample_count, np.random.default_rng(seed))
     n = x.size
     if n == 0:
@@ -355,7 +353,7 @@ def _radii(m, x):
     return bid, fx, dx, dfx, 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
 
 
-def _regular_samples(m, count, rng, max_tries=200):
+def _regular_samples(m, count, rng):
     """Up to ``count`` points x drawn uniformly on the domain with x and
     f(x) regular and an admissible radius, as ``(x, *_radii(m, x))``; the
     radii are taken per block of ``REGULARITY_BLOCK`` draws until ``count``
@@ -363,7 +361,7 @@ def _regular_samples(m, count, rng, max_tries=200):
     lo, hi = m.domain
     out = (np.empty(count), np.empty(count, dtype=np.int64), *(np.empty(count) for _ in range(4)))
     got = tries = 0
-    while got < count and tries < max_tries:
+    while got < count and tries < SAMPLE_ROUNDS:
         tries += 1
         xs = rng.uniform(lo, hi, size=max(64, 2 * (count - got)))
         for s in range(0, xs.size, REGULARITY_BLOCK):

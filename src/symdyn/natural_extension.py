@@ -81,18 +81,17 @@ class OrbitWindow:
 
     # -- shifts -----------------------------------------------------------
 
-    def shift(self, k, min_back=1):
+    def shift(self, k):
         """The window of the k-th shift; backward depth grows with k > 0.
 
         Forward room is re-derived by iterating f (periodically for cycle
         windows) when k exceeds the cached horizon.  Raises WindowExhausted
-        if the shifted view would keep less than ``min_back`` backward depth.
+        if the shifted view would keep no backward depth.
         """
         if k == 0:
             return self
-        if self.off + k < min_back:
-            raise WindowExhausted(
-                f"shift by {k} leaves backward depth {self.off + k} < {min_back}")
+        if self.off + k < 1:
+            raise WindowExhausted(f"shift by {k} leaves backward depth {self.off + k} < 1")
         w = self
         need_fwd = (self.off + k) - (self.points.shape[0] - 1 - 1)
         if need_fwd > 0:

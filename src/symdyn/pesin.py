@@ -80,18 +80,17 @@ def _u_terms(S, j, depth, chi):
     return logt
 
 
-def u_at(w, chi, k=0, depth=None):
-    """u at the k-th shift, truncating the defining series at ``depth``.
+def u_at(w, chi, k=0):
+    """u at the k-th shift, truncating the defining series at the window's
+    fixed u_depth, or at the full available backward depth without one.
 
-    Defaults to the window's fixed u_depth (periodic windows) or the full
-    available backward depth.  Periodic windows are evaluated by phase from
-    the canonical tiled cycle, so the value is independent of k mod period.
+    Periodic windows are evaluated by phase from the canonical tiled cycle,
+    so the value is independent of k mod period.
     """
     if w.period:
-        table = _u_phase_table(w, chi, depth)
-        return float(table[(k + w.off) % w.period])
+        return float(_u_phase_table(w, chi)[(k + w.off) % w.period])
     avail = w.back_len + k
-    d = avail if (depth or w.u_depth) == 0 else min(depth or w.u_depth, avail)
+    d = min(w.u_depth, avail) if w.u_depth else avail
     if d < 0:
         raise IndexError(f"shift {k} has no backward data")
     logt = _u_terms(w.cumlog, w.off + k, d, chi)
@@ -101,12 +100,13 @@ def u_at(w, chi, k=0, depth=None):
     return math.sqrt(float(np.sum(np.exp(logt))))
 
 
-def _u_phase_table(w, chi, depth=None):
+def _u_phase_table(w, chi):
     P = w.period
-    d = depth or w.u_depth or w.back_len
+    d = w.u_depth or w.back_len
     phases = np.arange(P)
-    # phase of array slot i is (i - off) mod P; ld_phase[p] = log|df| at phase p
-    ld_phase = w.logderivs[w.off + (phases - w.off) % P]
+    # phase of array slot i is i mod P (index k has phase (k + off) mod P),
+    # and the cycle is tiled exactly: ld_phase[p] = log|df| at phase p
+    ld_phase = w.logderivs[:P]
     # row p: the partial sums of log|df| over the d phases before p, backward
     S = np.zeros((P, d + 1))
     S[:, 1:] = np.cumsum(ld_phase[(phases[:, None] - 1 - np.arange(d)) % P], axis=1)
@@ -123,10 +123,7 @@ class PesinParams:
     epsilon: float
     u: float
     u_prev: float
-    rho: float
-    logQtilde: float
     idxQ: int
-    idx_q: int           # grid index of the greedy q at this index
 
     @property
     def logQ(self):
@@ -202,43 +199,33 @@ class WindowTables:
     hi: int
     u: object
     dist: object         # d(x_k, S)
-    logQtilde: object
     idxQ: object
     idx_q: object
     certified: bool
-    cert: Certificate
     bins: object = None
 
     def params_at(self, k):
-        return PesinParams(
-            epsilon=self.cfg.epsilon,
-            u=self.u[k], u_prev=self.u[k - 1], rho=_rho(self.dist, k),
-            logQtilde=self.logQtilde[k], idxQ=self.idxQ[k], idx_q=self.idx_q[k],
-        )
+        return PesinParams(epsilon=self.cfg.epsilon, u=self.u[k], u_prev=self.u[k - 1],
+                           idxQ=self.idxQ[k])
 
     def j_bin(self, k):
         """q-size bin: j with q in [e^{-j-1}, e^{-j+1}); canonical floor(-ln q)."""
         return int(math.floor((self.cfg.epsilon / 3.0) * self.idx_q[k]))
 
-    def bin_indices(self, ks):
-        """The indices to bin for ``bins`` to hold the indices ks: ks, or
-        one per phase for a table kept once per phase (from the least index
-        with both neighbours in the window)."""
-        if ks and isinstance(self.idxQ, _PhaseTable):
+    def bin_indices(self):
+        """The indices ``bins`` holds: the range [lo, hi], or one per phase
+        for a table kept once per phase (from the least index with both
+        neighbours in the window)."""
+        if isinstance(self.idxQ, _PhaseTable):
             return range(1 - self.w.off, 1 - self.w.off + self.w.period)
-        return ks
+        return range(self.lo, self.hi + 1)
 
-    def with_bins(self, ks, values):
-        """These tables with ``bins`` holding values[i] at ks[i], where ks
-        comes from ``bin_indices``."""
-        per_phase = ks and isinstance(self.idxQ, _PhaseTable)
-        return replace(self, bins=_PhaseTable(values, self.w.off - 1) if per_phase
-                       else dict(zip(ks, values)))
-
-    def has_bins(self, ks):
-        """Whether ``bins`` holds every index in ks."""
-        return isinstance(self.bins, _PhaseTable) or (
-            self.bins is not None and self.bins.keys() >= set(ks))
+    def with_bins(self, values):
+        """These tables with ``bins`` holding values[i] at the i-th index of
+        ``bin_indices()``."""
+        if isinstance(self.idxQ, _PhaseTable):
+            return replace(self, bins=_PhaseTable(values, self.w.off - 1))
+        return replace(self, bins=dict(zip(self.bin_indices(), values)))
 
 
 def _rho(dist, k):
@@ -259,17 +246,14 @@ def window_tables(m, w, cfg, lo=None, hi=None):
     full_hi = w.fwd_len - (1 if w.period else 2)
     lo = full_lo if lo is None else max(lo, full_lo)
     hi = full_hi if hi is None else min(hi, full_hi)
-    cert = expansion_certificate(w, cfg)
 
     P = w.period
     if P and hi - full_lo + 1 >= P:
         phases = range(-w.off, P - w.off)  # the indices of phases 0, ..., P - 1
         u = _PhaseTable(_u_phase_table(w, cfg.chi).tolist(), w.off)
         dist = _PhaseTable([m.singular_distance(w.x(k)) for k in phases], w.off)
-        Q = [compute_Q(u[k], u[k - 1], _rho(dist, k), cfg.epsilon, m.a, m.beta)
-             for k in phases]
-        logQt = _PhaseTable([lq for lq, _ in Q], w.off)
-        idxQ = _PhaseTable([iq for _, iq in Q], w.off)
+        idxQ = _PhaseTable([compute_Q(u[k], u[k - 1], _rho(dist, k), cfg.epsilon, m.a,
+                                      m.beta)[1] for k in phases], w.off)
         # canonical periodic greedy q_n = delta * min_{k>=0} e^{eps k} Q_{n-k},
         # independent of the window truncation.  In indices a lag k >= P
         # term is the lag k - P term minus 3P, so the second lap of the
@@ -279,17 +263,13 @@ def window_tables(m, w, cfg, lo=None, hi=None):
         ks = range(full_lo - 1, hi + 2)
         u = {k: u_at(w, cfg.chi, k) for k in ks}
         dist = {k: m.singular_distance(w.x(k)) for k in ks}
-        logQt = {}
-        idxQ = {}
-        for k in range(full_lo, hi + 1):
-            logQt[k], idxQ[k] = compute_Q(u[k], u[k - 1], _rho(dist, k),
-                                          cfg.epsilon, m.a, m.beta)
+        idxQ = {k: compute_Q(u[k], u[k - 1], _rho(dist, k), cfg.epsilon, m.a, m.beta)[1]
+                for k in range(full_lo, hi + 1)}
         seq = q_greedy([idxQ[k] for k in range(full_lo, hi + 1)], cfg)
         idx_q = dict(zip(range(full_lo, hi + 1), seq))
 
-    return WindowTables(w=w, cfg=cfg, lo=lo, hi=hi, u=u, dist=dist,
-                        logQtilde=logQt, idxQ=idxQ, idx_q=idx_q,
-                        certified=cert.ok, cert=cert)
+    return WindowTables(w=w, cfg=cfg, lo=lo, hi=hi, u=u, dist=dist, idxQ=idxQ,
+                        idx_q=idx_q, certified=expansion_certificate(w, cfg).ok)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import natural_extension as ne
 
-REL_TOL = 1e-13        # nested-interval stopping tolerance, relative to 2 p_0
 CONTAINMENT_SLACK = 1e-9
 # Gpos shadowed per lockstep block: a block's (K, L) temporaries stay near
 # 64 KB, which the heap reuses block after block (one block of the 1,964
@@ -68,8 +67,6 @@ class StepMap:
 
     a: float
     b: float
-    slope_t: float       # dG in t-units (the contraction the theorem bounds)
-    size_ratio: float    # p_from / p_to as an exact grid power
 
 
 def step_map(m, v_to, v_from, cfg):
@@ -92,7 +89,7 @@ def step_map(m, v_to, v_from, cfg):
     br = m.branch_by_id(branch)
     x0 = v_from.theta0
     dg0 = br.dinv(x0)
-    slope_t = dg0 * v_to.u / v_from.u
+    slope_t = dg0 * v_to.u / v_from.u  # dG in t-units: the contraction the theorem bounds
     if br.fwd(v_to.theta0) == x0:
         offset = 0.0
     else:
@@ -105,39 +102,35 @@ def step_map(m, v_to, v_from, cfg):
     else:
         log_b = math.log(abs(offset)) + math.log(v_to.u) - v_to.log_p
         b = math.copysign(math.exp(min(log_b, 700.0)), offset)
-    return StepMap(a=a, b=b, slope_t=slope_t, size_ratio=scale)
+    return StepMap(a=a, b=b)
 
 
 @dataclass
 class ShadowResult:
-    """Outcome of shadowing a gpo.
-
-    tau coordinates are chart-relative (t_n = tau_n * p_n); the point is a
-    pseudo-window assembled from the chart centers plus the (usually
-    absorbed) tau corrections.  log_error_bound = log(2 p_0) - chi F / 2.
+    """Outcome of shadowing a gpo: the shadowed point, a pseudo-window
+    assembled from the chart centers plus the (usually absorbed) tau
+    corrections, its chart-relative coordinate tau_0 (t_0 = tau_0 p_0) and
+    log p_0, log_error_bound = log(2 p_0) - chi F / 2, and the largest
+    |tau_n| over the gpo (its containment, at most 1 up to slack).
     """
 
     gpo: Gpo
     tau0: float
     log_p0: float
     point: ne.OrbitWindow
-    taus: dict
     log_error_bound: float
-    contraction_ratios: list
-    steps_used: int
     worst_containment: float
 
 
-def shadow_many(m, charts, walks, n_lo, cfg, init_interval=(-1.0, 1.0)):
+def shadow_many(m, charts, walks, n_lo, cfg):
     """Shadow K gpos in lockstep: nested-interval contraction for t_0,
     backward reconstruction for the negative coordinates.
 
     Row k of the (K, L) int array ``walks`` holds the indices into
-    ``charts`` of gpo k over n in [n_lo, n_lo + L - 1].  Composition stops
-    counting steps once the interval length drops below REL_TOL (relative to
-    the zeroth chart size); the forward horizon is always composed.  Returns
-    per row a ShadowResult or, if a step image escapes its target chart, an
-    EdgeBroken.  Every row takes the IEEE operations of a one-gpo loop in
+    ``charts`` of gpo k over n in [n_lo, n_lo + L - 1].  The nested
+    intervals start from [-1, 1] at n_lo + L - 1 and compose the whole
+    forward horizon.  Returns per row a ShadowResult or, if a step image
+    escapes its target chart, an EdgeBroken.  Every row takes the IEEE operations of a one-gpo loop in
     the same order, so no result depends on the rest of its batch (which
     runs in blocks of SHADOW_BLOCK rows, sharing one ``step_map`` per
     distinct edge of the call).  Raises ValueError for the first row whose
@@ -165,48 +158,43 @@ def shadow_many(m, charts, walks, n_lo, cfg, init_interval=(-1.0, 1.0)):
     at = at.reshape(n_gpo, length - 1)
     return [res for i in range(0, n_gpo, SHADOW_BLOCK)
             for res in _shadow_block(m, charts, walks[i:i + SHADOW_BLOCK], edges,
-                                     at[i:i + SHADOW_BLOCK], n_lo, cfg, init_interval)]
+                                     at[i:i + SHADOW_BLOCK], n_lo, cfg)]
 
 
-def _shadow_block(m, charts, walks, edges, at, n_lo, cfg, init_interval):
+def _shadow_block(m, charts, walks, edges, at, n_lo, cfg):
     """``shadow_many`` on one block of rows; step j of row k is edge
     ``at[k, j]`` of the per-edge (a, b, branch) arrays ``edges``."""
     n_gpo, length = walks.shape
     n_hi = n_lo + length - 1
     results = [None] * n_gpo
-    taus, ratios, worst, used = _contract(edges, at, n_lo, init_interval, results)
+    taus, worst = _contract(edges, at, n_lo, results)
     ok = np.flatnonzero([r is None for r in results])
     if ok.size == 0:
         return results
-    taus, ratios, worst, used = taus[:, ok], ratios[:, ok], worst[ok], used[ok]
+    taus, worst = taus[:, ok], worst[ok]
     branch = edges[2][at[ok]]
     points, log_p0 = _shadowed_points(m, charts, walks[ok], taus, branch, n_lo)
 
-    # taus keyed as the one-gpo loop fills them: n_hi, ..., 0, then -1, ..., n_lo
-    keys = list(range(n_hi, -1, -1)) + list(range(-1, n_lo - 1, -1))
-    rows = np.array([n - n_lo for n in keys])
     log_2 = math.log(2.0)
     bound_tail = cfg.chi * n_hi / 2.0
+    tau0 = taus[-n_lo].tolist()
     for i, k in enumerate(ok.tolist()):
-        tau_n = dict(zip(keys, taus[rows, i].tolist()))
         results[k] = ShadowResult(
             gpo=Gpo(charts=tuple(map(charts.__getitem__, walks[k].tolist())), n_lo=n_lo),
-            tau0=tau_n[0], log_p0=log_p0[i], point=points[i], taus=tau_n,
+            tau0=tau0[i], log_p0=log_p0[i], point=points[i],
             log_error_bound=log_2 + log_p0[i] - bound_tail,
-            contraction_ratios=ratios[:, i].tolist(), steps_used=int(used[i]),
             worst_containment=float(worst[i]))
     return results
 
 
-def _contract(edges, at, n_lo, init_interval, results):
+def _contract(edges, at, n_lo, results):
     """The lockstep contraction and backward reconstruction of the rows of
     ``at`` (as in ``_shadow_block``); a row whose step image escapes its
     target chart gets the EdgeBroken of its first failing step in
     ``results``.
 
-    Returns per row: the (L, K) taus (row j at index n_lo + j), the (n_hi,
-    K) contraction ratios |a| of the forward steps n_hi - 1, ..., 0, the
-    largest |tau| and the steps used.
+    Returns the (L, K) taus (row j at index n_lo + j) and per row the
+    largest |tau|.
     """
     n_gpo, length = at.shape[0], at.shape[1] + 1
     n_hi = n_lo + length - 1
@@ -215,7 +203,6 @@ def _contract(edges, at, n_lo, init_interval, results):
 
     taus = np.empty((length, n_gpo))
     broken = np.zeros(n_gpo, dtype=bool)
-    converged = np.zeros(n_gpo, dtype=np.int64)   # 0 while wider than the tolerance
 
     def fail(rows, message):
         for k in np.flatnonzero(rows & ~broken).tolist():
@@ -227,12 +214,12 @@ def _contract(edges, at, n_lo, init_interval, results):
         # forward-to-backward nested intervals; a step's |a| in rescaled
         # units equals the nested-length ratio len(I_{n+1})/len(I_n) in
         # fixed units.  The midpoint at every visited index doubles as the
-        # forward coordinate (exact once the interval has contracted past
-        # the stop tolerance).  Python's min and max keep the first of a tie.
-        lo = np.full(n_gpo, float(init_interval[0]))
-        hi = np.full(n_gpo, float(init_interval[1]))
-        taus[-1] = 0.5 * (lo + hi)
-        worst = np.abs(taus[-1])
+        # forward coordinate (exact once the interval has contracted below
+        # float resolution).  Python's min and max keep the first of a tie.
+        lo = np.full(n_gpo, -1.0)
+        hi = np.full(n_gpo, 1.0)
+        taus[-1] = 0.0                   # the midpoint of [-1, 1]
+        worst = np.zeros(n_gpo)
         for n in range(n_hi - 1, -1, -1):
             j = n - n_lo
             p0, p1 = a[j] * lo + b[j], a[j] * hi + b[j]
@@ -244,7 +231,6 @@ def _contract(edges, at, n_lo, init_interval, results):
             taus[j] = 0.5 * (lo + hi)
             t = np.abs(taus[j])
             worst = np.where(t > worst, t, worst)
-            converged[(converged == 0) & (hi - lo < 2.0 * REL_TOL)] = n_hi - n
         for n in range(0, n_lo, -1):
             j = n - n_lo
             taus[j - 1] = a[j - 1] * taus[j] + b[j - 1]
@@ -253,8 +239,7 @@ def _contract(edges, at, n_lo, init_interval, results):
             out = worst > hi_ok
             if out.any():
                 fail(out, lambda k: f"backward reconstruction leaves chart {n - 1}")
-    used = np.where(converged > 0, converged, n_hi)
-    return taus, np.abs(a[-n_lo:][::-1]), worst, used
+    return taus, worst
 
 
 def _shadowed_points(m, charts, walks, taus, branch, n_lo):

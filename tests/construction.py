@@ -39,10 +39,10 @@ def radius(m, x):
     return r
 
 
-def draw_regular_points(m, count, rng, max_tries=200):
+def draw_regular_points(m, count, rng):
     """Sample points uniformly on the domain, rejecting singular ones
     (including points with no admissible radius)."""
-    return _regular_samples(m, count, rng, max_tries)[0]
+    return _regular_samples(m, count, rng)[0]
 
 
 def inv_diff(br, y, s):
@@ -144,7 +144,7 @@ class DomainViolation(RuntimeError):
     """A chart-map precondition (domain inclusion) failed."""
 
 
-def compute_u(w, chi, depth=None, n_min=6):
+def compute_u(w, chi, n_min=6):
     """(u, tail_bound): truncated series for u plus the extrapolated tail.
 
     tail_bound is e^{2N(chi-m)} / (1 - e^{2(chi-m)}) for the worst backward
@@ -155,8 +155,8 @@ def compute_u(w, chi, depth=None, n_min=6):
     cert = expansion_certificate(w, RunConfig(chi=chi, n_min=n_min))
     if cert.margin <= 0 or not math.isfinite(cert.margin):
         raise TailDiverges(f"expansion margin {cert.margin:g} is not positive")
-    u = u_at(w, chi, 0, depth=depth)
-    d = depth or w.u_depth or w.back_len
+    u = u_at(w, chi, 0)
+    d = w.u_depth or w.back_len
     m = cert.back_min_avg if math.isfinite(cert.back_min_avg) else cert.fwd_min_avg
     tail = math.exp(2.0 * d * (chi - m)) / -math.expm1(2.0 * (chi - m))
     return u, tail
@@ -351,11 +351,11 @@ def random_library(m, chi, count, back_depth=40, fwd_len=40, seed=0,
                          skipped_uncertified=skipped_uncert)
 
 
-def shadow(m, g, cfg, init_interval=(-1.0, 1.0)):
+def shadow(m, g, cfg):
     """Shadow one gpo: ``shadow_many`` on a batch of one.  Raises
     EdgeBroken if a step image escapes its target chart."""
     walk = np.arange(len(g.charts))[None]
-    (res,) = sh.shadow_many(m, g.charts, walk, g.n_lo, cfg, init_interval)
+    (res,) = sh.shadow_many(m, g.charts, walk, g.n_lo, cfg)
     if isinstance(res, sh.EdgeBroken):
         raise res
     return replace(res, gpo=g)

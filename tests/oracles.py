@@ -228,12 +228,13 @@ def expansion_certificate_reference(w, chi, n_min=6):
     return pesin.Certificate(bool(margin > 0), margin, fmin, bmin, worst)
 
 
-def u_phase_table_reference(w, chi, depth=None):
+def u_phase_table_reference(w, chi):
     """u at each phase of a periodic window, one phase at a time: the series
-    truncated at ``depth`` (default the window's u_depth, else its backward
-    length) over the log-derivatives of the phases before it."""
+    truncated at the window's u_depth, else its backward length, over the
+    log-derivatives of the phases before it.  Index k has phase
+    (k + off) mod P, the phase of array slot k + off."""
     P = w.period
-    d = depth or w.u_depth or w.back_len
+    d = w.u_depth or w.back_len
     ld_phase = np.empty(P)
     for p in range(P):
         ld_phase[p] = w.logderivs[w.off + ((p - w.off) % P)]
@@ -335,10 +336,10 @@ def step_map_reference(m, v_to, v_from, cfg):
     else:
         log_b = math.log(abs(offset)) + math.log(v_to.u) - v_to.log_p
         b = math.copysign(math.exp(min(log_b, 700.0)), offset)
-    return StepMap(a=a, b=b, slope_t=slope_t, size_ratio=scale)
+    return StepMap(a=a, b=b)
 
 
-def shadow_reference(m, g, cfg, init_interval=(-1.0, 1.0)):
+def shadow_reference(m, g, cfg):
     """One gpo through Python floats, step by step: the loop the batch
     kernel ``shadow_many`` must reproduce bit for bit.  Its window is
     built by ``pseudo_window_reference``."""
@@ -349,11 +350,8 @@ def shadow_reference(m, g, cfg, init_interval=(-1.0, 1.0)):
         steps[n] = sh.step_map(m, g.chart(n), g.chart(n + 1), cfg)
 
     # forward-to-backward nested intervals
-    lo, hi = float(init_interval[0]), float(init_interval[1])
+    lo, hi = -1.0, 1.0
     mids = {g.n_hi: 0.5 * (lo + hi)}
-    ratios = []
-    used = 0
-    converged = None
     for n in range(g.n_hi - 1, -1, -1):
         s = steps[n]
         a, b = s.a, s.b
@@ -362,12 +360,8 @@ def shadow_reference(m, g, cfg, init_interval=(-1.0, 1.0)):
         if not (-1.0 - sh.CONTAINMENT_SLACK <= lo2 and hi2 <= 1.0 + sh.CONTAINMENT_SLACK):
             raise sh.EdgeBroken(
                 f"step into index {n} leaves the chart: [{lo2:g}, {hi2:g}]")
-        ratios.append(abs(s.a))
         lo, hi = lo2, hi2
         mids[n] = 0.5 * (lo + hi)
-        used += 1
-        if converged is None and hi - lo < 2.0 * sh.REL_TOL:
-            converged = used
 
     taus = {n: mids[n] for n in mids}
     worst = max(abs(t) for t in taus.values())
@@ -377,7 +371,6 @@ def shadow_reference(m, g, cfg, init_interval=(-1.0, 1.0)):
         worst = max(worst, abs(taus[n - 1]))
         if worst > 1.0 + sh.CONTAINMENT_SLACK:
             raise sh.EdgeBroken(f"backward reconstruction leaves chart {n - 1}")
-    used = converged if converged is not None else used
 
     c0 = g.chart(0)
     pts = []
@@ -391,9 +384,9 @@ def shadow_reference(m, g, cfg, init_interval=(-1.0, 1.0)):
     point = pseudo_window_reference(m, np.array(pts), np.array(bids, dtype=np.int64),
                                     off=-g.n_lo)
     return sh.ShadowResult(
-        gpo=g, tau0=taus[0], log_p0=c0.log_p, point=point, taus=taus,
+        gpo=g, tau0=taus[0], log_p0=c0.log_p, point=point,
         log_error_bound=math.log(2.0) + c0.log_p - cfg.chi * g.n_hi / 2.0,
-        contraction_ratios=ratios, steps_used=used, worst_containment=worst,
+        worst_containment=worst,
     )
 
 
@@ -477,7 +470,7 @@ def periodic_roots_reference(table, words, iters=200):
     steps, every branch formula at every step.  This is the algorithm, not a
     definition: ``_kernels.periodic_roots`` must reproduce its found roots
     bit for bit while skipping work whose result is never read."""
-    fam = K.Table(table)
+    fam = K.Table(table, ())
     words = np.asarray(words, dtype=np.int64)
     w, n = words.shape
     lo = table[words[:, n - 1], 1].copy()
@@ -520,7 +513,7 @@ def map_periodic_points_reference(m, n, tol=1e-9):
     root kept unless within ``tol`` of the last root kept, with the word of
     the kept root in the map's branch ids."""
     table = m.finite_table()[1]
-    fam = K.Table(table)
+    fam = K.Table(table, ())
     words = np.array(list(itertools.product(range(table.shape[0]), repeat=n)),
                      dtype=np.int64)
     roots, found = K.periodic_roots(fam, words)
@@ -808,10 +801,6 @@ def regularity_grid_reference(m, x, inner=9):
 def verify_regularity_reference(m, sample_count, seed, inner=9):
     """The sampled (A1)-(A3) check over all samples at once on the grids of
     ``regularity_grid_reference``."""
-    empty = lambda name: ClauseResult(name, True, 0, 0, math.inf, math.nan)
-    if sample_count <= 0:
-        return RegularityReport(m.name, 0, {"A1": empty("A1"), "A2": empty("A2"), "A3": empty("A3")})
-
     rng = np.random.default_rng(seed)
     x = _draw_regular_points_reference(m, sample_count, rng)
     n = x.size

@@ -9,6 +9,7 @@ from symdyn import analysis, cli, coarse_grain, markov_refine, shadowing
 from symdyn.config import RunConfig, parse_config
 
 from oracles import read_windows
+from test_map_model import DOUBLING_FILE
 
 
 def run_cli(args):
@@ -45,9 +46,13 @@ def test_bad_chart_parameters_create_no_out(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["encode_lo = 1", "encode_lo = 20", "encode_hi = 0",
-                                  "seed = -1", "cover_window = 1"])
+                                  "seed = -1", "cover_window = 1",
+                                  "back_depth = 3\nfwd_len = 4\nencode_hi = 1\nmax_period = 8"])
 def test_bad_encode_range_or_seed_creates_no_out(tmp_path, capsys, text):
-    # these failed only after the library, alphabet and graph were written
+    # these failed only after the library, alphabet and graph were written;
+    # the last, whose library windows hold less than one cycle of period 8
+    # (back_depth + max(fwd_len, encode_hi + 2) < max_period), exited 1 from
+    # the library stage
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"map = doubling\nmax_period = 3\n{text}\n", encoding="utf-8")
     out = tmp_path / "o"
@@ -132,15 +137,43 @@ def test_huge_max_period_refused_at_once(tmp_path, capsys, max_period):
     # the word count stops at the first period past the budget (doubling:
     # 2 + ... + 2^20), so neither the count nor the message grows with
     # max_period; at 20000 the exact count once overflowed the int-to-str
-    # digit limit and hid the budget from the message
+    # digit limit and hid the budget from the message.  The windows are
+    # deep enough to hold a cycle of every period, so the budget refuses.
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"back_depth = {max_period}\n", encoding="utf-8")
     t0 = time.perf_counter()
     rc = run_cli(["full-pipeline", "--map", "doubling", "--max-period", str(max_period),
-                  "--out", str(tmp_path / "o"), "--quiet"])
+                  "--config", str(cfgfile), "--out", str(tmp_path / "o"), "--quiet"])
     assert rc == 2 and time.perf_counter() - t0 < 2.0
     detail = json.loads(capsys.readouterr().err)["detail"]
     assert "MAX_PERIODIC_WORDS" in detail and f"periods up to {max_period} need" in detail
     assert "2 + ... + 2^20 = 2097150" in detail
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["fwd_len = 3", "fwd_len = 7", "back_depth = 4\nfwd_len = 4"])
+def test_orbit_period_beyond_the_forward_horizon(tmp_path, text):
+    # period-8 orbits in windows cached fewer than 8 steps forward (but
+    # holding a whole cycle) once read u past the cache and exited 1
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"map = doubling\nmax_period = 8\nencode_hi = 1\n{text}\n",
+                       encoding="utf-8")
+    rc = run_cli(["full-pipeline", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                  "--quiet"])
+    assert rc == 0
+    assert " periodic=8 " in (tmp_path / "o" / "windows.txt").read_text(encoding="utf-8")
+
+
+def test_map_file_name_with_hash(tmp_path):
+    # command-line values are taken as they are, not re-read as config text,
+    # where "#" starts a comment
+    path = tmp_path / "my#map.txt"
+    path.write_text(DOUBLING_FILE, encoding="utf-8")
+    out = tmp_path / "o"
+    rc = run_cli(["verify-map", "--map", str(path), "--samples", "500", "--out", str(out),
+                  "--quiet"])
+    assert rc == 0
+    assert "map=mydoubling" in (out / "regularity.report").read_text()
 
 
 def test_unknown_command_rejected():

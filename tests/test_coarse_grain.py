@@ -64,8 +64,7 @@ class _StubWindow:
 
 def _fake_chart(theta0, u, idx_p, eps=0.1, idxQ=0):
     """A formal chart for predicate unit tests (sizes on the I_eps grid)."""
-    params = pesin.PesinParams(epsilon=eps, u=u, u_prev=u, rho=0.1,
-                               logQtilde=0.0, idxQ=idxQ, idx_q=idx_p)
+    params = pesin.PesinParams(epsilon=eps, u=u, u_prev=u, idxQ=idxQ)
     return pesin.Chart(center=_StubWindow(theta0), shift=0, params=params,
                        idx_p=idx_p)
 
@@ -465,5 +464,5 @@ def test_random_windows_bin_over_their_whole_range(name, count, seed):
     lib = random_library(m, cfg.chi, count, back_depth=40, fwd_len=14, seed=seed)
     tables = [pesin.window_tables(m, w, cfg) for w in lib.windows]
     assert {t.hi for t in tables} == {12}
-    for t in cg.bin_tables(m, tables, [range(t.lo, t.hi + 1) for t in tables]):
-        assert t.has_bins(range(t.lo, t.hi + 1))
+    for t in cg.bin_tables(m, tables):
+        assert t.bins.keys() == set(range(t.lo, t.hi + 1))

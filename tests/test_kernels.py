@@ -170,12 +170,12 @@ DEGENERATE_TABLE = np.array([
 def _kernel_cases():
     for name in ("doubling", "tent", "quadratic", "gauss"):
         yield name, symdyn.built_in(name).family
-    yield "gauss-finite", K.Table(symdyn.built_in("gauss").finite_table()[1])
-    yield "mixed", K.Table(MIXED_TABLE)
-    yield "degenerate", K.Table(DEGENERATE_TABLE)
+    yield "gauss-finite", K.Table(symdyn.built_in("gauss").finite_table()[1], ())
+    yield "mixed", K.Table(MIXED_TABLE, ())
+    yield "degenerate", K.Table(DEGENERATE_TABLE, ())
     # one-kind tables: a scalar branch id runs the formulas on scalar coefficients
-    yield "degenerate-affine", K.Table(DEGENERATE_TABLE[:1])
-    yield "degenerate-quadratic", K.Table(DEGENERATE_TABLE[1:2])
+    yield "degenerate-affine", K.Table(DEGENERATE_TABLE[:1], ())
+    yield "degenerate-quadratic", K.Table(DEGENERATE_TABLE[1:2], ())
 
 
 KERNEL_CASES = dict(_kernel_cases())
@@ -385,7 +385,7 @@ def _reference_cases():
 @pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
 def test_periodic_roots_match_fixed_step_reference(case):
     name, table, ns = case
-    fam = K.Table(table)
+    fam = K.Table(table, ())
     dead = 0
     for n in ns:
         words = np.array(list(itertools.product(range(table.shape[0]), repeat=n)),

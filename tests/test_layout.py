@@ -4,6 +4,7 @@ belongs in ``tests/``, or dead code.  A method counts as referenced only
 through an attribute (``x.name``), not through a local of the same name."""
 
 import ast
+import math
 import pathlib
 from dataclasses import fields
 
@@ -54,3 +55,51 @@ def test_run_parameters_have_one_default():
                           if isinstance(s, ast.AnnAssign) and s.value is not None
                           and isinstance(s.target, ast.Name) and s.target.id in names]
     assert found == []
+
+
+def _calls(paths):
+    """name -> [(positional count, keyword names)] of the calls in ``paths``,
+    named as the called name or attribute; a ``*args`` or ``**kwargs`` call
+    counts as passing every position or keyword."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                npos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                        else len(node.args))
+                kws = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((npos, kws))
+    return calls
+
+
+def test_defaults_are_set_by_some_caller():
+    """Each defaulted parameter of a function in ``src/symdyn`` is passed,
+    by keyword or by position, by some call in ``src/`` or ``perfbench/``
+    (calls are matched by name): a default that the program always leaves
+    as it is is a second configuration only the tests run.  ``cli.main``'s
+    ``argv`` is exempt: the console script calls it without arguments."""
+    calls = _calls([*SRC.glob("*.py"), *(SRC.parent.parent / "perfbench").glob("*.py")])
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # a method is called without its self; a constructor by its class name
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            pos = a.posonlyargs + a.args
+            skip = 1 if id(node) in owner and pos and pos[0].arg in ("self", "cls") else 0
+            name = owner[id(node)] if node.name == "__init__" else node.name
+            defaulted = [(i - skip, p.arg) for i, p in enumerate(pos)
+                         if i >= len(pos) - len(a.defaults)]
+            defaulted += [(math.inf, k.arg) for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            for i, arg in defaulted:
+                if not any(npos > i or arg in kws or None in kws
+                           for npos, kws in calls.get(name, ())):
+                    unset.append(f"{path.name}:{name}({arg}=)")
+    assert sorted(set(unset) - {"cli.py:main(argv=)"}) == []

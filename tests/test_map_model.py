@@ -18,6 +18,7 @@ from symdyn.map_model import (
     built_in,
     load_map,
     parse_map_file,
+    verify_regularity,
 )
 from symdyn.map_model import _radii, _sample_margins
 
@@ -228,7 +229,7 @@ def test_domain_diameter_enforced():
 @pytest.mark.parametrize("name", ALL_MAPS)
 def test_regularity_passes_builtin(name):
     m = built_in(name)
-    rep = m.verify_regularity(2000, seed=5)
+    rep = verify_regularity(m, 2000, seed=5)
     assert rep.passed, "\n".join(rep.lines())
 
 
@@ -237,7 +238,7 @@ def test_regularity_quadratic_small_a_fails_near_critical():
     weak = MapModel(name="quadratic-a1", map_kind=base.map_kind, domain=base.domain,
                     a=1.0, beta=base.beta, kappa=base.kappa,
                     table=base.table.copy(), sing=base.sing.copy())
-    rep = weak.verify_regularity(4000, seed=5)
+    rep = verify_regularity(weak, 4000, seed=5)
     assert not rep.passed
     bad = [c for c in rep.clauses.values() if not c.passed]
     # the failing witnesses sit next to the critical point 0.25
@@ -248,9 +249,9 @@ def test_regularity_quadratic_small_a_fails_near_critical():
 def test_regularity_a3_blocks_match_one_block(name, monkeypatch):
     # 1000 samples in blocks of 7 (the last one partial) against one block
     m = built_in(name)
-    one = m.verify_regularity(1000, seed=3)
+    one = verify_regularity(m, 1000, seed=3)
     monkeypatch.setattr(symdyn.map_model, "REGULARITY_BLOCK", 7)
-    blocks = m.verify_regularity(1000, seed=3)
+    blocks = verify_regularity(m, 1000, seed=3)
     assert blocks.lines() == one.lines()
     assert blocks.clauses == one.clauses
 
@@ -295,7 +296,7 @@ def test_regularity_matches_reference(name, samples, seed):
     assert np.array_equal(a1, g1)
     assert np.all(a2 <= g2)
     assert np.all(quot >= gquot)
-    rep = m.verify_regularity(samples, seed=seed)
+    rep = verify_regularity(m, samples, seed=seed)
     ref = verify_regularity_reference(m, samples, seed)
     assert rep.sample_count == ref.sample_count == samples
     assert rep.clauses["A1"] == ref.clauses["A1"]
@@ -338,7 +339,7 @@ def test_regularity_nan_bound_counts_as_inf(monkeypatch):
     # a NaN g'' makes a NaN (A3) bound, which fails the clause
     m = built_in("quadratic")
     monkeypatch.setattr(K, "d2inv_vec", lambda fam, bid, y: np.full(y.shape, np.nan))
-    a3 = m.verify_regularity(100, seed=1).clauses["A3"]
+    a3 = verify_regularity(m, 100, seed=1).clauses["A3"]
     assert not a3.passed and a3.violations == 100 and a3.worst_margin == -np.inf
 
 
@@ -348,19 +349,20 @@ def test_regularity_without_regular_points_raises():
     m = MapModel(name="flat", map_kind=base.map_kind, domain=base.domain, a=100.0,
                  beta=base.beta, kappa=base.kappa, table=base.table.copy(), sing=base.sing.copy())
     with pytest.raises(ValueError, match="exclusion cutoff"):
-        m.verify_regularity(10, seed=1)
+        verify_regularity(m, 10, seed=1)
 
 
-def test_regularity_empty_report():
-    m = built_in("doubling")
-    rep = m.verify_regularity(0, seed=1)
-    assert rep.passed and rep.sample_count == 0
+@pytest.mark.parametrize("samples", [0, -3])
+def test_regularity_refuses_no_samples(samples):
+    # a check of no sample would report all three clauses as passed
+    with pytest.raises(ValueError, match=f"samples >= 1, got {samples}"):
+        verify_regularity(built_in("doubling"), samples, seed=1)
 
 
 def test_doubling_constant_derivative_holder_quotient_zero():
     # df is constant so the A3 quotient is identically 0: huge margin
     m = built_in("doubling")
-    rep = m.verify_regularity(500, seed=2)
+    rep = verify_regularity(m, 500, seed=2)
     assert rep.clauses["A3"].worst_margin > 100
 
 

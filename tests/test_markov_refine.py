@@ -498,7 +498,7 @@ def test_hat_pi_lets_unexpected_shift_errors_through(cover, monkeypatch):
     cells, tg = _refined(rects)
     c0 = cells[0].cell_id
 
-    def broken_shift(self, k, min_back=1):
+    def broken_shift(self, k):
         raise TypeError("not a shift failure")
 
     monkeypatch.setattr(ne.OrbitWindow, "shift", broken_shift)

@@ -150,7 +150,7 @@ def test_back_branches_match_the_element_reads(doubling):
     cyc = ne.make_periodic_window(m, 0.3, [0, 1, 1], 7, 5)
     chain = make_window(doubling, 0.3, [1, 0, 1, 1, 0], fwd_len=4)
     windows = [chain, replace(chain, off=0), replace(chain, off=1), chain.shift(3),
-               chain.extend_forward(6), cyc, cyc.shift(-6), cyc.shift(-7, min_back=0),
+               chain.extend_forward(6), cyc, cyc.shift(-6), replace(cyc, off=0),
                cyc.shift(9), cyc.extend_forward(10).shift(4)]
     assert {w.off for w in windows} >= {0, 1}
     for w in windows:

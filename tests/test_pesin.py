@@ -96,7 +96,8 @@ def test_certificate_kept_per_window(doubling, cfg):
     cert = pesin.expansion_certificate(w, cfg)
     assert pesin.expansion_certificate(w, cfg) is cert
     assert pesin.expansion_certificate(w, replace(cfg, n_min=7)) is not cert
-    assert pesin.window_tables(doubling, w, cfg).cert is cert
+    tabs = pesin.window_tables(doubling, w, cfg)
+    assert tabs.certified is cert.ok and w.certs[(cfg.chi, cfg.n_min)] is cert
     assert w.shift(1).certs == {}
 
 
@@ -262,8 +263,7 @@ def test_lemma_q_good_definition(doubling, cfg, cyc):
     # 0 < q < eps Q: on indices, idx_q >= delta_idx + idxQ > idxQ
     tabs = pesin.window_tables(doubling, cyc, cfg, lo=0, hi=3)
     for k in range(0, 4):
-        p = tabs.params_at(k)
-        assert cfg.grid_log(p.idx_q) <= math.log(cfg.epsilon) + p.logQ
+        assert cfg.grid_log(tabs.idx_q[k]) <= math.log(cfg.epsilon) + tabs.params_at(k).logQ
 
 
 def test_tempering_proxy_logQ_periodic(doubling, cfg, cyc):
@@ -344,8 +344,7 @@ def test_chart_G_domain_violation(doubling, cfg, cyc):
     big = pesin.Chart(center=cyc, shift=0, params=charts[0].params,
                       idx_p=charts[0].params.idxQ)
     fake = pesin.PesinParams(epsilon=cfg.epsilon, u=charts[0].u,
-                             u_prev=charts[0].params.u_prev, rho=charts[0].params.rho,
-                             logQtilde=0.0, idxQ=0, idx_q=0)
+                             u_prev=charts[0].params.u_prev, idxQ=0)
     huge = pesin.Chart(center=cyc, shift=0, params=fake, idx_p=0)  # p = 1
     with pytest.raises(DomainViolation):
         chart_G(doubling, huge, charts[-1], branch_id=cyc.branch(-1))
@@ -412,10 +411,8 @@ def test_window_tables_match_index_by_index(name):
             for k in ref["u"]:
                 assert bits(tabs.u[k]) == bits(ref["u"][k])
             for k in ref["idxQ"]:
-                p = tabs.params_at(k)
-                assert (bits(p.rho), bits(p.logQtilde), p.idxQ, p.idx_q) == (
-                    bits(ref["rho"][k]), bits(ref["logQtilde"][k]), ref["idxQ"][k],
-                    ref["idx_q"][k])
+                assert (bits(pesin._rho(tabs.dist, k)), tabs.params_at(k).idxQ,
+                        tabs.idx_q[k]) == (bits(ref["rho"][k]), ref["idxQ"][k], ref["idx_q"][k])
     assert kinds == {(True, "_PhaseTable"), (True, "dict"), (False, "dict")}
 
 
@@ -424,9 +421,23 @@ def test_window_tables_match_index_by_index(name):
                          ids=["doubling-10", "tent", "quadratic", "gauss-2"])
 def test_u_phase_tables_match_phase_by_phase(text):
     # every phase of every library window in one (P, d) pass, bit for bit,
-    # at the window's own depth and at depths 30 and 34
+    # at the window's own depth and relabelled to depths 30 and 34
     cfg = parse_config(text)
     for w in library.periodic_library(symdyn.built_in(cfg.map), cfg).windows:
-        for depth in (None, 30, 34):
-            ours = pesin._u_phase_table(w, cfg.chi, depth)
-            assert ours.tobytes() == u_phase_table_reference(w, cfg.chi, depth).tobytes()
+        for v in (w, replace(w, u_depth=30), replace(w, u_depth=34)):
+            ours = pesin._u_phase_table(v, cfg.chi)
+            assert ours.tobytes() == u_phase_table_reference(v, cfg.chi).tobytes()
+
+
+@pytest.mark.parametrize("fwd_len", [1, 3, 7])
+def test_u_phase_table_of_a_window_shorter_forward_than_its_period(doubling, fwd_len):
+    # a period-8 cycle cached only fwd_len < 8 steps forward has the phase
+    # table of the same cycle cached a whole period forward, bit for bit,
+    # also on shifted views
+    word = [1, 0, 0, 1, 0, 1, 1, 0]
+    short = ne.make_periodic_window(doubling, 0.2, word, 40, fwd_len)
+    long = ne.make_periodic_window(doubling, 0.2, word, 40, 40)
+    assert short.period == long.period == 8 and short.x0 == long.x0
+    for k in (0, 1, 5):
+        assert (pesin._u_phase_table(short.shift(k), CHI2).tobytes()
+                == pesin._u_phase_table(long.shift(k), CHI2).tobytes())
