@@ -5,14 +5,12 @@ q-size bins, all natural-e bins); inside a bin a greedy net admits a
 center unless an already-admitted one matches it to within the net
 thresholds.  Admitted centers spawn charts at the admissible grid sizes
 reachable from the delta Q caps and the sampled greedy sizes under (E2.3).
-Strong edges are the overlap/parameter clauses evaluated in log
-space with exact integer arithmetic on the size grid.
 
-At working precision the metric thresholds ((p1 p2)^4, e^{-8(j+2)}, q^8)
-sit far below the smallest positive double, so they are satisfiable only
-by exact float equality of the compared data; the implementation
-evaluates the written formulas literally (linear space above underflow,
-log space beneath), and the graph inherits the resulting structure.
+The net's e^{-8(j+2)} and the (E1) overlap's (p q)^4 lie below the
+smallest positive double, so only equal data pass them: both are decided
+by exact keys, and ``build_alphabet`` refuses an alphabet on which they do
+not underflow.  (E2.1) and (E2.2) are evaluated as written, in log space
+beneath underflow; (E2.3) fixes the successor's size on the integer grid.
 """
 
 import itertools
@@ -31,6 +29,8 @@ class NoNetVertex(LookupError):
 
 
 BinKey = namedtuple("BinKey", ["k", "l", "a", "m", "j"])
+
+LOG_TINY = -1074 * math.log(2.0)  # log of the smallest positive double
 
 
 def lt_log_threshold(value, log_thr, strict=True):
@@ -53,48 +53,27 @@ class Gamma:
     idxQ: int
 
 
-def net_match(g1, g2, j):
-    """Net conditions: per-coordinate closeness under e^{-8(j+2)} and
-    Q ratio within one grid step (e^{+-eps/3})."""
-    if abs(g1.idxQ - g2.idxQ) > 1:
-        return False
-    thr = -8.0 * (j + 2)
-    for i in range(3):
-        metric = abs(g1.theta[i] - g2.theta[i]) + abs(1.0 / g1.u[i] - 1.0 / g2.u[i])
-        if not lt_log_threshold(metric, thr):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# overlap and edges
+# edges
 # ---------------------------------------------------------------------------
 
-def _overlap_raw(theta1, u1, i1, theta2, u2, i2, eps):
-    if abs(i1 - i2) > 3:  # p1/p2 = e^{+-eps} on the grid
-        return False
-    metric = abs(theta1 - theta2) + abs(1.0 / u1 - 1.0 / u2)
-    log_thr = -(4.0 * eps / 3.0) * (i1 + i2)  # log (p1 p2)^4
-    return lt_log_threshold(metric, log_thr)
-
-
-def _edge_clauses(cfg, idx_delta,
-                  theta_prev_w, u_prev_w, idxQ_w, theta0_w, u_w, ip,
-                  theta0_v, u_v, theta1_v, u_next_v, iq):
-    eps = cfg.epsilon
-    # (E1): overlap of the pulled-back chart with v, both at size q
-    if not _overlap_raw(theta_prev_w, u_prev_w, iq, theta0_v, u_v, iq, eps):
-        return False
+def _edge_clauses(cfg, theta0_w, u_w, theta1_v, u_next_v, iq):
+    """(E2.1) and (E2.2) for the edge v <- w, v of size index iq; (E1) and
+    (E2.3) are the lookups of ``_successors``."""
     # (E2.1) d(theta_1[y], theta_0[x]) < q
     if not lt_log_threshold(abs(theta1_v - theta0_w), cfg.grid_log(iq)):
         return False
     # (E2.2) u(f y)/u(x) = e^{+-q}
-    if u_next_v != u_w:
-        r = abs(math.log(u_next_v / u_w))
-        if not lt_log_threshold(r, cfg.grid_log(iq), strict=False):
-            return False
-    # (E2.3) p = min(e^eps q, delta_eps Q(x)) exactly on the grid
-    return ip == max(iq - 3, idx_delta + idxQ_w)
+    return u_next_v == u_w or lt_log_threshold(abs(math.log(u_next_v / u_w)),
+                                               cfg.grid_log(iq), strict=False)
+
+
+def _successors(centers, e1_index, nd, gamma, iq):
+    """(center id, size index) of the strong successors of a chart of size
+    index iq with data gamma: (E1) where a center's pulled-back (theta_{-1},
+    1/u_{-1}) equals its (theta_0, 1/u_0), (E2.3) at p = min(e^eps q, delta Q)."""
+    for cid in e1_index.get((gamma.theta[1], 1.0 / gamma.u[1]), ()):
+        yield cid, max(iq - 3, nd + centers[cid].gamma.idxQ)
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +109,39 @@ class Vertex:
 class Alphabet:
     cfg: RunConfig
     centers: list
-    bins: dict                 # BinKey -> [cid]
+    bins: dict                 # exact net key (``_net_key``) -> [cid], in admission order
     vertices: list             # Vertex
     vertex_index: dict         # (cid, idx_p) -> vid
-    e1_index: dict             # (theta_0, 1/u_0) -> [cid]: exact E1 successors
+    e1_index: dict             # (theta_{-1}, 1/u_{-1}) -> [cid]: the exact (E1) successors
     skipped: int               # samples rejected by the certificate
     tables: list               # WindowTables of each orbit's base window, with bins
 
 
+def _net_key(gamma, key):
+    """The bin, coordinates and 1/u values: the data the net compares."""
+    return key, gamma.theta, tuple(1.0 / u for u in gamma.u)
+
+
 def find_center(centers, bins, gamma, key):
-    """The first center of bin ``key`` that net-matches gamma, or None."""
-    for cid in bins.get(key, ()):
-        if net_match(gamma, centers[cid].gamma, key.j):
+    """The first admitted center with gamma's exact net key whose Q is
+    within one grid step (e^{+-eps/3}) of gamma's, or None."""
+    for cid in bins.get(_net_key(gamma, key), ()):
+        if abs(centers[cid].gamma.idxQ - gamma.idxQ) <= 1:
             return centers[cid]
     return None
+
+
+def _check_exact_regime(cfg, j_min, iq_min):
+    """ValueError unless the largest net and (E1) thresholds, e^{-8(j+2)}
+    at the least q-size bin j_min and (q q)^4 at the least size index
+    iq_min, lie below the smallest positive double: only then do exact
+    keys decide them."""
+    for clause, log_thr in (("the net's log e^{-8(j+2)}", -8.0 * (j_min + 2)),
+                            ("(E1)'s log (p q)^4", -(8.0 * cfg.epsilon / 3.0) * iq_min)):
+        if not log_thr < LOG_TINY:
+            raise ValueError(f"{clause} = {log_thr!r} is not below LOG_TINY = {LOG_TINY!r}, "
+                             f"the log of the smallest positive double: exact keys would "
+                             f"miss the data it passes")
 
 
 def _gamma_and_bin(tabs, k, theta, abins):
@@ -185,15 +183,6 @@ def _size_indices(cfg, j, idxQ):
     return range(max(lo_idx, cfg.delta_index + idxQ), hi_idx + 1)
 
 
-def _group_samples(samples):
-    """Group shifted views of a shared underlying window."""
-    groups = {}
-    for w in samples:
-        key = (id(w.points), w.u_depth)
-        groups.setdefault(key, []).append(w)
-    return groups
-
-
 def build_alphabet(m, samples, cfg):
     """Discretize a library of certified windows into a chart alphabet.
 
@@ -204,11 +193,16 @@ def build_alphabet(m, samples, cfg):
     inside its CG2 windows; charts are numbered by center, sizes ascending.
     The tables of each group's base window (least offset) are kept on the
     alphabet, in sample order, for encoding those windows, with their bins.
+    ValueError if the net or (E1) threshold does not underflow on the
+    alphabet (``_check_exact_regime``).
     """
+    groups = {}   # the shifted views of one window
+    for w in samples:
+        groups.setdefault((id(w.points), w.u_depth), []).append(w)
     tables = []
     entries = []  # (sort_key, table number, k)
     skipped = 0
-    for group in _group_samples(samples).values():
+    for group in groups.values():
         base = min(group, key=lambda w: w.off)
         tabs = window_tables(m, base, cfg)
         for w in group:
@@ -231,7 +225,7 @@ def build_alphabet(m, samples, cfg):
             hit = Center(cid=len(centers), window=tabs.w, shift=k, gamma=gamma,
                          params=tabs.params_at(k), key=key, j_bins=set())
             centers.append(hit)
-            bins.setdefault(key, []).append(hit.cid)
+            bins.setdefault(_net_key(gamma, key), []).append(hit.cid)
         hit.j_bins.add(key.j)
         hit.seen_q.add(tabs.idx_q[k])
 
@@ -255,13 +249,12 @@ def build_alphabet(m, samples, cfg):
     stack = [(cid, ip) for cid, ips in enumerate(sizes) for ip in ips]
     while stack:
         cid, iq = stack.pop()
-        g = centers[cid].gamma
-        for wid in e1_index.get((g.theta[1], 1.0 / g.u[1]), ()):
-            w = centers[wid]
-            ip = max(iq - 3, nd + w.gamma.idxQ)
-            if ip not in sizes[wid] and in_cg2(w, ip):
+        for wid, ip in _successors(centers, e1_index, nd, centers[cid].gamma, iq):
+            if ip not in sizes[wid] and in_cg2(centers[wid], ip):
                 sizes[wid].add(ip)
                 stack.append((wid, ip))
+    if centers:
+        _check_exact_regime(cfg, min(min(c.j_bins) for c in centers), min(map(min, sizes)))
 
     vertices = []
     vertex_index = {}
@@ -311,32 +304,25 @@ class GpoGraph:
                 if self.out_edges[v] or self.in_edges[v]}
 
 
-def _edge_test_vertices(cfg, v, w):
-    return _edge_clauses(
-        cfg, cfg.delta_index,
-        w.gamma.theta[0], w.gamma.u[0], w.gamma.idxQ,
-        w.gamma.theta[1], w.gamma.u[1], w.idx_p,
-        v.gamma.theta[1], v.gamma.u[1], v.gamma.theta[2], v.gamma.u[2], v.idx_p,
-    )
-
-
 def build_graph(alphabet):
     """Materialize strong edges.
 
-    A chart v of size q can be followed only by a center w whose pulled-back
-    data matches v exactly (the E1 index), at the one size (E2.3) allows,
-    p = min(e^eps q, delta Q(w)).
+    A chart v of size q can be followed only by the charts ``_successors``
+    names, which pass (E1) and (E2.3); an edge needs (E2.1) and (E2.2) too.
     """
     cfg = alphabet.cfg
-    nd = cfg.delta_index
     nv = len(alphabet.vertices)
     out_edges = [[] for _ in range(nv)]
     in_edges = [[] for _ in range(nv)]
     for v in alphabet.vertices:
-        for cid in alphabet.e1_index.get((v.gamma.theta[1], 1.0 / v.gamma.u[1]), ()):
-            ip = max(v.idx_p - 3, nd + alphabet.centers[cid].gamma.idxQ)
+        for cid, ip in _successors(alphabet.centers, alphabet.e1_index, cfg.delta_index,
+                                   v.gamma, v.idx_p):
             wid = alphabet.vertex_index.get((cid, ip))
-            if wid is not None and _edge_test_vertices(cfg, v, alphabet.vertices[wid]):
+            if wid is None:
+                continue
+            w = alphabet.vertices[wid]
+            if _edge_clauses(cfg, w.gamma.theta[1], w.gamma.u[1], v.gamma.theta[2],
+                             v.gamma.u[2], v.idx_p):
                 out_edges[v.vid].append(wid)
                 in_edges[wid].append(v.vid)
     for lst in out_edges:

@@ -17,7 +17,8 @@ allowed.  Keys (all optional, defaults below):
     encode_lo/encode_hi  encoding range within windows (encode_lo <= 0 < encode_hi)
 
 A library window spans back_depth + max(fwd_len, encode_hi + 2) orbit
-steps, which must hold a whole cycle of every period up to max_period.
+steps, which must exceed max_period, so that a phase past the forward
+horizon can be viewed one cycle back.
 """
 
 import math
@@ -59,11 +60,11 @@ class RunConfig:
             raise ValueError("encode_lo must be <= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.back_depth + self.horizon < self.max_period:
+        if self.back_depth + self.horizon <= self.max_period:
             raise ValueError(
                 f"back_depth + max(fwd_len, encode_hi + 2) = {self.back_depth + self.horizon} "
-                f"must be >= max_period = {self.max_period}: a library window holds less "
-                f"than one cycle")
+                f"must be > max_period = {self.max_period}: a library window holds less "
+                f"than one cycle past its first point")
 
     @property
     def horizon(self):

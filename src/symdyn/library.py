@@ -43,9 +43,9 @@ def periodic_library(m, cfg):
     """Windows along every periodic orbit of period <= cfg.max_period.
 
     One bitwise cycle per orbit, started at its least root, one window per
-    phase, of backward depth cfg.back_depth and forward horizon
-    cfg.horizon; uncertified cycles (expansion below chi somewhere along
-    the orbit) are dropped.
+    phase, each a view of the cycle window of backward depth cfg.back_depth
+    and forward horizon cfg.horizon; uncertified cycles (expansion below chi
+    somewhere along the orbit) are dropped.
     """
     seen = set()
     windows = []
@@ -73,9 +73,10 @@ def periodic_library(m, cfg):
                 skipped_uncert += n
                 continue
             orbits += 1
-            # emit one window per phase of the *float* cycle, which may be
-            # a multiple of the orbit period (rounding oscillation)
-            windows.extend(w.shift(k) for k in range(w.period))
+            # a view per phase of the float cycle (maybe a multiple of the period);
+            # one past the cached horizon is viewed a cycle back, on the same arrays
+            P = w.period
+            windows.extend(w.shift(k if k < w.fwd_len else k - P) for k in range(P))
     return LibraryReport(windows=windows, orbits=orbits,
                          skipped_singular=skipped_singular,
                          skipped_uncertified=skipped_uncert,

@@ -68,6 +68,7 @@ class PointClasses:
     head: dict     # the class of the point on all but its last coordinate
     shift: dict    # the head class of the point's shift by one
     rects: dict    # class -> the rectangles holding a point of it
+    met: dict      # rectangle i -> sorted j with Z_i and Z_j sharing a point
 
 
 def point_classes(cover):
@@ -85,7 +86,8 @@ def point_classes(cover):
     """
     refs = [(i, pi) for i, z in enumerate(cover) for pi in range(len(z.points))]
     if not refs:
-        return PointClasses(cls={}, head={}, shift={}, rects={})
+        return PointClasses(cls={}, head={}, shift={}, rects={},
+                            met={i: [] for i in range(len(cover))})
     spans = {(p.point.back_len, p.point.fwd_len) for z in cover for p in z.points}
     if len(spans) > 1 or min(f for _, f in spans) < 2:
         raise ValueError(f"sampled points must share one span [-N, F], F >= 2: {sorted(spans)}")
@@ -105,8 +107,12 @@ def point_classes(cover):
     for (i, _), c in zip(refs, cls):
         if c is not None and i not in rects.setdefault(c, []):
             rects[c].append(i)
+    met = {i: set() for i in range(len(cover))}
+    for (i, _), c in zip(refs, cls):
+        met[i].update(rects.get(c, ()))
     return PointClasses(cls=dict(zip(refs, cls)), head=dict(zip(refs, head)),
-                        shift=dict(zip(refs, shift)), rects=rects)
+                        shift=dict(zip(refs, shift)), rects=rects,
+                        met={i: sorted(js) for i, js in met.items()})
 
 
 def fibres(z, point_index):
@@ -227,29 +233,19 @@ def _signature_of(cover, i, pi, met):
     return tuple(sorted(sig))
 
 
-def rectangles_meeting(cover, pc):
-    """met[i] = sorted j with Z_i and Z_j sharing a sampled point (pc: the
-    cover's ``point_classes``)."""
-    met = {i: set() for i in range(len(cover))}
-    for (i, _), c in pc.cls.items():
-        met[i].update(pc.rects.get(c, ()))
-    return {i: sorted(js) for i, js in met.items()}
-
-
 def refine(cover, pc):
     """Partition the sampled cover by full fibre-intersection signatures.
 
     Each sampled point of Z_i is classified against every met Z_j (pc: the
-    cover's ``point_classes``) into one of the four intersection types;
-    cells are the classes of equal signature vectors.  T_ii is 'su' for
-    every point (checked).
+    cover's ``point_classes``, which holds the meeting table) into one of
+    the four intersection types; cells are the classes of equal signature
+    vectors.  T_ii is 'su' for every point (checked).
     """
-    met = rectangles_meeting(cover, pc)
     cells = []
     index = {}
     for i, z in enumerate(cover):
         for pi in range(len(z.points)):
-            sig = _signature_of(cover, i, pi, met)
+            sig = _signature_of(cover, i, pi, pc.met)
             for (a, b), ab in sig:
                 if a == b == i and ab != "su":
                     raise AssertionError(f"T_ii is not 'su' at rectangle {i}")
@@ -330,8 +326,7 @@ class AuditReport:
 def audits(tg):
     """Local finiteness, Markov fibre containments, finite-to-one counts."""
     cover, cells, pc = tg.cover, tg.cells, tg.classes
-    met = rectangles_meeting(cover, pc)
-    inter_counts = [len(met[i]) for i in range(len(cover))]
+    inter_counts = [len(pc.met[i]) for i in range(len(cover))]
 
     refined_in_rect = dict(Counter(c.rect for c in cells))
     rects_over_cell = {c.cell_id: len(pc.rects.get(pc.cls[c.members[0]], ())) for c in cells}

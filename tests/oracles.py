@@ -140,6 +140,52 @@ def strong_clauses(cfg, theta_prev_w, u_prev_w, idxQ_w, theta0_w, u_w, ip,
     return ip == max(iq - 3, 3 * _delta_n(eps) + idxQ_w)
 
 
+def strong_graph_all_pairs(al):
+    """Successor lists of the alphabet's vertices by ``strong_clauses`` over
+    every (v, w) pair, so no lookup picks the candidates."""
+    cfg = al.cfg
+    return [[w.vid for w in al.vertices
+             if strong_clauses(cfg, w.gamma.theta[0], w.gamma.u[0], w.gamma.idxQ,
+                               w.gamma.theta[1], w.gamma.u[1], w.idx_p,
+                               v.gamma.theta[1], v.gamma.u[1], v.gamma.theta[2],
+                               v.gamma.u[2], v.idx_p)]
+            for v in al.vertices]
+
+
+def _net_clauses(g1, g2, j):
+    """The net test as written: Q within one grid step, and on each of the
+    three coordinates d(theta) + |1/u - 1/u'| < e^{-8(j+2)}."""
+    if abs(g1.idxQ - g2.idxQ) > 1:
+        return False
+    thr = _MP.exp(-8 * (j + 2))
+    return all(_distance(t1, t2) + abs(1 / _MP.mpf(u1) - 1 / _MP.mpf(u2)) < thr
+               for t1, t2, u1, u2 in zip(g1.theta, g2.theta, g1.u, g2.u))
+
+
+def net_all_pairs(m, samples, cfg):
+    """The greedy net from its definition: the certified samples in record
+    order, each with the index-0 data and bin of its own tables, joins the
+    first admitted center of its bin that passes ``_net_clauses``, else is
+    admitted.  The centers as (gamma, bin key, j bins, seen q indices), in
+    admission order."""
+    entries = []
+    for w in samples:
+        tabs = cg.bin_tables(m, [pesin.window_tables(m, w, cfg)])[0]
+        if tabs.certified:
+            entries.append((w.record(), *tabs.bins[0], tabs.idx_q[0]))
+    entries.sort(key=lambda e: e[0])
+    centers = []
+    for _, gamma, key, iq in entries:
+        hit = next((c for c in centers if c[1] == key and _net_clauses(gamma, c[0], key.j)),
+                   None)
+        if hit is None:
+            hit = (gamma, key, set(), set())
+            centers.append(hit)
+        hit[2].add(key.j)
+        hit[3].add(iq)
+    return centers
+
+
 def overlap_test(c1, c2):
     """The overlap relation between two charts (strict metric inequality)."""
     return overlap_clauses(c1.theta0, c1.u, c1.idx_p, c2.theta0, c2.u, c2.idx_p,

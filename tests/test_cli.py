@@ -47,12 +47,16 @@ def test_bad_chart_parameters_create_no_out(tmp_path):
 
 @pytest.mark.parametrize("text", ["encode_lo = 1", "encode_lo = 20", "encode_hi = 0",
                                   "seed = -1", "cover_window = 1",
-                                  "back_depth = 3\nfwd_len = 4\nencode_hi = 1\nmax_period = 8"])
+                                  "back_depth = 3\nfwd_len = 4\nencode_hi = 1\nmax_period = 8",
+                                  "back_depth = 3\nfwd_len = 4\nencode_hi = 1\nmax_period = 7"])
 def test_bad_encode_range_or_seed_creates_no_out(tmp_path, capsys, text):
     # these failed only after the library, alphabet and graph were written;
-    # the last, whose library windows hold less than one cycle of period 8
-    # (back_depth + max(fwd_len, encode_hi + 2) < max_period), exited 1 from
-    # the library stage
+    # the first window config, whose library windows hold less than one
+    # cycle of period 8, exited 1 from the library stage.  A window must
+    # hold one step more (back_depth + max(fwd_len, encode_hi + 2) >
+    # max_period) to view a phase past its forward horizon one cycle back:
+    # the last once shadowed 113 gpos of 39 orbits, with 4 NoNetVertex
+    # failures
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"map = doubling\nmax_period = 3\n{text}\n", encoding="utf-8")
     out = tmp_path / "o"
@@ -151,7 +155,7 @@ def test_huge_max_period_refused_at_once(tmp_path, capsys, max_period):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("text", ["fwd_len = 3", "fwd_len = 7", "back_depth = 4\nfwd_len = 4"])
+@pytest.mark.parametrize("text", ["fwd_len = 3", "fwd_len = 7", "back_depth = 5\nfwd_len = 4"])
 def test_orbit_period_beyond_the_forward_horizon(tmp_path, text):
     # period-8 orbits in windows cached fewer than 8 steps forward (but
     # holding a whole cycle) once read u past the cache and exited 1
@@ -162,6 +166,22 @@ def test_orbit_period_beyond_the_forward_horizon(tmp_path, text):
                   "--quiet"])
     assert rc == 0
     assert " periodic=8 " in (tmp_path / "o" / "windows.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text,orbits", [("back_depth = 40\nfwd_len = 3\nmax_period = 8", 69),
+                                         ("back_depth = 4\nfwd_len = 5\nmax_period = 8", 69),
+                                         ("back_depth = 3\nfwd_len = 5\nmax_period = 7", 39)])
+def test_one_shadowed_gpo_per_orbit_past_the_forward_horizon(tmp_path, capsys, text, orbits):
+    # a phase past the cached forward horizon once re-tiled the cycle into
+    # new arrays, so its view became a base window of its own and the shadow
+    # stage encoded 333, 204 and 84 gpos here
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"map = doubling\nencode_hi = 1\n{text}\n", encoding="utf-8")
+    rc = run_cli(["shadow", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert f" windows from {orbits} orbits " in out
+    assert f"shadow: {orbits} gpos shadowed, 0 failures" in out
 
 
 def test_map_file_name_with_hash(tmp_path):

@@ -1,9 +1,12 @@
+import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
 
 import symdyn
+from symdyn import cli
 from symdyn import coarse_grain as cg
 from symdyn import library
 from symdyn import natural_extension as ne
@@ -11,9 +14,10 @@ from symdyn import pesin
 from symdyn.config import RunConfig
 
 from construction import make_window, radius, random_library
-from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, overlap_clauses,
-                     overlap_test, strong_chain, strong_clauses, strong_graph_backward,
-                     weak_edge_vertices, weak_successors)
+from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, net_all_pairs,
+                     overlap_clauses, overlap_test, strong_chain, strong_clauses,
+                     strong_graph_all_pairs, strong_graph_backward, weak_edge_vertices,
+                     weak_successors)
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -161,7 +165,8 @@ def test_edge_mismatched_windows(doubling, cfg, cyc, cyc3, alphabet):
 
 # At size index 0 every grid threshold is exactly 1, so a clause can be
 # driven onto its boundary with float data: the verdicts there pin the
-# strictness of each clause against the oracle's real arithmetic.
+# strictness of each clause of the oracle's real arithmetic, and of the
+# (E2.1) and (E2.2) clauses ``build_graph`` evaluates.
 OVERLAP_AT_BOUNDARY = [
     # (theta1, u1, i1, theta2, u2, i2), overlap
     ((1.0, 2.0, 0, 0.0, 2.0, 0), False),     # d = (p1 p2)^4: strict
@@ -175,7 +180,6 @@ OVERLAP_AT_BOUNDARY = [
 @pytest.mark.parametrize("args,want", OVERLAP_AT_BOUNDARY)
 def test_overlap_clauses_on_their_boundary(args, want):
     assert overlap_clauses(*args, 0.1) is want
-    assert cg._overlap_raw(*args, 0.1) is want
 
 
 def _strong_at_boundary(cfg, **change):
@@ -183,25 +187,90 @@ def _strong_at_boundary(cfg, **change):
     data = dict(theta_prev_w=0.0, u_prev_w=2.0, idxQ_w=-3 - cfg.delta_index, theta0_w=0.0,
                 u_w=1.0, ip=-3, theta0_v=0.0, u_v=2.0, theta1_v=0.0, u_next_v=1.0, iq=0)
     data.update(change)
-    return list(data.values())
+    return data
 
 
-@pytest.mark.parametrize("change,want", [
+E2_AT_BOUNDARY = [
     ({}, True),
-    ({"theta_prev_w": 1.0}, False),          # (E1) d = q^8: strict
-    ({"theta_prev_w": 0.5}, True),
     ({"theta1_v": 1.0}, False),              # (E2.1) d = q: strict
     ({"theta1_v": 0.75}, True),
     ({"u_next_v": math.e}, True),            # (E2.2) log of the ratio is q in floats
     ({"u_next_v": 3.0}, False),
+]
+
+
+@pytest.mark.parametrize("change,want", [
+    E2_AT_BOUNDARY[0],
+    ({"theta_prev_w": 1.0}, False),          # (E1) d = q^8: strict
+    ({"theta_prev_w": 0.5}, True),
+    *E2_AT_BOUNDARY[1:],
     ({"ip": -2}, False),                     # (E2.3) one grid step off
     ({"idxQ_w": -2 - RunConfig().delta_index}, False),
 ])
 def test_edge_clauses_on_their_boundary(change, want):
     cfg = RunConfig(chi=CHI2, epsilon=0.1)
-    data = _strong_at_boundary(cfg, **change)
-    assert strong_clauses(cfg, *data) is want
-    assert cg._edge_clauses(cfg, cfg.delta_index, *data) is want
+    assert strong_clauses(cfg, *_strong_at_boundary(cfg, **change).values()) is want
+
+
+@pytest.mark.parametrize("change,want", E2_AT_BOUNDARY)
+def test_e2_clauses_on_their_boundary(change, want):
+    # (E1) and (E2.3) are build_graph's lookups; these two clauses it evaluates
+    cfg = RunConfig(chi=CHI2, epsilon=0.1)
+    d = _strong_at_boundary(cfg, **change)
+    assert cg._edge_clauses(cfg, d["theta0_w"], d["u_w"], d["theta1_v"], d["u_next_v"],
+                            d["iq"]) is want
+
+
+@pytest.mark.parametrize("name,period", [("doubling", 4), ("tent", 4), ("quadratic", 4),
+                                         ("gauss", 2)])
+def test_net_and_graph_match_all_pairs_oracles(name, period):
+    # the exact-key net and successor lookups miss no pair the written
+    # clauses pass
+    m = symdyn.built_in(name)
+    cfg = RunConfig(map=name, max_period=period)
+    windows = library.periodic_library(m, cfg).windows
+    al = cg.build_alphabet(m, windows, cfg)
+    assert [(c.gamma, c.key, c.j_bins, c.seen_q) for c in al.centers] == \
+        net_all_pairs(m, windows, cfg)
+    assert cg.build_graph(al).out_edges == strong_graph_all_pairs(al)
+
+
+def test_exact_regime_refuses_thresholds_above_underflow():
+    cfg = RunConfig(chi=CHI2, epsilon=0.1)
+    cg._check_exact_regime(cfg, 100, 3000)      # logs -816 and -800: both underflow
+    with pytest.raises(ValueError, match=r"the net's log e\^\{-8\(j\+2\)\} = -16\.0 is not"):
+        cg._check_exact_regime(cfg, 0, 3000)
+    with pytest.raises(ValueError, match=r"\(E1\)'s log \(p q\)\^4 = -8\.0 is not"):
+        cg._check_exact_regime(cfg, 100, 30)
+
+
+@pytest.mark.parametrize("j_min,iq_min,clause", [(100, 30000, "the net's"),
+                                                 (1000, 3000, "(E1)'s")])
+def test_exact_regime_is_strict(monkeypatch, j_min, iq_min, clause):
+    # the largest threshold passes just below LOG_TINY and is refused at it
+    cfg = RunConfig(chi=CHI2, epsilon=0.1)
+    top = max(-8.0 * (j_min + 2), -(8.0 * cfg.epsilon / 3.0) * iq_min)
+    monkeypatch.setattr(cg, "LOG_TINY", math.nextafter(top, 0.0))
+    cg._check_exact_regime(cfg, j_min, iq_min)
+    monkeypatch.setattr(cg, "LOG_TINY", top)
+    with pytest.raises(ValueError, match=re.escape(clause)):
+        cg._check_exact_regime(cfg, j_min, iq_min)
+
+
+def test_alphabet_refused_at_its_largest_threshold(monkeypatch, tmp_path, capsys):
+    # on the built-ins (E1) at the least chart size is the larger threshold
+    m = symdyn.built_in("doubling")
+    cfg = RunConfig(max_period=3)
+    al = cg.build_alphabet(m, library.periodic_library(m, cfg).windows, cfg)
+    top = -(8.0 * cfg.epsilon / 3.0) * min(v.idx_p for v in al.vertices)
+    assert -8.0 * (min(min(c.j_bins) for c in al.centers) + 2) < top < cg.LOG_TINY
+    monkeypatch.setattr(cg, "LOG_TINY", math.nextafter(top, 0.0))
+    assert cli.main(["graph", "--max-period", "3", "--out", str(tmp_path / "a"),
+                     "--quiet"]) == 0
+    monkeypatch.setattr(cg, "LOG_TINY", top)
+    assert cli.main(["graph", "--max-period", "3", "--out", str(tmp_path / "b"),
+                     "--quiet"]) == 2
+    assert "(E1)'s log (p q)^4" in json.loads(capsys.readouterr().err.splitlines()[-1])["detail"]
 
 
 # -- alphabet -------------------------------------------------------------------
@@ -245,7 +314,7 @@ def test_discreteness_enumeration_oracle(alphabet):
     # charts with log p > t sit in bins with j <= 2 - t, so the bins with
     # larger j can be skipped when enumerating them
     for c in alphabet.centers:
-        assert c.cid in alphabet.bins[c.key]
+        assert c.cid in alphabet.bins[cg._net_key(c.gamma, c.key)]
     for t in (-1e9, -500.0, -390.0, -370.0):
         above = [v for v in alphabet.vertices if v.chart.log_p > t]
         for v in above:
