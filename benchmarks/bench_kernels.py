@@ -1,7 +1,8 @@
 """Benchmark both kernel lanes and print the best of three timings each:
 the scalar lane (``Branch``/``MapModel``, through the orbit builders behind
 ``tests/construction.py:make_window``) and the batch lane (``_kernels``:
-``*_vec``, ``periodic_roots``); the cover ids of the gauss
+``*_vec``, ``periodic_roots``); the periodic library of gauss at
+``max_period = 3`` and doubling at 10; the cover ids of the gauss
 ``max_period = 2`` alphabet, in one batched ``cover_ids`` scan (the row's
 time) and point by point through ``tests/oracles.py:cover_id_reference``
 (in the row's name); then the gpos of the deep Markov cover (doubling at
@@ -61,6 +62,16 @@ def bench(reps=3):
 
     timeit("random library (100 certified windows)",
            lambda: C.random_library(m, 0.1, 100, back_depth=40, fwd_len=14, seed=3))
+
+    # the periodic library, one backward batch per period
+    from symdyn import library
+    from symdyn.config import parse_config
+
+    for name, period in (("gauss", 3), ("doubling", 10)):
+        cfg = parse_config(f"map = {name}\nmax_period = {period}\n")
+        lm = symdyn.built_in(name)
+        timeit(f"periodic_library {name} max_period={period}",
+               lambda: library.periodic_library(lm, cfg))
 
     def regularity():
         verify_regularity(m, 10_000, seed=1)

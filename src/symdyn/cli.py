@@ -48,20 +48,16 @@ def stage_verify(m, cfg, out, quiet):
     return rep
 
 
-def stage_library(m, cfg, out, quiet):
-    lib = library.periodic_library(m, cfg)
+def stage_library(lib, out, quiet):
     formats.write_windows(os.path.join(out, "windows.txt"), lib.windows)
     for ln in lib.lines():
         _say(quiet, ln)
-    return lib
 
 
-def stage_alphabet(m, cfg, windows, out, quiet):
-    al = coarse_grain.build_alphabet(m, windows, cfg)
+def stage_alphabet(al, out, quiet):
     formats.write_alphabet(os.path.join(out, "alphabet.txt"), al)
     _say(quiet, f"alphabet: {len(al.centers)} centers, {len(al.vertices)} charts, "
                 f"{al.skipped} samples skipped")
-    return al
 
 
 def stage_graph(al, out, quiet):
@@ -117,8 +113,9 @@ def stage_inverse(m, cfg, out, quiet):
     base = min(cfg.back_depth, 30)
     lib = library.periodic_library(m, cfg)
     windows = [replace(w, u_depth=d) for d in (base, base + 4) for w in lib.windows]
-    formats.write_windows(os.path.join(out, "windows.txt"), windows)
     al = coarse_grain.build_alphabet(m, windows, cfg)
+    out = _ensure_out(out)
+    formats.write_windows(os.path.join(out, "windows.txt"), windows)
     lines = []
     records = []
     audited = 0
@@ -246,21 +243,23 @@ def resolve_config(args):
 
 def run(command, cfg, out, quiet=False):
     m = load_map(cfg.map)
-    if command != "verify-map":  # every other command enumerates periods up to max_period
-        analysis.check_word_budget(m, cfg.max_period)
-    out = _ensure_out(out)
-
     if command == "verify-map":
-        stage_verify(m, cfg, out, quiet)
+        stage_verify(m, cfg, _ensure_out(out), quiet)
         return
+    analysis.check_word_budget(m, cfg.max_period)  # every other command enumerates periods
     if command == "inverse-audit":
         stage_inverse(m, cfg, out, quiet)
         return
 
-    lib = stage_library(m, cfg, out, quiet)
+    # the library and the alphabet are built before --out is made, so a
+    # refused alphabet leaves no partial artifacts
+    lib = library.periodic_library(m, cfg)
+    al = None if command == "sample-orbits" else coarse_grain.build_alphabet(m, lib.windows, cfg)
+    out = _ensure_out(out)
+    stage_library(lib, out, quiet)
     if command == "sample-orbits":
         return
-    al = stage_alphabet(m, cfg, lib.windows, out, quiet)
+    stage_alphabet(al, out, quiet)
     if command == "alphabet":
         return
     g, pg, kept = stage_graph(al, out, quiet)

@@ -1,11 +1,12 @@
 """Orbit libraries: windows along the periodic cycles of a map.
 
 The periodic library enumerates periodic orbits up to a given period,
-closes each into its bitwise backward cycle, and emits one window per
-phase (all phases share the cycle arrays, so the coarse-graining net
-dedupes them consistently).  An orbit is the necklace (least rotation)
-of its points' branch words, one per point under the half-open branch
-convention.  Orbits passing through the singular set's exclusion zone are
+closes the new orbits of each period into their bitwise backward cycles
+in one batch (``natural_extension.periodic_windows``), and emits one
+window per phase (all phases share the cycle arrays, so the
+coarse-graining net dedupes them consistently).  An orbit is the
+necklace (least rotation) of its points' branch words, one per point
+under the half-open branch convention.  Orbits passing through the singular set's exclusion zone are
 skipped and counted; each period's root count is kept for the growth rows.
 """
 
@@ -56,27 +57,26 @@ def periodic_library(m, cfg):
     for n in range(1, cfg.max_period + 1):
         roots, words = map_periodic_points(m, n)
         map_counts.append(len(roots))
-        for x, word in zip(roots.tolist(), words.tolist()):
+        new = []
+        for i, word in enumerate(words.tolist()):
             key = _necklace(tuple(word))
             if key is None or key in seen:
                 continue  # a point of a shorter orbit, or of one already met
             seen.add(key)
-            try:
-                w = ne.make_periodic_window(m, x, word, cfg.back_depth, cfg.horizon)
-            except SingularPoint:
-                skipped_singular += 1
-                continue
-            if not m.window_chartable(w.points):
+            new.append(i)
+        built, chartable = ne.periodic_windows(m, roots[new], words[new],
+                                               cfg.back_depth, cfg.horizon)
+        for w, ok in zip(built, chartable.tolist()):
+            if isinstance(w, Exception) and not isinstance(w, SingularPoint):
+                raise w
+            if not ok:  # no window near the singular set, or one not chartable
                 skipped_singular += 1
                 continue
             if not expansion_certificate(w, cfg).ok:
                 skipped_uncert += n
                 continue
             orbits += 1
-            # a view per phase of the float cycle (maybe a multiple of the period);
-            # one past the cached horizon is viewed a cycle back, on the same arrays
-            P = w.period
-            windows.extend(w.shift(k if k < w.fwd_len else k - P) for k in range(P))
+            windows.extend(w.phases())
     return LibraryReport(windows=windows, orbits=orbits,
                          skipped_singular=skipped_singular,
                          skipped_uncertified=skipped_uncert,

@@ -146,10 +146,6 @@ class MapModel:
     def singular_distance(self, x):
         return float(self.family.dist(x))
 
-    def preimage(self, y, bid):
-        """g_bid(y): the preimage of y through the given inverse branch."""
-        return self.branch_by_id(bid).inv(y)
-
     def cover_ids(self, xs):
         """Ids of the canonical cover elements containing the points xs, each
         (level << 32) | index.
@@ -203,16 +199,16 @@ class MapModel:
     # -- regularity ----------------------------------------------------
 
     def window_chartable(self, points):
-        """True iff every cached coordinate admits a radius above the cutoff.
+        """True iff every cached coordinate admits a radius above the cutoff;
+        one bool per row of a 2-D ``points``.
 
         points must be consecutive orbit values; the radius at x_i uses
         d(x_i, S) and d(x_{i+1}, S), both available in the cache.
         """
         d = K.sing_dist_vec(self.family, points)
-        if np.any(d <= self.exclusion):
-            return False
-        r = 0.5 * np.minimum(np.minimum(d[:-1] ** self.a, d[1:] ** self.a), 1.0)
-        return bool(np.all(r >= self.exclusion))
+        r = 0.5 * np.minimum(np.minimum(d[..., :-1] ** self.a, d[..., 1:] ** self.a), 1.0)
+        ok = ~np.any(d <= self.exclusion, axis=-1) & np.all(r >= self.exclusion, axis=-1)
+        return bool(ok) if ok.ndim == 0 else ok
 
 
 # ---------------------------------------------------------------------------

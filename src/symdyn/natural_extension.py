@@ -7,12 +7,16 @@ log-derivatives, prefix sums) live in shared immutable arrays; shifting is index
 relabeling on the same arrays, so quantities computed at a given absolute
 index are bitwise identical regardless of which shifted view computed them.
 
-``make_periodic_window`` builds the bitwise-periodic backward cycle of a
-periodic branch word (inverse branches contract, so the float backward
-orbit closes exactly; the cycle is taken at the first closure) and tiles
-it.  The result is an f-pseudo-orbit within ~1e-16, well inside the 1e-10
-window tolerance, and every derived quantity is exactly periodic.
-``make_pseudo_window`` wraps the shadowed points of a batch of gpos.
+``periodic_windows`` builds the bitwise-periodic backward cycles of a batch
+of periodic branch words of one length (inverse branches contract, so the
+float backward orbit closes exactly; each row's cycle is taken at its first
+closure) in one numpy iteration over all rows, and tiles each cycle length's
+cycles into one block of arrays, a window per row;
+``make_periodic_window`` is its one-row call.  A window is an f-pseudo-orbit
+within ~1e-16, well inside the 1e-10 window tolerance, and every derived
+quantity is exactly periodic.  ``OrbitWindow.phases`` views a cycle window
+at each phase.  ``make_pseudo_window`` wraps the shadowed points of a batch
+of gpos.
 """
 
 import math
@@ -24,6 +28,11 @@ from . import _kernels as K
 from .map_model import MapModel, SingularPoint
 
 CONSISTENCY_TOL = 1e-10
+# A backward cycle may close at multiples 1..CLOSE_MULTS of its word's length.
+CLOSE_MULTS = 8
+# Rows of one backward batch at most: larger batches only add temporaries
+# (gauss at max_period = 4 has 16,320 orbits of period 4).
+BATCH_ROWS = 1024
 
 
 class WindowExhausted(RuntimeError):
@@ -98,6 +107,21 @@ class OrbitWindow:
             w = w.extend_forward(need_fwd + 4)
         return replace(w, off=w.off + k)
 
+    def phases(self):
+        """One view per phase of a cycle window, on the same arrays: this
+        window, then phase k at offset off + k, or one cycle back at
+        off + k - period once k reaches the cached horizon."""
+        P, F = self.period, self.fwd_len
+        views = [self]
+        for k in range(1, P):
+            off = self.off + (k if k < F else k - P)
+            if off < 1:
+                raise WindowExhausted(f"shift by {k - P} leaves backward depth {off} < 1")
+            views.append(OrbitWindow(m=self.m, points=self.points, branch_ids=self.branch_ids,
+                                     logderivs=self.logderivs, cumlog=self.cumlog, off=off,
+                                     u_depth=self.u_depth, period=P))
+        return views
+
     def extend_forward(self, extra):
         """New window with ``extra`` more forward steps cached."""
         if self.period > 0:
@@ -132,7 +156,7 @@ class OrbitWindow:
 def _freeze(pts, bid, ld):
     """The prefix sums of ``ld`` along its last axis; makes all four read-only."""
     cum = np.zeros(ld.shape[:-1] + (ld.shape[-1] + 1,))
-    cum[..., 1:] = np.cumsum(ld, axis=-1)
+    np.cumsum(ld, axis=-1, out=cum[..., 1:])
     for arr in (pts, bid, ld, cum):
         arr.setflags(write=False)
     return cum
@@ -172,53 +196,158 @@ def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len):
     f(c_j), indices mod P).  Inverse branches contract, so backward
     iteration reaches an exactly periodic float cycle; the cycle is taken
     as soon as the float orbit closes, and the window tiles it.  Its u
-    depth is ``back_depth``, so u-values are shift-stable.
+    depth is ``back_depth``, so u-values are shift-stable.  The one-row
+    call of ``periodic_windows``; raises what that row's build raised.
     """
-    word = [int(b) for b in fwd_word]
-    P = len(word)
-    y = float(x0_approx)
-    hist = []
+    built, _ = periodic_windows(m, [float(x0_approx)], [[int(b) for b in fwd_word]],
+                                back_depth, fwd_len)
+    if isinstance(built[0], Exception):
+        raise built[0]
+    return built[0]
+
+
+def periodic_windows(m, xs, words, back_depth, fwd_len):
+    """The cycle windows of R periodic words of one length P, built together.
+
+    Row r iterates the inverse branches of ``words[r]`` backward from
+    ``xs[r]``, BATCH_ROWS rows at a time in one numpy pass, and retires at
+    its first float closure (see ``_backward_cycles``); the closed rows of
+    each cycle length are tiled into one (R_E, L) block of read-only
+    arrays, each window a row view of it.  Returns ``(built, chartable)``:
+    ``built[r]`` is row r's window, or the exception its build raised
+    (SingularPoint near the singular set or at a critical point, ValueError
+    for a cycle off its word or off the window tolerance, RuntimeError for
+    a row that does not close); ``chartable[r]`` is ``m.window_chartable``
+    of its points, False for a row that raised.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    words = np.asarray(words, dtype=np.int64).reshape(xs.size, -1)
+    built, chartable = [], np.zeros(xs.size, dtype=bool)
+    for lo in range(0, xs.size, BATCH_ROWS):
+        part, chartable[lo:lo + BATCH_ROWS] = _batch_windows(
+            m, xs[lo:lo + BATCH_ROWS], words[lo:lo + BATCH_ROWS], back_depth, fwd_len)
+        built += part
+    return built, chartable
+
+
+def _batch_windows(m, xs, words, back_depth, fwd_len):
+    """``periodic_windows`` on one batch of rows."""
+    built = [None] * xs.size
+    chartable = np.zeros(xs.size, dtype=bool)
+    for rows, cyc in _backward_cycles(m, xs, words, built):
+        E = cyc.shape[1]
+        cycle_word = np.tile(words[rows], E // words.shape[1])
+        d = K.dfwd_vec(m.family, cycle_word, cyc)
+        idx = np.arange(-back_depth, fwd_len + 1) % E   # the phase of x_{-N} .. x_F
+        ok = _check_cycles(m, rows, cyc, cycle_word, d, idx, built)
+        pts = cyc[ok][:, idx]
+        bid = cycle_word[ok][:, idx[:-1]]
+        # exact periodic tiling of the per-phase log-derivs
+        ld = np.log(np.abs(d[ok]))[:, idx[:-1]]
+        cum = _freeze(pts, bid, ld)
+        # a window of L > E coordinates holds every phase and every pair of
+        # consecutive phases, as one lap c_0 .. c_{E-1}, c_0 does
+        lap = cyc[ok][:, np.arange(E + 1) % E] if idx.size > E else pts
+        chartable[rows[ok]] = m.window_chartable(lap)
+        for r, x, b, g, c in zip(rows[ok].tolist(), pts, bid, ld, cum):
+            built[r] = OrbitWindow(m=m, points=x, branch_ids=b, logderivs=g, cumlog=c,
+                                   off=back_depth, u_depth=back_depth, period=E)
+    return built, chartable
+
+
+def _backward_cycles(m, y, words, built):
+    """The bitwise backward cycles of rows ``y`` under ``words``, as
+    (rows, (R_E, E) cycle points) per cycle length E; c_j of a row's cycle
+    is the point in branch ``words[r][j % P]``.
+
+    Each step k applies the inverse branch ``words[:, -k % P]`` to every live
+    row.  The float backward orbit may close only at a multiple E of P
+    (rounding can turn an attracting fixed point into a 2-cycle); once
+    closed it stays closed, so a row retires at the first step k >= 2E with
+    y_k == y_{k-E}, at the least such E.  A row within the exclusion radius
+    at step k retires with a SingularPoint, even if step k closes it; a row
+    not closed after 256 + 64P steps gets a RuntimeError.  Only the last
+    8P + 1 iterates of each row are kept, in a ring.
+    """
+    R, P = words.shape
+    fam = m.family
+    mults = P * np.arange(1, CLOSE_MULTS + 1)
+    span = CLOSE_MULTS * P + 1
+    ring = np.empty((R, span))
+    live = np.arange(R)
+    done = np.zeros(R, dtype=bool)   # retired since the live arrays were last compacted
+    word = words
+    closed = {}
     max_steps = 256 + 64 * P
     for k in range(1, max_steps + 1):
-        b = word[(-k) % P]
-        y = m.preimage(y, b)
-        if m.singular_distance(y) <= m.exclusion:
-            raise SingularPoint(f"periodic word passes within exclusion radius at step {k}")
-        hist.append(y)
-        # the float backward orbit may close only at a multiple of P
-        # (rounding can turn an attracting fixed point into a 2-cycle);
-        # once closed it stays closed, so the first match is the least one
-        for mult in range(1, 9):
-            E = mult * P
-            if k < 2 * E or hist[-1] != hist[-1 - E]:
-                continue
-            cyc = [0.0] * E
-            for i in range(E):
-                kk = k - i
-                cyc[(-kk) % E] = hist[-1 - i]
-            return _periodic_from_cycle(m, cyc, word * mult, back_depth, fwd_len)
-    raise RuntimeError("backward iteration did not close into a cycle "
-                       f"(word={word!r}) within {max_steps} steps")
+        if not live.size:
+            break
+        y = K.inv_vec(fam, word[:, -k % P], y)
+        ring[:, k % span] = y
+        sing = ~done & (K.sing_dist_vec(fam, y) <= m.exclusion)
+        for i in np.flatnonzero(sing).tolist():
+            built[live[i]] = SingularPoint(
+                f"periodic word passes within exclusion radius at step {k}")
+        done |= sing
+        lengths = mults[: min(CLOSE_MULTS, k // (2 * P))]   # the E with 2E <= k
+        if lengths.size:
+            hit = (ring[:, (k - lengths) % span] == y[:, None]) & ~done[:, None]
+            close = np.flatnonzero(hit.any(axis=1))
+            if close.size:
+                first = lengths[hit[close].argmax(axis=1)]
+                for e in sorted(set(first.tolist())):
+                    sel = close[first == e]
+                    # c_j = y_{k-i} for the i in [0, e) with -(k - i) = j mod e
+                    i = (np.arange(e) + k) % e
+                    cyc = ring[sel][:, (k - i) % span]
+                    closed.setdefault(e, []).append((live[sel], cyc))
+                done[close] = True
+        if done.sum() * 2 > live.size:   # compact once half the rows have retired
+            keep = ~done
+            live, y, ring, word, done = live[keep], y[keep], ring[keep], word[keep], done[keep]
+    for r in live[~done].tolist():
+        built[r] = RuntimeError("backward iteration did not close into a cycle "
+                                f"(word={words[r].tolist()!r}) within {max_steps} steps")
+    return [(np.concatenate([rows for rows, _ in parts]), np.concatenate([c for _, c in parts]))
+            for _, parts in sorted(closed.items())]
 
 
-def _periodic_from_cycle(m, cyc, word, back_depth, fwd_len):
-    P = len(word)
-    idx = np.arange(-back_depth, fwd_len + 1)
-    pts = np.array([cyc[i % P] for i in idx])
-    bids = np.array([word[i % P] for i in idx[:-1]], dtype=np.int64)
-    for i, b in enumerate(bids[: 2 * P]):
-        if m.branch_at(pts[i]) != b:
-            raise ValueError(f"cycle point {pts[i]!r} is not in branch {b}")
-    d = K.dfwd_vec(m.family, bids, pts[:-1])
-    if np.any(d == 0) or not np.all(np.isfinite(d)):
-        raise SingularPoint("cycle passes through a critical point")
-    # exact periodic tiling of the per-phase log-derivs
-    ld_phase = np.log(np.abs(K.dfwd_vec(m.family, np.array(word, dtype=np.int64), np.array(cyc))))
-    ld = np.array([ld_phase[i % P] for i in idx[:-1]])
-    err = np.max(np.abs(K.fwd_vec(m.family, bids, pts[:-1]) - pts[1:]))
-    if err > CONSISTENCY_TOL:
-        raise ValueError(f"cycle violates the window tolerance: {err:g}")
-    return _assemble(m, pts, bids, ld, off=back_depth, u_depth=back_depth, period=P)
+def _check_cycles(m, rows, cyc, cycle_word, d, idx, built):
+    """The checks of the windows over phases ``idx`` of the (R_E, E) cycles
+    ``cyc``, whose derivatives are ``d``: the first 2E coordinates each in
+    the branch of its word, no critical point and f-consistency within
+    CONSISTENCY_TOL.  A failing row gets the exception of its first failed
+    check in ``built``.  Returns the indices into ``rows`` of the rest."""
+    fam = m.family
+    failed = {}
+    nchk = min(2 * cyc.shape[1], idx.size - 1)
+    x, b = cyc[:, idx[:nchk]], cycle_word[:, idx[:nchk]]
+    near = K.sing_dist_vec(fam, x) <= m.exclusion
+    bi = K.branch_index_vec(fam, x)
+    bad = near | (bi != b)
+    for r in np.flatnonzero(bad.any(axis=1)).tolist():
+        i = int(bad[r].argmax())
+        xi = x[r, i]
+        if near[r, i]:
+            failed[r] = SingularPoint(f"x={xi!r} is within the exclusion radius of the singular set")
+        elif bi[r, i] < 0:
+            failed[r] = SingularPoint(f"x={xi!r} lies in no branch domain")
+        else:
+            failed[r] = ValueError(f"cycle point {xi!r} is not in branch {b[r, i]}")
+    # x_{-N} .. x_{F-1} take the phases in idx[:-1], each among its first E
+    seen = idx[:min(cyc.shape[1], idx.size - 1)]
+    critical = np.any(d[:, seen] == 0, axis=1) | ~np.all(np.isfinite(d[:, seen]), axis=1)
+    err = np.max(np.abs(K.fwd_vec(fam, cycle_word, cyc) - np.roll(cyc, -1, axis=1))[:, seen],
+                 axis=1)
+    for r in np.flatnonzero(critical | (err > CONSISTENCY_TOL)).tolist():
+        if r not in failed:
+            failed[r] = (SingularPoint("cycle passes through a critical point") if critical[r]
+                         else ValueError(f"cycle violates the window tolerance: {err[r]:g}"))
+    keep = np.ones(rows.size, dtype=bool)
+    for r, e in failed.items():
+        built[rows[r]] = e
+        keep[r] = False
+    return np.flatnonzero(keep)
 
 
 def make_pseudo_window(m, pts, bids, off=None):

@@ -21,6 +21,11 @@ def f(m, x):
     return m.branch_by_id(m.branch_at(x)).fwd(x)
 
 
+def preimage(m, y, bid):
+    """g_bid(y): the preimage of y through the given inverse branch."""
+    return m.branch_by_id(bid).inv(y)
+
+
 def radius(m, x):
     """Canonical r(x); raises SingularPoint below the exclusion cutoff."""
     dx = m.singular_distance(x)
@@ -107,7 +112,7 @@ def backward_orbit(m, x, word):
     y = float(x)
     pts = []
     for k, b in enumerate(word):
-        y = m.preimage(y, b)
+        y = preimage(m, y, b)
         if m.branch_at(y) != b:
             raise SingularPoint(f"backward word invalid after {k} steps: x_{-k - 1}={y!r} "
                                 f"is not in branch {b}")

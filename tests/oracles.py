@@ -27,7 +27,7 @@ from symdyn.config import RunConfig
 from symdyn.map_model import ClauseResult, RegularityReport, SingularPoint
 from symdyn.shadowing import StepMap
 
-from construction import backward_orbit, make_window, radius, windows_agree_reference
+from construction import backward_orbit, make_window, preimage, radius, windows_agree_reference
 
 
 # -- coarse graining -------------------------------------------------------------
@@ -940,7 +940,7 @@ def make_periodic_window_reference(m, x0_approx, fwd_word, back_depth, fwd_len,
     y = float(x0_approx)
     hist = []
     for k in range(1, burn + max_loops * P + 1):
-        y = m.preimage(y, word[(-k) % P])
+        y = preimage(m, y, word[(-k) % P])
         if m.singular_distance(y) <= m.exclusion:
             raise SingularPoint(f"periodic word passes within exclusion radius at step {k}")
         hist.append(y)
@@ -953,8 +953,34 @@ def make_periodic_window_reference(m, x0_approx, fwd_word, back_depth, fwd_len,
             cyc = [0.0] * E
             for i in range(E):
                 cyc[(-(k - i)) % E] = hist[-1 - i]
-            return ne._periodic_from_cycle(m, cyc, word * mult, back_depth, fwd_len)
+            return _window_from_cycle_reference(m, cyc, word * mult, back_depth, fwd_len)
     raise RuntimeError(f"backward iteration did not close into a cycle (word={word!r})")
+
+
+def _window_from_cycle_reference(m, cyc, word, back_depth, fwd_len):
+    """The window over x_{-N..F} tiling the float cycle ``cyc`` (c_j in
+    branch ``word[j]``), checked and differentiated point by point in the
+    scalar lane."""
+    E = len(word)
+    idx = range(-back_depth, fwd_len + 1)
+    pts = [cyc[i % E] for i in idx]
+    bids = [word[i % E] for i in idx][:-1]
+    for x, b in list(zip(pts, bids))[: 2 * E]:
+        if m.branch_at(x) != b:
+            raise ValueError(f"cycle point {x!r} is not in branch {b}")
+    err = 0.0
+    for i, b in enumerate(bids):
+        br = m.branch_by_id(b)
+        d = br.dfwd(pts[i])
+        if d == 0.0 or not math.isfinite(d):
+            raise SingularPoint("cycle passes through a critical point")
+        err = max(err, abs(br.fwd(pts[i]) - pts[i + 1]))
+    if err > ne.CONSISTENCY_TOL:
+        raise ValueError(f"cycle violates the window tolerance: {err:g}")
+    ld_phase = np.log(np.abs(np.array([m.branch_by_id(b).dfwd(c) for b, c in zip(word, cyc)])))
+    ld = np.array([ld_phase[i % E] for i in idx][:-1])
+    return ne._assemble(m, np.array(pts), np.array(bids, dtype=np.int64), ld,
+                        off=back_depth, u_depth=back_depth, period=E)
 
 
 def parse_record(m, line):

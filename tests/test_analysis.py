@@ -10,7 +10,6 @@ import symdyn
 from symdyn import analysis as an
 from symdyn import coarse_grain as cg
 from symdyn import library
-from symdyn import natural_extension as ne
 from symdyn.config import RunConfig
 
 from construction import f
@@ -196,26 +195,37 @@ def test_one_walk_gives_the_rows_and_estimates_of_separate_walks(max_period):
     assert est.lines() != shared.entropy.lines() or max_period == 10
 
 
-def _skipped_by_period(monkeypatch, m, cfg):
-    """The library at ``cfg``, its pruned graph, and the number
-    of orbits of each period the library tried but kept no window of."""
-    tried, made = {}, []
-    make = ne.make_periodic_window
+def _mobius(n):
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
 
-    def recorded(m_, x, word, *args, **kw):
-        tried[len(word)] = tried.get(len(word), 0) + 1
-        made.append((make(m_, x, word, *args, **kw), len(word)))
-        return made[-1][0]
 
-    monkeypatch.setattr(ne, "make_periodic_window", recorded)
+def _skipped_by_period(m, cfg):
+    """The library at ``cfg``, its pruned graph, and the number of orbits of
+    each period the library tried but kept no window of.  It tries each
+    orbit of least period p among the map's period-p points once (their
+    count by Moebius inversion of ``map_counts``, over p), and keeps an
+    orbit as one shared points array, whose least word period is p."""
     lib = library.periodic_library(m, cfg)
-    monkeypatch.undo()
     pg, _ = cg.prune_relevant(cg.build_graph(cg.build_alphabet(m, lib.windows, cfg)))
-    # the library emits each kept orbit's window itself as its phase 0
-    emitted = {id(w) for w in lib.windows}
-    skipped = dict(tried)
-    for w, p in made:
-        skipped[p] -= id(w) in emitted
+    skipped = {}
+    for n in range(1, cfg.max_period + 1):
+        points = sum(_mobius(n // d) * lib.map_counts[d - 1] for d in range(1, n + 1) if n % d == 0)
+        assert points % n == 0, n
+        skipped[n] = points // n
+    orbits = {id(w.points): w for w in lib.windows}.values()
+    for w in orbits:
+        word = [w.branch(i) for i in range(w.period)]
+        p = next(p for p in range(1, w.period + 1) if word == word[p:] + word[:p])
+        skipped[p] -= 1
+    assert len(orbits) == lib.orbits and min(skipped.values()) >= 0
     return lib, pg, skipped
 
 
@@ -233,12 +243,12 @@ CROSS_STAGE = [
 
 
 @pytest.mark.parametrize("name,max_period", CROSS_STAGE)
-def test_closed_paths_are_the_kept_orbits(monkeypatch, name, max_period):
+def test_closed_paths_are_the_kept_orbits(name, max_period):
     # the pruned graph is a union of the library's cycles, so its closed
     # paths of length n are the map's period-n points less p points for
     # each orbit of period p | n that was skipped or not certified
     cfg = RunConfig(map=name, max_period=max_period)
-    lib, pg, skipped = _skipped_by_period(monkeypatch, symdyn.built_in(name), cfg)
+    lib, pg, skipped = _skipped_by_period(symdyn.built_in(name), cfg)
     counts = an.closed_path_counts(pg, max_period)
     for n in range(1, max_period + 1):
         lost = sum(p * skipped.get(p, 0) for p in range(1, n + 1) if n % p == 0)

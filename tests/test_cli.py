@@ -66,6 +66,21 @@ def test_bad_encode_range_or_seed_creates_no_out(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["alphabet", "graph", "inverse-audit", "full-pipeline"])
+def test_refused_alphabet_creates_no_out(tmp_path, monkeypatch, capsys, command):
+    # the exact-regime refusal comes after the library but before the first
+    # write; a threshold of -4000 refuses the net threshold -3072 at
+    # max_period = 3.  sample-orbits builds no alphabet and still writes
+    monkeypatch.setattr(coarse_grain, "LOG_TINY", -4000.0)
+    out = tmp_path / "o"
+    rc = run_cli([command, "--max-period", "3", "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert "is not below LOG_TINY" in json.loads(capsys.readouterr().err)["detail"]
+    assert not out.exists()
+    rc = run_cli(["sample-orbits", "--max-period", "3", "--out", str(out), "--quiet"])
+    assert rc == 0 and sorted(os.listdir(out)) == ["windows.txt"]
+
+
 def test_non_finite_map_file_exit_2(tmp_path):
     # every sample from a nan branch would be rejected, so verify-map passed
     path = tmp_path / "nan.map"

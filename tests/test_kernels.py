@@ -14,7 +14,7 @@ from symdyn import natural_extension as ne
 from symdyn.analysis import MAX_PERIODIC_WORDS, check_word_budget, map_periodic_points
 from symdyn.map_model import parse_map_file
 
-from construction import backward_orbit, ddinv, draw_regular_points, f
+from construction import backward_orbit, ddinv, draw_regular_points, f, preimage
 from oracles import (
     catalogue_branch,
     d2fwd_vec_reference,
@@ -75,7 +75,7 @@ def test_scalar_vs_vectorized_eval(name):
             regular += 1
             assert m.branch_at(x) == bids[i]
             assert _bits(f(m, x)) == _bits(fv[i])
-            assert _bits(m.preimage(y, bids[i])) == _bits(iv[i])
+            assert _bits(preimage(m, y, bids[i])) == _bits(iv[i])
         br = m.branch_by_id(bids[i])
         got = (br.fwd(x), br.dfwd(x), br.inv(y), br.dinv(y))
         assert all(type(v) is float for v in got)

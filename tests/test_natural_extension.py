@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,12 +7,16 @@ import pytest
 
 import symdyn
 from symdyn import _kernels as K
+from symdyn import analysis as an
 from symdyn import library
 from symdyn import natural_extension as ne
 from symdyn.config import RunConfig
+from symdyn.map_model import parse_map_file
+from symdyn.pesin import expansion_certificate
 
-from construction import backward_orbit, deriv, f, hat_distance, make_window
+from construction import backward_orbit, deriv, f, hat_distance, make_window, preimage
 from oracles import cocycle, make_periodic_window_reference, parse_record, truncation_tail
+from test_map_model import MIXED_FILE
 
 
 @pytest.fixture(scope="module")
@@ -190,42 +195,183 @@ def _window_bits(w):
               (w.points, w.branch_ids, w.logderivs, w.cumlog)))
 
 
-@pytest.mark.parametrize("name,max_period", [("doubling", 10), ("tent", 8),
-                                             ("quadratic", 8), ("gauss", 2)])
-def test_periodic_windows_match_burn_in_reference(monkeypatch, name, max_period):
+def _base_windows_reference(m, cfg):
+    """The bits of the window of every orbit the library should keep, in
+    root order: the burn-in reference at the first root of each new
+    primitive necklace, kept if it is chartable and certified."""
+    seen, out = set(), []
+    for n in range(1, cfg.max_period + 1):
+        roots, words = an.map_periodic_points(m, n)
+        for x, word in zip(roots.tolist(), words.tolist()):
+            rots = {tuple(word[i:] + word[:i]) for i in range(n)}
+            if len(rots) < n or min(rots) in seen:
+                continue  # a power of a shorter word, or an orbit already met
+            seen.add(min(rots))
+            try:
+                ref = make_periodic_window_reference(m, x, word, cfg.back_depth, cfg.horizon)
+            except symdyn.SingularPoint:
+                continue
+            if m.window_chartable(ref.points) and expansion_certificate(ref, cfg).ok:
+                out.append(_window_bits(ref))
+    return out
+
+
+@pytest.mark.parametrize("name,max_period", [("doubling", 10), ("tent", 8), ("quadratic", 8),
+                                             ("gauss", 2), ("gauss", 3)])
+def test_periodic_windows_match_burn_in_reference(name, max_period):
     # closing the cycle at the first float closure gives the window the
-    # fixed 256-step burn-in gave, for every window the pipeline builds
-    m = symdyn.built_in(name)
-    cfg = RunConfig(map=name, max_period=max_period)
-    make = ne.make_periodic_window
-    built = []
+    # fixed 256-step burn-in gave, for every orbit the library keeps
+    _check_base_windows(symdyn.built_in(name), RunConfig(map=name, max_period=max_period))
 
-    def checked(*args, **kwargs):
-        try:
-            ref = make_periodic_window_reference(*args, **kwargs)
-        except (symdyn.SingularPoint, ValueError) as e:
-            with pytest.raises(type(e)):
-                make(*args, **kwargs)
-            raise
-        w = make(*args, **kwargs)
-        assert _window_bits(w) == _window_bits(ref)
-        built.append(w)
-        return w
 
-    monkeypatch.setattr(ne, "make_periodic_window", checked)
-    library.periodic_library(m, cfg)
-    assert built
+@pytest.mark.parametrize("name,max_period", [("doubling", 6), ("tent", 5)])
+def test_short_periodic_windows_match_burn_in_reference(name, max_period):
+    # windows of fewer than 2P + 1 coordinates check the branches of all they hold
+    cfg = RunConfig(map=name, max_period=max_period, back_depth=3, fwd_len=4, encode_hi=1)
+    assert cfg.back_depth + cfg.horizon < 2 * max_period
+    _check_base_windows(symdyn.built_in(name), cfg)
+
+
+def _check_base_windows(m, cfg):
+    lib = library.periodic_library(m, cfg)
+    base = [w for w in lib.windows if w.off == cfg.back_depth]   # each orbit's phase 0
+    assert len(base) == len({id(w.points) for w in lib.windows}) == lib.orbits > 0
+    assert [_window_bits(w) for w in base] == _base_windows_reference(m, cfg)
+
+
+def _first_closure(m, x, word):
+    """The step k at which the scalar backward orbit of ``word`` from x
+    first closes: k >= 2E and y_k == y_{k-E}, E a multiple of len(word)."""
+    P, ys = len(word), [x]
+    while True:
+        k = len(ys)
+        ys.append(preimage(m, ys[-1], word[-k % P]))
+        if any(ys[k] == ys[k - e * P] for e in range(1, 9) if k >= 2 * e * P):
+            return k
 
 
 def test_periodic_window_stops_at_first_closure(monkeypatch, doubling):
-    calls = []
-    preimage = type(doubling).preimage
+    # one backward batch step per scalar step up to the first closure, well
+    # short of the reference's 256-step burn-in
+    steps = []
+    inv = K.inv_vec
 
-    def counted(self, y, bid):
-        calls.append(bid)
-        return preimage(self, y, bid)
+    def counted(fam, bid, y):
+        steps.append(np.size(y))
+        return inv(fam, bid, y)
 
-    monkeypatch.setattr(type(doubling), "preimage", counted)
+    monkeypatch.setattr(K, "inv_vec", counted)
     w = ne.make_periodic_window(doubling, 1 / 6, [0, 1], 64, 40)
+    monkeypatch.undo()
     assert w.period == 2
-    assert 0 < len(calls) < 256
+    assert steps == [1] * _first_closure(doubling, 1 / 6, [0, 1])
+    assert 0 < len(steps) < 256
+
+
+def _singular_at_step(k, rows=(0,)):
+    """sing_dist_vec, but reading 0 at ``rows`` on its k-th call."""
+    dist, calls = K.sing_dist_vec, []
+
+    def flagged(fam, y):
+        d = dist(fam, y)
+        calls.append(1)
+        if len(calls) == k:
+            d = d.copy()
+            d[list(rows)] = 0.0
+        return d
+
+    return flagged
+
+
+def test_singular_point_on_the_closing_step_is_skipped(monkeypatch, doubling):
+    # a row within the exclusion radius at the step that closes it retires
+    # with a SingularPoint naming that step; the library counts it as
+    # skipped near the singular set
+    x, word = 1 / 6, [0, 1]
+    k = _first_closure(doubling, x, word)
+    with monkeypatch.context() as mp:
+        mp.setattr(K, "sing_dist_vec", _singular_at_step(k))
+        built, chartable = ne.periodic_windows(doubling, [x, x], [word, word], 64, 40)
+    assert isinstance(built[0], symdyn.SingularPoint)
+    assert str(built[0]).endswith(f"at step {k}")
+    assert isinstance(built[1], ne.OrbitWindow) and chartable.tolist() == [False, True]
+
+    cfg = RunConfig(max_period=2)
+    plain = library.periodic_library(doubling, cfg)
+    real = ne.periodic_windows
+
+    def closing_singular(m, xs, words, *args):
+        if words.shape[1] != 2:
+            return real(m, xs, words, *args)
+        assert len(xs) == 1
+        with monkeypatch.context() as mp:
+            mp.setattr(K, "sing_dist_vec",
+                       _singular_at_step(_first_closure(m, float(xs[0]), words[0].tolist())))
+            return real(m, xs, words, *args)
+
+    monkeypatch.setattr(ne, "periodic_windows", closing_singular)
+    lib = library.periodic_library(doubling, cfg)
+    assert lib.skipped_singular == plain.skipped_singular + 1
+    assert lib.orbits == plain.orbits - 1
+    assert len(lib.windows) == len(plain.windows) - 2
+
+
+def test_tent_fixed_point_closes_as_a_two_cycle():
+    # rounding turns the attracting fixed point 1/3 of the inverse branch
+    # into a float 2-cycle: the closure at E = P is never met, E = 2P is
+    m = symdyn.built_in("tent")
+    w = ne.make_periodic_window(m, 1 / 3, [1], 64, 16)
+    assert w.period == 2 and w.x(0) != w.x(1) == w.x(-1)
+    assert sorted({w.x(0), w.x(1)}) == [0.3333333333333333, 0.33333333333333337]
+    lib = library.periodic_library(m, RunConfig(map="tent", max_period=1))
+    assert lib.orbits == 1 and [w.period for w in lib.windows] == [2, 2]
+
+
+def test_non_closing_rows_raise_for_the_first_word(monkeypatch, doubling):
+    # a NaN row neither closes nor comes near the singular set: after
+    # 256 + 64P steps it fails, and the library raises for the first such
+    # word in root order
+    built, _ = ne.periodic_windows(doubling, [1 / 14, math.nan, math.nan],
+                                   [[0, 0, 1], [0, 1, 1], [0, 0, 1]], 64, 40)
+    assert isinstance(built[0], ne.OrbitWindow)
+    assert [str(e) for e in built[1:]] == [
+        f"backward iteration did not close into a cycle (word={w!r}) within 448 steps"
+        for w in ([0, 1, 1], [0, 0, 1])]
+    roots, words = an.map_periodic_points(doubling, 3)
+    for w in ([0, 1, 1], [0, 0, 1]):
+        roots[words.tolist().index(w)] = math.nan
+    monkeypatch.setattr(library, "map_periodic_points",
+                        lambda m, n: (roots, words) if n == 3 else an.map_periodic_points(m, n))
+    with pytest.raises(RuntimeError, match=re.escape("(word=[0, 0, 1]) within 448 steps")):
+        library.periodic_library(doubling, RunConfig(max_period=3))
+
+
+def test_mixed_cycle_lengths_within_one_period():
+    # quadratic period 4: two orbits close at E = 4, one at E = 8, in one batch
+    m = symdyn.built_in("quadratic")
+    words = [[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]]
+    roots, found = an.map_periodic_points(m, 4)
+    xs = [roots[found.tolist().index(w)] for w in words]
+    built, chartable = ne.periodic_windows(m, xs, words, 40, 40)
+    assert sorted(w.period for w in built) == [4, 4, 8] and chartable.all()
+    for w, x, word in zip(built, xs, words):
+        assert _window_bits(w) == _window_bits(make_periodic_window_reference(m, x, word, 40, 40))
+        assert w.points.base is not None   # a row view of its cycle length's block
+
+
+def test_cycle_off_its_word_is_refused():
+    # on the mixed map, branch 0's image [0, 0.4] misses the word [0, 2]'s
+    # backward cycle: it closes outside branch 0, a ValueError the library
+    # does not catch, as the scalar reference finds
+    m = parse_map_file(MIXED_FILE)
+    xs, words = [0.05, 0.05, 0.2], [[0, 2], [1, 2], [0, 2]]
+    built, chartable = ne.periodic_windows(m, xs, words, 10, 5)
+    assert [type(w).__name__ for w in built] == ["ValueError", "OrbitWindow", "SingularPoint"]
+    assert str(built[0]).startswith("cycle point") and chartable.tolist() == [False, True, False]
+    for w, x, word in zip(built, xs, words):
+        try:
+            ref = make_periodic_window_reference(m, x, word, 10, 5)
+        except ValueError as e:
+            assert type(w) is type(e)
+        else:
+            assert _window_bits(w) == _window_bits(ref)
