@@ -322,15 +322,14 @@ def _check_cycles(m, rows, cyc, cycle_word, d, idx, built):
     failed = {}
     nchk = min(2 * cyc.shape[1], idx.size - 1)
     x, b = cyc[:, idx[:nchk]], cycle_word[:, idx[:nchk]]
-    near = K.sing_dist_vec(fam, x) <= m.exclusion
+    # every cycle point passed the exclusion test as an iterate, so only its
+    # branch is left to check
     bi = K.branch_index_vec(fam, x)
-    bad = near | (bi != b)
+    bad = bi != b
     for r in np.flatnonzero(bad.any(axis=1)).tolist():
         i = int(bad[r].argmax())
         xi = x[r, i]
-        if near[r, i]:
-            failed[r] = SingularPoint(f"x={xi!r} is within the exclusion radius of the singular set")
-        elif bi[r, i] < 0:
+        if bi[r, i] < 0:
             failed[r] = SingularPoint(f"x={xi!r} lies in no branch domain")
         else:
             failed[r] = ValueError(f"cycle point {xi!r} is not in branch {b[r, i]}")
