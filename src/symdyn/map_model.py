@@ -207,8 +207,7 @@ class MapModel:
         """
         d = K.sing_dist_vec(self.family, points)
         r = 0.5 * np.minimum(np.minimum(d[..., :-1] ** self.a, d[..., 1:] ** self.a), 1.0)
-        ok = ~np.any(d <= self.exclusion, axis=-1) & np.all(r >= self.exclusion, axis=-1)
-        return bool(ok) if ok.ndim == 0 else ok
+        return ~np.any(d <= self.exclusion, axis=-1) & np.all(r >= self.exclusion, axis=-1)
 
 
 # ---------------------------------------------------------------------------

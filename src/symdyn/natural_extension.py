@@ -20,7 +20,7 @@ of gpos.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,22 +105,16 @@ class OrbitWindow:
         need_fwd = (self.off + k) - (self.points.shape[0] - 1 - 1)
         if need_fwd > 0:
             w = w.extend_forward(need_fwd + 4)
-        return replace(w, off=w.off + k)
+        return OrbitWindow(m=w.m, points=w.points, branch_ids=w.branch_ids,
+                           logderivs=w.logderivs, cumlog=w.cumlog, off=w.off + k,
+                           u_depth=w.u_depth, period=w.period)
 
     def phases(self):
         """One view per phase of a cycle window, on the same arrays: this
-        window, then phase k at offset off + k, or one cycle back at
-        off + k - period once k reaches the cached horizon."""
+        window, then the shift by k, or by k - period once k reaches the
+        cached horizon."""
         P, F = self.period, self.fwd_len
-        views = [self]
-        for k in range(1, P):
-            off = self.off + (k if k < F else k - P)
-            if off < 1:
-                raise WindowExhausted(f"shift by {k - P} leaves backward depth {off} < 1")
-            views.append(OrbitWindow(m=self.m, points=self.points, branch_ids=self.branch_ids,
-                                     logderivs=self.logderivs, cumlog=self.cumlog, off=off,
-                                     u_depth=self.u_depth, period=P))
-        return views
+        return [self.shift(k if k < F else k - P) for k in range(P)]
 
     def extend_forward(self, extra):
         """New window with ``extra`` more forward steps cached."""
@@ -207,7 +201,8 @@ def make_periodic_window(m, x0_approx, fwd_word, back_depth, fwd_len):
 
 
 def periodic_windows(m, xs, words, back_depth, fwd_len):
-    """The cycle windows of R periodic words of one length P, built together.
+    """The cycle windows of R periodic words of one length P, the rows of
+    the (R, P) ``words`` (R may be 0), built together.
 
     Row r iterates the inverse branches of ``words[r]`` backward from
     ``xs[r]``, BATCH_ROWS rows at a time in one numpy pass, and retires at
@@ -221,7 +216,7 @@ def periodic_windows(m, xs, words, back_depth, fwd_len):
     of its points, False for a row that raised.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    words = np.asarray(words, dtype=np.int64).reshape(xs.size, -1)
+    words = np.asarray(words, dtype=np.int64)
     built, chartable = [], np.zeros(xs.size, dtype=bool)
     for lo in range(0, xs.size, BATCH_ROWS):
         part, chartable[lo:lo + BATCH_ROWS] = _batch_windows(

@@ -21,18 +21,13 @@ def _public_defs(tree):
             yield from ((f.name, True) for f in node.body if isinstance(f, ast.FunctionDef))
 
 
-def _harness_sites():
-    """``module.py:name`` of each layer call site ``perfbench/layers.py``
-    wraps, written there as a ``("module", "name")`` pair."""
-    tree = ast.parse((SRC.parent.parent / "perfbench" / "layers.py").read_text(encoding="utf-8"))
-    return {f"{t.elts[0].value}.py:{t.elts[1].value}" for t in ast.walk(tree)
-            if isinstance(t, ast.Tuple) and len(t.elts) == 2
-            and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in t.elts)}
+# Public with no caller in src/: the one-orbit entry to the periodic batch,
+# kept for the benchmark harness's natural_extension.make_periodic_window
+# layer until that layer traces periodic_windows instead (ROADMAP item 1).
+UNREFERENCED_OK = {"natural_extension.py:make_periodic_window"}
 
 
 def test_public_functions_are_referenced_in_src():
-    """A public function the benchmark harness wraps at its module counts as
-    referenced: the harness times every call made through that name."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     assert "cli.py" in trees
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
@@ -42,7 +37,7 @@ def test_public_functions_are_referenced_in_src():
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name, method in _public_defs(tree)
                     if not name.startswith("_") and name not in (attrs if method else names))
-    assert sorted(set(unused) - _harness_sites()) == []
+    assert unused == sorted(UNREFERENCED_OK)
 
 
 def test_run_parameters_have_one_default():

@@ -346,6 +346,24 @@ def test_non_closing_rows_raise_for_the_first_word(monkeypatch, doubling):
         library.periodic_library(doubling, RunConfig(max_period=3))
 
 
+def test_period_without_new_orbits_adds_no_windows(monkeypatch, doubling):
+    # a period whose words are all powers of shorter words (as on a map of
+    # one branch) builds an empty batch: the library adds that period's root
+    # count and nothing else
+    built, chartable = ne.periodic_windows(doubling, np.empty(0), np.empty((0, 2), np.int64),
+                                           64, 40)
+    assert built == [] and chartable.shape == (0,)
+    roots, words = an.map_periodic_points(doubling, 2)
+    powers = np.flatnonzero(words[:, 0] == words[:, 1])
+    monkeypatch.setattr(library, "map_periodic_points", lambda m, n: (
+        (roots[powers], words[powers]) if n == 2 else an.map_periodic_points(m, n)))
+    one = library.periodic_library(doubling, RunConfig(max_period=1))
+    lib = library.periodic_library(doubling, RunConfig(max_period=2))
+    assert lib.map_counts == one.map_counts + (powers.size,) and powers.size == 1
+    assert lib.lines() == one.lines()
+    assert [w.record() for w in lib.windows] == [w.record() for w in one.windows]
+
+
 def test_mixed_cycle_lengths_within_one_period():
     # quadratic period 4: two orbits close at E = 4, one at E = 8, in one batch
     m = symdyn.built_in("quadratic")
