@@ -2,10 +2,11 @@
 the scalar lane (``Branch``/``MapModel``, through the orbit builders behind
 ``tests/construction.py:make_window``) and the batch lane (``_kernels``:
 ``*_vec``, ``periodic_roots``); the periodic library of gauss at
-``max_period = 3`` and doubling at 10; the cover ids of the gauss
-``max_period = 2`` alphabet, in one batched ``cover_ids`` scan (the row's
-time) and point by point through ``tests/oracles.py:cover_id_reference``
-(in the row's name); then the gpos of the deep Markov cover (doubling at
+``max_period = 3`` and doubling at 10; the regularity check, with the
+tracemalloc peak of its 200,000-sample pass in the row's name; the cover
+ids of the gauss ``max_period = 2`` alphabet, in one batched ``cover_ids``
+scan (the row's time) and point by point through
+``tests/oracles.py:cover_id_reference`` (in the row's name); then the gpos of the deep Markov cover (doubling at
 ``max_period = 10``), shadowed in one lockstep ``shadow_many`` batch and
 one one-row ``shadow_many`` call per gpo.  A call computes one step map per
 distinct edge of its own walks, so the per-gpo row also computes every
@@ -18,6 +19,7 @@ import importlib
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -77,7 +79,14 @@ def bench(reps=3):
         verify_regularity(m, 10_000, seed=1)
 
     timeit("verify_regularity (1e4 samples, vectorized)", regularity)
-    timeit("verify_regularity (2e5 samples)", lambda: verify_regularity(m, 200_000, seed=1))
+    tracemalloc.start()
+    try:
+        verify_regularity(m, 200_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    timeit(f"verify_regularity (2e5 samples; peak {peak / 2**20:.2f} MiB)",
+           lambda: verify_regularity(m, 200_000, seed=1))
 
     # the ball ends of the regularity check: one row per end, one branch id
     # per column

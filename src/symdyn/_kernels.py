@@ -58,9 +58,13 @@ def gauss_row(n):
 
 
 def _gauss_floor(x):
-    """floor(1/(2x)) with x clipped to [2^-53, 1/4], a float in [2, 2^52]."""
+    """floor(1/(2x)) with x clipped to [2^-53, 1/4], a float in [2, 2^52].
+
+    On such floats and on NaN, ``np.floor`` equals the Python lane's
+    ``// 1.0`` bit for bit, and is many times faster than numpy's float
+    ``floor_divide``."""
     if isinstance(x, np.ndarray):
-        return (0.5 / np.clip(x, GAUSS_X_MIN, 0.25)) // 1.0
+        return np.floor(0.5 / np.clip(x, GAUSS_X_MIN, 0.25))
     return (0.5 / (GAUSS_X_MIN if x < GAUSS_X_MIN else 0.25 if x > 0.25 else x)) // 1.0
 
 

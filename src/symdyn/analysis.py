@@ -153,6 +153,34 @@ def check_word_budget(m, max_period):
                              f"{nb} + ... + {nb}^{n} = {words}; lower max_period")
 
 
+# Windows a library may build: gauss at max_period = 4 (68,124 windows)
+# peaked at 631 MB RSS, so this is about 300 MB; two-branch maps pass it
+# up to max_period = 14.
+MAX_LIBRARY_WINDOWS = 2**15
+
+
+def check_window_budget(m, max_period):
+    """Raise ValueError when the points of least period n <= max_period of
+    the full shift on the map's nb branches exceed MAX_LIBRARY_WINDOWS.  A
+    periodic point gives at most one window, so they bound the library's
+    windows before a root is found.  Period n has nb^n points less those
+    of the periods d | n below it (the Moebius sum over d | n of
+    mu(d) nb^(n/d)), in exact integers, counted up to the first period past
+    the budget; returns the count when it is within the budget."""
+    nb = m.finite_table()[1].shape[0]
+    # a one-branch map has one periodic point, its fixed point, at any max_period
+    least, bound = [0], 0  # least[n]: the points of least period n
+    for n in range(1, max_period + 1 if nb > 1 else 2):
+        least.append(nb**n - sum(least[d] for d in range(1, n // 2 + 1) if n % d == 0))
+        bound += least[n]
+        if bound > MAX_LIBRARY_WINDOWS:
+            raise ValueError(f"the library of {m.name!r} at periods up to {max_period} may build "
+                             f"more windows than the budget of {MAX_LIBRARY_WINDOWS} "
+                             f"(MAX_LIBRARY_WINDOWS): the points of least period up to {n} "
+                             f"number {bound}; lower max_period")
+    return bound
+
+
 def map_periodic_points(m, n):
     """All solutions of f^n(x) = x, one per admissible branch word.
 

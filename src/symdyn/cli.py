@@ -247,6 +247,7 @@ def run(command, cfg, out, quiet=False):
         stage_verify(m, cfg, _ensure_out(out), quiet)
         return
     analysis.check_word_budget(m, cfg.max_period)  # every other command enumerates periods
+    analysis.check_window_budget(m, cfg.max_period)  # and builds a library
     if command == "inverse-audit":
         stage_inverse(m, cfg, out, quiet)
         return

@@ -11,7 +11,9 @@ cut off below at the exclusion radius: points whose radius would fall
 under ``exclusion`` are treated as singular.  ``verify_regularity``
 checks the three regularity clauses (injectivity on 2r-balls, derivative
 bounds, Hölder continuity of df and dg) on random samples and reports
-worst-case witnesses; failures are report entries, not errors.
+worst-case witnesses; failures are report entries, not errors.  It is one
+streaming pass over blocks of ``REGULARITY_BLOCK`` draws, so its memory is
+a block's, whatever the sample count.
 """
 
 import math
@@ -312,30 +314,37 @@ def verify_regularity(m, sample_count, seed):
     E_x = B(f(x), 2r(x)) checks branch monotonicity (A1), the derivative
     bounds d(x,S)^a <= |df|,|dg| <= d(x,S)^-a (A2) and the Hölder quotients
     |df_y - df_z| / |y-z|^beta <= kappa (A3), from the values at the two ends
-    of each ball.  The clauses run per block of ``REGULARITY_BLOCK`` samples.
+    of each ball.  One pass over the blocks of ``_sample_blocks`` keeps each
+    clause's violation count and each block's first worst sample; the
+    report's witness is the first worst of those, as over all samples at
+    once (a NaN margin is the worst).  Memory is bounded by a block.
     Raises ValueError for a sample count below 1, which would check nothing.
     """
     if sample_count < 1:
         raise ValueError(f"regularity check needs samples >= 1, got {sample_count}")
-    x, *rad = _regular_samples(m, sample_count, np.random.default_rng(seed))
-    n = x.size
+    log_kappa = math.log(m.kappa)
+    n, violations, worst = 0, np.zeros(3, dtype=np.int64), []
+    for x, rad in _sample_blocks(m, sample_count, np.random.default_rng(seed)):
+        a1_margin, a2_margin, quot, extremes = _sample_margins(m, x, rad)
+        n += x.size
+        oks = (a1_margin >= -1e-15, a2_margin >= 0.0, quot <= m.kappa)
+        violations += [np.count_nonzero(~ok) for ok in oks]
+        # rows: the three clause margins, then the negated extremes, whose
+        # first argmin is the extremes' first argmax
+        rows = np.stack([a1_margin, a2_margin, log_kappa - np.log(np.maximum(quot, 1e-300)),
+                         -extremes])
+        w = np.argmin(rows, axis=1)
+        worst.append((rows[np.arange(4), w], x[w]))
     if n == 0:
         raise ValueError(f"map {m.name!r}: no sampled point has a radius above the exclusion cutoff")
-    blocks = [_sample_margins(m, x[s:s + REGULARITY_BLOCK], [v[s:s + REGULARITY_BLOCK] for v in rad])
-              for s in range(0, n, REGULARITY_BLOCK)]
-    a1_margin, a2_margin, quot, extremes = (np.concatenate(c) for c in zip(*blocks))
-    a3_margin = math.log(m.kappa) - np.log(np.maximum(quot, 1e-300))
-
-    def clause(name, ok, margin):
-        w = int(np.argmin(margin))
-        return ClauseResult(name=name, passed=bool(ok.all()), checked=n, violations=int((~ok).sum()),
-                            worst_margin=float(margin[w]), worst_x=float(x[w]))
-
-    clauses = {"A1": clause("A1", a1_margin >= -1e-15, a1_margin),
-               "A2": clause("A2", a2_margin >= 0.0, a2_margin),
-               "A3": clause("A3", quot <= m.kappa, a3_margin)}
-    wi = int(np.argmax(extremes))
-    return RegularityReport(m.name, n, clauses, float(x[wi]), float(extremes[wi]))
+    value, at = (np.array(c) for c in zip(*worst))
+    b = np.argmin(value, axis=0)
+    value, at = value[b, np.arange(4)], at[b, np.arange(4)]
+    clauses = {name: ClauseResult(name=name, passed=bool(violations[i] == 0), checked=n,
+                                  violations=int(violations[i]), worst_margin=float(value[i]),
+                                  worst_x=float(at[i]))
+               for i, name in enumerate(("A1", "A2", "A3"))}
+    return RegularityReport(m.name, n, clauses, float(at[3]), -float(value[3]))
 
 
 def _radii(m, x):
@@ -348,28 +357,27 @@ def _radii(m, x):
     return bid, fx, dx, dfx, 0.5 * np.minimum(np.minimum(dx**m.a, dfx**m.a), 1.0)
 
 
-def _regular_samples(m, count, rng):
+def _sample_blocks(m, count, rng):
     """Up to ``count`` points x drawn uniformly on the domain with x and
-    f(x) regular and an admissible radius, as ``(x, *_radii(m, x))``; the
-    radii are taken per block of ``REGULARITY_BLOCK`` draws until ``count``
-    points are kept."""
+    f(x) regular and an admissible radius, yielded as ``(x, _radii(m, x))``
+    per block of ``REGULARITY_BLOCK`` draws that keeps any.  A round draws
+    twice the points still missing (at least 64), for at most
+    ``SAMPLE_ROUNDS`` rounds; the draws are one stream, whatever the block."""
     lo, hi = m.domain
-    out = (np.empty(count), np.empty(count, dtype=np.int64), *(np.empty(count) for _ in range(4)))
-    got = tries = 0
-    while got < count and tries < SAMPLE_ROUNDS:
-        tries += 1
-        xs = rng.uniform(lo, hi, size=max(64, 2 * (count - got)))
-        for s in range(0, xs.size, REGULARITY_BLOCK):
-            new = (xs[s:s + REGULARITY_BLOCK], *_radii(m, xs[s:s + REGULARITY_BLOCK]))
-            _, b, _, dx, dfx, r = new
-            ok = (dx > m.exclusion) & (b >= 0) & (dfx > m.exclusion) & (r >= m.exclusion)
-            take = min(int(ok.sum()), count - got)
-            for o, v in zip(out, new):
-                o[got:got + take] = v[ok][:take]
-            got += take
+    got = 0
+    for _ in range(SAMPLE_ROUNDS):
+        size = max(64, 2 * (count - got))
+        for s in range(0, size, REGULARITY_BLOCK):
             if got == count:
-                break
-    return tuple(o[:got] for o in out)
+                return
+            xs = rng.uniform(lo, hi, size=min(REGULARITY_BLOCK, size - s))
+            rad = _radii(m, xs)
+            b, _, dx, dfx, r = rad
+            ok = (dx > m.exclusion) & (b >= 0) & (dfx > m.exclusion) & (r >= m.exclusion)
+            keep = np.flatnonzero(ok)[:count - got]
+            if keep.size:
+                got += keep.size
+                yield xs[keep], [v[keep] for v in rad]
 
 
 def _sample_margins(m, x, rad):

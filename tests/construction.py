@@ -13,7 +13,7 @@ from symdyn import natural_extension as ne
 from symdyn import shadowing as sh
 from symdyn.config import RunConfig
 from symdyn.library import LibraryReport
-from symdyn.map_model import KIND_AFFINE, KIND_QUADRATIC, SingularPoint, _regular_samples
+from symdyn.map_model import KIND_AFFINE, KIND_QUADRATIC, SingularPoint, _sample_blocks
 from symdyn.pesin import expansion_certificate, u_at
 
 
@@ -47,7 +47,7 @@ def radius(m, x):
 def draw_regular_points(m, count, rng):
     """Sample points uniformly on the domain, rejecting singular ones
     (including points with no admissible radius)."""
-    return _regular_samples(m, count, rng)[0]
+    return np.concatenate([x for x, _ in _sample_blocks(m, count, rng)])
 
 
 def inv_diff(br, y, s):

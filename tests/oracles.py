@@ -20,6 +20,7 @@ import numpy as np
 
 from symdyn import _kernels as K
 from symdyn import coarse_grain as cg
+from symdyn import map_model as mm
 from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn import shadowing as sh
@@ -847,10 +848,21 @@ def regularity_grid_reference(m, x, inner=9):
 def verify_regularity_reference(m, sample_count, seed, inner=9):
     """The sampled (A1)-(A3) check over all samples at once on the grids of
     ``regularity_grid_reference``."""
-    rng = np.random.default_rng(seed)
-    x = _draw_regular_points_reference(m, sample_count, rng)
+    x = _draw_regular_points_reference(m, sample_count, np.random.default_rng(seed))
+    return _whole_array_report(m, x, *regularity_grid_reference(m, x, inner))
+
+
+def verify_regularity_whole_array(m, sample_count, seed):
+    """The sampled (A1)-(A3) check with every sample's ball-end margins
+    (``map_model._sample_margins``) held at once and reduced by one argmin
+    (argmax for the extreme witness) over all of them: the reduction a
+    streamed check must reproduce."""
+    x = _draw_regular_points_reference(m, sample_count, np.random.default_rng(seed))
+    return _whole_array_report(m, x, *mm._sample_margins(m, x, mm._radii(m, x)))
+
+
+def _whole_array_report(m, x, a1_margin, a2_margin, quot, extremes):
     n = x.size
-    a1_margin, a2_margin, quot, extremes = regularity_grid_reference(m, x, inner)
     a1_ok = a1_margin >= -1e-15
     a2_ok = a2_margin >= 0.0
     a3_margin = math.log(m.kappa) - np.log(np.maximum(quot, 1e-300))

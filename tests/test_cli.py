@@ -133,11 +133,31 @@ def test_infeasible_word_budget_exit_2(tmp_path, monkeypatch, capsys):
             assert "MAX_PERIODIC_WORDS" in err
             assert ("16^8" if not extra else "16^5 = 1118480") in err
     assert not (tmp_path / "o").exists()
-    # max_period 4 needs 69,904 words: within budget, so the run reaches
-    # the library stage
-    assert run_cli(["full-pipeline", "--map", "gauss", "--max-period", "4",
+    # max_period 3 needs 4,368 words and 4 needs 69,904, both within the
+    # word budget; at 3 the run reaches the library stage, and 4 is
+    # refused by the window budget (test_window_budget_refuses_at_once)
+    assert run_cli(["full-pipeline", "--map", "gauss", "--max-period", "3",
                     "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert "the library stage ran" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["full-pipeline", "sample-orbits", "inverse-audit"])
+def test_window_budget_refuses_at_once(tmp_path, monkeypatch, capsys, command):
+    # gauss at max_period 4 once built 68,124 windows at a 631 MB peak RSS:
+    # its 69,616 points of least period up to 4 are over the window budget,
+    # so it exits 2 before any stage runs and makes no --out
+    def enumerate_anyway(*args, **kw):
+        raise AssertionError("the library stage ran")
+
+    monkeypatch.setattr(cli.library, "periodic_library", enumerate_anyway)
+    t0 = time.perf_counter()
+    rc = run_cli([command, "--map", "gauss", "--max-period", "4",
+                  "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2 and time.perf_counter() - t0 < 2.0
+    detail = json.loads(capsys.readouterr().err)["detail"]
+    assert "MAX_LIBRARY_WINDOWS" in detail and "periods up to 4" in detail
+    assert f"budget of {analysis.MAX_LIBRARY_WINDOWS}" in detail and "number 69616" in detail
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_epsilon_refused_before_the_word_budget(tmp_path, capsys):

@@ -153,6 +153,21 @@ def test_gauss_branch_matches_closed_forms(n):
         assert _bits(br.dinv(y)) == _bits(gauss_dinv_reference(n, y))
 
 
+def test_gauss_floor_array_lane_matches_floor_divide():
+    # np.floor in the array lane against numpy's // 1.0 and the Python lane,
+    # bit for bit: at 1/(2n) and one ulp to each side, at the clip ends and
+    # one ulp past each, and on NaN
+    ends = [0.5 / n for n in (1, 2, 3, 7, 16, 17, 100, 12345, 10**6, 10**9, 5 * 10**10, 2**51)]
+    xs = [2.0**-53, 0.25, float(np.nextafter(2.0**-53, 0.0)), float(np.nextafter(0.25, 1.0)),
+          math.nan, -math.nan]
+    for x in ends:
+        xs += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, 1.0))]
+    x = np.array(xs)
+    got = K._gauss_floor(x)
+    _assert_same_bits(got, (0.5 / np.clip(x, K.GAUSS_X_MIN, 0.25)) // 1.0)
+    _assert_same_bits(got, np.array([K._gauss_floor(v) for v in xs]))
+
+
 # one branch of each kind; the quadratic has its critical point at 0.1
 MIXED_TABLE = np.array([
     [K.KIND_AFFINE, 0.0, 0.1, 0.0, 4.0, 0.0, 0.0, 1.0],

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 import symdyn
-from symdyn import library
+from symdyn import analysis, library
 from symdyn.config import RunConfig
+from symdyn.map_model import parse_map_file
 
 from oracles import necklace_count
 
@@ -35,6 +38,32 @@ def test_orbits_match_necklace_count(built):
     expect = sum(necklace_count(k, n) for n in range(1, MAX_PERIOD[name] + 1))
     assert lib.orbits + lib.skipped_singular == expect - EXCLUDED[name]
     assert lib.skipped_uncertified == 0
+
+
+def test_window_bound_bounds_the_windows(built):
+    # the window budget's bound is the points of least period up to
+    # max_period, n times the primitive necklaces of each length n; a point
+    # gives at most one window
+    name, m, cfg, lib = built
+    k = m.finite_table()[1].shape[0]
+    bound = analysis.check_window_budget(m, cfg.max_period)
+    assert bound == sum(n * necklace_count(k, n) for n in range(1, cfg.max_period + 1))
+    assert bound >= len(lib.windows)
+    assert bound == {"doubling": 1966, "tent": 472, "quadratic": 472, "gauss": 4336}[name]
+
+
+def test_window_bound_of_one_branch_is_its_fixed_point():
+    # one branch has one periodic point, its fixed point, at every period;
+    # the word budget admits a one-branch map up to max_period 2^20, and the
+    # count takes no time there (counting periods up to 20000 would take
+    # seconds)
+    m = parse_map_file("[map]\na = 1.0\nbeta = 0.5\nkappa = 2.0\ndomain = 0.0 0.5\n"
+                       "[branch]\ndom = 0.0 0.5\nkind = affine\ncoef = 0.0 0.5\n")
+    analysis.check_word_budget(m, 20000)
+    t0 = time.perf_counter()
+    assert analysis.check_window_budget(m, 20000) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert sum(n * necklace_count(1, n) for n in range(1, 30)) == 1
 
 
 def test_every_orbit_starts_at_its_least_root(built):

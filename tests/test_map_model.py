@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from oracles import (
     gauss_exact,
     regularity_grid_reference,
     verify_regularity_reference,
+    verify_regularity_whole_array,
 )
 
 ALL_MAPS = ["doubling", "tent", "quadratic", "gauss"]
@@ -341,6 +343,68 @@ def test_regularity_nan_bound_counts_as_inf(monkeypatch):
     monkeypatch.setattr(K, "d2inv_vec", lambda fam, bid, y: np.full(y.shape, np.nan))
     a3 = verify_regularity(m, 100, seed=1).clauses["A3"]
     assert not a3.passed and a3.violations == 100 and a3.worst_margin == -np.inf
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+@pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 20000])
+@pytest.mark.parametrize("name", ALL_MAPS + ["mixed"])
+def test_streamed_regularity_matches_whole_array(name, samples, block, monkeypatch):
+    # each block's first worst sample, reduced once, against one argmin
+    # (argmax) over every sample's margins at once: every field, bit for bit
+    m = parse_map_file(MIXED_FILE) if name == "mixed" else built_in(name)
+    monkeypatch.setattr(symdyn.map_model, "REGULARITY_BLOCK", block)
+    rep = verify_regularity(m, samples, seed=1)
+    assert repr(rep) == repr(verify_regularity_whole_array(m, samples, 1))
+    assert rep.sample_count == samples
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_regularity_tie_takes_the_first_sample(block, monkeypatch):
+    # doubling's (A3) quotient bound is 0 on every sample, so all the (A3)
+    # margins tie and the witness is the first kept sample
+    m = built_in("doubling")
+    monkeypatch.setattr(symdyn.map_model, "REGULARITY_BLOCK", block)
+    a3 = verify_regularity(m, 10000, seed=4).clauses["A3"]
+    assert a3.worst_margin == math.log(2.0) - math.log(1e-300)
+    assert a3.worst_x == draw_regular_points(m, 10000, np.random.default_rng(4))[0]
+
+
+def test_regularity_first_nan_margin_is_the_witness(monkeypatch):
+    # a NaN margin (extreme) is the worst, as in np.argmin (np.argmax), and
+    # the first one is the witness, in whichever block it falls
+    m = built_in("quadratic")
+    margins = symdyn.map_model._sample_margins
+
+    def with_nans(m, x, rad):
+        a1, a2, quot, extremes = margins(m, x, rad)
+        band = (0.3 < x) & (x < 0.31)
+        a1[band] = extremes[band] = np.nan
+        return a1, a2, quot, extremes
+
+    monkeypatch.setattr(symdyn.map_model, "_sample_margins", with_nans)
+    monkeypatch.setattr(symdyn.map_model, "REGULARITY_BLOCK", 7)
+    rep = verify_regularity(m, 2000, seed=1)
+    assert repr(rep) == repr(verify_regularity_whole_array(m, 2000, 1))
+    x = draw_regular_points(m, 2000, np.random.default_rng(1))
+    first = x[(0.3 < x) & (x < 0.31)][0]
+    assert first != x[0]
+    assert math.isnan(rep.clauses["A1"].worst_margin) and rep.clauses["A1"].worst_x == first
+    assert math.isnan(rep.extreme_value) and rep.extreme_x == first
+
+
+def test_regularity_memory_is_bounded_by_a_block():
+    # every sample's radii and margins at 200,000 samples take over 24 MiB;
+    # a pass holds one block's
+    m = built_in("gauss")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verify_regularity(m, 200_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_regularity_without_regular_points_raises():
