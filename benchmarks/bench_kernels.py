@@ -6,11 +6,14 @@ the scalar lane (``Branch``/``MapModel``, through the orbit builders behind
 tracemalloc peak of its 200,000-sample pass in the row's name; the cover
 ids of the gauss ``max_period = 2`` alphabet, in one batched ``cover_ids``
 scan (the row's time) and point by point through
-``tests/oracles.py:cover_id_reference`` (in the row's name); then the gpos of the deep Markov cover (doubling at
-``max_period = 10``), shadowed in one lockstep ``shadow_many`` batch and
-one one-row ``shadow_many`` call per gpo.  A call computes one step map per
-distinct edge of its own walks, so the per-gpo row also computes every
-gpo's step maps again.
+``tests/oracles.py:cover_id_reference`` (in the row's name); then, on
+doubling at ``max_period = 10``, the gpos of the deep Markov cover,
+shadowed in one lockstep ``shadow_many`` batch and one one-row
+``shadow_many`` call per gpo, the cover's step maps in the one
+``step_maps`` pass a batch makes, ``write_alphabet`` and the two
+``closed_path_counts`` calls of ``full-pipeline`` on the pruned graph.  A
+call computes the step maps of the distinct edges of its own walks, so the
+per-gpo row also computes every gpo's step maps again.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -18,6 +21,7 @@ gpo's step maps again.
 import importlib
 import os
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -125,22 +129,37 @@ def bench(reps=3):
     timeit(f"cover_ids, gauss max_period=2 alphabet ({len(set(xs))} points; "
            f"per point {t_ref:.4f}s)", lambda: gauss.cover_ids(xs))
 
-    m, charts, walks, n_lo, cfg = deep_cover_batch()
+    al, pg, (m, table, walks, n_lo, cfg) = deep_cover_batch()
     k = walks.shape[0]
     timeit(f"shadow_many, deep cover ({k} gpos, one batch)",
-           lambda: sh.shadow_many(m, charts, walks, n_lo, cfg))
+           lambda: sh.shadow_many(m, table, walks, n_lo, cfg))
 
     def one_at_a_time():
         for row in walks:
-            sh.shadow_many(m, charts, row[None], n_lo, cfg)
+            sh.shadow_many(m, table, row[None], n_lo, cfg)
 
     timeit(f"shadow per gpo, deep cover ({k} gpos, own step maps)", one_at_a_time)
+
+    nc = len(table.charts)
+    edge = np.unique(walks[:, 1:] * nc + walks[:, :-1])
+    timeit(f"step_maps, deep cover ({edge.size} edges, one array pass)",
+           lambda: sh.step_maps(m, table, edge % nc, edge // nc, cfg))
+
+    from symdyn import analysis, formats
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alphabet.txt")
+        timeit(f"write_alphabet, doubling max_period=10 ({nc} charts)",
+               lambda: formats.write_alphabet(path, al))
+    timeit(f"closed_path_counts x2, doubling max_period=10 ({pg.n_edges()} edges, n <= 10)",
+           lambda: [analysis.closed_path_counts(pg, 10) for _ in range(2)])
     return out
 
 
 def deep_cover_batch():
-    """(m, charts, walks, n_lo, run config) of the one ``shadow_many`` call
-    ``build_cover`` makes in ``full-pipeline`` on doubling at max_period = 10."""
+    """The alphabet, the pruned graph and the arguments (m, table, walks,
+    n_lo, run config) of the one ``shadow_many`` call ``build_cover`` makes
+    in ``full-pipeline`` on doubling at max_period = 10."""
     from symdyn import coarse_grain, library, markov_refine
     from symdyn import shadowing as sh
     from symdyn.config import parse_config
@@ -163,7 +182,7 @@ def deep_cover_batch():
     finally:
         sh.shadow_many = shadow_many
     (call,) = calls
-    return call
+    return al, pg, call
 
 
 def gauss_alphabet_windows():

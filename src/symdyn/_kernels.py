@@ -10,9 +10,9 @@ domain's right end lies in no branch.  A family's ``index`` (the branch
 holding x, or -1) and ``dist`` (d(x, S)) take a Python float or an array.
 
 The batch lane is ``*_vec`` and ``periodic_roots``; the scalar lane,
-``map_model.Branch`` and ``MapModel``, runs the same per-kind formulas
-(``fwd_formula`` ... ``d2inv_formula``) on one branch's row and the
-family's ``index`` and ``dist`` on one float.
+``map_model.Branch`` (f and df, for forward orbits) and ``MapModel``, runs
+the same per-kind formulas (``fwd_formula`` ... ``d2inv_formula``) on one
+branch's row and the family's ``index`` and ``dist`` on one float.
 ``benchmarks/bench_kernels.py`` times both lanes.
 """
 

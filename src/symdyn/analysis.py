@@ -25,17 +25,63 @@ def _step(adj, vec):
 
 def closed_path_counts(g, n_max):
     """[trace(A^1), ..., trace(A^n_max)]: closed paths of each length up to
-    n_max (exact integers), from one walk per vertex."""
+    n_max (exact integers).  A closed path never leaves its strongly
+    connected component: a component that is one cycle of length L adds L
+    at every n that L divides, and any other is walked from each of its
+    vertices, inside the component."""
     adj = _adjacency(g)
     counts = [0] * n_max
-    for v in adj:
-        vec = {v: 1}
-        for n in range(n_max):
-            vec = _step(adj, vec)
-            if not vec:
-                break
-            counts[n] += vec.get(v, 0)
+    for comp in _components(adj):
+        inner = set(comp)
+        sub = {u: [w for w in adj.get(u, ()) if w in inner] for u in comp}
+        if all(len(ws) == 1 for ws in sub.values()):  # one cycle through comp
+            for n in range(len(comp), n_max + 1, len(comp)):
+                counts[n - 1] += len(comp)
+            continue
+        for v in comp if any(sub.values()) else ():
+            vec = {v: 1}
+            for n in range(n_max):
+                vec = _step(sub, vec)
+                if not vec:
+                    break
+                counts[n] += vec.get(v, 0)
     return counts
+
+
+def _components(adj):
+    """The strongly connected components of the vertices of ``adj`` and
+    their successors (Tarjan's algorithm, without recursion)."""
+    index, low, stack, on_stack, comps = {}, {}, [], set(), []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        return v, iter(adj.get(v, ()))
+
+    for root in adj:
+        if root in index:
+            continue
+        work = [visit(root)]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if w not in index:
+                    work.append(visit(w))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    comps.append(comp)
+    return comps
 
 
 @dataclass

@@ -88,8 +88,7 @@ def _encode_and_shadow(m, al, tables, cfg, lo, hi):
         walks.append(vids)
         n_lo = gpo.n_lo
     if walks:
-        charts = [v.chart for v in al.vertices]
-        for i, res in zip(rows, shadowing.shadow_many(m, charts, walks, n_lo, cfg)):
+        for i, res in zip(rows, shadowing.shadow_many(m, al.table, walks, n_lo, cfg)):
             out[i] = res
     return out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import pesin
 from .config import RunConfig
-from .pesin import Chart, window_tables
+from .pesin import Chart, vertex_table, window_tables
 from .shadowing import Gpo
 
 
@@ -85,6 +85,7 @@ class Center:
     cid: int
     window: object
     shift: int
+    sample: object             # the sample window that admitted it
     gamma: Gamma
     params: pesin.PesinParams
     key: BinKey
@@ -111,6 +112,7 @@ class Alphabet:
     centers: list
     bins: dict                 # exact net key (``_net_key``) -> [cid], in admission order
     vertices: list             # Vertex
+    table: pesin.VertexTable   # the vertices' charts as columns, row vid
     vertex_index: dict         # (cid, idx_p) -> vid
     e1_index: dict             # (theta_{-1}, 1/u_{-1}) -> [cid]: the exact (E1) successors
     skipped: int               # samples rejected by the certificate
@@ -192,7 +194,8 @@ def build_alphabet(m, samples, cfg):
     are the (E2.3) closure of each center's cap and sampled greedy sizes
     inside its CG2 windows; charts are numbered by center, sizes ascending.
     The tables of each group's base window (least offset) are kept on the
-    alphabet, in sample order, for encoding those windows, with their bins.
+    alphabet, in sample order, for encoding those windows, with their bins,
+    and the charts as a vertex table (``pesin.vertex_table``).
     ValueError if the net or (E1) threshold does not underflow on the
     alphabet (``_check_exact_regime``).
     """
@@ -200,7 +203,7 @@ def build_alphabet(m, samples, cfg):
     for w in samples:
         groups.setdefault((id(w.points), w.u_depth), []).append(w)
     tables = []
-    entries = []  # (sort_key, table number, k)
+    entries = []  # (sort_key, table number, k, sample)
     skipped = 0
     for group in groups.values():
         base = min(group, key=lambda w: w.off)
@@ -208,7 +211,7 @@ def build_alphabet(m, samples, cfg):
         for w in group:
             k = w.off - base.off
             if tabs.certified and tabs.lo <= k <= tabs.hi:
-                entries.append((w.record(), len(tables), k))
+                entries.append((w.record(), len(tables), k, w))
             else:
                 skipped += 1
         tables.append(tabs)
@@ -217,12 +220,12 @@ def build_alphabet(m, samples, cfg):
 
     centers = []
     bins = {}
-    for _, t, k in entries:
+    for _, t, k, w in entries:
         tabs = tables[t]
         gamma, key = tabs.bins[k]
         hit = find_center(centers, bins, gamma, key)
         if hit is None:
-            hit = Center(cid=len(centers), window=tabs.w, shift=k, gamma=gamma,
+            hit = Center(cid=len(centers), window=tabs.w, shift=k, sample=w, gamma=gamma,
                          params=tabs.params_at(k), key=key, j_bins=set())
             centers.append(hit)
             bins.setdefault(_net_key(gamma, key), []).append(hit.cid)
@@ -266,7 +269,8 @@ def build_alphabet(m, samples, cfg):
             vertices.append(v)
             vertex_index[(c.cid, ip)] = v.vid
 
-    return Alphabet(cfg=cfg, centers=centers, bins=bins, vertices=vertices,
+    table = vertex_table([v.chart for v in vertices], [v.cid for v in vertices])
+    return Alphabet(cfg=cfg, centers=centers, bins=bins, vertices=vertices, table=table,
                     vertex_index=vertex_index, e1_index=e1_index, skipped=skipped,
                     tables=tables)
 

@@ -22,30 +22,30 @@ def write_windows(path, windows):
             fh.write(w.record() + "\n")
 
 
-def chart_record(chart):
-    w = chart.center
-    word = ",".join(map(str, w.branch_ids[:w.off + chart.shift][::-1].tolist()))
-    return (f"x0={chart.theta0!r} u={chart.u!r} logQ={chart.params.logQ!r} "
-            f"log_p={chart.log_p!r} idx_p={chart.idx_p} back={word}")
-
-
 def write_alphabet(path, alphabet):
+    """One ``V`` record per vertex, from the columns of its vertex table;
+    a chart's back word is the ``back=`` field of the record of the sample
+    that admitted its center."""
+    t = alphabet.table
+    backs = [c.sample.back_field() for c in alphabet.centers]
+    rows = zip(t.cid.tolist(), t.theta0.tolist(), t.u.tolist(), t.logQ.tolist(),
+               t.log_p.tolist(), t.idx_p.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header("alphabet"))
-        fh.write(f"# centers={len(alphabet.centers)} charts={len(alphabet.vertices)}\n")
-        for v in alphabet.vertices:
-            fh.write(f"V{v.vid} c{v.cid} " + chart_record(v.chart) + "\n")
+        fh.write(f"# centers={len(alphabet.centers)} charts={len(t.charts)}\n")
+        fh.writelines(f"V{v} c{c} x0={x!r} u={u!r} logQ={q!r} log_p={lp!r} idx_p={ip} "
+                      f"{backs[c]}\n" for v, (c, x, u, q, lp, ip) in enumerate(rows))
 
 
 def write_graph(path, g):
     """Line-oriented graph export: a ``V`` record for every vertex with a
     strong edge, then one ``E v w S`` record per strong edge v -> w."""
+    t = g.alphabet.table
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header("graph"))
-        for v in g.alphabet.vertices:
-            if g.out_edges[v.vid] or g.in_edges[v.vid]:
-                fh.write(f"V {v.vid} x0={v.chart.theta0!r} u={v.chart.u!r} "
-                         f"idx_p={v.chart.idx_p}\n")
+        for v, (x, u, ip) in enumerate(zip(t.theta0.tolist(), t.u.tolist(), t.idx_p.tolist())):
+            if g.out_edges[v] or g.in_edges[v]:
+                fh.write(f"V {v} x0={x!r} u={u!r} idx_p={ip}\n")
         for vid, outs in enumerate(g.out_edges):
             for w in outs:
                 fh.write(f"E {vid} {w} S\n")

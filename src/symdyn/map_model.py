@@ -54,8 +54,8 @@ class MapFileError(ValueError):
 
 @dataclass(frozen=True)
 class Branch:
-    """One monotone branch: forward map, derivative, inverse and its
-    derivative."""
+    """One monotone branch: its domain and coefficients, and its forward map
+    and derivative in Python floats (its inverse runs in the batch lane)."""
 
     id: int
     lo: float
@@ -72,12 +72,6 @@ class Branch:
 
     def dfwd(self, x):
         return float(K.dfwd_formula(self.kind, self.row.__getitem__, x))
-
-    def inv(self, y):
-        return float(K.inv_formula(self.kind, self.row.__getitem__, y))
-
-    def dinv(self, y):
-        return float(K.dinv_formula(self.kind, self.row.__getitem__, y))
 
 
 @dataclass(frozen=True)

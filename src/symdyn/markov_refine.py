@@ -7,11 +7,13 @@ the common range) as the equality proxy.  Which sampled points of a cover
 are the same point, and which point the shift of each lands on, is
 decided once per cover (``point_classes``): the key is exact, the
 coordinate bytes; ``refine``, ``hat_graph`` and ``audits`` share the final
-cover's table.  The refinement classifies each sampled point by its full
-stable/unstable intersection signature against every met rectangle; cells
-are the classes of equal signatures.
+cover's table, with the fibre data of its points as columns
+(``Fibres``).  The refinement classifies each sampled point by its full
+stable/unstable intersection signature against every met rectangle, in
+array comparisons; cells are the classes of equal signatures.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import shadowing as sh
-from .coarse_grain import lt_log_threshold
 
 LOG100 = math.log(100.0)
 
@@ -34,26 +35,70 @@ class Rectangle:
     points: list           # ShadowResult
 
 
-@dataclass
-class FibreDescriptors:
-    """Stable/unstable fibre descriptors of one sampled point."""
+@dataclass(frozen=True)
+class Fibres:
+    """The stable/unstable fibre data of a cover's sampled points, as
+    columns over the points in cover order (Z_i's points are the rows
+    ``start[i]`` to ``start[i + 1] - 1``).
 
-    x0: float              # the s-fibre is determined by the zeroth coordinate
-    back_word: tuple       # unstable data: the backward branch word
-    theta0: float          # chart center of the rectangle's vertex
-    u: float
-    log_100p: float        # the 100-fold enlarged chart interval
+    A point's s-fibre is fixed by its zeroth coordinate; its u-fibre is its
+    backward branch word, within 100 times its rectangle's chart interval.
+    ``word``, ``word_tail`` and ``word_head`` number the backward words, and
+    the words less their first and last letters (one numbering for both),
+    equal exactly where the words are.
+    """
 
-    def in_stable(self, window):
-        return window.x0 == self.x0
+    start: np.ndarray
+    x0: np.ndarray          # per point: x_0, x_1 and x_{-1}
+    x1: np.ndarray
+    x_back: np.ndarray
+    word: np.ndarray
+    word_tail: np.ndarray
+    word_head: np.ndarray
+    theta0: np.ndarray      # per rectangle: its chart's theta0 and u, and
+    u: np.ndarray           # e^{log 100p} from math.exp, with its log
+    size: np.ndarray
+    log_size: np.ndarray
 
-    def in_unstable(self, window):
-        word = tuple(window.back_branches)
-        k = min(len(word), len(self.back_word))
-        if word[:k] != self.back_word[:k]:
-            return False
-        d = abs(window.x0 - self.theta0) * self.u
-        return lt_log_threshold(d, self.log_100p, strict=False)
+
+def _in_chart(fib, r, x):
+    """Per element, whether |x - theta0_r| u_r <= 100 p_r for rectangle r:
+    ``coarse_grain.lt_log_threshold``'s non-strict test, comparing logs
+    (math.log) only where e^{log 100p} underflows."""
+    d = np.abs(x - fib.theta0[r]) * fib.u[r]
+    size = fib.size[r]
+    hit = (d == 0.0) | (d <= size)
+    low = np.flatnonzero(~hit & (size == 0.0) & (d == d))
+    hit[low] = [math.log(v) <= t for v, t in zip(d[low].tolist(), fib.log_size[r[low]].tolist())]
+    return hit
+
+
+def _points_of(fib, rects):
+    """(t, q): entry t of the int array ``rects`` with each row q of a
+    point of rectangle ``rects[t]``, in order."""
+    n = np.diff(fib.start)[rects]
+    t = np.repeat(np.arange(rects.size), n)
+    return t, np.arange(t.size) - np.repeat(np.cumsum(n) - n - fib.start[rects], n)
+
+
+def _number(rows, good):
+    """An id per row of a 2-D array: -1 where ``good`` is False, else
+    numbered by first occurrence, equal exactly where the rows are.  One
+    stable ``np.lexsort`` brings equal rows together, first occurrence
+    first; a row holding a NaN equals none, itself included."""
+    order = np.lexsort(rows.T[::-1])
+    new = np.zeros(len(rows), dtype=bool)
+    new[:1] = True
+    for col in rows.T:
+        c = col[order]
+        new[1:] |= c[1:] != c[:-1]
+    first = order[new]                  # the first row of each group, in sorted order
+    kept = np.flatnonzero(good[first])
+    rank = np.full(first.size, -1)
+    rank[kept[np.argsort(first[kept])]] = np.arange(kept.size)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids
 
 
 @dataclass
@@ -69,6 +114,30 @@ class PointClasses:
     shift: dict    # the head class of the point's shift by one
     rects: dict    # class -> the rectangles holding a point of it
     met: dict      # rectangle i -> sorted j with Z_i and Z_j sharing a point
+    cover: list = field(repr=False)         # the cover classified
+    coords: np.ndarray = field(repr=False)  # x_{-1}, x_0, x_1 of its points (None: no points)
+
+    @functools.cached_property
+    def fibres(self):
+        """The Fibres of the cover's points, built on first use; None
+        without points."""
+        if self.coords is None:
+            return None
+        windows = [p.point for z in self.cover for p in z.points]
+        k, n = len(windows), windows[0].back_len
+        bids = np.array([w.branch_ids for w in windows])
+        every = np.ones(2 * k, dtype=bool)
+        ends = _number(np.concatenate([bids[:, :n - 1], bids[:, 1:n]]), every)
+        charts = [z.chart for z in self.cover]
+        log_size = [LOG100 + c.log_p for c in charts]
+        x_back, x0, x1 = self.coords.T
+        return Fibres(start=np.cumsum([0] + [len(z.points) for z in self.cover]),
+                      x0=x0, x1=x1, x_back=x_back,
+                      word=_number(bids[:, :n], every[:k]), word_tail=ends[:k], word_head=ends[k:],
+                      theta0=np.array([c.theta0 for c in charts]),
+                      u=np.array([c.u for c in charts]),
+                      size=np.array([math.exp(t) if t < 700.0 else math.inf for t in log_size]),
+                      log_size=np.array(log_size))
 
 
 def point_classes(cover):
@@ -79,30 +148,32 @@ def point_classes(cover):
     0.0, and a point holding a NaN matches nothing, itself included.  The
     shift by one of a agrees with b exactly when a's coordinates from index
     1 equal b's up to its last but one, so ``shift[a] == head[b]`` decides
-    it the same way.
-    That needs every point to span one range [-N, F] with F >= 2, as every
-    ``build_cover`` point does (F = 1 gives an empty cover); ValueError
-    otherwise.
+    it the same way; each numbering is one sort of the rows (``_number``).
+    That needs every point to span one range [-N, F] with N, F >= 2, as
+    every ``build_cover`` point does (F = 1 gives an empty cover); ValueError
+    otherwise.  ``fibres`` holds the points' fibre data as columns.
     """
     refs = [(i, pi) for i, z in enumerate(cover) for pi in range(len(z.points))]
     if not refs:
         return PointClasses(cls={}, head={}, shift={}, rects={},
-                            met={i: [] for i in range(len(cover))})
+                            met={i: [] for i in range(len(cover))}, cover=cover, coords=None)
     spans = {(p.point.back_len, p.point.fwd_len) for z in cover for p in z.points}
-    if len(spans) > 1 or min(f for _, f in spans) < 2:
-        raise ValueError(f"sampled points must share one span [-N, F], F >= 2: {sorted(spans)}")
-    pts = np.array([cover[i].points[pi].point.points for i, pi in refs]) + 0.0  # -0.0 -> 0.0
-    nan = np.isnan(pts)
+    if len(spans) > 1 or min(min(s) for s in spans) < 2:
+        raise ValueError(f"sampled points must share one span [-N, F], N, F >= 2: "
+                         f"{sorted(spans)}")
+    (n, _), = spans
+    pts = np.array([p.point.points for z in cover for p in z.points]) + 0.0  # -0.0 -> 0.0
+    ok = ~np.isnan(pts)
 
-    def keys(rows, bad):
-        return (None if b else row.tobytes() for row, b in zip(rows, bad.any(axis=1).tolist()))
-
-    table = {}
-    cls = [None if k is None else table.setdefault(k, len(table)) for k in keys(pts, nan)]
-    table = {}      # the heads' own keys; the class keys are dropped first
-    head = [None if k is None else table.setdefault(k, len(table))
-            for k in keys(pts[:, :-1], nan[:, :-1])]
-    shift = [None if k is None else table.get(k) for k in keys(pts[:, 1:], nan[:, 1:])]
+    cls = _number(pts, ok.all(axis=1)).tolist()
+    # one numbering of the heads, then the shifts: a shift numbered past
+    # every head lands on none
+    head_ok, shift_ok = ok[:, :-1].all(axis=1), ok[:, 1:].all(axis=1)
+    ends = _number(np.concatenate([pts[:, :-1], pts[:, 1:]]), np.concatenate([head_ok, shift_ok]))
+    head, shift = ends[:len(refs)], ends[len(refs):]
+    shift[shift > head.max()] = -1
+    cls, head, shift = ([None if c < 0 else c for c in ids]
+                        for ids in (cls, head.tolist(), shift.tolist()))
     rects = {}
     for (i, _), c in zip(refs, cls):
         if c is not None and i not in rects.setdefault(c, []):
@@ -112,20 +183,8 @@ def point_classes(cover):
         met[i].update(rects.get(c, ()))
     return PointClasses(cls=dict(zip(refs, cls)), head=dict(zip(refs, head)),
                         shift=dict(zip(refs, shift)), rects=rects,
-                        met={i: sorted(js) for i, js in met.items()})
-
-
-def fibres(z, point_index):
-    """Descriptors of the s/u fibres of a sampled point of a rectangle."""
-    p = z.points[point_index]
-    c = z.chart
-    return FibreDescriptors(
-        x0=p.point.x0,
-        back_word=tuple(p.point.back_branches),
-        theta0=c.theta0,
-        u=c.u,
-        log_100p=LOG100 + c.log_p,
-    )
+                        met={i: sorted(js) for i, js in met.items()}, cover=cover,
+                        coords=pts[:, n - 1:n + 2].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +247,10 @@ def build_cover(m, g, cfg):
             if not (drew_back or drew_fwd):
                 break
         core.append((v, count))
-    charts = [x.chart for x in g.alphabet.vertices]
+    table = g.alphabet.table
     walks = np.array(walks, dtype=np.int64).reshape(len(walks), 2 * window + 1)
-    shadowed = iter(sh.shadow_many(m, charts, walks, -window, cfg))
-    raw = [Rectangle(vid=v, chart=g.alphabet.vertices[v].chart,
+    shadowed = iter(sh.shadow_many(m, table, walks, -window, cfg))
+    raw = [Rectangle(vid=v, chart=table.charts[v],
                      points=[res for res in itertools.islice(shadowed, count)
                              if not isinstance(res, sh.EdgeBroken)])
            for v, count in core]
@@ -221,40 +280,50 @@ class RefinedCell:
     members: list          # (rect_index, point_index)
 
 
-def _signature_of(cover, i, pi, met):
-    z = cover[i]
-    fd = fibres(z, pi)
-    sig = []
-    for j in met.get(i, ()):
-        zj = cover[j]
-        s_hit = any(fd.in_stable(q.point) for q in zj.points)
-        u_hit = any(fd.in_unstable(q.point) for q in zj.points)
-        sig.append(((i, j), ("s" if s_hit else "0") + ("u" if u_hit else "0")))
-    return tuple(sorted(sig))
+# intersection types by code: 2 for a stable hit plus 1 for an unstable one
+TYPES = ("00", "0u", "s0", "su")
 
 
 def refine(cover, pc):
     """Partition the sampled cover by full fibre-intersection signatures.
 
     Each sampled point of Z_i is classified against every met Z_j (pc: the
-    cover's ``point_classes``, which holds the meeting table) into one of
-    the four intersection types; cells are the classes of equal signature
-    vectors.  T_ii is 'su' for every point (checked).
+    cover's ``point_classes``, which holds the meeting table and the fibre
+    columns) into one of the four intersection types, for all pairs at
+    once; cells are the classes of equal signature vectors.  T_ii is 'su'
+    for every point (checked).
     """
     cells = []
+    fib = pc.fibres
+    if fib is None:
+        return cells
+    pairs = np.array([(i, j) for i in range(len(cover)) for j in pc.met[i]],
+                     dtype=np.int64).reshape(-1, 2)
+    # entry e: a point a[e] of Z_i against Z_j, (i, j) = pairs[e_pair[e]];
+    # a pair's entries are its Z_i points in order
+    e_pair, a = _points_of(fib, pairs[:, 0])
+    e, b = _points_of(fib, pairs[e_pair, 1])   # entry e[k] against point b[k] of its Z_j
+    s_hit, u_hit = np.zeros(a.size, dtype=bool), np.zeros(a.size, dtype=bool)
+    s_hit[e[fib.x0[b] == fib.x0[a[e]]]] = True
+    on_u = (fib.word[b] == fib.word[a[e]]) & _in_chart(fib, pairs[e_pair[e], 0], fib.x0[b])
+    u_hit[e[on_u]] = True
+    code = 2 * s_hit + u_hit
+    bad = np.flatnonzero((pairs[e_pair, 0] == pairs[e_pair, 1]) & (code != 3))
+    if bad.size:
+        raise AssertionError(f"T_ii is not 'su' at rectangle {pairs[e_pair[bad[0]], 0]}")
+    codes = code.tolist()
     index = {}
+    at = 0
     for i, z in enumerate(cover):
-        for pi in range(len(z.points)):
-            sig = _signature_of(cover, i, pi, pc.met)
-            for (a, b), ab in sig:
-                if a == b == i and ab != "su":
-                    raise AssertionError(f"T_ii is not 'su' at rectangle {i}")
-            key = (i, sig)
+        js, n = pc.met[i], len(z.points)
+        for pi in range(n):
+            key = (i, tuple(codes[at + pi:at + n * len(js):n]))
             if key not in index:
                 index[key] = len(cells)
-                cells.append(RefinedCell(cell_id=len(cells), rect=i,
-                                         signature=sig, members=[]))
+                sig = tuple(((i, j), TYPES[c]) for j, c in zip(js, key[1]))
+                cells.append(RefinedCell(cell_id=len(cells), rect=i, signature=sig, members=[]))
             cells[index[key]].members.append((i, pi))
+        at += n * len(js)
     return cells
 
 
@@ -332,32 +401,23 @@ def audits(tg):
     rects_over_cell = {c.cell_id: len(pc.rects.get(pc.cls[c.members[0]], ())) for c in cells}
 
     # sampled Markov property: for x in R0 with f(x) in R1,
-    # f(W^s(x, Z(R0))) inside W^s(f x, Z(R1)) and dually for W^u
+    # f(W^s(x, Z(R0))) inside W^s(f x, Z(R1)) and dually for W^u; one check
+    # per member of R0 whose shift is a point of R1
     first_point = {}   # (rect, head class) -> its first point there
     for (i, pi), h in pc.head.items():
         first_point.setdefault((i, h), pi)
     heads_in = [{pc.head[ref] for ref in c.members} for c in cells]
-    checked = 0
-    failures = 0
+    start = [] if pc.fibres is None else pc.fibres.start.tolist()
+    checks = []        # (point of R0, R0, the first point of its shift in R1, R1)
     for r in cells:
         for s_id in tg.out_edges[r.cell_id]:
             s = cells[s_id]
-            for ref in r.members:
-                h = pc.shift[ref]
-                if h is None or h not in heads_in[s_id]:
-                    continue
-                fd_r = fibres(cover[r.rect], ref[1])
-                fd_s = fibres(cover[s.rect], first_point[(s.rect, h)])
-                checked += 1
-                # stable: the shift of anything with x0 = w.x0 has x0 = f(w.x0)
-                for q in cover[r.rect].points:
-                    if fd_r.in_stable(q.point) and q.point.x(1) != fd_s.x0:
-                        failures += 1
-                # unstable: the backward shift of the target fibre lands in ours
-                for q in cover[s.rect].points:
-                    if fd_s.in_unstable(q.point):
-                        if not fd_r.in_unstable(q.point.shift(-1)):
-                            failures += 1
+            for i, pi in r.members:
+                h = pc.shift[i, pi]
+                if h is not None and h in heads_in[s_id]:
+                    checks.append((start[i] + pi, i, start[s.rect] + first_point[s.rect, h],
+                                   s.rect))
+    failures = _markov_failures(pc.fibres, *np.array(checks).T) if checks else 0
 
     # finite-to-one: distinct points vs the number of cells containing them;
     # a NaN point is distinct from every point
@@ -367,8 +427,23 @@ def audits(tg):
         intersection_counts=inter_counts,
         refined_in_rect=refined_in_rect,
         rects_over_cell=rects_over_cell,
-        markov_checked=checked,
+        markov_checked=len(checks),
         markov_failures=failures,
         preimage_max=max(counts.values(), default=min(nan_points, 1)),
         preimage_bound_max=max(rects_over_cell.values(), default=0) ** 2,
     )
+
+
+def _markov_failures(fib, src, r_rect, dst, s_rect):
+    """The failed fibre containments of the checks k: point src[k] of
+    rectangle r_rect[k] shifts to a point whose first copy in rectangle
+    s_rect[k] is dst[k] (rows of ``fib``)."""
+    # stable: the shift of anything with x0 = w.x0 has x0 = f(w.x0)
+    t, q = _points_of(fib, r_rect)
+    failed = np.count_nonzero((fib.x0[q] == fib.x0[src[t]]) & (fib.x1[q] != fib.x0[dst[t]]))
+    # unstable: the backward shift of the target fibre lands in ours
+    t, q = _points_of(fib, s_rect)
+    on_target = (fib.word[q] == fib.word[dst[t]]) & _in_chart(fib, s_rect[t], fib.x0[q])
+    on_source = ((fib.word_tail[q] == fib.word_head[src[t]])
+                 & _in_chart(fib, r_rect[t], fib.x_back[q]))
+    return int(failed + np.count_nonzero(on_target & ~on_source))

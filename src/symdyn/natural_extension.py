@@ -54,6 +54,8 @@ class OrbitWindow:
     # pesin.expansion_certificate results, per (chi, n_min); a shifted or
     # relabelled view starts with none
     certs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the text of ``record``, built on first use; a new view starts without
+    text: str = field(default=None, init=False, repr=False, compare=False)
 
     # -- basic geometry --------------------------------------------------
 
@@ -137,14 +139,21 @@ class OrbitWindow:
     # -- serialization ------------------------------------------------------
 
     def record(self):
-        """One-line text record: x0, backward word, horizon, period, u_depth."""
-        word = ",".join(map(str, self.back_branches))
-        parts = [f"x0={self.x0!r}", f"back={word}", f"fwd={self.fwd_len}"]
-        if self.period:
-            parts.append(f"periodic={self.period}")
-        if self.u_depth:
-            parts.append(f"u_depth={self.u_depth}")
-        return " ".join(parts)
+        """One-line text record: x0, backward word, horizon, period, u_depth;
+        built once per view."""
+        if self.text is None:
+            word = ",".join(map(str, self.back_branches))
+            parts = [f"x0={self.x0!r}", f"back={word}", f"fwd={self.fwd_len}"]
+            if self.period:
+                parts.append(f"periodic={self.period}")
+            if self.u_depth:
+                parts.append(f"u_depth={self.u_depth}")
+            object.__setattr__(self, "text", " ".join(parts))
+        return self.text
+
+    def back_field(self):
+        """The ``back=`` field of ``record()``: the backward word."""
+        return self.record().split(" ", 2)[1]
 
 
 def _freeze(pts, bid, ld):

@@ -2,8 +2,9 @@
 
 The expansion certificate, the hyperbolicity parameter u, the chart scale
 ladder (Q-tilde, Q, the grid I_eps = {e^{-eps*n/3}}, delta_eps, the greedy
-q) tabulated along a window, and the affine charts Psi(t) = t/u + x0.  The
-chart maps between charts are ``shadowing.step_map``.
+q) tabulated along a window, the affine charts Psi(t) = t/u + x0, and the
+vertex table that holds a list of charts as columns.  The chart maps
+between charts are ``shadowing.step_maps``.
 
 Scales routinely sit far below double precision (log Q is typically a few
 hundred negative), so every size is carried as a natural log plus an exact
@@ -300,3 +301,40 @@ class Chart:
     @property
     def log_p(self):
         return -(self.params.epsilon / 3.0) * self.idx_p
+
+
+@dataclass(frozen=True)
+class VertexTable:
+    """Charts as columns: row v holds the chart ``charts[v]`` (an object
+    array), its theta0, u, log p, log Q and idx_p (each the chart's own
+    value), p = e^{log p} from math.exp (0 where log p is not above -745),
+    its center id ``cid`` and the branches of its center point's
+    predecessor (``back_branch``, the inverse branch of a step map out of
+    the chart) and of the center point itself."""
+
+    charts: np.ndarray
+    theta0: np.ndarray
+    u: np.ndarray
+    log_p: np.ndarray
+    logQ: np.ndarray
+    p: np.ndarray
+    idx_p: np.ndarray
+    cid: np.ndarray
+    back_branch: np.ndarray
+    branch: np.ndarray
+
+
+def vertex_table(charts, cids):
+    """The VertexTable of ``charts``, chart v of center ``cids[v]``: theta0
+    and the branches read from each center window's arrays at its shift."""
+    floats, ints = [], []
+    for c, cid in zip(charts, cids):
+        w, i = c.center, c.center.off + c.shift
+        floats.append((w.points[i], c.params.u, c.log_p, c.params.logQ))
+        ints.append((c.idx_p, cid, w.branch_ids[i - 1], w.branch_ids[i]))
+    floats = np.array(floats, dtype=np.float64).reshape(-1, 4).T.copy()
+    ints = np.array(ints, dtype=np.int64).reshape(-1, 4).T.copy()
+    objects = np.empty(len(floats[0]), dtype=object)
+    objects[:] = charts
+    p = np.array([math.exp(lp) if lp > -745 else 0.0 for lp in floats[2].tolist()])
+    return VertexTable(objects, *floats, p, *ints)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels as K
 from . import natural_extension as ne
 
 CONTAINMENT_SLACK = 1e-9
@@ -60,19 +61,12 @@ def _chart_key(c):
     return (c.theta0, c.u, c.idx_p)
 
 
-@dataclass(frozen=True)
-class StepMap:
-    """Rescaled affine model of G = Psi_to^{-1} o g o Psi_from between
-    consecutive charts: tau_to = a * tau_from + b."""
-
-    a: float
-    b: float
-
-
-def step_map(m, v_to, v_from, cfg):
-    """The rescaled affine model of the edge v_to <- v_from; m must be the
-    map of v_from's center.  ``shadow_many`` computes one per distinct edge
-    of its call.
+def step_maps(m, table, to, frm, cfg):
+    """The rescaled affine models tau_to = a tau_from + b of G = Psi_to^{-1}
+    o g o Psi_from, as arrays (a, b), for the edges ``to[k] <- frm[k]`` of
+    rows of the VertexTable ``table``; m must be the map of the centers.
+    ``shadow_many`` computes them for the distinct edges of its call in
+    this one pass.
 
     The curvature of g over a chart range is below float resolution
     relative to the linear part (|s| <= 10 Q / u with Q on the I_eps
@@ -83,26 +77,26 @@ def step_map(m, v_to, v_from, cfg):
     (forward caches) or g(x_from) == x_to (backward caches) bitwise; the
     float evaluation of the other direction carries a spurious ulp that
     the chart rescaling would amplify, so both identities are accepted.
+    Each value is the one the kernels' formulas give on Python floats, by
+    the same operations in the same order, with one math.exp per distinct
+    difference of size indices.
     """
-    w = v_from.center
-    branch = w.branch(v_from.shift - 1)
-    br = m.branch_by_id(branch)
-    x0 = v_from.theta0
-    dg0 = br.dinv(x0)
-    slope_t = dg0 * v_to.u / v_from.u  # dG in t-units: the contraction the theorem bounds
-    if br.fwd(v_to.theta0) == x0:
-        offset = 0.0
-    else:
-        offset = br.inv(x0) - v_to.theta0
-    # p_from / p_to as an exact grid power e^{(eps/3)(idx_to - idx_from)}
-    scale = math.exp((cfg.epsilon / 3.0) * (v_to.idx_p - v_from.idx_p))
-    a = slope_t * scale
-    if offset == 0.0:
-        b = 0.0
-    else:
-        log_b = math.log(abs(offset)) + math.log(v_to.u) - v_to.log_p
-        b = math.copysign(math.exp(min(log_b, 700.0)), offset)
-    return StepMap(a=a, b=b)
+    fam, br = m.family, table.back_branch[frm]
+    x0, theta_to = table.theta0[frm], table.theta0[to]
+    # dG in t-units (the contraction the theorem bounds) times p_from / p_to,
+    # an exact grid power e^{(eps/3)(idx_to - idx_from)}
+    a = K.dinv_vec(fam, br, x0) * table.u[to] / table.u[frm]
+    diff, at = np.unique(table.idx_p[to] - table.idx_p[frm], return_inverse=True)
+    a *= np.array([math.exp((cfg.epsilon / 3.0) * d) for d in diff.tolist()])[at]
+    b = np.zeros(a.shape)
+    rows = np.flatnonzero(K.fwd_vec(fam, br, theta_to) != x0)
+    offsets = K.inv_vec(fam, br[rows], x0[rows]) - theta_to[rows]
+    for k, offset, u, log_p in zip(rows.tolist(), offsets.tolist(), table.u[to[rows]].tolist(),
+                                   table.log_p[to[rows]].tolist()):
+        if offset != 0.0:
+            log_b = math.log(abs(offset)) + math.log(u) - log_p
+            b[k] = math.copysign(math.exp(min(log_b, 700.0)), offset)
+    return a, b
 
 
 @dataclass
@@ -122,19 +116,20 @@ class ShadowResult:
     worst_containment: float
 
 
-def shadow_many(m, charts, walks, n_lo, cfg):
+def shadow_many(m, table, walks, n_lo, cfg):
     """Shadow K gpos in lockstep: nested-interval contraction for t_0,
     backward reconstruction for the negative coordinates.
 
-    Row k of the (K, L) int array ``walks`` holds the indices into
-    ``charts`` of gpo k over n in [n_lo, n_lo + L - 1].  The nested
-    intervals start from [-1, 1] at n_lo + L - 1 and compose the whole
-    forward horizon.  Returns per row a ShadowResult or, if a step image
-    escapes its target chart, an EdgeBroken.  Every row takes the IEEE operations of a one-gpo loop in
-    the same order, so no result depends on the rest of its batch (which
-    runs in blocks of SHADOW_BLOCK rows, sharing one ``step_map`` per
-    distinct edge of the call).  Raises ValueError for the first row whose
-    points miss the window tolerance.
+    Row k of the (K, L) int array ``walks`` holds the rows of the
+    VertexTable ``table`` of gpo k's charts over n in [n_lo, n_lo + L - 1].
+    The nested intervals start from [-1, 1] at n_lo + L - 1 and compose the
+    whole forward horizon.  Returns per row a ShadowResult or, if a step
+    image escapes its target chart, an EdgeBroken.  Every row takes the IEEE
+    operations of a one-gpo loop in the same order, so no result depends on
+    the rest of its batch (which runs in blocks of SHADOW_BLOCK rows, sharing
+    the ``step_maps`` of the call's distinct edges, computed in one pass).
+    Raises ValueError for the first row whose points miss the window
+    tolerance.
     """
     walks = np.asarray(walks, dtype=np.int64)
     n_gpo, length = walks.shape
@@ -147,21 +142,17 @@ def shadow_many(m, charts, walks, n_lo, cfg):
         raise ValueError("gpo needs the index 0")
     # step j (index n_lo + j) maps chart j + 1 into chart j, whose branch
     # the shadowed point takes there
-    nc = len(charts)
+    nc = len(table.charts)
     edge, at = np.unique(walks[:, 1:] * nc + walks[:, :-1], return_inverse=True)
-    steps = []
-    for key in edge.tolist():
-        v_from, v_to = charts[key // nc], charts[key % nc]
-        s = step_map(m, v_to, v_from, cfg)
-        steps.append((s.a, s.b, v_to.center.branch(v_to.shift)))
-    edges = tuple(np.array(col) for col in zip(*steps))
+    to = edge % nc
+    edges = (*step_maps(m, table, to, edge // nc, cfg), table.branch[to])
     at = at.reshape(n_gpo, length - 1)
     return [res for i in range(0, n_gpo, SHADOW_BLOCK)
-            for res in _shadow_block(m, charts, walks[i:i + SHADOW_BLOCK], edges,
+            for res in _shadow_block(m, table, walks[i:i + SHADOW_BLOCK], edges,
                                      at[i:i + SHADOW_BLOCK], n_lo, cfg)]
 
 
-def _shadow_block(m, charts, walks, edges, at, n_lo, cfg):
+def _shadow_block(m, table, walks, edges, at, n_lo, cfg):
     """``shadow_many`` on one block of rows; step j of row k is edge
     ``at[k, j]`` of the per-edge (a, b, branch) arrays ``edges``."""
     n_gpo, length = walks.shape
@@ -173,14 +164,15 @@ def _shadow_block(m, charts, walks, edges, at, n_lo, cfg):
         return results
     taus, worst = taus[:, ok], worst[ok]
     branch = edges[2][at[ok]]
-    points, log_p0 = _shadowed_points(m, charts, walks[ok], taus, branch, n_lo)
+    points, log_p0 = _shadowed_points(m, table, walks[ok], taus, branch, n_lo)
 
     log_2 = math.log(2.0)
     bound_tail = cfg.chi * n_hi / 2.0
     tau0 = taus[-n_lo].tolist()
+    charts = list(map(tuple, table.charts[walks[ok]].tolist()))
     for i, k in enumerate(ok.tolist()):
         results[k] = ShadowResult(
-            gpo=Gpo(charts=tuple(map(charts.__getitem__, walks[k].tolist())), n_lo=n_lo),
+            gpo=Gpo(charts=charts[i], n_lo=n_lo),
             tau0=tau0[i], log_p0=log_p0[i], point=points[i],
             log_error_bound=log_2 + log_p0[i] - bound_tail,
             worst_containment=float(worst[i]))
@@ -242,24 +234,16 @@ def _contract(edges, at, n_lo, results):
     return taus, worst
 
 
-def _shadowed_points(m, charts, walks, taus, branch, n_lo):
-    """The windows of the points theta0 + tau e^{log p} / u of the rows of
-    ``walks`` (tau from the (L, K) ``taus``), and each row's log p at index 0."""
-    visited, at = np.unique(walks, return_inverse=True)
-    table = [charts[i] for i in visited.tolist()]
-    log_p = [c.log_p for c in table]
-    at = at.reshape(walks.shape)
-    # e^{log p} per chart through math.exp, 0 under -745
-    p = np.array([math.exp(lp) if lp > -745 else 0.0 for lp in log_p])
-    under = np.array([not lp > -745 for lp in log_p])
+def _shadowed_points(m, table, walks, taus, branch, n_lo):
+    """The windows of the points theta0 + tau p / u of the rows of ``walks``
+    (tau from the (L, K) ``taus``), and each row's log p at index 0."""
     # in place, one (K, L) temporary at a time; + and * commute bit for bit
-    pts = p[at]
+    pts = table.p[walks]
     pts *= taus.T
-    pts[under[at]] = 0.0
-    pts /= np.array([c.u for c in table])[at]
-    pts += np.array([c.theta0 for c in table])[at]
-    log_p0 = [log_p[i] for i in at[:, -n_lo].tolist()]
-    return ne.make_pseudo_window(m, pts, branch, off=-n_lo), log_p0
+    pts[~(table.log_p[walks] > -745)] = 0.0
+    pts /= table.u[walks]
+    pts += table.theta0[walks]
+    return ne.make_pseudo_window(m, pts, branch, off=-n_lo), table.log_p[walks[:, -n_lo]].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,31 @@ import numpy as np
 from symdyn import _kernels as K
 from symdyn import natural_extension as ne
 from symdyn import shadowing as sh
+from symdyn.coarse_grain import lt_log_threshold
 from symdyn.config import RunConfig
 from symdyn.library import LibraryReport
 from symdyn.map_model import KIND_AFFINE, KIND_QUADRATIC, SingularPoint, _sample_blocks
-from symdyn.pesin import expansion_certificate, u_at
+from symdyn.pesin import expansion_certificate, u_at, vertex_table
 
 
 def f(m, x):
     return m.branch_by_id(m.branch_at(x)).fwd(x)
 
 
+def inv(br, y):
+    """g(y) of a ``Branch`` in the scalar lane: the batch kernels' formula on
+    its row, in Python floats (as ``Branch.fwd`` and ``Branch.dfwd``)."""
+    return float(K.inv_formula(br.kind, br.row.__getitem__, y))
+
+
+def dinv(br, y):
+    """g'(y) of a ``Branch`` in the scalar lane."""
+    return float(K.dinv_formula(br.kind, br.row.__getitem__, y))
+
+
 def preimage(m, y, bid):
     """g_bid(y): the preimage of y through the given inverse branch."""
-    return m.branch_by_id(bid).inv(y)
+    return inv(m.branch_by_id(bid), y)
 
 
 def radius(m, x):
@@ -250,12 +262,12 @@ def chart_G(m, c_from, c_to, branch_id, samples=None):
     u_to = c_to.u
     y0 = c_to.theta0
 
-    dg0 = br.dinv(x0)
+    dg0 = dinv(br, x0)
     A = dg0 * u_prev / u_from
     A_obs = dg0 * u_to / u_from
     # centers that are consecutive orbit points have offset exactly 0; the
     # float g carries a spurious ulp when the cache is forward-consistent
-    offset0 = 0.0 if br.fwd(y0) == x0 else br.inv(x0) - y0
+    offset0 = 0.0 if br.fwd(y0) == x0 else inv(br, x0) - y0
     h0 = u_to * offset0
     dh0 = A_obs - A
     log_h0 = math.log(abs(h0)) if h0 != 0.0 else -math.inf
@@ -356,11 +368,28 @@ def random_library(m, chi, count, back_depth=40, fwd_len=40, seed=0,
                          skipped_uncertified=skipped_uncert)
 
 
+@dataclass(frozen=True)
+class StepMap:
+    """Rescaled affine model of G = Psi_to^{-1} o g o Psi_from between
+    consecutive charts: tau_to = a * tau_from + b."""
+
+    a: float
+    b: float
+
+
+def step_map(m, v_to, v_from, cfg):
+    """The step map of the edge v_to <- v_from: ``shadowing.step_maps`` on
+    one row."""
+    a, b = sh.step_maps(m, vertex_table([v_from, v_to], [0, 1]), np.array([1]), np.array([0]),
+                        cfg)
+    return StepMap(a=float(a[0]), b=float(b[0]))
+
+
 def shadow(m, g, cfg):
     """Shadow one gpo: ``shadow_many`` on a batch of one.  Raises
     EdgeBroken if a step image escapes its target chart."""
     walk = np.arange(len(g.charts))[None]
-    (res,) = sh.shadow_many(m, g.charts, walk, g.n_lo, cfg)
+    (res,) = sh.shadow_many(m, vertex_table(g.charts, range(len(g.charts))), walk, g.n_lo, cfg)
     if isinstance(res, sh.EdgeBroken):
         raise res
     return replace(res, gpo=g)
@@ -384,12 +413,45 @@ class UnstableInterval:
         return out
 
 
-def unstable_interval(m, g, cfg):
-    """Unstable-set descriptor of a gpo's backward half (indices <= 0)."""
+def unstable_interval(m, g, cfg, step):
+    """Unstable-set descriptor of a gpo's backward half (indices <= 0), its
+    steps from ``step(m, v_to, v_from, cfg)`` (``step_map``, or the tests'
+    ``oracles.step_map_oracle``)."""
     steps = {}
     for n in range(g.n_lo, min(g.n_hi, 0)):
-        steps[n] = sh.step_map(m, g.chart(n), g.chart(n + 1), cfg)
+        steps[n] = step(m, g.chart(n), g.chart(n + 1), cfg)
     return UnstableInterval(gpo=g, steps=steps)
+
+
+@dataclass
+class FibreDescriptors:
+    """Stable/unstable fibre descriptors of one sampled point, the scalar
+    reading of a row of ``markov_refine.Fibres``."""
+
+    x0: float              # the s-fibre is determined by the zeroth coordinate
+    back_word: tuple       # unstable data: the backward branch word
+    theta0: float          # chart center of the rectangle's vertex
+    u: float
+    log_100p: float        # the 100-fold enlarged chart interval
+
+    def in_stable(self, window):
+        return window.x0 == self.x0
+
+    def in_unstable(self, window):
+        word = tuple(window.back_branches)
+        k = min(len(word), len(self.back_word))
+        if word[:k] != self.back_word[:k]:
+            return False
+        d = abs(window.x0 - self.theta0) * self.u
+        return lt_log_threshold(d, self.log_100p, strict=False)
+
+
+def fibres(z, point_index):
+    """Descriptors of the s/u fibres of a sampled point of a rectangle."""
+    p = z.points[point_index]
+    c = z.chart
+    return FibreDescriptors(x0=p.point.x0, back_word=tuple(p.point.back_branches),
+                            theta0=c.theta0, u=c.u, log_100p=math.log(100.0) + c.log_p)
 
 
 class EmptyCylinder(RuntimeError):

@@ -26,9 +26,9 @@ from symdyn import pesin
 from symdyn import shadowing as sh
 from symdyn.config import RunConfig
 from symdyn.map_model import ClauseResult, RegularityReport, SingularPoint
-from symdyn.shadowing import StepMap
 
-from construction import backward_orbit, make_window, preimage, radius, windows_agree_reference
+from construction import (StepMap, backward_orbit, dinv, inv, make_window, preimage, radius,
+                          windows_agree_reference)
 
 
 # -- coarse graining -------------------------------------------------------------
@@ -370,12 +370,12 @@ def step_map_reference(m, v_to, v_from, cfg):
     branch = w.branch(v_from.shift - 1)
     br = m.branch_by_id(branch)
     x0 = v_from.theta0
-    dg0 = br.dinv(x0)
+    dg0 = dinv(br, x0)
     slope_t = dg0 * v_to.u / v_from.u
     if br.fwd(v_to.theta0) == x0:
         offset = 0.0
     else:
-        offset = br.inv(x0) - v_to.theta0
+        offset = inv(br, x0) - v_to.theta0
     scale = math.exp((cfg.epsilon / 3.0) * (v_to.idx_p - v_from.idx_p))
     a = slope_t * scale
     if offset == 0.0:
@@ -386,15 +386,41 @@ def step_map_reference(m, v_to, v_from, cfg):
     return StepMap(a=a, b=b)
 
 
-def shadow_reference(m, g, cfg):
-    """One gpo through Python floats, step by step: the loop the batch
-    kernel ``shadow_many`` must reproduce bit for bit.  Its window is
-    built by ``pseudo_window_reference``."""
+def step_map_oracle(m, v_to, v_from, cfg):
+    """The affine model tau_to = a tau_from + b of G = Psi_to^{-1} o g o
+    Psi_from at the chart centers, in 60-digit real arithmetic on the float
+    data, rounded once: g is the inverse of the branch of v_from's center
+    point's predecessor, from the catalogue's definition
+    (``catalogue_branch``), a = g'(theta_from) (u_to / u_from) (p_from /
+    p_to) and b = u_to (g(theta_from) - theta_to) / p_to, with p = e^{-eps
+    i/3} for the configured float eps taken exactly.  b is exactly 0 where
+    the centers are consecutive orbit points: where the predecessor of
+    v_from's center point on its window is v_to's center point."""
+    w = v_from.center
+    consecutive = w.x(v_from.shift - 1) == v_to.theta0
+    return _affine_step(m.branch_by_id(w.branch(v_from.shift - 1)), v_from.theta0, v_from.u,
+                        v_from.idx_p, v_to.theta0, v_to.u, v_to.idx_p, cfg.epsilon, consecutive)
+
+
+@functools.cache
+def _affine_step(br, x0, u_from, i_from, theta_to, u_to, i_to, eps, consecutive):
+    _, df, g = catalogue_branch(br, _MP)
+    y = g(_MP.mpf(x0))
+    a = _MP.mpf(u_to) / (df(y) * _MP.mpf(u_from)) * _size(eps, i_from) / _size(eps, i_to)
+    b = 0 if consecutive else _MP.mpf(u_to) * (y - _MP.mpf(theta_to)) / _size(eps, i_to)
+    return StepMap(a=float(a), b=float(b))
+
+
+def shadow_reference(m, g, cfg, step=step_map_oracle):
+    """One gpo through Python floats, step by step, with the steps ``step``
+    gives (``step_map_oracle`` unless set): the loop the batch kernel
+    ``shadow_many`` must reproduce bit for bit on the same steps.  Its
+    window is built by ``pseudo_window_reference``."""
     if g.n_hi < 1:
         raise ValueError("gpo needs forward length >= 1")
     steps = {}
     for n in range(g.n_lo, g.n_hi):
-        steps[n] = sh.step_map(m, g.chart(n), g.chart(n + 1), cfg)
+        steps[n] = step(m, g.chart(n), g.chart(n + 1), cfg)
 
     # forward-to-backward nested intervals
     lo, hi = -1.0, 1.0

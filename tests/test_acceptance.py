@@ -21,7 +21,7 @@ from symdyn import shadowing as sh
 from symdyn.config import RunConfig
 
 from construction import (chart_G, compute_u, deriv, hat_pi, linear_reduction_slope, make_window,
-                          random_library, shadow, u_recursion_step)
+                          random_library, shadow, step_map, u_recursion_step)
 from oracles import signature_partition, strong_chain
 
 LN2 = math.log(2.0)
@@ -191,7 +191,7 @@ def test_criterion_05_sufficiency_roundtrip(roundtrip_results):
 def _contraction_ratios(m, g, cfg):
     """|a| of the forward step maps of gpo g, from index n_hi - 1 down to 0:
     the nested-length ratios of its shadowing."""
-    return [abs(sh.step_map(m, g.chart(n), g.chart(n + 1), cfg).a)
+    return [abs(step_map(m, g.chart(n), g.chart(n + 1), cfg).a)
             for n in range(g.n_hi - 1, -1, -1)]
 
 

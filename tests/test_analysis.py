@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,89 @@ def test_closed_path_counts_match_brute_force(seed):
     assert counts == [sum(brute_force_loops(adj, v, n) for v in adj) for n in range(1, 7)]
     assert counts == [closed_paths(adj, n) for n in range(1, 7)]
     assert counts == [sum(loop_count(adj, v, n) for v in adj) for n in range(1, 7)]
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Disjoint cycles with chords and extra self-loops between their
+    vertices, and acyclic tails into and out of them, keys in drawn order."""
+    adj, nv = {}, 0
+    for length in draw(st.lists(st.integers(1, 5), max_size=4)):
+        adj.update({nv + i: [nv + (i + 1) % length] for i in range(length)})
+        nv += length
+    if nv:
+        vertex = st.integers(0, nv - 1)
+        for u, w in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+            adj[u].append(w)                      # a chord, or a self-loop when u == w
+        for u in draw(st.lists(vertex, max_size=2)):
+            adj[u].append(u)
+        for into in draw(st.lists(st.booleans(), max_size=3)):
+            v = draw(vertex)
+            if into:
+                adj[nv] = [v]                     # a tail vertex feeding the graph
+            else:
+                adj[v].append(nv)                 # a dead end: no key, no successor
+            nv += 1
+    return {v: adj[v] for v in draw(st.permutations(sorted(adj)))}
+
+
+@given(mixed_graphs())
+@settings(max_examples=80, deadline=None)
+def test_closed_path_counts_per_component_match_brute_force(adj):
+    # cycle components count in closed form, the others by their walks
+    counts = an.closed_path_counts(adj, 7)
+    assert counts == [sum(brute_force_loops(adj, v, n) for v in adj) for n in range(1, 8)]
+
+
+X = sympy.symbols("x")
+
+
+def _exact_radius(adj):
+    """The characteristic polynomial of adj's adjacency matrix (sympy, exact
+    integers) and its largest real root, the spectral radius of a
+    nonnegative matrix, to 30 digits."""
+    keys = sorted(adj)
+    a = sympy.zeros(len(keys))
+    for i, u in enumerate(keys):
+        for w in adj[u]:
+            a[i, keys.index(w)] += 1
+    poly = a.charpoly(X)
+    return poly.as_expr(), max(sympy.real_roots(poly)).evalf(30)
+
+
+def _cycle(n, start=0):
+    return {start + i: [start + (i + 1) % n] for i in range(n)}
+
+
+def _chorded_cycle(n, k):
+    """The n-cycle 0 -> 1 -> ... -> n-1 -> 0 with the chord k-1 -> 0, which
+    closes a k-cycle."""
+    adj = _cycle(n)
+    adj[k - 1] = adj[k - 1] + [0]
+    return adj
+
+
+# cycles with one chord whose radius 200 power steps miss by more than 1e-9
+# (relative 3e-8 to 1e-4): a slowly mixing or a periodic chorded cycle
+POWER_SLOW = {(5, 3), (5, 4), (6, 3), (6, 5)}
+
+
+@pytest.mark.parametrize("name, adj, poly", [
+    ("union of cycles", {**_cycle(3), **_cycle(2, 3), **_cycle(1, 5)},
+     (X**3 - 1) * (X**2 - 1) * (X - 1)),
+    ("full 2-shift", {i: [0, 1] for i in range(2)}, X * (X - 2)),
+    ("full 3-shift", {i: [0, 1, 2] for i in range(3)}, X**2 * (X - 3)),
+    ("golden mean", {0: [0, 1], 1: [0]}, X**2 - X - 1),
+] + [pytest.param(f"cycle {n} chord {k}", _chorded_cycle(n, k), X**n - X**(n - k) - 1,
+                  marks=[pytest.mark.xfail(strict=True, reason="power iteration too slow")]
+                  if (n, k) in POWER_SLOW else [])
+     for n in range(3, 7) for k in range(1, n)])
+def test_spectral_radius_is_the_largest_root(name, adj, poly):
+    # the radius from the exact characteristic polynomial: independent of
+    # the power iteration, which spectral_radius_reference repeats bit for bit
+    got, rho = _exact_radius(adj)
+    assert sympy.expand(got - poly) == 0
+    assert abs(an.spectral_radius(adj) - float(rho)) < 1e-9 * float(rho)
 
 
 @given(st.integers(min_value=0, max_value=2**30))

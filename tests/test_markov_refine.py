@@ -13,8 +13,8 @@ from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
 from symdyn.config import RunConfig, parse_config
 
-from construction import (EmptyCylinder, _cell_contains, _member_window, hat_pi, make_window,
-                          windows_agree_reference)
+from construction import (EmptyCylinder, _cell_contains, _member_window, fibres, hat_pi,
+                          make_window, windows_agree_reference)
 from oracles import bracket_windows, signature_partition, strong_chain
 
 CHI2 = 0.5 * math.log(2.0)
@@ -67,9 +67,9 @@ def test_cover_shadows_each_distinct_walk_once(doubling, cfg, fixture, cover, mo
     calls = []
     shadow_many = mr.sh.shadow_many
 
-    def counting_shadow_many(m, charts, walks, n_lo, c):
-        calls.extend([mr.sh._chart_key(charts[i]) for i in walk] for walk in walks.tolist())
-        return shadow_many(m, charts, walks, n_lo, c)
+    def counting_shadow_many(m, table, walks, n_lo, c):
+        calls.extend([mr.sh._chart_key(table.charts[i]) for i in walk] for walk in walks.tolist())
+        return shadow_many(m, table, walks, n_lo, c)
 
     monkeypatch.setattr(mr.sh, "shadow_many", counting_shadow_many)
     rects, dropped = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
@@ -119,9 +119,9 @@ def test_cover_draws_as_every_pair_would(doubling, cfg, fixture, monkeypatch):
         starts.append(args[2])
         return walk(*args)
 
-    def recording_shadow_many(m, charts, batch, n_lo, c):
+    def recording_shadow_many(m, table, batch, n_lo, c):
         walks.append(batch.tolist())
-        return shadow_many(m, charts, batch, n_lo, c)
+        return shadow_many(m, table, batch, n_lo, c)
 
     monkeypatch.setattr(mr.sh, "shadow_many", recording_shadow_many)
     monkeypatch.setattr(mr, "_walk", counting_walk)
@@ -211,14 +211,14 @@ def test_cover_containment(cover):
 def test_fibres_stable_same_x0(cover):
     rects, _ = cover
     z = rects[0]
-    fd = mr.fibres(z, 0)
+    fd = fibres(z, 0)
     assert fd.in_stable(z.points[0].point)
 
 
 def test_fibres_unstable_membership(cover):
     rects, _ = cover
     z = rects[0]
-    fd = mr.fibres(z, 0)
+    fd = fibres(z, 0)
     assert fd.in_unstable(z.points[0].point)
 
 
@@ -226,8 +226,43 @@ def test_fibres_disjoint_across_orbits(cover):
     rects, _ = cover
     a, b = rects[0], rects[-1]
     if a.points[0].point.x0 != b.points[0].point.x0:
-        fa = mr.fibres(a, 0)
+        fa = fibres(a, 0)
         assert not fa.in_stable(b.points[0].point)
+
+
+@pytest.mark.parametrize("which", ["cover", "twin"])
+def test_fibre_columns_match_the_descriptors(which, cover, twin_cover):
+    """The fibre columns of ``point_classes`` decide each stable and unstable
+    membership of every pair of points, and the unstable membership of the
+    backward shift of the second, as the scalar descriptors do."""
+    rects = cover[0] if which == "cover" else twin_cover[1]
+    fib = mr.point_classes(rects).fibres
+    refs = [(i, pi) for i, z in enumerate(rects) for pi in range(len(z.points))]
+    a, b = np.divmod(np.arange(len(refs) ** 2), len(refs))
+    rect = np.array([i for i, _ in refs])[a]
+    stable = fib.x0[b] == fib.x0[a]
+    unstable = (fib.word[b] == fib.word[a]) & mr._in_chart(fib, rect, fib.x0[b])
+    back = (fib.word_tail[b] == fib.word_head[a]) & mr._in_chart(fib, rect, fib.x_back[b])
+    for k, (ia, ib) in enumerate(zip(a.tolist(), b.tolist())):
+        fd = fibres(rects[refs[ia][0]], refs[ia][1])
+        q = _member_window(rects, refs[ib])
+        assert (stable[k], unstable[k], back[k]) == (
+            fd.in_stable(q), fd.in_unstable(q), fd.in_unstable(q.shift(-1)))
+    assert stable.sum() >= len(refs) and back.any()
+
+
+def test_in_chart_is_the_threshold_test():
+    # e^{log 100p} underflows at the first two sizes and overflows at the last
+    log_size = [-800.0, -745.5, -20.0, 710.0]
+    xs = [0.0, -0.0, 5e-324, 1e-320, math.exp(-745.5), 1e-300, math.exp(-20.0), 1.0,
+          math.inf, math.nan]
+    fib = mr.Fibres(*[None] * 7, theta0=np.full(4, 0.25), u=np.full(4, 3.0),
+                    size=np.array([math.exp(t) if t < 700.0 else math.inf for t in log_size]),
+                    log_size=np.array(log_size))
+    r, x = (g.ravel() for g in np.meshgrid(np.arange(4), 0.25 + np.array(xs) / 3.0))
+    want = [cg.lt_log_threshold(abs(xv - 0.25) * 3.0, log_size[rv], strict=False)
+            for rv, xv in zip(r.tolist(), x.tolist())]
+    assert mr._in_chart(fib, r, x).tolist() == want
 
 
 def _refined(rects):
@@ -280,6 +315,39 @@ def test_refine_overlapping_rectangles_against_oracle(twin_cover):
     over = mr.audits(tg).rects_over_cell
     for c in cells:
         assert over[c.cell_id] == (2 if c.rect < 3 or c.rect >= len(rects) else 1)
+
+
+def _other_word(res):
+    """A shadow result with res's coordinates and another oldest branch."""
+    w = res.point
+    bids = w.branch_ids.copy()
+    bids[0] = 1 - bids[0]
+    return replace(res, point=replace(w, branch_ids=bids))
+
+
+@pytest.mark.parametrize("which", ["cover", "twin", "other-word"])
+def test_refine_signatures_match_the_descriptors(which, cover, twin_cover):
+    # each cell's signature is its members' classification by the scalar
+    # descriptors; on "other-word" a point and a copy with another backward
+    # word share their s-fibres but not their u-fibres
+    rects = cover[0] if which == "cover" else twin_cover[1]
+    if which == "other-word":
+        z = rects[0]
+        rects = rects + [replace(z, points=[_other_word(p) for p in z.points])]
+    pc = mr.point_classes(rects)
+    cells = mr.refine(rects, pc)
+    types = set()
+    for c in cells:
+        for i, pi in c.members:
+            fd = fibres(rects[i], pi)
+            want = tuple(((i, j), ("s" if any(fd.in_stable(q.point) for q in rects[j].points)
+                                   else "0") +
+                          ("u" if any(fd.in_unstable(q.point) for q in rects[j].points)
+                           else "0"))
+                         for j in pc.met[i])
+            assert c.signature == want
+            types.update(t for _, t in want)
+    assert types == ({"su", "s0"} if which == "other-word" else {"su"})
 
 
 def test_hat_graph_cycles(doubling, cfg, cover):

@@ -3,8 +3,9 @@
 ``shadow_many`` shadows every gpo of a batch at once.  Each gpo must get
 the IEEE operations of ``oracles.shadow_reference`` in the same order, so
 every field of every result and every EdgeBroken message is compared bit
-for bit: on every gpo the pipeline shadows, and on drawn batches over
-charts whose step maps are set by hand.
+for bit: on every gpo the pipeline shadows, with the reference's steps from
+``oracles.step_map_oracle``, and on drawn batches over charts whose step
+maps are set by hand in both.
 """
 
 import math
@@ -20,9 +21,9 @@ import symdyn
 from symdyn import cli
 from symdyn import shadowing as sh
 from symdyn.config import RunConfig, parse_config
-from symdyn.shadowing import StepMap
+from symdyn.pesin import vertex_table
 
-from construction import shadow
+from construction import StepMap, shadow
 from oracles import shadow_reference
 
 
@@ -56,12 +57,15 @@ def assert_same(got, want):
 
 def reference_batch(m, charts, walks, n_lo, cfg):
     """The one-gpo loop over the rows: a result or an EdgeBroken per row, or
-    the message of the ValueError it stops at."""
+    the message of the ValueError it stops at.  Over ``fake_charts`` its
+    steps are the hand-set ones."""
+    hand = hasattr(charts[0], "hand_steps")
     out = []
     for row in np.asarray(walks).tolist():
         g = sh.Gpo(charts=tuple(charts[i] for i in row), n_lo=n_lo)
         try:
-            out.append(shadow_reference(m, g, cfg))
+            out.append(shadow_reference(m, g, cfg, step=hand_step) if hand else
+                       shadow_reference(m, g, cfg))
         except sh.EdgeBroken as e:
             out.append(e)
         except ValueError as e:
@@ -69,14 +73,18 @@ def reference_batch(m, charts, walks, n_lo, cfg):
     return out
 
 
+def table_of(charts):
+    return vertex_table(charts, range(len(charts)))
+
+
 def check_batch(m, charts, walks, n_lo, cfg):
     want = reference_batch(m, charts, walks, n_lo, cfg)
     if isinstance(want, str):
         with pytest.raises(ValueError) as exc:
-            sh.shadow_many(m, charts, walks, n_lo, cfg)
+            sh.shadow_many(m, table_of(charts), walks, n_lo, cfg)
         assert str(exc.value) == want
         return None
-    got = sh.shadow_many(m, charts, walks, n_lo, cfg)
+    got = sh.shadow_many(m, table_of(charts), walks, n_lo, cfg)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert_same(a, b)
@@ -99,12 +107,12 @@ def test_pipeline_gpos_match_the_one_gpo_loop(name, tmp_path, monkeypatch):
     batches = []
     shadow_many = sh.shadow_many
 
-    def recording(m, charts, walks, n_lo, cfg):
+    def recording(m, table, walks, n_lo, cfg):
         caller = sys._getframe(1).f_code.co_name
         if caller == "_encode_and_shadow":
             caller = sys._getframe(2).f_code.co_name
-        res = shadow_many(m, charts, walks, n_lo, cfg)
-        batches.append((caller, m, charts, np.array(walks), n_lo, cfg, res))
+        res = shadow_many(m, table, walks, n_lo, cfg)
+        batches.append((caller, m, table.charts, np.array(walks), n_lo, cfg, res))
         return res
 
     monkeypatch.setattr(sh, "shadow_many", recording)
@@ -133,31 +141,42 @@ LOG_P_EXP_ULP = -78.24800379004887
 def fake_charts(specs, steps):
     """Charts centred on doubling's fixed point 0 (a one-branch orbit) with
     spec (theta0, u, log p) and the step map (a, b) of the edge to <- from
-    set to ``steps[(from, to)]``, which ``step_map`` returns (see
-    ``hand_set_step_maps``)."""
-    center = SimpleNamespace(branch=lambda shift: 0)
-    params = SimpleNamespace(epsilon=EPS)
-    charts = [SimpleNamespace(theta0=theta0, u=u, log_p=log_p, idx_p=i, params=params,
-                              center=center, shift=0, hand_steps={})
+    set to ``steps[(from, to)]``, which ``step_maps`` returns (see
+    ``hand_set_step_maps``) and ``hand_step`` gives the reference."""
+    def center(theta0):  # x_{-1} and x_0, both in branch 0
+        return SimpleNamespace(points=np.array([theta0, theta0]), off=1,
+                               branch_ids=np.zeros(2, dtype=np.int64), branch=lambda shift: 0)
+
+    charts = [SimpleNamespace(theta0=theta0, u=u, log_p=log_p, idx_p=i, center=center(theta0),
+                              params=SimpleNamespace(epsilon=EPS, u=u, logQ=0.0), shift=0,
+                              hand_steps={})
               for i, (theta0, u, log_p) in enumerate(specs)]
     for (f, t), (a, b) in steps.items():
         charts[f].hand_steps[t] = StepMap(a=a, b=b)
     return charts
 
 
+def hand_step(m, v_to, v_from, cfg):
+    """The hand-set map of an edge between ``fake_charts`` charts, keyed by
+    the target's index, its idx_p."""
+    return v_from.hand_steps[v_to.idx_p]
+
+
 @pytest.fixture(autouse=True, scope="module")
 def hand_set_step_maps():
-    """``shadowing.step_map`` returns the hand-set map of an edge out of a
-    ``fake_charts`` chart (keyed by the target's index, its idx_p) and
-    computes every other, for ``shadow_many`` and the reference alike."""
-    step_map = sh.step_map
+    """``shadowing.step_maps`` returns the hand-set maps of the edges of a
+    table of ``fake_charts`` and computes those of every other table."""
+    step_maps = sh.step_maps
 
-    def hand_set(m, v_to, v_from, cfg):
-        hand = getattr(v_from, "hand_steps", None)
-        return step_map(m, v_to, v_from, cfg) if hand is None else hand[v_to.idx_p]
+    def hand_set(m, table, to, frm, cfg):
+        if not hasattr(table.charts[0], "hand_steps"):
+            return step_maps(m, table, to, frm, cfg)
+        steps = [hand_step(m, table.charts[t], table.charts[f], cfg)
+                 for t, f in zip(to.tolist(), frm.tolist())]
+        return np.array([s.a for s in steps]), np.array([s.b for s in steps])
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sh, "step_map", hand_set)
+        mp.setattr(sh, "step_maps", hand_set)
         yield
 
 
@@ -208,7 +227,8 @@ def test_good_gpos_do_not_change_in_a_mixed_batch(block, monkeypatch):
     monkeypatch.setattr(sh, "SHADOW_BLOCK", block)
     charts = _universe()
     good = np.array([[0, 0, 0, 0], [3, 3, 3, 3], [0, 0, 3, 0]])
-    alone = [sh.shadow_many(DOUBLING, charts, good[i:i + 1], -1, CFG)[0] for i in range(3)]
+    alone = [sh.shadow_many(DOUBLING, table_of(charts), good[i:i + 1], -1, CFG)[0]
+             for i in range(3)]
     mixed = np.array([[1, 0, 0, 0],      # NaN step into index -1: tau_{-1} is NaN
                       [0, 0, 0, 0],
                       [0, 1, 0, 0],      # NaN step into index 0: forward break
@@ -247,21 +267,22 @@ def test_window_tolerance_error_comes_from_the_first_unbroken_gpo(block, monkeyp
     assert want.startswith("points violate the window tolerance")
     assert reference_batch(DOUBLING, charts, walks[3:], 0, CFG) != want
     with pytest.raises(ValueError) as exc:
-        sh.shadow_many(DOUBLING, charts, walks, 0, CFG)
+        sh.shadow_many(DOUBLING, table_of(charts), walks, 0, CFG)
     assert str(exc.value) == want
 
 
 def test_shadow_many_edge_cases():
     charts = _universe()
-    assert sh.shadow_many(DOUBLING, charts, np.zeros((0, 1), dtype=np.int64), 0, CFG) == []
+    table = table_of(charts)
+    assert sh.shadow_many(DOUBLING, table, np.zeros((0, 1), dtype=np.int64), 0, CFG) == []
     with pytest.raises(ValueError, match="forward length"):
-        sh.shadow_many(DOUBLING, charts, np.zeros((1, 2), dtype=np.int64), -1, CFG)
+        sh.shadow_many(DOUBLING, table, np.zeros((1, 2), dtype=np.int64), -1, CFG)
     with pytest.raises(ValueError, match="index 0"):
-        sh.shadow_many(DOUBLING, charts, np.zeros((1, 2), dtype=np.int64), 1, CFG)
+        sh.shadow_many(DOUBLING, table, np.zeros((1, 2), dtype=np.int64), 1, CFG)
     # shadow is the batch of one and keeps the gpo it was given
     g = sh.Gpo(charts=(charts[0],) * 4, n_lo=-2)
     res = shadow(DOUBLING, g, CFG)
     assert res.gpo is g
-    assert_same(res, shadow_reference(DOUBLING, g, CFG))
+    assert_same(res, shadow_reference(DOUBLING, g, CFG, step=hand_step))
     with pytest.raises(sh.EdgeBroken, match="backward reconstruction leaves chart -1"):
         shadow(DOUBLING, sh.Gpo(charts=(charts[2],) + (charts[0],) * 3, n_lo=-1), CFG)

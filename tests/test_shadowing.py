@@ -10,8 +10,8 @@ from symdyn import natural_extension as ne
 from symdyn import shadowing as sh
 from symdyn.config import RunConfig
 
-from construction import shadow, unstable_interval
-from oracles import bracket, bracket_windows, image_interval
+from construction import inv, shadow, step_map, unstable_interval
+from oracles import bracket, bracket_windows, image_interval, step_map_oracle
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -72,7 +72,7 @@ def test_shadow_fixed_point_tent(cfg):
 def test_shadow_contraction_ratios(doubling, cfg, gpo):
     # the nested-length ratio of each forward step is its step map's |a|
     for n in range(gpo.n_hi - 1, -1, -1):
-        r = abs(sh.step_map(doubling, gpo.chart(n), gpo.chart(n + 1), cfg).a)
+        r = abs(step_map(doubling, gpo.chart(n), gpo.chart(n + 1), cfg).a)
         assert r == pytest.approx(0.5, rel=1e-12)  # = e^{-chi} for doubling
         assert r <= math.exp(-cfg.chi / 2.0)
 
@@ -85,7 +85,7 @@ def test_shadow_error_bound(doubling, cfg, gpo):
 
 
 def test_unstable_interval_halving(doubling, cfg, gpo):
-    ui = unstable_interval(doubling, gpo, cfg)
+    ui = unstable_interval(doubling, gpo, cfg, step_map_oracle)
     taus = ui.reconstruct(0.8, depth=10)
     for k in range(0, -10, -1):
         assert taus[k - 1] == pytest.approx(taus[k] * 0.5, rel=1e-9)
@@ -93,14 +93,14 @@ def test_unstable_interval_halving(doubling, cfg, gpo):
 
 def test_unstable_interval_center_evaluation(doubling, cfg, gpo, cyc):
     # evaluation at tau = 0 follows the backward orbit of the chart centers
-    ui = unstable_interval(doubling, cfg=cfg, g=gpo)
+    ui = unstable_interval(doubling, cfg=cfg, g=gpo, step=step_map_oracle)
     taus = ui.reconstruct(0.0, depth=8)
     assert all(t == 0.0 for t in taus.values())
 
 
 def test_unstable_images_nested(doubling, cfg, gpo):
     # Lemma edge(1): G(R[p]) inside R[q]
-    ui = unstable_interval(doubling, gpo, cfg)
+    ui = unstable_interval(doubling, gpo, cfg, step_map_oracle)
     for n in range(-1, -8, -1):
         lo, hi = image_interval(ui, n)
         assert -1.0 <= lo < hi <= 1.0
@@ -108,7 +108,7 @@ def test_unstable_images_nested(doubling, cfg, gpo):
 
 def test_hyperbolicity_along_unstable(doubling, cfg, gpo):
     # chart-coordinate separation after k backward steps <= e^{-chi k/2} x initial
-    ui = unstable_interval(doubling, gpo, cfg)
+    ui = unstable_interval(doubling, gpo, cfg, step_map_oracle)
     a = ui.reconstruct(0.9, depth=12)
     b = ui.reconstruct(-0.7, depth=12)
     d0 = abs(a[0] - b[0])
@@ -213,7 +213,7 @@ def test_lemma_edge_unique_preimage_in_chart(doubling, cfg, gpo):
         x = w.theta0
         hits = []
         for b in doubling.branches:
-            y = b.inv(x)
+            y = inv(b, x)
             if not (b.lo <= y <= b.hi):
                 continue
             d = abs(y - v.theta0) * v.u
