@@ -140,7 +140,7 @@ def bench(reps=3):
 
     timeit(f"shadow per gpo, deep cover ({k} gpos, own step maps)", one_at_a_time)
 
-    nc = len(table.charts)
+    nc = len(al.vertices)
     edge = np.unique(walks[:, 1:] * nc + walks[:, :-1])
     timeit(f"step_maps, deep cover ({edge.size} edges, one array pass)",
            lambda: sh.step_maps(m, table, edge % nc, edge // nc, cfg))

@@ -103,39 +103,25 @@ class EntropyEstimate:
         ]
 
 
-# Power-iteration steps of spectral_radius.
-POWER_STEPS = 200
-
-
 def spectral_radius(g):
-    """Power-iteration estimate of the adjacency spectral radius.
-
-    The per-step norm growth oscillates on periodic graphs, so the
-    geometric mean over the second half of the iteration is returned.
-    """
+    """The spectral radius of the adjacency: the largest over its strongly
+    connected components, since a closed path never leaves one.  A component
+    that is one cycle has radius exactly 1, one without an edge 0, and any
+    other the largest modulus of the eigenvalues of its adjacency
+    (``np.linalg.eigvals``)."""
     adj = _adjacency(g)
-    keys = sorted(adj)
-    pos = {v: i for i, v in enumerate(keys)}
-    nv = len(keys)
-    if nv == 0:
-        return 0.0
-    # Edges in the order of a scalar walk (sorted u, then adjacency order):
-    # np.add.at adds in index order, so each entry of new is the same
-    # sequence of float additions as that walk's ``new[w] += vec[u]``.
-    edges = [(pos[u], pos[w]) for u in keys for w in adj.get(u, ()) if w in pos]
-    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    vec = np.ones(nv)
-    norms = []
-    for _ in range(POWER_STEPS):
-        new = np.zeros(nv)
-        np.add.at(new, dst, vec[src])
-        nrm = float(np.linalg.norm(new))
-        if nrm == 0.0:
-            return 0.0
-        norms.append(nrm)
-        vec = new / nrm
-    k = len(norms) // 2
-    return float(np.exp(np.mean(np.log(norms[k:]))))
+    rho = 0.0
+    for comp in _components(adj):
+        pos = {v: i for i, v in enumerate(comp)}
+        sub = [[pos[w] for w in adj.get(u, ()) if w in pos] for u in comp]
+        if all(len(ws) == 1 for ws in sub):  # one cycle through comp
+            rho = max(rho, 1.0)
+        elif any(sub):
+            a = np.zeros((len(comp), len(comp)))
+            for i, ws in enumerate(sub):
+                np.add.at(a[i], ws, 1.0)
+            rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(a)))))
+    return rho
 
 
 def gurevich_entropy(counts, rho):
@@ -180,25 +166,6 @@ def _lsq_slope(xs, ys):
 # periodic points of the map
 # ---------------------------------------------------------------------------
 
-# Branch words a run may enumerate over all its periods: gauss (16 branches)
-# passes it at max_period = 5.
-MAX_PERIODIC_WORDS = 2**20
-
-
-def check_word_budget(m, max_period):
-    """Raise ValueError when the periods 1..max_period need more than
-    MAX_PERIODIC_WORDS branch words in all, counting up to the first period
-    past it."""
-    nb, words = m.finite_table()[1].shape[0], 0
-    for n in range(1, max_period + 1):
-        words += nb**n
-        if words > MAX_PERIODIC_WORDS:
-            raise ValueError(f"periodic points of {m.name!r} at periods up to {max_period} need "
-                             f"{nb} + ... + {nb}^{max_period} branch words, over the budget of "
-                             f"{MAX_PERIODIC_WORDS} (MAX_PERIODIC_WORDS): periods up to {n} need "
-                             f"{nb} + ... + {nb}^{n} = {words}; lower max_period")
-
-
 # Windows a library may build: gauss at max_period = 4 (68,124 windows)
 # peaked at 631 MB RSS, so this is about 300 MB; two-branch maps pass it
 # up to max_period = 14.
@@ -237,10 +204,8 @@ def map_periodic_points(m, n):
     of f^n(x) - x or an exact root at an endpoint.  The half-open domains
     make each float root the root of one word.  Returns the roots,
     ascending, and their branch words (row i: the branches of roots[i],
-    f(roots[i]), ... in the map's branch ids).  Raises ValueError when the
-    periods up to n exceed MAX_PERIODIC_WORDS.
+    f(roots[i]), ... in the map's branch ids).
     """
-    check_word_budget(m, n)
     ids = np.array(m.family.ids, dtype=np.int64)
     # every word in lexicographic order: column k holds digit k of the index
     words = np.empty((ids.size**n, n), dtype=np.int64)

@@ -78,17 +78,16 @@ def _encode_and_shadow(m, al, tables, cfg, lo, hi):
     out, rows, walks = [], [], []
     for tabs in tables:
         try:
-            gpo, vids = coarse_grain.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi,
-                                                        tables=tabs)
+            vids, n_lo = coarse_grain.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi,
+                                                         tables=tabs)
         except coarse_grain.NoNetVertex as e:
             out.append(e)
             continue
         rows.append(len(out))
         out.append(None)
         walks.append(vids)
-        n_lo = gpo.n_lo
     if walks:
-        for i, res in zip(rows, shadowing.shadow_many(m, al.table, walks, n_lo, cfg)):
+        for i, res in zip(rows, shadowing.shadow_many(m, al.vertices, walks, n_lo, cfg)):
             out[i] = res
     return out
 
@@ -131,7 +130,7 @@ def stage_inverse(m, cfg, out, quiet):
                         key=lambda e: isinstance(e, shadowing.EdgeBroken))
         if not errors:
             try:
-                rep = shadowing.inverse_check(*pair, cfg)
+                rep = shadowing.inverse_check(*pair, al.vertices, cfg)
             except shadowing.NotDoubleCoding as e:
                 errors = [e]
         if errors:
@@ -155,7 +154,7 @@ def stage_inverse(m, cfg, out, quiet):
 
 def stage_refine(m, cfg, pg, out, quiet):
     cover, dropped = markov_refine.build_cover(m, pg, cfg)
-    pc = markov_refine.point_classes(cover)
+    pc = markov_refine.point_classes(pg.alphabet.vertices, cover)
     cells = markov_refine.refine(cover, pc)
     tg = markov_refine.hat_graph(cover, cells, pc)
     audit = markov_refine.audits(tg)
@@ -245,8 +244,7 @@ def run(command, cfg, out, quiet=False):
     if command == "verify-map":
         stage_verify(m, cfg, _ensure_out(out), quiet)
         return
-    analysis.check_word_budget(m, cfg.max_period)  # every other command enumerates periods
-    analysis.check_window_budget(m, cfg.max_period)  # and builds a library
+    analysis.check_window_budget(m, cfg.max_period)  # every other command builds a library
     if command == "inverse-audit":
         stage_inverse(m, cfg, out, quiet)
         return

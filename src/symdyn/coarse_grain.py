@@ -18,10 +18,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from . import pesin
 from .config import RunConfig
-from .pesin import Chart, vertex_table, window_tables
-from .shadowing import Gpo
+from .pesin import VertexTable, vertex_table, window_tables
 
 
 class NoNetVertex(LookupError):
@@ -87,7 +85,6 @@ class Center:
     shift: int
     sample: object             # the sample window that admitted it
     gamma: Gamma
-    params: pesin.PesinParams
     key: BinKey
     j_bins: set
     seen_q: set = field(default_factory=set)  # greedy q indices seen in samples
@@ -95,24 +92,11 @@ class Center:
 
 
 @dataclass
-class Vertex:
-    vid: int
-    cid: int
-    chart: Chart
-    gamma: Gamma
-
-    @property
-    def idx_p(self):
-        return self.chart.idx_p
-
-
-@dataclass
 class Alphabet:
     cfg: RunConfig
     centers: list
     bins: dict                 # exact net key (``_net_key``) -> [cid], in admission order
-    vertices: list             # Vertex
-    table: pesin.VertexTable   # the vertices' charts as columns, row vid
+    vertices: VertexTable      # the charts, row vid
     vertex_index: dict         # (cid, idx_p) -> vid
     e1_index: dict             # (theta_{-1}, 1/u_{-1}) -> [cid]: the exact (E1) successors
     skipped: int               # samples rejected by the certificate
@@ -194,8 +178,8 @@ def build_alphabet(m, samples, cfg):
     are the (E2.3) closure of each center's cap and sampled greedy sizes
     inside its CG2 windows; charts are numbered by center, sizes ascending.
     The tables of each group's base window (least offset) are kept on the
-    alphabet, in sample order, for encoding those windows, with their bins,
-    and the charts as a vertex table (``pesin.vertex_table``).
+    alphabet, in sample order, for encoding those windows, with their bins;
+    the charts are the rows of a vertex table (``pesin.vertex_table``).
     ValueError if the net or (E1) threshold does not underflow on the
     alphabet (``_check_exact_regime``).
     """
@@ -226,7 +210,7 @@ def build_alphabet(m, samples, cfg):
         hit = find_center(centers, bins, gamma, key)
         if hit is None:
             hit = Center(cid=len(centers), window=tabs.w, shift=k, sample=w, gamma=gamma,
-                         params=tabs.params_at(k), key=key, j_bins=set())
+                         key=key, j_bins=set())
             centers.append(hit)
             bins.setdefault(_net_key(gamma, key), []).append(hit.cid)
         hit.j_bins.add(key.j)
@@ -259,20 +243,17 @@ def build_alphabet(m, samples, cfg):
     if centers:
         _check_exact_regime(cfg, min(min(c.j_bins) for c in centers), min(map(min, sizes)))
 
-    vertices = []
+    cids, ips = [], []
     vertex_index = {}
     for c in centers:
         c.sizes = sorted(sizes[c.cid])
         for ip in c.sizes:
-            chart = Chart(center=c.window, shift=c.shift, params=c.params, idx_p=ip)
-            v = Vertex(vid=len(vertices), cid=c.cid, chart=chart, gamma=c.gamma)
-            vertices.append(v)
-            vertex_index[(c.cid, ip)] = v.vid
-
-    table = vertex_table([v.chart for v in vertices], [v.cid for v in vertices])
-    return Alphabet(cfg=cfg, centers=centers, bins=bins, vertices=vertices, table=table,
-                    vertex_index=vertex_index, e1_index=e1_index, skipped=skipped,
-                    tables=tables)
+            vertex_index[(c.cid, ip)] = len(ips)
+            cids.append(c.cid)
+            ips.append(ip)
+    return Alphabet(cfg=cfg, centers=centers, bins=bins,
+                    vertices=vertex_table(centers, cids, ips, cfg), vertex_index=vertex_index,
+                    e1_index=e1_index, skipped=skipped, tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +273,6 @@ class GpoGraph:
     out_edges: list            # vid -> sorted list of successor vids
     in_edges: list
 
-    @property
-    def vertices(self):
-        return self.alphabet.vertices
-
     def n_vertices(self):
         return len(self.alphabet.vertices)
 
@@ -314,21 +291,19 @@ def build_graph(alphabet):
     A chart v of size q can be followed only by the charts ``_successors``
     names, which pass (E1) and (E2.3); an edge needs (E2.1) and (E2.2) too.
     """
-    cfg = alphabet.cfg
-    nv = len(alphabet.vertices)
-    out_edges = [[] for _ in range(nv)]
-    in_edges = [[] for _ in range(nv)]
-    for v in alphabet.vertices:
-        for cid, ip in _successors(alphabet.centers, alphabet.e1_index, cfg.delta_index,
-                                   v.gamma, v.idx_p):
-            wid = alphabet.vertex_index.get((cid, ip))
+    cfg, centers, table = alphabet.cfg, alphabet.centers, alphabet.vertices
+    out_edges = [[] for _ in range(len(table))]
+    in_edges = [[] for _ in range(len(table))]
+    for vid, (cid, iq) in enumerate(zip(table.cid.tolist(), table.idx_p.tolist())):
+        v = centers[cid].gamma
+        for wcid, ip in _successors(centers, alphabet.e1_index, cfg.delta_index, v, iq):
+            wid = alphabet.vertex_index.get((wcid, ip))
             if wid is None:
                 continue
-            w = alphabet.vertices[wid]
-            if _edge_clauses(cfg, w.gamma.theta[1], w.gamma.u[1], v.gamma.theta[2],
-                             v.gamma.u[2], v.idx_p):
-                out_edges[v.vid].append(wid)
-                in_edges[wid].append(v.vid)
+            w = centers[wcid].gamma
+            if _edge_clauses(cfg, w.theta[1], w.u[1], v.theta[2], v.u[2], iq):
+                out_edges[vid].append(wid)
+                in_edges[wid].append(vid)
     for lst in out_edges:
         lst.sort()
     for lst in in_edges:
@@ -378,7 +353,8 @@ def prune_relevant(g):
 # ---------------------------------------------------------------------------
 
 def sufficiency_encode(m, w, alphabet, cfg, lo=None, hi=None, tables=None):
-    """Encode a certified window as a chart chain over the alphabet.
+    """Encode a certified window as a chart chain over the alphabet: the
+    vertex ids of its indices n_lo, n_lo + 1, ..., and n_lo.
 
     For each index the net representative of the shifted data is selected
     and the chart size follows the window-truncated greedy rule; which
@@ -393,7 +369,6 @@ def sufficiency_encode(m, w, alphabet, cfg, lo=None, hi=None, tables=None):
     lo = tabs.lo if lo is None else max(lo, tabs.lo)
     hi = tabs.hi if hi is None else min(hi, tabs.hi)
 
-    charts = []
     vids = []
     found = {}  # id of a bins entry -> its center; a phase's indices share one entry
     for n in range(lo, hi + 1):
@@ -408,6 +383,5 @@ def sufficiency_encode(m, w, alphabet, cfg, lo=None, hi=None, tables=None):
         if vid is None:
             raise NoNetVertex(
                 f"size index {ip} missing for center {center.cid} at index {n}")
-        charts.append(alphabet.vertices[vid].chart)
         vids.append(vid)
-    return Gpo(charts=tuple(charts), n_lo=lo), vids
+    return vids, lo

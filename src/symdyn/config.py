@@ -11,7 +11,7 @@ allowed.  Keys (all optional, defaults below):
     n_min           smallest block length tested by expansion certificates (>= 1)
     seed            RNG seed, >= 0 (all sampling is deterministic given the seed)
     samples         regularity sample count (>= 1)
-    max_period      periodic-orbit library: largest period enumerated (>= 1)
+    max_period      periodic-orbit library: largest period enumerated (1 to MAX_PERIOD)
     paths_per_vertex  sampled strong paths per vertex in the Markov cover (>= 1)
     cover_window    half-length of the sampled paths (>= 2)
     encode_lo/encode_hi  encoding range within windows (encode_lo <= 0 < encode_hi)
@@ -23,6 +23,12 @@ horizon can be viewed one cycle back.
 
 import math
 from dataclasses import dataclass, fields, replace
+
+# The largest max_period a run may ask for.  The window budget
+# (analysis.MAX_LIBRARY_WINDOWS) refuses every map of two or more branches
+# above period 14, so this binds only a one-branch map, whose root finding
+# grows about quadratically in max_period.
+MAX_PERIOD = 64
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,8 @@ class RunConfig:
                      "paths_per_vertex", "encode_hi"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.max_period > MAX_PERIOD:
+            raise ValueError(f"max_period must be <= MAX_PERIOD = {MAX_PERIOD}")
         if self.cover_window < 2:  # a rectangle's points need F >= 2 to be told apart
             raise ValueError("cover_window must be >= 2")
         if self.encode_lo > 0:

@@ -26,13 +26,13 @@ def write_alphabet(path, alphabet):
     """One ``V`` record per vertex, from the columns of its vertex table;
     a chart's back word is the ``back=`` field of the record of the sample
     that admitted its center."""
-    t = alphabet.table
+    t = alphabet.vertices
     backs = [c.sample.back_field() for c in alphabet.centers]
     rows = zip(t.cid.tolist(), t.theta0.tolist(), t.u.tolist(), t.logQ.tolist(),
                t.log_p.tolist(), t.idx_p.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header("alphabet"))
-        fh.write(f"# centers={len(alphabet.centers)} charts={len(t.charts)}\n")
+        fh.write(f"# centers={len(alphabet.centers)} charts={len(t)}\n")
         fh.writelines(f"V{v} c{c} x0={x!r} u={u!r} logQ={q!r} log_p={lp!r} idx_p={ip} "
                       f"{backs[c]}\n" for v, (c, x, u, q, lp, ip) in enumerate(rows))
 
@@ -40,7 +40,7 @@ def write_alphabet(path, alphabet):
 def write_graph(path, g):
     """Line-oriented graph export: a ``V`` record for every vertex with a
     strong edge, then one ``E v w S`` record per strong edge v -> w."""
-    t = g.alphabet.table
+    t = g.alphabet.vertices
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header("graph"))
         for v, (x, u, ip) in enumerate(zip(t.theta0.tolist(), t.u.tolist(), t.idx_p.tolist())):

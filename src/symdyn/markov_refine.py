@@ -7,13 +7,13 @@ the common range) as the equality proxy.  Which sampled points of a cover
 are the same point, and which point the shift of each lands on, is
 decided once per cover (``point_classes``): the key is exact, the
 coordinate bytes; ``refine``, ``hat_graph`` and ``audits`` share the final
-cover's table, with the fibre data of its points as columns
-(``Fibres``).  The refinement classifies each sampled point by its full
-stable/unstable intersection signature against every met rectangle, in
-array comparisons; cells are the classes of equal signatures.
+cover's table, with the fibre data of its points and of its rectangles'
+charts (rows of the alphabet's vertex table) as columns (``Fibres``).
+The refinement classifies each sampled point by its full stable/unstable
+intersection signature against every met rectangle, in array
+comparisons; cells are the classes of equal signatures.
 """
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -30,8 +30,7 @@ LOG100 = math.log(100.0)
 class Rectangle:
     """Sampled Z(v): shadow results of strong paths through v."""
 
-    vid: int
-    chart: object          # the vertex chart v
+    vid: int               # the vertex v, a row of the alphabet's vertex table
     points: list           # ShadowResult
 
 
@@ -55,7 +54,7 @@ class Fibres:
     word: np.ndarray
     word_tail: np.ndarray
     word_head: np.ndarray
-    theta0: np.ndarray      # per rectangle: its chart's theta0 and u, and
+    theta0: np.ndarray      # per rectangle: its vertex's theta0 and u, and
     u: np.ndarray           # e^{log 100p} from math.exp, with its log
     size: np.ndarray
     log_size: np.ndarray
@@ -114,33 +113,37 @@ class PointClasses:
     shift: dict    # the head class of the point's shift by one
     rects: dict    # class -> the rectangles holding a point of it
     met: dict      # rectangle i -> sorted j with Z_i and Z_j sharing a point
-    cover: list = field(repr=False)         # the cover classified
-    coords: np.ndarray = field(repr=False)  # x_{-1}, x_0, x_1 of its points (None: no points)
-
-    @functools.cached_property
-    def fibres(self):
-        """The Fibres of the cover's points, built on first use; None
-        without points."""
-        if self.coords is None:
-            return None
-        windows = [p.point for z in self.cover for p in z.points]
-        k, n = len(windows), windows[0].back_len
-        bids = np.array([w.branch_ids for w in windows])
-        every = np.ones(2 * k, dtype=bool)
-        ends = _number(np.concatenate([bids[:, :n - 1], bids[:, 1:n]]), every)
-        charts = [z.chart for z in self.cover]
-        log_size = [LOG100 + c.log_p for c in charts]
-        x_back, x0, x1 = self.coords.T
-        return Fibres(start=np.cumsum([0] + [len(z.points) for z in self.cover]),
-                      x0=x0, x1=x1, x_back=x_back,
-                      word=_number(bids[:, :n], every[:k]), word_tail=ends[:k], word_head=ends[k:],
-                      theta0=np.array([c.theta0 for c in charts]),
-                      u=np.array([c.u for c in charts]),
-                      size=np.array([math.exp(t) if t < 700.0 else math.inf for t in log_size]),
-                      log_size=np.array(log_size))
+    fibres: Fibres = field(repr=False)  # None without points
 
 
-def point_classes(cover):
+def _fibres(table, cover, coords):
+    """The Fibres of the cover's points, whose x_{-1}, x_0 and x_1 are the
+    rows of ``coords``, and of its rectangles' rows of the VertexTable
+    ``table``."""
+    windows = [p.point for z in cover for p in z.points]
+    k, n = len(windows), windows[0].back_len
+    bids = np.array([w.branch_ids for w in windows])
+    every = np.ones(2 * k, dtype=bool)
+    ends = _number(np.concatenate([bids[:, :n - 1], bids[:, 1:n]]), every)
+    vids = np.array([z.vid for z in cover], dtype=np.int64)
+    log_size = LOG100 + table.log_p[vids]
+    x_back, x0, x1 = coords.T
+    return Fibres(start=np.cumsum([0] + [len(z.points) for z in cover]),
+                  x0=x0, x1=x1, x_back=x_back,
+                  word=_number(bids[:, :n], every[:k]), word_tail=ends[:k], word_head=ends[k:],
+                  theta0=table.theta0[vids], u=table.u[vids],
+                  size=np.array([math.exp(t) if t < 700.0 else math.inf
+                                 for t in log_size.tolist()]),
+                  log_size=log_size)
+
+
+def _coordinates(points):
+    """The coordinates of the windows of the shadow results ``points``, one
+    row each, with -0.0 read as 0.0."""
+    return np.array([p.point.points for p in points]) + 0.0
+
+
+def point_classes(table, cover):
     """Decide once which sampled points of a cover are the same point.
 
     Points a and b share a class exactly when their windows agree (== on
@@ -151,18 +154,19 @@ def point_classes(cover):
     it the same way; each numbering is one sort of the rows (``_number``).
     That needs every point to span one range [-N, F] with N, F >= 2, as
     every ``build_cover`` point does (F = 1 gives an empty cover); ValueError
-    otherwise.  ``fibres`` holds the points' fibre data as columns.
+    otherwise.  ``fibres`` holds the fibre data of the points and of the
+    rectangles' rows of the VertexTable ``table`` as columns.
     """
     refs = [(i, pi) for i, z in enumerate(cover) for pi in range(len(z.points))]
     if not refs:
         return PointClasses(cls={}, head={}, shift={}, rects={},
-                            met={i: [] for i in range(len(cover))}, cover=cover, coords=None)
+                            met={i: [] for i in range(len(cover))}, fibres=None)
     spans = {(p.point.back_len, p.point.fwd_len) for z in cover for p in z.points}
     if len(spans) > 1 or min(min(s) for s in spans) < 2:
         raise ValueError(f"sampled points must share one span [-N, F], N, F >= 2: "
                          f"{sorted(spans)}")
     (n, _), = spans
-    pts = np.array([p.point.points for z in cover for p in z.points]) + 0.0  # -0.0 -> 0.0
+    pts = _coordinates([p for z in cover for p in z.points])
     ok = ~np.isnan(pts)
 
     cls = _number(pts, ok.all(axis=1)).tolist()
@@ -183,8 +187,8 @@ def point_classes(cover):
         met[i].update(rects.get(c, ()))
     return PointClasses(cls=dict(zip(refs, cls)), head=dict(zip(refs, head)),
                         shift=dict(zip(refs, shift)), rects=rects,
-                        met={i: sorted(js) for i, js in met.items()}, cover=cover,
-                        coords=pts[:, n - 1:n + 2].copy())
+                        met={i: sorted(js) for i, js in met.items()},
+                        fibres=_fibres(table, cover, pts[:, n - 1:n + 2].copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +228,8 @@ def build_cover(m, g, cfg):
     nothing: every later pair would be the same walk.  Every walk is drawn
     first and all are shadowed in one ``shadow_many`` batch; shadowing
     draws nothing, so the draws are those of walking and shadowing vertex
-    by vertex.
+    by vertex.  A rectangle keeps one copy of each point: its points are
+    numbered once, as ``point_classes`` numbers its classes.
     """
     window = cfg.cover_window
     rng = np.random.default_rng(cfg.seed)
@@ -247,20 +252,19 @@ def build_cover(m, g, cfg):
             if not (drew_back or drew_fwd):
                 break
         core.append((v, count))
-    table = g.alphabet.table
     walks = np.array(walks, dtype=np.int64).reshape(len(walks), 2 * window + 1)
-    shadowed = iter(sh.shadow_many(m, table, walks, -window, cfg))
-    raw = [Rectangle(vid=v, chart=table.charts[v],
-                     points=[res for res in itertools.islice(shadowed, count)
-                             if not isinstance(res, sh.EdgeBroken)])
+    shadowed = iter(sh.shadow_many(m, g.alphabet.vertices, walks, -window, cfg))
+    raw = [Rectangle(vid=v, points=[res for res in itertools.islice(shadowed, count)
+                                    if not isinstance(res, sh.EdgeBroken)])
            for v, count in core]
-    cls = iter(point_classes(raw).cls.values())
+    pts = _coordinates([p for z in raw for p in z.points]).reshape(-1, 2 * window + 1)
+    cls = iter(_number(pts, ~np.isnan(pts).any(axis=1)).tolist())
     rects = []
     for z in raw:
-        seen = set()    # a rectangle keeps one copy of each point
+        seen = set()
         points = []
         for res, c in zip(z.points, cls):
-            if c is None or c not in seen:
+            if c < 0 or c not in seen:
                 seen.add(c)
                 points.append(res)
         if points:

@@ -2,8 +2,8 @@
 
 The expansion certificate, the hyperbolicity parameter u, the chart scale
 ladder (Q-tilde, Q, the grid I_eps = {e^{-eps*n/3}}, delta_eps, the greedy
-q) tabulated along a window, the affine charts Psi(t) = t/u + x0, and the
-vertex table that holds a list of charts as columns.  The chart maps
+q) tabulated along a window, and the vertex table: the affine charts
+Psi(t) = t/u + x0 on [-p, p] of an alphabet, as columns.  The chart maps
 between charts are ``shadowing.step_maps``.
 
 Scales routinely sit far below double precision (log Q is typically a few
@@ -119,18 +119,6 @@ def _u_phase_table(w, chi):
 # chart sizes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PesinParams:
-    epsilon: float
-    u: float
-    u_prev: float
-    idxQ: int
-
-    @property
-    def logQ(self):
-        return -(self.epsilon / 3.0) * self.idxQ
-
-
 def compute_Q(u, u_prev, rho, epsilon, a, beta):
     """(logQtilde, idxQ): the raw chart scale and its I_eps grid rounding.
 
@@ -205,10 +193,6 @@ class WindowTables:
     certified: bool
     bins: object = None
 
-    def params_at(self, k):
-        return PesinParams(epsilon=self.cfg.epsilon, u=self.u[k], u_prev=self.u[k - 1],
-                           idxQ=self.idxQ[k])
-
     def j_bin(self, k):
         """q-size bin: j with q in [e^{-j-1}, e^{-j+1}); canonical floor(-ln q)."""
         return int(math.floor((self.cfg.epsilon / 3.0) * self.idx_q[k]))
@@ -274,45 +258,18 @@ def window_tables(m, w, cfg, lo=None, hi=None):
 
 
 # ---------------------------------------------------------------------------
-# charts
+# the vertex table
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Chart:
-    """An affine chart Psi(t) = t/u + x0 restricted to [-p, p], p on I_eps."""
-
-    center: OrbitWindow
-    shift: int           # chart lives at the shift-th coordinate of center
-    params: PesinParams
-    idx_p: int
-
-    def __post_init__(self):
-        if self.idx_p < self.params.idxQ:
-            raise ValueError("chart size exceeds Q")
-
-    @property
-    def u(self):
-        return self.params.u
-
-    @property
-    def theta0(self):
-        return self.center.x(self.shift)
-
-    @property
-    def log_p(self):
-        return -(self.params.epsilon / 3.0) * self.idx_p
-
-
-@dataclass(frozen=True)
 class VertexTable:
-    """Charts as columns: row v holds the chart ``charts[v]`` (an object
-    array), its theta0, u, log p, log Q and idx_p (each the chart's own
-    value), p = e^{log p} from math.exp (0 where log p is not above -745),
-    its center id ``cid`` and the branches of its center point's
-    predecessor (``back_branch``, the inverse branch of a step map out of
-    the chart) and of the center point itself."""
+    """The charts of an alphabet as columns.  Row v is the affine chart
+    Psi(t) = t/u + theta0 on [-p, p] at size index ``idx_p[v]`` of center
+    ``cid[v]``: its theta0, u, log p, log Q and idx_p, p = e^{log p} from
+    math.exp (0 where log p is not above -745), and the branches of its
+    center point's predecessor (``back_branch``, the inverse branch of a
+    step map out of the chart) and of the center point itself."""
 
-    charts: np.ndarray
     theta0: np.ndarray
     u: np.ndarray
     log_p: np.ndarray
@@ -323,18 +280,26 @@ class VertexTable:
     back_branch: np.ndarray
     branch: np.ndarray
 
+    def __len__(self):
+        return len(self.cid)
 
-def vertex_table(charts, cids):
-    """The VertexTable of ``charts``, chart v of center ``cids[v]``: theta0
-    and the branches read from each center window's arrays at its shift."""
+
+def vertex_table(centers, cid, idx_p, cfg):
+    """The VertexTable of the charts of size index ``idx_p[v]`` of the
+    centers ``centers[cid[v]]`` (``coarse_grain.Center``): theta0 and the
+    branches from each center window's arrays at its shift, u and Q from its
+    net data.  ValueError where a size exceeds its Q (idx_p < idxQ)."""
+    cid = np.asarray(cid, dtype=np.int64)
+    idx_p = np.asarray(idx_p, dtype=np.int64)
     floats, ints = [], []
-    for c, cid in zip(charts, cids):
-        w, i = c.center, c.center.off + c.shift
-        floats.append((w.points[i], c.params.u, c.log_p, c.params.logQ))
-        ints.append((c.idx_p, cid, w.branch_ids[i - 1], w.branch_ids[i]))
-    floats = np.array(floats, dtype=np.float64).reshape(-1, 4).T.copy()
-    ints = np.array(ints, dtype=np.int64).reshape(-1, 4).T.copy()
-    objects = np.empty(len(floats[0]), dtype=object)
-    objects[:] = charts
-    p = np.array([math.exp(lp) if lp > -745 else 0.0 for lp in floats[2].tolist()])
-    return VertexTable(objects, *floats, p, *ints)
+    for c in centers:
+        w, i = c.window, c.window.off + c.shift
+        floats.append((w.points[i], c.gamma.u[1]))
+        ints.append((c.gamma.idxQ, w.branch_ids[i - 1], w.branch_ids[i]))
+    theta0, u = np.array(floats, dtype=np.float64).reshape(-1, 2)[cid].T.copy()
+    idxQ, back_branch, branch = np.array(ints, dtype=np.int64).reshape(-1, 3)[cid].T.copy()
+    if np.any(idx_p < idxQ):
+        raise ValueError("chart size exceeds Q")
+    log_p = cfg.grid_log(idx_p)
+    p = np.array([math.exp(lp) if lp > -745 else 0.0 for lp in log_p.tolist()])
+    return VertexTable(theta0, u, log_p, cfg.grid_log(idxQ), p, idx_p, cid, back_branch, branch)

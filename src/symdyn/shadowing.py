@@ -1,7 +1,8 @@
 """Shadowing: from chart chains to natural-extension points.
 
 A gpo (generalized pseudo-orbit) is a finite chain of charts linked by
-weak or strong edges.  Shadowing composes the inverse-branch chart maps
+weak or strong edges, held as rows of an alphabet's vertex table
+(``pesin.VertexTable``).  Shadowing composes the inverse-branch chart maps
 forward-to-backward; each map contracts by at least e^{-chi/2}, so the
 nested images of the deepest chart interval converge to the chart
 coordinate of the shadowed point.
@@ -37,28 +38,18 @@ class NotDoubleCoding(RuntimeError):
 
 @dataclass(frozen=True)
 class Gpo:
-    """Chart chain indexed n in [n_lo, n_hi]."""
+    """Chart chain indexed n in [n_lo, n_hi]: ``rows[n - n_lo]`` is the
+    vertex table row of chart n, a view of a ``shadow_many`` call's walks."""
 
-    charts: tuple
+    rows: np.ndarray
     n_lo: int
 
     @property
     def n_hi(self):
-        return self.n_lo + len(self.charts) - 1
-
-    def chart(self, n):
-        return self.charts[n - self.n_lo]
+        return self.n_lo + len(self.rows) - 1
 
     def indices(self):
         return range(self.n_lo, self.n_hi + 1)
-
-    def vertex_keys(self):
-        """Identity keys of the charts (for recurrence diagnostics)."""
-        return [_chart_key(c) for c in self.charts]
-
-
-def _chart_key(c):
-    return (c.theta0, c.u, c.idx_p)
 
 
 def step_maps(m, table, to, frm, cfg):
@@ -142,7 +133,7 @@ def shadow_many(m, table, walks, n_lo, cfg):
         raise ValueError("gpo needs the index 0")
     # step j (index n_lo + j) maps chart j + 1 into chart j, whose branch
     # the shadowed point takes there
-    nc = len(table.charts)
+    nc = len(table)
     edge, at = np.unique(walks[:, 1:] * nc + walks[:, :-1], return_inverse=True)
     to = edge % nc
     edges = (*step_maps(m, table, to, edge // nc, cfg), table.branch[to])
@@ -169,10 +160,9 @@ def _shadow_block(m, table, walks, edges, at, n_lo, cfg):
     log_2 = math.log(2.0)
     bound_tail = cfg.chi * n_hi / 2.0
     tau0 = taus[-n_lo].tolist()
-    charts = list(map(tuple, table.charts[walks[ok]].tolist()))
     for i, k in enumerate(ok.tolist()):
         results[k] = ShadowResult(
-            gpo=Gpo(charts=charts[i], n_lo=n_lo),
+            gpo=Gpo(rows=walks[k], n_lo=n_lo),
             tau0=tau0[i], log_p0=log_p0[i], point=points[i],
             log_error_bound=log_2 + log_p0[i] - bound_tail,
             worst_containment=float(worst[i]))
@@ -274,8 +264,11 @@ class InverseReport:
         return out
 
 
-def _recurrence_diagnostic(g):
-    keys = g.vertex_keys()
+def _recurrence_diagnostic(table, g):
+    """Whether a vertex, keyed (theta0, u, idx_p), repeats among the charts
+    of gpo g at n > 0 and at n < 0."""
+    keys = list(zip(table.theta0[g.rows].tolist(), table.u[g.rows].tolist(),
+                    table.idx_p[g.rows].tolist()))
     pos = [k for n, k in zip(g.indices(), keys) if n > 0]
     neg = [k for n, k in zip(g.indices(), keys) if n < 0]
     return {
@@ -284,9 +277,11 @@ def _recurrence_diagnostic(g):
     }
 
 
-def inverse_check(res1, res2, cfg):
+def inverse_check(res1, res2, table, cfg):
     """Evaluate the five inverse-theorem conclusions on a double coding:
-    the gpos of the shadow results res1 and res2.
+    the gpos of the shadow results res1 and res2, rows of the VertexTable
+    ``table``.  Each chart's theta0, u, log p and log Q are read from its
+    row as Python floats.
 
     Precondition (checked): the shadowed points agree coordinatewise within
     2(p_n + q_n) (the metric proxy for exact equality of the codings).
@@ -296,16 +291,25 @@ def inverse_check(res1, res2, cfg):
     hi = min(g1.n_hi, g2.n_hi)
     eps = cfg.epsilon
 
+    def charts(g):
+        """(theta0, u, log p, log Q) of each chart of g at n in [lo, hi]."""
+        rows = g.rows[lo - g.n_lo:hi - g.n_lo + 1]
+        return list(zip(table.theta0[rows].tolist(), table.u[rows].tolist(),
+                        table.log_p[rows].tolist(), table.logQ[rows].tolist()))
+
+    charts1, charts2 = charts(g1), charts(g2)
+
     # double-coding proxy
-    for n in range(lo, hi + 1):
+    for n, a, b in zip(range(lo, hi + 1), charts1, charts2):
         d = abs(res1.point.x(n) - res2.point.x(n))
         if d == 0.0:
             continue
-        log_thr = math.log(2.0) + np.logaddexp(g1.chart(n).log_p, g2.chart(n).log_p)
+        log_thr = math.log(2.0) + np.logaddexp(a[2], b[2])
         if math.log(d) > log_thr:
             raise NotDoubleCoding(
                 f"coordinate {n} differs by {d:g} (log threshold {log_thr:g}); "
-                f"recurrence: {_recurrence_diagnostic(g1)} / {_recurrence_diagnostic(g2)}")
+                f"recurrence: {_recurrence_diagnostic(table, g1)} / "
+                f"{_recurrence_diagnostic(table, g2)}")
 
     clauses = {}
 
@@ -324,28 +328,28 @@ def inverse_check(res1, res2, cfg):
     c4 = []
     c5a = []
     c5b = []
-    for n in range(lo, hi + 1):
-        a, b = g1.chart(n), g2.chart(n)
-        d = abs(a.theta0 - b.theta0)
+    for n, (theta_a, u_a, lp_a, lq_a), (theta_b, u_b, lp_b, lq_b) in zip(range(lo, hi + 1),
+                                                                         charts1, charts2):
+        d = abs(theta_a - theta_b)
         # (1) center distance <= 2 max(p, q): compare in log space
-        bound_log = math.log(2.0) + max(a.log_p, b.log_p)
+        bound_log = math.log(2.0) + max(lp_a, lp_b)
         ok1 = d == 0.0 or math.log(d) <= bound_log
         c1.append((n, 0.0 if d == 0.0 else math.log(d), bound_log, ok1))
         # (2) u ratio
-        r = abs(math.log(a.u / b.u))
+        r = abs(math.log(u_a / u_b))
         c2.append((n, r, 2.0 * math.sqrt(eps), r <= 2.0 * math.sqrt(eps)))
         # (3) Q ratio
-        rq = abs(a.params.logQ - b.params.logQ)
+        rq = abs(lq_a - lq_b)
         c3.append((n, rq, eps ** (1.0 / 3.0), rq <= eps ** (1.0 / 3.0)))
         # (4) p ratio
-        rp = abs(a.log_p - b.log_p)
+        rp = abs(lp_a - lp_b)
         c4.append((n, rp, eps ** (1.0 / 3.0), rp <= eps ** (1.0 / 3.0)))
         # (5) affine change of coordinates Psi_b^{-1} o Psi_a = t + Delta + delta
-        delta = b.u * (a.theta0 - b.theta0)
-        bound5 = math.log(3.0) + b.log_p
+        delta = u_b * (theta_a - theta_b)
+        bound5 = math.log(3.0) + lp_b
         ok5 = delta == 0.0 or math.log(abs(delta)) < bound5
         c5a.append((n, -math.inf if delta == 0.0 else math.log(abs(delta)), bound5, ok5))
-        slope = abs(b.u / a.u - 1.0)
+        slope = abs(u_b / u_a - 1.0)
         c5b.append((n, slope, 4.0 * math.sqrt(eps), slope < 4.0 * math.sqrt(eps)))
 
     run_clause("1 center distance", c1)
@@ -358,6 +362,7 @@ def inverse_check(res1, res2, cfg):
     passed = all(ok for ok, _ in clauses.values())
     return InverseReport(
         passed=passed, clauses=clauses,
-        recurrence={"g1": _recurrence_diagnostic(g1), "g2": _recurrence_diagnostic(g2)},
+        recurrence={"g1": _recurrence_diagnostic(table, g1),
+                    "g2": _recurrence_diagnostic(table, g2)},
         common_range=(lo, hi),
     )

@@ -1,7 +1,9 @@
 """Objects of the construction that the acceptance criteria check directly
-and the pipeline never builds, in the order: map, window, u and chart-map,
-random-window, shadowing and cylinder-projection objects.  A method of a
-``symdyn`` class is a function here that takes its object first."""
+and the pipeline never builds, in the order: map, window, u, chart and
+chart-map, random-window, shadowing and cylinder-projection objects.  A
+method of a ``symdyn`` class is a function here that takes its object
+first.  A chart here is the scalar reading of a row of an alphabet's
+vertex table (``pesin.VertexTable``), with its center window."""
 
 import math
 from dataclasses import dataclass, replace
@@ -9,13 +11,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from symdyn import _kernels as K
+from symdyn import coarse_grain as cg
 from symdyn import natural_extension as ne
 from symdyn import shadowing as sh
-from symdyn.coarse_grain import lt_log_threshold
 from symdyn.config import RunConfig
 from symdyn.library import LibraryReport
 from symdyn.map_model import KIND_AFFINE, KIND_QUADRATIC, SingularPoint, _sample_blocks
-from symdyn.pesin import expansion_certificate, u_at, vertex_table
+from symdyn.pesin import VertexTable, expansion_certificate, u_at
 
 
 def f(m, x):
@@ -191,9 +193,122 @@ def linear_reduction_slope(u, u_next, dfx):
     return dfx * u_next / u
 
 
+@dataclass(frozen=True)
+class PesinParams:
+    epsilon: float
+    u: float
+    u_prev: float
+    idxQ: int
+
+    @property
+    def logQ(self):
+        return -(self.epsilon / 3.0) * self.idxQ
+
+
+def params_at(tabs, k):
+    """The PesinParams of index k of a window's ``pesin.WindowTables``."""
+    return PesinParams(epsilon=tabs.cfg.epsilon, u=tabs.u[k], u_prev=tabs.u[k - 1],
+                       idxQ=tabs.idxQ[k])
+
+
+@dataclass(frozen=True)
+class Chart:
+    """An affine chart Psi(t) = t/u + x0 restricted to [-p, p], p on I_eps."""
+
+    center: ne.OrbitWindow
+    shift: int           # chart lives at the shift-th coordinate of center
+    params: PesinParams
+    idx_p: int
+
+    def __post_init__(self):
+        if self.idx_p < self.params.idxQ:
+            raise ValueError("chart size exceeds Q")
+
+    @property
+    def u(self):
+        return self.params.u
+
+    @property
+    def theta0(self):
+        return self.center.x(self.shift)
+
+    @property
+    def log_p(self):
+        return -(self.params.epsilon / 3.0) * self.idx_p
+
+
 def psi(chart, t):
     """Psi(t); absorbs to the center for |t| under the float resolution."""
     return chart.theta0 + t / chart.params.u
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """Row ``vid`` of an alphabet's vertex table: its center id, its chart
+    and its center's net data."""
+
+    vid: int
+    cid: int
+    chart: Chart
+    gamma: object
+
+    @property
+    def idx_p(self):
+        return self.chart.idx_p
+
+
+def vertex_chart(al, vid):
+    """The chart of row ``vid`` of the alphabet's vertex table: its center's
+    window, shift and net data, at the row's size index."""
+    c = al.centers[int(al.vertices.cid[vid])]
+    params = PesinParams(epsilon=al.cfg.epsilon, u=c.gamma.u[1], u_prev=c.gamma.u[0],
+                         idxQ=c.gamma.idxQ)
+    return Chart(center=c.window, shift=c.shift, params=params,
+                 idx_p=int(al.vertices.idx_p[vid]))
+
+
+def alphabet_vertices(al):
+    """A Vertex per row of the alphabet's vertex table, in row order."""
+    return [Vertex(vid=v, cid=cid, chart=vertex_chart(al, v), gamma=al.centers[cid].gamma)
+            for v, cid in enumerate(al.vertices.cid.tolist())]
+
+
+def record_alphabets(monkeypatch):
+    """Keep every alphabet ``coarse_grain.build_alphabet`` builds while
+    ``monkeypatch`` holds: returns the dict, filled as they are built, from
+    the id of an alphabet's vertex table to the alphabet."""
+    built = {}
+    build = cg.build_alphabet
+
+    def keeping(*args, **kwargs):
+        al = build(*args, **kwargs)
+        built[id(al.vertices)] = al
+        return al
+
+    monkeypatch.setattr(cg, "build_alphabet", keeping)
+    return built
+
+
+@dataclass(frozen=True)
+class ChartTable(VertexTable):
+    """The VertexTable of a list of charts, which it keeps: row v is
+    ``charts[v]``, its own center id v, each column the chart's own value."""
+
+    charts: tuple = ()
+
+
+def chart_table(charts):
+    """The ChartTable of ``charts``: theta0 and the branches read from each
+    center window's arrays at its shift."""
+    floats, ints = [], []
+    for v, c in enumerate(charts):
+        w, i = c.center, c.center.off + c.shift
+        floats.append((w.points[i], c.u, c.log_p, c.params.logQ))
+        ints.append((c.idx_p, v, w.branch_ids[i - 1], w.branch_ids[i]))
+    floats = np.array(floats, dtype=np.float64).reshape(-1, 4).T.copy()
+    ints = np.array(ints, dtype=np.int64).reshape(-1, 4).T.copy()
+    p = np.array([math.exp(lp) if lp > -745 else 0.0 for lp in floats[2].tolist()])
+    return ChartTable(*floats, p, *ints, charts=tuple(charts))
 
 
 @dataclass(frozen=True)
@@ -380,26 +495,129 @@ class StepMap:
 def step_map(m, v_to, v_from, cfg):
     """The step map of the edge v_to <- v_from: ``shadowing.step_maps`` on
     one row."""
-    a, b = sh.step_maps(m, vertex_table([v_from, v_to], [0, 1]), np.array([1]), np.array([0]),
-                        cfg)
+    a, b = sh.step_maps(m, chart_table([v_from, v_to]), np.array([1]), np.array([0]), cfg)
     return StepMap(a=float(a[0]), b=float(b[0]))
 
 
+@dataclass(frozen=True)
+class ChartGpo:
+    """Chart chain indexed n in [n_lo, n_hi]: the scalar reading of a
+    ``shadowing.Gpo``."""
+
+    charts: tuple
+    n_lo: int
+
+    @property
+    def n_hi(self):
+        return self.n_lo + len(self.charts) - 1
+
+    def chart(self, n):
+        return self.charts[n - self.n_lo]
+
+    def indices(self):
+        return range(self.n_lo, self.n_hi + 1)
+
+
+def encode(m, w, al, cfg, **kwargs):
+    """``sufficiency_encode`` as a ChartGpo of the alphabet's charts, with
+    its vertex ids."""
+    vids, n_lo = cg.sufficiency_encode(m, w, al, cfg, **kwargs)
+    return ChartGpo(charts=tuple(vertex_chart(al, v) for v in vids), n_lo=n_lo), vids
+
+
+def chart_gpo(al, gpo):
+    """The ChartGpo of a ``shadowing.Gpo`` over the alphabet's vertex table."""
+    return ChartGpo(charts=tuple(vertex_chart(al, v) for v in gpo.rows.tolist()),
+                    n_lo=gpo.n_lo)
+
+
 def shadow(m, g, cfg):
-    """Shadow one gpo: ``shadow_many`` on a batch of one.  Raises
+    """Shadow one ChartGpo: ``shadow_many`` on a batch of one.  Raises
     EdgeBroken if a step image escapes its target chart."""
     walk = np.arange(len(g.charts))[None]
-    (res,) = sh.shadow_many(m, vertex_table(g.charts, range(len(g.charts))), walk, g.n_lo, cfg)
+    (res,) = sh.shadow_many(m, chart_table(g.charts), walk, g.n_lo, cfg)
     if isinstance(res, sh.EdgeBroken):
         raise res
     return replace(res, gpo=g)
+
+
+def _recurrence_diagnostic(g):
+    keys = [(c.theta0, c.u, c.idx_p) for c in g.charts]
+    pos = [k for n, k in zip(g.indices(), keys) if n > 0]
+    neg = [k for n, k in zip(g.indices(), keys) if n < 0]
+    return {
+        "repeats_forward": len(pos) != len(set(pos)),
+        "repeats_backward": len(neg) != len(set(neg)),
+    }
+
+
+def inverse_check_charts(res1, res2, cfg):
+    """``shadowing.inverse_check`` chart by chart, on shadow results whose
+    gpos are ChartGpos: the loop over the scalar charts it replaced."""
+    g1, g2 = res1.gpo, res2.gpo
+    lo = max(g1.n_lo, g2.n_lo)
+    hi = min(g1.n_hi, g2.n_hi)
+    eps = cfg.epsilon
+
+    # double-coding proxy
+    for n in range(lo, hi + 1):
+        d = abs(res1.point.x(n) - res2.point.x(n))
+        if d == 0.0:
+            continue
+        log_thr = math.log(2.0) + np.logaddexp(g1.chart(n).log_p, g2.chart(n).log_p)
+        if math.log(d) > log_thr:
+            raise sh.NotDoubleCoding(
+                f"coordinate {n} differs by {d:g} (log threshold {log_thr:g}); "
+                f"recurrence: {_recurrence_diagnostic(g1)} / {_recurrence_diagnostic(g2)}")
+
+    clauses = {}
+
+    def run_clause(name, values):
+        # values: list of (n, value, bound, ok)
+        ok = all(v[3] for v in values)
+        worst = max(values, key=lambda v: v[1] - v[2])
+        clauses[name] = (ok, sh.ClauseWitness(worst[0], worst[1], worst[2]))
+
+    c1, c2, c3, c4, c5a, c5b = [], [], [], [], [], []
+    for n in range(lo, hi + 1):
+        a, b = g1.chart(n), g2.chart(n)
+        d = abs(a.theta0 - b.theta0)
+        # (1) center distance <= 2 max(p, q): compare in log space
+        bound_log = math.log(2.0) + max(a.log_p, b.log_p)
+        ok1 = d == 0.0 or math.log(d) <= bound_log
+        c1.append((n, 0.0 if d == 0.0 else math.log(d), bound_log, ok1))
+        # (2) u ratio
+        r = abs(math.log(a.u / b.u))
+        c2.append((n, r, 2.0 * math.sqrt(eps), r <= 2.0 * math.sqrt(eps)))
+        # (3) Q ratio
+        rq = abs(a.params.logQ - b.params.logQ)
+        c3.append((n, rq, eps ** (1.0 / 3.0), rq <= eps ** (1.0 / 3.0)))
+        # (4) p ratio
+        rp = abs(a.log_p - b.log_p)
+        c4.append((n, rp, eps ** (1.0 / 3.0), rp <= eps ** (1.0 / 3.0)))
+        # (5) affine change of coordinates Psi_b^{-1} o Psi_a = t + Delta + delta
+        delta = b.u * (a.theta0 - b.theta0)
+        bound5 = math.log(3.0) + b.log_p
+        ok5 = delta == 0.0 or math.log(abs(delta)) < bound5
+        c5a.append((n, -math.inf if delta == 0.0 else math.log(abs(delta)), bound5, ok5))
+        slope = abs(b.u / a.u - 1.0)
+        c5b.append((n, slope, 4.0 * math.sqrt(eps), slope < 4.0 * math.sqrt(eps)))
+
+    for name, values in (("1 center distance", c1), ("2 u ratio", c2), ("3 Q ratio", c3),
+                         ("4 p ratio", c4), ("5 offset", c5a), ("5 slope", c5b)):
+        run_clause(name, values)
+    return sh.InverseReport(
+        passed=all(ok for ok, _ in clauses.values()), clauses=clauses,
+        recurrence={"g1": _recurrence_diagnostic(g1), "g2": _recurrence_diagnostic(g2)},
+        common_range=(lo, hi),
+    )
 
 
 @dataclass(frozen=True)
 class UnstableInterval:
     """R[p_0] of the zeroth chart plus the backward reconstruction rule."""
 
-    gpo: sh.Gpo
+    gpo: ChartGpo
     steps: dict
 
     def reconstruct(self, tau, depth=None):
@@ -443,15 +661,16 @@ class FibreDescriptors:
         if word[:k] != self.back_word[:k]:
             return False
         d = abs(window.x0 - self.theta0) * self.u
-        return lt_log_threshold(d, self.log_100p, strict=False)
+        return cg.lt_log_threshold(d, self.log_100p, strict=False)
 
 
-def fibres(z, point_index):
-    """Descriptors of the s/u fibres of a sampled point of a rectangle."""
+def fibres(table, z, point_index):
+    """Descriptors of the s/u fibres of a sampled point of a rectangle, whose
+    vertex is a row of the VertexTable ``table``."""
     p = z.points[point_index]
-    c = z.chart
+    theta0, u, log_p = (float(col[z.vid]) for col in (table.theta0, table.u, table.log_p))
     return FibreDescriptors(x0=p.point.x0, back_word=tuple(p.point.back_branches),
-                            theta0=c.theta0, u=c.u, log_100p=math.log(100.0) + c.log_p)
+                            theta0=theta0, u=u, log_100p=math.log(100.0) + log_p)
 
 
 class EmptyCylinder(RuntimeError):

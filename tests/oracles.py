@@ -27,8 +27,8 @@ from symdyn import shadowing as sh
 from symdyn.config import RunConfig
 from symdyn.map_model import ClauseResult, RegularityReport, SingularPoint
 
-from construction import (StepMap, backward_orbit, dinv, inv, make_window, preimage, radius,
-                          windows_agree_reference)
+from construction import (StepMap, alphabet_vertices, backward_orbit, dinv, inv, make_window,
+                          preimage, radius, windows_agree_reference)
 
 
 # -- coarse graining -------------------------------------------------------------
@@ -37,7 +37,7 @@ def full_ladder_alphabet(m, samples, cfg):
     """The alphabet over the same net with one chart for every size of every
     center's CG2 windows, plus its sampled greedy sizes."""
     al = cg.build_alphabet(m, samples, cfg)
-    centers, vertices, vertex_index = [], [], {}
+    centers, cids, ips, vertex_index = [], [], [], {}
     for c in al.centers:
         sizes = set(c.seen_q)
         for j in c.j_bins:
@@ -45,11 +45,11 @@ def full_ladder_alphabet(m, samples, cfg):
         c = replace(c, sizes=sorted(sizes))
         centers.append(c)
         for ip in c.sizes:
-            chart = pesin.Chart(center=c.window, shift=c.shift, params=c.params, idx_p=ip)
-            vertex_index[(c.cid, ip)] = len(vertices)
-            vertices.append(cg.Vertex(vid=len(vertices), cid=c.cid, chart=chart,
-                                      gamma=c.gamma))
-    return replace(al, centers=centers, vertices=vertices, vertex_index=vertex_index)
+            vertex_index[(c.cid, ip)] = len(ips)
+            cids.append(c.cid)
+            ips.append(ip)
+    return replace(al, centers=centers, vertices=pesin.vertex_table(centers, cids, ips, cfg),
+                   vertex_index=vertex_index)
 
 
 def strong_graph_backward(al):
@@ -61,9 +61,10 @@ def strong_graph_backward(al):
     preds = {}
     for c in al.centers:
         preds.setdefault((c.gamma.theta[1], 1.0 / c.gamma.u[1]), []).append(c)
-    out_edges = [[] for _ in al.vertices]
-    in_edges = [[] for _ in al.vertices]
-    for w in al.vertices:
+    vertices = alphabet_vertices(al)
+    out_edges = [[] for _ in vertices]
+    in_edges = [[] for _ in vertices]
+    for w in vertices:
         cap = nd + w.gamma.idxQ
         if w.idx_p < cap:
             continue
@@ -73,7 +74,7 @@ def strong_graph_backward(al):
             else:
                 cand = [iq for iq in c.sizes if iq <= w.idx_p + 3]
             for iq in cand:
-                v = al.vertices[al.vertex_index[(c.cid, iq)]]
+                v = vertices[al.vertex_index[(c.cid, iq)]]
                 if strong_clauses(cfg, w.gamma.theta[0], w.gamma.u[0], w.gamma.idxQ,
                                   w.gamma.theta[1], w.gamma.u[1], w.idx_p,
                                   v.gamma.theta[1], v.gamma.u[1], v.gamma.theta[2],
@@ -145,12 +146,13 @@ def strong_graph_all_pairs(al):
     """Successor lists of the alphabet's vertices by ``strong_clauses`` over
     every (v, w) pair, so no lookup picks the candidates."""
     cfg = al.cfg
-    return [[w.vid for w in al.vertices
+    vertices = alphabet_vertices(al)
+    return [[w.vid for w in vertices
              if strong_clauses(cfg, w.gamma.theta[0], w.gamma.u[0], w.gamma.idxQ,
                                w.gamma.theta[1], w.gamma.u[1], w.idx_p,
                                v.gamma.theta[1], v.gamma.u[1], v.gamma.theta[2],
                                v.gamma.u[2], v.idx_p)]
-            for v in al.vertices]
+            for v in vertices]
 
 
 def _net_clauses(g1, g2, j):
@@ -228,8 +230,9 @@ def weak_edge_vertices(cfg, v, w):
 def weak_successors(g, vid):
     """(WE1)+(WE2) successors of a vertex of a GpoGraph, over every vertex."""
     al = g.alphabet
-    v = al.vertices[vid]
-    return [w.vid for w in al.vertices
+    vertices = alphabet_vertices(al)
+    v = vertices[vid]
+    return [w.vid for w in vertices
             if (w.gamma.theta[0], 1.0 / w.gamma.u[0]) == (v.gamma.theta[1], 1.0 / v.gamma.u[1])
             and weak_edge_vertices(al.cfg, v, w)]
 
@@ -359,7 +362,8 @@ def bracket(m, res_x, res_y):
     x's window exactly, and re-bracketing with the same unstable data
     collapses (the operation is definitional on the window halves).
     """
-    if sh._chart_key(res_x.gpo.chart(0)) != sh._chart_key(res_y.gpo.chart(0)):
+    a, b = res_x.gpo.chart(0), res_y.gpo.chart(0)
+    if (a.theta0, a.u, a.idx_p) != (b.theta0, b.u, b.idx_p):
         raise ValueError("bracket needs a shared zeroth vertex")
     return bracket_windows(m, res_x.point, res_y.point)
 
@@ -477,7 +481,7 @@ def pseudo_window_reference(m, pts, bids, off):
 
 # -- Markov refinement ---------------------------------------------------------
 
-def signature_partition(cover):
+def signature_partition(table, cover):
     """Group sampled points by (rectangle, membership signature).
 
     Z_i meets Z_j when some sampled point of one agrees with a sampled
@@ -485,7 +489,8 @@ def signature_partition(cover):
     Z_j: 's' when some sampled point of Z_j lies on the stable fibre of x
     (same zeroth coordinate), 'u' when some lies on its unstable fibre
     (backward branch words agree on their common length, and the zeroth
-    coordinate is inside 100 times Z_i's chart interval).
+    coordinate is inside 100 times Z_i's chart interval, from its row of the
+    VertexTable ``table``).
     """
     def meet(zi, zj):
         return any(windows_agree_reference(p.point, q.point) for p in zi.points for q in zj.points)
@@ -498,8 +503,9 @@ def signature_partition(cover):
         k = min(len(a), len(b))
         if a[:k] != b[:k]:
             return False
-        d = abs(y.x0 - z.chart.theta0) * z.chart.u
-        return cg.lt_log_threshold(d, math.log(100.0) + z.chart.log_p, strict=False)
+        theta0, u, log_p = (float(col[z.vid]) for col in (table.theta0, table.u, table.log_p))
+        d = abs(y.x0 - theta0) * u
+        return cg.lt_log_threshold(d, math.log(100.0) + log_p, strict=False)
 
     groups = {}
     for i, zi in enumerate(cover):
@@ -941,32 +947,6 @@ def brute_force_loops(adj, vertex, n):
         for w in adj.get(u, ()):
             stack.append((w, d + 1))
     return total
-
-
-def spectral_radius_reference(adj, iters=200):
-    """Power iteration with one scalar addition per edge and step."""
-    keys = sorted(adj)
-    pos = {v: i for i, v in enumerate(keys)}
-    nv = len(keys)
-    if nv == 0:
-        return 0.0
-    vec = np.ones(nv)
-    norms = []
-    for _ in range(iters):
-        new = np.zeros(nv)
-        for u in keys:
-            cu = vec[pos[u]]
-            if cu:
-                for w in adj.get(u, ()):
-                    if w in pos:
-                        new[pos[w]] += cu
-        nrm = float(np.linalg.norm(new))
-        if nrm == 0.0:
-            return 0.0
-        norms.append(nrm)
-        vec = new / nrm
-    k = len(norms) // 2
-    return float(np.exp(np.mean(np.log(norms[k:]))))
 
 
 def make_periodic_window_reference(m, x0_approx, fwd_word, back_depth, fwd_len,

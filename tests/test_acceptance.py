@@ -20,8 +20,9 @@ from symdyn import pesin
 from symdyn import shadowing as sh
 from symdyn.config import RunConfig
 
-from construction import (chart_G, compute_u, deriv, hat_pi, linear_reduction_slope, make_window,
-                          random_library, shadow, step_map, u_recursion_step)
+from construction import (Chart, chart_G, compute_u, deriv, encode, hat_pi, linear_reduction_slope,
+                          make_window, params_at, random_library, shadow, step_map,
+                          u_recursion_step)
 from oracles import signature_partition, strong_chain
 
 LN2 = math.log(2.0)
@@ -132,8 +133,8 @@ def test_criterion_04_chart_map_bounds(random_libs):
         cfg = _cfg(name)
         for w in random_libs[name][:125]:
             tabs = pesin.window_tables(m, w, cfg, lo=-2, hi=0)
-            charts = {k: pesin.Chart(center=w, shift=k, params=tabs.params_at(k),
-                                     idx_p=tabs.idx_q[k]) for k in (-2, -1, 0)}
+            charts = {k: Chart(center=w, shift=k, params=params_at(tabs, k), idx_p=tabs.idx_q[k])
+                      for k in (-2, -1, 0)}
             for k in (0, -1):
                 c_from, c_to = charts[k], charts[k - 1]
                 dec = chart_G(m, c_from, c_to, branch_id=w.branch(k - 1),
@@ -166,7 +167,7 @@ def roundtrip_results():
         al = cg.build_alphabet(m, samples, cfg)
         results = []
         for w in lib.windows:
-            gpo, _ = cg.sufficiency_encode(m, w, al, cfg, lo=0, hi=hi)
+            gpo, _ = encode(m, w, al, cfg, lo=0, hi=hi)
             assert strong_chain(m, gpo.charts, cfg), "strong edge failed in encoding"
             results.append(shadow(m, gpo, cfg))
         out[name] = results
@@ -208,7 +209,7 @@ def test_criterion_06_contraction(roundtrip_results, doubling_fixture):
                 checked += 1
     # and on the periodic doubling fixture gpos
     for w in lib.windows[:20]:
-        gpo, _ = cg.sufficiency_encode(m, w, al, cfg, lo=-8, hi=12)
+        gpo, _ = encode(m, w, al, cfg, lo=-8, hi=12)
         shadow(m, gpo, cfg)
         for r in _contraction_ratios(m, gpo, cfg)[burn:]:
             assert r <= math.exp(-cfg.chi / 2.0) * (1 + 1e-12)
@@ -235,9 +236,10 @@ def test_criterion_07_inverse_audit():
         wb = reps_b.get(key)
         if wb is None:
             continue
-        g1, _ = cg.sufficiency_encode(m, wa, al, cfg, lo=-4, hi=10)
-        g2, _ = cg.sufficiency_encode(m, wb, al, cfg, lo=-4, hi=10)
-        rep = sh.inverse_check(shadow(m, g1, cfg), shadow(m, g2, cfg), cfg)
+        (v1, n_lo), (v2, _) = (cg.sufficiency_encode(m, w, al, cfg, lo=-4, hi=10)
+                               for w in (wa, wb))
+        rep = sh.inverse_check(*sh.shadow_many(m, al.vertices, [v1, v2], n_lo, cfg),
+                               al.vertices, cfg)
         assert rep.passed, "\n".join(rep.lines())
         # the recurrence diagnostic accompanies every report
         assert rep.recurrence["g1"]["repeats_forward"]
@@ -253,12 +255,12 @@ def test_criterion_08_refinement_oracle(doubling_fixture):
     base, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=3, cover_window=10, seed=4))
     covers.append(base)
     # an overlapping variant: duplicated rectangles force nontrivial signatures
-    dup = base + [mr.Rectangle(vid=r.vid, chart=r.chart, points=r.points) for r in base[:5]]
+    dup = base + [mr.Rectangle(vid=r.vid, points=r.points) for r in base[:5]]
     covers.append(dup)
     for cover in covers:
-        cells = mr.refine(cover, mr.point_classes(cover))
+        cells = mr.refine(cover, mr.point_classes(al.vertices, cover))
         ours = sorted(sorted(c.members) for c in cells)
-        assert ours == signature_partition(cover)
+        assert ours == signature_partition(al.vertices, cover)
         for c in cells:
             sig = dict(c.signature)
             for i, _ in c.members:
@@ -271,7 +273,7 @@ def test_criterion_08_refinement_oracle(doubling_fixture):
 def test_criterion_09_markov_audit(doubling_fixture):
     m, cfg, lib, al, pg, kept = doubling_fixture
     cover, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=3, cover_window=10, seed=4))
-    pc = mr.point_classes(cover)
+    pc = mr.point_classes(al.vertices, cover)
     cells = mr.refine(cover, pc)
     tg = mr.hat_graph(cover, cells, pc)
     rep = mr.audits(tg)
@@ -319,7 +321,7 @@ def test_criterion_11_finite_to_one(doubling_fixture):
     for ppv in (3, 6):  # doubling the sample size
         cover, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=ppv, cover_window=10,
                                                  seed=4))
-        pc = mr.point_classes(cover)
+        pc = mr.point_classes(al.vertices, cover)
         cells = mr.refine(cover, pc)
         tg = mr.hat_graph(cover, cells, pc)
         rep = mr.audits(tg)

@@ -22,6 +22,7 @@ import pytest
 from symdyn import cli, coarse_grain, library, map_model, shadowing
 from symdyn.config import parse_config
 
+from construction import record_alphabets, vertex_chart
 from oracles import cover_id_reference, step_map_oracle, step_map_reference
 
 RUNS = {
@@ -37,9 +38,10 @@ class Record:
         self.covers = []     # (model, x, cover id) per point of a cover_ids call
         self.scans = []      # the distinct points of each cover_ids call
         self.bins = []       # (window, phase) per index binned; the runs bin periodic windows
-        self.steps = []      # (model, v_to, v_from, cfg, (a, b)) per edge of a step_maps pass
+        self.steps = []      # (model, v_to, v_from, cfg, (a, b)) per edge of a step_maps
+        #                      pass, v_to and v_from as (alphabet, row)
         self.passes = []     # the number of edges of each step_maps pass
-        self.calls = []      # per shadow_many call: its charts, walks, edges and passes
+        self.calls = []      # per shadow_many call: its walks, edges and passes
 
 
 def _recorded_run(text, out, command="full-pipeline"):
@@ -61,7 +63,8 @@ def _recorded_run(text, out, command="full-pipeline"):
 
     def step_maps_rec(m, table, to, frm, cfg):
         a, b = step_maps(m, table, to, frm, cfg)
-        rec.steps.extend((m, table.charts[t], table.charts[f], cfg, s) for t, f, s in
+        al = alphabets[id(table)]
+        rec.steps.extend((m, (al, t), (al, f), cfg, s) for t, f, s in
                          zip(to.tolist(), frm.tolist(), zip(a.tolist(), b.tolist())))
         rec.passes.append(len(a))
         return a, b
@@ -69,11 +72,11 @@ def _recorded_run(text, out, command="full-pipeline"):
     def shadow_many_rec(m, table, walks, *args, **kwargs):
         first, passes = len(rec.steps), len(rec.passes)
         res = shadow_many(m, table, walks, *args, **kwargs)
-        rec.calls.append((table.charts, np.array(walks), rec.steps[first:],
-                          rec.passes[passes:]))
+        rec.calls.append((np.array(walks), rec.steps[first:], rec.passes[passes:]))
         return res
 
     with pytest.MonkeyPatch.context() as mp:
+        alphabets = record_alphabets(mp)
         mp.setattr(map_model.MapModel, "cover_ids", cover_ids_rec)
         mp.setattr(coarse_grain, "_gamma_and_bin", gamma_and_bin_rec)
         mp.setattr(shadowing, "step_maps", step_maps_rec)
@@ -100,13 +103,19 @@ def test_cover_ids_match_dyadic_scan(run):
         assert cid == seen[x]
 
 
+def _edges(run):
+    """(model, chart to, chart from, cfg, (a, b)) of each distinct recorded
+    edge."""
+    done = set()
+    for m, (al, t), (_, f), cfg, s in run.steps:
+        if (id(al), t, f) not in done:
+            done.add((id(al), t, f))
+            yield m, vertex_chart(al, t), vertex_chart(al, f), cfg, s
+
+
 def test_step_maps_match_reference(run):
     assert run.steps
-    done = set()
-    for m, v_to, v_from, cfg, s in run.steps:
-        if (id(v_to), id(v_from)) in done:
-            continue
-        done.add((id(v_to), id(v_from)))
+    for m, v_to, v_from, cfg, s in _edges(run):
         ref = step_map_reference(m, v_to, v_from, cfg)
         assert _bits(s) == _bits((ref.a, ref.b))
 
@@ -127,16 +136,14 @@ def _a_agrees(a, want, cfg, v_to, v_from):
 def test_step_maps_match_the_affine_model(run):
     """a as ``_a_agrees`` says, and b exactly 0 in both, on every edge of a
     run: its centers are consecutive orbit points."""
-    done = set()
-    for m, v_to, v_from, cfg, (a, b) in run.steps:
-        if (id(v_to), id(v_from)) in done:
-            continue
-        done.add((id(v_to), id(v_from)))
+    checked = 0
+    for m, v_to, v_from, cfg, (a, b) in _edges(run):
         want = step_map_oracle(m, v_to, v_from, cfg)
         assert _a_agrees(a, want.a, cfg, v_to, v_from), (a, want.a)
         assert v_from.center.x(v_from.shift - 1) == v_to.theta0
         assert b == want.b == 0.0
-    assert done
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("name", list(RUNS))
@@ -147,7 +154,8 @@ def test_step_maps_off_the_orbit_match_the_affine_model(name):
     cfg = parse_config(RUNS[name])
     m = map_model.load_map(cfg.map)
     lib = library.periodic_library(m, cfg)
-    table = coarse_grain.build_alphabet(m, lib.windows, cfg).table
+    al = coarse_grain.build_alphabet(m, lib.windows, cfg)
+    table = al.vertices
     # neighbours in size, both ways: p_from / p_to = e^{(eps/3)(i_to - i_from)}
     # stays in range
     order = np.argsort(table.idx_p, kind="stable")[:151]
@@ -155,7 +163,7 @@ def test_step_maps_off_the_orbit_match_the_affine_model(name):
     a, b = shadowing.step_maps(m, table, to, frm, cfg)
     checked = 0
     for k, (t, f) in enumerate(zip(to.tolist(), frm.tolist())):
-        v_to, v_from = table.charts[t], table.charts[f]
+        v_to, v_from = vertex_chart(al, t), vertex_chart(al, f)
         want = step_map_oracle(m, v_to, v_from, cfg)
         assert _a_agrees(float(a[k]), want.a, cfg, v_to, v_from), (a[k], want.a)
         if v_from.center.x(v_from.shift - 1) != v_to.theta0:
@@ -169,10 +177,9 @@ def test_step_maps_off_the_orbit_match_the_affine_model(name):
 def _one_step_map_per_edge(call):
     """The step maps of one shadow_many call come from one step_maps pass
     over the distinct edges chart j + 1 -> chart j of its walks, each once."""
-    charts, walks, steps, passes = call
-    edges = {(id(charts[t]), id(charts[f]))
-             for t, f in zip(walks[:, :-1].ravel().tolist(), walks[:, 1:].ravel().tolist())}
-    asked = Counter((id(v_to), id(v_from)) for _, v_to, v_from, _, _ in steps)
+    walks, steps, passes = call
+    edges = set(zip(walks[:, :-1].ravel().tolist(), walks[:, 1:].ravel().tolist()))
+    asked = Counter((t, f) for _, (_, t), (_, f), _, _ in steps)
     assert passes == [len(steps)]
     assert asked and max(asked.values()) == 1
     assert set(asked) == edges
@@ -189,7 +196,7 @@ def test_one_scan_per_point_one_step_map_per_edge(run):
     assert len(run.calls) == 2
     for call in run.calls:
         _one_step_map_per_edge(call)
-    assert sum(len(steps) for _, _, steps, _ in run.calls) == len(run.steps)
+    assert sum(len(steps) for _, steps, _ in run.calls) == len(run.steps)
 
 
 @pytest.mark.parametrize("name", ["doubling", "quadratic"])

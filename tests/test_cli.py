@@ -6,7 +6,7 @@ import time
 import pytest
 
 from symdyn import analysis, cli, coarse_grain, markov_refine, shadowing
-from symdyn.config import RunConfig, parse_config
+from symdyn.config import MAX_PERIOD, RunConfig, parse_config
 
 from oracles import read_windows
 from test_map_model import DOUBLING_FILE
@@ -117,25 +117,25 @@ def test_malformed_branches_exit_2(tmp_path, capsys, change):
     assert not (tmp_path / "o").exists()
 
 
-def test_infeasible_word_budget_exit_2(tmp_path, monkeypatch, capsys):
-    # gauss at the defaults would enumerate 16 + ... + 16^8 words, and at
-    # max_period 5 still 1,118,480: both refuse before any stage runs
+def test_infeasible_window_budget_exit_2(tmp_path, monkeypatch, capsys):
+    # gauss at the defaults (max_period 8) and at max_period 5 has 69,616
+    # points of least period up to 4, over the window budget: every command
+    # that builds a library refuses before any stage runs
     def enumerate_anyway(*args, **kw):
         raise AssertionError("the library stage ran")
 
     monkeypatch.setattr(cli.library, "periodic_library", enumerate_anyway)
     for command in ("full-pipeline", "periodic-report", "sample-orbits", "inverse-audit"):
-        for extra in ([], ["--max-period", "5"]):
+        for extra, top in (([], 8), (["--max-period", "5"], 5)):
             rc = run_cli([command, "--map", "gauss", "--out", str(tmp_path / "o"), "--quiet"]
                          + extra)
             assert rc == 2
-            err = capsys.readouterr().err
-            assert "MAX_PERIODIC_WORDS" in err
-            assert ("16^8" if not extra else "16^5 = 1118480") in err
+            detail = json.loads(capsys.readouterr().err)["detail"]
+            assert "MAX_LIBRARY_WINDOWS" in detail and f"periods up to {top} may" in detail
+            assert "number 69616" in detail
     assert not (tmp_path / "o").exists()
-    # max_period 3 needs 4,368 words and 4 needs 69,904, both within the
-    # word budget; at 3 the run reaches the library stage, and 4 is
-    # refused by the window budget (test_window_budget_refuses_at_once)
+    # max_period 3 is within the window budget: the run reaches the library
+    # stage (4 is refused, test_window_budget_refuses_at_once)
     assert run_cli(["full-pipeline", "--map", "gauss", "--max-period", "3",
                     "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert "the library stage ran" in capsys.readouterr().err
@@ -160,24 +160,23 @@ def test_window_budget_refuses_at_once(tmp_path, monkeypatch, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
-def test_bad_epsilon_refused_before_the_word_budget(tmp_path, capsys):
-    # gauss at max_period 9 is over the word budget too; the config is
+def test_bad_epsilon_refused_before_the_window_budget(tmp_path, capsys):
+    # gauss at max_period 9 is over the window budget too; the config is
     # checked first, so the message names epsilon
     rc = run_cli(["full-pipeline", "--map", "gauss", "--max-period", "9", "--eps", "2",
                   "--out", str(tmp_path / "o"), "--quiet"])
     assert rc == 2
     detail = json.loads(capsys.readouterr().err)["detail"]
-    assert "epsilon" in detail and "MAX_PERIODIC_WORDS" not in detail
+    assert "epsilon" in detail and "MAX_LIBRARY_WINDOWS" not in detail
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("max_period", [20000, 10**12])
 def test_huge_max_period_refused_at_once(tmp_path, capsys, max_period):
-    # the word count stops at the first period past the budget (doubling:
-    # 2 + ... + 2^20), so neither the count nor the message grows with
-    # max_period; at 20000 the exact count once overflowed the int-to-str
-    # digit limit and hid the budget from the message.  The windows are
-    # deep enough to hold a cycle of every period, so the budget refuses.
+    # the run config refuses max_period above MAX_PERIOD before any stage
+    # runs, in a message that does not grow with max_period.  The windows
+    # are deep enough to hold a cycle of every period, so only the cap
+    # refuses.
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"back_depth = {max_period}\n", encoding="utf-8")
     t0 = time.perf_counter()
@@ -185,9 +184,37 @@ def test_huge_max_period_refused_at_once(tmp_path, capsys, max_period):
                   "--config", str(cfgfile), "--out", str(tmp_path / "o"), "--quiet"])
     assert rc == 2 and time.perf_counter() - t0 < 2.0
     detail = json.loads(capsys.readouterr().err)["detail"]
-    assert "MAX_PERIODIC_WORDS" in detail and f"periods up to {max_period} need" in detail
-    assert "2 + ... + 2^20 = 2097150" in detail
+    assert detail == f"max_period must be <= MAX_PERIOD = {MAX_PERIOD}"
     assert not (tmp_path / "o").exists()
+
+
+ONE_BRANCH_FILE = ("[map]\na = 1.0\nbeta = 0.5\nkappa = 2.0\ndomain = 0.0 0.5\n"
+                   "[branch]\ndom = 0.0 0.5\nkind = affine\ncoef = 0.0 0.5\n")
+
+
+def test_one_branch_map_is_capped_at_max_period(tmp_path, capsys):
+    # a one-branch map has one periodic point at every period, so the window
+    # budget admits any max_period, while the library's root finding grows
+    # about quadratically in it (19.8 s at 800 once): MAX_PERIOD refuses 800
+    # at once, for verify-map too, which reads no max_period
+    path = tmp_path / "one.map"
+    path.write_text(ONE_BRANCH_FILE, encoding="utf-8")
+    cfgfile = tmp_path / "run.cfg"
+    for max_period, command in ((800, "sample-orbits"), (800, "verify-map"),
+                                (MAX_PERIOD + 1, "sample-orbits")):
+        cfgfile.write_text(f"map = {path}\nmax_period = {max_period}\n"
+                           f"back_depth = {max_period + 64}\n", encoding="utf-8")
+        t0 = time.perf_counter()
+        rc = run_cli([command, "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                      "--quiet"])
+        assert rc == 2 and time.perf_counter() - t0 < 2.0
+        assert "MAX_PERIOD" in json.loads(capsys.readouterr().err)["detail"]
+        assert not (tmp_path / "o").exists()
+    # at the cap the library is built
+    cfgfile.write_text(f"map = {path}\nmax_period = {MAX_PERIOD}\n"
+                       f"back_depth = {MAX_PERIOD + 64}\n", encoding="utf-8")
+    assert run_cli(["sample-orbits", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("text", ["fwd_len = 3", "fwd_len = 7", "back_depth = 5\nfwd_len = 4"])
@@ -355,19 +382,21 @@ def _forced_failures(monkeypatch, no_vertex, broken):
     ``shadow_many`` returns EdgeBroken for the gpos whose (x0, u depth) at
     index 0 is in ``no_vertex`` and ``broken``; both messages name it."""
     encode, shadow_many = coarse_grain.sufficiency_encode, shadowing.shadow_many
+    encoded = {}    # vertex ids of an encoding -> the (x0, u depth) of its window
 
     def failing_encode(m, w, *args, **kwargs):
         if (w.x0, w.u_depth) in no_vertex:
             raise coarse_grain.NoNetVertex(f"forced x0={w.x0!r} u_depth={w.u_depth}")
-        return encode(m, w, *args, **kwargs)
+        vids, n_lo = encode(m, w, *args, **kwargs)
+        encoded[tuple(vids)] = (w.x0, w.u_depth)
+        return vids, n_lo
 
     def breaking_shadow(*args, **kwargs):
         out = shadow_many(*args, **kwargs)
         for i, r in enumerate(out):
-            c = r.gpo.chart(0)
-            if (c.theta0, c.center.u_depth) in broken:
-                out[i] = shadowing.EdgeBroken(
-                    f"forced x0={c.theta0!r} u_depth={c.center.u_depth}")
+            x0, depth = encoded[tuple(r.gpo.rows.tolist())]
+            if (x0, depth) in broken:
+                out[i] = shadowing.EdgeBroken(f"forced x0={x0!r} u_depth={depth}")
         return out
 
     monkeypatch.setattr(coarse_grain, "sufficiency_encode", failing_encode)
@@ -491,8 +520,8 @@ def test_graph_export_edges_name_vertex_records(tmp_path):
 
 def test_full_pipeline_walks_each_graph_and_classes_each_cover_once(monkeypatch, tmp_path):
     # the pruned graph is walked once for the entropy and growth reports and
-    # the refined graph once; point classes are computed once for the raw
-    # batch of the cover and once for the final cover
+    # the refined graph once; point classes are computed once, for the final
+    # cover (the cover's own dedup numbers the raw batch's points itself)
     calls = []
     for mod, name in ((analysis, "closed_path_counts"), (markov_refine, "point_classes")):
         def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
@@ -500,4 +529,4 @@ def test_full_pipeline_walks_each_graph_and_classes_each_cover_once(monkeypatch,
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     cli.run("full-pipeline", parse_config("map = doubling"), str(tmp_path), quiet=True)
-    assert sorted(calls) == ["closed_path_counts"] * 2 + ["point_classes"] * 2
+    assert sorted(calls) == ["closed_path_counts"] * 2 + ["point_classes"]

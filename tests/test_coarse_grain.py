@@ -13,7 +13,8 @@ from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn.config import RunConfig
 
-from construction import make_window, radius, random_library
+from construction import (Chart, PesinParams, alphabet_vertices, encode, make_window, radius,
+                          random_library, vertex_chart)
 from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, net_all_pairs,
                      overlap_clauses, overlap_test, strong_chain, strong_clauses,
                      strong_graph_all_pairs, strong_graph_backward, weak_edge_vertices,
@@ -68,15 +69,14 @@ class _StubWindow:
 
 def _fake_chart(theta0, u, idx_p, eps=0.1, idxQ=0):
     """A formal chart for predicate unit tests (sizes on the I_eps grid)."""
-    params = pesin.PesinParams(epsilon=eps, u=u, u_prev=u, idxQ=idxQ)
-    return pesin.Chart(center=_StubWindow(theta0), shift=0, params=params,
-                       idx_p=idx_p)
+    params = PesinParams(epsilon=eps, u=u, u_prev=u, idxQ=idxQ)
+    return Chart(center=_StubWindow(theta0), shift=0, params=params, idx_p=idx_p)
 
 
 # -- overlap ------------------------------------------------------------------
 
 def test_overlap_self(alphabet):
-    c = alphabet.vertices[0].chart
+    c = vertex_chart(alphabet, 0)
     assert overlap_test(c, c)
 
 
@@ -126,7 +126,7 @@ def test_overlap_monotone_scaling():
 
 def test_control_of_u_on_overlaps(alphabet):
     # Lemma overlap(1): u1/u2 = e^{+-(p1 p2)^3} for every overlapping pair
-    vs = alphabet.vertices
+    vs = alphabet_vertices(alphabet)
     eps = alphabet.cfg.epsilon
     for i in range(0, len(vs), 7):
         for j in range(0, len(vs), 11):
@@ -140,7 +140,7 @@ def test_control_of_u_on_overlaps(alphabet):
 # -- edges ---------------------------------------------------------------------
 
 def test_edge_canonical_consecutive(doubling, cfg, cyc, alphabet):
-    gpo, vids = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=0, hi=6)
+    gpo, vids = encode(doubling, cyc, alphabet, cfg, lo=0, hi=6)
     for i in range(6):
         v = gpo.charts[i]
         w = gpo.charts[i + 1]
@@ -149,7 +149,7 @@ def test_edge_canonical_consecutive(doubling, cfg, cyc, alphabet):
 
 
 def test_edge_grid_step_violation(doubling, cfg, cyc, alphabet):
-    gpo, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=0, hi=2)
+    gpo, _ = encode(doubling, cyc, alphabet, cfg, lo=0, hi=2)
     v, w = gpo.charts[0], gpo.charts[1]
     w_bad = replace(w, idx_p=w.idx_p + 3)  # one grid step off (E2.3) equality
     assert not edge_test(doubling, v, w_bad, cfg, strong=True)
@@ -157,8 +157,8 @@ def test_edge_grid_step_violation(doubling, cfg, cyc, alphabet):
 
 
 def test_edge_mismatched_windows(doubling, cfg, cyc, cyc3, alphabet):
-    g1, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=0, hi=1)
-    g2, _ = cg.sufficiency_encode(doubling, cyc3, alphabet, cfg, lo=0, hi=1)
+    g1, _ = encode(doubling, cyc, alphabet, cfg, lo=0, hi=1)
+    g2, _ = encode(doubling, cyc3, alphabet, cfg, lo=0, hi=1)
     assert not edge_test(doubling, g1.charts[0], g2.charts[1], cfg, strong=True)
     assert not edge_test(doubling, g1.charts[0], g2.charts[1], cfg, strong=False)
 
@@ -262,7 +262,7 @@ def test_alphabet_refused_at_its_largest_threshold(monkeypatch, tmp_path, capsys
     m = symdyn.built_in("doubling")
     cfg = RunConfig(max_period=3)
     al = cg.build_alphabet(m, library.periodic_library(m, cfg).windows, cfg)
-    top = -(8.0 * cfg.epsilon / 3.0) * min(v.idx_p for v in al.vertices)
+    top = -(8.0 * cfg.epsilon / 3.0) * min(al.vertices.idx_p.tolist())
     assert -8.0 * (min(min(c.j_bins) for c in al.centers) + 2) < top < cg.LOG_TINY
     monkeypatch.setattr(cg, "LOG_TINY", math.nextafter(top, 0.0))
     assert cli.main(["graph", "--max-period", "3", "--out", str(tmp_path / "a"),
@@ -277,7 +277,7 @@ def test_alphabet_refused_at_its_largest_threshold(monkeypatch, tmp_path, capsys
 
 def test_alphabet_empty(doubling, cfg):
     al = cg.build_alphabet(doubling, [], cfg)
-    assert al.centers == [] and al.vertices == []
+    assert al.centers == [] and len(al.vertices) == 0
 
 
 def test_alphabet_duplicates_collapse(doubling, cfg, cyc):
@@ -316,15 +316,16 @@ def test_discreteness_enumeration_oracle(alphabet):
     for c in alphabet.centers:
         assert c.cid in alphabet.bins[cg._net_key(c.gamma, c.key)]
     for t in (-1e9, -500.0, -390.0, -370.0):
-        above = [v for v in alphabet.vertices if v.chart.log_p > t]
+        above = [v for v in alphabet_vertices(alphabet) if v.chart.log_p > t]
         for v in above:
             assert alphabet.centers[v.cid].key.j <= 2.0 - t
 
 
 def test_strong_subset_weak(doubling, cfg, graph, alphabet):
+    vertices = alphabet_vertices(alphabet)
     for vid, outs in enumerate(graph.out_edges):
         for wid in outs:
-            v, w = alphabet.vertices[vid], alphabet.vertices[wid]
+            v, w = vertices[vid], vertices[wid]
             assert weak_edge_vertices(cfg, v, w)
 
 
@@ -376,7 +377,7 @@ def _toy_graph(adj):
 # -- sufficiency -----------------------------------------------------------------
 
 def test_sufficiency_roundtrip_periodic(doubling, cfg, cyc, alphabet):
-    gpo, vids = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-6, hi=8)
+    gpo, vids = encode(doubling, cyc, alphabet, cfg, lo=-6, hi=8)
     assert strong_chain(doubling, gpo.charts, cfg)
     # periodic orbit -> periodic vertex sequence
     assert vids[0] == vids[2] == vids[4]
@@ -400,12 +401,12 @@ def test_cover_id_terminates_and_contains(doubling):
 
 
 def test_weak_successors_superset_of_strong(graph, alphabet, cfg):
-    import math as _math
+    vertices = alphabet_vertices(alphabet)
     for vid in range(0, graph.n_vertices(), 17):
         weak = set(weak_successors(graph, vid))
         assert set(graph.out_edges[vid]) <= weak
         for wid in weak:
-            v, w = alphabet.vertices[vid], alphabet.vertices[wid]
+            v, w = vertices[vid], vertices[wid]
             assert w.idx_p >= v.idx_p - 3  # (WE2) p <= e^eps q
 
 
@@ -424,7 +425,7 @@ def _chart_key(chart):
 
 
 def _edges(g, vids):
-    key = {v: _chart_key(g.alphabet.vertices[v].chart) for v in vids}
+    key = {v: _chart_key(vertex_chart(g.alphabet, v)) for v in vids}
     return {(key[v], key[w]) for v in vids for w in g.out_edges[v] if w in key}
 
 
@@ -438,18 +439,19 @@ def _assert_closure_is_ladder_core(m, samples, cfg):
         for iq in c.seen_q:
             assert any(iq in cg._size_indices(cfg, j, c.gamma.idxQ) for j in c.j_bins)
     g, full_g = cg.build_graph(al), strong_graph_backward(full)
-    inside = [full.vertex_index[(v.cid, v.idx_p)] for v in al.vertices]
+    inside = [full.vertex_index[key] for key in zip(al.vertices.cid.tolist(),
+                                                    al.vertices.idx_p.tolist())]
     # every capped ladder chart is in the closure, and no strong edge leaves it
     closure = set(inside)
-    for v in full.vertices:
+    for v in alphabet_vertices(full):
         if v.idx_p == cfg.delta_index + v.gamma.idxQ:
             assert v.vid in closure
     for v in closure:
         assert closure.issuperset(full_g.out_edges[v])
     assert _edges(g, range(len(al.vertices))) == _edges(full_g, inside)
     (pg, kept), (full_pg, full_kept) = cg.prune_relevant(g), cg.prune_relevant(full_g)
-    core = [_chart_key(al.vertices[v].chart) for v in kept]
-    assert core == [_chart_key(full.vertices[v].chart) for v in full_kept]
+    core = [_chart_key(vertex_chart(al, v)) for v in kept]
+    assert core == [_chart_key(vertex_chart(full, v)) for v in full_kept]
     assert _edges(pg, kept) == _edges(full_pg, full_kept)
     return core
 
@@ -502,9 +504,9 @@ def test_alphabet_tables_encode_like_window_tables(name, period):
                 with pytest.raises(cg.NoNetVertex):
                     cg.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi, tables=tabs)
                 continue
-            kept = cg.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi, tables=tabs)
-            assert kept[1] == own[1]
-            assert kept[0].n_lo == own[0].n_lo
+            kept = encode(m, tabs.w, al, cfg, lo=lo, hi=hi, tables=tabs)
+            assert kept[1] == own[0]
+            assert kept[0].n_lo == own[1]
             assert strong_chain(m, kept[0].charts, cfg)
             encoded += 1
     assert encoded

@@ -11,7 +11,7 @@ import pytest
 import symdyn
 from symdyn import _kernels as K
 from symdyn import natural_extension as ne
-from symdyn.analysis import MAX_PERIODIC_WORDS, check_word_budget, map_periodic_points
+from symdyn.analysis import map_periodic_points
 from symdyn.map_model import parse_map_file
 
 from construction import backward_orbit, ddinv, dinv, draw_regular_points, f, inv, preimage
@@ -463,16 +463,3 @@ def test_map_periodic_points_match_sorted_scan(name, n):
     ref = map_periodic_points_reference(m, n)
     assert [float.hex(r) for r in roots.tolist()] == [float.hex(r) for r, _ in ref]
     assert words.tolist() == [w for _, w in ref]
-
-
-def test_map_periodic_points_word_budget():
-    # the budget counts the words of every period up to n
-    gauss = symdyn.built_in("gauss")
-    assert 16 + 16**2 + 16**3 + 16**4 <= MAX_PERIODIC_WORDS < 16 + 16**2 + 16**3 + 16**4 + 16**5
-    check_word_budget(gauss, 4)
-    with pytest.raises(ValueError, match="16\\^5 = 1118480"):
-        map_periodic_points(gauss, 5)
-    assert sum(2**n for n in range(1, 20)) <= MAX_PERIODIC_WORDS
-    check_word_budget(symdyn.built_in("doubling"), 19)
-    with pytest.raises(ValueError, match="2\\^20 = 2097150"):
-        map_periodic_points(symdyn.built_in("doubling"), 20)

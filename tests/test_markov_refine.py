@@ -13,8 +13,8 @@ from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
 from symdyn.config import RunConfig, parse_config
 
-from construction import (EmptyCylinder, _cell_contains, _member_window, fibres, hat_pi,
-                          make_window, windows_agree_reference)
+from construction import (EmptyCylinder, _cell_contains, _member_window, encode, fibres, hat_pi,
+                          make_window, record_alphabets, windows_agree_reference)
 from oracles import bracket_windows, signature_partition, strong_chain
 
 CHI2 = 0.5 * math.log(2.0)
@@ -46,6 +46,12 @@ def fixture(doubling, cfg):
 
 
 @pytest.fixture(scope="module")
+def table(fixture):
+    """The vertex table of the fixture's alphabet, the rows of its covers."""
+    return fixture[1].vertices
+
+
+@pytest.fixture(scope="module")
 def cover(doubling, cfg, fixture):
     _, _, pg, _ = fixture
     rects, dropped = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
@@ -68,7 +74,7 @@ def test_cover_shadows_each_distinct_walk_once(doubling, cfg, fixture, cover, mo
     shadow_many = mr.sh.shadow_many
 
     def counting_shadow_many(m, table, walks, n_lo, c):
-        calls.extend([mr.sh._chart_key(table.charts[i]) for i in walk] for walk in walks.tolist())
+        calls.extend(walks.tolist())
         return shadow_many(m, table, walks, n_lo, c)
 
     monkeypatch.setattr(mr.sh, "shadow_many", counting_shadow_many)
@@ -152,12 +158,12 @@ def test_cover_samples_cycles_longer_than_the_window(doubling, cfg):
     # core vertex still gets a rectangle
     cyc = ne.make_periodic_window(doubling, 1 / 62, [0, 0, 0, 0, 1], 64, 40)
     al = cg.build_alphabet(doubling, [cyc.shift(k) for k in range(5)], cfg)
-    gpo, vids = cg.sufficiency_encode(doubling, cyc, al, cfg, lo=0, hi=5)
+    gpo, vids = encode(doubling, cyc, al, cfg, lo=0, hi=5)
     assert strong_chain(doubling, gpo.charts, cfg) and vids[5] == vids[0]
     cycle = vids[:5]
     assert len(set(cycle)) == 5
-    out_edges = [[] for _ in al.vertices]
-    in_edges = [[] for _ in al.vertices]
+    out_edges = [[] for _ in range(len(al.vertices))]
+    in_edges = [[] for _ in range(len(al.vertices))]
     for v, w in zip(cycle, vids[1:]):
         out_edges[v].append(w)
         in_edges[w].append(v)
@@ -199,44 +205,44 @@ def test_windows_agree_on_nan_signed_zero_and_range(doubling):
             windows_agree_reference(w, short, depth, fwd)
 
 
-def test_cover_containment(cover):
+def test_cover_containment(cover, table):
     # shadowing containment: zeroth coordinate inside the vertex chart
     rects, _ = cover
     for z in rects:
         for p in z.points:
             assert p.worst_containment <= 1.0 + 1e-9
-            assert p.point.x0 == z.chart.theta0  # desk-scale absorption
+            assert p.point.x0 == table.theta0[z.vid]  # desk-scale absorption
 
 
-def test_fibres_stable_same_x0(cover):
+def test_fibres_stable_same_x0(cover, table):
     rects, _ = cover
     z = rects[0]
-    fd = fibres(z, 0)
+    fd = fibres(table, z, 0)
     assert fd.in_stable(z.points[0].point)
 
 
-def test_fibres_unstable_membership(cover):
+def test_fibres_unstable_membership(cover, table):
     rects, _ = cover
     z = rects[0]
-    fd = fibres(z, 0)
+    fd = fibres(table, z, 0)
     assert fd.in_unstable(z.points[0].point)
 
 
-def test_fibres_disjoint_across_orbits(cover):
+def test_fibres_disjoint_across_orbits(cover, table):
     rects, _ = cover
     a, b = rects[0], rects[-1]
     if a.points[0].point.x0 != b.points[0].point.x0:
-        fa = fibres(a, 0)
+        fa = fibres(table, a, 0)
         assert not fa.in_stable(b.points[0].point)
 
 
 @pytest.mark.parametrize("which", ["cover", "twin"])
-def test_fibre_columns_match_the_descriptors(which, cover, twin_cover):
+def test_fibre_columns_match_the_descriptors(which, cover, twin_cover, table):
     """The fibre columns of ``point_classes`` decide each stable and unstable
     membership of every pair of points, and the unstable membership of the
     backward shift of the second, as the scalar descriptors do."""
     rects = cover[0] if which == "cover" else twin_cover[1]
-    fib = mr.point_classes(rects).fibres
+    fib = mr.point_classes(table, rects).fibres
     refs = [(i, pi) for i, z in enumerate(rects) for pi in range(len(z.points))]
     a, b = np.divmod(np.arange(len(refs) ** 2), len(refs))
     rect = np.array([i for i, _ in refs])[a]
@@ -244,7 +250,7 @@ def test_fibre_columns_match_the_descriptors(which, cover, twin_cover):
     unstable = (fib.word[b] == fib.word[a]) & mr._in_chart(fib, rect, fib.x0[b])
     back = (fib.word_tail[b] == fib.word_head[a]) & mr._in_chart(fib, rect, fib.x_back[b])
     for k, (ia, ib) in enumerate(zip(a.tolist(), b.tolist())):
-        fd = fibres(rects[refs[ia][0]], refs[ia][1])
+        fd = fibres(table, rects[refs[ia][0]], refs[ia][1])
         q = _member_window(rects, refs[ib])
         assert (stable[k], unstable[k], back[k]) == (
             fd.in_stable(q), fd.in_unstable(q), fd.in_unstable(q.shift(-1)))
@@ -265,31 +271,32 @@ def test_in_chart_is_the_threshold_test():
     assert mr._in_chart(fib, r, x).tolist() == want
 
 
-def _refined(rects):
-    """The cells and refined graph of a cover, from its one point-class table."""
-    pc = mr.point_classes(rects)
+def _refined(table, rects):
+    """The cells and refined graph of a cover of rows of the VertexTable
+    ``table``, from its one point-class table."""
+    pc = mr.point_classes(table, rects)
     cells = mr.refine(rects, pc)
     return cells, mr.hat_graph(rects, cells, pc)
 
 
-def test_refine_disjoint_cover_is_identity(cover):
+def test_refine_disjoint_cover_is_identity(cover, table):
     rects, _ = cover
-    cells = mr.refine(rects, mr.point_classes(rects))
+    cells = mr.refine(rects, mr.point_classes(table, rects))
     assert len(cells) == len(rects)
     for c in cells:
         assert len(c.members) == 1
 
 
-def test_refine_matches_brute_force(cover):
+def test_refine_matches_brute_force(cover, table):
     rects, _ = cover
-    cells = mr.refine(rects, mr.point_classes(rects))
+    cells = mr.refine(rects, mr.point_classes(table, rects))
     ours = sorted(sorted(c.members) for c in cells)
-    oracle = signature_partition(rects)
+    oracle = signature_partition(table, rects)
     assert ours == oracle
 
 
-def test_refine_empty():
-    assert mr.refine([], mr.point_classes([])) == []
+def test_refine_empty(table):
+    assert mr.refine([], mr.point_classes(table, [])) == []
 
 
 @pytest.fixture(scope="module")
@@ -298,16 +305,15 @@ def twin_cover(doubling, cfg, fixture):
     _, _, pg, _ = fixture
     rects, _ = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=2,
                                                     cover_window=10, seed=3))
-    return rects, rects + [mr.Rectangle(vid=r.vid, chart=r.chart, points=r.points)
-                           for r in rects[:3]]
+    return rects, rects + [mr.Rectangle(vid=r.vid, points=r.points) for r in rects[:3]]
 
 
-def test_refine_overlapping_rectangles_against_oracle(twin_cover):
+def test_refine_overlapping_rectangles_against_oracle(twin_cover, table):
     # force nontrivial signatures: duplicate a rectangle so Z_i = Z_j
     rects, doubled = twin_cover
-    cells, tg = _refined(doubled)
+    cells, tg = _refined(table, doubled)
     ours = sorted(sorted(c.members) for c in cells)
-    assert ours == signature_partition(doubled)
+    assert ours == signature_partition(table, doubled)
     # shared points produce 'su' signatures against the twin rectangle
     twin_sigs = [dict(c.signature) for c in cells if c.rect == 0]
     assert any(sig.get((0, len(rects))) == "su" for sig in twin_sigs)
@@ -326,7 +332,7 @@ def _other_word(res):
 
 
 @pytest.mark.parametrize("which", ["cover", "twin", "other-word"])
-def test_refine_signatures_match_the_descriptors(which, cover, twin_cover):
+def test_refine_signatures_match_the_descriptors(which, cover, twin_cover, table):
     # each cell's signature is its members' classification by the scalar
     # descriptors; on "other-word" a point and a copy with another backward
     # word share their s-fibres but not their u-fibres
@@ -334,12 +340,12 @@ def test_refine_signatures_match_the_descriptors(which, cover, twin_cover):
     if which == "other-word":
         z = rects[0]
         rects = rects + [replace(z, points=[_other_word(p) for p in z.points])]
-    pc = mr.point_classes(rects)
+    pc = mr.point_classes(table, rects)
     cells = mr.refine(rects, pc)
     types = set()
     for c in cells:
         for i, pi in c.members:
-            fd = fibres(rects[i], pi)
+            fd = fibres(table, rects[i], pi)
             want = tuple(((i, j), ("s" if any(fd.in_stable(q.point) for q in rects[j].points)
                                    else "0") +
                           ("u" if any(fd.in_unstable(q.point) for q in rects[j].points)
@@ -350,9 +356,9 @@ def test_refine_signatures_match_the_descriptors(which, cover, twin_cover):
     assert types == ({"su", "s0"} if which == "other-word" else {"su"})
 
 
-def test_hat_graph_cycles(doubling, cfg, cover):
+def test_hat_graph_cycles(doubling, cfg, cover, table):
     rects, _ = cover
-    cells, tg = _refined(rects)
+    cells, tg = _refined(table, rects)
     # disjoint orbit cycles: every cell has exactly one successor
     for c in cells:
         assert len(tg.out_edges[c.cell_id]) == 1
@@ -369,16 +375,16 @@ def test_hat_graph_self_loop_fixed_point(cfg):
     al = cg.build_alphabet(m, [w.shift(k) for k in range(w.period)], cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
     rects, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=2, cover_window=8, seed=1))
-    cells, tg = _refined(rects)
+    cells, tg = _refined(al.vertices, rects)
     # the float 2-cycle of the fixed point: a 2-cycle (or self-loop) exists
     cid = cells[0].cell_id
     reach = tg.out_edges[cid][0]
     assert cid in tg.out_edges[reach]
 
 
-def test_hat_pi_constant_path(doubling, cfg, cover):
+def test_hat_pi_constant_path(doubling, cfg, cover, table):
     rects, _ = cover
-    cells, tg = _refined(rects)
+    cells, tg = _refined(table, rects)
     c0 = cells[0].cell_id
     path = [c0]
     for _ in range(6):
@@ -388,9 +394,9 @@ def test_hat_pi_constant_path(doubling, cfg, cover):
     assert _cell_contains(rects, cells[c0], w)
 
 
-def test_hat_pi_period2(doubling, cfg, cover):
+def test_hat_pi_period2(doubling, cfg, cover, table):
     rects, _ = cover
-    cells, tg = _refined(rects)
+    cells, tg = _refined(table, rects)
     two = [c.cell_id for c in cells
            if abs(_member_window(rects, c.members[0]).x0 - 1 / 6) < 1e-9]
     c0 = two[0]
@@ -400,9 +406,9 @@ def test_hat_pi_period2(doubling, cfg, cover):
         w.x(0) == pytest.approx(1 / 3, abs=1e-12)
 
 
-def test_hat_pi_inadmissible(doubling, cfg, cover):
+def test_hat_pi_inadmissible(doubling, cfg, cover, table):
     rects, _ = cover
-    cells, tg = _refined(rects)
+    cells, tg = _refined(table, rects)
     c0 = cells[0].cell_id
     bad = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[c0])
     with pytest.raises(ValueError):
@@ -419,7 +425,7 @@ def test_hat_pi_empty_cylinder():
     al = cg.build_alphabet(m, samples, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
     rects, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=2, cover_window=8, seed=1))
-    cells, tg = _refined(rects)
+    cells, tg = _refined(al.vertices, rects)
     a = cells[0].cell_id
     b = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[a])
     tg.out_edges[a] = sorted(tg.out_edges[a] + [b])  # forged edge
@@ -427,9 +433,9 @@ def test_hat_pi_empty_cylinder():
         hat_pi(tg, [a, b])
 
 
-def test_audits_pass_on_doubling_fixture(doubling, cfg, cover):
+def test_audits_pass_on_doubling_fixture(doubling, cfg, cover, table):
     rects, _ = cover
-    cells, tg = _refined(rects)
+    cells, tg = _refined(table, rects)
     rep = mr.audits(tg)
     assert rep.passed
     assert rep.markov_checked > 0 and rep.markov_failures == 0
@@ -466,7 +472,7 @@ def test_hat_pi_odd_anchor_alignment(doubling, cfg):
     pg, _ = cg.prune_relevant(cg.build_graph(al))
     rects, _ = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=2,
                                                     cover_window=9, seed=2))
-    cells, tg = _refined(rects)
+    cells, tg = _refined(al.vertices, rects)
     start = cells[0].cell_id
     path = [start]
     for _ in range(6):
@@ -481,9 +487,11 @@ def test_hat_pi_odd_anchor_alignment(doubling, cfg):
 
 
 def _pipeline_cover(monkeypatch, tmp_path, text):
-    """The cover a ``refine`` run samples under the config ``text``."""
+    """The cover a ``refine`` run samples under the config ``text``, and the
+    vertex table of its rows."""
     covers = []
     refine = mr.refine
+    alphabets = record_alphabets(monkeypatch)
 
     def keep(cover, classes):
         covers.append(cover)
@@ -491,7 +499,8 @@ def _pipeline_cover(monkeypatch, tmp_path, text):
 
     monkeypatch.setattr(mr, "refine", keep)
     cli.run("refine", parse_config(text), str(tmp_path), quiet=True)
-    return covers[0]
+    (al,) = alphabets.values()
+    return covers[0], al.vertices
 
 
 def _with_point(res, i, value):
@@ -502,11 +511,11 @@ def _with_point(res, i, value):
 
 
 @pytest.mark.parametrize("name", ["doubling-max_period-10", "quadratic", "twin", "signed-zero"])
-def test_point_classes_match_windows_agree(name, cover, twin_cover, monkeypatch, tmp_path):
+def test_point_classes_match_windows_agree(name, cover, twin_cover, table, monkeypatch, tmp_path):
     if name == "doubling-max_period-10":
-        rects = _pipeline_cover(monkeypatch, tmp_path, "map = doubling\nmax_period = 10")
+        rects, table = _pipeline_cover(monkeypatch, tmp_path, "map = doubling\nmax_period = 10")
     elif name == "quadratic":
-        rects = _pipeline_cover(monkeypatch, tmp_path, "map = quadratic")
+        rects, table = _pipeline_cover(monkeypatch, tmp_path, "map = quadratic")
     elif name == "twin":
         rects = twin_cover[1]
     else:
@@ -519,7 +528,7 @@ def test_point_classes_match_windows_agree(name, cover, twin_cover, monkeypatch,
         q, n = y.points[0], p.point.back_len
         rects = [replace(z, points=[_with_point(p, -n, 0.0), _with_point(p, -n, -0.0)]),
                  replace(y, points=[q, _with_point(q, n, math.nan)])]
-    pc = mr.point_classes(rects)
+    pc = mr.point_classes(table, rects)
     refs = [(i, pi) for i, z in enumerate(rects) for pi in range(len(z.points))]
     windows = [rects[i].points[pi].point for i, pi in refs]
     shifted = [w.shift(1) for w in windows]
@@ -551,19 +560,19 @@ def test_point_classes_match_windows_agree(name, cover, twin_cover, monkeypatch,
         assert pc.shift[0, 0] == pc.shift[0, 1] == pc.head[1, 0] == pc.head[1, 1]
 
 
-def test_point_classes_need_one_span(cover, doubling, cfg, fixture):
+def test_point_classes_need_one_span(cover, table, doubling, cfg, fixture):
     _, _, pg, _ = fixture
     other, _ = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
                                                     cover_window=8, seed=1))
     with pytest.raises(ValueError, match="one span"):
-        mr.point_classes(cover[0][:1] + other[:1])
-    assert mr.point_classes([]).cls == {}
+        mr.point_classes(table, cover[0][:1] + other[:1])
+    assert mr.point_classes(table, []).cls == {}
 
 
-def test_hat_pi_lets_unexpected_shift_errors_through(cover, monkeypatch):
+def test_hat_pi_lets_unexpected_shift_errors_through(cover, table, monkeypatch):
     # only a window that runs out or meets a singular point drops a candidate
     rects, _ = cover
-    cells, tg = _refined(rects)
+    cells, tg = _refined(table, rects)
     c0 = cells[0].cell_id
 
     def broken_shift(self, k):

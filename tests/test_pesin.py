@@ -1,19 +1,19 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
 import pytest
 
 import symdyn
-from symdyn import library
+from symdyn import coarse_grain, library
 from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn.config import RunConfig, parse_config
 
-from construction import (DomainViolation, TailDiverges, chart_G, compute_u, deriv, f,
-                          linear_reduction_slope, make_window, psi, random_library,
-                          u_recursion_step)
+from construction import (Chart, DomainViolation, PesinParams, TailDiverges, alphabet_vertices,
+                          chart_G, chart_table, compute_u, deriv, f, linear_reduction_slope,
+                          make_window, params_at, psi, random_library, u_recursion_step)
 from oracles import (delta_eps, expansion_certificate_reference, u_phase_table_reference,
                      window_tables_reference)
 
@@ -211,7 +211,7 @@ def test_trivial_bound_uQ(doubling, cfg, cyc):
     # u(x) Q^{beta/24} <= eps^{1/8}
     tabs = pesin.window_tables(doubling, cyc, cfg, lo=0, hi=1)
     for k in (0, 1):
-        p = tabs.params_at(k)
+        p = params_at(tabs, k)
         lhs = math.log(p.u) + (doubling.beta / 24.0) * p.logQ
         assert lhs <= math.log(cfg.epsilon) / 8.0 + 1e-12
 
@@ -263,7 +263,7 @@ def test_lemma_q_good_definition(doubling, cfg, cyc):
     # 0 < q < eps Q: on indices, idx_q >= delta_idx + idxQ > idxQ
     tabs = pesin.window_tables(doubling, cyc, cfg, lo=0, hi=3)
     for k in range(0, 4):
-        assert cfg.grid_log(tabs.idx_q[k]) <= math.log(cfg.epsilon) + tabs.params_at(k).logQ
+        assert cfg.grid_log(tabs.idx_q[k]) <= math.log(cfg.epsilon) + params_at(tabs, k).logQ
 
 
 def test_tempering_proxy_logQ_periodic(doubling, cfg, cyc):
@@ -279,8 +279,7 @@ def _charts_for(m, cfg, w, lo, hi):
     tabs = pesin.window_tables(m, w, cfg, lo=lo, hi=hi)
     charts = {}
     for k in range(lo, hi + 1):
-        charts[k] = pesin.Chart(center=w, shift=k, params=tabs.params_at(k),
-                                idx_p=tabs.idx_q[k])
+        charts[k] = Chart(center=w, shift=k, params=params_at(tabs, k), idx_p=tabs.idx_q[k])
     return charts, tabs
 
 
@@ -289,7 +288,33 @@ def test_chart_size_validity(doubling, cfg, cyc):
     c = charts[0]
     assert c.log_p <= c.params.logQ
     with pytest.raises(ValueError):
-        pesin.Chart(center=cyc, shift=0, params=c.params, idx_p=c.params.idxQ - 1)
+        Chart(center=cyc, shift=0, params=c.params, idx_p=c.params.idxQ - 1)
+
+
+@pytest.mark.parametrize("name", ["doubling", "quadratic", "gauss"])
+def test_vertex_table_rows_are_the_charts(name):
+    # every column of an alphabet's table holds its charts' own values, bit
+    # for bit, and dtype, as the table of the scalar charts does
+    cfg = RunConfig(map=name, max_period=2 if name == "gauss" else 4,
+                    chi=0.5 if name == "gauss" else CHI2)
+    m = symdyn.built_in(name)
+    al = coarse_grain.build_alphabet(m, library.periodic_library(m, cfg).windows, cfg)
+    vertices = alphabet_vertices(al)
+    want = chart_table([v.chart for v in vertices])
+    assert len(al.vertices) == len(vertices) > 0
+    for f in fields(pesin.VertexTable):
+        got, ref = getattr(al.vertices, f.name), getattr(want, f.name)
+        if f.name == "cid":
+            ref = np.array([v.cid for v in vertices])
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), f.name
+
+
+def test_vertex_table_refuses_a_size_above_Q(doubling, cfg, cyc):
+    al = coarse_grain.build_alphabet(doubling, [cyc.shift(k) for k in range(2)], cfg)
+    iq = al.centers[1].gamma.idxQ
+    assert pesin.vertex_table(al.centers, [1], [iq], cfg).idx_p.tolist() == [iq]  # p = Q
+    with pytest.raises(ValueError, match="chart size exceeds Q"):
+        pesin.vertex_table(al.centers, [1, 1], [iq, iq - 1], cfg)
 
 
 def test_chart_psi_slope(doubling, cfg, cyc):
@@ -341,11 +366,10 @@ def test_chart_G_quadratic_contraction():
 
 def test_chart_G_domain_violation(doubling, cfg, cyc):
     charts, tabs = _charts_for(doubling, cfg, cyc, -1, 0)
-    big = pesin.Chart(center=cyc, shift=0, params=charts[0].params,
-                      idx_p=charts[0].params.idxQ)
-    fake = pesin.PesinParams(epsilon=cfg.epsilon, u=charts[0].u,
-                             u_prev=charts[0].params.u_prev, idxQ=0)
-    huge = pesin.Chart(center=cyc, shift=0, params=fake, idx_p=0)  # p = 1
+    big = Chart(center=cyc, shift=0, params=charts[0].params, idx_p=charts[0].params.idxQ)
+    fake = PesinParams(epsilon=cfg.epsilon, u=charts[0].u, u_prev=charts[0].params.u_prev,
+                       idxQ=0)
+    huge = Chart(center=cyc, shift=0, params=fake, idx_p=0)  # p = 1
     with pytest.raises(DomainViolation):
         chart_G(doubling, huge, charts[-1], branch_id=cyc.branch(-1))
 
@@ -411,7 +435,7 @@ def test_window_tables_match_index_by_index(name):
             for k in ref["u"]:
                 assert bits(tabs.u[k]) == bits(ref["u"][k])
             for k in ref["idxQ"]:
-                assert (bits(pesin._rho(tabs.dist, k)), tabs.params_at(k).idxQ,
+                assert (bits(pesin._rho(tabs.dist, k)), tabs.idxQ[k],
                         tabs.idx_q[k]) == (bits(ref["rho"][k]), ref["idxQ"][k], ref["idx_q"][k])
     assert kinds == {(True, "_PhaseTable"), (True, "dict"), (False, "dict")}
 

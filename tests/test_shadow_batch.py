@@ -21,9 +21,9 @@ import symdyn
 from symdyn import cli
 from symdyn import shadowing as sh
 from symdyn.config import RunConfig, parse_config
-from symdyn.pesin import vertex_table
 
-from construction import StepMap, shadow
+from construction import (ChartGpo, StepMap, alphabet_vertices, chart_table, record_alphabets,
+                          shadow)
 from oracles import shadow_reference
 
 
@@ -35,14 +35,18 @@ def _is_float(*values):
     return all(type(v) is float for v in values)
 
 
-def assert_same(got, want):
-    """``got`` (from shadow_many) equals ``want`` (from the reference) bit for bit."""
+def assert_same(got, want, row=None):
+    """``got`` (from shadow_many, its gpo walk ``row`` of the batch) equals
+    ``want`` (from the reference) bit for bit."""
     if isinstance(want, sh.EdgeBroken):
         assert isinstance(got, sh.EdgeBroken) and str(got) == str(want)
         return
     assert isinstance(got, sh.ShadowResult), got
-    assert len(got.gpo.charts) == len(want.gpo.charts)
-    assert all(a is b for a, b in zip(got.gpo.charts, want.gpo.charts))
+    if row is None:
+        assert got.gpo is want.gpo
+    else:
+        assert got.gpo.rows.tolist() == list(row)
+        assert got.gpo.rows.base is not None  # a view of the batch's walks
     assert got.gpo.n_lo == want.gpo.n_lo
     scalars = ("tau0", "log_p0", "log_error_bound", "worst_containment")
     assert _is_float(*(getattr(got, f) for f in scalars))
@@ -62,7 +66,7 @@ def reference_batch(m, charts, walks, n_lo, cfg):
     hand = hasattr(charts[0], "hand_steps")
     out = []
     for row in np.asarray(walks).tolist():
-        g = sh.Gpo(charts=tuple(charts[i] for i in row), n_lo=n_lo)
+        g = ChartGpo(charts=tuple(charts[i] for i in row), n_lo=n_lo)
         try:
             out.append(shadow_reference(m, g, cfg, step=hand_step) if hand else
                        shadow_reference(m, g, cfg))
@@ -73,21 +77,17 @@ def reference_batch(m, charts, walks, n_lo, cfg):
     return out
 
 
-def table_of(charts):
-    return vertex_table(charts, range(len(charts)))
-
-
 def check_batch(m, charts, walks, n_lo, cfg):
     want = reference_batch(m, charts, walks, n_lo, cfg)
     if isinstance(want, str):
         with pytest.raises(ValueError) as exc:
-            sh.shadow_many(m, table_of(charts), walks, n_lo, cfg)
+            sh.shadow_many(m, chart_table(charts), walks, n_lo, cfg)
         assert str(exc.value) == want
         return None
-    got = sh.shadow_many(m, table_of(charts), walks, n_lo, cfg)
+    got = sh.shadow_many(m, chart_table(charts), walks, n_lo, cfg)
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert_same(a, b)
+    for a, b, row in zip(got, want, walks.tolist()):
+        assert_same(a, b, row)
     return got
 
 
@@ -106,13 +106,15 @@ CONFIGS = {
 def test_pipeline_gpos_match_the_one_gpo_loop(name, tmp_path, monkeypatch):
     batches = []
     shadow_many = sh.shadow_many
+    alphabets = record_alphabets(monkeypatch)
 
     def recording(m, table, walks, n_lo, cfg):
         caller = sys._getframe(1).f_code.co_name
         if caller == "_encode_and_shadow":
             caller = sys._getframe(2).f_code.co_name
         res = shadow_many(m, table, walks, n_lo, cfg)
-        batches.append((caller, m, table.charts, np.array(walks), n_lo, cfg, res))
+        charts = [v.chart for v in alphabet_vertices(alphabets[id(table)])]
+        batches.append((caller, m, charts, np.array(walks), n_lo, cfg, res))
         return res
 
     monkeypatch.setattr(sh, "shadow_many", recording)
@@ -123,8 +125,8 @@ def test_pipeline_gpos_match_the_one_gpo_loop(name, tmp_path, monkeypatch):
     for _, m, charts, walks, n_lo, cfg, res in batches:
         want = reference_batch(m, charts, walks, n_lo, cfg)
         assert len(res) == len(want) == walks.shape[0]
-        for a, b in zip(res, want):
-            assert_same(a, b)
+        for a, b, row in zip(res, want, walks.tolist()):
+            assert_same(a, b, row)
         shadowed += len(res)
     assert shadowed > 100
 
@@ -165,11 +167,12 @@ def hand_step(m, v_to, v_from, cfg):
 @pytest.fixture(autouse=True, scope="module")
 def hand_set_step_maps():
     """``shadowing.step_maps`` returns the hand-set maps of the edges of a
-    table of ``fake_charts`` and computes those of every other table."""
+    ``chart_table`` of ``fake_charts`` and computes those of every other
+    table."""
     step_maps = sh.step_maps
 
     def hand_set(m, table, to, frm, cfg):
-        if not hasattr(table.charts[0], "hand_steps"):
+        if not hasattr(getattr(table, "charts", (None,))[0], "hand_steps"):
             return step_maps(m, table, to, frm, cfg)
         steps = [hand_step(m, table.charts[t], table.charts[f], cfg)
                  for t, f in zip(to.tolist(), frm.tolist())]
@@ -227,7 +230,7 @@ def test_good_gpos_do_not_change_in_a_mixed_batch(block, monkeypatch):
     monkeypatch.setattr(sh, "SHADOW_BLOCK", block)
     charts = _universe()
     good = np.array([[0, 0, 0, 0], [3, 3, 3, 3], [0, 0, 3, 0]])
-    alone = [sh.shadow_many(DOUBLING, table_of(charts), good[i:i + 1], -1, CFG)[0]
+    alone = [sh.shadow_many(DOUBLING, chart_table(charts), good[i:i + 1], -1, CFG)[0]
              for i in range(3)]
     mixed = np.array([[1, 0, 0, 0],      # NaN step into index -1: tau_{-1} is NaN
                       [0, 0, 0, 0],
@@ -239,7 +242,7 @@ def test_good_gpos_do_not_change_in_a_mixed_batch(block, monkeypatch):
     got = check_batch(DOUBLING, charts, mixed, -1, CFG)
     assert str(got[6]) == "step into index 1 leaves the chart: [nan, nan]"
     for i, k in enumerate((1, 3, 5)):
-        assert_same(got[k], alone[i])
+        assert_same(got[k], alone[i], good[i].tolist())
     assert not math.isnan(got[0].tau0) and math.isnan(got[0].point.x(-1))
     assert str(got[2]) == "step into index 0 leaves the chart: [nan, nan]"
     assert str(got[4]) == "backward reconstruction leaves chart -1"
@@ -267,22 +270,22 @@ def test_window_tolerance_error_comes_from_the_first_unbroken_gpo(block, monkeyp
     assert want.startswith("points violate the window tolerance")
     assert reference_batch(DOUBLING, charts, walks[3:], 0, CFG) != want
     with pytest.raises(ValueError) as exc:
-        sh.shadow_many(DOUBLING, table_of(charts), walks, 0, CFG)
+        sh.shadow_many(DOUBLING, chart_table(charts), walks, 0, CFG)
     assert str(exc.value) == want
 
 
 def test_shadow_many_edge_cases():
     charts = _universe()
-    table = table_of(charts)
+    table = chart_table(charts)
     assert sh.shadow_many(DOUBLING, table, np.zeros((0, 1), dtype=np.int64), 0, CFG) == []
     with pytest.raises(ValueError, match="forward length"):
         sh.shadow_many(DOUBLING, table, np.zeros((1, 2), dtype=np.int64), -1, CFG)
     with pytest.raises(ValueError, match="index 0"):
         sh.shadow_many(DOUBLING, table, np.zeros((1, 2), dtype=np.int64), 1, CFG)
     # shadow is the batch of one and keeps the gpo it was given
-    g = sh.Gpo(charts=(charts[0],) * 4, n_lo=-2)
+    g = ChartGpo(charts=(charts[0],) * 4, n_lo=-2)
     res = shadow(DOUBLING, g, CFG)
     assert res.gpo is g
     assert_same(res, shadow_reference(DOUBLING, g, CFG, step=hand_step))
     with pytest.raises(sh.EdgeBroken, match="backward reconstruction leaves chart -1"):
-        shadow(DOUBLING, sh.Gpo(charts=(charts[2],) + (charts[0],) * 3, n_lo=-1), CFG)
+        shadow(DOUBLING, ChartGpo(charts=(charts[2],) + (charts[0],) * 3, n_lo=-1), CFG)

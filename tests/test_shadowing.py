@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import symdyn
+from symdyn import cli
 from symdyn import coarse_grain as cg
 from symdyn import natural_extension as ne
 from symdyn import shadowing as sh
-from symdyn.config import RunConfig
+from symdyn.config import RunConfig, parse_config
 
-from construction import inv, shadow, step_map, unstable_interval
+from construction import (ChartGpo, chart_gpo, encode, inv, inverse_check_charts, record_alphabets,
+                          shadow, step_map, unstable_interval)
 from oracles import bracket, bracket_windows, image_interval, step_map_oracle
 
 CHI2 = 0.5 * math.log(2.0)
@@ -38,7 +40,7 @@ def alphabet(doubling, cfg, cyc):
 
 @pytest.fixture(scope="module")
 def gpo(doubling, cfg, cyc, alphabet):
-    g, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-20, hi=20)
+    g, _ = encode(doubling, cyc, alphabet, cfg, lo=-20, hi=20)
     return g
 
 
@@ -51,7 +53,7 @@ def test_shadow_period2_exact(doubling, cfg, gpo, cyc):
 
 
 def test_shadow_requires_forward(doubling, cfg, gpo):
-    head = sh.Gpo(charts=gpo.charts[:1], n_lo=0)
+    head = ChartGpo(charts=gpo.charts[:1], n_lo=0)
     with pytest.raises(ValueError):
         shadow(doubling, head, cfg)
 
@@ -63,7 +65,7 @@ def test_shadow_fixed_point_tent(cfg):
     assert w.period in (1, 2)
     cfgt = RunConfig(chi=CHI2, epsilon=0.1)
     al = cg.build_alphabet(m, [w.shift(k) for k in range(w.period)], cfgt)
-    g, _ = cg.sufficiency_encode(m, w, al, cfgt, lo=0, hi=8)
+    g, _ = encode(m, w, al, cfgt, lo=0, hi=8)
     res = shadow(m, g, cfgt)
     assert res.point.x0 == w.x0
     assert res.point.x0 == pytest.approx(1 / 3, abs=1e-12)
@@ -120,7 +122,7 @@ def test_hyperbolicity_along_unstable(doubling, cfg, gpo):
 
 def test_shadow_invariance_under_shift(doubling, cfg, gpo):
     res = shadow(doubling, gpo, cfg)
-    shifted = sh.Gpo(charts=gpo.charts[1:], n_lo=gpo.n_lo)
+    shifted = ChartGpo(charts=gpo.charts[1:], n_lo=gpo.n_lo)
     res2 = shadow(doubling, shifted, cfg)
     for n in range(gpo.n_lo, gpo.n_hi - 1):
         assert res2.point.x(n) == res.point.shift(1).x(n)
@@ -136,8 +138,8 @@ def test_bracket_idempotent(doubling, cfg, gpo):
 
 def test_bracket_mixed_windows(doubling, cfg, cyc, alphabet):
     # forward data from a short forward chain, backward word from the deep cycle
-    g_short, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-2, hi=12)
-    g_deep, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-30, hi=4)
+    g_short, _ = encode(doubling, cyc, alphabet, cfg, lo=-2, hi=12)
+    g_deep, _ = encode(doubling, cyc, alphabet, cfg, lo=-30, hi=4)
     r_short = shadow(doubling, g_short, cfg)
     r_deep = shadow(doubling, g_deep, cfg)
     w = bracket(doubling, r_short, r_deep)
@@ -148,8 +150,8 @@ def test_bracket_mixed_windows(doubling, cfg, cyc, alphabet):
 
 
 def test_bracket_of_bracket_collapses(doubling, cfg, cyc, alphabet):
-    g1, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-4, hi=10)
-    g2, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=-20, hi=10)
+    g1, _ = encode(doubling, cyc, alphabet, cfg, lo=-4, hi=10)
+    g2, _ = encode(doubling, cyc, alphabet, cfg, lo=-20, hi=10)
     r1 = shadow(doubling, g1, cfg)
     r2 = shadow(doubling, g2, cfg)
     w_xy = bracket(doubling, r1, r2)
@@ -159,8 +161,8 @@ def test_bracket_of_bracket_collapses(doubling, cfg, cyc, alphabet):
 
 
 def test_bracket_requires_shared_vertex(doubling, cfg, cyc, alphabet):
-    g1, _ = cg.sufficiency_encode(doubling, cyc, alphabet, cfg, lo=0, hi=8)
-    g2, _ = cg.sufficiency_encode(doubling, cyc.shift(1), alphabet, cfg, lo=0, hi=8)
+    g1, _ = encode(doubling, cyc, alphabet, cfg, lo=0, hi=8)
+    g2, _ = encode(doubling, cyc.shift(1), alphabet, cfg, lo=0, hi=8)
     r1 = shadow(doubling, g1, cfg)
     r2 = shadow(doubling, g2, cfg)
     with pytest.raises(ValueError):
@@ -169,8 +171,16 @@ def test_bracket_requires_shared_vertex(doubling, cfg, cyc, alphabet):
 
 # -- inverse audit ---------------------------------------------------------------
 
-def test_inverse_check_identity(doubling, cfg, gpo):
-    rep = sh.inverse_check(shadow(doubling, gpo, cfg), shadow(doubling, gpo, cfg), cfg)
+def _shadow_pair(m, w1, w2, al, cfg, lo, hi):
+    """The encodings of two windows over [lo, hi], shadowed in one batch over
+    the alphabet's vertex table."""
+    (v1, n_lo), (v2, _) = (cg.sufficiency_encode(m, w, al, cfg, lo=lo, hi=hi) for w in (w1, w2))
+    return sh.shadow_many(m, al.vertices, [v1, v2], n_lo, cfg)
+
+
+def test_inverse_check_identity(doubling, cfg, cyc, alphabet):
+    rep = sh.inverse_check(*_shadow_pair(doubling, cyc, cyc, alphabet, cfg, -20, 20),
+                           alphabet.vertices, cfg)
     assert rep.passed
     for name, (ok, wit) in rep.clauses.items():
         assert ok, name
@@ -184,10 +194,9 @@ def test_inverse_check_depth_variant_families(doubling, cfg):
     samples = [wa.shift(k) for k in range(2)] + [wb.shift(k) for k in range(2)]
     al = cg.build_alphabet(doubling, samples, cfg)
     assert len(al.centers) == 4  # two families, not net-merged
-    g1, _ = cg.sufficiency_encode(doubling, wa, al, cfg, lo=-4, hi=10)
-    g2, _ = cg.sufficiency_encode(doubling, wb, al, cfg, lo=-4, hi=10)
-    assert g1.charts[0].u != g2.charts[0].u
-    rep = sh.inverse_check(shadow(doubling, g1, cfg), shadow(doubling, g2, cfg), cfg)
+    r1, r2 = _shadow_pair(doubling, wa, wb, al, cfg, -4, 10)
+    assert al.vertices.u[r1.gpo.rows[4]] != al.vertices.u[r2.gpo.rows[4]]  # at n = 0
+    rep = sh.inverse_check(r1, r2, al.vertices, cfg)
     assert rep.passed, "\n".join(rep.lines())
     assert rep.recurrence["g1"]["repeats_forward"]
     assert rep.recurrence["g1"]["repeats_backward"]
@@ -197,11 +206,41 @@ def test_inverse_check_rejects_mismatch(doubling, cfg, alphabet, cyc):
     cyc3 = ne.make_periodic_window(doubling, 1 / 14, [0, 0, 1], 64, 40)
     al = cg.build_alphabet(
         doubling, [cyc.shift(k) for k in range(2)] + [cyc3.shift(k) for k in range(3)], cfg)
-    g1, _ = cg.sufficiency_encode(doubling, cyc, al, cfg, lo=0, hi=6)
-    g2, _ = cg.sufficiency_encode(doubling, cyc3, al, cfg, lo=0, hi=6)
+    pair = _shadow_pair(doubling, cyc, cyc3, al, cfg, 0, 6)
     with pytest.raises(sh.NotDoubleCoding) as exc:
-        sh.inverse_check(shadow(doubling, g1, cfg), shadow(doubling, g2, cfg), cfg)
+        sh.inverse_check(*pair, al.vertices, cfg)
     assert "recurrence" in str(exc.value)  # failure carries the diagnostic
+
+
+def _report_bits(rep):
+    """Every field of an InverseReport, floats as their hex."""
+    return (rep.passed, rep.common_range, rep.recurrence,
+            [(name, ok, wit.n, float(wit.value).hex(), float(wit.bound).hex())
+             for name, (ok, wit) in rep.clauses.items()])
+
+
+@pytest.mark.parametrize("name", ["doubling", "quadratic"])
+def test_inverse_check_columns_match_the_scalar_chart_loop(name, tmp_path, monkeypatch):
+    # on every double coding of an inverse-audit run, the report read from
+    # the vertex table's rows is the scalar chart loop's, bit for bit: each
+    # clause's ok flag, witness n, value and bound, and the recurrence dict
+    alphabets = record_alphabets(monkeypatch)
+    checks = []
+    inverse_check = sh.inverse_check
+
+    def recording(res1, res2, table, cfg):
+        rep = inverse_check(res1, res2, table, cfg)
+        checks.append((res1, res2, alphabets[id(table)], cfg, rep))
+        return rep
+
+    monkeypatch.setattr(sh, "inverse_check", recording)
+    cli.run("inverse-audit", parse_config(f"map = {name}"), str(tmp_path), quiet=True)
+    assert len(checks) > 10
+    for res1, res2, al, cfg, rep in checks:
+        scalar = inverse_check_charts(*(replace(r, gpo=chart_gpo(al, r.gpo)) for r in (res1, res2)),
+                                      cfg)
+        assert _report_bits(rep) == _report_bits(scalar)
+        assert rep.lines() == scalar.lines()
 
 
 def test_lemma_edge_unique_preimage_in_chart(doubling, cfg, gpo):
