@@ -10,10 +10,11 @@ scan (the row's time) and point by point through
 doubling at ``max_period = 10``, the gpos of the deep Markov cover,
 shadowed in one lockstep ``shadow_many`` batch and one one-row
 ``shadow_many`` call per gpo, the cover's step maps in the one
-``step_maps`` pass a batch makes, ``write_alphabet`` and the two
-``closed_path_counts`` calls of ``full-pipeline`` on the pruned graph.  A
-call computes the step maps of the distinct edges of its own walks, so the
-per-gpo row also computes every gpo's step maps again.
+``step_maps`` pass a batch makes, ``point_classes``, ``refine``,
+``hat_graph`` and ``audits`` on the cover, ``write_alphabet`` and the
+``closed_paths_and_radius`` pass of ``full-pipeline`` on the pruned graph.
+A call computes the step maps of the distinct edges of its own walks, so
+the per-gpo row also computes every gpo's step maps again.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -129,7 +130,7 @@ def bench(reps=3):
     timeit(f"cover_ids, gauss max_period=2 alphabet ({len(set(xs))} points; "
            f"per point {t_ref:.4f}s)", lambda: gauss.cover_ids(xs))
 
-    al, pg, (m, table, walks, n_lo, cfg) = deep_cover_batch()
+    al, pg, cover, (m, table, walks, n_lo, cfg) = deep_cover_batch()
     k = walks.shape[0]
     timeit(f"shadow_many, deep cover ({k} gpos, one batch)",
            lambda: sh.shadow_many(m, table, walks, n_lo, cfg))
@@ -145,21 +146,30 @@ def bench(reps=3):
     timeit(f"step_maps, deep cover ({edge.size} edges, one array pass)",
            lambda: sh.step_maps(m, table, edge % nc, edge // nc, cfg))
 
-    from symdyn import analysis, formats
+    from symdyn import analysis, formats, markov_refine
+
+    def refine_stage():
+        pc = markov_refine.point_classes(table, cover)
+        cells = markov_refine.refine(cover, pc)
+        markov_refine.audits(markov_refine.hat_graph(cover, cells, pc))
+
+    timeit(f"point_classes + refine + hat_graph + audits, deep cover "
+           f"({len(cover.points)} rows)", refine_stage)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "alphabet.txt")
         timeit(f"write_alphabet, doubling max_period=10 ({nc} charts)",
                lambda: formats.write_alphabet(path, al))
-    timeit(f"closed_path_counts x2, doubling max_period=10 ({pg.n_edges()} edges, n <= 10)",
-           lambda: [analysis.closed_path_counts(pg, 10) for _ in range(2)])
+    timeit(f"closed_paths_and_radius, doubling max_period=10 ({pg.n_edges()} edges, n <= 10)",
+           lambda: analysis.closed_paths_and_radius(pg, 10))
     return out
 
 
 def deep_cover_batch():
-    """The alphabet, the pruned graph and the arguments (m, table, walks,
-    n_lo, run config) of the one ``shadow_many`` call ``build_cover`` makes
-    in ``full-pipeline`` on doubling at max_period = 10."""
+    """The alphabet, the pruned graph, the Markov cover and the arguments
+    (m, table, walks, n_lo, run config) of the one ``shadow_many`` call
+    ``build_cover`` makes in ``full-pipeline`` on doubling at
+    max_period = 10."""
     from symdyn import coarse_grain, library, markov_refine
     from symdyn import shadowing as sh
     from symdyn.config import parse_config
@@ -178,11 +188,11 @@ def deep_cover_batch():
 
     sh.shadow_many = record
     try:
-        markov_refine.build_cover(m, pg, cfg)
+        cover, _ = markov_refine.build_cover(m, pg, cfg)
     finally:
         sh.shadow_many = shadow_many
     (call,) = calls
-    return al, pg, call
+    return al, pg, cover, call
 
 
 def gauss_alphabet_windows():

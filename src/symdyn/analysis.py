@@ -23,29 +23,40 @@ def _step(adj, vec):
     return new
 
 
-def closed_path_counts(g, n_max):
-    """[trace(A^1), ..., trace(A^n_max)]: closed paths of each length up to
-    n_max (exact integers).  A closed path never leaves its strongly
-    connected component: a component that is one cycle of length L adds L
-    at every n that L divides, and any other is walked from each of its
-    vertices, inside the component."""
+def closed_paths_and_radius(g, n_max):
+    """([trace(A^1), ..., trace(A^n_max)], rho): the closed paths of each
+    length up to n_max (exact integers) and the spectral radius of the
+    adjacency, from one pass over its strongly connected components, since a
+    closed path never leaves one.  A component that is one cycle of length L
+    adds L at every n that L divides and has radius exactly 1; one without
+    an edge adds nothing.  Any other is walked from each of its vertices,
+    inside the component, and its radius is the largest modulus of the
+    eigenvalues of its adjacency (``np.linalg.eigvals``); rho is the largest
+    over the components."""
     adj = _adjacency(g)
-    counts = [0] * n_max
+    counts, rho = [0] * n_max, 0.0
     for comp in _components(adj):
-        inner = set(comp)
-        sub = {u: [w for w in adj.get(u, ()) if w in inner] for u in comp}
+        pos = {v: i for i, v in enumerate(comp)}
+        sub = {u: [w for w in adj.get(u, ()) if w in pos] for u in comp}
         if all(len(ws) == 1 for ws in sub.values()):  # one cycle through comp
+            rho = max(rho, 1.0)
             for n in range(len(comp), n_max + 1, len(comp)):
                 counts[n - 1] += len(comp)
             continue
-        for v in comp if any(sub.values()) else ():
+        if not any(sub.values()):
+            continue
+        a = np.zeros((len(comp), len(comp)))
+        for i, ws in enumerate(sub.values()):
+            np.add.at(a[i], [pos[w] for w in ws], 1.0)
+        rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(a)))))
+        for v in comp:
             vec = {v: 1}
             for n in range(n_max):
                 vec = _step(sub, vec)
                 if not vec:
                     break
                 counts[n] += vec.get(v, 0)
-    return counts
+    return counts, rho
 
 
 def _components(adj):
@@ -101,27 +112,6 @@ class EntropyEstimate:
             f"entropy estimates: loop growth {self.loop_growth:.6g}, "
             f"trace slope {self.trace_slope:.6g}, spectral radius 0",
         ]
-
-
-def spectral_radius(g):
-    """The spectral radius of the adjacency: the largest over its strongly
-    connected components, since a closed path never leaves one.  A component
-    that is one cycle has radius exactly 1, one without an edge 0, and any
-    other the largest modulus of the eigenvalues of its adjacency
-    (``np.linalg.eigvals``)."""
-    adj = _adjacency(g)
-    rho = 0.0
-    for comp in _components(adj):
-        pos = {v: i for i, v in enumerate(comp)}
-        sub = [[pos[w] for w in adj.get(u, ()) if w in pos] for u in comp]
-        if all(len(ws) == 1 for ws in sub):  # one cycle through comp
-            rho = max(rho, 1.0)
-        elif any(sub):
-            a = np.zeros((len(comp), len(comp)))
-            for i, ws in enumerate(sub):
-                np.add.at(a[i], ws, 1.0)
-            rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(a)))))
-    return rho
 
 
 def gurevich_entropy(counts, rho):

@@ -184,7 +184,7 @@ def stage_entropy(counts, rho, out, quiet, tg=None):
     lines = est.lines()
     if tg is not None:
         lines += ["refined shift:"] + analysis.gurevich_entropy(
-            analysis.closed_path_counts(tg, 10), analysis.spectral_radius(tg)).lines()
+            *analysis.closed_paths_and_radius(tg, 10)).lines()
     formats.write_report(os.path.join(out, "entropy.report"), "entropy", lines,
                          [{"loop_growth": est.loop_growth,
                            "trace_slope": est.trace_slope,
@@ -269,10 +269,9 @@ def run(command, cfg, out, quiet=False):
     if command == "refine":
         stage_refine(m, cfg, pg, out, quiet)
         return
-    # one walk of pg serves the entropy estimate (n <= 10) and the growth
+    # one pass over pg serves the entropy estimate (n <= 10) and the growth
     # report (n <= max_period)
-    counts = analysis.closed_path_counts(pg, max(10, cfg.max_period))
-    rho = analysis.spectral_radius(pg)
+    counts, rho = analysis.closed_paths_and_radius(pg, max(10, cfg.max_period))
     if command == "entropy":
         stage_entropy(counts, rho, out, quiet)
         return

@@ -63,11 +63,12 @@ def write_dot(path, adjacency, name="g"):
 
 
 def write_partition(path, cells, tg):
+    start = tg.cover.start
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header("partition"))
         for c in cells:
             sig = ";".join(f"{i},{j}:{ab}" for (i, j), ab in c.signature)
-            members = ";".join(f"{i},{pi}" for i, pi in c.members)
+            members = ";".join(f"{c.rect},{pi}" for pi in (c.members - start[c.rect]).tolist())
             fh.write(f"C {c.cell_id} rect={c.rect} sig={sig} members={members}\n")
         for r, outs in enumerate(tg.out_edges):
             for s in outs:

@@ -12,6 +12,7 @@ import numpy as np
 
 from symdyn import _kernels as K
 from symdyn import coarse_grain as cg
+from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
 from symdyn import shadowing as sh
 from symdyn.config import RunConfig
@@ -644,7 +645,7 @@ def unstable_interval(m, g, cfg, step):
 @dataclass
 class FibreDescriptors:
     """Stable/unstable fibre descriptors of one sampled point, the scalar
-    reading of a row of ``markov_refine.Fibres``."""
+    reading of a cover row's fibre columns in ``markov_refine.PointClasses``."""
 
     x0: float              # the s-fibre is determined by the zeroth coordinate
     back_word: tuple       # unstable data: the backward branch word
@@ -664,13 +665,39 @@ class FibreDescriptors:
         return cg.lt_log_threshold(d, self.log_100p, strict=False)
 
 
-def fibres(table, z, point_index):
-    """Descriptors of the s/u fibres of a sampled point of a rectangle, whose
-    vertex is a row of the VertexTable ``table``."""
-    p = z.points[point_index]
-    theta0, u, log_p = (float(col[z.vid]) for col in (table.theta0, table.u, table.log_p))
-    return FibreDescriptors(x0=p.point.x0, back_word=tuple(p.point.back_branches),
+def fibres(table, cover, q):
+    """Descriptors of the s/u fibres of row q of a ``markov_refine.Cover``,
+    whose rectangle's vertex is a row of the VertexTable ``table``."""
+    n = cover.back_len
+    v = cover.vid[np.searchsorted(cover.start, q, side="right") - 1]
+    theta0, u, log_p = (float(col[v]) for col in (table.theta0, table.u, table.log_p))
+    return FibreDescriptors(x0=float(cover.points[q, n]),
+                            back_word=tuple(cover.branches[q, n - 1::-1].tolist()),
                             theta0=theta0, u=u, log_100p=math.log(100.0) + log_p)
+
+
+def rectangles(cover):
+    """The rectangles of a ``markov_refine.Cover``, each (vid, points,
+    branches) with its rows stacked."""
+    bounds = cover.start.tolist()
+    return [(v, cover.points[a:b], cover.branches[a:b])
+            for v, a, b in zip(cover.vid.tolist(), bounds, bounds[1:])]
+
+
+def cover_of(rects, back_len):
+    """The ``markov_refine.Cover`` of the rectangles ``rects``, each (vid,
+    points, branches) as ``rectangles`` gives them."""
+    return mr.Cover(vid=np.array([v for v, _, _ in rects], dtype=np.int64),
+                    start=np.cumsum([0] + [len(p) for _, p, _ in rects]),
+                    points=np.concatenate([p for _, p, _ in rects]),
+                    branches=np.concatenate([b for _, _, b in rects]), back_len=back_len)
+
+
+def row_window(m, cover, q):
+    """The window of row q of a ``markov_refine.Cover``."""
+    from oracles import pseudo_window_reference  # oracles imports this module
+
+    return pseudo_window_reference(m, cover.points[q], cover.branches[q], cover.back_len)
 
 
 class EmptyCylinder(RuntimeError):
@@ -691,16 +718,12 @@ def windows_agree_reference(w1, w2, depth=None, fwd=None):
                           w2.points[w2.off - d:w2.off + f + 1])
 
 
-def _member_window(cover, ref):
-    i, pi = ref
-    return cover[i].points[pi].point
+def _cell_contains(m, cover, cell, window):
+    return any(windows_agree_reference(row_window(m, cover, q), window)
+               for q in cell.members.tolist())
 
 
-def _cell_contains(cover, cell, window):
-    return any(windows_agree_reference(_member_window(cover, r), window) for r in cell.members)
-
-
-def hat_pi(tg, path, n_lo=0):
+def hat_pi(m, tg, path, n_lo=0):
     """Project an admissible cell path through sampled cylinder chasing.
 
     ``path[i]`` is the cell at shift index n_lo + i: a candidate point
@@ -717,8 +740,8 @@ def hat_pi(tg, path, n_lo=0):
             raise ValueError(f"path not admissible at position {i}")
     anchor = -n_lo if 0 <= -n_lo < len(path) else 0
     survivors = []
-    for ref in tg.cells[path[anchor]].members:
-        w = _member_window(tg.cover, ref)
+    for q in tg.cells[path[anchor]].members.tolist():
+        w = row_window(m, tg.cover, q)
         try:
             survivors.append(w.shift(-(n_lo + anchor)))
         except (ne.WindowExhausted, SingularPoint):
@@ -732,7 +755,7 @@ def hat_pi(tg, path, n_lo=0):
                 wi = w.shift(n_lo + i)
             except (ne.WindowExhausted, SingularPoint):
                 continue
-            if _cell_contains(tg.cover, cell, wi):
+            if _cell_contains(m, tg.cover, cell, wi):
                 keep.append(w)
         survivors = keep
         if not survivors:

@@ -481,8 +481,9 @@ def pseudo_window_reference(m, pts, bids, off):
 
 # -- Markov refinement ---------------------------------------------------------
 
-def signature_partition(table, cover):
-    """Group sampled points by (rectangle, membership signature).
+def signature_partition(m, table, cover):
+    """Group the rows of a ``markov_refine.Cover`` by (rectangle, membership
+    signature).
 
     Z_i meets Z_j when some sampled point of one agrees with a sampled
     point of the other.  A point x of Z_i is classified against every met
@@ -490,34 +491,40 @@ def signature_partition(table, cover):
     (same zeroth coordinate), 'u' when some lies on its unstable fibre
     (backward branch words agree on their common length, and the zeroth
     coordinate is inside 100 times Z_i's chart interval, from its row of the
-    VertexTable ``table``).
+    VertexTable ``table``).  Each row is read as a window of the map m.
     """
+    windows = [pseudo_window_reference(m, x, b, cover.back_len)
+               for x, b in zip(cover.points, cover.branches)]
+    bounds = cover.start.tolist()
+    rects = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
     def meet(zi, zj):
-        return any(windows_agree_reference(p.point, q.point) for p in zi.points for q in zj.points)
+        return any(windows_agree_reference(windows[p], windows[q]) for p in zi for q in zj)
 
     def on_stable(x, y):
         return y.x0 == x.x0
 
-    def on_unstable(z, x, y):
+    def on_unstable(i, x, y):
         a, b = tuple(x.back_branches), tuple(y.back_branches)
         k = min(len(a), len(b))
         if a[:k] != b[:k]:
             return False
-        theta0, u, log_p = (float(col[z.vid]) for col in (table.theta0, table.u, table.log_p))
+        v = cover.vid[i]
+        theta0, u, log_p = (float(col[v]) for col in (table.theta0, table.u, table.log_p))
         d = abs(y.x0 - theta0) * u
         return cg.lt_log_threshold(d, math.log(100.0) + log_p, strict=False)
 
     groups = {}
-    for i, zi in enumerate(cover):
-        met = [j for j, zj in enumerate(cover) if meet(zi, zj)]
-        for pi, p in enumerate(zi.points):
+    for i, zi in enumerate(rects):
+        met = [j for j, zj in enumerate(rects) if meet(zi, zj)]
+        for p in zi:
             sig = []
             for j in met:
-                ys = [q.point for q in cover[j].points]
-                s = any(on_stable(p.point, y) for y in ys)
-                u = any(on_unstable(zi, p.point, y) for y in ys)
+                ys = [windows[q] for q in rects[j]]
+                s = any(on_stable(windows[p], y) for y in ys)
+                u = any(on_unstable(i, windows[p], y) for y in ys)
                 sig.append((j, ("s" if s else "0") + ("u" if u else "0")))
-            groups.setdefault((i, tuple(sig)), []).append((i, pi))
+            groups.setdefault((i, tuple(sig)), []).append(p)
     return sorted(sorted(v) for v in groups.values())
 
 

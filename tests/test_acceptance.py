@@ -20,9 +20,9 @@ from symdyn import pesin
 from symdyn import shadowing as sh
 from symdyn.config import RunConfig
 
-from construction import (Chart, chart_G, compute_u, deriv, encode, hat_pi, linear_reduction_slope,
-                          make_window, params_at, random_library, shadow, step_map,
-                          u_recursion_step)
+from construction import (Chart, chart_G, compute_u, cover_of, deriv, encode, hat_pi,
+                          linear_reduction_slope, make_window, params_at, random_library,
+                          rectangles, shadow, step_map, u_recursion_step)
 from oracles import signature_partition, strong_chain
 
 LN2 = math.log(2.0)
@@ -255,16 +255,13 @@ def test_criterion_08_refinement_oracle(doubling_fixture):
     base, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=3, cover_window=10, seed=4))
     covers.append(base)
     # an overlapping variant: duplicated rectangles force nontrivial signatures
-    dup = base + [mr.Rectangle(vid=r.vid, points=r.points) for r in base[:5]]
-    covers.append(dup)
+    covers.append(cover_of(rectangles(base) + rectangles(base)[:5], base.back_len))
     for cover in covers:
         cells = mr.refine(cover, mr.point_classes(al.vertices, cover))
-        ours = sorted(sorted(c.members) for c in cells)
-        assert ours == signature_partition(al.vertices, cover)
+        ours = sorted(sorted(c.members.tolist()) for c in cells)
+        assert ours == signature_partition(m, al.vertices, cover)
         for c in cells:
-            sig = dict(c.signature)
-            for i, _ in c.members:
-                assert sig.get((i, i)) == "su"  # T_ii^{su} = Z_i
+            assert dict(c.signature).get((c.rect, c.rect)) == "su"  # T_ii^{su} = Z_i
     print(f"CRITERION 8 PASS: refine equals the brute-force signature partition "
           f"on {len(covers)} sampled covers ({len(covers[0])} and "
           f"{len(covers[1])} rectangles); T_ii = 'su' throughout")
@@ -286,7 +283,7 @@ def test_criterion_09_markov_audit(doubling_fixture):
         path = [c.cell_id]
         for _ in range(6):
             path.append(tg.out_edges[path[-1]][0])
-        _, diams = hat_pi(tg, path, n_lo=0)
+        _, diams = hat_pi(m, tg, path, n_lo=0)
         for a, b in zip(diams, diams[1:]):
             assert b <= a * rate + 1e-300
         paths_checked += 1
@@ -303,7 +300,7 @@ def test_criterion_10_entropy_growth():
     assert len(lib.windows) >= 1000
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rep = an.growth_report(lib.map_counts, an.closed_path_counts(pg, 10), an.spectral_radius(pg))
+    rep = an.growth_report(lib.map_counts, *an.closed_paths_and_radius(pg, 10))
     elapsed = time.perf_counter() - t0
     for n, mc, _, _ in rep.rows:
         assert mc == 2 ** n - 1  # map counts exactly

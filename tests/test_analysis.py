@@ -60,7 +60,7 @@ def _random_digraph(rng, nv, max_out):
 def test_closed_path_counts_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     adj = _random_digraph(rng, int(rng.integers(1, 10)), 3)
-    counts = an.closed_path_counts(adj, 6)
+    counts, _ = an.closed_paths_and_radius(adj, 6)
     assert counts == [sum(brute_force_loops(adj, v, n) for v in adj) for n in range(1, 7)]
     assert counts == [closed_paths(adj, n) for n in range(1, 7)]
     assert counts == [sum(loop_count(adj, v, n) for v in adj) for n in range(1, 7)]
@@ -94,7 +94,7 @@ def mixed_graphs(draw):
 @settings(max_examples=80, deadline=None)
 def test_closed_path_counts_per_component_match_brute_force(adj):
     # cycle components count in closed form, the others by their walks
-    counts = an.closed_path_counts(adj, 7)
+    counts, _ = an.closed_paths_and_radius(adj, 7)
     assert counts == [sum(brute_force_loops(adj, v, n) for v in adj) for n in range(1, 8)]
 
 
@@ -136,18 +136,22 @@ def _chorded_cycle(n, k):
      for n in range(3, 7) for k in range(1, n)])
 def test_spectral_radius_is_the_largest_root(name, adj, poly):
     # the radius from the exact characteristic polynomial, independent of
-    # the eigenvalues spectral_radius reads; a union of cycles gives 1 exactly
+    # the eigenvalues closed_paths_and_radius reads; a union of cycles gives
+    # 1 exactly; the same pass counts the closed paths
     got, rho = _exact_radius(adj)
     assert sympy.expand(got - poly) == 0
-    assert abs(an.spectral_radius(adj) - float(rho)) < 1e-9 * float(rho)
+    counts, radius = an.closed_paths_and_radius(adj, 6)
+    assert abs(radius - float(rho)) < 1e-9 * float(rho)
+    assert counts == [closed_paths(adj, n) for n in range(1, 7)]
     if name == "union of cycles":
-        assert an.spectral_radius(adj) == 1.0
+        assert radius == 1.0
 
 
 def test_spectral_radius_two_shift():
     adj = {0: [0, 1], 1: [0, 1]}
-    assert abs(an.spectral_radius(adj) - 2.0) < 1e-6
-    est = an.gurevich_entropy(an.closed_path_counts(adj, 10), an.spectral_radius(adj))
+    counts, rho = an.closed_paths_and_radius(adj, 10)
+    assert abs(rho - 2.0) < 1e-6
+    est = an.gurevich_entropy(counts, rho)
     assert abs(math.log(est.spectral_radius) - math.log(2.0)) < 1e-6
 
 
@@ -155,7 +159,7 @@ def test_gurevich_single_cycle_is_zero():
     adj = {0: [1], 1: [2], 2: [0]}
     # one loop through a vertex at every length it has any: log(1)/n = 0
     assert [loop_count(adj, 0, n) for n in range(1, 10)] == [0, 0, 1] * 3
-    assert an.spectral_radius(adj) == pytest.approx(1.0, abs=1e-9)
+    assert an.closed_paths_and_radius(adj, 9) == ([0, 0, 3] * 3, 1.0)
 
 
 def test_entropy_monotone_under_edge_addition():
@@ -167,7 +171,8 @@ def test_entropy_monotone_under_edge_addition():
         bigger = {v: list(e) for v, e in adj.items()}
         if w not in bigger[u]:
             bigger[u] = sorted(bigger[u] + [w])
-        assert an.spectral_radius(bigger) >= an.spectral_radius(adj) - 1e-9
+        assert (an.closed_paths_and_radius(bigger, 1)[1]
+                >= an.closed_paths_and_radius(adj, 1)[1] - 1e-9)
 
 
 def test_map_periodic_points_doubling_exact():
@@ -210,7 +215,7 @@ def test_growth_report_doubling():
     lib = library.periodic_library(m, replace(cfg, max_period=6, back_depth=64, fwd_len=14))
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rep = an.growth_report(lib.map_counts, an.closed_path_counts(pg, 6), an.spectral_radius(pg))
+    rep = an.growth_report(lib.map_counts, *an.closed_paths_and_radius(pg, 6))
     assert [r[0] for r in rep.rows] == list(range(1, 7))
     for n, mc, sc, _ in rep.rows:
         assert mc == 2 ** n - 1
@@ -221,7 +226,7 @@ def test_growth_report_doubling():
 
 
 def test_growth_report_empty_graph_flags():
-    rep = an.growth_report((1, 3, 7), an.closed_path_counts({}, 3), an.spectral_radius({}))
+    rep = an.growth_report((1, 3, 7), *an.closed_paths_and_radius({}, 3))
     assert rep.flags
     assert [r[:2] for r in rep.rows] == [(1, 1), (2, 3), (3, 7)]
     assert all(r[2] == 0 for r in rep.rows)
@@ -235,7 +240,7 @@ def test_growth_report_tent():
     lib = library.periodic_library(m, replace(cfg, max_period=8, back_depth=64, fwd_len=14))
     al = cg.build_alphabet(m, lib.windows, cfg)
     pg, _ = cg.prune_relevant(cg.build_graph(al))
-    rep = an.growth_report(lib.map_counts, an.closed_path_counts(pg, 8), an.spectral_radius(pg))
+    rep = an.growth_report(lib.map_counts, *an.closed_paths_and_radius(pg, 8))
     for n, mc, _, _ in rep.rows:
         assert mc == 2 ** n
     assert abs(rep.symbolic_slope - math.log(2)) < 0.1
@@ -254,13 +259,12 @@ def test_one_walk_gives_the_rows_and_estimates_of_separate_walks(max_period):
     adj = pg.adjacency()
     adj[min(adj)].append(min(adj))   # a self-loop: closed paths at every length
     map_counts = [2**n - 1 for n in range(1, max_period + 1)]
-    rho = an.spectral_radius(adj)
-    counts = an.closed_path_counts(adj, max(10, max_period))
+    counts, rho = an.closed_paths_and_radius(adj, max(10, max_period))
     assert counts[:max_period] == [closed_paths(adj, n) for n in range(1, max_period + 1)]
-    alone = an.growth_report(map_counts, an.closed_path_counts(adj, max_period), rho)
+    alone = an.growth_report(map_counts, *an.closed_paths_and_radius(adj, max_period))
     shared = an.growth_report(map_counts, counts, rho)
     assert shared.rows == alone.rows and shared.lines() == alone.lines()
-    est = an.gurevich_entropy(an.closed_path_counts(adj, 10), rho)
+    est = an.gurevich_entropy(*an.closed_paths_and_radius(adj, 10))
     assert an.gurevich_entropy(counts[:10], rho) == est
     assert est.lines() != shared.entropy.lines() or max_period == 10
 
@@ -319,7 +323,7 @@ def test_closed_paths_are_the_kept_orbits(name, max_period):
     # each orbit of period p | n that was skipped or not certified
     cfg = RunConfig(map=name, max_period=max_period)
     lib, pg, skipped = _skipped_by_period(symdyn.built_in(name), cfg)
-    counts = an.closed_path_counts(pg, max_period)
+    counts, _ = an.closed_paths_and_radius(pg, max_period)
     for n in range(1, max_period + 1):
         lost = sum(p * skipped.get(p, 0) for p in range(1, n + 1) if n % p == 0)
         assert counts[n - 1] == lib.map_counts[n - 1] - lost, n

@@ -11,5 +11,5 @@ _spec.loader.exec_module(bench_kernels)
 def test_bench_kernels_runs():
     # one repetition of every row, so the script keeps up with the kernels
     out = bench_kernels.bench(reps=1)
-    assert len(out) == 21
+    assert len(out) == 22
     assert all(t > 0.0 for t in out.values())

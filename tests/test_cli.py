@@ -519,14 +519,16 @@ def test_graph_export_edges_name_vertex_records(tmp_path):
 
 
 def test_full_pipeline_walks_each_graph_and_classes_each_cover_once(monkeypatch, tmp_path):
-    # the pruned graph is walked once for the entropy and growth reports and
-    # the refined graph once; point classes are computed once, for the final
-    # cover (the cover's own dedup numbers the raw batch's points itself)
+    # one pass over the pruned graph gives the closed paths and the radius
+    # for the entropy and growth reports, and one over the refined graph;
+    # point classes are computed once, for the final cover (the cover's own
+    # dedup numbers the raw batch's points itself)
     calls = []
-    for mod, name in ((analysis, "closed_path_counts"), (markov_refine, "point_classes")):
+    for mod, name in ((analysis, "closed_paths_and_radius"),
+                      (markov_refine, "point_classes")):
         def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     cli.run("full-pipeline", parse_config("map = doubling"), str(tmp_path), quiet=True)
-    assert sorted(calls) == ["closed_path_counts"] * 2 + ["point_classes"]
+    assert sorted(calls) == ["closed_paths_and_radius"] * 2 + ["point_classes"]

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from symdyn import cli
 from symdyn import coarse_grain as cg
 from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
+from symdyn import shadowing as sh
 from symdyn.config import RunConfig, parse_config
 
-from construction import (EmptyCylinder, _cell_contains, _member_window, encode, fibres, hat_pi,
-                          make_window, record_alphabets, windows_agree_reference)
+from construction import (EmptyCylinder, _cell_contains, cover_of, encode, fibres, hat_pi,
+                          make_window, record_alphabets, rectangles, row_window,
+                          windows_agree_reference)
 from oracles import bracket_windows, signature_partition, strong_chain
 
 CHI2 = 0.5 * math.log(2.0)
@@ -59,12 +62,16 @@ def cover(doubling, cfg, fixture):
     return rects, dropped
 
 
+def _sizes(rects):
+    return np.diff(rects.start).tolist()
+
+
 def test_cover_singleton_rectangles(cover, fixture):
     rects, dropped = cover
     _, _, pg, kept = fixture
     # every vertex on the disjoint cycles carries one shadowed point
     assert len(rects) == len(kept)
-    assert all(len(r.points) == 1 for r in rects)
+    assert _sizes(rects) == [1] * len(kept)
 
 
 def test_cover_shadows_each_distinct_walk_once(doubling, cfg, fixture, cover, monkeypatch):
@@ -82,12 +89,107 @@ def test_cover_shadows_each_distinct_walk_once(doubling, cfg, fixture, cover, mo
                                                           cover_window=10, seed=1))
     assert len(calls) == len(set(map(tuple, calls))) == len(kept)
     assert dropped == cover[1]
-    assert [(r.vid, len(r.points)) for r in rects] == [(r.vid, len(r.points)) for r in cover[0]]
+    assert rects.vid.tolist() == cover[0].vid.tolist()
+    assert _sizes(rects) == _sizes(cover[0])
 
 
 def _cover_bits(result):
     rects, dropped = result
-    return dropped, [(r.vid, [p.point.points.tobytes() for p in r.points]) for r in rects]
+    return (dropped, rects.back_len,
+            *(a.dtype.str + a.tobytes().hex() for a in (rects.vid, rects.start, rects.points,
+                                                         rects.branches)))
+
+
+def _assert_first_copies(got, dropped, walks, results, window):
+    """The cover ``got`` (with its dropped count) is the independent reading
+    of its shadowed walks: per core vertex, ascending, the points of its
+    unbroken walks less each that agrees (windows_agree) with an earlier
+    one, bit for bit; a NaN point agrees with none, so every one is kept.
+    Returns the rows and the unbroken walks."""
+    kept = {}
+    for v, res in zip(walks[:, window].tolist(), results):
+        if isinstance(res, sh.EdgeBroken):
+            continue
+        firsts = kept.setdefault(v, [])
+        if not any(windows_agree_reference(x, res.point) for x in firsts):
+            firsts.append(res.point)
+    want = [x for v in sorted(kept) for x in kept[v]]
+    assert dropped == len(set(walks[:, window].tolist())) - len(kept)
+    assert got.vid.tolist() == sorted(kept) and got.back_len == window
+    assert _sizes(got) == [len(kept[v]) for v in sorted(kept)]
+    assert got.points.tobytes() == np.array([x.points for x in want]).tobytes()
+    assert got.branches.tobytes() == np.array([x.branch_ids for x in want]).tobytes()
+    return len(want), sum(not isinstance(r, sh.EdgeBroken) for r in results)
+
+
+@pytest.mark.parametrize("text", ["map = doubling\nmax_period = 10",
+                                  "map = quadratic\npaths_per_vertex = 6\ncover_window = 3"],
+                         ids=["doubling-max_period-10", "quadratic-cover_window-3"])
+def test_cover_rows_are_the_first_copies_of_the_shadowed_points(text, monkeypatch, tmp_path):
+    calls, covers = [], []
+    shadow_many, build_cover = mr.sh.shadow_many, mr.build_cover
+
+    def recording_shadow_many(*args):
+        calls.append((args[2], shadow_many(*args)))
+        return calls[-1][1]
+
+    def recording_build_cover(*args):
+        covers.append(build_cover(*args))
+        return covers[-1]
+
+    monkeypatch.setattr(mr.sh, "shadow_many", recording_shadow_many)
+    monkeypatch.setattr(mr, "build_cover", recording_build_cover)
+    cfg = parse_config(text)
+    cli.run("refine", cfg, str(tmp_path), quiet=True)
+    ((walks, results),), ((got, dropped),) = calls, covers
+    # these pruned graphs are unions of cycles: one walk per core vertex
+    rows, shadowed = _assert_first_copies(got, dropped, walks, results, cfg.cover_window)
+    assert rows == shadowed == len(walks)
+
+
+def _chorded(pg, kept):
+    """The pruned graph with a chord from one cycle to another, which gives
+    the walks through its ends a choice, and the chord's ends."""
+    a = kept[0]
+    b = next(v for v in kept if v not in pg.out_edges[a] and v != a)
+    out_edges = [sorted(e + [b]) if v == a else list(e) for v, e in enumerate(pg.out_edges)]
+    in_edges = [sorted(e + [a]) if v == b else list(e) for v, e in enumerate(pg.in_edges)]
+    return cg.GpoGraph(alphabet=pg.alphabet, out_edges=out_edges, in_edges=in_edges), a, b
+
+
+def test_cover_keeps_the_first_copy_of_a_point_and_every_nan(doubling, cfg, fixture,
+                                                              monkeypatch):
+    # distinct walks of one vertex that shadow to one point: every walk of a
+    # vertex with an unbroken one shadows to a copy of its first, every
+    # second copy with a NaN; and the last walk to the first point, which
+    # its rectangle keeps as well
+    g, _, _ = _chorded(fixture[2], fixture[3])
+    calls = []
+    shadow_many = mr.sh.shadow_many
+
+    def copying_shadow_many(m, table, walks, n_lo, c):
+        results = shadow_many(m, table, walks, n_lo, c)
+        first = {}
+        for v, res in zip(walks[:, -n_lo].tolist(), results):
+            if isinstance(res, sh.ShadowResult):
+                first.setdefault(v, res)
+        for k, v in enumerate(walks[:, -n_lo].tolist()):
+            if v in first:
+                pts = first[v].point.points.copy()
+                pts[0] = math.nan
+                results[k] = (replace(first[v], point=replace(first[v].point, points=pts))
+                              if k % 2 == 0 else first[v])
+        results[-1] = next(iter(first.values()))
+        calls.append((walks, results))
+        return results
+
+    monkeypatch.setattr(mr.sh, "shadow_many", copying_shadow_many)
+    c = replace(cfg, paths_per_vertex=4, cover_window=10, seed=5)
+    got, dropped = mr.build_cover(doubling, g, c)
+    ((walks, results),) = calls
+    rows, shadowed = _assert_first_copies(got, dropped, walks, results, c.cover_window)
+    nan_rows = np.isnan(got.points).any(axis=1)
+    assert rows < shadowed and np.bincount(got.rect()[nan_rows]).max() > 1
 
 
 def test_cover_walks_once_where_no_walk_has_a_choice(doubling, cfg, fixture, cover, monkeypatch):
@@ -112,11 +214,7 @@ def test_cover_draws_as_every_pair_would(doubling, cfg, fixture, monkeypatch):
     # choice: stopping a vertex's walks at a pair that drew nothing leaves
     # the cover of walking all paths_per_vertex pairs
     _, _, pg, kept = fixture
-    a = kept[0]
-    b = next(v for v in kept if v not in pg.out_edges[a] and v != a)
-    out_edges = [sorted(e + [b]) if v == a else list(e) for v, e in enumerate(pg.out_edges)]
-    in_edges = [sorted(e + [a]) if v == b else list(e) for v, e in enumerate(pg.in_edges)]
-    g = cg.GpoGraph(alphabet=pg.alphabet, out_edges=out_edges, in_edges=in_edges)
+    g, a, b = _chorded(pg, kept)
     c = replace(cfg, paths_per_vertex=4, cover_window=10, seed=5)
     starts, walks = [], []
     walk, shadow_many = mr._walk, mr.sh.shadow_many
@@ -149,7 +247,7 @@ def test_cover_drops_only_core_vertices(doubling, cfg, fixture):
     assert len(core) == len(kept) < pg.n_vertices()
     rects, dropped = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
                                                           cover_window=10, seed=1))
-    assert dropped == 0 and [r.vid for r in rects] == core
+    assert dropped == 0 and rects.vid.tolist() == core
 
 
 def test_cover_samples_cycles_longer_than_the_window(doubling, cfg):
@@ -171,8 +269,8 @@ def test_cover_samples_cycles_longer_than_the_window(doubling, cfg):
     rects, dropped = mr.build_cover(doubling, g, replace(cfg, paths_per_vertex=3,
                                                          cover_window=3, seed=1))
     assert dropped == 0
-    assert [r.vid for r in rects] == sorted(cycle)
-    assert all(len(r.points) == 1 for r in rects)
+    assert rects.vid.tolist() == sorted(cycle)
+    assert _sizes(rects) == [1] * 5
 
 
 def test_refine_quadratic_short_cover_window(tmp_path):
@@ -205,56 +303,61 @@ def test_windows_agree_on_nan_signed_zero_and_range(doubling):
             windows_agree_reference(w, short, depth, fwd)
 
 
-def test_cover_containment(cover, table):
-    # shadowing containment: zeroth coordinate inside the vertex chart
+def test_cover_containment(doubling, cfg, fixture, cover, table, monkeypatch):
+    # shadowing containment, and the zeroth coordinate of every row is its
+    # rectangle's chart center (desk-scale absorption)
+    results = []
+    shadow_many = mr.sh.shadow_many
+
+    def recording_shadow_many(*args):
+        results.extend(shadow_many(*args))
+        return results
+
+    monkeypatch.setattr(mr.sh, "shadow_many", recording_shadow_many)
+    mr.build_cover(doubling, fixture[2], replace(cfg, paths_per_vertex=3, cover_window=10,
+                                                 seed=1))
+    assert results and all(r.worst_containment <= 1.0 + 1e-9 for r in results)
     rects, _ = cover
-    for z in rects:
-        for p in z.points:
-            assert p.worst_containment <= 1.0 + 1e-9
-            assert p.point.x0 == table.theta0[z.vid]  # desk-scale absorption
+    assert np.array_equal(rects.points[:, rects.back_len], table.theta0[rects.vid[rects.rect()]])
 
 
-def test_fibres_stable_same_x0(cover, table):
+def test_fibres_stable_same_x0(doubling, cover, table):
     rects, _ = cover
-    z = rects[0]
-    fd = fibres(table, z, 0)
-    assert fd.in_stable(z.points[0].point)
+    assert fibres(table, rects, 0).in_stable(row_window(doubling, rects, 0))
 
 
-def test_fibres_unstable_membership(cover, table):
+def test_fibres_unstable_membership(doubling, cover, table):
     rects, _ = cover
-    z = rects[0]
-    fd = fibres(table, z, 0)
-    assert fd.in_unstable(z.points[0].point)
+    assert fibres(table, rects, 0).in_unstable(row_window(doubling, rects, 0))
 
 
-def test_fibres_disjoint_across_orbits(cover, table):
+def test_fibres_disjoint_across_orbits(doubling, cover, table):
     rects, _ = cover
-    a, b = rects[0], rects[-1]
-    if a.points[0].point.x0 != b.points[0].point.x0:
-        fa = fibres(table, a, 0)
-        assert not fa.in_stable(b.points[0].point)
+    a, b = 0, rects.start[-2]
+    if rects.points[a, rects.back_len] != rects.points[b, rects.back_len]:
+        assert not fibres(table, rects, a).in_stable(row_window(doubling, rects, b))
 
 
 @pytest.mark.parametrize("which", ["cover", "twin"])
-def test_fibre_columns_match_the_descriptors(which, cover, twin_cover, table):
+def test_fibre_columns_match_the_descriptors(which, doubling, cover, twin_cover, table):
     """The fibre columns of ``point_classes`` decide each stable and unstable
-    membership of every pair of points, and the unstable membership of the
+    membership of every pair of rows, and the unstable membership of the
     backward shift of the second, as the scalar descriptors do."""
     rects = cover[0] if which == "cover" else twin_cover[1]
-    fib = mr.point_classes(table, rects).fibres
-    refs = [(i, pi) for i, z in enumerate(rects) for pi in range(len(z.points))]
-    a, b = np.divmod(np.arange(len(refs) ** 2), len(refs))
-    rect = np.array([i for i, _ in refs])[a]
-    stable = fib.x0[b] == fib.x0[a]
-    unstable = (fib.word[b] == fib.word[a]) & mr._in_chart(fib, rect, fib.x0[b])
-    back = (fib.word_tail[b] == fib.word_head[a]) & mr._in_chart(fib, rect, fib.x_back[b])
-    for k, (ia, ib) in enumerate(zip(a.tolist(), b.tolist())):
-        fd = fibres(table, rects[refs[ia][0]], refs[ia][1])
-        q = _member_window(rects, refs[ib])
-        assert (stable[k], unstable[k], back[k]) == (
-            fd.in_stable(q), fd.in_unstable(q), fd.in_unstable(q.shift(-1)))
-    assert stable.sum() >= len(refs) and back.any()
+    pc = mr.point_classes(table, rects)
+    k, n = len(rects.points), rects.back_len
+    x_back, x0 = rects.points[:, n - 1], rects.points[:, n]
+    a, b = np.divmod(np.arange(k ** 2), k)
+    rect = rects.rect()[a]
+    stable = x0[b] == x0[a]
+    unstable = (pc.word[b] == pc.word[a]) & mr._in_chart(pc, rect, x0[b])
+    back = (pc.word_tail[b] == pc.word_head[a]) & mr._in_chart(pc, rect, x_back[b])
+    windows = [row_window(doubling, rects, q) for q in range(k)]
+    for t, (qa, qb) in enumerate(zip(a.tolist(), b.tolist())):
+        fd, w = fibres(table, rects, qa), windows[qb]
+        assert (stable[t], unstable[t], back[t]) == (
+            fd.in_stable(w), fd.in_unstable(w), fd.in_unstable(w.shift(-1)))
+    assert stable.sum() >= k and back.any()
 
 
 def test_in_chart_is_the_threshold_test():
@@ -262,13 +365,14 @@ def test_in_chart_is_the_threshold_test():
     log_size = [-800.0, -745.5, -20.0, 710.0]
     xs = [0.0, -0.0, 5e-324, 1e-320, math.exp(-745.5), 1e-300, math.exp(-20.0), 1.0,
           math.inf, math.nan]
-    fib = mr.Fibres(*[None] * 7, theta0=np.full(4, 0.25), u=np.full(4, 3.0),
-                    size=np.array([math.exp(t) if t < 700.0 else math.inf for t in log_size]),
-                    log_size=np.array(log_size))
+    columns = SimpleNamespace(theta0=np.full(4, 0.25), u=np.full(4, 3.0),
+                              size=np.array([math.exp(t) if t < 700.0 else math.inf
+                                             for t in log_size]),
+                              log_size=np.array(log_size))
     r, x = (g.ravel() for g in np.meshgrid(np.arange(4), 0.25 + np.array(xs) / 3.0))
     want = [cg.lt_log_threshold(abs(xv - 0.25) * 3.0, log_size[rv], strict=False)
             for rv, xv in zip(r.tolist(), x.tolist())]
-    assert mr._in_chart(fib, r, x).tolist() == want
+    assert mr._in_chart(columns, r, x).tolist() == want
 
 
 def _refined(table, rects):
@@ -279,6 +383,10 @@ def _refined(table, rects):
     return cells, mr.hat_graph(rects, cells, pc)
 
 
+def _members(cells):
+    return sorted(sorted(c.members.tolist()) for c in cells)
+
+
 def test_refine_disjoint_cover_is_identity(cover, table):
     rects, _ = cover
     cells = mr.refine(rects, mr.point_classes(table, rects))
@@ -287,16 +395,25 @@ def test_refine_disjoint_cover_is_identity(cover, table):
         assert len(c.members) == 1
 
 
-def test_refine_matches_brute_force(cover, table):
+def test_refine_matches_brute_force(doubling, cover, table):
     rects, _ = cover
     cells = mr.refine(rects, mr.point_classes(table, rects))
-    ours = sorted(sorted(c.members) for c in cells)
-    oracle = signature_partition(table, rects)
-    assert ours == oracle
+    assert _members(cells) == signature_partition(doubling, table, rects)
 
 
-def test_refine_empty(table):
-    assert mr.refine([], mr.point_classes(table, [])) == []
+def test_refine_empty(doubling, cfg, fixture, table):
+    # a graph without edges has no core vertex: an empty cover, refined,
+    # graphed and audited as such
+    n = len(table)
+    g = cg.GpoGraph(alphabet=fixture[1], out_edges=[[]] * n, in_edges=[[]] * n)
+    rects, dropped = mr.build_cover(doubling, g, replace(cfg, cover_window=4))
+    assert (len(rects), dropped, rects.points.shape) == (0, 0, (0, 9))
+    pc = mr.point_classes(table, rects)
+    assert pc.cls.size == pc.met.size == 0
+    cells, tg = _refined(table, rects)
+    assert cells == [] and tg.out_edges == []
+    rep = mr.audits(tg)
+    assert (rep.markov_checked, rep.preimage_max, rep.intersection_counts) == (0, 0, [])
 
 
 @pytest.fixture(scope="module")
@@ -305,15 +422,14 @@ def twin_cover(doubling, cfg, fixture):
     _, _, pg, _ = fixture
     rects, _ = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=2,
                                                     cover_window=10, seed=3))
-    return rects, rects + [mr.Rectangle(vid=r.vid, points=r.points) for r in rects[:3]]
+    return rects, cover_of(rectangles(rects) + rectangles(rects)[:3], rects.back_len)
 
 
-def test_refine_overlapping_rectangles_against_oracle(twin_cover, table):
+def test_refine_overlapping_rectangles_against_oracle(doubling, twin_cover, table):
     # force nontrivial signatures: duplicate a rectangle so Z_i = Z_j
     rects, doubled = twin_cover
     cells, tg = _refined(table, doubled)
-    ours = sorted(sorted(c.members) for c in cells)
-    assert ours == signature_partition(table, doubled)
+    assert _members(cells) == signature_partition(doubling, table, doubled)
     # shared points produce 'su' signatures against the twin rectangle
     twin_sigs = [dict(c.signature) for c in cells if c.rect == 0]
     assert any(sig.get((0, len(rects))) == "su" for sig in twin_sigs)
@@ -323,37 +439,42 @@ def test_refine_overlapping_rectangles_against_oracle(twin_cover, table):
         assert over[c.cell_id] == (2 if c.rect < 3 or c.rect >= len(rects) else 1)
 
 
-def _other_word(res):
-    """A shadow result with res's coordinates and another oldest branch."""
-    w = res.point
-    bids = w.branch_ids.copy()
-    bids[0] = 1 - bids[0]
-    return replace(res, point=replace(w, branch_ids=bids))
-
-
 @pytest.mark.parametrize("which", ["cover", "twin", "other-word"])
-def test_refine_signatures_match_the_descriptors(which, cover, twin_cover, table):
+def test_refine_signatures_match_the_descriptors(which, doubling, cover, twin_cover, table):
     # each cell's signature is its members' classification by the scalar
-    # descriptors; on "other-word" a point and a copy with another backward
-    # word share their s-fibres but not their u-fibres
+    # descriptors; on "other-word" a point and a copy with another oldest
+    # branch share their s-fibres but not their u-fibres
     rects = cover[0] if which == "cover" else twin_cover[1]
+    windows = [row_window(doubling, rects, q) for q in range(len(rects.points))]
     if which == "other-word":
-        z = rects[0]
-        rects = rects + [replace(z, points=[_other_word(p) for p in z.points])]
+        vid, pts, bids = rectangles(rects)[0]
+        bids = bids.copy()
+        bids[:, 0] = 1 - bids[:, 0]
+        windows += [replace(w, branch_ids=b) for w, b in zip(windows, bids)]
+        rects = cover_of(rectangles(rects) + [(vid, pts, bids)], rects.back_len)
     pc = mr.point_classes(table, rects)
     cells = mr.refine(rects, pc)
+    bounds = rects.start.tolist()
     types = set()
     for c in cells:
-        for i, pi in c.members:
-            fd = fibres(table, rects[i], pi)
-            want = tuple(((i, j), ("s" if any(fd.in_stable(q.point) for q in rects[j].points)
+        i = c.rect
+        for q in c.members.tolist():
+            fd = fibres(table, rects, q)
+            want = tuple(((i, j), ("s" if any(fd.in_stable(windows[y])
+                                              for y in range(bounds[j], bounds[j + 1]))
                                    else "0") +
-                          ("u" if any(fd.in_unstable(q.point) for q in rects[j].points)
+                          ("u" if any(fd.in_unstable(windows[y])
+                                      for y in range(bounds[j], bounds[j + 1]))
                            else "0"))
-                         for j in pc.met[i])
+                         for j in pc.met[pc.met[:, 0] == i, 1].tolist())
             assert c.signature == want
             types.update(t for _, t in want)
     assert types == ({"su", "s0"} if which == "other-word" else {"su"})
+
+
+def _cells_at(rects, cells, x0):
+    return [c.cell_id for c in cells
+            if abs(rects.points[c.members[0], rects.back_len] - x0) < 1e-9]
 
 
 def test_hat_graph_cycles(doubling, cfg, cover, table):
@@ -363,8 +484,7 @@ def test_hat_graph_cycles(doubling, cfg, cover, table):
     for c in cells:
         assert len(tg.out_edges[c.cell_id]) == 1
     # and the 2-cycle closes in two steps
-    two = [c.cell_id for c in cells
-           if abs(_member_window(rects, c.members[0]).x0 - 1 / 6) < 1e-9]
+    two = _cells_at(rects, cells, 1 / 6)
     nxt = tg.out_edges[two[0]][0]
     assert tg.out_edges[nxt][0] == two[0]
 
@@ -389,19 +509,17 @@ def test_hat_pi_constant_path(doubling, cfg, cover, table):
     path = [c0]
     for _ in range(6):
         path.append(tg.out_edges[path[-1]][0])
-    w, diams = hat_pi(tg, path, n_lo=0)
+    w, diams = hat_pi(doubling, tg, path, n_lo=0)
     assert diams[-1] == 0.0
-    assert _cell_contains(rects, cells[c0], w)
+    assert _cell_contains(doubling, rects, cells[c0], w)
 
 
 def test_hat_pi_period2(doubling, cfg, cover, table):
     rects, _ = cover
     cells, tg = _refined(table, rects)
-    two = [c.cell_id for c in cells
-           if abs(_member_window(rects, c.members[0]).x0 - 1 / 6) < 1e-9]
-    c0 = two[0]
+    c0 = _cells_at(rects, cells, 1 / 6)[0]
     c1 = tg.out_edges[c0][0]
-    w, diams = hat_pi(tg, [c0, c1, c0, c1, c0], n_lo=-2)
+    w, diams = hat_pi(doubling, tg, [c0, c1, c0, c1, c0], n_lo=-2)
     assert w.x(0) == pytest.approx(1 / 6, abs=1e-12) or \
         w.x(0) == pytest.approx(1 / 3, abs=1e-12)
 
@@ -412,7 +530,7 @@ def test_hat_pi_inadmissible(doubling, cfg, cover, table):
     c0 = cells[0].cell_id
     bad = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[c0])
     with pytest.raises(ValueError):
-        hat_pi(tg, [c0, bad])
+        hat_pi(doubling, tg, [c0, bad])
 
 
 def test_hat_pi_empty_cylinder():
@@ -430,7 +548,7 @@ def test_hat_pi_empty_cylinder():
     b = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[a])
     tg.out_edges[a] = sorted(tg.out_edges[a] + [b])  # forged edge
     with pytest.raises(EmptyCylinder):
-        hat_pi(tg, [a, b])
+        hat_pi(m, tg, [a, b])
 
 
 def test_audits_pass_on_doubling_fixture(doubling, cfg, cover, table):
@@ -450,13 +568,14 @@ def test_compatibility_of_brackets_across_edges(doubling, cfg, cover):
     # pairs of each rectangle across shift edges
     rects, _ = cover
     checked = 0
-    for z in rects[:8]:
-        for p in z.points:
-            for q in z.points:
-                w = bracket_windows(doubling, p.point, q.point)
+    bounds = rects.start.tolist()
+    for a, b in zip(bounds[:8], bounds[1:9]):
+        windows = [row_window(doubling, rects, q) for q in range(a, b)]
+        for p in windows:
+            for q in windows:
+                w = bracket_windows(doubling, p, q)
                 lhs = w.shift(1)
-                rhs = bracket_windows(doubling, p.point.shift(1),
-                                      q.point.shift(1))
+                rhs = bracket_windows(doubling, p.shift(1), q.shift(1))
                 for n in range(-min(lhs.back_len, rhs.back_len), 1):
                     assert lhs.x(n) == rhs.x(n)
                 checked += 1
@@ -478,17 +597,17 @@ def test_hat_pi_odd_anchor_alignment(doubling, cfg):
     for _ in range(6):
         path.append(tg.out_edges[path[-1]][0])
     for n_lo in (0, -1, -3):
-        w, diams = hat_pi(tg, path, n_lo=n_lo)
+        w, diams = hat_pi(doubling, tg, path, n_lo=n_lo)
         anchor_cell = tg.cells[path[-n_lo]]
-        assert _cell_contains(rects, anchor_cell, w)
+        assert _cell_contains(doubling, rects, anchor_cell, w)
         # and the shift by n_lo + i sits in every path cell
         for i, cid in enumerate(path):
-            assert _cell_contains(rects, tg.cells[cid], w.shift(n_lo + i))
+            assert _cell_contains(doubling, rects, tg.cells[cid], w.shift(n_lo + i))
 
 
 def _pipeline_cover(monkeypatch, tmp_path, text):
-    """The cover a ``refine`` run samples under the config ``text``, and the
-    vertex table of its rows."""
+    """The cover a ``refine`` run samples under the config ``text``, its map
+    and the vertex table of its rows."""
     covers = []
     refine = mr.refine
     alphabets = record_alphabets(monkeypatch)
@@ -498,78 +617,77 @@ def _pipeline_cover(monkeypatch, tmp_path, text):
         return refine(cover, classes)
 
     monkeypatch.setattr(mr, "refine", keep)
-    cli.run("refine", parse_config(text), str(tmp_path), quiet=True)
+    cfg = parse_config(text)
+    cli.run("refine", cfg, str(tmp_path), quiet=True)
     (al,) = alphabets.values()
-    return covers[0], al.vertices
+    return covers[0], symdyn.built_in(cfg.map), al.vertices
 
 
-def _with_point(res, i, value):
-    w = res.point
-    pts = w.points.copy()
-    pts[w.off + i] = value
-    return replace(res, point=replace(w, points=pts))
+def _edited(m, rects, q, n, value):
+    """Row q of the cover with coordinate x_n set to value, as its points
+    and its window."""
+    pts = rects.points[q].copy()
+    pts[rects.back_len + n] = value
+    return pts, replace(row_window(m, rects, q), points=pts)
 
 
 @pytest.mark.parametrize("name", ["doubling-max_period-10", "quadratic", "twin", "signed-zero"])
-def test_point_classes_match_windows_agree(name, cover, twin_cover, table, monkeypatch, tmp_path):
+def test_point_classes_match_windows_agree(name, doubling, cover, twin_cover, table, monkeypatch,
+                                           tmp_path):
+    m = doubling
     if name == "doubling-max_period-10":
-        rects, table = _pipeline_cover(monkeypatch, tmp_path, "map = doubling\nmax_period = 10")
+        rects, m, table = _pipeline_cover(monkeypatch, tmp_path, "map = doubling\nmax_period = 10")
     elif name == "quadratic":
-        rects, table = _pipeline_cover(monkeypatch, tmp_path, "map = quadratic")
+        rects, m, table = _pipeline_cover(monkeypatch, tmp_path, "map = quadratic")
     elif name == "twin":
         rects = twin_cover[1]
+    if name != "signed-zero":
+        windows = [row_window(m, rects, q) for q in range(len(rects.points))]
     else:
-        # two points apart only in the sign of a zero coordinate, whose
-        # shifts land on q; and q with a NaN, which agrees with nothing,
-        # itself included, though its shift-side coordinates still match
-        z = cover[0][0]
-        p = z.points[0]
-        y = next(y for y in cover[0] if windows_agree_reference(y.points[0].point, p.point.shift(1)))
-        q, n = y.points[0], p.point.back_len
-        rects = [replace(z, points=[_with_point(p, -n, 0.0), _with_point(p, -n, -0.0)]),
-                 replace(y, points=[q, _with_point(q, n, math.nan)])]
+        # two rows apart only in the sign of a zero coordinate, whose shifts
+        # land on row q; and q with a NaN, which agrees with nothing, itself
+        # included, though its shift-side coordinates still match
+        base, n = cover[0], cover[0].back_len
+        p = row_window(m, base, 0)
+        q = next(y for y in base.start[:-1].tolist()
+                 if windows_agree_reference(row_window(m, base, y), p.shift(1)))
+        rows = [_edited(m, base, 0, -n, 0.0), _edited(m, base, 0, -n, -0.0),
+                (base.points[q], row_window(m, base, q)), _edited(m, base, q, n, math.nan)]
+        windows = [w for _, w in rows]
+        i = np.searchsorted(base.start, q, side="right") - 1
+        rects = cover_of([(base.vid[0], np.array([x for x, _ in rows[:2]]), base.branches[[0, 0]]),
+                          (base.vid[i], np.array([x for x, _ in rows[2:]]), base.branches[[q, q]])],
+                         n)
     pc = mr.point_classes(table, rects)
-    refs = [(i, pi) for i, z in enumerate(rects) for pi in range(len(z.points))]
-    windows = [rects[i].points[pi].point for i, pi in refs]
+    k = len(rects.points)
+    assert len(pc.cls) == len(pc.head) == len(pc.shift) == k
     shifted = [w.shift(1) for w in windows]
-    assert list(pc.cls) == list(pc.head) == list(pc.shift) == refs
     # windows_agree compares ranges holding index 0, so a pair whose zeroth
     # coordinates differ never agrees: the table must separate every such
     # pair, and windows_agree decides every other pair
     x0 = np.array([w.x0 for w in windows])
     x1 = np.array([w.x0 for w in shifted])
-    cls = np.array([-1 if c is None else c for c in pc.cls.values()])
-    head = np.array([-1 if c is None else c for c in pc.head.values()])
-    shift = np.array([-2 if c is None else c for c in pc.shift.values()])
+    cls, head, shift = pc.cls, pc.head, pc.shift
     assert not ((x0[:, None] != x0[None, :]) & (cls[:, None] == cls[None, :]) & (cls >= 0)).any()
-    assert not ((x1[:, None] != x0[None, :]) & (shift[:, None] == head[None, :])).any()
+    assert not ((x1[:, None] != x0[None, :]) & (shift[:, None] == head[None, :])
+                & (shift >= 0)[:, None]).any()
     agreed = shift_hits = 0
-    for a, b in itertools.product(range(len(refs)), repeat=2):
-        ra, rb = refs[a], refs[b]
+    for a, b in itertools.product(range(k), repeat=2):
         if x0[a] == x0[b]:
             same = windows_agree_reference(windows[a], windows[b])
-            assert same == (pc.cls[ra] is not None and pc.cls[ra] == pc.cls[rb])
+            assert same == (cls[a] >= 0 and cls[a] == cls[b])
             agreed += same
         if x1[a] == x0[b]:
             lands = windows_agree_reference(windows[b], shifted[a])
-            assert lands == (pc.shift[ra] is not None and pc.shift[ra] == pc.head[rb])
+            assert lands == (shift[a] >= 0 and shift[a] == head[b])
             shift_hits += lands
-    assert agreed >= len(refs) - (name == "signed-zero") and shift_hits > 0
+    assert agreed >= k - (name == "signed-zero") and shift_hits > 0
     if name == "signed-zero":
-        assert pc.cls[0, 0] == pc.cls[0, 1] and pc.cls[1, 1] is None
-        assert pc.shift[0, 0] == pc.shift[0, 1] == pc.head[1, 0] == pc.head[1, 1]
+        assert cls[0] == cls[1] and cls[3] == -1
+        assert shift[0] == shift[1] == head[2] == head[3] >= 0
 
 
-def test_point_classes_need_one_span(cover, table, doubling, cfg, fixture):
-    _, _, pg, _ = fixture
-    other, _ = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
-                                                    cover_window=8, seed=1))
-    with pytest.raises(ValueError, match="one span"):
-        mr.point_classes(table, cover[0][:1] + other[:1])
-    assert mr.point_classes(table, []).cls == {}
-
-
-def test_hat_pi_lets_unexpected_shift_errors_through(cover, table, monkeypatch):
+def test_hat_pi_lets_unexpected_shift_errors_through(doubling, cover, table, monkeypatch):
     # only a window that runs out or meets a singular point drops a candidate
     rects, _ = cover
     cells, tg = _refined(table, rects)
@@ -580,4 +698,4 @@ def test_hat_pi_lets_unexpected_shift_errors_through(cover, table, monkeypatch):
 
     monkeypatch.setattr(ne.OrbitWindow, "shift", broken_shift)
     with pytest.raises(TypeError, match="not a shift failure"):
-        hat_pi(tg, [c0, tg.out_edges[c0][0]], n_lo=-1)
+        hat_pi(doubling, tg, [c0, tg.out_edges[c0][0]], n_lo=-1)
