@@ -28,7 +28,7 @@ SEEDS = (1, 7)
 # negative encoding indices, a short cover window, a long u-depth audit
 # and the countable-branch map one period deeper.
 EXTRA = [
-    ("shadow", "map = tent\nencode_lo = -20\nencode_hi = 30\nfwd_len = 5\nback_depth = 20"),
+    ("shadow", "map = tent\nencode_lo = -19\nencode_hi = 30\nfwd_len = 5\nback_depth = 20"),
     ("refine", "map = quadratic\npaths_per_vertex = 6\ncover_window = 3"),
     ("inverse-audit", "map = doubling\nencode_hi = 50\nfwd_len = 5\nback_depth = 12"),
     ("full-pipeline", "map = gauss\nmax_period = 3"),

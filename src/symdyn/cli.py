@@ -15,6 +15,8 @@ import sys
 import traceback
 from dataclasses import replace
 
+import numpy as np
+
 from . import analysis, coarse_grain, formats, library, map_model, markov_refine, shadowing
 from .config import RunConfig, load_config
 from .map_model import load_map
@@ -73,37 +75,35 @@ def stage_graph(al, out, quiet):
 def _encode_and_shadow(m, al, tables, cfg, lo, hi):
     """Encode the windows of ``tables`` over [lo, hi] and shadow their gpos
     in one ``shadow_many`` call (the windows of a stage share back_depth and
-    the forward horizon, so every gpo spans the same indices); per table,
-    in order, a ShadowResult, an EdgeBroken or a NoNetVertex."""
-    out, rows, walks = [], [], []
+    the forward horizon, so every gpo spans the same indices).  Returns per
+    table, in order, its NoNetVertex or None, and the Shadows table with a
+    row for each None, in order."""
+    errors, walks, n_lo = [], [], lo
     for tabs in tables:
         try:
             vids, n_lo = coarse_grain.sufficiency_encode(m, tabs.w, al, cfg, lo=lo, hi=hi,
                                                          tables=tabs)
         except coarse_grain.NoNetVertex as e:
-            out.append(e)
+            errors.append(e)
             continue
-        rows.append(len(out))
-        out.append(None)
+        errors.append(None)
         walks.append(vids)
-    if walks:
-        for i, res in zip(rows, shadowing.shadow_many(m, al.vertices, walks, n_lo, cfg)):
-            out[i] = res
-    return out
+    walks = np.array(walks, dtype=np.int64).reshape(len(walks), len(walks[0]) if walks else 0)
+    return errors, shadowing.shadow_many(m, al.vertices, walks, n_lo, cfg)
 
 
 def stage_shadow(m, cfg, al, out, quiet):
     """Encode and shadow one window per orbit: the base window whose tables
     the alphabet kept."""
-    shadowed = _encode_and_shadow(m, al, sorted(al.tables, key=lambda t: t.w.record()),
-                                  cfg, cfg.encode_lo, cfg.encode_hi)
-    results = [r for r in shadowed if isinstance(r, shadowing.ShadowResult)]
-    failures = len(shadowed) - len(results)
-    formats.write_shadows(os.path.join(out, "shadows.txt"), results)
-    worst = max((r.worst_containment for r in results), default=0.0)
-    _say(quiet, f"shadow: {len(results)} gpos shadowed, {failures} failures, "
+    errors, shadows = _encode_and_shadow(m, al, sorted(al.tables, key=lambda t: t.w.record()),
+                                         cfg, cfg.encode_lo, cfg.encode_hi)
+    ok = shadows.ok
+    failures = len(errors) - int(ok.sum())
+    formats.write_shadows(os.path.join(out, "shadows.txt"), shadows)
+    worst = max(shadows.worst[ok].tolist(), default=0.0)
+    _say(quiet, f"shadow: {int(ok.sum())} gpos shadowed, {failures} failures, "
                 f"worst containment {worst:.3g}")
-    return results
+    return shadows
 
 
 def stage_inverse(m, cfg, out, quiet):
@@ -121,20 +121,24 @@ def stage_inverse(m, cfg, out, quiet):
     # both families share each orbit's cycle array
     reps_b = {id(t.w.points): t for t in al.tables if t.w.u_depth == base + 4}
     reps_a = sorted((t for t in al.tables if t.w.u_depth == base), key=lambda t: t.w.x0)
-    shadowed = _encode_and_shadow(
+    errors, shadows = _encode_and_shadow(
         m, al, [t for a in reps_a for t in (a, reps_b[id(a.w.points)])], cfg, 0, cfg.encode_hi)
+    rows = iter(range(len(shadows)))
+    row = [next(rows) if e is None else None for e in errors]   # each encoded table's row
 
-    for tabs, pair in zip(reps_a, zip(shadowed[::2], shadowed[1::2])):
+    for k, tabs in enumerate(reps_a):
+        pair = (2 * k, 2 * k + 1)
         # an encoding failure is reported before a shadowing one, gpo a before b
-        errors = sorted((r for r in pair if not isinstance(r, shadowing.ShadowResult)),
-                        key=lambda e: isinstance(e, shadowing.EdgeBroken))
-        if not errors:
+        faults = [errors[t] for t in pair if errors[t] is not None]
+        faults += [shadows.broken[row[t]] for t in pair if row[t] in shadows.broken]
+        if not faults:
             try:
-                rep = shadowing.inverse_check(*pair, al.vertices, cfg)
+                rep = shadowing.inverse_check(shadows, row[2 * k], row[2 * k + 1],
+                                              al.vertices, cfg)
             except shadowing.NotDoubleCoding as e:
-                errors = [e]
-        if errors:
-            lines.append(f"orbit x0={tabs.w.x0!r}: {type(errors[0]).__name__}: {errors[0]}")
+                faults = [e]
+        if faults:
+            lines.append(f"orbit x0={tabs.w.x0!r}: {type(faults[0]).__name__}: {faults[0]}")
             failed += 1
             continue
         audited += 1

@@ -14,7 +14,8 @@ allowed.  Keys (all optional, defaults below):
     max_period      periodic-orbit library: largest period enumerated (1 to MAX_PERIOD)
     paths_per_vertex  sampled strong paths per vertex in the Markov cover (>= 1)
     cover_window    half-length of the sampled paths (>= 2)
-    encode_lo/encode_hi  encoding range within windows (encode_lo <= 0 < encode_hi)
+    encode_lo/encode_hi  encoding range within windows
+                    (1 - back_depth <= encode_lo <= 0 < encode_hi)
 
 A library window spans back_depth + max(fwd_len, encode_hi + 2) orbit
 steps, which must exceed max_period, so that a phase past the forward
@@ -66,6 +67,9 @@ class RunConfig:
             raise ValueError("cover_window must be >= 2")
         if self.encode_lo > 0:
             raise ValueError("encode_lo must be <= 0")
+        if self.encode_lo < 1 - self.back_depth:  # a window's tables start at 1 - back_depth
+            raise ValueError(f"encode_lo = {self.encode_lo} must be >= 1 - back_depth = "
+                             f"{1 - self.back_depth}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.back_depth + self.horizon <= self.max_period:

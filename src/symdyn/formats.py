@@ -75,13 +75,17 @@ def write_partition(path, cells, tg):
                 fh.write(f"E {r} {s}\n")
 
 
-def write_shadows(path, results):
+def write_shadows(path, shadows):
+    """One line per unbroken row of a ``shadowing.Shadows`` table: its
+    point's x0, backward word and forward length, then tau0, log p_0 and
+    the log error bound, every float as the repr of a Python float."""
+    ok, n = shadows.ok, -shadows.n_lo
+    rows = zip(shadows.points[ok, n].tolist(), shadows.branches[ok, :n].tolist(),
+               shadows.tau0[ok].tolist(), shadows.log_p0[ok].tolist(), shadows.log_err[ok].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header("shadows"))
-        for r in results:
-            fh.write(r.point.record() +
-                     f" tau0={r.tau0!r} log_p0={r.log_p0!r}"
-                     f" log_err={r.log_error_bound!r}\n")
+        fh.writelines(f"x0={x!r} back={','.join(map(str, word[::-1]))} fwd={shadows.n_hi} "
+                      f"tau0={t!r} log_p0={lp!r} log_err={e!r}\n" for x, word, t, lp, e in rows)
 
 
 def _jsonable(x):

@@ -208,8 +208,10 @@ def build_cover(m, g, cfg):
     nothing: every later pair would be the same walk.  Every walk is drawn
     first and all are shadowed in one ``shadow_many`` batch; shadowing
     draws nothing, so the draws are those of walking and shadowing vertex
-    by vertex.  A rectangle keeps the first row of each class, numbered
-    once as ``point_classes`` numbers them, and every row holding a NaN.
+    by vertex.  The cover's rows are the unbroken rows of the batch's
+    ``points`` and ``branches``: a rectangle keeps the first row of each
+    class, numbered once as ``point_classes`` numbers them, and every row
+    holding a NaN.
     """
     window = cfg.cover_window
     rng = np.random.default_rng(cfg.seed)
@@ -233,12 +235,9 @@ def build_cover(m, g, cfg):
                 break
         core.append((v, count))
     walks = np.array(walks, dtype=np.int64).reshape(len(walks), 2 * window + 1)
-    shadowed = sh.shadow_many(m, g.alphabet.vertices, walks, -window, cfg)
-    rows = [k for k, res in enumerate(shadowed) if not isinstance(res, sh.EdgeBroken)]
-    pts = np.array([shadowed[k].point.points for k in rows]).reshape(-1, 2 * window + 1)
-    bids = np.array([shadowed[k].point.branch_ids for k in rows],
-                    dtype=np.int64).reshape(-1, 2 * window)
-    vertex = walks[rows, window]
+    shadows = sh.shadow_many(m, g.alphabet.vertices, walks, -window, cfg)
+    ok = shadows.ok
+    pts, bids, vertex = shadows.points[ok], shadows.branches[ok], walks[ok, window]
     # the first row of each (vertex, class) pair, and every NaN row
     cls = _number(pts, ~np.isnan(pts).any(axis=1))
     keep = cls < 0

@@ -15,8 +15,8 @@ cycles into one block of arrays, a window per row;
 ``make_periodic_window`` is its one-row call.  A window is an f-pseudo-orbit
 within ~1e-16, well inside the 1e-10 window tolerance, and every derived
 quantity is exactly periodic.  ``OrbitWindow.phases`` views a cycle window
-at each phase.  ``make_pseudo_window`` wraps the shadowed points of a batch
-of gpos.
+at each phase.  Shadowed points are no windows: ``shadowing.shadow_many``
+keeps them as rows of its table, and holds them to the same tolerance.
 """
 
 import math
@@ -351,25 +351,3 @@ def _check_cycles(m, rows, cyc, cycle_word, d, idx, built):
         built[rows[r]] = e
         keep[r] = False
     return np.flatnonzero(keep)
-
-
-def make_pseudo_window(m, pts, bids, off=None):
-    """Windows from explicit cached coordinates (shadowing output), one per
-    row of the (K, L) points and (K, L - 1) branch ids; each window is a
-    row view of shared read-only arrays.
-
-    Every row must be an f-pseudo-orbit within the window tolerance, else
-    ValueError for the first row that is not; the backward bit-for-bit
-    recomputation property is *not* enforced here.
-    """
-    pts = np.array(pts, dtype=np.float64, order="C")
-    bids = np.array(bids, dtype=np.int64, order="C")
-    err = np.max(np.abs(K.fwd_vec(m.family, bids, pts[:, :-1]) - pts[:, 1:]), axis=1)
-    bad = np.flatnonzero(err > CONSISTENCY_TOL)
-    if bad.size:
-        raise ValueError(f"points violate the window tolerance: {float(err[bad[0]]):g}")
-    ld = np.log(np.abs(K.dfwd_vec(m.family, bids, pts[:, :-1])))
-    cum = _freeze(pts, bids, ld)
-    off = pts.shape[1] - 1 if off is None else off
-    return [OrbitWindow(m=m, points=x, branch_ids=b, logderivs=d, cumlog=c, off=off)
-            for x, b, d, c in zip(pts, bids, ld, cum)]

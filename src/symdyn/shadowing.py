@@ -10,7 +10,9 @@ coordinate of the shadowed point.
 All chart-coordinate work happens in p-rescaled units tau = t/p (the raw
 sizes are usually below double precision); scale ratios between
 consecutive charts are exact I_eps grid steps, so the rescaled maps are
-well-conditioned affine maps.
+well-conditioned affine maps.  ``shadow_many`` shadows the gpos of a
+call as the rows of one ``Shadows`` table: per row the point's coordinates
+and branches, tau_0, log p_0, the error bound and the containment.
 """
 
 import math
@@ -37,19 +39,42 @@ class NotDoubleCoding(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Gpo:
-    """Chart chain indexed n in [n_lo, n_hi]: ``rows[n - n_lo]`` is the
-    vertex table row of chart n, a view of a ``shadow_many`` call's walks."""
+class Shadows:
+    """The gpos of one ``shadow_many`` call, one row each.
 
-    rows: np.ndarray
+    Row k shadows the gpo whose charts over n in [n_lo, n_hi] are the
+    vertex table rows ``walks[k]``: its point x_{n_lo} .. x_{n_hi}
+    (``points``) with the branches of x_{n_lo} .. x_{n_hi - 1}
+    (``branches``), its chart coordinate tau_0 (t_0 = tau_0 p_0) and
+    log p_0, log_err = log(2 p_0) - chi n_hi / 2 and the largest |tau_n|
+    over the gpo (``worst``, its containment, at most 1 up to slack).
+    ``broken`` maps each row whose step image escaped its target chart to
+    the EdgeBroken of its first failing step; its float columns hold NaN.
+    """
+
+    walks: np.ndarray
     n_lo: int
+    points: np.ndarray
+    branches: np.ndarray
+    tau0: np.ndarray
+    log_p0: np.ndarray
+    log_err: np.ndarray
+    worst: np.ndarray
+    broken: dict
+
+    def __len__(self):
+        return len(self.walks)
 
     @property
     def n_hi(self):
-        return self.n_lo + len(self.rows) - 1
+        return self.n_lo + self.walks.shape[1] - 1
 
-    def indices(self):
-        return range(self.n_lo, self.n_hi + 1)
+    @property
+    def ok(self):
+        """Whether each row shadowed."""
+        ok = np.ones(len(self), dtype=bool)
+        ok[list(self.broken)] = False
+        return ok
 
 
 def step_maps(m, table, to, frm, cfg):
@@ -90,23 +115,6 @@ def step_maps(m, table, to, frm, cfg):
     return a, b
 
 
-@dataclass
-class ShadowResult:
-    """Outcome of shadowing a gpo: the shadowed point, a pseudo-window
-    assembled from the chart centers plus the (usually absorbed) tau
-    corrections, its chart-relative coordinate tau_0 (t_0 = tau_0 p_0) and
-    log p_0, log_error_bound = log(2 p_0) - chi F / 2, and the largest
-    |tau_n| over the gpo (its containment, at most 1 up to slack).
-    """
-
-    gpo: Gpo
-    tau0: float
-    log_p0: float
-    point: ne.OrbitWindow
-    log_error_bound: float
-    worst_containment: float
-
-
 def shadow_many(m, table, walks, n_lo, cfg):
     """Shadow K gpos in lockstep: nested-interval contraction for t_0,
     backward reconstruction for the negative coordinates.
@@ -114,19 +122,19 @@ def shadow_many(m, table, walks, n_lo, cfg):
     Row k of the (K, L) int array ``walks`` holds the rows of the
     VertexTable ``table`` of gpo k's charts over n in [n_lo, n_lo + L - 1].
     The nested intervals start from [-1, 1] at n_lo + L - 1 and compose the
-    whole forward horizon.  Returns per row a ShadowResult or, if a step
-    image escapes its target chart, an EdgeBroken.  Every row takes the IEEE
-    operations of a one-gpo loop in the same order, so no result depends on
-    the rest of its batch (which runs in blocks of SHADOW_BLOCK rows, sharing
-    the ``step_maps`` of the call's distinct edges, computed in one pass).
-    Raises ValueError for the first row whose points miss the window
-    tolerance.
+    whole forward horizon.  Returns the Shadows table of the rows; a row
+    whose step image escapes its target chart is broken.  Every row takes
+    the IEEE operations of a one-gpo loop in the same order, so no row
+    depends on the rest of its batch (which runs in blocks of SHADOW_BLOCK
+    rows, sharing the ``step_maps`` of the call's distinct edges, computed
+    in one pass).  Raises ValueError for the first unbroken row whose
+    points are not an f-pseudo-orbit within the window tolerance.
     """
     walks = np.asarray(walks, dtype=np.int64)
     n_gpo, length = walks.shape
-    if n_gpo == 0:
-        return []
     n_hi = n_lo + length - 1
+    if n_gpo == 0:
+        return Shadows(walks, n_lo, np.empty(walks.shape), walks[:, 1:], *np.empty((4, 0)), {})
     if n_hi < 1:
         raise ValueError("gpo needs forward length >= 1")
     if n_lo > 0:
@@ -135,60 +143,45 @@ def shadow_many(m, table, walks, n_lo, cfg):
     # the shadowed point takes there
     nc = len(table)
     edge, at = np.unique(walks[:, 1:] * nc + walks[:, :-1], return_inverse=True)
-    to = edge % nc
-    edges = (*step_maps(m, table, to, edge // nc, cfg), table.branch[to])
+    a, b = step_maps(m, table, edge % nc, edge // nc, cfg)
     at = at.reshape(n_gpo, length - 1)
-    return [res for i in range(0, n_gpo, SHADOW_BLOCK)
-            for res in _shadow_block(m, table, walks[i:i + SHADOW_BLOCK], edges,
-                                     at[i:i + SHADOW_BLOCK], n_lo, cfg)]
+    branches = table.branch[walks[:, :-1]]
+    points = np.full((n_gpo, length), np.nan)
+    tau0, worst = np.empty(n_gpo), np.empty(n_gpo)
+    broken = {}
+    for i in range(0, n_gpo, SHADOW_BLOCK):
+        blk = slice(i, i + SHADOW_BLOCK)
+        taus, worst[blk], ok, failed = _contract(a[at[blk].T], b[at[blk].T], n_lo)
+        tau0[blk] = taus[-n_lo]
+        rows = i + np.flatnonzero(ok)
+        points[rows] = _shadowed_points(m, table, walks[rows], taus[:, ok], branches[rows])
+        broken.update((i + k, e) for k, e in sorted(failed.items()))
+    log_p0 = table.log_p[walks[:, -n_lo]]
+    log_err = math.log(2.0) + log_p0 - cfg.chi * n_hi / 2.0
+    bad = list(broken)
+    tau0[bad] = log_p0[bad] = log_err[bad] = worst[bad] = np.nan
+    return Shadows(walks, n_lo, points, branches, tau0, log_p0, log_err, worst, broken)
 
 
-def _shadow_block(m, table, walks, edges, at, n_lo, cfg):
-    """``shadow_many`` on one block of rows; step j of row k is edge
-    ``at[k, j]`` of the per-edge (a, b, branch) arrays ``edges``."""
-    n_gpo, length = walks.shape
-    n_hi = n_lo + length - 1
-    results = [None] * n_gpo
-    taus, worst = _contract(edges, at, n_lo, results)
-    ok = np.flatnonzero([r is None for r in results])
-    if ok.size == 0:
-        return results
-    taus, worst = taus[:, ok], worst[ok]
-    branch = edges[2][at[ok]]
-    points, log_p0 = _shadowed_points(m, table, walks[ok], taus, branch, n_lo)
+def _contract(a, b, n_lo):
+    """The lockstep contraction and backward reconstruction of K rows whose
+    step j (index n_lo + j) is tau -> a[j] tau + b[j], for the (L - 1, K)
+    arrays a and b.
 
-    log_2 = math.log(2.0)
-    bound_tail = cfg.chi * n_hi / 2.0
-    tau0 = taus[-n_lo].tolist()
-    for i, k in enumerate(ok.tolist()):
-        results[k] = ShadowResult(
-            gpo=Gpo(rows=walks[k], n_lo=n_lo),
-            tau0=tau0[i], log_p0=log_p0[i], point=points[i],
-            log_error_bound=log_2 + log_p0[i] - bound_tail,
-            worst_containment=float(worst[i]))
-    return results
-
-
-def _contract(edges, at, n_lo, results):
-    """The lockstep contraction and backward reconstruction of the rows of
-    ``at`` (as in ``_shadow_block``); a row whose step image escapes its
-    target chart gets the EdgeBroken of its first failing step in
-    ``results``.
-
-    Returns the (L, K) taus (row j at index n_lo + j) and per row the
-    largest |tau|.
+    Returns the (L, K) taus (row j at index n_lo + j), per row the largest
+    |tau| and whether it shadowed, and the EdgeBroken of the first failing
+    step of each row whose step image escapes its target chart, by row.
     """
-    n_gpo, length = at.shape[0], at.shape[1] + 1
+    length, n_gpo = a.shape[0] + 1, a.shape[1]
     n_hi = n_lo + length - 1
-    a_e, b_e, _ = edges
-    a, b = a_e[at.T], b_e[at.T]          # (L - 1, K): one row per step
 
     taus = np.empty((length, n_gpo))
     broken = np.zeros(n_gpo, dtype=bool)
+    failed = {}
 
     def fail(rows, message):
         for k in np.flatnonzero(rows & ~broken).tolist():
-            results[k] = EdgeBroken(message(k))
+            failed[k] = EdgeBroken(message(k))
         broken[rows] = True
 
     lo_ok, hi_ok = -1.0 - CONTAINMENT_SLACK, 1.0 + CONTAINMENT_SLACK
@@ -221,19 +214,25 @@ def _contract(edges, at, n_lo, results):
             out = worst > hi_ok
             if out.any():
                 fail(out, lambda k: f"backward reconstruction leaves chart {n - 1}")
-    return taus, worst
+    return taus, worst, ~broken, failed
 
 
-def _shadowed_points(m, table, walks, taus, branch, n_lo):
-    """The windows of the points theta0 + tau p / u of the rows of ``walks``
-    (tau from the (L, K) ``taus``), and each row's log p at index 0."""
+def _shadowed_points(m, table, walks, taus, branches):
+    """The points theta0 + tau p / u of the rows of ``walks`` (tau from the
+    (L, K) ``taus``), whose steps take ``branches``.  Raises ValueError for
+    the first row that is not an f-pseudo-orbit within the window
+    tolerance."""
     # in place, one (K, L) temporary at a time; + and * commute bit for bit
     pts = table.p[walks]
     pts *= taus.T
     pts[~(table.log_p[walks] > -745)] = 0.0
     pts /= table.u[walks]
     pts += table.theta0[walks]
-    return ne.make_pseudo_window(m, pts, branch, off=-n_lo), table.log_p[walks[:, -n_lo]].tolist()
+    err = np.max(np.abs(K.fwd_vec(m.family, branches, pts[:, :-1]) - pts[:, 1:]), axis=1)
+    bad = np.flatnonzero(err > ne.CONSISTENCY_TOL)
+    if bad.size:
+        raise ValueError(f"points violate the window tolerance: {float(err[bad[0]]):g}")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -264,52 +263,51 @@ class InverseReport:
         return out
 
 
-def _recurrence_diagnostic(table, g):
+def _recurrence_diagnostic(table, rows, n_lo):
     """Whether a vertex, keyed (theta0, u, idx_p), repeats among the charts
-    of gpo g at n > 0 and at n < 0."""
-    keys = list(zip(table.theta0[g.rows].tolist(), table.u[g.rows].tolist(),
-                    table.idx_p[g.rows].tolist()))
-    pos = [k for n, k in zip(g.indices(), keys) if n > 0]
-    neg = [k for n, k in zip(g.indices(), keys) if n < 0]
+    of a gpo, the table rows ``rows`` at n = n_lo, n_lo + 1, ..., at n > 0
+    and at n < 0."""
+    keys = list(zip(table.theta0[rows].tolist(), table.u[rows].tolist(),
+                    table.idx_p[rows].tolist()))
+    pos, neg = keys[1 - n_lo:], keys[:-n_lo]
     return {
         "repeats_forward": len(pos) != len(set(pos)),
         "repeats_backward": len(neg) != len(set(neg)),
     }
 
 
-def inverse_check(res1, res2, table, cfg):
+def inverse_check(shadows, i, j, table, cfg):
     """Evaluate the five inverse-theorem conclusions on a double coding:
-    the gpos of the shadow results res1 and res2, rows of the VertexTable
-    ``table``.  Each chart's theta0, u, log p and log Q are read from its
-    row as Python floats.
+    rows i and j of the Shadows table ``shadows``, whose charts are rows of
+    the VertexTable ``table``, over the batch's range.  Each chart's theta0,
+    u, log p and log Q are read from its row as Python floats.
 
     Precondition (checked): the shadowed points agree coordinatewise within
     2(p_n + q_n) (the metric proxy for exact equality of the codings).
     """
-    g1, g2 = res1.gpo, res2.gpo
-    lo = max(g1.n_lo, g2.n_lo)
-    hi = min(g1.n_hi, g2.n_hi)
+    lo, hi = shadows.n_lo, shadows.n_hi
+    rows1, rows2 = shadows.walks[i], shadows.walks[j]
     eps = cfg.epsilon
 
-    def charts(g):
-        """(theta0, u, log p, log Q) of each chart of g at n in [lo, hi]."""
-        rows = g.rows[lo - g.n_lo:hi - g.n_lo + 1]
+    def charts(rows):
+        """(theta0, u, log p, log Q) of each chart of a gpo at n in [lo, hi]."""
         return list(zip(table.theta0[rows].tolist(), table.u[rows].tolist(),
                         table.log_p[rows].tolist(), table.logQ[rows].tolist()))
 
-    charts1, charts2 = charts(g1), charts(g2)
+    charts1, charts2 = charts(rows1), charts(rows2)
 
     # double-coding proxy
-    for n, a, b in zip(range(lo, hi + 1), charts1, charts2):
-        d = abs(res1.point.x(n) - res2.point.x(n))
+    for n, x, y, a, b in zip(range(lo, hi + 1), shadows.points[i].tolist(),
+                             shadows.points[j].tolist(), charts1, charts2):
+        d = abs(x - y)
         if d == 0.0:
             continue
         log_thr = math.log(2.0) + np.logaddexp(a[2], b[2])
         if math.log(d) > log_thr:
             raise NotDoubleCoding(
                 f"coordinate {n} differs by {d:g} (log threshold {log_thr:g}); "
-                f"recurrence: {_recurrence_diagnostic(table, g1)} / "
-                f"{_recurrence_diagnostic(table, g2)}")
+                f"recurrence: {_recurrence_diagnostic(table, rows1, lo)} / "
+                f"{_recurrence_diagnostic(table, rows2, lo)}")
 
     clauses = {}
 
@@ -362,7 +360,7 @@ def inverse_check(res1, res2, table, cfg):
     passed = all(ok for ok, _ in clauses.values())
     return InverseReport(
         passed=passed, clauses=clauses,
-        recurrence={"g1": _recurrence_diagnostic(table, g1),
-                    "g2": _recurrence_diagnostic(table, g2)},
+        recurrence={"g1": _recurrence_diagnostic(table, rows1, lo),
+                    "g2": _recurrence_diagnostic(table, rows2, lo)},
         common_range=(lo, hi),
     )

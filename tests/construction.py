@@ -6,7 +6,7 @@ first.  A chart here is the scalar reading of a row of an alphabet's
 vertex table (``pesin.VertexTable``), with its center window."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -502,8 +502,8 @@ def step_map(m, v_to, v_from, cfg):
 
 @dataclass(frozen=True)
 class ChartGpo:
-    """Chart chain indexed n in [n_lo, n_hi]: the scalar reading of a
-    ``shadowing.Gpo``."""
+    """Chart chain indexed n in [n_lo, n_hi]: the scalar reading of a walk
+    row of a ``shadowing.Shadows`` table."""
 
     charts: tuple
     n_lo: int
@@ -526,20 +526,65 @@ def encode(m, w, al, cfg, **kwargs):
     return ChartGpo(charts=tuple(vertex_chart(al, v) for v in vids), n_lo=n_lo), vids
 
 
-def chart_gpo(al, gpo):
-    """The ChartGpo of a ``shadowing.Gpo`` over the alphabet's vertex table."""
-    return ChartGpo(charts=tuple(vertex_chart(al, v) for v in gpo.rows.tolist()),
-                    n_lo=gpo.n_lo)
+def chart_gpo(al, rows, n_lo):
+    """The ChartGpo of the vertex table rows ``rows`` over n >= n_lo: a
+    ``shadowing.Shadows`` walk row read as the alphabet's charts."""
+    return ChartGpo(charts=tuple(vertex_chart(al, v) for v in rows.tolist()), n_lo=n_lo)
+
+
+def make_pseudo_window(m, pts, bids, off=None):
+    """Windows from explicit cached coordinates, one per row of the (K, L)
+    points and (K, L - 1) branch ids; each window is a row view of shared
+    read-only arrays.
+
+    Every row must be an f-pseudo-orbit within the window tolerance, else
+    ValueError for the first row that is not; the backward bit-for-bit
+    recomputation property is *not* enforced here.
+    """
+    pts = np.array(pts, dtype=np.float64, order="C")
+    bids = np.array(bids, dtype=np.int64, order="C")
+    err = np.max(np.abs(K.fwd_vec(m.family, bids, pts[:, :-1]) - pts[:, 1:]), axis=1)
+    bad = np.flatnonzero(err > ne.CONSISTENCY_TOL)
+    if bad.size:
+        raise ValueError(f"points violate the window tolerance: {float(err[bad[0]]):g}")
+    ld = np.log(np.abs(K.dfwd_vec(m.family, bids, pts[:, :-1])))
+    cum = ne._freeze(pts, bids, ld)
+    off = pts.shape[1] - 1 if off is None else off
+    return [ne.OrbitWindow(m=m, points=x, branch_ids=b, logderivs=d, cumlog=c, off=off)
+            for x, b, d, c in zip(pts, bids, ld, cum)]
+
+
+@dataclass(frozen=True)
+class ShadowRow:
+    """One shadowed gpo as scalars: a row of a ``shadowing.Shadows`` table,
+    with its gpo (a ChartGpo, or the row's walk) and its point as a window."""
+
+    gpo: object
+    tau0: float
+    log_p0: float
+    log_err: float
+    worst: float
+    point: ne.OrbitWindow
+
+
+def shadow_row(m, shadows, k, gpo=None):
+    """Row k of the Shadows table ``shadows`` as a ShadowRow, its gpo
+    ``gpo`` (the row's walk if None).  Raises the row's EdgeBroken."""
+    if k in shadows.broken:
+        raise shadows.broken[k]
+    (point,) = make_pseudo_window(m, shadows.points[k:k + 1], shadows.branches[k:k + 1],
+                                  off=-shadows.n_lo)
+    return ShadowRow(gpo=shadows.walks[k] if gpo is None else gpo,
+                     tau0=float(shadows.tau0[k]), log_p0=float(shadows.log_p0[k]),
+                     log_err=float(shadows.log_err[k]), worst=float(shadows.worst[k]),
+                     point=point)
 
 
 def shadow(m, g, cfg):
-    """Shadow one ChartGpo: ``shadow_many`` on a batch of one.  Raises
-    EdgeBroken if a step image escapes its target chart."""
+    """Shadow one ChartGpo: ``shadow_many`` on a batch of one, its row's
+    view.  Raises EdgeBroken if a step image escapes its target chart."""
     walk = np.arange(len(g.charts))[None]
-    (res,) = sh.shadow_many(m, chart_table(g.charts), walk, g.n_lo, cfg)
-    if isinstance(res, sh.EdgeBroken):
-        raise res
-    return replace(res, gpo=g)
+    return shadow_row(m, sh.shadow_many(m, chart_table(g.charts), walk, g.n_lo, cfg), 0, gpo=g)
 
 
 def _recurrence_diagnostic(g):

@@ -27,8 +27,9 @@ from symdyn import shadowing as sh
 from symdyn.config import RunConfig
 from symdyn.map_model import ClauseResult, RegularityReport, SingularPoint
 
-from construction import (StepMap, alphabet_vertices, backward_orbit, dinv, inv, make_window,
-                          preimage, radius, windows_agree_reference)
+from construction import (ShadowRow, StepMap, alphabet_vertices, backward_orbit, dinv, inv,
+                          make_pseudo_window, make_window, preimage, radius,
+                          windows_agree_reference)
 
 
 # -- coarse graining -------------------------------------------------------------
@@ -352,7 +353,7 @@ def bracket_windows(m, wx, wy):
     back = backward_orbit(m, wx.x0, word)  # SingularPoint if the word breaks
     pts = np.concatenate([back[::-1], wx.points[wx.off:]])
     bids = np.concatenate([word[::-1], wx.branch_ids[wx.off:]])
-    return ne.make_pseudo_window(m, pts[None], bids[None], off=word.shape[0])[0]
+    return make_pseudo_window(m, pts[None], bids[None], off=word.shape[0])[0]
 
 
 def bracket(m, res_x, res_y):
@@ -418,8 +419,8 @@ def _affine_step(br, x0, u_from, i_from, theta_to, u_to, i_to, eps, consecutive)
 def shadow_reference(m, g, cfg, step=step_map_oracle):
     """One gpo through Python floats, step by step, with the steps ``step``
     gives (``step_map_oracle`` unless set): the loop the batch kernel
-    ``shadow_many`` must reproduce bit for bit on the same steps.  Its
-    window is built by ``pseudo_window_reference``."""
+    ``shadow_many`` must reproduce bit for bit on the same steps, as a
+    ShadowRow.  Its window is built by ``pseudo_window_reference``."""
     if g.n_hi < 1:
         raise ValueError("gpo needs forward length >= 1")
     steps = {}
@@ -460,11 +461,9 @@ def shadow_reference(m, g, cfg, step=step_map_oracle):
             bids.append(c.center.branch(c.shift))
     point = pseudo_window_reference(m, np.array(pts), np.array(bids, dtype=np.int64),
                                     off=-g.n_lo)
-    return sh.ShadowResult(
-        gpo=g, tau0=taus[0], log_p0=c0.log_p, point=point,
-        log_error_bound=math.log(2.0) + c0.log_p - cfg.chi * g.n_hi / 2.0,
-        worst_containment=worst,
-    )
+    return ShadowRow(
+        gpo=g, tau0=taus[0], log_p0=c0.log_p,
+        log_err=math.log(2.0) + c0.log_p - cfg.chi * g.n_hi / 2.0, worst=worst, point=point)
 
 
 def pseudo_window_reference(m, pts, bids, off):

@@ -180,8 +180,8 @@ def test_criterion_05_sufficiency_roundtrip(roundtrip_results):
     for name, results in roundtrip_results.items():
         for res in results:
             # every represented coordinate recovered within p_n (|tau| <= 1)
-            assert res.worst_containment <= 1.0 + 1e-9
-            worst_slack = max(worst_slack, res.worst_containment)
+            assert res.worst <= 1.0 + 1e-9
+            worst_slack = max(worst_slack, res.worst)
             total += 1
     assert total == 400
     print(f"CRITERION 5 PASS: {total} encodings (100 per built-in) strong-edge "
@@ -238,7 +238,7 @@ def test_criterion_07_inverse_audit():
             continue
         (v1, n_lo), (v2, _) = (cg.sufficiency_encode(m, w, al, cfg, lo=-4, hi=10)
                                for w in (wa, wb))
-        rep = sh.inverse_check(*sh.shadow_many(m, al.vertices, [v1, v2], n_lo, cfg),
+        rep = sh.inverse_check(sh.shadow_many(m, al.vertices, [v1, v2], n_lo, cfg), 0, 1,
                                al.vertices, cfg)
         assert rep.passed, "\n".join(rep.lines())
         # the recurrence diagnostic accompanies every report

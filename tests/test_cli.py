@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -45,8 +46,8 @@ def test_bad_chart_parameters_create_no_out(tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["encode_lo = 1", "encode_lo = 20", "encode_hi = 0",
-                                  "seed = -1", "cover_window = 1",
+@pytest.mark.parametrize("text", ["encode_lo = 1", "encode_lo = 20", "encode_lo = -45",
+                                  "encode_hi = 0", "seed = -1", "cover_window = 1",
                                   "back_depth = 3\nfwd_len = 4\nencode_hi = 1\nmax_period = 8",
                                   "back_depth = 3\nfwd_len = 4\nencode_hi = 1\nmax_period = 7"])
 def test_bad_encode_range_or_seed_creates_no_out(tmp_path, capsys, text):
@@ -272,11 +273,18 @@ def test_config_parsing():
                 "back_depth = -3\n", "back_depth = 0\n", "fwd_len = 0\n", "n_min = 0\n",
                 "paths_per_vertex = -1\n", "paths_per_vertex = 0\n", "cover_window = 0\n",
                 "cover_window = 1\n",
-                "encode_lo = 1\n", "encode_lo = 20\n", "encode_hi = 0\n", "encode_hi = -5\n",
+                "encode_lo = 1\n", "encode_lo = 20\n", "encode_lo = -40\n", "encode_lo = -45\n",
+                "encode_hi = 0\n", "encode_hi = -5\n",
                 "seed = -1\n", "chi = 0\n", "chi = -1\n", "epsilon = 0\n", "epsilon = 1.5\n"):
         with pytest.raises(ValueError, match=bad.split()[0]):  # the message names the key
             parse_config(bad)
     assert parse_config("encode_lo = -3\nseed = 0\nencode_hi = 1\n").encode_lo == -3
+    # a window's tables start at index 1 - back_depth; both values are named
+    with pytest.raises(ValueError) as exc:
+        parse_config("encode_lo = -45\n")
+    assert str(exc.value) == "encode_lo = -45 must be >= 1 - back_depth = -39"
+    assert parse_config("encode_lo = -39\n").encode_lo == -39
+    assert parse_config("encode_lo = -20\nback_depth = 21\n").encode_lo == -20
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -393,11 +401,12 @@ def _forced_failures(monkeypatch, no_vertex, broken):
 
     def breaking_shadow(*args, **kwargs):
         out = shadow_many(*args, **kwargs)
-        for i, r in enumerate(out):
-            x0, depth = encoded[tuple(r.gpo.rows.tolist())]
+        failed = dict(out.broken)
+        for k, rows in enumerate(out.walks.tolist()):
+            x0, depth = encoded[tuple(rows)]
             if (x0, depth) in broken:
-                out[i] = shadowing.EdgeBroken(f"forced x0={x0!r} u_depth={depth}")
-        return out
+                failed[k] = shadowing.EdgeBroken(f"forced x0={x0!r} u_depth={depth}")
+        return replace(out, broken=dict(sorted(failed.items())))
 
     monkeypatch.setattr(coarse_grain, "sufficiency_encode", failing_encode)
     monkeypatch.setattr(shadowing, "shadow_many", breaking_shadow)

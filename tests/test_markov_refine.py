@@ -12,13 +12,12 @@ from symdyn import cli
 from symdyn import coarse_grain as cg
 from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
-from symdyn import shadowing as sh
 from symdyn.config import RunConfig, parse_config
 
 from construction import (EmptyCylinder, _cell_contains, cover_of, encode, fibres, hat_pi,
                           make_window, record_alphabets, rectangles, row_window,
                           windows_agree_reference)
-from oracles import bracket_windows, signature_partition, strong_chain
+from oracles import bracket_windows, pseudo_window_reference, signature_partition, strong_chain
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -100,26 +99,29 @@ def _cover_bits(result):
                                                          rects.branches)))
 
 
-def _assert_first_copies(got, dropped, walks, results, window):
+def _assert_first_copies(m, got, dropped, shadows, window):
     """The cover ``got`` (with its dropped count) is the independent reading
-    of its shadowed walks: per core vertex, ascending, the points of its
-    unbroken walks less each that agrees (windows_agree) with an earlier
-    one, bit for bit; a NaN point agrees with none, so every one is kept.
-    Returns the rows and the unbroken walks."""
+    of its shadowed walks, the Shadows table ``shadows``: per core vertex,
+    ascending, the points of its unbroken walks less each whose window
+    agrees (windows_agree) with an earlier one, bit for bit; a NaN point
+    agrees with none, so every one is kept.  Returns the rows and the
+    unbroken walks."""
+    vertex = shadows.walks[:, window].tolist()
     kept = {}
-    for v, res in zip(walks[:, window].tolist(), results):
-        if isinstance(res, sh.EdgeBroken):
+    for k, v in enumerate(vertex):
+        if k in shadows.broken:
             continue
+        point = pseudo_window_reference(m, shadows.points[k], shadows.branches[k], window)
         firsts = kept.setdefault(v, [])
-        if not any(windows_agree_reference(x, res.point) for x in firsts):
-            firsts.append(res.point)
+        if not any(windows_agree_reference(x, point) for x in firsts):
+            firsts.append(point)
     want = [x for v in sorted(kept) for x in kept[v]]
-    assert dropped == len(set(walks[:, window].tolist())) - len(kept)
+    assert dropped == len(set(vertex)) - len(kept)
     assert got.vid.tolist() == sorted(kept) and got.back_len == window
     assert _sizes(got) == [len(kept[v]) for v in sorted(kept)]
     assert got.points.tobytes() == np.array([x.points for x in want]).tobytes()
     assert got.branches.tobytes() == np.array([x.branch_ids for x in want]).tobytes()
-    return len(want), sum(not isinstance(r, sh.EdgeBroken) for r in results)
+    return len(want), len(shadows) - len(shadows.broken)
 
 
 @pytest.mark.parametrize("text", ["map = doubling\nmax_period = 10",
@@ -130,8 +132,8 @@ def test_cover_rows_are_the_first_copies_of_the_shadowed_points(text, monkeypatc
     shadow_many, build_cover = mr.sh.shadow_many, mr.build_cover
 
     def recording_shadow_many(*args):
-        calls.append((args[2], shadow_many(*args)))
-        return calls[-1][1]
+        calls.append(shadow_many(*args))
+        return calls[-1]
 
     def recording_build_cover(*args):
         covers.append(build_cover(*args))
@@ -141,10 +143,11 @@ def test_cover_rows_are_the_first_copies_of_the_shadowed_points(text, monkeypatc
     monkeypatch.setattr(mr, "build_cover", recording_build_cover)
     cfg = parse_config(text)
     cli.run("refine", cfg, str(tmp_path), quiet=True)
-    ((walks, results),), ((got, dropped),) = calls, covers
+    (shadows,), ((got, dropped),) = calls, covers
     # these pruned graphs are unions of cycles: one walk per core vertex
-    rows, shadowed = _assert_first_copies(got, dropped, walks, results, cfg.cover_window)
-    assert rows == shadowed == len(walks)
+    rows, shadowed = _assert_first_copies(symdyn.built_in(cfg.map), got, dropped, shadows,
+                                          cfg.cover_window)
+    assert rows == shadowed == len(shadows)
 
 
 def _chorded(pg, kept):
@@ -168,26 +171,29 @@ def test_cover_keeps_the_first_copy_of_a_point_and_every_nan(doubling, cfg, fixt
     shadow_many = mr.sh.shadow_many
 
     def copying_shadow_many(m, table, walks, n_lo, c):
-        results = shadow_many(m, table, walks, n_lo, c)
+        shadows = shadow_many(m, table, walks, n_lo, c)
+        vertex = walks[:, -n_lo].tolist()
         first = {}
-        for v, res in zip(walks[:, -n_lo].tolist(), results):
-            if isinstance(res, sh.ShadowResult):
-                first.setdefault(v, res)
-        for k, v in enumerate(walks[:, -n_lo].tolist()):
-            if v in first:
-                pts = first[v].point.points.copy()
-                pts[0] = math.nan
-                results[k] = (replace(first[v], point=replace(first[v].point, points=pts))
-                              if k % 2 == 0 else first[v])
-        results[-1] = next(iter(first.values()))
-        calls.append((walks, results))
-        return results
+        for k, v in enumerate(vertex):
+            if k not in shadows.broken:
+                first.setdefault(v, k)
+        # the row each row copies
+        src = np.array([first.get(v, k) for k, v in enumerate(vertex)])
+        src[-1] = next(iter(first.values()))
+        cols = {f: getattr(shadows, f)[src]
+                for f in ("points", "branches", "tau0", "log_p0", "log_err", "worst")}
+        nan = np.array([v in first and k % 2 == 0 for k, v in enumerate(vertex)])
+        nan[-1] = False
+        cols["points"][nan, 0] = math.nan
+        calls.append(replace(shadows, **cols,
+                             broken={k: e for k, e in shadows.broken.items() if src[k] == k}))
+        return calls[-1]
 
     monkeypatch.setattr(mr.sh, "shadow_many", copying_shadow_many)
     c = replace(cfg, paths_per_vertex=4, cover_window=10, seed=5)
     got, dropped = mr.build_cover(doubling, g, c)
-    ((walks, results),) = calls
-    rows, shadowed = _assert_first_copies(got, dropped, walks, results, c.cover_window)
+    (shadows,) = calls
+    rows, shadowed = _assert_first_copies(doubling, got, dropped, shadows, c.cover_window)
     nan_rows = np.isnan(got.points).any(axis=1)
     assert rows < shadowed and np.bincount(got.rect()[nan_rows]).max() > 1
 
@@ -306,17 +312,18 @@ def test_windows_agree_on_nan_signed_zero_and_range(doubling):
 def test_cover_containment(doubling, cfg, fixture, cover, table, monkeypatch):
     # shadowing containment, and the zeroth coordinate of every row is its
     # rectangle's chart center (desk-scale absorption)
-    results = []
+    calls = []
     shadow_many = mr.sh.shadow_many
 
     def recording_shadow_many(*args):
-        results.extend(shadow_many(*args))
-        return results
+        calls.append(shadow_many(*args))
+        return calls[-1]
 
     monkeypatch.setattr(mr.sh, "shadow_many", recording_shadow_many)
     mr.build_cover(doubling, fixture[2], replace(cfg, paths_per_vertex=3, cover_window=10,
                                                  seed=1))
-    assert results and all(r.worst_containment <= 1.0 + 1e-9 for r in results)
+    (shadows,) = calls
+    assert len(shadows) and not shadows.broken and np.all(shadows.worst <= 1.0 + 1e-9)
     rects, _ = cover
     assert np.array_equal(rects.points[:, rects.back_len], table.theta0[rects.vid[rects.rect()]])
 

@@ -14,7 +14,8 @@ from symdyn.config import RunConfig
 from symdyn.map_model import parse_map_file
 from symdyn.pesin import expansion_certificate
 
-from construction import backward_orbit, deriv, f, hat_distance, make_window, preimage
+from construction import (backward_orbit, deriv, f, hat_distance, make_pseudo_window,
+                          make_window, preimage)
 from oracles import cocycle, make_periodic_window_reference, parse_record, truncation_tail
 from test_map_model import MIXED_FILE
 
@@ -166,9 +167,11 @@ def test_back_branches_match_the_element_reads(doubling):
 
 
 def test_pseudo_window_rejects_bad_orbit(doubling):
+    # the tests' pseudo-windows (``construction.make_pseudo_window``) hold
+    # the tolerance ``shadow_many`` holds its rows to
     pts = np.array([[0.1, 0.2, 0.4], [0.1, 0.3, 0.1]])  # row 1: f(0.1) = 0.2 != 0.3
     with pytest.raises(ValueError, match="window tolerance: 0.1$"):
-        ne.make_pseudo_window(doubling, pts, np.array([[0, 0], [0, 1]], dtype=np.int64))
+        make_pseudo_window(doubling, pts, np.array([[0, 0], [0, 1]], dtype=np.int64))
 
 
 def test_make_window_rejects_singular_word(doubling):

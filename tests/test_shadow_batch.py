@@ -2,7 +2,7 @@
 
 ``shadow_many`` shadows every gpo of a batch at once.  Each gpo must get
 the IEEE operations of ``oracles.shadow_reference`` in the same order, so
-every field of every result and every EdgeBroken message is compared bit
+every column of every row and every EdgeBroken message is compared bit
 for bit: on every gpo the pipeline shadows, with the reference's steps from
 ``oracles.step_map_oracle``, and on drawn batches over charts whose step
 maps are set by hand in both.
@@ -23,7 +23,7 @@ from symdyn import shadowing as sh
 from symdyn.config import RunConfig, parse_config
 
 from construction import (ChartGpo, StepMap, alphabet_vertices, chart_table, record_alphabets,
-                          shadow)
+                          shadow, shadow_row)
 from oracles import shadow_reference
 
 
@@ -35,28 +35,32 @@ def _is_float(*values):
     return all(type(v) is float for v in values)
 
 
-def assert_same(got, want, row=None):
-    """``got`` (from shadow_many, its gpo walk ``row`` of the batch) equals
-    ``want`` (from the reference) bit for bit."""
+def assert_same(got, k, want, row):
+    """Row k of the Shadows table ``got`` (its gpo walk ``row``) equals
+    ``want`` (from the reference, a ShadowRow or an EdgeBroken) bit for bit."""
+    assert got.walks[k].tolist() == list(row)
     if isinstance(want, sh.EdgeBroken):
-        assert isinstance(got, sh.EdgeBroken) and str(got) == str(want)
+        assert not got.ok[k]
+        assert isinstance(got.broken[k], sh.EdgeBroken) and str(got.broken[k]) == str(want)
+        assert np.isnan(got.points[k]).all()
         return
-    assert isinstance(got, sh.ShadowResult), got
-    if row is None:
-        assert got.gpo is want.gpo
-    else:
-        assert got.gpo.rows.tolist() == list(row)
-        assert got.gpo.rows.base is not None  # a view of the batch's walks
-    assert got.gpo.n_lo == want.gpo.n_lo
-    scalars = ("tau0", "log_p0", "log_error_bound", "worst_containment")
-    assert _is_float(*(getattr(got, f) for f in scalars))
-    assert _hex(getattr(got, f) for f in scalars) == _hex(getattr(want, f) for f in scalars)
-    p, q = got.point, want.point
-    for f in ("points", "branch_ids", "logderivs", "cumlog"):
-        a, b = getattr(p, f), getattr(q, f)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f
-        assert not a.flags.writeable
-    assert (p.off, p.u_depth, p.period) == (q.off, q.u_depth, q.period)
+    assert got.ok[k] and k not in got.broken
+    columns = ("tau0", "log_p0", "log_err", "worst")
+    assert all(getattr(got, f).dtype == np.float64 for f in columns)
+    assert _hex(getattr(got, f)[k] for f in columns) == _hex(getattr(want, f) for f in columns)
+    q = want.point
+    assert q.off == -got.n_lo and (q.u_depth, q.period) == (0, 0)
+    for a, b in ((got.points, q.points), (got.branches, q.branch_ids)):
+        assert a.dtype == b.dtype and a[k].shape == b.shape and a[k].tobytes() == b.tobytes()
+
+
+def assert_rows_same(got, want, walks):
+    """Every row of the Shadows table ``got`` of ``walks`` equals its
+    reference in ``want`` bit for bit."""
+    assert len(got) == len(want) == len(walks)
+    assert got.walks.shape == np.shape(walks)
+    for k, (b, row) in enumerate(zip(want, np.asarray(walks).tolist())):
+        assert_same(got, k, b, row)
 
 
 def reference_batch(m, charts, walks, n_lo, cfg):
@@ -85,9 +89,7 @@ def check_batch(m, charts, walks, n_lo, cfg):
         assert str(exc.value) == want
         return None
     got = sh.shadow_many(m, chart_table(charts), walks, n_lo, cfg)
-    assert len(got) == len(want)
-    for a, b, row in zip(got, want, walks.tolist()):
-        assert_same(a, b, row)
+    assert_rows_same(got, want, walks)
     return got
 
 
@@ -123,12 +125,54 @@ def test_pipeline_gpos_match_the_one_gpo_loop(name, tmp_path, monkeypatch):
     assert {b[0] for b in batches} == {"build_cover", "stage_shadow", "stage_inverse"}
     shadowed = 0
     for _, m, charts, walks, n_lo, cfg, res in batches:
-        want = reference_batch(m, charts, walks, n_lo, cfg)
-        assert len(res) == len(want) == walks.shape[0]
-        for a, b, row in zip(res, want, walks.tolist()):
-            assert_same(a, b, row)
+        assert_rows_same(res, reference_batch(m, charts, walks, n_lo, cfg), walks)
         shadowed += len(res)
     assert shadowed > 100
+
+
+def _reference_record(res):
+    """The shadows.txt fields of a reference ShadowRow: its window's x0,
+    backward word and forward length, tau0, log p_0 and log error bound,
+    each float as the repr of a Python float."""
+    w = res.point
+    return (("x0", repr(w.x0)), ("back", ",".join(map(str, w.back_branches))),
+            ("fwd", str(w.fwd_len)), ("tau0", repr(res.tau0)), ("log_p0", repr(res.log_p0)),
+            ("log_err", repr(res.log_err)))
+
+
+SHADOW_RUNS = {
+    **{name: CONFIGS[name] for name in ("doubling-10", "tent", "quadratic")},
+    "tent-back": "map = tent\nencode_lo = -19\nencode_hi = 30\nfwd_len = 5\nback_depth = 20",
+}
+
+
+@pytest.mark.parametrize("name", list(SHADOW_RUNS))
+def test_shadows_txt_is_the_reference_record(name, tmp_path, monkeypatch):
+    # every line of shadows.txt is the record of the one-gpo loop's result
+    # for its gpo, field for field; a row the loop breaks has no line (the
+    # first walk is bent to end on another walk's last chart, so its last
+    # step leaves the chart).  Only tent-back encodes negative indices, so
+    # only its lines have a backward word.
+    calls = []
+    shadow_many = sh.shadow_many
+    alphabets = record_alphabets(monkeypatch)
+
+    def bending(m, table, walks, n_lo, cfg):
+        walks = np.array(walks)
+        walks[0, -1] = walks[np.flatnonzero(walks[:, -1] != walks[0, -1])[0], -1]
+        charts = [v.chart for v in alphabet_vertices(alphabets[id(table)])]
+        calls.append((m, charts, walks, n_lo, cfg))
+        return shadow_many(m, table, walks, n_lo, cfg)
+
+    monkeypatch.setattr(sh, "shadow_many", bending)
+    cli.run("shadow", parse_config(SHADOW_RUNS[name]), str(tmp_path), quiet=True)
+    ((m, charts, walks, n_lo, cfg),) = calls
+    want = reference_batch(m, charts, walks, n_lo, cfg)
+    assert isinstance(want[0], sh.EdgeBroken) and len(want) > 50
+    lines = (tmp_path / "shadows.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# symdyn-shadows 1"
+    assert [tuple(tuple(f.split("=", 1)) for f in ln.split(" ")) for ln in lines[1:]] == \
+        [_reference_record(r) for r in want if not isinstance(r, sh.EdgeBroken)]
 
 
 # -- drawn batches over charts with hand-set step maps ----------------------------
@@ -230,7 +274,8 @@ def test_good_gpos_do_not_change_in_a_mixed_batch(block, monkeypatch):
     monkeypatch.setattr(sh, "SHADOW_BLOCK", block)
     charts = _universe()
     good = np.array([[0, 0, 0, 0], [3, 3, 3, 3], [0, 0, 3, 0]])
-    alone = [sh.shadow_many(DOUBLING, chart_table(charts), good[i:i + 1], -1, CFG)[0]
+    alone = [shadow_row(DOUBLING, sh.shadow_many(DOUBLING, chart_table(charts), good[i:i + 1],
+                                                 -1, CFG), 0)
              for i in range(3)]
     mixed = np.array([[1, 0, 0, 0],      # NaN step into index -1: tau_{-1} is NaN
                       [0, 0, 0, 0],
@@ -240,19 +285,20 @@ def test_good_gpos_do_not_change_in_a_mixed_batch(block, monkeypatch):
                       [0, 0, 3, 0],
                       [2, 0, 1, 0]])     # breaks at index 1, again at 0 and -1
     got = check_batch(DOUBLING, charts, mixed, -1, CFG)
-    assert str(got[6]) == "step into index 1 leaves the chart: [nan, nan]"
+    assert list(got.broken) == [2, 4, 6] and got.ok.tolist() == [1, 1, 0, 1, 0, 1, 0]
+    assert str(got.broken[6]) == "step into index 1 leaves the chart: [nan, nan]"
     for i, k in enumerate((1, 3, 5)):
-        assert_same(got[k], alone[i], good[i].tolist())
-    assert not math.isnan(got[0].tau0) and math.isnan(got[0].point.x(-1))
-    assert str(got[2]) == "step into index 0 leaves the chart: [nan, nan]"
-    assert str(got[4]) == "backward reconstruction leaves chart -1"
+        assert_same(got, k, alone[i], good[i].tolist())
+    assert not math.isnan(got.tau0[0]) and math.isnan(got.points[0, 0])   # x_{-1}
+    assert str(got.broken[2]) == "step into index 0 leaves the chart: [nan, nan]"
+    assert str(got.broken[4]) == "backward reconstruction leaves chart -1"
     # the images of -1 and 1 under the step 3 -> 3 into index 0 are 0.0 and
     # -0.0: Python's min and max keep the first, so both ends are 0.0
-    (tie,) = check_batch(DOUBLING, charts, np.array([[3, 3, 3]]), -1, CFG)
-    assert float.hex(tie.tau0) == "0x0.0p+0"
+    tie = check_batch(DOUBLING, charts, np.array([[3, 3, 3]]), -1, CFG)
+    assert float.hex(tie.tau0[0].item()) == "0x0.0p+0"
     # e^{log p} comes from math.exp, one ulp away from np.exp at this log p
-    tau0, np_exp = got[1].tau0, float(np.exp(np.array([LOG_P_EXP_ULP]))[0])
-    assert got[1].point.x(0) == tau0 * math.exp(LOG_P_EXP_ULP) != tau0 * np_exp
+    tau0, np_exp = got.tau0[1].item(), float(np.exp(np.array([LOG_P_EXP_ULP]))[0])
+    assert got.points[1, 1] == tau0 * math.exp(LOG_P_EXP_ULP) != tau0 * np_exp   # x_0
 
 
 @pytest.mark.parametrize("block", [1, 2, sh.SHADOW_BLOCK])
@@ -277,15 +323,25 @@ def test_window_tolerance_error_comes_from_the_first_unbroken_gpo(block, monkeyp
 def test_shadow_many_edge_cases():
     charts = _universe()
     table = chart_table(charts)
-    assert sh.shadow_many(DOUBLING, table, np.zeros((0, 1), dtype=np.int64), 0, CFG) == []
+    # an empty call returns an empty table, whatever its index range
+    for width, n_lo in ((1, 0), (3, -1), (2, 1)):
+        empty = sh.shadow_many(DOUBLING, table, np.zeros((0, width), dtype=np.int64), n_lo, CFG)
+        assert isinstance(empty, sh.Shadows) and len(empty) == 0 and empty.n_lo == n_lo
+        assert empty.points.shape == (0, width) and empty.branches.shape == (0, width - 1)
+        assert empty.ok.shape == empty.tau0.shape == (0,) and empty.broken == {}
     with pytest.raises(ValueError, match="forward length"):
         sh.shadow_many(DOUBLING, table, np.zeros((1, 2), dtype=np.int64), -1, CFG)
     with pytest.raises(ValueError, match="index 0"):
         sh.shadow_many(DOUBLING, table, np.zeros((1, 2), dtype=np.int64), 1, CFG)
-    # shadow is the batch of one and keeps the gpo it was given
+    # shadow is the batch of one's row and keeps the gpo it was given
     g = ChartGpo(charts=(charts[0],) * 4, n_lo=-2)
     res = shadow(DOUBLING, g, CFG)
-    assert res.gpo is g
-    assert_same(res, shadow_reference(DOUBLING, g, CFG, step=hand_step))
+    want = shadow_reference(DOUBLING, g, CFG, step=hand_step)
+    columns = ("tau0", "log_p0", "log_err", "worst")
+    assert res.gpo is g and _is_float(*(getattr(res, f) for f in columns))
+    assert _hex(getattr(res, f) for f in columns) == _hex(getattr(want, f) for f in columns)
+    for f in ("points", "branch_ids", "logderivs", "cumlog"):
+        a, b = getattr(res.point, f), getattr(want.point, f)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and not a.flags.writeable
     with pytest.raises(sh.EdgeBroken, match="backward reconstruction leaves chart -1"):
         shadow(DOUBLING, ChartGpo(charts=(charts[2],) + (charts[0],) * 3, n_lo=-1), CFG)

@@ -12,7 +12,7 @@ from symdyn import shadowing as sh
 from symdyn.config import RunConfig, parse_config
 
 from construction import (ChartGpo, chart_gpo, encode, inv, inverse_check_charts, record_alphabets,
-                          shadow, step_map, unstable_interval)
+                          shadow, shadow_row, step_map, unstable_interval)
 from oracles import bracket, bracket_windows, image_interval, step_map_oracle
 
 CHI2 = 0.5 * math.log(2.0)
@@ -49,7 +49,7 @@ def test_shadow_period2_exact(doubling, cfg, gpo, cyc):
     assert res.tau0 == 0.0
     for n in range(-10, 10):
         assert res.point.x(n) == cyc.x(n)
-    assert res.worst_containment <= 1.0
+    assert res.worst <= 1.0
 
 
 def test_shadow_requires_forward(doubling, cfg, gpo):
@@ -82,7 +82,7 @@ def test_shadow_contraction_ratios(doubling, cfg, gpo):
 def test_shadow_error_bound(doubling, cfg, gpo):
     res = shadow(doubling, gpo, cfg)
     c0 = gpo.chart(0)
-    assert res.log_error_bound == pytest.approx(
+    assert res.log_err == pytest.approx(
         math.log(2.0) + c0.log_p - cfg.chi * gpo.n_hi / 2.0)
 
 
@@ -173,9 +173,9 @@ def test_bracket_requires_shared_vertex(doubling, cfg, cyc, alphabet):
 
 def _shadow_pair(m, w1, w2, al, cfg, lo, hi):
     """The encodings of two windows over [lo, hi], shadowed in one batch over
-    the alphabet's vertex table."""
+    the alphabet's vertex table, and its two rows."""
     (v1, n_lo), (v2, _) = (cg.sufficiency_encode(m, w, al, cfg, lo=lo, hi=hi) for w in (w1, w2))
-    return sh.shadow_many(m, al.vertices, [v1, v2], n_lo, cfg)
+    return sh.shadow_many(m, al.vertices, [v1, v2], n_lo, cfg), 0, 1
 
 
 def test_inverse_check_identity(doubling, cfg, cyc, alphabet):
@@ -194,9 +194,9 @@ def test_inverse_check_depth_variant_families(doubling, cfg):
     samples = [wa.shift(k) for k in range(2)] + [wb.shift(k) for k in range(2)]
     al = cg.build_alphabet(doubling, samples, cfg)
     assert len(al.centers) == 4  # two families, not net-merged
-    r1, r2 = _shadow_pair(doubling, wa, wb, al, cfg, -4, 10)
-    assert al.vertices.u[r1.gpo.rows[4]] != al.vertices.u[r2.gpo.rows[4]]  # at n = 0
-    rep = sh.inverse_check(r1, r2, al.vertices, cfg)
+    shadows, i, j = _shadow_pair(doubling, wa, wb, al, cfg, -4, 10)
+    assert al.vertices.u[shadows.walks[i, 4]] != al.vertices.u[shadows.walks[j, 4]]  # at n = 0
+    rep = sh.inverse_check(shadows, i, j, al.vertices, cfg)
     assert rep.passed, "\n".join(rep.lines())
     assert rep.recurrence["g1"]["repeats_forward"]
     assert rep.recurrence["g1"]["repeats_backward"]
@@ -228,17 +228,19 @@ def test_inverse_check_columns_match_the_scalar_chart_loop(name, tmp_path, monke
     checks = []
     inverse_check = sh.inverse_check
 
-    def recording(res1, res2, table, cfg):
-        rep = inverse_check(res1, res2, table, cfg)
-        checks.append((res1, res2, alphabets[id(table)], cfg, rep))
+    def recording(shadows, i, j, table, cfg):
+        rep = inverse_check(shadows, i, j, table, cfg)
+        checks.append((shadows, i, j, alphabets[id(table)], cfg, rep))
         return rep
 
     monkeypatch.setattr(sh, "inverse_check", recording)
     cli.run("inverse-audit", parse_config(f"map = {name}"), str(tmp_path), quiet=True)
     assert len(checks) > 10
-    for res1, res2, al, cfg, rep in checks:
-        scalar = inverse_check_charts(*(replace(r, gpo=chart_gpo(al, r.gpo)) for r in (res1, res2)),
-                                      cfg)
+    m = symdyn.built_in(name)
+    for shadows, i, j, al, cfg, rep in checks:
+        scalar = inverse_check_charts(*(shadow_row(m, shadows, k, chart_gpo(al, shadows.walks[k],
+                                                                            shadows.n_lo))
+                                        for k in (i, j)), cfg)
         assert _report_bits(rep) == _report_bits(scalar)
         assert rep.lines() == scalar.lines()
 
