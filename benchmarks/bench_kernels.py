@@ -11,8 +11,10 @@ doubling at ``max_period = 10``, the gpos of the deep Markov cover,
 shadowed in one lockstep ``shadow_many`` batch and one one-row
 ``shadow_many`` call per gpo, the cover's step maps in the one
 ``step_maps`` pass a batch makes, ``point_classes``, ``refine``,
-``hat_graph`` and ``audits`` on the cover, ``write_alphabet`` and the
-``closed_paths_and_radius`` pass of ``full-pipeline`` on the pruned graph.
+``hat_graph`` and ``audits`` on the cover, ``write_alphabet``, the graph
+layer (``build_graph``, ``prune_relevant`` and the cover's walks,
+``markov_refine._draw_walks``) and the ``closed_paths_and_radius`` pass of
+``full-pipeline`` on the pruned graph.
 A call computes the step maps of the distinct edges of its own walks, so
 the per-gpo row also computes every gpo's step maps again.
 
@@ -146,7 +148,7 @@ def bench(reps=3):
     timeit(f"step_maps, deep cover ({edge.size} edges, one array pass)",
            lambda: sh.step_maps(m, table, edge % nc, edge // nc, cfg))
 
-    from symdyn import analysis, formats, markov_refine
+    from symdyn import analysis, coarse_grain, formats, markov_refine
 
     def refine_stage():
         pc = markov_refine.point_classes(table, cover)
@@ -160,6 +162,12 @@ def bench(reps=3):
         path = os.path.join(tmp, "alphabet.txt")
         timeit(f"write_alphabet, doubling max_period=10 ({nc} charts)",
                lambda: formats.write_alphabet(path, al))
+    def graph_layer():
+        g, _ = coarse_grain.prune_relevant(coarse_grain.build_graph(al))
+        markov_refine._draw_walks(g, cfg)
+
+    timeit(f"build_graph + prune_relevant + cover walks, doubling max_period=10 "
+           f"({pg.n_edges()} edges, {k} walks)", graph_layer)
     timeit(f"closed_paths_and_radius, doubling max_period=10 ({pg.n_edges()} edges, n <= 10)",
            lambda: analysis.closed_paths_and_radius(pg, 10))
     return out

@@ -9,90 +9,109 @@ import numpy as np
 from . import _kernels as K
 
 
-def _adjacency(g):
-    """Adjacency dict from a plain dict or a GpoGraph / TmsGraph."""
-    return g if isinstance(g, dict) else g.adjacency()
+@dataclass(frozen=True)
+class Digraph:
+    """A directed graph on the vertices 0 .. n - 1 as edge arrays.
 
+    Edge k runs from ``src[k]`` to ``succ[k]``, sorted by (src, succ), so
+    the successors of v are ``succ[start[v]:start[v + 1]]`` (compressed
+    sparse rows); ``pred`` and ``pred_start`` hold the transpose the same
+    way, the predecessors of each vertex ascending.  Parallel edges are
+    kept."""
 
-def _step(adj, vec):
-    """Extend the path counts ``vec`` (end vertex -> paths) by one edge."""
-    new = {}
-    for u, c in vec.items():
-        for w in adj.get(u, ()):
-            new[w] = new.get(w, 0) + c
-    return new
+    n: int
+    src: np.ndarray
+    succ: np.ndarray
+    start: np.ndarray       # n + 1 row starts
+    pred: np.ndarray
+    pred_start: np.ndarray
+
+    @classmethod
+    def from_edges(cls, n, src, dst, **fields):
+        """The graph on n vertices with the edges src[k] -> dst[k], in any
+        order; ``fields`` are those of a subclass."""
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        fwd, back, rows = np.lexsort((dst, src)), np.lexsort((src, dst)), np.arange(n + 1)
+        return cls(n=n, src=src[fwd], succ=dst[fwd], start=np.searchsorted(src[fwd], rows),
+                   pred=src[back], pred_start=np.searchsorted(dst[back], rows), **fields)
+
+    def n_edges(self):
+        return self.succ.size
 
 
 def closed_paths_and_radius(g, n_max):
     """([trace(A^1), ..., trace(A^n_max)], rho): the closed paths of each
     length up to n_max (exact integers) and the spectral radius of the
-    adjacency, from one pass over its strongly connected components, since a
-    closed path never leaves one.  A component that is one cycle of length L
-    adds L at every n that L divides and has radius exactly 1; one without
-    an edge adds nothing.  Any other is walked from each of its vertices,
-    inside the component, and its radius is the largest modulus of the
-    eigenvalues of its adjacency (``np.linalg.eigvals``); rho is the largest
-    over the components."""
-    adj = _adjacency(g)
+    adjacency of the Digraph g, from its strongly connected components,
+    since a closed path never leaves one.  A component that is one cycle of
+    length L adds L at every n that L divides and has radius exactly 1; one
+    without an edge adds nothing.  Any other is walked from all of its
+    vertices at once, inside the component, and its radius is the largest
+    modulus of the eigenvalues of its adjacency (``np.linalg.eigvals``);
+    rho is the largest over the components."""
+    comp = _components(g)
+    inside = comp[g.src] == comp[g.succ]
+    src, dst, k = g.src[inside], g.succ[inside], comp.max(initial=-1) + 1
+    # a component is one cycle when each of its vertices has one edge inside it
+    outs = np.bincount(src, minlength=g.n)
+    cycle = np.bincount(comp, weights=outs != 1, minlength=k) == 0
     counts, rho = [0] * n_max, 0.0
-    for comp in _components(adj):
-        pos = {v: i for i, v in enumerate(comp)}
-        sub = {u: [w for w in adj.get(u, ()) if w in pos] for u in comp}
-        if all(len(ws) == 1 for ws in sub.values()):  # one cycle through comp
-            rho = max(rho, 1.0)
-            for n in range(len(comp), n_max + 1, len(comp)):
-                counts[n - 1] += len(comp)
-            continue
-        if not any(sub.values()):
-            continue
-        a = np.zeros((len(comp), len(comp)))
-        for i, ws in enumerate(sub.values()):
-            np.add.at(a[i], [pos[w] for w in ws], 1.0)
-        rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(a)))))
-        for v in comp:
-            vec = {v: 1}
-            for n in range(n_max):
-                vec = _step(sub, vec)
-                if not vec:
-                    break
-                counts[n] += vec.get(v, 0)
+    for length, number in enumerate(np.bincount(np.bincount(comp)[cycle]).tolist()):
+        if number:
+            rho = 1.0
+            for n in range(length, n_max + 1, length):
+                counts[n - 1] += length * number
+    for c in np.flatnonzero(~cycle & (np.bincount(comp[src], minlength=k) > 0)).tolist():
+        verts, mine = np.flatnonzero(comp == c), comp[src] == c
+        a, b = np.searchsorted(verts, src[mine]), np.searchsorted(verts, dst[mine])
+        adj = np.zeros((verts.size, verts.size))
+        np.add.at(adj, (a, b), 1.0)
+        rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(adj)))))
+        walks = np.eye(verts.size, dtype=object)    # row: the paths from a vertex, by end
+        for n in range(n_max):
+            ends = np.zeros_like(walks)
+            np.add.at(ends, (slice(None), b), walks[:, a])
+            walks = ends
+            counts[n] += sum(walks.diagonal().tolist())
     return counts, rho
 
 
-def _components(adj):
-    """The strongly connected components of the vertices of ``adj`` and
-    their successors (Tarjan's algorithm, without recursion)."""
-    index, low, stack, on_stack, comps = {}, {}, [], set(), []
-
-    def visit(v):
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        return v, iter(adj.get(v, ()))
-
-    for root in adj:
-        if root in index:
+def _components(g):
+    """The strongly connected component of each vertex of the Digraph g,
+    numbered in the order Tarjan's algorithm (without recursion) closes
+    them."""
+    succ, start = g.succ.tolist(), g.start.tolist()
+    index, low, comp, stack, done = [-1] * g.n, [0] * g.n, [-1] * g.n, [], 0
+    order = iter(range(g.n))    # the visit numbers
+    for root in range(g.n):
+        if index[root] >= 0:
             continue
-        work = [visit(root)]
+        index[root] = low[root] = next(order)
+        stack.append(root)
+        work = [[root, start[root]]]     # [vertex, its next edge] along the visit
         while work:
-            v, succ = work[-1]
-            for w in succ:
-                if w not in index:
-                    work.append(visit(w))
-                    break
-                if w in on_stack:
+            frame = work[-1]
+            v, e = frame
+            if e < start[v + 1]:
+                frame[1] = e + 1
+                w = succ[e]
+                if index[w] < 0:
+                    index[w] = low[w] = next(order)
+                    stack.append(w)
+                    work.append([w, start[w]])
+                elif comp[w] < 0:           # w is on the stack
                     low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
-                    on_stack.difference_update(comp)
-                    comps.append(comp)
-    return comps
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                w = -1
+                while w != v:
+                    w = stack.pop()
+                    comp[w] = done
+                done += 1
+    return np.array(comp, dtype=np.int64)
 
 
 @dataclass

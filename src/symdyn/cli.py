@@ -66,7 +66,7 @@ def stage_graph(al, out, quiet):
     g = coarse_grain.build_graph(al)
     pg, kept = coarse_grain.prune_relevant(g)
     formats.write_graph(os.path.join(out, "graph.txt"), pg)
-    formats.write_dot(os.path.join(out, "graph.dot"), pg.adjacency())
+    formats.write_dot(os.path.join(out, "graph.dot"), pg)
     _say(quiet, f"graph: {g.n_edges()} strong edges; pruned to {len(kept)} "
                 f"relevant vertices, {pg.n_edges()} edges")
     return g, pg, kept
@@ -166,8 +166,7 @@ def stage_refine(m, cfg, pg, out, quiet):
         audit.notes.append(f"{dropped} core vertices dropped: shadowing broke every walk "
                            f"through them")
     formats.write_partition(os.path.join(out, "partition.txt"), cells, tg)
-    formats.write_dot(os.path.join(out, "sigma_hat.dot"), tg.adjacency(),
-                      name="sigma_hat")
+    formats.write_dot(os.path.join(out, "sigma_hat.dot"), tg, name="sigma_hat")
     formats.write_report(os.path.join(out, "markov.report"), "markov",
                          audit.lines(),
                          [{"rectangles": len(cover), "cells": len(cells),

@@ -18,6 +18,9 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .analysis import Digraph
 from .config import RunConfig
 from .pesin import VertexTable, vertex_table, window_tables
 
@@ -260,29 +263,15 @@ def build_alphabet(m, samples, cfg):
 # the gpo graph
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GpoGraph:
-    """Strong-edge adjacency over the alphabet's charts.
+@dataclass(frozen=True)
+class GpoGraph(Digraph):
+    """The strong edges between the alphabet's charts, as edge arrays.
 
-    Successor lists follow shift order (an edge v -> w in the adjacency
-    means the chart w may follow v in a gpo, i.e. the construction's
-    v <- w).
+    Edges follow shift order: an edge v -> w means the chart w may follow v
+    in a gpo, i.e. the construction's v <- w.
     """
 
     alphabet: Alphabet
-    out_edges: list            # vid -> sorted list of successor vids
-    in_edges: list
-
-    def n_vertices(self):
-        return len(self.alphabet.vertices)
-
-    def n_edges(self):
-        return sum(len(o) for o in self.out_edges)
-
-    def adjacency(self):
-        """Successor lists of the vertices with an edge."""
-        return {v: list(self.out_edges[v]) for v in range(self.n_vertices())
-                if self.out_edges[v] or self.in_edges[v]}
 
 
 def build_graph(alphabet):
@@ -292,8 +281,7 @@ def build_graph(alphabet):
     names, which pass (E1) and (E2.3); an edge needs (E2.1) and (E2.2) too.
     """
     cfg, centers, table = alphabet.cfg, alphabet.centers, alphabet.vertices
-    out_edges = [[] for _ in range(len(table))]
-    in_edges = [[] for _ in range(len(table))]
+    src, dst = [], []
     for vid, (cid, iq) in enumerate(zip(table.cid.tolist(), table.idx_p.tolist())):
         v = centers[cid].gamma
         for wcid, ip in _successors(centers, alphabet.e1_index, cfg.delta_index, v, iq):
@@ -302,50 +290,28 @@ def build_graph(alphabet):
                 continue
             w = centers[wcid].gamma
             if _edge_clauses(cfg, w.theta[1], w.u[1], v.theta[2], v.u[2], iq):
-                out_edges[vid].append(wid)
-                in_edges[wid].append(vid)
-    for lst in out_edges:
-        lst.sort()
-    for lst in in_edges:
-        lst.sort()
-    return GpoGraph(alphabet=alphabet, out_edges=out_edges, in_edges=in_edges)
+                src.append(vid)
+                dst.append(wid)
+    return GpoGraph.from_edges(len(table), src, dst, alphabet=alphabet)
 
 
 def prune_relevant(g):
     """Keep exactly the vertices on some bi-infinite strong path.
 
-    Iteratively deletes vertices lacking an incoming or outgoing strong
-    edge (the finite-graph proxy for relevance); returns (pruned graph,
-    kept vertex ids).
+    Repeatedly keeps the vertices with an in-edge and an out-edge among the
+    kept ones (the finite-graph proxy for relevance) until none is dropped;
+    returns (pruned graph, kept vertex ids).
     """
-    nv = g.n_vertices()
-    alive = [bool(g.out_edges[v]) and bool(g.in_edges[v]) for v in range(nv)]
-    out_deg = [len(g.out_edges[v]) for v in range(nv)]
-    in_deg = [len(g.in_edges[v]) for v in range(nv)]
-    stack = [v for v in range(nv) if not alive[v]]
-    while stack:
-        v = stack.pop()
-        for w in g.out_edges[v]:
-            if alive[w]:
-                in_deg[w] -= 1
-                if in_deg[w] == 0:
-                    alive[w] = False
-                    stack.append(w)
-        for u in g.in_edges[v]:
-            if alive[u]:
-                out_deg[u] -= 1
-                if out_deg[u] == 0:
-                    alive[u] = False
-                    stack.append(u)
-        alive[v] = False
-    kept = [v for v in range(nv) if alive[v]]
-    keep = set(kept)
-    out_edges = [[w for w in g.out_edges[v] if w in keep] if v in keep else []
-                 for v in range(nv)]
-    in_edges = [[u for u in g.in_edges[v] if u in keep] if v in keep else []
-                for v in range(nv)]
-    pruned = GpoGraph(alphabet=g.alphabet, out_edges=out_edges, in_edges=in_edges)
-    return pruned, kept
+    alive = np.ones(g.n, dtype=bool)
+    while True:
+        live = alive[g.src] & alive[g.succ]
+        keep = (alive & (np.bincount(g.src[live], minlength=g.n) > 0)
+                & (np.bincount(g.succ[live], minlength=g.n) > 0))
+        if (keep == alive).all():
+            break
+        alive = keep
+    pruned = GpoGraph.from_edges(g.n, g.src[live], g.succ[live], alphabet=g.alphabet)
+    return pruned, np.flatnonzero(alive).tolist()
 
 
 # ---------------------------------------------------------------------------

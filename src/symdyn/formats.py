@@ -41,24 +41,21 @@ def write_graph(path, g):
     """Line-oriented graph export: a ``V`` record for every vertex with a
     strong edge, then one ``E v w S`` record per strong edge v -> w."""
     t = g.alphabet.vertices
+    edged = (g.start[1:] > g.start[:-1]) | (g.pred_start[1:] > g.pred_start[:-1])
+    rows = zip(edged.tolist(), t.theta0.tolist(), t.u.tolist(), t.idx_p.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header("graph"))
-        for v, (x, u, ip) in enumerate(zip(t.theta0.tolist(), t.u.tolist(), t.idx_p.tolist())):
-            if g.out_edges[v] or g.in_edges[v]:
-                fh.write(f"V {v} x0={x!r} u={u!r} idx_p={ip}\n")
-        for vid, outs in enumerate(g.out_edges):
-            for w in outs:
-                fh.write(f"E {vid} {w} S\n")
+        fh.writelines(f"V {v} x0={x!r} u={u!r} idx_p={ip}\n"
+                      for v, (e, x, u, ip) in enumerate(rows) if e)
+        fh.writelines(f"E {v} {w} S\n" for v, w in zip(g.src.tolist(), g.succ.tolist()))
 
 
-def write_dot(path, adjacency, name="g"):
-    """Graphviz export of an adjacency dict."""
+def write_dot(path, g, name="g"):
+    """Graphviz export of the edges of an ``analysis.Digraph``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"// symdyn-dot {VERSION}\n")
         fh.write(f"digraph {name} {{\n")
-        for v in sorted(adjacency):
-            for w in adjacency[v]:
-                fh.write(f"  n{v} -> n{w};\n")
+        fh.writelines(f"  n{v} -> n{w};\n" for v, w in zip(g.src.tolist(), g.succ.tolist()))
         fh.write("}\n")
 
 
@@ -70,9 +67,7 @@ def write_partition(path, cells, tg):
             sig = ";".join(f"{i},{j}:{ab}" for (i, j), ab in c.signature)
             members = ";".join(f"{c.rect},{pi}" for pi in (c.members - start[c.rect]).tolist())
             fh.write(f"C {c.cell_id} rect={c.rect} sig={sig} members={members}\n")
-        for r, outs in enumerate(tg.out_edges):
-            for s in outs:
-                fh.write(f"E {r} {s}\n")
+        fh.writelines(f"E {r} {s}\n" for r, s in zip(tg.src.tolist(), tg.succ.tolist()))
 
 
 def write_shadows(path, shadows):

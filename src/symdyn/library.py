@@ -46,7 +46,9 @@ def periodic_library(m, cfg):
     One bitwise cycle per orbit, started at its least root, one window per
     phase, each a view of the cycle window of backward depth cfg.back_depth
     and forward horizon cfg.horizon; uncertified cycles (expansion below chi
-    somewhere along the orbit) are dropped.
+    somewhere along the orbit) are dropped.  ValueError when a cycle closes
+    in floats only after more points than a window can view each phase of
+    (more than back_depth + horizon).
     """
     seen = set()
     windows = []
@@ -66,7 +68,7 @@ def periodic_library(m, cfg):
             new.append(i)
         built, chartable = ne.periodic_windows(m, roots[new], words[new],
                                                cfg.back_depth, cfg.horizon)
-        for w, ok in zip(built, chartable.tolist()):
+        for w, ok, word in zip(built, chartable.tolist(), words[new].tolist()):
             if isinstance(w, Exception) and not isinstance(w, SingularPoint):
                 raise w
             if not ok:  # no window near the singular set, or one not chartable
@@ -75,8 +77,16 @@ def periodic_library(m, cfg):
             if not expansion_certificate(w, cfg).ok:
                 skipped_uncert += n
                 continue
+            try:
+                phases = w.phases()
+            except ne.WindowExhausted as e:
+                raise ValueError(
+                    f"the orbit of branch word {word} (period {n}) closes as a float cycle of "
+                    f"{w.period} points: back_depth + max(fwd_len, encode_hi + 2) = "
+                    f"{cfg.back_depth} + {cfg.horizon} must be > {w.period} to view each "
+                    f"phase ({e})") from e
             orbits += 1
-            windows.extend(w.phases())
+            windows.extend(phases)
     return LibraryReport(windows=windows, orbits=orbits,
                          skipped_singular=skipped_singular,
                          skipped_uncertified=skipped_uncert,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shadowing as sh
+from .analysis import Digraph
 
 LOG100 = math.log(100.0)
 
@@ -175,28 +176,44 @@ def point_classes(table, cover):
 # cover construction
 # ---------------------------------------------------------------------------
 
-def _walk(g, rng, vid, steps, direction):
-    """Random strong walk of ``steps`` steps from vid, forward (direction > 0)
-    or backward; returns the visited vertex ids (excluding vid) and whether
-    the walk drew from rng (it draws only where it has a choice).  Every
-    vertex of a pruned graph that has an edge has a successor and a
-    predecessor, so a walk from a core vertex never stops."""
-    adj = g.out_edges if direction > 0 else g.in_edges
-    out = []
-    drew = False
-    cur = vid
-    for _ in range(steps):
-        nxt = adj[cur]
-        assert nxt, f"vertex {cur} ends a walk: the graph is not pruned"
-        drew |= len(nxt) > 1
-        cur = nxt[int(rng.integers(0, len(nxt)))] if len(nxt) > 1 else nxt[0]
-        out.append(cur)
-    return out, drew
+def _draw_walks(g, cfg):
+    """The strong walks of ``build_cover``: cfg.cover_window steps back and
+    forward from each core vertex of the pruned graph g, one row per walk,
+    its vertex in the middle column.
+
+    The draw rule: the rows are the core vertices ascending, with
+    cfg.paths_per_vertex rows each.  All backward steps are taken first,
+    then all forward steps; each step moves every row to a neighbour at
+    once (a gather on the graph's arrays) and makes one
+    ``rng.integers(0, deg)`` call over the rows whose vertex has deg > 1
+    neighbours that way, in row order, and none where no row has a choice.
+    Identical walks of a vertex are then dropped, keeping the first."""
+    window = cfg.cover_window
+    rng = np.random.default_rng(cfg.seed)
+    core = np.flatnonzero((np.diff(g.start) > 0) & (np.diff(g.pred_start) > 0))
+    walks = np.empty((core.size * cfg.paths_per_vertex, 2 * window + 1), dtype=np.int64)
+    walks[:, window] = np.repeat(core, cfg.paths_per_vertex)
+    for start, nbr, cols in ((g.pred_start, g.pred, range(window - 1, -1, -1)),
+                             (g.start, g.succ, range(window + 1, 2 * window + 1))):
+        cur = walks[:, window]
+        for col in cols:
+            deg = start[cur + 1] - start[cur]
+            # every vertex a walk from a core vertex reaches is core
+            assert deg.all(), "a walk ends: the graph is not pruned"
+            pick = np.zeros_like(cur)
+            choice = np.flatnonzero(deg > 1)
+            if choice.size:
+                pick[choice] = rng.integers(0, deg[choice])
+            cur = walks[:, col] = nbr[start[cur] + pick]
+    first = np.diff(np.maximum.accumulate(_number(walks, np.ones(len(walks), dtype=bool))),
+                    prepend=-1) > 0
+    return walks[first], core.size
 
 
 def build_cover(m, g, cfg):
     """Sample rectangles Z(v) from cfg.paths_per_vertex strong paths through
-    v, of cfg.cover_window steps on each side, drawn with cfg.seed.
+    v, of cfg.cover_window steps on each side, drawn with cfg.seed by the
+    rule of ``_draw_walks``.
 
     ``g`` must be pruned (``coarse_grain.prune_relevant``): on a finite
     graph every bi-infinite path visits some vertex infinitely often in
@@ -204,37 +221,14 @@ def build_cover(m, g, cfg):
     out-edges) extends to a path of the coded shift.  Only core vertices
     are sampled.  A core vertex gets no rectangle only when shadowing broke
     every one of its walks; the second return value counts these
-    vertices.  A vertex's walks stop after a back/forward pair that drew
-    nothing: every later pair would be the same walk.  Every walk is drawn
-    first and all are shadowed in one ``shadow_many`` batch; shadowing
-    draws nothing, so the draws are those of walking and shadowing vertex
-    by vertex.  The cover's rows are the unbroken rows of the batch's
-    ``points`` and ``branches``: a rectangle keeps the first row of each
-    class, numbered once as ``point_classes`` numbers them, and every row
-    holding a NaN.
+    vertices.  Every walk is drawn first and all are shadowed in one
+    ``shadow_many`` batch, which draws nothing.  The cover's rows are the
+    unbroken rows of the batch's ``points`` and ``branches``: a rectangle
+    keeps the first row of each class, numbered once as ``point_classes``
+    numbers them, and every row holding a NaN.
     """
     window = cfg.cover_window
-    rng = np.random.default_rng(cfg.seed)
-    core = []      # (vertex, number of its walks to shadow)
-    walks = []
-    for v in range(g.n_vertices()):
-        if not g.out_edges[v] or not g.in_edges[v]:
-            continue
-        seen = set()
-        count = 0
-        for _ in range(cfg.paths_per_vertex):
-            back, drew_back = _walk(g, rng, v, window, -1)
-            fwd, drew_fwd = _walk(g, rng, v, window, +1)
-            vids = tuple(reversed(back)) + (v,) + tuple(fwd)
-            # shadowing is deterministic, so a repeated walk adds no new point
-            if vids not in seen:
-                seen.add(vids)
-                walks.append(vids)
-                count += 1
-            if not (drew_back or drew_fwd):
-                break
-        core.append((v, count))
-    walks = np.array(walks, dtype=np.int64).reshape(len(walks), 2 * window + 1)
+    walks, n_core = _draw_walks(g, cfg)
     shadows = sh.shadow_many(m, g.alphabet.vertices, walks, -window, cfg)
     ok = shadows.ok
     pts, bids, vertex = shadows.points[ok], shadows.branches[ok], walks[ok, window]
@@ -245,7 +239,7 @@ def build_cover(m, g, cfg):
     vid, counts = np.unique(vertex[keep], return_counts=True)
     cover = Cover(vid=vid, start=np.concatenate([[0], np.cumsum(counts)]),
                   points=pts[keep], branches=bids[keep], back_len=window)
-    return cover, len(core) - len(vid)
+    return cover, n_core - len(vid)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +301,14 @@ def refine(cover, pc):
 # the refined shift graph
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TmsGraph:
+@dataclass(frozen=True)
+class TmsGraph(Digraph):
+    """The refined shift graph: an edge per pair of cells R -> S, on the
+    cells' ids."""
+
     cells: list
     cover: Cover
-    out_edges: list
     classes: PointClasses      # of the cover's rows
-
-    def adjacency(self):
-        return {c.cell_id: list(self.out_edges[c.cell_id]) for c in self.cells}
 
 
 def _cell_of(cells, rows):
@@ -342,9 +335,8 @@ def hat_graph(cover, cells, pc):
     (pc: the cover's ``point_classes``)."""
     cell = _cell_of(cells, len(pc.cls))
     q, s = _landings(pc, cell)
-    src, dst = _pairs(cell[q], s, len(cells))
-    out_edges = [e.tolist() for e in _split(dst, src, len(cells))]
-    return TmsGraph(cells=cells, cover=cover, out_edges=out_edges, classes=pc)
+    return TmsGraph.from_edges(len(cells), *_pairs(cell[q], s, len(cells)), cells=cells,
+                               cover=cover, classes=pc)
 
 
 # ---------------------------------------------------------------------------

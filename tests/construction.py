@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from symdyn import _kernels as K
 from symdyn import coarse_grain as cg
@@ -768,6 +769,40 @@ def _cell_contains(m, cover, cell, window):
                for q in cell.members.tolist())
 
 
+def toy_graph(adj):
+    """The ``coarse_grain.GpoGraph``, without an alphabet, of an adjacency
+    dict {v: [w, ...]}: a vertex for every key and successor, an edge per
+    list entry, built by the pipeline's constructor from edge lists."""
+    edges = [(v, w) for v, ws in adj.items() for w in ws]
+    n = max([*adj, *(w for _, w in edges)], default=-1) + 1
+    return cg.GpoGraph.from_edges(n, [v for v, _ in edges], [w for _, w in edges],
+                                  alphabet=None)
+
+
+def successors(g, v):
+    """The successors of vertex v of a ``symdyn.analysis.Digraph``,
+    ascending, read from its row of the edge arrays."""
+    return g.succ[g.start[v]:g.start[v + 1]].tolist()
+
+
+@st.composite
+def digraphs(draw):
+    """(n, edges): a hypothesis strategy for digraphs of up to 12 vertices
+    with drawn edges, and now and then a dangling chain of up to 3 new
+    vertices into or out of a drawn vertex."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, set()
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(vertex, vertex), max_size=2 * n))
+    for into in draw(st.lists(st.booleans(), max_size=2)):
+        length, end = draw(st.integers(1, 3)), draw(vertex)
+        chain = [end] + list(range(n, n + length))
+        n += length
+        edges |= set(zip(chain[1:], chain[:-1]) if into else zip(chain, chain[1:]))
+    return n, edges
+
+
 def hat_pi(m, tg, path, n_lo=0):
     """Project an admissible cell path through sampled cylinder chasing.
 
@@ -781,7 +816,7 @@ def hat_pi(m, tg, path, n_lo=0):
     error; re-sample with more paths per vertex to distinguish).
     """
     for i in range(len(path) - 1):
-        if path[i + 1] not in tg.out_edges[path[i]]:
+        if path[i + 1] not in successors(tg, path[i]):
             raise ValueError(f"path not admissible at position {i}")
     anchor = -n_lo if 0 <= -n_lo < len(path) else 0
     survivors = []

@@ -63,8 +63,7 @@ def strong_graph_backward(al):
     for c in al.centers:
         preds.setdefault((c.gamma.theta[1], 1.0 / c.gamma.u[1]), []).append(c)
     vertices = alphabet_vertices(al)
-    out_edges = [[] for _ in vertices]
-    in_edges = [[] for _ in vertices]
+    src, dst = [], []
     for w in vertices:
         cap = nd + w.gamma.idxQ
         if w.idx_p < cap:
@@ -80,10 +79,9 @@ def strong_graph_backward(al):
                                   w.gamma.theta[1], w.gamma.u[1], w.idx_p,
                                   v.gamma.theta[1], v.gamma.u[1], v.gamma.theta[2],
                                   v.gamma.u[2], v.idx_p):
-                    out_edges[v.vid].append(w.vid)
-                    in_edges[w.vid].append(v.vid)
-    return cg.GpoGraph(alphabet=al, out_edges=[sorted(o) for o in out_edges],
-                       in_edges=[sorted(i) for i in in_edges])
+                    src.append(v.vid)
+                    dst.append(w.vid)
+    return cg.GpoGraph.from_edges(len(vertices), src, dst, alphabet=al)
 
 
 # The edge clauses from their definitions, decided in real arithmetic on the

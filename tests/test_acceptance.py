@@ -22,7 +22,7 @@ from symdyn.config import RunConfig
 
 from construction import (Chart, chart_G, compute_u, cover_of, deriv, encode, hat_pi,
                           linear_reduction_slope, make_window, params_at, random_library,
-                          rectangles, shadow, step_map, u_recursion_step)
+                          rectangles, shadow, step_map, successors, u_recursion_step)
 from oracles import signature_partition, strong_chain
 
 LN2 = math.log(2.0)
@@ -282,7 +282,7 @@ def test_criterion_09_markov_audit(doubling_fixture):
     for c in cells[:10]:
         path = [c.cell_id]
         for _ in range(6):
-            path.append(tg.out_edges[path[-1]][0])
+            path.append(successors(tg, path[-1])[0])
         _, diams = hat_pi(m, tg, path, n_lo=0)
         for a, b in zip(diams, diams[1:]):
             assert b <= a * rate + 1e-300

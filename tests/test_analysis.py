@@ -13,7 +13,7 @@ from symdyn import coarse_grain as cg
 from symdyn import library
 from symdyn.config import RunConfig
 
-from construction import f
+from construction import f, successors, toy_graph
 from oracles import brute_force_loops, closed_paths, loop_count
 
 CHI2 = 0.5 * math.log(2.0)
@@ -60,7 +60,7 @@ def _random_digraph(rng, nv, max_out):
 def test_closed_path_counts_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     adj = _random_digraph(rng, int(rng.integers(1, 10)), 3)
-    counts, _ = an.closed_paths_and_radius(adj, 6)
+    counts, _ = an.closed_paths_and_radius(toy_graph(adj), 6)
     assert counts == [sum(brute_force_loops(adj, v, n) for v in adj) for n in range(1, 7)]
     assert counts == [closed_paths(adj, n) for n in range(1, 7)]
     assert counts == [sum(loop_count(adj, v, n) for v in adj) for n in range(1, 7)]
@@ -94,7 +94,7 @@ def mixed_graphs(draw):
 @settings(max_examples=80, deadline=None)
 def test_closed_path_counts_per_component_match_brute_force(adj):
     # cycle components count in closed form, the others by their walks
-    counts, _ = an.closed_paths_and_radius(adj, 7)
+    counts, _ = an.closed_paths_and_radius(toy_graph(adj), 7)
     assert counts == [sum(brute_force_loops(adj, v, n) for v in adj) for n in range(1, 8)]
 
 
@@ -140,7 +140,7 @@ def test_spectral_radius_is_the_largest_root(name, adj, poly):
     # 1 exactly; the same pass counts the closed paths
     got, rho = _exact_radius(adj)
     assert sympy.expand(got - poly) == 0
-    counts, radius = an.closed_paths_and_radius(adj, 6)
+    counts, radius = an.closed_paths_and_radius(toy_graph(adj), 6)
     assert abs(radius - float(rho)) < 1e-9 * float(rho)
     assert counts == [closed_paths(adj, n) for n in range(1, 7)]
     if name == "union of cycles":
@@ -149,7 +149,7 @@ def test_spectral_radius_is_the_largest_root(name, adj, poly):
 
 def test_spectral_radius_two_shift():
     adj = {0: [0, 1], 1: [0, 1]}
-    counts, rho = an.closed_paths_and_radius(adj, 10)
+    counts, rho = an.closed_paths_and_radius(toy_graph(adj), 10)
     assert abs(rho - 2.0) < 1e-6
     est = an.gurevich_entropy(counts, rho)
     assert abs(math.log(est.spectral_radius) - math.log(2.0)) < 1e-6
@@ -159,7 +159,7 @@ def test_gurevich_single_cycle_is_zero():
     adj = {0: [1], 1: [2], 2: [0]}
     # one loop through a vertex at every length it has any: log(1)/n = 0
     assert [loop_count(adj, 0, n) for n in range(1, 10)] == [0, 0, 1] * 3
-    assert an.closed_paths_and_radius(adj, 9) == ([0, 0, 3] * 3, 1.0)
+    assert an.closed_paths_and_radius(toy_graph(adj), 9) == ([0, 0, 3] * 3, 1.0)
 
 
 def test_entropy_monotone_under_edge_addition():
@@ -171,8 +171,8 @@ def test_entropy_monotone_under_edge_addition():
         bigger = {v: list(e) for v, e in adj.items()}
         if w not in bigger[u]:
             bigger[u] = sorted(bigger[u] + [w])
-        assert (an.closed_paths_and_radius(bigger, 1)[1]
-                >= an.closed_paths_and_radius(adj, 1)[1] - 1e-9)
+        assert (an.closed_paths_and_radius(toy_graph(bigger), 1)[1]
+                >= an.closed_paths_and_radius(toy_graph(adj), 1)[1] - 1e-9)
 
 
 def test_map_periodic_points_doubling_exact():
@@ -226,7 +226,7 @@ def test_growth_report_doubling():
 
 
 def test_growth_report_empty_graph_flags():
-    rep = an.growth_report((1, 3, 7), *an.closed_paths_and_radius({}, 3))
+    rep = an.growth_report((1, 3, 7), *an.closed_paths_and_radius(toy_graph({}), 3))
     assert rep.flags
     assert [r[:2] for r in rep.rows] == [(1, 1), (2, 3), (3, 7)]
     assert all(r[2] == 0 for r in rep.rows)
@@ -255,16 +255,17 @@ def test_one_walk_gives_the_rows_and_estimates_of_separate_walks(max_period):
     m = symdyn.built_in("doubling")
     cfg = RunConfig(chi=CHI2, epsilon=0.1)
     lib = library.periodic_library(m, replace(cfg, max_period=5, back_depth=64, fwd_len=14))
-    pg, _ = cg.prune_relevant(cg.build_graph(cg.build_alphabet(m, lib.windows, cfg)))
-    adj = pg.adjacency()
+    pg, kept = cg.prune_relevant(cg.build_graph(cg.build_alphabet(m, lib.windows, cfg)))
+    adj = {v: successors(pg, v) for v in kept}
     adj[min(adj)].append(min(adj))   # a self-loop: closed paths at every length
     map_counts = [2**n - 1 for n in range(1, max_period + 1)]
-    counts, rho = an.closed_paths_and_radius(adj, max(10, max_period))
+    counts, rho = an.closed_paths_and_radius(toy_graph(adj), max(10, max_period))
     assert counts[:max_period] == [closed_paths(adj, n) for n in range(1, max_period + 1)]
-    alone = an.growth_report(map_counts, *an.closed_paths_and_radius(adj, max_period))
+    alone = an.growth_report(map_counts,
+                             *an.closed_paths_and_radius(toy_graph(adj), max_period))
     shared = an.growth_report(map_counts, counts, rho)
     assert shared.rows == alone.rows and shared.lines() == alone.lines()
-    est = an.gurevich_entropy(*an.closed_paths_and_radius(adj, 10))
+    est = an.gurevich_entropy(*an.closed_paths_and_radius(toy_graph(adj), 10))
     assert an.gurevich_entropy(counts[:10], rho) == est
     assert est.lines() != shared.entropy.lines() or max_period == 10
 
@@ -308,11 +309,11 @@ CROSS_STAGE = [
     ("doubling", 10),
     ("gauss", 2),
     pytest.param("tent", 8, marks=pytest.mark.xfail(
-        strict=True, reason="two-lap float cycles: make_periodic_window closes the "
-                            "tent fixed point 1/3 as a 2-cycle")),
+        strict=True, reason="two-lap float cycles: natural_extension._backward_cycles "
+                            "closes the tent fixed point 1/3 as a 2-cycle")),
     pytest.param("quadratic", 8, marks=pytest.mark.xfail(
-        strict=True, reason="two-lap float cycles: make_periodic_window closes a "
-                            "quadratic period-4 orbit over 8 phases")),
+        strict=True, reason="two-lap float cycles: natural_extension._backward_cycles "
+                            "closes a quadratic period-4 orbit over 8 phases")),
 ]
 
 

@@ -67,6 +67,25 @@ def test_bad_encode_range_or_seed_creates_no_out(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_window_too_short_for_a_float_cycle_creates_no_out(tmp_path, capsys):
+    # RunConfig admits this window (3 + 4 > max_period = 5), but a quadratic
+    # period-4 orbit closes in floats as a cycle of 8 points, whose phase 4
+    # lies past the horizon and would be viewed 8 steps back: the library
+    # refuses it, naming the word and the lengths, before --out exists
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("map = quadratic\nback_depth = 3\nfwd_len = 4\nencode_hi = 1\n"
+                       "max_period = 5\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = run_cli(["full-pipeline", "--config", str(cfgfile), "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["detail"].startswith(
+        "the orbit of branch word [0, 1, 1, 1] (period 4) closes as a float cycle of 8 points: "
+        "back_depth + max(fwd_len, encode_hi + 2) = 3 + 4 must be > 8")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["alphabet", "graph", "inverse-audit", "full-pipeline"])
 def test_refused_alphabet_creates_no_out(tmp_path, monkeypatch, capsys, command):
     # the exact-regime refusal comes after the library but before the first

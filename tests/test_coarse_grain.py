@@ -3,7 +3,9 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import symdyn
 from symdyn import cli
@@ -13,8 +15,8 @@ from symdyn import natural_extension as ne
 from symdyn import pesin
 from symdyn.config import RunConfig
 
-from construction import (Chart, PesinParams, alphabet_vertices, encode, make_window, radius,
-                          random_library, vertex_chart)
+from construction import (Chart, PesinParams, alphabet_vertices, digraphs, encode, make_window,
+                          radius, random_library, successors, toy_graph, vertex_chart)
 from oracles import (cover_id_reference, edge_test, full_ladder_alphabet, net_all_pairs,
                      overlap_clauses, overlap_test, strong_chain, strong_clauses,
                      strong_graph_all_pairs, strong_graph_backward, weak_edge_vertices,
@@ -232,7 +234,8 @@ def test_net_and_graph_match_all_pairs_oracles(name, period):
     al = cg.build_alphabet(m, windows, cfg)
     assert [(c.gamma, c.key, c.j_bins, c.seen_q) for c in al.centers] == \
         net_all_pairs(m, windows, cfg)
-    assert cg.build_graph(al).out_edges == strong_graph_all_pairs(al)
+    g = cg.build_graph(al)
+    assert [successors(g, v) for v in range(g.n)] == strong_graph_all_pairs(al)
 
 
 def test_exact_regime_refuses_thresholds_above_underflow():
@@ -323,10 +326,8 @@ def test_discreteness_enumeration_oracle(alphabet):
 
 def test_strong_subset_weak(doubling, cfg, graph, alphabet):
     vertices = alphabet_vertices(alphabet)
-    for vid, outs in enumerate(graph.out_edges):
-        for wid in outs:
-            v, w = vertices[vid], vertices[wid]
-            assert weak_edge_vertices(cfg, v, w)
+    for vid, wid in zip(graph.src.tolist(), graph.succ.tolist()):
+        assert weak_edge_vertices(cfg, vertices[vid], vertices[wid])
 
 
 def test_graph_cycles(graph, alphabet):
@@ -334,44 +335,55 @@ def test_graph_cycles(graph, alphabet):
     pg, kept = cg.prune_relevant(graph)
     assert len(kept) == 5
     for v in kept:
-        assert len(pg.out_edges[v]) == 1 and len(pg.in_edges[v]) == 1
+        assert len(successors(pg, v)) == 1 and np.diff(pg.pred_start)[v] == 1
 
 
 # -- pruning ---------------------------------------------------------------------
 
 def test_prune_cycle_unchanged():
-    g = _toy_graph({0: [1], 1: [2], 2: [0]})
+    g = toy_graph({0: [1], 1: [2], 2: [0]})
     pg, kept = cg.prune_relevant(g)
     assert kept == [0, 1, 2]
-    assert pg.out_edges[0] == [1]
+    assert successors(pg, 0) == [1]
 
 
 def test_prune_dangling_chain():
-    g = _toy_graph({0: [1], 1: [2], 2: [0], 3: [4], 4: [0]})
+    g = toy_graph({0: [1], 1: [2], 2: [0], 3: [4], 4: [0]})
     pg, kept = cg.prune_relevant(g)
     assert kept == [0, 1, 2]
 
 
 def test_prune_empty():
-    g = _toy_graph({})
+    g = toy_graph({})
     pg, kept = cg.prune_relevant(g)
     assert kept == []
 
 
-def _toy_graph(adj):
-    nv = max([v for v in adj] + [w for ws in adj.values() for w in ws], default=-1) + 1
-    out_edges = [sorted(adj.get(v, [])) for v in range(nv)]
-    in_edges = [[] for _ in range(nv)]
-    for v, outs in enumerate(out_edges):
-        for w in outs:
-            in_edges[w].append(v)
+def _relevant(n, edges):
+    """The vertices reached from a cycle that reach a cycle, by the boolean
+    closure of the adjacency (paths of length >= 1)."""
+    step = np.zeros((n, n), dtype=bool)
+    for v, w in edges:
+        step[v, w] = True
+    reach = step.copy()
+    while True:
+        wider = reach | ((reach.astype(np.int64) @ step.astype(np.int64)) > 0)
+        if (wider == reach).all():
+            break
+        reach = wider
+    on_cycle = np.diag(reach)
+    return np.flatnonzero(reach[on_cycle].any(axis=0) & reach[:, on_cycle].any(axis=1)).tolist()
 
-    class _StubAlphabet:
-        vertices = list(range(nv))
-        cfg = None
 
-    return cg.GpoGraph(alphabet=_StubAlphabet(), out_edges=out_edges,
-                       in_edges=in_edges)
+@given(digraphs())
+@settings(max_examples=150, deadline=None)
+def test_prune_keeps_the_vertices_on_bi_infinite_paths(graph):
+    n, edges = graph
+    g = toy_graph({v: [w for u, w in sorted(edges) if u == v] for v in range(n)})
+    pg, kept = cg.prune_relevant(g)
+    assert kept == _relevant(n, edges) and pg.n == n
+    assert list(zip(pg.src.tolist(), pg.succ.tolist())) == sorted(
+        (v, w) for v, w in edges if v in kept and w in kept)
 
 
 # -- sufficiency -----------------------------------------------------------------
@@ -402,9 +414,9 @@ def test_cover_id_terminates_and_contains(doubling):
 
 def test_weak_successors_superset_of_strong(graph, alphabet, cfg):
     vertices = alphabet_vertices(alphabet)
-    for vid in range(0, graph.n_vertices(), 17):
+    for vid in range(0, graph.n, 17):
         weak = set(weak_successors(graph, vid))
-        assert set(graph.out_edges[vid]) <= weak
+        assert set(successors(graph, vid)) <= weak
         for wid in weak:
             v, w = vertices[vid], vertices[wid]
             assert w.idx_p >= v.idx_p - 3  # (WE2) p <= e^eps q
@@ -426,7 +438,7 @@ def _chart_key(chart):
 
 def _edges(g, vids):
     key = {v: _chart_key(vertex_chart(g.alphabet, v)) for v in vids}
-    return {(key[v], key[w]) for v in vids for w in g.out_edges[v] if w in key}
+    return {(key[v], key[w]) for v in vids for w in successors(g, v) if w in key}
 
 
 def _assert_closure_is_ladder_core(m, samples, cfg):
@@ -447,7 +459,7 @@ def _assert_closure_is_ladder_core(m, samples, cfg):
         if v.idx_p == cfg.delta_index + v.gamma.idxQ:
             assert v.vid in closure
     for v in closure:
-        assert closure.issuperset(full_g.out_edges[v])
+        assert closure.issuperset(successors(full_g, v))
     assert _edges(g, range(len(al.vertices))) == _edges(full_g, inside)
     (pg, kept), (full_pg, full_kept) = cg.prune_relevant(g), cg.prune_relevant(full_g)
     core = [_chart_key(vertex_chart(al, v)) for v in kept]

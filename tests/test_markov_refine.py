@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symdyn
 from symdyn import cli
@@ -14,10 +16,11 @@ from symdyn import markov_refine as mr
 from symdyn import natural_extension as ne
 from symdyn.config import RunConfig, parse_config
 
-from construction import (EmptyCylinder, _cell_contains, cover_of, encode, fibres, hat_pi,
-                          make_window, record_alphabets, rectangles, row_window,
+from construction import (EmptyCylinder, _cell_contains, cover_of, digraphs, encode, fibres,
+                          hat_pi, make_window, record_alphabets, rectangles, row_window, successors,
                           windows_agree_reference)
-from oracles import bracket_windows, pseudo_window_reference, signature_partition, strong_chain
+from oracles import (bracket_windows, pseudo_window_reference, signature_partition, strong_chain,
+                     strong_graph_all_pairs)
 
 CHI2 = 0.5 * math.log(2.0)
 
@@ -154,10 +157,9 @@ def _chorded(pg, kept):
     """The pruned graph with a chord from one cycle to another, which gives
     the walks through its ends a choice, and the chord's ends."""
     a = kept[0]
-    b = next(v for v in kept if v not in pg.out_edges[a] and v != a)
-    out_edges = [sorted(e + [b]) if v == a else list(e) for v, e in enumerate(pg.out_edges)]
-    in_edges = [sorted(e + [a]) if v == b else list(e) for v, e in enumerate(pg.in_edges)]
-    return cg.GpoGraph(alphabet=pg.alphabet, out_edges=out_edges, in_edges=in_edges), a, b
+    b = next(v for v in kept if v not in successors(pg, a) and v != a)
+    return cg.GpoGraph.from_edges(pg.n, [*pg.src.tolist(), a], [*pg.succ.tolist(), b],
+                                  alphabet=pg.alphabet), a, b
 
 
 def test_cover_keeps_the_first_copy_of_a_point_and_every_nan(doubling, cfg, fixture,
@@ -190,7 +192,7 @@ def test_cover_keeps_the_first_copy_of_a_point_and_every_nan(doubling, cfg, fixt
         return calls[-1]
 
     monkeypatch.setattr(mr.sh, "shadow_many", copying_shadow_many)
-    c = replace(cfg, paths_per_vertex=4, cover_window=10, seed=5)
+    c = replace(cfg, paths_per_vertex=8, cover_window=10, seed=5)
     got, dropped = mr.build_cover(doubling, g, c)
     (shadows,) = calls
     rows, shadowed = _assert_first_copies(doubling, got, dropped, shadows, c.cover_window)
@@ -198,48 +200,121 @@ def test_cover_keeps_the_first_copy_of_a_point_and_every_nan(doubling, cfg, fixt
     assert rows < shadowed and np.bincount(got.rect()[nan_rows]).max() > 1
 
 
-def test_cover_walks_once_where_no_walk_has_a_choice(doubling, cfg, fixture, cover, monkeypatch):
-    # on disjoint cycles a back/forward pair draws nothing, so every later
-    # pair would repeat it: one pair per core vertex, the same cover
-    _, _, pg, kept = fixture
-    starts = []
-    walk = mr._walk
+class _CountingRng:
+    """A numpy Generator that records the ``high`` of each ``integers`` call."""
 
-    def counting_walk(g, rng, vid, steps, direction):
-        starts.append(vid)
-        return walk(g, rng, vid, steps, direction)
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
 
-    monkeypatch.setattr(mr, "_walk", counting_walk)
-    got = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3, cover_window=10, seed=1))
-    assert sorted(starts) == sorted(kept * 2)
-    assert _cover_bits(got) == _cover_bits(cover)
+    def integers(self, low, high):
+        self.calls.append(np.asarray(high).tolist())
+        return self.rng.integers(low, high)
 
 
-def test_cover_draws_as_every_pair_would(doubling, cfg, fixture, monkeypatch):
-    # a chord from one cycle to another gives the walks through its ends a
-    # choice: stopping a vertex's walks at a pair that drew nothing leaves
-    # the cover of walking all paths_per_vertex pairs
-    _, _, pg, kept = fixture
-    g, a, b = _chorded(pg, kept)
-    c = replace(cfg, paths_per_vertex=4, cover_window=10, seed=5)
-    starts, walks = [], []
-    walk, shadow_many = mr._walk, mr.sh.shadow_many
+def _record_draws(mp):
+    """The ``high`` of every ``integers`` call of the generators made while
+    ``mp`` (a MonkeyPatch) is active."""
+    calls, default_rng = [], np.random.default_rng
+    mp.setattr(mr.np.random, "default_rng", lambda seed: _CountingRng(default_rng(seed), calls))
+    return calls
 
-    def counting_walk(*args):
-        starts.append(args[2])
-        return walk(*args)
+
+def _record_walks(mp):
+    """The walks of every ``shadow_many`` call while ``mp`` is active."""
+    walks, shadow_many = [], mr.sh.shadow_many
 
     def recording_shadow_many(m, table, batch, n_lo, c):
         walks.append(batch.tolist())
         return shadow_many(m, table, batch, n_lo, c)
 
-    monkeypatch.setattr(mr.sh, "shadow_many", recording_shadow_many)
-    monkeypatch.setattr(mr, "_walk", counting_walk)
-    ours = mr.build_cover(doubling, g, c)
-    assert 2 * len(kept) < len(starts) < 8 * len(kept)
-    monkeypatch.setattr(mr, "_walk", lambda *args: (walk(*args)[0], True))
-    assert _cover_bits(ours) == _cover_bits(mr.build_cover(doubling, g, c))
-    assert walks[0] == walks[1] and any(b in w and a in w for w in walks[0])
+    mp.setattr(mr.sh, "shadow_many", recording_shadow_many)
+    return walks
+
+
+def _oracle_edges(al, kept):
+    """The strong edges between the kept charts, by the all-pairs oracle."""
+    keep = set(kept)
+    return {(v, w) for v, ws in enumerate(strong_graph_all_pairs(al)) for w in ws
+            if v in keep and w in keep}
+
+
+def _unique_walks(edges, vertices, window):
+    """Per vertex, the walk of ``window`` steps each way along its unique
+    predecessor and successor in ``edges``."""
+    nxt, prev = dict(edges), {w: v for v, w in edges}
+    out = []
+    for v in vertices:
+        back, fwd = [v], [v]
+        for _ in range(window):
+            back.append(prev[back[-1]])
+            fwd.append(nxt[fwd[-1]])
+        out.append(back[:0:-1] + fwd)
+    return out
+
+
+def test_cover_walks_once_where_no_walk_has_a_choice(doubling, cfg, fixture, cover, monkeypatch):
+    # on disjoint cycles every core vertex has one successor and one
+    # predecessor: no step draws, and each core vertex, ascending, gets the
+    # one walk along them; the cover is the fixture's
+    _, al, pg, kept = fixture
+    edges = _oracle_edges(al, kept)
+    assert len(dict(edges)) == len({w: v for v, w in edges}) == len(edges) == len(kept)
+    calls, walks = _record_draws(monkeypatch), _record_walks(monkeypatch)
+    got = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3, cover_window=10, seed=1))
+    assert calls == [] and walks == [_unique_walks(edges, kept, 10)]
+    assert _cover_bits(got) == _cover_bits(cover)
+
+
+def test_cover_draws_only_where_a_walk_has_a_choice(doubling, cfg, fixture, monkeypatch):
+    # a chord a -> b from one cycle to another gives a two successors and b
+    # two predecessors: every walk is a path of the chorded graph; a step
+    # draws once, over the rows standing on a vertex with a choice; a
+    # vertex's walks are distinct, at most paths_per_vertex of them, and
+    # one where no walk of it can stand on a choice
+    _, al, pg, kept = fixture
+    g, a, b = _chorded(pg, kept)
+    edges = _oracle_edges(al, kept) | {(a, b)}
+    c = replace(cfg, paths_per_vertex=4, cover_window=10, seed=5)
+    calls, walks = _record_draws(monkeypatch), _record_walks(monkeypatch)
+    mr.build_cover(doubling, g, c)
+    (rows,) = walks
+    assert all(set(zip(w, w[1:])) <= edges for w in rows)
+    mids = [w[10] for w in rows]
+    assert mids == sorted(mids) and set(mids) == set(kept)
+    assert len(set(map(tuple, rows))) == len(rows)
+    assert 1 < max(mids.count(v) for v in kept) <= c.paths_per_vertex
+    assert 0 < len(calls) <= 2 * c.cover_window and all(set(h) == {2} for h in calls)
+    assert any(a in w and b in w for w in rows)
+    plain = _oracle_edges(al, kept)
+    for v, w in zip(kept, _unique_walks(plain, kept, 10)):
+        if a not in w[10:-1] and b not in w[1:11]:
+            assert mids.count(v) == 1
+
+
+@given(digraphs(), st.integers(1, 4), st.integers(2, 5), st.integers(0, 2**30))
+@settings(max_examples=60, deadline=None)
+def test_drawn_walks_are_paths_of_the_pruned_graph(graph, per, window, seed):
+    # on drawn graphs: each core vertex, ascending, gets at most per
+    # distinct walks, each a path of the graph; without a choice anywhere,
+    # one walk along the unique neighbours and no draw
+    n, edges = graph
+    pg, kept = cg.prune_relevant(cg.GpoGraph.from_edges(
+        n, [v for v, _ in edges], [w for _, w in edges], alphabet=None))
+    live = {(v, w) for v, w in edges if v in kept and w in kept}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_draws(mp)
+        walks, n_core = mr._draw_walks(pg, RunConfig(paths_per_vertex=per, cover_window=window,
+                                                     seed=seed))
+    rows = walks.tolist()
+    assert walks.shape == (len(rows), 2 * window + 1) and n_core == len(kept)
+    assert all(set(zip(w, w[1:])) <= live for w in rows)
+    mids = [w[window] for w in rows]
+    assert mids == sorted(mids) and set(mids) == set(kept)
+    assert len(set(map(tuple, rows))) == len(rows) and len(rows) <= per * len(kept)
+    if len(dict(live)) == len({w: v for v, w in live}) == len(live):
+        assert calls == [] and rows == _unique_walks(live, kept, window)
+    else:
+        assert calls and all(min(h) >= 2 for h in calls)
 
 
 def test_cover_drops_only_core_vertices(doubling, cfg, fixture):
@@ -250,7 +325,7 @@ def test_cover_drops_only_core_vertices(doubling, cfg, fixture):
     stray = make_window(doubling, 0.1234567, [0, 1, 1, 0, 1, 0, 0, 1] * 8, 40)
     al = cg.build_alphabet(doubling, samples + [stray], cfg)
     pg, core = cg.prune_relevant(cg.build_graph(al))
-    assert len(core) == len(kept) < pg.n_vertices()
+    assert len(core) == len(kept) < pg.n
     rects, dropped = mr.build_cover(doubling, pg, replace(cfg, paths_per_vertex=3,
                                                           cover_window=10, seed=1))
     assert dropped == 0 and rects.vid.tolist() == core
@@ -266,12 +341,7 @@ def test_cover_samples_cycles_longer_than_the_window(doubling, cfg):
     assert strong_chain(doubling, gpo.charts, cfg) and vids[5] == vids[0]
     cycle = vids[:5]
     assert len(set(cycle)) == 5
-    out_edges = [[] for _ in range(len(al.vertices))]
-    in_edges = [[] for _ in range(len(al.vertices))]
-    for v, w in zip(cycle, vids[1:]):
-        out_edges[v].append(w)
-        in_edges[w].append(v)
-    g = cg.GpoGraph(alphabet=al, out_edges=out_edges, in_edges=in_edges)
+    g = cg.GpoGraph.from_edges(len(al.vertices), cycle, vids[1:6], alphabet=al)
     rects, dropped = mr.build_cover(doubling, g, replace(cfg, paths_per_vertex=3,
                                                          cover_window=3, seed=1))
     assert dropped == 0
@@ -412,13 +482,13 @@ def test_refine_empty(doubling, cfg, fixture, table):
     # a graph without edges has no core vertex: an empty cover, refined,
     # graphed and audited as such
     n = len(table)
-    g = cg.GpoGraph(alphabet=fixture[1], out_edges=[[]] * n, in_edges=[[]] * n)
+    g = cg.GpoGraph.from_edges(n, [], [], alphabet=fixture[1])
     rects, dropped = mr.build_cover(doubling, g, replace(cfg, cover_window=4))
     assert (len(rects), dropped, rects.points.shape) == (0, 0, (0, 9))
     pc = mr.point_classes(table, rects)
     assert pc.cls.size == pc.met.size == 0
     cells, tg = _refined(table, rects)
-    assert cells == [] and tg.out_edges == []
+    assert cells == [] and tg.n_edges() == 0
     rep = mr.audits(tg)
     assert (rep.markov_checked, rep.preimage_max, rep.intersection_counts) == (0, 0, [])
 
@@ -489,11 +559,11 @@ def test_hat_graph_cycles(doubling, cfg, cover, table):
     cells, tg = _refined(table, rects)
     # disjoint orbit cycles: every cell has exactly one successor
     for c in cells:
-        assert len(tg.out_edges[c.cell_id]) == 1
+        assert len(successors(tg, c.cell_id)) == 1
     # and the 2-cycle closes in two steps
     two = _cells_at(rects, cells, 1 / 6)
-    nxt = tg.out_edges[two[0]][0]
-    assert tg.out_edges[nxt][0] == two[0]
+    nxt = successors(tg, two[0])[0]
+    assert successors(tg, nxt)[0] == two[0]
 
 
 def test_hat_graph_self_loop_fixed_point(cfg):
@@ -505,8 +575,8 @@ def test_hat_graph_self_loop_fixed_point(cfg):
     cells, tg = _refined(al.vertices, rects)
     # the float 2-cycle of the fixed point: a 2-cycle (or self-loop) exists
     cid = cells[0].cell_id
-    reach = tg.out_edges[cid][0]
-    assert cid in tg.out_edges[reach]
+    reach = successors(tg, cid)[0]
+    assert cid in successors(tg, reach)
 
 
 def test_hat_pi_constant_path(doubling, cfg, cover, table):
@@ -515,7 +585,7 @@ def test_hat_pi_constant_path(doubling, cfg, cover, table):
     c0 = cells[0].cell_id
     path = [c0]
     for _ in range(6):
-        path.append(tg.out_edges[path[-1]][0])
+        path.append(successors(tg, path[-1])[0])
     w, diams = hat_pi(doubling, tg, path, n_lo=0)
     assert diams[-1] == 0.0
     assert _cell_contains(doubling, rects, cells[c0], w)
@@ -525,7 +595,7 @@ def test_hat_pi_period2(doubling, cfg, cover, table):
     rects, _ = cover
     cells, tg = _refined(table, rects)
     c0 = _cells_at(rects, cells, 1 / 6)[0]
-    c1 = tg.out_edges[c0][0]
+    c1 = successors(tg, c0)[0]
     w, diams = hat_pi(doubling, tg, [c0, c1, c0, c1, c0], n_lo=-2)
     assert w.x(0) == pytest.approx(1 / 6, abs=1e-12) or \
         w.x(0) == pytest.approx(1 / 3, abs=1e-12)
@@ -535,7 +605,7 @@ def test_hat_pi_inadmissible(doubling, cfg, cover, table):
     rects, _ = cover
     cells, tg = _refined(table, rects)
     c0 = cells[0].cell_id
-    bad = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[c0])
+    bad = next(c.cell_id for c in cells if c.cell_id not in successors(tg, c0))
     with pytest.raises(ValueError):
         hat_pi(doubling, tg, [c0, bad])
 
@@ -552,8 +622,9 @@ def test_hat_pi_empty_cylinder():
     rects, _ = mr.build_cover(m, pg, replace(cfg, paths_per_vertex=2, cover_window=8, seed=1))
     cells, tg = _refined(al.vertices, rects)
     a = cells[0].cell_id
-    b = next(c.cell_id for c in cells if c.cell_id not in tg.out_edges[a])
-    tg.out_edges[a] = sorted(tg.out_edges[a] + [b])  # forged edge
+    b = next(c.cell_id for c in cells if c.cell_id not in successors(tg, a))
+    tg = mr.TmsGraph.from_edges(tg.n, [*tg.src.tolist(), a], [*tg.succ.tolist(), b],  # forged
+                                cells=tg.cells, cover=tg.cover, classes=tg.classes)
     with pytest.raises(EmptyCylinder):
         hat_pi(m, tg, [a, b])
 
@@ -602,7 +673,7 @@ def test_hat_pi_odd_anchor_alignment(doubling, cfg):
     start = cells[0].cell_id
     path = [start]
     for _ in range(6):
-        path.append(tg.out_edges[path[-1]][0])
+        path.append(successors(tg, path[-1])[0])
     for n_lo in (0, -1, -3):
         w, diams = hat_pi(doubling, tg, path, n_lo=n_lo)
         anchor_cell = tg.cells[path[-n_lo]]
@@ -705,4 +776,4 @@ def test_hat_pi_lets_unexpected_shift_errors_through(doubling, cover, table, mon
 
     monkeypatch.setattr(ne.OrbitWindow, "shift", broken_shift)
     with pytest.raises(TypeError, match="not a shift failure"):
-        hat_pi(doubling, tg, [c0, tg.out_edges[c0][0]], n_lo=-1)
+        hat_pi(doubling, tg, [c0, successors(tg, c0)[0]], n_lo=-1)
