@@ -54,7 +54,7 @@ def closed_paths_and_radius(g, n_max):
     src, dst, k = g.src[inside], g.succ[inside], comp.max(initial=-1) + 1
     # a component is one cycle when each of its vertices has one edge inside it
     outs = np.bincount(src, minlength=g.n)
-    cycle = np.bincount(comp, weights=outs != 1, minlength=k) == 0
+    cycle = np.bincount(comp, weights=outs != 1) == 0
     counts, rho = [0] * n_max, 0.0
     for length, number in enumerate(np.bincount(np.bincount(comp)[cycle]).tolist()):
         if number:
